@@ -31,11 +31,9 @@ from repro.harness.parallel import (  # noqa: F401  (run_grid re-exported)
 )
 from repro.harness.perflog import append_record, build_session_record
 from repro.harness.report import format_table
-from repro.disk import store_name
 from repro.harness.runner import FULL_CACHE_BYTES, scale_factor
 from repro.obs.observatory import append_ledger, snapshot_digest
 from repro.obs.profiler import format_profile_report
-from repro.sim import kernel_name
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 PERF_JSON = pathlib.Path(__file__).parent.parent / "BENCH_perf.json"
@@ -72,7 +70,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     record = build_session_record(
         GRID_REPORTS, scale=SCALE, jobs=default_jobs(),
-        kernel=kernel_name(), store=store_name(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     # keep the JSON trajectory bounded; older sessions rotate into
     # BENCH_perf.history.jsonl (see repro.harness.perflog)
@@ -80,8 +77,6 @@ def pytest_sessionfinish(session, exitstatus):
     append_ledger("grid", {
         "scale": SCALE,
         "jobs": default_jobs(),
-        "kernel": kernel_name(),
-        "store": store_name(),
         "grids": [grid.name for grid in GRID_REPORTS],
         "cells": sum(len(grid.cells) for grid in GRID_REPORTS),
         "wall_seconds": record["wall_seconds"],
@@ -105,8 +100,7 @@ def pytest_sessionfinish(session, exitstatus):
         results_dir.mkdir(exist_ok=True)
         profile_report = format_profile_report(
             profile_cells,
-            title=f"Per-layer profile (scale={SCALE}, "
-                  f"kernel={kernel_name()}; sim self-time, "
+            title=f"Per-layer profile (scale={SCALE}; sim self-time, "
                   f"wall prorated)")
         (results_dir / "profile_report.txt").write_text(
             profile_report + "\n")

@@ -22,7 +22,7 @@ from repro.sim.engine import Engine
 from repro.disk.cache import PrefetchCache
 from repro.disk.geometry import DiskGeometry
 from repro.disk.mechanics import DiskParameters
-from repro.disk.storage import resolve_store
+from repro.disk.storage import SectorStore
 
 
 @dataclass
@@ -127,14 +127,11 @@ class Disk:
                  geometry: Optional[DiskGeometry] = None,
                  params: Optional[DiskParameters] = None,
                  cache_segments: int = 2,
-                 prefetch_sectors: int = 64,
-                 store: Optional[str] = None) -> None:
+                 prefetch_sectors: int = 64) -> None:
         self.engine = engine
         self.geometry = geometry or DiskGeometry()
         self.params = params or DiskParameters()
-        # *store* names a repro.disk.storage.STORES entry; None defers to
-        # REPRO_STORE and then the default (flat) implementation
-        self.storage = resolve_store(self.geometry, store)
+        self.storage = SectorStore(self.geometry)
         self.cache = PrefetchCache(cache_segments, prefetch_sectors,
                                    self.geometry.total_sectors)
         self.stats = DiskStats()

@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.harness.report import format_table
 from repro.obs.observatory import append_ledger, snapshot_digest
 from repro.ordering.registry import display_aliases
-from repro.sim import KERNELS
 from repro.harness.runner import (
     FULL_CACHE_BYTES,
     STANDARD_SCHEMES,
@@ -115,10 +114,6 @@ def trace_main(argv: list[str]) -> int:
                         help="concurrent user processes (default 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="tree RNG seed (default: the spec's own)")
-    parser.add_argument("--kernel", default=None, choices=sorted(KERNELS),
-                        help="event-loop kernel (default: REPRO_KERNEL, "
-                             "then the pure-python reference; the choice "
-                             "never changes the simulation)")
     parser.add_argument("--profile", action="store_true",
                         help="attach the per-layer counting profiler and "
                              "print the layer breakdown (also writes "
@@ -130,8 +125,7 @@ def trace_main(argv: list[str]) -> int:
     scheme = _resolve_scheme(args.scheme)
     tree = TreeSpec().scaled(args.scale)
     cache = max(1 << 20, int(FULL_CACHE_BYTES * args.scale))
-    config = standard_scheme_config(scheme, cache_bytes=cache,
-                                    kernel=args.kernel)
+    config = standard_scheme_config(scheme, cache_bytes=cache)
     config.observe = True
     if args.profile:
         config.profile = True
@@ -157,8 +151,7 @@ def trace_main(argv: list[str]) -> int:
     print(f"  elapsed {result.elapsed:.3f}s simulated, "
           f"{result.disk_requests} disk requests, "
           f"{len(machine.obs.tracer.spans)} spans, "
-          f"{machine.engine.events_processed} events "
-          f"({machine.engine.kernel_name} kernel)")
+          f"{machine.engine.events_processed} events")
     for track, summary in sorted(summarize(machine.obs).items()):
         print(f"  track {track}: {summary.active:.3f}s active, "
               f"{100 * summary.coverage:.1f}% under named spans")
@@ -179,7 +172,6 @@ def trace_main(argv: list[str]) -> int:
         "scheme": scheme,
         "scale": args.scale,
         "users": args.users,
-        "kernel": machine.engine.kernel_name,
         "wall_seconds": round(wall, 3),
         "sim_seconds": round(result.elapsed, 3),
         "sim_events": machine.engine.events_processed,

@@ -53,15 +53,9 @@ class RunResult:
         folds into the cell's :class:`~repro.harness.parallel.CellStats`
         (and from there into ``BENCH_perf.json`` and the profile report):
         the ``profile.*`` keys (present when the machine ran with the layer
-        profiler attached) plus the host-side provenance tags
-        (``kernel``, ``store``)."""
+        profiler attached)."""
         return {key: value for key, value in self.extra.items()
-                if key.startswith("profile.") or key in _PERF_TAGS}
-
-    @perf_extra.setter
-    def perf_extra(self, values: dict) -> None:
-        """Merge host-performance tags into ``extra`` (cell annotation)."""
-        self.extra.update(values)
+                if key.startswith("profile.")}
 
     def as_row(self, columns: list[str]) -> list:
         """Resolve *columns* against the declared fields, then ``extra``.
@@ -78,9 +72,6 @@ class RunResult:
 #: the declared measurement columns; computed once, used by as_row
 _RESULT_FIELDS = frozenset(f.name for f in fields(RunResult))
 
-#: non-``profile.`` extras that still belong to the host-performance slice
-_PERF_TAGS = frozenset({"kernel", "store"})
-
 
 def collect(machine: Machine, users: list[Process], after_request_id: int,
             scheme: str = "", label: str = "") -> RunResult:
@@ -96,9 +87,6 @@ def collect(machine: Machine, users: list[Process], after_request_id: int,
     """
     result = RunResult(scheme=scheme or machine.scheme_name, label=label)
     result.sim_events = machine.engine.events_processed
-    # host-side provenance: which sector store backed this run (the stores
-    # are content-identical; the tag attributes wall-clock differences)
-    result.extra["store"] = machine.disk.storage.name
     result.user_elapsed = [process.finished_at - process.started_at
                            for process in users]
     if users:

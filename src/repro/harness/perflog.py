@@ -8,14 +8,16 @@ sibling ``*.history.jsonl`` -- one JSON record per line, append-only, cheap
 to grep and safe to truncate independently.
 
 Records are **enriched at append time** with the facts the regression gate
-(:mod:`repro.harness.regress`) stratifies by: the event-loop kernel name
-and the host's CPU count / numpy availability / platform.  Without them a
-fast-kernel cell measured on a 16-core runner would be compared against a
-python-kernel baseline from a 1-core container -- exactly the false alarm
-(or false pass) the gate exists to prevent.  Records written before this
-scheme are migrated leniently on load: :func:`migrate_record` fills the
+(:mod:`repro.harness.regress`) stratifies by: the host's CPU count /
+platform.  Without them a cell measured on a 16-core runner would be
+compared against a baseline from a 1-core container -- exactly the false
+alarm (or false pass) the gate exists to prevent.  Records written before
+this scheme are migrated leniently on load: :func:`migrate_record` fills the
 missing keys with ``None`` placeholders, which the gate treats as an
-incomparable stratum, never as a match.
+incomparable stratum, never as a match.  Records from when the simulator
+still had a second event kernel and sector store carry extra keys
+(``kernel``, ``store``, a vectoriser flag under ``host``); they load
+unchanged and the keys are ignored.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.obs.observatory import host_facts
 DEFAULT_KEEP = 20
 
 #: host-fact keys every record carries after migration
-_HOST_KEYS = ("platform", "python", "cpus", "numpy")
+_HOST_KEYS = ("platform", "python", "cpus")
 
 
 def history_path_for(path: Path) -> Path:
@@ -43,7 +45,7 @@ def migrate_record(record: dict) -> dict:
     """Fill stratification keys older records predate (in place).
 
     Lenient by design: a pre-enrichment record gains ``host`` (all-None)
-    and ``kernel``/``scale``/``jobs`` placeholders instead of being
+    and ``scale``/``jobs`` placeholders instead of being
     rejected, so old trajectories still load, print, and rotate -- the
     regression gate simply cannot claim them as baselines for a stratum
     they never declared.
@@ -55,8 +57,6 @@ def migrate_record(record: dict) -> dict:
         host = record["host"] = {}
     for key in _HOST_KEYS:
         host.setdefault(key, None)
-    record.setdefault("kernel", None)
-    record.setdefault("store", None)
     record.setdefault("scale", None)
     record.setdefault("jobs", None)
     return record
@@ -125,8 +125,7 @@ def append_record(path: Path, record: dict, keep: int = DEFAULT_KEEP,
 
 
 def build_session_record(grid_reports: list, scale: float, jobs: int,
-                         kernel: str, timestamp: str,
-                         store: str = None) -> dict:
+                         timestamp: str) -> dict:
     """The canonical per-session record flushed into ``BENCH_perf.json``.
 
     Shared by ``benchmarks/conftest.py`` (the real sessions) and the
@@ -137,8 +136,6 @@ def build_session_record(grid_reports: list, scale: float, jobs: int,
         "timestamp": timestamp,
         "scale": scale,
         "jobs": jobs,
-        "kernel": kernel,
-        "store": store,
         "host": host_facts(),
         "wall_seconds": round(sum(g.wall_seconds for g in grid_reports), 3),
         "cell_wall_seconds": round(sum(g.cell_wall_total

@@ -12,12 +12,9 @@ the priors.
 Method (documented in ``docs/performance.md``):
 
 * **Stratification.**  Only priors from the same stratum count as
-  baseline: same event-loop kernel, host CPU count, numpy availability,
-  benchmark scale, and job count.  A fast-kernel cell is never judged
-  against python-kernel history, nor a 4-core run against a 1-core
-  container's.  Cells carrying their own ``kernel`` field (the
-  kernel-throughput grid runs both kernels in one session) must match on
-  that too.  Pre-enrichment records migrate to all-``None`` strata
+  baseline: same host CPU count, benchmark scale, and job count.  A 4-core
+  run is never judged against a 1-core container's history.
+  Pre-enrichment records migrate to all-``None`` strata
   (:func:`repro.harness.perflog.migrate_record`), which match nothing.
 * **Robust center.**  The baseline is the *median* of the prior walls --
   one historic outlier session cannot move the gate -- and at least
@@ -71,8 +68,7 @@ ALLOW_ENV = "REPRO_REGRESS_ALLOW"
 def stratum_of(record: dict) -> tuple:
     """The comparability key of one session record."""
     host = record.get("host") or {}
-    return (record.get("kernel"), record.get("store"), host.get("cpus"),
-            host.get("numpy"), record.get("scale"), record.get("jobs"))
+    return (host.get("cpus"), record.get("scale"), record.get("jobs"))
 
 
 @dataclass
@@ -111,13 +107,6 @@ def _cells_of(record: dict):
                 yield name, cell
 
 
-def _cell_identity(grid_name: str, cell: dict) -> tuple:
-    """Cells match on grid, key, and (when declared) their own kernel and
-    sector store."""
-    return (grid_name, str(cell["key"]), cell.get("kernel"),
-            cell.get("store"))
-
-
 def compare_records(fresh: dict, priors: list,
                     tolerance: float = DEFAULT_TOLERANCE,
                     min_runs: int = DEFAULT_MIN_RUNS,
@@ -137,14 +126,14 @@ def compare_records(fresh: dict, priors: list,
             wall = cell.get("wall_seconds")
             if isinstance(wall, (int, float)):
                 baselines.setdefault(
-                    _cell_identity(grid_name, cell), []).append(float(wall))
+                    (grid_name, str(cell["key"])), []).append(float(wall))
 
     verdicts = []
     for grid_name, cell in _cells_of(fresh):
         wall = float(cell.get("wall_seconds") or 0.0)
         verdict = CellVerdict(grid=grid_name, key=str(cell["key"]),
                               wall=wall, status="ok")
-        samples = baselines.get(_cell_identity(grid_name, cell), [])
+        samples = baselines.get((grid_name, verdict.key), [])
         verdict.baseline_runs = len(samples)
         if len(samples) < min_runs:
             verdict.status = "no-baseline"
@@ -171,9 +160,8 @@ def format_regression_report(verdicts: list, fresh: dict, tolerance: float,
     lines = ["performance regression report",
              "=============================",
              f"candidate session: {fresh.get('timestamp', '?')}",
-             f"stratum: kernel={stratum[0]} store={stratum[1]} "
-             f"cpus={stratum[2]} numpy={stratum[3]} scale={stratum[4]} "
-             f"jobs={stratum[5]}",
+             f"stratum: cpus={stratum[0]} scale={stratum[1]} "
+             f"jobs={stratum[2]}",
              f"policy: regression when wall > median * {1 + tolerance:g} "
              f"and excess > {abs_floor:g}s, over >= {min_runs} "
              f"same-stratum prior runs",

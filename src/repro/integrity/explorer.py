@@ -135,18 +135,12 @@ WORKLOADS = {
 
 def build_machine(scheme_name: str, secrets: bool = False,
                   fault_profile: Optional[str] = None,
-                  fault_seed: int = 0,
-                  kernel: Optional[str] = None) -> Machine:
+                  fault_seed: int = 0) -> Machine:
     """A formatted exploration machine (deterministic for a given name).
 
     *fault_profile* names an entry of :data:`repro.faults.PROFILES`; the
     resulting plan is seeded with *fault_seed* so record and replay see the
     identical fault sequence.
-
-    *kernel* picks the event-loop kernel (default: ``REPRO_KERNEL``, then
-    the reference).  Kernels are simulation-identical, so recording and
-    replay need not even agree on one -- the crash images come out the
-    same either way.
     """
     try:
         # only the lookup belongs in the try: a scheme constructor that
@@ -167,8 +161,7 @@ def build_machine(scheme_name: str, secrets: bool = False,
                            fs_geometry=EXPLORER_GEOMETRY,
                            cache_bytes=2 * 1024 * 1024,
                            costs=CostModel(scale=0.0),
-                           faults=faults,
-                           kernel=kernel)
+                           faults=faults)
     machine = Machine(config)
     machine.format()
     if secrets:

@@ -81,16 +81,6 @@ class MachineConfig:
     #: make the disk unreliable (None = the perfect disk; a plan with all
     #: rates zero is byte-identical to None -- tests/faults proves it)
     faults: Optional[FaultPlan] = None
-    #: event-loop kernel name (``repro.sim.KERNELS``); None defers to
-    #: ``REPRO_KERNEL`` and then the pure-python reference kernel.  Every
-    #: kernel is simulation-identical -- the conformance suite proves it --
-    #: so this knob only trades host wall clock.
-    kernel: Optional[str] = None
-    #: sector-store name (``repro.disk.storage.STORES``); None defers to
-    #: ``REPRO_STORE`` and then the flat-buffer store.  Stores are
-    #: content-identical (same reads, digests, fsck verdicts, counters),
-    #: so this knob too only trades host wall clock.
-    store: Optional[str] = None
 
 
 class Machine:
@@ -104,7 +94,7 @@ class Machine:
             # here (idempotently) means every harness surface -- runner,
             # explorer, fault sweep, ad-hoc tests -- gets it for free
             cfg.fs_geometry = with_journal(cfg.fs_geometry)
-        self.engine = Engine(kernel=cfg.kernel)
+        self.engine = Engine()
         # observability is installed before any component is built so each
         # one can capture its instruments (or None) exactly once
         self.obs = Observability(self.engine,
@@ -113,7 +103,7 @@ class Machine:
         self.cpu = CPU(self.engine)
         self.costs = cfg.costs
         self.disk = Disk(self.engine, geometry=cfg.disk_geometry,
-                         params=cfg.disk_params, store=cfg.store)
+                         params=cfg.disk_params)
         if cfg.faults is not None:
             self.disk.faults = cfg.faults.build()
         self.policy = cfg.policy or default_policy_for(cfg.scheme)

@@ -3,13 +3,12 @@
 ``BENCH_perf.json`` tracks benchmark *sessions*; nothing tracked the other
 harness entry points (``trace``, ``faults``, ``explore``, the headline
 ``bench`` comparison, ``regress``), so long sweeps ran as black boxes and
-cross-invocation questions ("what ran on this host last week, under which
-kernel, how fast?") required archaeology.  The ledger is the closed-loop
+cross-invocation questions ("what ran on this host last week, at which
+scale, how fast?") required archaeology.  The ledger is the closed-loop
 answer: one JSON object per line appended to ``results/ledger.jsonl`` --
 subcommand, configuration, wall/sim time, throughput, an obs-snapshot
-digest when observability was on, and host facts (CPU count, numpy
-availability, platform) so records from different machines are never
-conflated.
+digest when observability was on, and host facts (CPU count, platform)
+so records from different machines are never conflated.
 
 Appends are concurrency-safe: each record is a single ``os.write`` to an
 ``O_APPEND`` descriptor, so grid cells (or whole sweeps) appending from
@@ -23,7 +22,6 @@ ledger entirely (useful for throwaway runs).
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 import platform
@@ -40,30 +38,18 @@ DEFAULT_LEDGER = Path("results") / "ledger.jsonl"
 #: values of ``REPRO_LEDGER`` that disable the ledger
 _OFF = {"off", "none", "0", ""}
 
-#: cached numpy availability (find_spec walks sys.path; do it once)
-_NUMPY_AVAILABLE: Optional[bool] = None
-
-
-def _numpy_available() -> bool:
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        _NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
-    return _NUMPY_AVAILABLE
-
-
 def host_facts() -> dict:
     """Facts that stratify performance records across machines.
 
     The regression gate refuses to compare cells across differing strata
-    (a 4-core runner against a 1-core container, a numpy-vectorized fast
-    kernel against the fallback), so these are stamped into every ledger
-    record and every perf-trajectory session at append time.
+    (a 4-core runner against a 1-core container), so these are stamped
+    into every ledger record and every perf-trajectory session at append
+    time.
     """
     return {
         "platform": platform.system().lower() or "unknown",
         "python": platform.python_version(),
         "cpus": os.cpu_count() or 1,
-        "numpy": _numpy_available(),
     }
 
 

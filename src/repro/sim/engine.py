@@ -1,31 +1,33 @@
-"""The discrete-event engine: clock, event construction, and the kernel.
+"""The discrete-event engine: clock, event queue, and run loops.
 
-The engine is the public face of the simulation: it owns the clock
-attribute, builds events/timeouts/processes, and exposes the run loops.
-The event queue itself and the hot dispatch loops live in a swappable
-*kernel* (:mod:`repro.sim.kernel`): the pure-python reference kernel is
-the default and the equivalence oracle; the batched ``fast`` kernel trades
-per-event heap sifts for amortized array sorts.  Select with
-``Engine(kernel="fast")`` or ``REPRO_KERNEL=fast``.
+The engine is the whole event kernel: it owns the simulated clock, a binary
+heap of ``(time, sequence, event)`` entries, the queue of late callback
+subscriptions, and the loops that dispatch them.  It is deliberately not
+swappable (``docs/performance.md`` has the measurement), so events push onto
+the heap directly and a scheduling fast path has one place to land.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.events import Event, Timeout
-from repro.sim.kernel import SimulationError, resolve_kernel
 
 __all__ = ["Engine", "SimulationError"]
+
+
+class SimulationError(RuntimeError):
+    """Raised when the simulation cannot make progress or a process crashed."""
 
 
 class Engine:
     """The event loop and simulated clock.
 
-    The engine's kernel holds a queue of ``(time, sequence, event)``
-    entries.  Entries at equal times fire in insertion order, which makes
-    every simulation run fully deterministic for a given seed -- under any
-    kernel.
+    The engine holds a heap of ``(time, sequence, event)`` entries.  Entries
+    at equal times fire in insertion order, which makes every simulation run
+    fully deterministic for a given seed.
 
     Typical use::
 
@@ -40,9 +42,10 @@ class Engine:
         assert eng.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("now", "current_process", "obs", "trace_hook", "_kernel")
+    __slots__ = ("now", "current_process", "obs", "trace_hook",
+                 "events_processed", "_heap", "_seq", "_deferred")
 
-    def __init__(self, kernel=None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         #: the process currently being resumed (None outside process context)
         self.current_process = None
@@ -52,9 +55,16 @@ class Engine:
         #: per-event dispatch hook ``hook(when, event)``; must be passive
         #: (read-only) so dispatch order and timestamps never change
         self.trace_hook = None
-        #: the event-loop kernel (name, class, instance, or None for the
-        #: REPRO_KERNEL / reference default)
-        self._kernel = resolve_kernel(kernel).bind(self)
+        #: total events dispatched since construction (instrumentation)
+        self.events_processed = 0
+        #: the event queue; :mod:`repro.sim.events` pushes onto it directly
+        #: (``_seq`` breaks timestamp ties in schedule order)
+        self._heap: list[tuple[float, int, Event]] = []
+        self._seq = 0
+        #: late subscriptions to already-processed events, delivered before
+        #: the next dispatch and flushed at every run-loop exit, so a run
+        #: that stops first can never silently drop one
+        self._deferred: deque = deque()
 
     # -- event construction ---------------------------------------------
     def event(self) -> Event:
@@ -72,47 +82,85 @@ class Engine:
         return Process(self, generator, name=name)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after *delay* simulated seconds (no process).
-
-        No event object is handed back, so kernels are free to keep the
-        timer in flat storage and call *fn* directly at dispatch.
-        """
-        self._kernel.schedule_call(delay, fn, args)
-
-    # -- kernel internals -------------------------------------------------
-    def _enqueue_event(self, event: Event, delay: float = 0.0) -> None:
-        """Compatibility shim; events call the kernel directly."""
-        self._kernel.schedule(event, delay)
+        """Run ``fn(*args)`` after *delay* simulated seconds (no process)."""
+        Timeout(self, delay).callbacks.append(lambda _event: fn(*args))
 
     # -- run loops ---------------------------------------------------------
+    # run() and run_until() inline step()'s body: they are the hottest
+    # frames of every simulation (one iteration per event), and the method
+    # call + repeated attribute lookups cost ~15% of total runtime at
+    # benchmark scale.  step() stays as the single-event API.
+
+    def _drain_deferred(self) -> None:
+        deferred = self._deferred
+        while deferred:
+            fn, event = deferred.popleft()
+            fn(event)
+
     def step(self) -> None:
         """Process the single next event on the queue."""
-        self._kernel.advance()
+        if self._deferred:
+            self._drain_deferred()
+        if not self._heap:
+            raise SimulationError("step() on an empty event heap")
+        when, _seq, event = heappop(self._heap)
+        if when < self.now:
+            raise SimulationError(f"time went backwards: {when} < {self.now}")
+        self.now = when
+        self.events_processed += 1
+        if self.trace_hook is not None:
+            self.trace_hook(when, event)
+        event._process()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, the clock passes *until*, or *max_events*.
 
         ``until`` is an absolute simulated time; events scheduled at exactly
         *until* are processed, and the clock is left at ``max(now, until)``
-        whether the queue drained early or still holds later events (the same
-        semantics as :meth:`run_to` -- in particular the clock never moves
-        backwards when *until* is already in the past).  ``max_events`` is a
-        safety valve for tests: the loop dispatches at most that many events
-        and raises :class:`SimulationError` when one more would be needed,
-        rather than hanging.
+        whether the queue drained early or still holds later events (in
+        particular the clock never moves backwards when *until* is already in
+        the past).  ``max_events`` is a safety valve for tests: the loop
+        dispatches at most that many events and raises
+        :class:`SimulationError` when one more would be needed, rather than
+        hanging.
         """
-        self._kernel.run(until=until, max_events=max_events)
+        heap = self._heap
+        hook = self.trace_hook
+        deferred = self._deferred
+        processed = 0
+        if deferred:
+            self._drain_deferred()
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at t={self.now:.6f}")
+            when, _seq, event = heappop(heap)
+            if when < self.now:
+                raise SimulationError(
+                    f"time went backwards: {when} < {self.now}")
+            self.now = when
+            self.events_processed += 1
+            if hook is not None:
+                hook(when, event)
+            event._process()
+            processed += 1
+            if deferred:
+                self._drain_deferred()
+        if until is not None and until > self.now:
+            self.now = until
+        if deferred:
+            self._drain_deferred()
 
     def run_to(self, when: float, max_events: Optional[int] = None) -> None:
-        """Advance the clock to the absolute instant *when*.
+        """Advance the clock to the absolute instant *when*: ``run(until=when)``.
 
-        Processes every event scheduled at or before *when* (inclusive: two
-        runs stopped at the same instant see the same event prefix, which is
-        what makes crash-state replay deterministic) and leaves the clock at
-        exactly *when* even if the queue still holds later events or drained
-        early.
+        Every event scheduled at or before *when* is processed (inclusive:
+        two runs stopped at the same instant see the same event prefix, which
+        is what makes crash-state replay deterministic).
         """
-        self._kernel.run_to(when, max_events=max_events)
+        self.run(until=when, max_events=max_events)
 
     def run_until(self, event: Event, max_events: Optional[int] = None) -> Any:
         """Run until *event* has been processed; return its value.
@@ -120,7 +168,37 @@ class Engine:
         Raises the event's exception if it failed, and
         :class:`SimulationError` if the queue drains first.
         """
-        return self._kernel.run_until(event, max_events=max_events)
+        heap = self._heap
+        hook = self.trace_hook
+        deferred = self._deferred
+        processed = 0
+        if deferred:
+            self._drain_deferred()
+        while not event._processed:
+            if not heap:
+                raise SimulationError(
+                    f"event heap drained at t={self.now:.6f} before the "
+                    "awaited event fired (deadlock or missing wakeup)")
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at t={self.now:.6f}")
+            when, _seq, next_event = heappop(heap)
+            if when < self.now:
+                raise SimulationError(
+                    f"time went backwards: {when} < {self.now}")
+            self.now = when
+            self.events_processed += 1
+            if hook is not None:
+                hook(when, next_event)
+            next_event._process()
+            processed += 1
+            if deferred:
+                self._drain_deferred()
+        if deferred:
+            self._drain_deferred()
+        if not event.ok:
+            raise event.value
+        return event.value
 
     def run_all(self, events: list[Event], max_events: Optional[int] = None) -> list[Any]:
         """Run until every event in *events* has fired; return their values."""
@@ -128,25 +206,14 @@ class Engine:
 
     # -- introspection -----------------------------------------------------
     @property
-    def events_processed(self) -> int:
-        """Total events processed since construction (for instrumentation)."""
-        return self._kernel.events_processed
-
-    @property
     def pending_events(self) -> int:
         """Scheduled-but-undispatched entries (the queue length)."""
-        return self._kernel.pending()
+        return len(self._heap)
 
     @property
     def next_event_time(self) -> Optional[float]:
         """The next event's timestamp, or None when nothing is pending."""
-        return self._kernel.peek()
-
-    @property
-    def kernel_name(self) -> str:
-        """The active kernel's registry name (``"python"`` / ``"fast"``)."""
-        return self._kernel.name
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:
-        return (f"<Engine t={self.now:.6f} pending={self._kernel.pending()} "
-                f"kernel={self._kernel.name}>")
+        return f"<Engine t={self.now:.6f} pending={len(self._heap)}>"

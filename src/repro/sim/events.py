@@ -1,21 +1,22 @@
-"""One-shot events for the simulation kernel.
+"""One-shot events for the simulation engine.
 
 An :class:`Event` is the unit of coordination: processes yield events and are
 resumed when the event *fires*.  Firing is split into two steps so that event
 processing order is deterministic and independent of who calls
 :meth:`Event.succeed`:
 
-1. ``succeed()`` / ``fail()`` marks the event triggered and enqueues it on the
-   engine's kernel at the current simulated time;
-2. the kernel pops it and runs its callbacks (resuming waiting processes).
+1. ``succeed()`` / ``fail()`` marks the event triggered and pushes it onto
+   the engine's heap at the current simulated time;
+2. the engine pops it and runs its callbacks (resuming waiting processes).
 
-Events talk to the kernel (:mod:`repro.sim.kernel`) directly rather than
-through the engine: ``wake``/``schedule`` are the hottest calls in the
-simulator, and the kernel is the component that owns the queue.
+Events push ``(when, sequence, event)`` onto ``engine._heap`` themselves
+rather than through an engine method: scheduling is the hottest operation in
+the simulator, and the call it saves is paid once per event.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 
@@ -66,7 +67,9 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
-        self.engine._kernel.wake(self)
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (engine.now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -77,7 +80,9 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exc = exc
-        self.engine._kernel.wake(self)
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (engine.now, seq, self))
         return self
 
     # -- engine internals ----------------------------------------------
@@ -91,11 +96,11 @@ class Event:
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._processed:
             # Late subscription to an already-processed event: deliver
-            # through the kernel's deferred queue -- before the next
+            # through the engine's deferred queue -- before the next
             # dispatch, or at run-loop exit -- so the caller never
             # re-enters synchronously and the callback can never be
             # dropped by a run that stops before a wrapper event fires.
-            self.engine._kernel.defer(callback, self)
+            self.engine._deferred.append((callback, self))
         else:
             self.callbacks.append(callback)
 
@@ -117,4 +122,5 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        engine._kernel.schedule(self, delay)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (engine.now + delay, seq, self))

@@ -1,30 +1,25 @@
-"""Unit tests for the sector stores and on-board prefetch cache.
+"""Unit tests for the sector store and on-board prefetch cache.
 
-Every store test runs against each registered implementation (plus the
-flat store on its forced ``bytearray`` fallback backing): the suite IS the
-conformance contract both must satisfy identically.
+Every store test runs against the shipped store (``flat``: chunked
+copy-on-write ``bytearray`` backing) and the per-sector dict reference
+model under ``tests/disk/`` (``dict``): the suite IS the conformance
+contract both must satisfy identically.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.disk import DiskGeometry, FlatSectorStore, SectorStore
+from repro.disk import DiskGeometry, SectorStore
 from repro.disk.cache import PrefetchCache
+from repro.disk.storage import GROW_CHUNK_SECTORS
+from tests.disk.reference_store import ReferenceStore
+
+STORES = {"dict": ReferenceStore, "flat": SectorStore}
+STORE_VARIANTS = list(STORES)
 
 
 def make_store(variant: str, geometry=None):
-    geometry = geometry or DiskGeometry()
-    if variant == "dict":
-        return SectorStore(geometry)
-    store = FlatSectorStore(geometry)
-    if variant == "flat-fallback":
-        # force the pure-python scan path regardless of numpy presence
-        store._use_np = False
-        store.backend = "bytearray"
-    return store
-
-
-STORE_VARIANTS = ["dict", "flat", "flat-fallback"]
+    return STORES[variant](geometry or DiskGeometry())
 
 
 @pytest.fixture(params=STORE_VARIANTS)
@@ -71,6 +66,25 @@ class TestSectorStore:
         assert snap.read(0) == b"\x11" * 512
         assert store.read(0) == b"\x22" * 512
 
+    def test_chunk_boundary_straddle_roundtrips(self, store):
+        """A write, read and snapshot spanning two (and three) backing
+        chunks: with 64 KB chunks most multi-block requests straddle."""
+        span = GROW_CHUNK_SECTORS
+        payload = bytes(range(256)) * 2 * 6
+        store.write(span - 2, payload)             # chunks 0 and 1
+        wide = b"\x5a" * (512 * (span + 4))
+        store.write(3 * span - 2, wide)            # chunks 2, 3 and 4
+        snap = store.snapshot()
+        store.write(span - 1, b"\xee" * 1024)      # CoW on both sides
+        assert snap.read(span - 2, 6) == payload
+        assert snap.read(3 * span - 2, span + 4) == wide
+        assert store.read(span - 2, 6) == (payload[:512] + b"\xee" * 1024
+                                           + payload[1536:])
+        assert store.read(span - 3, 8) == (bytes(512) + store.read(span - 2, 6)
+                                           + bytes(512))
+        assert bytes(snap.flat_view(span + 4))[(span - 2) * 512:] == payload
+        assert len(store) == 6 + span + 4
+
     @given(st.lists(st.tuples(st.integers(0, 1000),
                               st.binary(min_size=512, max_size=512)),
                     max_size=20))
@@ -115,8 +129,8 @@ class TestStoreConformance:
             assert snap.digest() == store.digest()
 
     def test_load_from_preserves_counter(self):
-        source = self.drive(make_store("dict"))
         for variant in STORE_VARIANTS:
+            source = self.drive(make_store(variant))
             store = make_store(variant)
             store.write(7, b"\x55" * 512)
             before = store.sectors_written
@@ -127,13 +141,13 @@ class TestStoreConformance:
     def test_iter_nonzero_identical(self):
         rows = [list(self.drive(make_store(v)).iter_nonzero())
                 for v in STORE_VARIANTS]
-        assert rows[0] == rows[1] == rows[2]
+        assert rows[0] == rows[1]
         assert all(lbn != 400 for lbn, _ in rows[0])  # zeros canonicalized
 
     def test_flat_view_identical(self):
         views = [bytes(self.drive(make_store(v)).flat_view(512))
                  for v in STORE_VARIANTS]
-        assert views[0] == views[1] == views[2]
+        assert views[0] == views[1]
 
 
 class TestPrefetchCache:

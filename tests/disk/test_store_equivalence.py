@@ -1,30 +1,19 @@
-"""FlatSectorStore vs the dict-backed oracle, under random interleavings.
+"""SectorStore vs the per-sector dict model, under random interleavings.
 
-The flat store is a performance substitution, not a behavior change: any
-sequence of ``read`` / ``write`` / ``write_partial`` / ``snapshot`` /
-``digest`` / ``iter_nonzero`` / ``flat_view`` calls must be observation-
-identical to the reference ``SectorStore`` -- on the numpy backing *and*
-on the pure-python ``bytearray`` fallback.  A tracemalloc check also pins
-the flat store's O(1)-allocations write path (the dict store allocates one
-``bytes`` per sector).
+The chunked copy-on-write store is a performance substitution, not a
+behavior change: any sequence of ``read`` / ``write`` / ``write_partial`` /
+``snapshot`` / ``digest`` / ``iter_nonzero`` / ``flat_view`` calls must be
+observation-identical to ``ReferenceStore``.  A tracemalloc check also pins
+the shipped store's O(1)-allocations write path (the dict model allocates
+one ``bytes`` per sector).
 """
 
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.disk import DiskGeometry, FlatSectorStore, SectorStore
-from repro.disk import storage as storage_mod
-
-
-def flat_store(geometry, fallback: bool) -> FlatSectorStore:
-    store = FlatSectorStore(geometry)
-    if fallback:
-        # force the pure-python digest/scan path regardless of numpy
-        store._use_np = False
-        store.backend = "bytearray"
-    return store
+from repro.disk import DiskGeometry, SectorStore
+from tests.disk.reference_store import ReferenceStore
 
 
 SECTOR = 512
@@ -78,30 +67,8 @@ class TestRandomInterleavings:
     @given(op_list=ops)
     def test_flat_matches_oracle(self, op_list):
         geometry = DiskGeometry()
-        reference = apply_ops(SectorStore(geometry), op_list)
-        assert apply_ops(flat_store(geometry, fallback=False),
-                         op_list) == reference
-
-    @settings(max_examples=60, deadline=None)
-    @given(op_list=ops)
-    def test_fallback_backing_matches_oracle(self, op_list):
-        geometry = DiskGeometry()
-        reference = apply_ops(SectorStore(geometry), op_list)
-        assert apply_ops(flat_store(geometry, fallback=True),
-                         op_list) == reference
-
-    def test_fallback_used_when_numpy_missing(self, monkeypatch):
-        """With numpy unimportable the flat store must still construct and
-        conform (CI's numpy-free tier-1 legs run the whole suite this way;
-        this pins the selection logic itself)."""
-        monkeypatch.setattr(storage_mod, "_np", None)
-        store = storage_mod.FlatSectorStore(DiskGeometry())
-        assert store.backend == "bytearray"
-        store.write(5, b"\x09" * SECTOR)
-        assert store.read(5) == b"\x09" * SECTOR
-        reference = SectorStore(DiskGeometry())
-        reference.write(5, b"\x09" * SECTOR)
-        assert store.digest() == reference.digest()
+        reference = apply_ops(ReferenceStore(geometry), op_list)
+        assert apply_ops(SectorStore(geometry), op_list) == reference
 
 
 class TestWritePathAllocations:
@@ -113,22 +80,22 @@ class TestWritePathAllocations:
         tracemalloc.stop()
         return sum(stat.size_diff
                    for stat in after.compare_to(before, "filename")
-                   if "storage.py" in (stat.traceback[0].filename
-                                       if stat.traceback else ""))
+                   if stat.traceback and stat.traceback[0].filename.endswith(
+                       ("storage.py", "reference_store.py")))
 
     def test_flat_write_does_not_copy_per_sector(self):
         """A large write into pre-grown backing must not allocate per
-        sector: the flat store slices the payload straight in, while the
-        dict store materializes one ``bytes`` object per sector."""
+        sector: the shipped store slices the payload straight in, while the
+        dict model materializes one ``bytes`` object per sector."""
         geometry = DiskGeometry()
         nsectors = 512
         payload = b"\xa5" * (SECTOR * nsectors)
 
-        flat = FlatSectorStore(geometry)
+        flat = SectorStore(geometry)
         flat.write(0, payload)  # pre-grow so _ensure is out of the picture
         flat_bytes = self.measure(flat, 0, payload)
 
-        reference = SectorStore(geometry)
+        reference = ReferenceStore(geometry)
         reference.write(0, payload)
         dict_bytes = self.measure(reference, 0, payload)
 

@@ -46,9 +46,9 @@ class TestLoadRecords:
         assert sessions(loaded) == [1]
         # lenient migration: stratification keys appear as placeholders
         assert loaded[0]["host"] == {"platform": None, "python": None,
-                                     "cpus": None, "numpy": None}
-        assert loaded[0]["kernel"] is None
+                                     "cpus": None}
         assert loaded[0]["scale"] is None
+        assert loaded[0]["jobs"] is None
 
     def test_garbage_tolerated(self, tmp_path):
         path = tmp_path / "perf.json"
@@ -58,10 +58,21 @@ class TestLoadRecords:
 
 class TestMigration:
     def test_partial_host_block_completed(self):
-        migrated = migrate_record({"host": {"cpus": 4}, "kernel": "fast"})
+        migrated = migrate_record({"host": {"cpus": 4}})
         assert migrated["host"]["cpus"] == 4
-        assert migrated["host"]["numpy"] is None
-        assert migrated["kernel"] == "fast"
+        assert migrated["host"]["platform"] is None
+
+    def test_retired_keys_load_untouched(self):
+        """Old records name a kernel, a store and numpy availability; they
+        load as they are and gain no placeholders for keys nobody reads."""
+        old = {"host": {"cpus": 1, "numpy": True}, "kernel": "python",
+               "store": "flat", "scale": 0.15, "jobs": 1}
+        migrated = migrate_record(dict(old, host=dict(old["host"])))
+        assert {k: migrated[k] for k in old if k != "host"} \
+            == {k: old[k] for k in old if k != "host"}
+        assert migrated["host"]["numpy"] is True
+        assert "kernel" not in migrate_record({})
+        assert "numpy" not in migrate_record({})["host"]
 
     def test_existing_values_never_clobbered(self):
         migrated = migrate_record({"scale": 0.15, "jobs": 2})
@@ -86,7 +97,6 @@ class TestAppendRecord:
         retained = append_record(path, record(0), keep=5)
         host = retained[0]["host"]
         assert host["cpus"] == (os.cpu_count() or 1)
-        assert isinstance(host["numpy"], bool)
         assert host["platform"]
         # an explicit host block is preserved, not overwritten
         retained = append_record(
@@ -139,12 +149,12 @@ class TestBuildSessionRecord:
         grid = GridReport(name="g", jobs=2, wall_seconds=1.0)
         grid.cells.append(CellStats(key="('copy', 'Soft Updates')",
                                     wall_seconds=0.5, sim_events=1000,
-                                    extra={"kernel": "fast"}))
+                                    extra={"points": 68}))
         rec = build_session_record([grid], scale=0.15, jobs=2,
-                                   kernel="python", timestamp="t")
-        assert rec["kernel"] == "python"
+                                   timestamp="t")
+        assert "kernel" not in rec and "store" not in rec
         assert rec["host"]["cpus"] == (os.cpu_count() or 1)
         cell = rec["grids"][0]["cells"][0]
         assert cell["wall_seconds"] == 0.5
         assert cell["events_per_second"] == 2000
-        assert cell["kernel"] == "fast"
+        assert cell["points"] == 68

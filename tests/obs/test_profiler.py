@@ -60,23 +60,10 @@ class TestPerfExtra:
         machine = run_profiled("conventional")
         result = collect(machine, [], 0)
         assert result.perf_extra
-        assert all(key.startswith("profile.") or key in ("kernel", "store")
+        assert all(key.startswith("profile.")
                    for key in result.perf_extra)
         assert result.perf_extra["profile.vfs.sim"] \
             == result.extra["profile.vfs.sim"]
-
-    def test_carries_store_provenance(self):
-        from repro.harness.metrics import collect
-        machine = run_profiled("conventional")
-        result = collect(machine, [], 0)
-        assert result.perf_extra["store"] == machine.disk.storage.name
-
-    def test_setter_merges_host_tags(self):
-        from repro.harness.metrics import RunResult
-        result = RunResult(scheme="x")
-        result.perf_extra = {"kernel": "python"}
-        assert result.extra["kernel"] == "python"
-        assert result.perf_extra == {"kernel": "python"}
 
     def test_empty_without_profiler(self):
         from repro.harness.metrics import RunResult

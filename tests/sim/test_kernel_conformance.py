@@ -1,47 +1,33 @@
-"""Kernel conformance: every registered kernel is the same simulation.
+"""The event kernel's contract, pinned on :class:`Engine` itself.
 
-:data:`repro.sim.KERNELS` maps names to swappable event-loop kernels; the
-pure-python kernel is the reference oracle.  A kernel is conformant when no
-simulated workload can tell it apart from the reference: same event order
-at equal timestamps (FIFO by schedule sequence), same clock-leave semantics
-for every run-loop flavour, same error detection, same ``events_processed``
-accounting, and -- the end-to-end check -- byte-identical driver traces for
-a full file-system workload under every ordering scheme.
-
-Each test either asserts an absolute property per kernel or compares a
-kernel's observable trace against the reference kernel's on an identical
-scripted schedule.
+There is one event loop (a binary heap inside ``Engine``); these tests fix
+what no simulated workload may ever see change: event order at equal
+timestamps (FIFO by schedule sequence), the clock-leave semantics of every
+run-loop flavour, error detection, and ``events_processed`` accounting.
+The scripted schedule's trace and dispatch stream are golden values
+recorded from the reference heap loop before the swappable-kernel layer
+was folded back into the engine, so a rewrite of the loop has to reproduce
+them exactly.
 """
 
 import pytest
 
-from repro.sim import KERNELS, Engine, SimulationError, kernel_name
-from tests.conftest import SCHEME_FACTORIES, make_machine, run_user
-from tests.obs.test_equivalence import churn, driver_trace_digest
-
-ALL_KERNELS = sorted(KERNELS)
-#: every kernel that must match the reference (today: just "fast")
-CANDIDATE_KERNELS = [name for name in ALL_KERNELS if name != "python"]
-
-
-@pytest.fixture(params=ALL_KERNELS)
-def kern(request):
-    return request.param
+from repro.sim import Engine, SimulationError
 
 
 # ---------------------------------------------------------------------------
 # a scripted schedule exercising every enqueue path with equal-time ties
 # ---------------------------------------------------------------------------
 
-def scripted_run(kernel, hook_log=None):
+def scripted_run(hook_log=None):
     """Run a fixed mixed workload; return (engine, observable trace).
 
     The script mixes processes, awaited timeouts, bare (never-awaited)
     timeouts, ``call_later`` timers and event wakes, with several events
-    landing at the same instant -- the FIFO tie-break is where a batched
-    kernel is most likely to diverge.
+    landing at the same instant -- the FIFO tie-break is where a changed
+    event loop is most likely to diverge.
     """
-    eng = Engine(kernel=kernel)
+    eng = Engine()
     if hook_log is not None:
         eng.trace_hook = lambda when, event: hook_log.append(
             (when, type(event).__name__))
@@ -78,40 +64,52 @@ def scripted_run(kernel, hook_log=None):
     return eng, trace
 
 
+GOLDEN_TRACE = [
+    ("a", 0, 1.0), ("b", 0, 1.5), ("timer", 2.0, 2.0), ("timer", 2.0, 2.0),
+    ("timer", 2.0, 2.0), ("a", 1, 2.0), ("open", 3.0), ("b", 1, 3.0),
+    ("a", 2, 3.0), ("w0", "opened", 3.0), ("w1", "opened", 3.0),
+    ("w2", "opened", 3.0), ("w0", "after", 3.5), ("w1", "after", 3.5),
+    ("w2", "after", 3.5), ("a", 3, 4.0), ("timer", 4.25, 4.25),
+    ("b", 2, 4.5), ("a", 4, 5.0), ("b", 3, 6.0), ("a", 5, 6.0)]
+
+GOLDEN_DISPATCH = (
+    [(0.0, "Event")] * 6
+    + [(1.0, "Timeout"), (1.5, "Timeout")] + [(2.0, "Timeout")] * 4
+    + [(2.5, "Timeout")] + [(3.0, "Timeout")] * 3
+    + [(3.0, "Event"), (3.0, "Process")] + [(3.5, "Timeout")] * 3
+    + [(3.5, "Process")] * 3
+    + [(4.0, "Timeout"), (4.25, "Timeout"), (4.5, "Timeout"),
+       (5.0, "Timeout"), (6.0, "Timeout"), (6.0, "Timeout"),
+       (6.0, "Process"), (6.0, "Process"), (10.0, "Timeout")])
+
+
 class TestScriptedEquivalence:
     def test_trace_identical_to_reference(self):
-        ref_eng, ref_trace = scripted_run("python")
-        assert ref_trace  # the script actually did something
-        for name in CANDIDATE_KERNELS:
-            eng, trace = scripted_run(name)
-            assert trace == ref_trace, f"kernel {name!r} diverged"
-            assert eng.now == ref_eng.now
-            assert eng.events_processed == ref_eng.events_processed
+        eng, trace = scripted_run()
+        assert trace == GOLDEN_TRACE
+        assert eng.now == 10.0
+        assert eng.events_processed == 33
 
     def test_trace_hook_sees_identical_dispatch_stream(self):
-        """With a hook installed every kernel must surface the exact same
-        (timestamp, event type) dispatch stream -- fast paths that elide
-        event objects must switch themselves off."""
-        ref_hook = []
-        scripted_run("python", hook_log=ref_hook)
-        assert ref_hook
-        for name in CANDIDATE_KERNELS:
-            hook = []
-            scripted_run(name, hook_log=hook)
-            assert hook == ref_hook, f"kernel {name!r} hook stream diverged"
+        """A hook sees every dispatched event as (timestamp, event type),
+        and installing one changes nothing else."""
+        hook = []
+        eng, trace = scripted_run(hook_log=hook)
+        assert hook == GOLDEN_DISPATCH
+        assert trace == GOLDEN_TRACE
+        assert eng.events_processed == len(hook)
 
-    def test_determinism_across_repeated_runs(self, kern):
-        eng_a, trace_a = scripted_run(kern)
-        eng_b, trace_b = scripted_run(kern)
+    def test_determinism_across_repeated_runs(self):
+        eng_a, trace_a = scripted_run()
+        eng_b, trace_b = scripted_run()
         assert trace_a == trace_b
         assert eng_a.now == eng_b.now
         assert eng_a.events_processed == eng_b.events_processed
 
-    def test_single_stepping_matches_run(self, kern):
-        """advance()/step() one event at a time reaches the same end state
-        as one run() call, with peek() honest at every step."""
-        ref_eng, ref_trace = scripted_run("python")
-        eng = Engine(kernel=kern)
+    def test_single_stepping_matches_run(self):
+        """step() one event at a time reaches the same end state as one
+        run() call, with next_event_time honest at every step."""
+        eng = Engine()
         trace = []
         for delay in (3.0, 1.0, 2.0, 2.0, 1.0):
             eng.call_later(delay, lambda d=delay: trace.append((d, eng.now)))
@@ -128,34 +126,34 @@ class TestScriptedEquivalence:
 
 
 class TestBasicSemantics:
-    def test_equal_time_events_fire_fifo(self, kern):
-        eng = Engine(kernel=kern)
+    def test_equal_time_events_fire_fifo(self):
+        eng = Engine()
         order = []
         for tag in range(8):
             eng.call_later(1.0, order.append, tag)
         eng.run()
         assert order == list(range(8))
 
-    def test_time_went_backwards_detected_by_run(self, kern):
-        eng = Engine(kernel=kern)
+    def test_time_went_backwards_detected_by_run(self):
+        eng = Engine()
         eng.timeout(1.0)
         eng.now = 5.0  # corrupt the clock past the scheduled event
         with pytest.raises(SimulationError, match="backwards"):
             eng.run()
 
-    def test_time_went_backwards_detected_by_step(self, kern):
-        eng = Engine(kernel=kern)
+    def test_time_went_backwards_detected_by_step(self):
+        eng = Engine()
         eng.timeout(1.0)
         eng.now = 5.0
         with pytest.raises(SimulationError, match="backwards"):
             eng.step()
 
-    def test_step_on_empty_heap_raises(self, kern):
+    def test_step_on_empty_heap_raises(self):
         with pytest.raises(SimulationError, match="empty"):
-            Engine(kernel=kern).step()
+            Engine().step()
 
-    def test_deadlock_detected_by_run_until(self, kern):
-        eng = Engine(kernel=kern)
+    def test_deadlock_detected_by_run_until(self):
+        eng = Engine()
         ev = eng.event()  # never triggered
 
         def waiter():
@@ -166,22 +164,22 @@ class TestBasicSemantics:
 
 
 class TestClockLeaveSemantics:
-    def test_run_drains_and_keeps_last_event_time(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_drains_and_keeps_last_event_time(self):
+        eng = Engine()
         eng.timeout(2.0)
         eng.run()
         assert eng.now == 2.0
         eng.run()  # empty heap: no-op
         assert eng.now == 2.0
 
-    def test_run_until_horizon_reached_past_drain(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_until_horizon_reached_past_drain(self):
+        eng = Engine()
         eng.timeout(1.0)
         eng.run(until=7.0)
         assert eng.now == 7.0
 
-    def test_run_never_rewinds_clock(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_never_rewinds_clock(self):
+        eng = Engine()
         eng.timeout(5.0)
         eng.run()
         eng.run(until=2.0)
@@ -189,8 +187,8 @@ class TestClockLeaveSemantics:
         eng.run_to(2.0)
         assert eng.now == 5.0
 
-    def test_run_stops_before_events_past_horizon(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_stops_before_events_past_horizon(self):
+        eng = Engine()
         seen = []
         for delay in (1.0, 4.0, 4.0, 9.0):
             eng.call_later(delay, seen.append, delay)
@@ -199,9 +197,9 @@ class TestClockLeaveSemantics:
         assert eng.now == 4.0
         assert eng.pending_events == 1
 
-    def test_run_to_matches_run_until_state(self, kern):
+    def test_run_to_matches_run_until_state(self):
         def build():
-            eng = Engine(kernel=kern)
+            eng = Engine()
             seen = []
             for delay in (1.0, 3.0, 3.0, 8.0):
                 eng.call_later(delay, seen.append, delay)
@@ -215,8 +213,8 @@ class TestClockLeaveSemantics:
         assert seen_a == seen_b == [1.0, 3.0, 3.0]
         assert a.events_processed == b.events_processed
 
-    def test_run_until_leaves_clock_at_completion(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_until_leaves_clock_at_completion(self):
+        eng = Engine()
 
         def worker():
             yield eng.timeout(1.5)
@@ -227,53 +225,3 @@ class TestClockLeaveSemantics:
         assert eng.run_until(proc) == "done"
         assert eng.now == 1.5
         assert eng.pending_events == 1
-
-
-class TestSelection:
-    def test_default_is_the_reference_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_name() == "python"
-        assert Engine().kernel_name == "python"
-
-    def test_environment_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fast")
-        assert kernel_name() == "fast"
-        assert Engine().kernel_name == "fast"
-
-    def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fast")
-        assert kernel_name("python") == "python"
-        assert Engine(kernel="python").kernel_name == "python"
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            Engine(kernel="turbo")
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            Engine()
-
-    def test_machine_config_selects_kernel(self):
-        machine = make_machine("noorder", kernel="fast")
-        assert machine.engine.kernel_name == "fast"
-
-
-# ---------------------------------------------------------------------------
-# end-to-end: a full file-system workload per scheme, python vs candidate
-# ---------------------------------------------------------------------------
-
-def churn_run(scheme_name, kernel):
-    machine = make_machine(scheme_name, free_cpu=False, kernel=kernel)
-    run_user(machine, churn(machine)(), name="user0")
-    machine.sync_and_settle()
-    return machine
-
-
-@pytest.mark.parametrize("kernel", CANDIDATE_KERNELS)
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
-def test_full_workload_driver_trace_identical(scheme_name, kernel):
-    reference = churn_run(scheme_name, "python")
-    candidate = churn_run(scheme_name, kernel)
-    assert candidate.engine.events_processed == \
-        reference.engine.events_processed
-    assert candidate.engine.now == reference.engine.now
-    assert driver_trace_digest(candidate) == driver_trace_digest(reference)

@@ -1,4 +1,4 @@
-"""Regression tests for two run-loop bugs fixed with the kernel split.
+"""Regression tests for two run-loop bugs.
 
 1. ``max_events`` off-by-one: every run loop checked ``processed >
    max_events`` *after* dispatching, so a budget of N let N+1 events run
@@ -12,26 +12,18 @@
    ...)`` or ``run_to`` with a horizon short of the wrapper's timestamp,
    or ``run_until`` returning because its awaited event completed before
    the wrapper was dispatched.  Late subscriptions now go through the
-   kernel's deferred queue, drained before every dispatch and at every
+   engine's deferred queue, drained before every dispatch and at every
    run-loop exit, so they can never be lost.
-
-Both fixes live in the kernel run loops, so every registered kernel is
-tested.
 """
 
 import pytest
 
-from repro.sim import KERNELS, Engine, SimulationError
-
-
-@pytest.fixture(params=sorted(KERNELS))
-def kern(request):
-    return request.param
+from repro.sim import Engine, SimulationError
 
 
 class TestMaxEventsBudget:
-    def test_budget_dispatches_exactly_n_then_raises(self, kern):
-        eng = Engine(kernel=kern)
+    def test_budget_dispatches_exactly_n_then_raises(self):
+        eng = Engine()
         seen = []
         for tag in range(10):
             eng.call_later(float(tag), seen.append, tag)
@@ -41,8 +33,8 @@ class TestMaxEventsBudget:
         assert seen == [0, 1, 2, 3, 4]
         assert eng.events_processed == 5
 
-    def test_exactly_n_workload_completes_cleanly(self, kern):
-        eng = Engine(kernel=kern)
+    def test_exactly_n_workload_completes_cleanly(self):
+        eng = Engine()
         seen = []
         for tag in range(5):
             eng.call_later(float(tag), seen.append, tag)
@@ -50,8 +42,8 @@ class TestMaxEventsBudget:
         assert seen == [0, 1, 2, 3, 4]
         assert eng.pending_events == 0
 
-    def test_run_to_budget_boundary(self, kern):
-        eng = Engine(kernel=kern)
+    def test_run_to_budget_boundary(self):
+        eng = Engine()
         seen = []
         for tag in range(6):
             eng.call_later(1.0, seen.append, tag)
@@ -59,7 +51,7 @@ class TestMaxEventsBudget:
             eng.run_to(2.0, max_events=3)
         assert seen == [0, 1, 2]
 
-        eng = Engine(kernel=kern)
+        eng = Engine()
         seen = []
         for tag in range(3):
             eng.call_later(1.0, seen.append, tag)
@@ -67,9 +59,9 @@ class TestMaxEventsBudget:
         assert seen == [0, 1, 2]
         assert eng.now == 2.0
 
-    def test_run_until_budget_boundary(self, kern):
+    def test_run_until_budget_boundary(self):
         def build():
-            eng = Engine(kernel=kern)
+            eng = Engine()
 
             def worker():
                 for _ in range(4):
@@ -94,11 +86,11 @@ class TestMaxEventsBudget:
 
 
 class TestLateCallbackDelivery:
-    def test_delivered_when_run_until_horizon_is_in_the_past(self, kern):
+    def test_delivered_when_run_until_horizon_is_in_the_past(self):
         """The ``run(until=...)`` drop: the old code scheduled a wrapper
         Timeout at ``now``, which a horizon short of ``now`` never
         dispatched -- the callback was silently lost."""
-        eng = Engine(kernel=kern)
+        eng = Engine()
         ev = eng.event()
         ev.succeed("v")
         eng.timeout(5.0)
@@ -112,8 +104,8 @@ class TestLateCallbackDelivery:
         assert eng.now == 5.0  # the past stays the past
         assert eng.pending_events == 0  # no wrapper left behind
 
-    def test_delivered_when_run_to_stops_first(self, kern):
-        eng = Engine(kernel=kern)
+    def test_delivered_when_run_to_stops_first(self):
+        eng = Engine()
         ev = eng.event()
         ev.succeed("v")
         eng.timeout(5.0)
@@ -125,11 +117,11 @@ class TestLateCallbackDelivery:
         assert seen == ["v"]
         assert eng.pending_events == 0
 
-    def test_delivered_when_awaited_event_completes_first(self, kern):
+    def test_delivered_when_awaited_event_completes_first(self):
         """A subscription made mid-run, after the awaited process's
         completion is already enqueued: the old wrapper Timeout was still
         pending when ``run_until`` returned."""
-        eng = Engine(kernel=kern)
+        eng = Engine()
         ev = eng.event()
         ev.succeed("v")
         eng.run()

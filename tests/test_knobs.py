@@ -1,0 +1,46 @@
+"""Knob census: the environment variables the code names are the ones the
+docs name, and the simulator stays dependency-free.
+
+Every ``REPRO_*`` variable is an option somebody has to know about, so the
+set is pinned here: adding one means editing this list *and* documenting
+it, and a doc that tells readers to set a variable nothing reads (as
+DESIGN.md once did) fails.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
+        ROOT / "docs" / "performance.md", ROOT / "docs" / "observability.md"]
+
+KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_PROFILE", "REPRO_LEDGER",
+         "REPRO_TRACE_MAX_SPANS", "REPRO_HEARTBEAT", "REPRO_STALL_TIMEOUT",
+         "REPRO_REGRESS_ALLOW"}
+
+
+def knob_names(paths) -> set:
+    return {name for path in paths
+            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
+
+
+def test_knobs_named_in_src_are_the_documented_ones():
+    assert knob_names(SOURCES) == KNOBS
+    assert knob_names(DOCS) == KNOBS
+
+
+def test_src_never_imports_numpy():
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                offenders.append(str(path.relative_to(ROOT)))
+    assert not offenders
