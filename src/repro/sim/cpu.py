@@ -3,8 +3,13 @@
 The paper's testbed is a 33 MHz i486; every benchmark result has a CPU
 component (the dark regions in figures 3/4, the CPU-time columns of tables 1
 and 2, and the compile-dominated Andrew phase).  We model the CPU as a FIFO
-single server: a process *computes* by holding the CPU for a duration, split
-into quanta so concurrent processes interleave rather than monopolise.
+single server that drives its own queue: a process *computes* by yielding one
+event per quantum-bounded slice of the duration.  An idle CPU puts the
+slice's completion straight on the engine's heap at ``now + slice``; a busy
+one parks it, and the completion of the slice in service starts the oldest
+parked one.  Either way a slice costs one event and one process resume, and
+a long computation re-queues behind the waiters at every quantum boundary,
+so concurrent processes interleave rather than monopolise.
 
 Durations are produced by :class:`repro.harness.config.CostModel`; this module
 only executes them.
@@ -12,10 +17,12 @@ only executes them.
 
 from __future__ import annotations
 
-from typing import Generator
+from collections import deque
+from heapq import heappush
+from typing import Generator, Iterable
 
 from repro.sim.engine import Engine
-from repro.sim.primitives import Lock
+from repro.sim.events import Event
 
 
 class CPU:
@@ -30,13 +37,15 @@ class CPU:
     def __init__(self, engine: Engine, quantum: float = 0.005) -> None:
         self.engine = engine
         self.quantum = quantum
-        self._mutex = Lock(engine)
         #: total busy seconds, for utilisation reporting
         self.busy_time = 0.0
         #: when False, compute() consumes no simulated time (image building)
         self.enabled = True
+        self._busy = False
+        #: ``(completion event, slice)`` requested while busy, oldest first
+        self._waiters: deque[tuple[Event, float]] = deque()
 
-    def compute(self, seconds: float) -> Generator:
+    def compute(self, seconds: float) -> Iterable[Event]:
         """Consume *seconds* of CPU, charged to the calling process.
 
         Used with ``yield from``::
@@ -46,17 +55,38 @@ class CPU:
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
         if not self.enabled or seconds == 0.0:
-            return
+            return ()
+        return self._slices(seconds)
+
+    def _slices(self, seconds: float) -> Generator:
         process = self.engine.current_process
         remaining = seconds
         while remaining > 0.0:
             slice_len = min(remaining, self.quantum)
-            yield self._mutex.acquire()
-            try:
-                yield self.engine.timeout(slice_len)
-            finally:
-                self._mutex.release()
+            done = Event(self.engine)
+            # first callback, so the next slice is in service before the
+            # finished process runs on (and perhaps re-queues)
+            done.callbacks.append(self._serve_next)
+            if self._busy:
+                self._waiters.append((done, slice_len))
+            else:
+                self._busy = True
+                self._start(done, slice_len)
+            yield done
             remaining -= slice_len
             self.busy_time += slice_len
             if process is not None:
                 process.cpu_time += slice_len
+
+    def _start(self, done: Event, slice_len: float) -> None:
+        """Put a slice in service: *done* fires ``slice_len`` from now."""
+        done._triggered = True
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._heap, (engine.now + slice_len, seq, done))
+
+    def _serve_next(self, _done: Event) -> None:
+        if self._waiters:
+            self._start(*self._waiters.popleft())
+        else:
+            self._busy = False

@@ -118,9 +118,13 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
-        self.delay = delay
-        self._triggered = True
+        # Event.__init__'s slots set here: one constructor frame per timeout
+        self.engine = engine
+        self.callbacks = []
         self._value = value
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        self.delay = delay
         engine._seq = seq = engine._seq + 1
         heappush(engine._heap, (engine.now + delay, seq, self))

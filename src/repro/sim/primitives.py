@@ -73,14 +73,12 @@ class Lock:
         yield from lock.holding(critical_section())
     """
 
-    __slots__ = ("engine", "_locked", "_waiters", "owner")
+    __slots__ = ("engine", "_locked", "_waiters")
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._locked = False
         self._waiters: deque[Event] = deque()
-        #: for debugging: the process holding the lock
-        self.owner = None
 
     @property
     def locked(self) -> bool:
@@ -91,7 +89,6 @@ class Lock:
         event = Event(self.engine)
         if not self._locked:
             self._locked = True
-            self.owner = self.engine.current_process
             event.succeed()
         else:
             self._waiters.append(event)
@@ -102,14 +99,11 @@ class Lock:
         if not self._locked:
             raise RuntimeError("release() of an unlocked Lock")
         if self._waiters:
-            # Hand off: the lock stays locked, the waiter becomes the owner
-            # when its acquire event is processed.
-            event = self._waiters.popleft()
-            self.owner = None
-            event.succeed()
+            # Hand off: the lock stays locked and the oldest waiter holds it
+            # from now, though it only runs when its acquire event fires.
+            self._waiters.popleft().succeed()
         else:
             self._locked = False
-            self.owner = None
 
     def holding(self, body: Generator) -> Generator:
         """Run generator *body* while holding the lock (released on exit)."""

@@ -1,0 +1,64 @@
+"""Whole-machine CPU equivalence: scheme x {copy, remove} x CPU model.
+
+The CPU sits under every syscall path, so swapping the shipped one-event
+server for the mutex-and-timeout reference model must leave every simulated
+observable untouched: the table-row measurements, each disk request's issue,
+dispatch and completion instants, and the bytes on the disk at the end.  Only
+the number of events it took to get there may differ.
+"""
+
+from dataclasses import asdict
+
+import pytest
+
+from repro.harness.runner import run_copy, run_remove, standard_scheme_config
+from repro.ordering.registry import REGISTRY
+from repro.workloads.trees import TreeSpec
+
+from tests.sim.reference_cpu import ReferenceCPU
+
+SMALL_TREE = TreeSpec(files=24, total_bytes=256 * 1024, dirs=4)
+SCHEMES = [info.display_name for info in REGISTRY.values()]
+#: RunResult fields that describe the simulator, not the simulated machine
+HOST_FIELDS = ("sim_events", "wall_seconds")
+#: events of the three-user Soft Updates copy cell below, plus ~5 % headroom
+#: (8 370 at this commit; the reference CPU needs 13 888)
+SOFT_UPDATES_COPY_EVENT_CEILING = 8_800
+
+
+def observe(runner, scheme):
+    machines = []
+    result = runner(standard_scheme_config(scheme), users=3, tree=SMALL_TREE,
+                    seed=7, on_machine=machines.append)
+    machine, = machines
+    row = {name: value for name, value in asdict(result).items()
+           if name not in HOST_FIELDS}
+    requests = [(r.id, r.kind.name, r.lbn, r.nsectors, r.issue_time,
+                 r.dispatch_time, r.complete_time)
+                for r in machine.driver.trace]
+    return {"row": row, "requests": requests, "now": machine.engine.now,
+            "busy_time": machine.cpu.busy_time,
+            "digest": machine.disk.storage.digest()}, result.sim_events
+
+
+@pytest.mark.parametrize("runner", [run_copy, run_remove],
+                         ids=["copy", "remove"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_reference_cpu_changes_nothing_simulated(monkeypatch, scheme, runner):
+    observed, events = observe(runner, scheme)
+    monkeypatch.setattr("repro.machine.CPU", ReferenceCPU)
+    expected, reference_events = observe(runner, scheme)
+    assert observed["requests"], "the cell must actually reach the disk"
+    assert observed["row"]["cpu_time"] > 0.0
+    assert observed == expected
+    assert events < reference_events
+
+
+def test_soft_updates_copy_cell_event_ceiling(monkeypatch):
+    """Events creeping back into the compute path fail here, not at the next
+    benchmark run: the reference CPU's two events per charge are over it."""
+    _, events = observe(run_copy, "Soft Updates")
+    assert events <= SOFT_UPDATES_COPY_EVENT_CEILING
+    monkeypatch.setattr("repro.machine.CPU", ReferenceCPU)
+    _, reference_events = observe(run_copy, "Soft Updates")
+    assert reference_events > SOFT_UPDATES_COPY_EVENT_CEILING
