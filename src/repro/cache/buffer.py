@@ -68,10 +68,23 @@ class Buffer:
         #: buffer (None = succeeded); set by the cache at I/O completion so
         #: post_write hooks and waiting writers see the failure
         self.error: Optional[str] = None
-        #: host-side directory lookup index (repro.fs.directory.DirIndex),
-        #: None = not built, False = bytes are corrupt (fall back to scan);
-        #: dropped by anything that changes ``data``
+        #: host-side mirror of a directory block (repro.fs.directory.DirIndex):
+        #: None = not built, False = bytes it cannot mirror (scan instead).
+        #: The file system edits ``data`` and the mirror together; whoever
+        #: overwrites ``data`` any other way calls :meth:`fill` or
+        #: :meth:`data_replaced`
         self.dir_index: Any = None
+
+    def data_replaced(self) -> None:
+        """``data`` was overwritten, grown or disowned other than through the
+        mirror (fill, extension, invalidation): drop what was decoded."""
+        self.dir_index = None
+
+    def fill(self, image: bytes) -> None:
+        """Overwrite the whole of ``data`` (disk read, fresh allocation)."""
+        self.data[:] = image
+        self.valid = True
+        self.data_replaced()
 
     def mark_dirty(self, now: float) -> None:
         """Mark newer-than-disk, stamping when the buffer first dirtied."""

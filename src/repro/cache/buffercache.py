@@ -137,7 +137,7 @@ class BufferCache:
                     self.used_bytes += size - buf.size
                     buf.data.extend(bytes(size - buf.size))
                     buf.size = size
-                    buf.dir_index = None
+                    buf.data_replaced()
                 elif size < buf.size:
                     raise RuntimeError(
                         f"getblk({daddr}, {size}) found a larger live buffer "
@@ -190,10 +190,8 @@ class BufferCache:
                     obs.tracer.end(span)
                 self._unbusy(buf)
                 raise MediaError(daddr, f"read failed ({request.error})")
-            buf.data[:] = self.driver.disk.storage.read(
-                self._lbn(daddr), size // self.frag_size * self.sectors_per_frag)
-            buf.valid = True
-            buf.dir_index = None
+            buf.fill(self.driver.disk.storage.read(
+                self._lbn(daddr), size // self.frag_size * self.sectors_per_frag))
             if span is not None:
                 obs.tracer.end(span)
         return buf
@@ -351,7 +349,7 @@ class BufferCache:
             buf.dirty = False
             buf.valid = False
             buf.marked = False
-            buf.dir_index = None
+            buf.data_replaced()
             if not buf.busy and not buf.write_outstanding and buf.hold_count == 0:
                 self._evict(buf)
 

@@ -11,15 +11,18 @@ length into its predecessor.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.fs.layout import FileType
 
 DIRBLKSIZ = 512
-_ENTRY_HDR = "<IHBB"
-_ENTRY_HDR_SIZE = 8
+_HDR = struct.Struct("<IHBB")
+_ENTRY_HDR_SIZE = _HDR.size
 MAX_NAME = 255
+#: on-disk type byte (mode >> 12) -> FileType; any other byte is corruption
+_FTYPE_OF = {int(ftype) >> 12: ftype for ftype in FileType}
 
 
 def entry_bytes(namelen: int) -> int:
@@ -54,8 +57,7 @@ def format_chunk(entries: list[tuple[int, str, FileType]]) -> bytes:
             reclen = need
         if reclen < need or len(out) + reclen > DIRBLKSIZ:
             raise ValueError("entries do not fit in one chunk")
-        out += struct.pack(_ENTRY_HDR, ino, reclen, len(name_raw),
-                           int(ftype) >> 12)
+        out += _HDR.pack(ino, reclen, len(name_raw), int(ftype) >> 12)
         out += name_raw
         out += bytes(reclen - _ENTRY_HDR_SIZE - len(name_raw))
     out += bytes(DIRBLKSIZ - len(out))
@@ -73,94 +75,188 @@ def new_dir_contents(self_ino: int, parent_ino: int) -> bytes:
                          (parent_ino, "..", FileType.DIRECTORY)])
 
 
-def iter_entries(data: bytes | bytearray,
-                 base_offset: int = 0) -> Iterator[DirEntry]:
-    """Decode every entry record (live or free) in *data*.
+def iter_records(data: bytes | bytearray, base_offset: int = 0
+                 ) -> Iterator[tuple[int, int, int, str, FileType]]:
+    """Decode every record (live or free) of *data*, in scan order, as a raw
+    ``(offset, ino, reclen, name, ftype)`` tuple: the one record decoder.
 
     *data* must be a whole number of chunks; *base_offset* shifts reported
-    offsets (useful when data is one frag of a larger directory).
+    offsets (useful when data is one block of a larger directory).
     """
     if len(data) % DIRBLKSIZ != 0:
         raise ValueError("directory data is not chunk-aligned")
+    unpack = _HDR.unpack_from
     for chunk_at in range(0, len(data), DIRBLKSIZ):
         offset = chunk_at
-        while offset < chunk_at + DIRBLKSIZ:
-            ino, reclen, namelen, ftype = struct.unpack_from(
-                _ENTRY_HDR, data, offset)
-            if reclen < _ENTRY_HDR_SIZE or offset + reclen > chunk_at + DIRBLKSIZ:
-                raise CorruptDirectory(
-                    f"bad reclen {reclen} at offset {base_offset + offset}")
-            name = bytes(data[offset + _ENTRY_HDR_SIZE:
-                              offset + _ENTRY_HDR_SIZE + namelen]).decode(
-                                  errors="replace")
-            yield DirEntry(base_offset + offset, ino, reclen, name,
-                           FileType(ftype << 12) if ino else FileType.NONE)
-            offset += reclen
+        chunk_end = chunk_at + DIRBLKSIZ
+        while offset < chunk_end:
+            ino, reclen, namelen, type_byte = unpack(data, offset)
+            if reclen < _ENTRY_HDR_SIZE or offset + reclen > chunk_end:
+                bad = f"reclen {reclen}"
+            elif namelen > reclen - _ENTRY_HDR_SIZE:
+                bad = f"namelen {namelen}"
+            elif ino and type_byte not in _FTYPE_OF:
+                bad = f"type {type_byte}"
+            else:
+                name_at = offset + _ENTRY_HDR_SIZE
+                yield (base_offset + offset, ino, reclen,
+                       bytes(data[name_at:name_at + namelen]).decode(
+                           errors="replace"),
+                       _FTYPE_OF[type_byte] if ino else FileType.NONE)
+                offset += reclen
+                continue
+            raise CorruptDirectory(
+                f"bad {bad} at offset {base_offset + offset}")
+
+
+def iter_entries(data: bytes | bytearray,
+                 base_offset: int = 0) -> Iterator[DirEntry]:
+    """:func:`iter_records`, as :class:`DirEntry` objects."""
+    return (DirEntry(*record) for record in iter_records(data, base_offset))
 
 
 def lookup(data: bytes | bytearray, name: str,
            base_offset: int = 0) -> tuple[Optional[DirEntry], int]:
     """Find *name*; returns (entry or None, records scanned) for CPU costing."""
     scanned = 0
-    for entry in iter_entries(data, base_offset):
-        scanned += 1
-        if entry.live and entry.name == name:
-            return entry, scanned
+    for scanned, record in enumerate(iter_records(data, base_offset), 1):
+        if record[1] and record[3] == name:
+            return DirEntry(*record), scanned
     return None, scanned
 
 
 @dataclass
 class DirIndex:
-    """Host-side decoded view of one directory block.
+    """Live host-side mirror of one directory block, kept on its cache buffer.
 
-    One linear parse replaces the per-lookup record walk: ``by_name`` maps
-    each live name to everything :func:`lookup` would have reported for it
-    (including the 1-based ordinal of the record, i.e. the ``scanned``
-    count a linear scan charges the CPU for), ``nrecords`` is the scan
-    count of a miss, and ``max_slack`` is the largest hole
-    :func:`add_entry` could use -- a block with ``max_slack < need`` is
-    exactly a block ``add_entry`` returns ``None`` for.
-
-    The index lives on the block's cache buffer and is dropped whenever
-    the buffer's bytes change; simulated costs are charged from the
-    recorded ordinals, so an indexed lookup is simulation-identical to the
-    linear scan it replaces.
+    Built by one linear parse (:func:`build_index`) and then *maintained*:
+    :meth:`add`, :meth:`remove` and :meth:`set_ino` write the block's bytes
+    and this mirror together, so a cached block is decoded once per read
+    from disk, not once per operation.  Every answer is the linear
+    functions' answer on the same bytes -- :meth:`find` reports the scanned
+    count :func:`lookup` would (the simulated CPU is charged for it),
+    :meth:`add` writes the bytes :func:`add_entry` would -- so the index
+    moves host time only.  It never holds two live records of one name: such
+    a block is not indexed (callers scan, as they do for corrupt bytes).
     """
 
-    #: name -> (ordinal, offset, ino, reclen, ftype) for live entries;
-    #: first record wins for duplicate names, exactly like the scan
-    by_name: dict[str, tuple[int, int, int, int, FileType]]
-    #: total records (live + dead): the scan count of a missed lookup
-    nrecords: int
-    #: the largest insertion slack any record offers
-    max_slack: int
+    #: the mirrored bytes (the cache buffer's ``data``)
+    data: bytes | bytearray
+    #: live name -> record offset
+    by_name: dict[str, int]
+    #: every record offset (live and free), ascending: the scan order
+    offsets: list[int]
+    #: record offset -> [ino, reclen, name, ftype], as iter_records reports
+    records: dict[int, list]
+    #: record offset -> bytes an insertion may take there, where > 0
+    slack: dict[int, int]
+
+    def scan(self) -> Iterator[tuple[int, int, int, str, FileType]]:
+        """What :func:`iter_records` yields for the mirrored bytes."""
+        for offset in self.offsets:
+            yield (offset, *self.records[offset])
+
+    def find(self, name: str,
+             base_offset: int = 0) -> tuple[Optional[DirEntry], int]:
+        """:func:`lookup` without the scan."""
+        offset = self.by_name.get(name)
+        if offset is None:
+            return None, len(self.offsets)
+        return (DirEntry(base_offset + offset, *self.records[offset]),
+                bisect_left(self.offsets, offset) + 1)
+
+    def _note_slack(self, offset: int) -> None:
+        ino, reclen, name, _ftype = self.records[offset]
+        slack = reclen - entry_bytes(len(name.encode())) if ino else reclen
+        if slack > 0:
+            self.slack[offset] = slack
+        else:
+            self.slack.pop(offset, None)
+
+    def add(self, name: str, ino: int, ftype: FileType) -> Optional[int]:
+        """:func:`add_entry` without the scan; *name* must not be live."""
+        name_raw = name.encode()
+        if not 0 < len(name_raw) <= MAX_NAME:
+            raise ValueError(f"bad name length {len(name_raw)}")
+        if not ino or name in self.by_name:
+            raise ValueError(f"cannot index ino {ino} as {name!r}")
+        need = entry_bytes(len(name_raw))
+        offset = min((at for at, slack in self.slack.items() if slack >= need),
+                     default=None)
+        if offset is None:
+            return None
+        host = self.records[offset]
+        reclen = host[1]
+        if host[0]:
+            # shrink the existing entry, append the new one in its slack
+            host[1] -= self.slack.pop(offset)
+            struct.pack_into("<H", self.data, offset + 4, host[1])
+            offset, reclen = offset + host[1], reclen - host[1]
+            insort(self.offsets, offset)
+        _HDR.pack_into(self.data, offset, ino, reclen, len(name_raw),
+                       int(ftype) >> 12)
+        name_at = offset + _ENTRY_HDR_SIZE
+        self.data[name_at:name_at + len(name_raw)] = name_raw
+        self.records[offset] = [ino, reclen, name, ftype]
+        self.by_name[name] = offset
+        self._note_slack(offset)
+        return offset
+
+    def remove(self, offset: int) -> int:
+        """:func:`remove_entry` without the predecessor walk."""
+        record = self.records.get(offset, [0])
+        if not record[0]:
+            raise ValueError(f"no live entry at offset {offset}")
+        ino, reclen, name, _ftype = record
+        del self.by_name[name]
+        if offset % DIRBLKSIZ == 0:
+            struct.pack_into("<I", self.data, offset, 0)
+            record[0], record[3] = 0, FileType.NONE
+        else:
+            at = bisect_left(self.offsets, offset)
+            del self.offsets[at], self.records[offset]
+            self.slack.pop(offset, None)
+            offset = self.offsets[at - 1]
+            pred = self.records[offset]
+            pred[1] += reclen
+            struct.pack_into("<H", self.data, offset + 4, pred[1])
+        self._note_slack(offset)
+        return ino
+
+    def set_ino(self, offset: int, ino: int) -> None:
+        """:func:`set_entry_ino`: zero retires the record where it stands,
+        nonzero (re)vives it under the name and type its bytes still hold."""
+        record = self.records[offset]
+        was, _reclen, name, ftype = record
+        if was and not ino:
+            ftype = FileType.NONE
+            del self.by_name[name]
+        elif ino and not was:
+            ftype = _FTYPE_OF.get(self.data[offset + 7])
+            if ftype is None or self.by_name.setdefault(name, offset) != offset:
+                raise ValueError(f"cannot revive {name!r} at offset {offset}")
+        struct.pack_into("<I", self.data, offset, ino)
+        record[0], record[3] = ino, ftype
+        self._note_slack(offset)
 
 
 def build_index(data: bytes | bytearray) -> Optional[DirIndex]:
-    """Index every record of *data*; None if the bytes are corrupt.
-
-    A corrupt block must keep the scan's behavior (a lookup that matches
-    *before* the corrupt record returns normally; reaching it raises), so
-    callers fall back to :func:`lookup` when this returns None.
-    """
-    by_name: dict[str, tuple[int, int, int, int, FileType]] = {}
-    nrecords = 0
-    max_slack = 0
+    """Index every record of *data*; None for bytes only a scan gets right:
+    corrupt ones (a lookup that matches *before* the corrupt record returns
+    normally; reaching it raises) and two live records of one name (the first
+    wins).  Callers fall back to the linear functions."""
+    index = DirIndex(data, {}, [], {}, {})
     try:
-        for entry in iter_entries(data):
-            nrecords += 1
-            if entry.live:
-                slack = entry.reclen - entry_bytes(len(entry.name.encode()))
-                if entry.name not in by_name:
-                    by_name[entry.name] = (nrecords, entry.offset, entry.ino,
-                                           entry.reclen, entry.ftype)
-            else:
-                slack = entry.reclen
-            if slack > max_slack:
-                max_slack = slack
+        for offset, *record in iter_records(data):
+            index.offsets.append(offset)
+            index.records[offset] = record
+            if record[0] and index.by_name.setdefault(record[2],
+                                                      offset) != offset:
+                return None
+            index._note_slack(offset)
     except CorruptDirectory:
         return None
-    return DirIndex(by_name=by_name, nrecords=nrecords, max_slack=max_slack)
+    return index
 
 
 def add_entry(data: bytearray, name: str, ino: int,
@@ -170,25 +266,16 @@ def add_entry(data: bytearray, name: str, ino: int,
     if not 0 < len(name_raw) <= MAX_NAME:
         raise ValueError(f"bad name length {len(name_raw)}")
     need = entry_bytes(len(name_raw))
-    for entry in iter_entries(data):
-        if not entry.live:
-            slack = entry.reclen
-            used_here = 0
-        else:
-            used_here = entry_bytes(len(entry.name.encode()))
-            slack = entry.reclen - used_here
-        if slack < need:
+    for offset, live, reclen, held_name, _ftype in iter_records(data):
+        used_here = entry_bytes(len(held_name.encode())) if live else 0
+        if reclen - used_here < need:
             continue
-        if entry.live:
+        if live:
             # shrink the existing entry, append the new one in its slack
-            struct.pack_into("<H", data, entry.offset + 4, used_here)
-            offset = entry.offset + used_here
-            reclen = slack
-        else:
-            offset = entry.offset
-            reclen = entry.reclen
-        struct.pack_into(_ENTRY_HDR, data, offset, ino, reclen,
-                         len(name_raw), int(ftype) >> 12)
+            struct.pack_into("<H", data, offset + 4, used_here)
+            offset += used_here
+        _HDR.pack_into(data, offset, ino, reclen - used_here, len(name_raw),
+                       int(ftype) >> 12)
         data[offset + _ENTRY_HDR_SIZE:
              offset + _ENTRY_HDR_SIZE + len(name_raw)] = name_raw
         return offset
@@ -201,7 +288,7 @@ def remove_entry(data: bytearray, offset: int) -> int:
     If the entry begins a chunk its inode number is zeroed; otherwise the
     predecessor absorbs its record length (classic FFS compaction).
     """
-    ino, reclen, _namelen, _ftype = struct.unpack_from(_ENTRY_HDR, data, offset)
+    ino, reclen, _namelen, _ftype = _HDR.unpack_from(data, offset)
     if ino == 0:
         raise ValueError(f"no live entry at offset {offset}")
     chunk_at = offset - (offset % DIRBLKSIZ)
@@ -211,7 +298,7 @@ def remove_entry(data: bytearray, offset: int) -> int:
     # find the predecessor within the chunk
     scan = chunk_at
     while True:
-        _ino, prev_reclen, _nl, _ft = struct.unpack_from(_ENTRY_HDR, data, scan)
+        _ino, prev_reclen, _nl, _ft = _HDR.unpack_from(data, scan)
         if scan + prev_reclen == offset:
             struct.pack_into("<H", data, scan + 4, prev_reclen + reclen)
             return ino
@@ -235,8 +322,8 @@ def entry_ino(data: bytes | bytearray, offset: int) -> int:
 
 def is_empty_dir(data: bytes | bytearray) -> bool:
     """True if the directory holds only '.' and '..'."""
-    return all(entry.name in (".", "..")
-               for entry in iter_entries(data) if entry.live)
+    return all(not ino or name in (".", "..")
+               for _offset, ino, _reclen, name, _ftype in iter_records(data))
 
 
 class CorruptDirectory(Exception):

@@ -304,37 +304,29 @@ class FileSystem:
         return (dp.din.size + self.geometry.block_size - 1) \
             // self.geometry.block_size
 
+    @staticmethod
+    def _dir_index(buf: Buffer):
+        """The live ``DirIndex`` of a directory block, decoded on first use;
+        False where ``build_index`` refuses the bytes (callers then take the
+        linear functions of ``directory``, raise-on-reach semantics and all).
+        """
+        if buf.dir_index is None:
+            buf.dir_index = directory.build_index(buf.data) or False
+        return buf.dir_index
+
     def _dir_lookup(self, dp: Inode, name: str) -> Generator:
         """Find *name* in locked directory *dp*; returns a DirEntry or None.
 
-        Each block's record table is decoded once into a ``DirIndex`` kept
-        on the cache buffer; repeat lookups are a dict probe.  Simulated
-        CPU time is charged from the ordinal the index recorded, so the
-        timeline is identical to the linear scan.  Corrupt bytes pin a
-        ``False`` sentinel and take the scan path, which preserves the
-        scan's exact semantics (a name that matches before the corrupt
-        record still resolves; reaching the corruption raises).
+        Simulated CPU time is charged for the records a linear scan would
+        have visited, whether or not one ran, so the timeline does not
+        depend on the index.
         """
         bs = self.geometry.block_size
         for lblk in range(self._dir_nblocks(dp)):
             buf = yield from self._dir_block(dp, lblk)
-            index = buf.dir_index
-            if index is None:
-                index = directory.build_index(buf.data)
-                buf.dir_index = index if index is not None else False
-            if index:
-                hit = index.by_name.get(name)
-                if hit is not None:
-                    ordinal, offset, ino, reclen, ftype = hit
-                    entry = directory.DirEntry(lblk * bs + offset, ino,
-                                               reclen, name, ftype)
-                    scanned = ordinal
-                else:
-                    entry = None
-                    scanned = index.nrecords
-            else:
-                entry, scanned = directory.lookup(
-                    buf.data, name, base_offset=lblk * bs)
+            index = self._dir_index(buf)
+            entry, scanned = index.find(name, lblk * bs) if index \
+                else directory.lookup(buf.data, name, lblk * bs)
             yield from self.cpu.compute(
                 self.costs.time("dirent_scan", scanned))
             self.cache.brelse(buf)
@@ -344,35 +336,26 @@ class FileSystem:
 
     def _dir_add_entry(self, dp: Inode, name: str, ino: int,
                        ftype: FileType) -> Generator:
-        """Place an entry; returns the held buffer and the entry offset.
-
-        A block whose index shows ``max_slack < need`` is exactly a block
-        ``add_entry`` would scan and refuse, so it is skipped without
-        decoding (the bread and its costs still happen, as before).
-        """
+        """Place an entry; returns the held buffer and the entry offset."""
         bs = self.geometry.block_size
-        name_raw = name.encode()
-        valid_name = 0 < len(name_raw) <= directory.MAX_NAME
-        need = directory.entry_bytes(len(name_raw))
-        for lblk in range(self._dir_nblocks(dp)):
-            buf = yield from self._dir_block(dp, lblk)
-            index = buf.dir_index
-            if valid_name and isinstance(index, directory.DirIndex) \
-                    and index.max_slack < need:
-                self.cache.brelse(buf)
-                continue
-            offset = directory.add_entry(buf.data, name, ino, ftype)
+        nblocks = self._dir_nblocks(dp)
+        for lblk in range(nblocks + 1):
+            if lblk < nblocks:
+                buf = yield from self._dir_block(dp, lblk)
+            else:  # directory full: grow it by one (full) block of empty chunks
+                buf = yield from self._grow_directory(dp, lblk)
+            index = self._dir_index(buf)
+            if index and name not in index.by_name:
+                offset = index.add(name, ino, ftype)
+            else:
+                # a second record of one name (rename racing a create) is not
+                # something the index models: this block is scanned from now on
+                buf.dir_index = False
+                offset = directory.add_entry(buf.data, name, ino, ftype)
             if offset is not None:
-                buf.dir_index = None
                 return buf, lblk * bs + offset
             self.cache.brelse(buf)
-        # directory full: grow it by one (full) block of empty chunks
-        lblk = self._dir_nblocks(dp)
-        buf = yield from self._grow_directory(dp, lblk)
-        offset = directory.add_entry(buf.data, name, ino, ftype)
-        assert offset is not None
-        buf.dir_index = None
-        return buf, lblk * bs + offset
+        raise AssertionError(f"fresh block of directory {dp.ino} is full")
 
     def _grow_directory(self, dp: Inode, lblk: int) -> Generator:
         """Allocate and initialize a fresh directory block (returned held)."""
@@ -481,18 +464,13 @@ class FileSystem:
             old_data = bytes(old_buf.data)
             self.cache.brelse(old_buf)
             buf = yield from self.cache.getblk(new_daddr, want_frags * frag)
-            buf.data[:len(old_data)] = old_data
-            buf.data[len(old_data):] = bytes(len(buf.data) - len(old_data))
-            buf.valid = True
-            buf.dir_index = None
+            buf.fill(old_data + bytes(len(buf.data) - len(old_data)))
             yield from self.cpu.compute(self.costs.block_copy(len(old_data)))
         else:
             new_daddr = yield from self.allocator.alloc_frags(hint, want_frags)
             buf = yield from self.cache.getblk(new_daddr, want_frags * frag)
-            buf.data[:] = init_image if init_image is not None \
-                else bytes(len(buf.data))
-            buf.valid = True
-            buf.dir_index = None
+            buf.fill(init_image if init_image is not None
+                     else bytes(len(buf.data)))
             old_frags = 0
             old_daddr = 0
 
@@ -548,9 +526,7 @@ class FileSystem:
         daddr = yield from self.allocator.alloc_block(
             geo.cg_of_inode(ip.ino))
         buf = yield from self.cache.getblk(daddr, geo.block_size)
-        buf.data[:] = bytes(geo.block_size)
-        buf.valid = True
-        buf.dir_index = None
+        buf.fill(bytes(geo.block_size))
         setattr(ip.din, which, daddr)
         ip.din.frags_held += geo.frags_per_block
         slot = geo.NDADDR if which == "sindirect" else geo.NDADDR + 1
@@ -566,9 +542,7 @@ class FileSystem:
         geo = self.geometry
         daddr = yield from self.allocator.alloc_block(geo.cg_of_inode(ip.ino))
         buf = yield from self.cache.getblk(daddr, geo.block_size)
-        buf.data[:] = bytes(geo.block_size)
-        buf.valid = True
-        buf.dir_index = None
+        buf.fill(bytes(geo.block_size))
         struct.pack_into("<I", l1buf.data, 4 * slot, daddr)
         ip.din.frags_held += geo.frags_per_block
         ctx = AllocContext(ip=ip, lblk=-1, owner_kind="indirect", ibuf=l1buf,
@@ -791,14 +765,19 @@ class FileSystem:
         bs = self.geometry.block_size
         lblk, in_block = divmod(entry.offset, bs)
         buf = yield from self._dir_block(dp, lblk)
-        directory.remove_entry(buf.data, in_block)
-        buf.dir_index = None
+        index = self._dir_index(buf)
+        if index:
+            index.remove(in_block)
+        else:
+            directory.remove_entry(buf.data, in_block)
         return buf, entry.offset
 
     def _dir_is_empty(self, ip: Inode) -> Generator:
         for lblk in range(self._dir_nblocks(ip)):
             buf = yield from self._dir_block(ip, lblk)
-            empty = directory.is_empty_dir(buf.data)
+            index = self._dir_index(buf)
+            empty = index.by_name.keys() <= {".", ".."} if index \
+                else directory.is_empty_dir(buf.data)
             self.cache.brelse(buf)
             if not empty:
                 return False
@@ -939,9 +918,11 @@ class FileSystem:
             names = []
             for lblk in range(self._dir_nblocks(dp)):
                 buf = yield from self._dir_block(dp, lblk)
-                for entry in directory.iter_entries(buf.data):
-                    if entry.live and entry.name not in (".", ".."):
-                        names.append(entry.name)
+                index = self._dir_index(buf)
+                records = index.scan() if index \
+                    else directory.iter_records(buf.data)
+                names += [name for _at, ino, _reclen, name, _ftype in records
+                          if ino and name not in (".", "..")]
                 self.cache.brelse(buf)
             yield from self.cpu.compute(
                 self.costs.time("readdir_entry", len(names)))

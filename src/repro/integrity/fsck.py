@@ -292,26 +292,24 @@ def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
             continue  # already reported by the claim walk
         raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
         try:
-            entries = list(directory.iter_entries(raw))
+            records = list(directory.iter_records(raw))
         except directory.CorruptDirectory as exc:
             events.append(("error",
                            f"directory {ino} block {lblk} corrupt: {exc}"))
             continue
-        for entry in entries:
-            if not entry.live:
+        for _offset, target, _reclen, name, _ftype in records:
+            if not target:
                 continue
-            if entry.name == ".":
+            if name == ".":
                 seen_dot = True
-                if entry.ino != ino:
+                if target != ino:
                     events.append(("error",
                                    f"directory {ino}: '.' points to "
-                                   f"{entry.ino}"))
+                                   f"{target}"))
                 continue
-            if entry.name == "..":
+            if name == "..":
                 seen_dotdot = True
-                events.append(("ref", entry.ino, ".."))
-                continue
-            events.append(("ref", entry.ino, entry.name))
+            events.append(("ref", target, name))
     if din.size and not (seen_dot and seen_dotdot):
         events.append(("error", f"directory {ino} missing '.' or '..'"))
     return events

@@ -614,7 +614,7 @@ class OrderingMonitor:
         raw = self._read_frags(daddr, self.geo.frags_per_block)
         old = self._block_entries.get(daddr, {})
         try:
-            entries = list(directory.iter_entries(raw))
+            records = list(directory.iter_records(raw))
         except directory.CorruptDirectory as exc:
             self._fire_once(
                 ("corrupt", daddr), "dir-unsound",
@@ -627,21 +627,21 @@ class OrderingMonitor:
         self._active.discard(("corrupt", daddr))
         new: dict = {}
         seen_dot = seen_dotdot = False
-        for entry in entries:
-            if not entry.live:
+        for offset, target, _reclen, name, _ftype in records:
+            if not target:
                 continue
-            if entry.name == ".":
+            if name == ".":
                 seen_dot = True
-                if entry.ino != ino:
+                if target != ino:
                     self._fire_once(
                         ("dot", ino), "dir-unsound",
-                        f"directory {ino}: '.' points to {entry.ino}")
+                        f"directory {ino}: '.' points to {target}")
                 else:
                     self._active.discard(("dot", ino))
                 continue
-            if entry.name == "..":
+            if name == "..":
                 seen_dotdot = True
-            new[entry.offset] = (entry.name, entry.ino)
+            new[offset] = (name, target)
         for offset, (name, target) in old.items():
             if new.get(offset) != (name, target):
                 self._drop_ref(daddr, offset, target)

@@ -100,6 +100,38 @@ class TestRemove:
         assert d.is_empty_dir(data)
 
 
+class TestCorruption:
+    """Garbage in a record header is a finding, never a stray exception."""
+
+    def damaged(self, at, value):
+        chunk = bytearray(d.format_chunk([(7, "a", FileType.REGULAR),
+                                          (8, "b", FileType.REGULAR)]))
+        chunk[at] = value
+        return chunk
+
+    @pytest.mark.parametrize("at,value,what", [
+        (7, 3, "bad type 3"),           # type byte outside 0 / 4 / 8
+        (6, 250, "bad namelen 250"),    # name would run into record 'b'
+        (4, 3, "bad reclen 3"),
+    ])
+    def test_raises_corrupt_directory(self, at, value, what):
+        chunk = self.damaged(at, value)
+        with pytest.raises(d.CorruptDirectory, match=what):
+            list(d.iter_entries(chunk))
+        assert d.build_index(chunk) is None
+        with pytest.raises(d.CorruptDirectory):
+            d.lookup(chunk, "b")
+        with pytest.raises(d.CorruptDirectory):
+            d.is_empty_dir(chunk)
+
+    def test_type_byte_of_a_free_record_is_not_read(self):
+        chunk = bytearray(d.format_chunk([(7, "a", FileType.REGULAR)]))
+        d.remove_entry(chunk, 0)
+        chunk[7] = 3
+        entry, = d.iter_entries(chunk)
+        assert (entry.live, entry.ftype) == (False, FileType.NONE)
+
+
 class TestUndoRedo:
     def test_set_entry_ino_round_trip(self):
         data = fresh_dir()

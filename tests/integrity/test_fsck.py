@@ -124,6 +124,21 @@ class TestDamageDetection:
         report = fsck(m.disk.storage, SMALL_GEOMETRY)
         assert any("corrupt" in e for e in report.errors)
 
+    @pytest.mark.parametrize("field,value,what", [
+        (7, 3, "bad type 3"),         # type byte outside 0 / 4 / 8
+        (6, 250, "bad namelen 250"),  # name longer than its record
+    ])
+    def test_garbage_entry_header_is_a_finding_not_a_crash(self, field, value,
+                                                           what):
+        m = build_populated_machine()
+        root_daddr = m.fs.geometry.cg_data_start(0)
+        from repro.fs import directory
+        entry = next(e for e in directory.iter_entries(frag_bytes(m, root_daddr))
+                     if e.name == "docs")
+        poke(m, root_daddr, entry.offset + field, bytes([value]))
+        report = fsck(m.disk.storage, SMALL_GEOMETRY)
+        assert any("corrupt" in e and what in e for e in report.errors)
+
     def test_undercounted_links_is_repairable_warning(self):
         m = build_populated_machine()
         geo = m.fs.geometry
