@@ -12,31 +12,18 @@ Parallelism: each benchmark's independent (scheme, config) cells run
 through :func:`repro.harness.parallel.run_grid`, which fans them across a
 process pool (``REPRO_JOBS`` workers, default: all cores; ``REPRO_JOBS=1``
 forces serial).  Results are deterministic either way -- the regenerated
-tables are byte-identical.  At session end the per-cell wall clock and
-simulator event counts are appended to the ``BENCH_perf.json`` trajectory
-at the repo root and summarized in ``benchmarks/results/perf_report.txt``
-(both host-wall-clock artifacts: they vary run to run and are *not* part
-of the deterministic table output).
+tables are byte-identical.  Host time is not measured here: that is
+``bench/run.py``'s job (``bench/README.md``).
 """
 
 import pathlib
-import time
 
 import pytest
 
-from repro.harness.parallel import (  # noqa: F401  (run_grid re-exported)
-    GRID_REPORTS,
-    default_jobs,
-    run_grid,
-)
-from repro.harness.perflog import append_record, build_session_record
-from repro.harness.report import format_table
+from repro.harness.parallel import run_grid  # noqa: F401  (re-exported)
 from repro.harness.runner import FULL_CACHE_BYTES, scale_factor
-from repro.obs.observatory import append_ledger, snapshot_digest
-from repro.obs.profiler import format_profile_report
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-PERF_JSON = pathlib.Path(__file__).parent.parent / "BENCH_perf.json"
 
 SCALE = scale_factor()
 
@@ -62,65 +49,3 @@ def once(benchmark):
         return benchmark.pedantic(fn, rounds=1, iterations=1)
 
     return runner
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Flush the session's grid statistics to the perf trajectory."""
-    if not GRID_REPORTS:
-        return
-    record = build_session_record(
-        GRID_REPORTS, scale=SCALE, jobs=default_jobs(),
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
-    # keep the JSON trajectory bounded; older sessions rotate into
-    # BENCH_perf.history.jsonl (see repro.harness.perflog)
-    append_record(PERF_JSON, record)
-    append_ledger("grid", {
-        "scale": SCALE,
-        "jobs": default_jobs(),
-        "grids": [grid.name for grid in GRID_REPORTS],
-        "cells": sum(len(grid.cells) for grid in GRID_REPORTS),
-        "wall_seconds": record["wall_seconds"],
-        "sim_events": record["sim_events"],
-        "events_per_second": round(record["sim_events"]
-                                   / max(record["cell_wall_seconds"], 1e-9)),
-        "snapshot_digest": snapshot_digest(record),
-        "exitstatus": int(exitstatus),
-    })
-
-    # profiled sessions (REPRO_PROFILE=1) additionally get the per-layer
-    # breakdown table; cells without profile.* extras are skipped, and an
-    # unprofiled session writes nothing
-    profile_cells = [(f"{grid.name} / {cell.key}", cell.wall_seconds,
-                      cell.extra)
-                     for grid in GRID_REPORTS for cell in grid.cells
-                     if any(key.startswith("profile.")
-                            for key in cell.extra)]
-    if profile_cells:
-        results_dir = pathlib.Path("results")
-        results_dir.mkdir(exist_ok=True)
-        profile_report = format_profile_report(
-            profile_cells,
-            title=f"Per-layer profile (scale={SCALE}; sim self-time, "
-                  f"wall prorated)")
-        (results_dir / "profile_report.txt").write_text(
-            profile_report + "\n")
-        print()
-        print(profile_report)
-
-    rows = []
-    for grid in GRID_REPORTS:
-        for cell in grid.cells:
-            rows.append([grid.name, cell.key, cell.wall_seconds,
-                         cell.sim_events, cell.events_per_second])
-        rows.append([grid.name, "(grid total)", grid.wall_seconds,
-                     grid.sim_events,
-                     grid.sim_events / grid.wall_seconds
-                     if grid.wall_seconds else 0.0])
-    report = format_table(
-        f"Benchmark performance (scale={SCALE}, jobs={default_jobs()}, "
-        f"host wall clock -- varies run to run)",
-        ["Grid", "Cell", "Wall (s)", "Sim events", "Events/s"], rows)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "perf_report.txt").write_text(report + "\n")
-    print()
-    print(report)

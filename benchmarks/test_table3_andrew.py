@@ -64,7 +64,11 @@ def test_table3_andrew(once):
     # the compile phase dominates the total for every scheme
     for name, result in results.items():
         assert result.phases["compile"][0] > 0.5 * result.total[0]
-    # totals: conventional slowest, soft updates within a few % of no order
+    # totals: conventional slowest of the paper's five (the Journaling row
+    # is a post-1994 referee that commits per operation; it stays in the
+    # table but the paper's claim is not about it), soft updates within a
+    # few % of no order
     totals = {name: result.total[0] for name, result in results.items()}
-    assert totals["Conventional"] == max(totals.values())
+    assert totals["Conventional"] == max(
+        total for name, total in totals.items() if name != "Journaling")
     assert totals["Soft Updates"] <= totals["No Order"] * 1.05

@@ -228,26 +228,6 @@ class SectorStore:
                     yield lbn, data
             lbn = occ.find(1, lbn + 1)
 
-    def flat_view(self, nsectors: int):
-        """The first *nsectors* as one contiguous buffer (fsck images).
-
-        One zero-filled allocation plus one memcpy per touched chunk --
-        never per-sector assembly.  The result is a snapshot, not a live
-        view; fsck builds a fresh one per pass.
-        """
-        size = self.geometry.sector_size
-        span = GROW_CHUNK_SECTORS
-        buf = bytearray(nsectors * size)
-        end = nsectors * size
-        for index, chunk in self._chunks.items():
-            start = index * span * size
-            if start >= end:
-                continue
-            take = min(end - start, span * size)
-            buf[start:start + take] = chunk[:take] if take < span * size \
-                else chunk
-        return memoryview(buf)
-
     def __len__(self) -> int:
         """Number of distinct sectors ever written."""
         return self._occ.count(1)

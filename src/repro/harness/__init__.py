@@ -8,7 +8,6 @@ configuration, and produces rows in the paper's format.  The benchmark suite
 
 from repro.harness.metrics import RunResult, collect
 from repro.harness.parallel import GridCellError, run_grid
-from repro.harness.perflog import append_record
 from repro.harness.runner import (
     SchemeSpec,
     STANDARD_SCHEMES,
@@ -25,7 +24,6 @@ __all__ = [
     "RunResult",
     "STANDARD_SCHEMES",
     "SchemeSpec",
-    "append_record",
     "build_machine",
     "collect",
     "flag_variant",

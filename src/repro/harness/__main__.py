@@ -14,11 +14,6 @@
     ``results/fault_report.txt`` (see ``docs/fault-injection.md``).
     Exits nonzero only on silent corruption.
 
-``python -m repro.harness regress [options]``
-    Compares the freshest ``BENCH_perf.json`` session against the
-    stratified per-cell history and exits 1 on a significant regression
-    (see ``docs/performance.md``).
-
 Every subcommand appends one structured record to the run ledger
 (``results/ledger.jsonl`` unless ``REPRO_LEDGER`` redirects or disables
 it) so past invocations stay greppable across sessions.
@@ -60,7 +55,12 @@ def _resolve_scheme(name: str) -> str:
 
 def compare_main(argv: list[str]) -> int:
     """The original headline comparison (``python -m repro.harness [scale]``)."""
-    scale = float(argv[1]) if len(argv) > 1 else 0.08
+    try:
+        scale = float(argv[1]) if len(argv) > 1 else 0.08
+    except ValueError:
+        print("usage: python -m repro.harness "
+              "[trace ... | faults ... | [scale]]", file=sys.stderr)
+        return 2
     tree = TreeSpec().scaled(scale)
     cache = max(1 << 20, int(FULL_CACHE_BYTES * scale))
     print(f"# 4-user copy/remove at scale {scale} "
@@ -160,7 +160,7 @@ def trace_main(argv: list[str]) -> int:
     if args.profile:
         from repro.obs import format_profile_report
         report = format_profile_report(
-            [(label, wall, machine.obs.snapshot())], title=label)
+            [(label, machine.obs.snapshot())], title=label)
         profile_path = outdir / f"{slug}.profile.txt"
         profile_path.write_text(report + "\n")
         print()
@@ -189,9 +189,9 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1 and argv[1] == "faults":
         from repro.harness.faults import main as faults_main
         return faults_main(argv[2:])
-    if len(argv) > 1 and argv[1] == "regress":
-        from repro.harness.regress import main as regress_main
-        return regress_main(argv[2:])
+    if len(argv) > 1 and argv[1] in ("-h", "--help"):
+        print(__doc__.strip())
+        return 0
     return compare_main(argv)
 
 

@@ -90,8 +90,8 @@ class CellResult:
 
 def run_cell(scheme_name: str, profile: str, seed: int,
              operations: int, explore_points: int = 0,
-             synthesize: bool = True, monitor: bool = False,
-             fsck_jobs: int = 1) -> CellResult:
+             synthesize: bool = True,
+             monitor: bool = False) -> CellResult:
     """Run one cell of the sweep and classify the survivor.
 
     ``explore_points > 0`` additionally sweeps that many crash points of
@@ -104,8 +104,7 @@ def run_cell(scheme_name: str, profile: str, seed: int,
     ``monitor=True`` attaches the online ordering-rule monitor for the
     whole cell: unexpected violations at commit time count as damage,
     classified exactly like fsck damage (accounted-for -> ``degraded``,
-    unaccounted-for -> ``SILENT-CORRUPTION``).  ``fsck_jobs > 1`` runs
-    the post-settle fsck over a per-cylinder-group pool.
+    unaccounted-for -> ``SILENT-CORRUPTION``).
     """
     machine = build_machine(scheme_name, fault_profile=profile,
                             fault_seed=seed)
@@ -165,8 +164,7 @@ def run_cell(scheme_name: str, profile: str, seed: int,
         result.monitor_violations = len(watcher.violations)
         result.monitor_unexpected = len(watcher.unexpected)
 
-    report = fsck(machine.disk.storage, machine.config.fs_geometry,
-                  jobs=fsck_jobs)
+    report = fsck(machine.disk.storage, machine.config.fs_geometry)
     degradations = injector.degradations()
 
     result.injected = injector.injected
@@ -194,8 +192,7 @@ def run_cell(scheme_name: str, profile: str, seed: int,
                             ops=operations, jobs=1,
                             max_points=explore_points,
                             fault_profile=profile, fault_seed=seed,
-                            synthesize=synthesize, monitor=monitor,
-                            fsck_jobs=fsck_jobs)
+                            synthesize=synthesize, monitor=monitor)
         except Exception as exc:
             # e.g. a latent-defect profile EIO-aborts the recorded victim
             result.crash_note = (f"exploration n/a: "
@@ -290,9 +287,6 @@ def main(argv: list[str]) -> int:
                         help="attach the online ordering-rule monitor to "
                              "every cell (unexpected commit-time "
                              "violations count as damage)")
-    parser.add_argument("--fsck-jobs", type=int, default=1,
-                        help="pFSCK pool size for each post-settle fsck "
-                             "(falls back to serial inside pool workers)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="sweep cells in parallel over a fork pool "
                              "(default REPRO_JOBS, then the core count)")
@@ -341,8 +335,7 @@ def main(argv: list[str]) -> int:
          functools.partial(run_cell, scheme_name, profile, seed, args.ops,
                            explore_points=args.explore,
                            synthesize=args.synthesize,
-                           monitor=args.monitor,
-                           fsck_jobs=args.fsck_jobs))
+                           monitor=args.monitor))
         for scheme_name in schemes
         for profile in profiles
         for seed in seeds]

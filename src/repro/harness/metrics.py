@@ -47,16 +47,6 @@ class RunResult:
     #: free-form extras (throughput, phase times, ...)
     extra: dict = field(default_factory=dict)
 
-    @property
-    def perf_extra(self) -> dict:
-        """The host-performance slice of ``extra`` -- what :func:`run_grid`
-        folds into the cell's :class:`~repro.harness.parallel.CellStats`
-        (and from there into ``BENCH_perf.json`` and the profile report):
-        the ``profile.*`` keys (present when the machine ran with the layer
-        profiler attached)."""
-        return {key: value for key, value in self.extra.items()
-                if key.startswith("profile.")}
-
     def as_row(self, columns: list[str]) -> list:
         """Resolve *columns* against the declared fields, then ``extra``.
 

@@ -17,12 +17,6 @@ hidden cross-machine state), and :func:`run_grid` returns results keyed in
 byte-identical tables to a serial one.  ``REPRO_JOBS=1`` forces the serial
 path; the suite's CI job diffs the two.
 
-Every grid also records per-cell wall seconds and simulator events into
-:data:`GRID_REPORTS`; ``benchmarks/conftest.py`` flushes those into the
-``BENCH_perf.json`` trajectory and ``benchmarks/results/perf_report.txt``
-at session end, so future performance work has a baseline to compare
-against.
-
 Long sweeps are no longer black boxes: the parallel path supports
 **heartbeats** (periodic one-line progress to stderr: cells done/total,
 ETA, the slowest in-flight cell) and **stall detection** (a cell in flight
@@ -42,12 +36,11 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-__all__ = ["Cell", "CellStats", "GridCellError", "GridReport",
-           "GRID_REPORTS", "GridStallError", "Heartbeat", "default_jobs",
-           "heartbeat_interval", "run_grid", "stall_timeout"]
+__all__ = ["Cell", "GridCellError", "GridStallError", "Heartbeat",
+           "default_jobs", "heartbeat_interval", "run_grid", "stall_timeout"]
 
 
 @dataclass
@@ -56,43 +49,6 @@ class Cell:
 
     key: Any
     fn: Callable[[], Any]
-
-
-@dataclass
-class CellStats:
-    """Per-cell performance record (host wall clock + simulator events)."""
-
-    key: str
-    wall_seconds: float
-    sim_events: int
-    #: extras the result object volunteers via a ``perf_extra`` mapping
-    #: (e.g. the crash explorer's points verified / points-per-second);
-    #: flushed verbatim into the cell's BENCH_perf.json record
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def events_per_second(self) -> float:
-        return self.sim_events / self.wall_seconds if self.wall_seconds else 0.0
-
-
-@dataclass
-class GridReport:
-    """One grid's performance summary, appended to :data:`GRID_REPORTS`."""
-
-    name: str
-    jobs: int
-    #: wall seconds for the whole grid (cells overlap when jobs > 1)
-    wall_seconds: float = 0.0
-    cells: list = field(default_factory=list)
-
-    @property
-    def cell_wall_total(self) -> float:
-        """Sum of per-cell walls (= serial cost; > wall_seconds when parallel)."""
-        return sum(cell.wall_seconds for cell in self.cells)
-
-    @property
-    def sim_events(self) -> int:
-        return sum(cell.sim_events for cell in self.cells)
 
 
 def _env_seconds(name: str) -> float:
@@ -235,9 +191,6 @@ class _CellFailure:
     traceback: str
 
 
-#: every grid executed this session, in execution order
-GRID_REPORTS: list[GridReport] = []
-
 #: the active grid's cells; a module-level global so forked workers inherit
 #: the closures and :func:`_run_cell` only needs an index (explorer.py's
 #: pattern -- closures over local state cannot cross a pickle boundary)
@@ -249,17 +202,19 @@ _WORK: list[Cell] = []
 _STARTS = None
 
 
+def _attempt(cell: Cell):
+    """The cell's result, or its exception captured as a _CellFailure."""
+    try:
+        return cell.fn()
+    except Exception as exc:
+        return _CellFailure(f"{type(exc).__name__}: {exc}",
+                            traceback.format_exc())
+
+
 def _run_cell(index: int):
-    cell = _WORK[index]
     if _STARTS is not None:
         _STARTS[index] = time.time()
-    start = time.perf_counter()
-    try:
-        result = cell.fn()
-    except Exception as exc:
-        result = _CellFailure(f"{type(exc).__name__}: {exc}",
-                              traceback.format_exc())
-    return index, result, time.perf_counter() - start
+    return index, _attempt(_WORK[index])
 
 
 def default_jobs() -> int:
@@ -280,8 +235,7 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None,
     serially when *jobs* resolves to 1, when only one cell exists, or when
     the platform cannot fork (the pool pattern requires inherited memory);
     otherwise fans out over a fork pool.  Either way the returned mapping
-    and all recorded statistics are identical -- completion order never
-    leaks into the results.
+    is identical -- completion order never leaks into the results.
 
     *heartbeat* emits a progress line (via *on_heartbeat*, default stderr)
     every that-many seconds while cells are in flight; *stall* aborts with
@@ -300,12 +254,10 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None,
         stall = stall_timeout()
     methods = multiprocessing.get_all_start_methods()
     parallel = jobs > 1 and len(cells) > 1 and "fork" in methods
-    report = GridReport(name=name, jobs=jobs if parallel else 1)
-    grid_start = time.perf_counter()
 
-    outcomes: list = [None] * len(cells)
     if parallel:
         global _WORK, _STARTS
+        outcomes: list = [None] * len(cells)
         monitor = Heartbeat(name=f"grid {name}",
                             labels=[str(cell.key) for cell in cells],
                             interval=heartbeat, timeout=stall,
@@ -321,34 +273,18 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None,
                     _run_cell, range(len(cells)), chunksize=1)
                 if monitor.active:
                     results_iter = monitor.drain(results_iter, starts)
-                for index, result, wall in results_iter:
-                    outcomes[index] = (result, wall)
+                for index, result in results_iter:
+                    outcomes[index] = result
         finally:
             _WORK = previous
             _STARTS = previous_starts
     else:
-        for index, cell in enumerate(cells):
-            start = time.perf_counter()
-            try:
-                result = cell.fn()
-            except Exception as exc:
-                result = _CellFailure(f"{type(exc).__name__}: {exc}",
-                                      traceback.format_exc())
-            outcomes[index] = (result, time.perf_counter() - start)
+        outcomes = [_attempt(cell) for cell in cells]
 
-    report.wall_seconds = time.perf_counter() - grid_start
     # surface the first failure in *input* order (deterministic no matter
     # which worker hit it or when), naming the cell that died
-    for cell, (result, _wall) in zip(cells, outcomes):
+    for cell, result in zip(cells, outcomes):
         if isinstance(result, _CellFailure):
             raise GridCellError(name, cell.key, result.error,
                                 result.traceback)
-    results = {}
-    for cell, (result, wall) in zip(cells, outcomes):
-        results[cell.key] = result
-        report.cells.append(CellStats(
-            key=str(cell.key), wall_seconds=wall,
-            sim_events=getattr(result, "sim_events", 0) or 0,
-            extra=dict(getattr(result, "perf_extra", None) or {})))
-    GRID_REPORTS.append(report)
-    return results
+    return {cell.key: result for cell, result in zip(cells, outcomes)}

@@ -45,13 +45,11 @@ parallel sweeps produce identical findings.
 CLI::
 
     python -m repro.integrity.explorer --scheme softupdates \
-        --workload microbench --jobs 4 --monitor --fsck-jobs 1
+        --workload microbench --jobs 4 --monitor
 
 ``--monitor`` additionally attaches the online ordering-rule monitor
 (:mod:`repro.integrity.monitor`) to the recording run, so breaches are
-flagged at commit time as well as post-crash; ``--fsck-jobs N`` runs each
-per-image fsck pFSCK-style over a per-cylinder-group pool (serial sweeps
-only -- pool workers cannot nest pools).
+flagged at commit time as well as post-crash.
 
 Exit status is 0 when every crash state falls within the scheme's declared
 guarantees (for No Order that includes corruption -- it declares itself
@@ -264,14 +262,13 @@ class _Task:
     label: str
     fault_profile: Optional[str] = None
     fault_seed: int = 0
-    fsck_jobs: int = 1
 
 
 def _classify_image(image, geometry, secrets: bool, verify_repair: bool,
                     guarantees, index: int, crash_time: float,
-                    label: str, fsck_jobs: int = 1) -> CrashFinding:
+                    label: str) -> CrashFinding:
     """fsck + invariant classification of one surviving image."""
-    report = fsck(image, geometry, jobs=fsck_jobs)
+    report = fsck(image, geometry)
     leaks = find_secret_leaks(image, geometry) if secrets else []
     violations = classify_report(report, leaks)
     if verify_repair and not any(v.is_corruption for v in violations):
@@ -309,8 +306,7 @@ def verify_crash_point(task: _Task) -> CrashFinding:
     image = crash_image(machine)
     return _classify_image(image, machine.config.fs_geometry, task.secrets,
                            task.verify_repair, machine.scheme.crash_guarantees,
-                           task.index, task.crash_time, task.label,
-                           fsck_jobs=task.fsck_jobs)
+                           task.index, task.crash_time, task.label)
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +327,6 @@ class _SynthContext:
     secrets: bool
     verify_repair: bool
     guarantees: object     # CrashGuarantees
-    fsck_jobs: int = 1
 
 
 _SYNTH_CONTEXT: Optional[_SynthContext] = None
@@ -363,8 +358,7 @@ def _verify_synth_chunk(chunk: list[CrashPoint]) -> list[CrashFinding]:
         image = synthesizer.image_at(point.time)
         findings.append(_classify_image(
             image, ctx.geometry, ctx.secrets, ctx.verify_repair,
-            ctx.guarantees, point.index, point.time, point.label,
-            fsck_jobs=ctx.fsck_jobs))
+            ctx.guarantees, point.index, point.time, point.label))
     return findings
 
 
@@ -407,7 +401,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
             fault_seed: int = 0,
             synthesize: bool = True,
             monitor: bool = False,
-            fsck_jobs: int = 1,
             heartbeat: Optional[float] = None,
             stall_timeout: Optional[float] = None,
             on_heartbeat=None) -> ExplorationReport:
@@ -420,7 +413,7 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     fall back to replay automatically.  Either way, ``jobs > 1`` fans the
     verification out over a process pool and results are deterministic in
     (scheme, workload, seed, ops, samples_per_write, max_points) --
-    independent of ``jobs``, ``fsck_jobs`` and the verification mode.
+    independent of ``jobs`` and the verification mode.
 
     *fault_profile* adds the fault dimension: the victim runs against an
     unreliable disk (crash AND fault, then fsck).  Use a profile without
@@ -430,10 +423,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     ``monitor=True`` attaches the online :class:`OrderingMonitor` to the
     recording run; its violations land in the report (and fail
     ``report.exit_status``) without changing the simulation timeline.
-    ``fsck_jobs > 1`` runs each per-image fsck with a pFSCK-style
-    per-cylinder-group pool; it is honoured only when the exploration
-    itself is serial (``jobs == 1``), because daemonic pool workers
-    cannot fork their own pools.
 
     *heartbeat* / *stall_timeout* (seconds; ``None`` defers to
     ``REPRO_HEARTBEAT`` / ``REPRO_STALL_TIMEOUT``, 0 disables) attach a
@@ -459,7 +448,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
                 registry=machine.obs.registry if machine.obs else None)
         else:
             monitor_state = "unsupported"
-    effective_fsck_jobs = fsck_jobs if jobs <= 1 else 1
     record_start = time.perf_counter()
     recorded = record_run(machine,
                           build_workload(machine, workload, seed, ops),
@@ -479,14 +467,12 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     if mode == "synthesize":
         findings = _explore_synthesized(machine, recorded, points, jobs,
                                         secrets, verify_repair,
-                                        effective_fsck_jobs,
                                         monitor=pulse)
         replays = 0
     else:
         findings = _explore_replayed(scheme, workload, seed, ops, secrets,
                                      verify_repair, points, jobs,
                                      fault_profile, fault_seed,
-                                     effective_fsck_jobs,
                                      monitor=pulse)
         replays = len(points)
     verify_wall = time.perf_counter() - verify_start
@@ -504,14 +490,12 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         sim_events=recorded.events_processed,
         monitor=monitor_state,
         monitor_windows=watcher.windows_seen if watcher else 0,
-        monitor_violations=tuple(watcher.violations) if watcher else (),
-        fsck_jobs=effective_fsck_jobs)
+        monitor_violations=tuple(watcher.violations) if watcher else ())
 
 
 def _explore_synthesized(machine: Machine, recorded: RecordedRun,
                          points: list[CrashPoint], jobs: int,
                          secrets: bool, verify_repair: bool,
-                         fsck_jobs: int = 1,
                          monitor: Optional[Heartbeat] = None
                          ) -> list[CrashFinding]:
     """Verify *points* from the media log: zero simulation replays."""
@@ -520,8 +504,7 @@ def _explore_synthesized(machine: Machine, recorded: RecordedRun,
         base=recorded.base_image, log=recorded.media_log,
         geometry=machine.config.fs_geometry, secrets=secrets,
         verify_repair=verify_repair,
-        guarantees=machine.scheme.crash_guarantees,
-        fsck_jobs=fsck_jobs)
+        guarantees=machine.scheme.crash_guarantees)
     ordered = sorted(points, key=lambda p: (p.time, p.index))
     if jobs > 1 and len(ordered) > 1:
         chunks = _chunk(ordered, jobs * 4)
@@ -589,14 +572,13 @@ def _explore_replayed(scheme: str, workload: str, seed: int,
                       points: list[CrashPoint], jobs: int,
                       fault_profile: Optional[str],
                       fault_seed: int,
-                      fsck_jobs: int = 1,
                       monitor: Optional[Heartbeat] = None
                       ) -> list[CrashFinding]:
     """The oracle: one full prefix replay per crash point."""
     global _REPLAY_TASKS, _REPLAY_STARTS
     tasks = [_Task(scheme, workload, seed, ops, secrets, verify_repair,
                    point.index, point.time, point.label,
-                   fault_profile, fault_seed, fsck_jobs)
+                   fault_profile, fault_seed)
              for point in points]
     if jobs > 1 and len(tasks) > 1:
         methods = multiprocessing.get_all_start_methods()
@@ -692,10 +674,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--jobs", type=int,
                         default=max(1, min(4, os.cpu_count() or 1)),
                         help="verification pool size (default: up to 4)")
-    parser.add_argument("--fsck-jobs", type=int, default=1,
-                        help="pFSCK pool size per crash image (honoured "
-                             "only with --jobs 1: pool workers cannot "
-                             "nest pools)")
     parser.add_argument("--monitor", action="store_true",
                         help="attach the online ordering-rule monitor to "
                              "the recording run; unexpected online "
@@ -786,7 +764,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                      fault_seed=args.fault_seed,
                      synthesize=args.synthesize,
                      monitor=args.monitor,
-                     fsck_jobs=args.fsck_jobs,
                      heartbeat=args.heartbeat,
                      stall_timeout=args.stall_timeout)
     if args.json:

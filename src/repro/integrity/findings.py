@@ -74,8 +74,6 @@ class ExplorationReport:
     monitor_windows: int = 0
     #: OrderingViolation tuple raised at commit time
     monitor_violations: tuple = ()
-    #: fsck pool width per crash image (pFSCK-style parallel scan)
-    fsck_jobs: int = 1
 
     # -- aggregation -----------------------------------------------------
     @property
@@ -96,21 +94,6 @@ class ExplorationReport:
     @property
     def wall_seconds(self) -> float:
         return self.record_wall_seconds + self.verify_wall_seconds
-
-    @property
-    def perf_extra(self) -> dict:
-        """Benchmark-grid payload (lands in BENCH_perf.json cells)."""
-        return {
-            "mode": self.mode,
-            "points": self.points,
-            "enumerated_points": self.enumerated_points,
-            "replays": self.replays,
-            "points_per_second": round(self.points_per_second, 2),
-            "record_wall_seconds": round(self.record_wall_seconds, 4),
-            "verify_wall_seconds": round(self.verify_wall_seconds, 4),
-            "log_bytes": self.log_bytes,
-            "fsck_jobs": self.fsck_jobs,
-        }
 
     @property
     def violation_counts(self) -> Counter:
@@ -259,7 +242,6 @@ class ExplorationReport:
             "violation_counts": dict(self.violation_counts),
             "clean": self.clean,
             "exit_status": self.exit_status,
-            "fsck_jobs": self.fsck_jobs,
             "monitor": self.monitor,
             "monitor_windows": self.monitor_windows,
             "monitor_violations": [

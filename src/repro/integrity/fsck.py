@@ -24,25 +24,17 @@ mechanically, the paper's schemes deliberately allow them):
 * bitmap says free but the fragment/inode is referenced (fsck re-marks it),
 * bitmap says used but nothing references it.
 
-Parallel mode (pFSCK-style, arxiv 2004.05524): ``fsck(image, jobs=N)`` fans
-the per-cylinder-group scans -- inode pointer walks, directory parsing, and
-bitmap audits -- over a ``multiprocessing`` pool.  Each phase is split into
-a *pure* per-inode pass that reads only the image (safe to run anywhere)
-and a *replay* pass that folds the resulting op-stream into the global
-claim table and reference map in ascending inode order.  Because the
-replay is identical whether the streams were produced inline (serial) or
-by workers (parallel), the two modes return byte-identical finding lists
--- same messages, same order.  Workers inherit the image copy-on-write
-through the fork context; only op-streams cross the pipe.
+Structure (after pFSCK, arxiv 2004.05524): each phase is split into a
+*pure* per-inode or per-cylinder-group pass that reads only the image and a
+*replay* pass that folds the resulting op-stream into the global claim
+table and reference map in ascending inode order, so all cross-inode
+judgement sits in the replay.  The online monitor reuses the pure passes.
 """
 
 from __future__ import annotations
 
-import gc
-import multiprocessing
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.disk.storage import SectorStore
 from repro.fs import directory, journal
@@ -120,49 +112,15 @@ def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
     return out
 
 
-class _FlatImage:
-    """Contiguous read-only view of a SectorStore's file-system span.
-
-    The dict-backed reference store is a sparse map of one ``bytes``
-    object per sector; forking a pool over a large image makes every
-    worker's first pass copy-on-write the whole object heap just by
-    touching refcounts.  ``store.flat_view`` hands back one contiguous
-    buffer instead: a zero-copy view of the flat store's own backing, or
-    a single materialization of the dict store.  Workers share it via
-    fork (or one pickle on spawn platforms) and reads are plain slices.
-    """
-
-    __slots__ = ("geometry", "_buf")
-
-    def __init__(self, store, total_sectors: int) -> None:
-        self.geometry = store.geometry
-        self._buf = store.flat_view(total_sectors)
-
-    def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        size = self.geometry.sector_size
-        # bytes() of a bytes slice is the slice itself; the flat store's
-        # memoryview/ndarray slices convert without an extra pass
-        return bytes(self._buf[lbn * size:(lbn + nsectors) * size])
-
-    # spawn-platform pools pickle the fsck context; a zero-copy view of
-    # the flat store's backing is not picklable, the materialized bytes are
-    def __getstate__(self):
-        return self.geometry, bytes(self._buf)
-
-    def __setstate__(self, state):
-        self.geometry, self._buf = state
-
-
 class _JournalView:
     """A SectorStore view with the committed journal overlay applied.
 
     A crashed journaling file system is judged *with* its log: recovery
     replays every committed transaction, so the recoverable state -- the
     state fsck must audit -- is the raw image plus the scan overlay.  The
-    view composes reads sector-by-sector (``.read``) and exposes a merged
-    ``flat_view`` so :class:`_FlatImage` (the parallel path) bakes the
-    overlay in.  Images without a journal area never construct one, so
-    non-journaling reports are bit-identical to before.
+    view composes reads sector-by-sector (``.read``).  Images without a
+    journal area never construct one, so non-journaling reports are
+    bit-identical to before.
     """
 
     __slots__ = ("geometry", "_base", "_sector_overlay")
@@ -186,15 +144,6 @@ class _JournalView:
             out.append(hit if hit is not None
                        else self._base.read(sector, 1))
         return b"".join(out)
-
-    def flat_view(self, nsectors: int) -> bytes:
-        """The base's flat span with the journal overlay applied."""
-        size = self.geometry.sector_size
-        buf = bytearray(self._base.flat_view(nsectors))
-        for sector, data in self._sector_overlay.items():
-            if sector < nsectors:
-                buf[sector * size:(sector + 1) * size] = data
-        return bytes(buf)
 
 
 def journal_overlay_view(image: SectorStore, geo: FSGeometry):
@@ -460,112 +409,6 @@ class _Checker:
              else self.report.warnings).append(msg)
 
 
-# ----------------------------------------------------------------------
-# parallel scan workers (pFSCK-style per-cylinder-group fan-out)
-# ----------------------------------------------------------------------
-@dataclass
-class _FsckContext:
-    """Read-only state for scan workers.
-
-    Installed as a module-level global before the pool forks so children
-    inherit the image copy-on-write; pickled once per worker (via the pool
-    initializer) only on platforms without ``fork``.
-    """
-
-    image: SectorStore
-    geo: FSGeometry
-
-
-_FSCK_CONTEXT: Optional[_FsckContext] = None
-
-
-def _fsck_init(context: Optional[_FsckContext] = None) -> None:
-    global _FSCK_CONTEXT
-    if context is not None:
-        _FSCK_CONTEXT = context
-    # the worker inherited (or was handed) a large object graph it will
-    # only ever read; freezing it keeps the cycle collector from touching
-    # refcounts across the copy-on-write heap and dirtying every page
-    gc.freeze()
-
-
-def _scan_cg(cg: int):
-    """Pure scans for one cylinder group: allocated dinodes, their claim
-    streams, and directory event streams -- all in ascending inode order."""
-    ctx = _FSCK_CONTEXT
-    inodes: list[tuple[int, Dinode]] = scan_cg_inodes(ctx.image, ctx.geo, cg)
-    claim_ops: list[list[tuple]] = [
-        inode_claim_ops(ctx.image, ctx.geo, ino, din)
-        for ino, din in inodes]
-    dir_events: list[tuple[int, list[tuple]]] = []
-    for ino, din in inodes:
-        if din.ftype is FileType.DIRECTORY:
-            dir_events.append(
-                (ino, directory_events(ctx.image, ctx.geo, ino, din)))
-    return inodes, claim_ops, dir_events
-
-
-def _scan_cg_bitmaps(payload):
-    """Bitmap audit for one cylinder group against the merged claims."""
-    cg, claims, allocated = payload
-    ctx = _FSCK_CONTEXT
-    return cg_bitmap_findings(ctx.image, ctx.geo, cg, claims, allocated)
-
-
-def _fsck_parallel(image: SectorStore, geo: FSGeometry,
-                   jobs: int) -> FsckReport:
-    """Fan the per-cg scans over a pool, then merge serially.
-
-    The merge replays every op-stream in ascending inode order, so the
-    report is byte-identical to the serial checker's.
-    """
-    global _FSCK_CONTEXT
-    spf = geo.frag_size // image.geometry.sector_size
-    flat = _FlatImage(image, geo.total_frags * spf)
-    context = _FsckContext(image=flat, geo=geo)
-    methods = multiprocessing.get_all_start_methods()
-    previous, _FSCK_CONTEXT = _FSCK_CONTEXT, context
-    try:
-        if "fork" in methods:
-            pool_ctx = multiprocessing.get_context("fork")
-            pool_kwargs = {"initializer": _fsck_init}
-        else:
-            pool_ctx = multiprocessing.get_context(None)
-            pool_kwargs = {"initializer": _fsck_init, "initargs": (context,)}
-        with pool_ctx.Pool(min(jobs, geo.ncg), **pool_kwargs) as pool:
-            scans = pool.map(_scan_cg, range(geo.ncg), chunksize=1)
-            checker = _Checker(image, geo)
-            # phase 1: replay claim streams in global inode order
-            for inodes, claim_ops, _events in scans:
-                for (ino, din), ops in zip(inodes, claim_ops):
-                    checker.report.inodes[ino] = din
-                    checker.apply_claim_ops(ino, ops)
-            if ROOT_INO not in checker.report.inodes:
-                checker.report.errors.append("root inode missing")
-                return checker.report
-            # phase 2: replay directory events in global inode order
-            for _inodes, _ops, events in scans:
-                for ino, stream in events:
-                    checker.apply_directory_events(ino, stream)
-            # phase 3 is a pure reduction over the merged maps
-            checker.check_links()
-            # phase 4: fan back out with the merged claims, split per cg
-            claims_by_cg: list[dict[int, int]] = [{} for _ in range(geo.ncg)]
-            for daddr, owner in checker.claims.items():
-                claims_by_cg[geo.cg_of_daddr(daddr)][daddr] = owner
-            inos_by_cg: list[set] = [set() for _ in range(geo.ncg)]
-            for ino in checker.report.inodes:
-                inos_by_cg[geo.cg_of_inode(ino)].add(ino)
-            payloads = [(cg, claims_by_cg[cg], inos_by_cg[cg])
-                        for cg in range(geo.ncg)]
-            for findings in pool.map(_scan_cg_bitmaps, payloads,
-                                     chunksize=1):
-                checker.apply_bitmap_findings(findings)
-    finally:
-        _FSCK_CONTEXT = previous
-    return checker.report
-
-
 def repair(image: SectorStore,
            geometry: FSGeometry | None = None) -> FsckReport:
     """Repair an image in place (warnings only); returns the re-audit.
@@ -665,17 +508,9 @@ def repair(image: SectorStore,
     return fsck(image, geometry)
 
 
-def fsck(image: SectorStore, geometry: FSGeometry | None = None,
-         jobs: int = 1) -> FsckReport:
-    """Audit *image*; returns the :class:`FsckReport`.
-
-    ``jobs > 1`` fans the per-cylinder-group scans over a process pool
-    (pFSCK-style); the finding lists are byte-identical to the serial
-    audit's.  Pool workers are daemonic and cannot have children, so when
-    this is called from inside another ``multiprocessing`` worker (the
-    explorer's verification pool, a fault-sweep grid cell) ``jobs > 1``
-    silently degrades to the serial audit -- same report, one process.
-    """
+def fsck(image: SectorStore,
+         geometry: FSGeometry | None = None) -> FsckReport:
+    """Audit *image*; returns the :class:`FsckReport`."""
     geometry = geometry or FSGeometry()
     spf = geometry.frag_size // image.geometry.sector_size
     try:
@@ -689,9 +524,6 @@ def fsck(image: SectorStore, geometry: FSGeometry | None = None,
     # a journaling image is audited in its *recovered* state: raw image
     # plus the committed log overlay (identity for journal-less layouts)
     image = journal_overlay_view(image, geo)
-    if jobs > 1 and geo.ncg > 1 \
-            and not multiprocessing.current_process().daemon:
-        return _fsck_parallel(image, geo, jobs)
     checker = _Checker(image, geo)
     checker.scan_inodes()
     if ROOT_INO not in checker.report.inodes:

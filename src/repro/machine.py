@@ -18,7 +18,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -73,11 +72,8 @@ class MachineConfig:
     #: on the host)
     observe: bool = False
     #: attach the per-layer counting profiler (implies ``observe``;
-    #: defaults to the ``REPRO_PROFILE`` environment variable so whole
-    #: benchmark grids can be profiled without touching code -- profiled
-    #: runs are simulation-identical, tests/obs/test_profiler.py)
-    profile: bool = field(
-        default_factory=lambda: bool(os.environ.get("REPRO_PROFILE")))
+    #: profiled runs are simulation-identical, tests/obs/test_profiler.py)
+    profile: bool = False
     #: make the disk unreliable (None = the perfect disk; a plan with all
     #: rates zero is byte-identical to None -- tests/faults proves it)
     faults: Optional[FaultPlan] = None

@@ -1,8 +1,8 @@
 """The run ledger: every harness invocation leaves a structured record.
 
-``BENCH_perf.json`` tracks benchmark *sessions*; nothing tracked the other
+``bench/run.py`` records a *benchmark* run; nothing else tracks the
 harness entry points (``trace``, ``faults``, ``explore``, the headline
-``bench`` comparison, ``regress``), so long sweeps ran as black boxes and
+``bench`` comparison), so long sweeps ran as black boxes and
 cross-invocation questions ("what ran on this host last week, at which
 scale, how fast?") required archaeology.  The ledger is the closed-loop
 answer: one JSON object per line appended to ``results/ledger.jsonl`` --
@@ -39,12 +39,11 @@ DEFAULT_LEDGER = Path("results") / "ledger.jsonl"
 _OFF = {"off", "none", "0", ""}
 
 def host_facts() -> dict:
-    """Facts that stratify performance records across machines.
+    """Facts that tell one machine's ledger records from another's.
 
-    The regression gate refuses to compare cells across differing strata
-    (a 4-core runner against a 1-core container), so these are stamped
-    into every ledger record and every perf-trajectory session at append
-    time.
+    Stamped into every ledger record at append time, so a wall-clock
+    number from a 4-core runner is never read against one from a 1-core
+    container.
     """
     return {
         "platform": platform.system().lower() or "unknown",

@@ -14,30 +14,26 @@ duration into one of six fixed layers::
     drive   mechanical phases       (disk/)
     kernel  anything uncategorized  (engine-side)
 
-Attribution policy (documented in ``docs/performance.md``):
-
-* **sim self-time** is exact: each closed sync span contributes its
-  duration minus its closed children's durations, so a syscall's cache
-  waits land under ``cache``, not ``vfs``.  Async spans (driver queue
-  residencies overlap by design) are counted but never folded.
-* **host wall** is an *estimate*: per-cell host wall is prorated over the
-  layers by their sim self-time share at report time.  Real per-layer host
-  time is unmeasurable from span stamps alone -- the driver/drive spans are
-  recorded retrospectively in a single host instant -- and anything
-  heavier would violate the "cheap" contract.
+Attribution policy (documented in ``docs/performance.md``): **sim
+self-time** is exact -- each closed sync span contributes its duration
+minus its closed children's durations, so a syscall's cache waits land
+under ``cache``, not ``vfs``.  Async spans (driver queue residencies
+overlap by design) are counted but never folded.  This is *simulated*
+time; where the simulator's own host time goes is ``bench/``'s question
+(its ``cProfile`` layer fold), not this table's.
 
 Everything lands in the machine's :class:`MetricsRegistry` under
 ``profile.<layer>.sim`` / ``profile.<layer>.spans``, so ``obs.snapshot()``
-folds it into ``RunResult.extra`` with zero extra plumbing, grid cells
-carry it into ``BENCH_perf.json``, and ``results/profile_report.txt``
-renders the breakdown table.  The profiler reads clocks and adds floats --
-it never touches the event heap, so a profiled run is simulation-identical
-to a bare one (``tests/obs/test_profiler.py``).
+folds it into ``RunResult.extra`` with zero extra plumbing, and
+``python -m repro.harness trace <bench> --profile`` renders the breakdown
+table.  The profiler reads clocks and adds floats -- it never touches the
+event heap, so a profiled run is simulation-identical to a bare one
+(``tests/obs/test_profiler.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
@@ -111,13 +107,12 @@ class LayerProfiler:
 # ----------------------------------------------------------------------
 # report rendering (pure functions over snapshot dicts)
 # ----------------------------------------------------------------------
-def profile_rows(extra: dict, wall_seconds: Optional[float] = None) -> list:
-    """``[(layer, spans, sim_self, share, wall_est)]`` from a snapshot.
+def profile_rows(extra: dict) -> list:
+    """``[(layer, spans, sim_self, share)]`` from a snapshot.
 
-    *extra* is any mapping containing ``profile.*`` keys (RunResult.extra,
-    a BENCH_perf cell record).  Returns [] when the cell was not profiled.
-    ``wall_est`` is the prorated host-wall estimate (None without
-    *wall_seconds*).
+    *extra* is any mapping containing ``profile.*`` keys (an
+    ``obs.snapshot()``, ``RunResult.extra``).  Returns [] when the cell
+    was not profiled.
     """
     sims = {layer: extra.get(f"profile.{layer}.sim", 0.0) for layer in LAYERS}
     counts = {layer: extra.get(f"profile.{layer}.spans", 0)
@@ -128,38 +123,35 @@ def profile_rows(extra: dict, wall_seconds: Optional[float] = None) -> list:
     rows = []
     for layer in LAYERS:
         share = sims[layer] / total if total > 0 else 0.0
-        wall_est = wall_seconds * share if wall_seconds is not None else None
-        rows.append((layer, counts[layer], sims[layer], share, wall_est))
+        rows.append((layer, counts[layer], sims[layer], share))
     return rows
 
 
 def format_profile_report(cells: list, title: str = "") -> str:
-    """The ``results/profile_report.txt`` breakdown table.
+    """The per-layer breakdown table ``trace --profile`` prints.
 
-    *cells* is ``[(label, wall_seconds, extra)]``; cells without
-    ``profile.*`` keys are skipped.  Deterministic in its inputs.
+    *cells* is ``[(label, extra)]``; cells without ``profile.*`` keys are
+    skipped.  Deterministic in its inputs.
     """
     lines = []
-    header = title or "Per-layer profile (sim self-time; wall is prorated)"
+    header = title or "Per-layer profile (sim self-time)"
     lines.append(header)
     lines.append("=" * len(header))
     profiled = 0
-    for label, wall_seconds, extra in cells:
-        rows = profile_rows(extra, wall_seconds)
+    for label, extra in cells:
+        rows = profile_rows(extra)
         if not rows:
             continue
         profiled += 1
         lines.append("")
-        wall = f", host wall {wall_seconds:.3f}s" if wall_seconds else ""
-        lines.append(f"{label}{wall}")
+        lines.append(label)
         lines.append(f"  {'layer':<8}{'spans':>9}{'sim self (s)':>14}"
-                     f"{'share':>8}{'wall est (s)':>14}")
-        for layer, spans, sim, share, wall_est in rows:
-            est = f"{wall_est:.3f}" if wall_est is not None else "-"
+                     f"{'share':>8}")
+        for layer, spans, sim, share in rows:
             lines.append(f"  {layer:<8}{spans:>9}{sim:>14.6f}"
-                         f"{100 * share:>7.1f}%{est:>14}")
+                         f"{100 * share:>7.1f}%")
     if not profiled:
         lines.append("")
-        lines.append("(no profiled cells -- run with REPRO_PROFILE=1 or "
+        lines.append("(no profiled cells -- build the machine with "
                      "MachineConfig(profile=True))")
     return "\n".join(lines) + "\n"

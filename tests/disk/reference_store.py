@@ -67,13 +67,5 @@ class ReferenceStore:
             h.update(data)
         return h.hexdigest()
 
-    def flat_view(self, nsectors):
-        size = self.geometry.sector_size
-        buf = bytearray(nsectors * size)
-        for lbn, data in self._sectors.items():
-            if lbn < nsectors:
-                buf[lbn * size:(lbn + 1) * size] = data
-        return bytes(buf)
-
     def __len__(self):
         return len(self._sectors)

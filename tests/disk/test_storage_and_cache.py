@@ -82,7 +82,6 @@ class TestSectorStore:
                                            + payload[1536:])
         assert store.read(span - 3, 8) == (bytes(512) + store.read(span - 2, 6)
                                            + bytes(512))
-        assert bytes(snap.flat_view(span + 4))[(span - 2) * 512:] == payload
         assert len(store) == 6 + span + 4
 
     @given(st.lists(st.tuples(st.integers(0, 1000),
@@ -143,11 +142,6 @@ class TestStoreConformance:
                 for v in STORE_VARIANTS]
         assert rows[0] == rows[1]
         assert all(lbn != 400 for lbn, _ in rows[0])  # zeros canonicalized
-
-    def test_flat_view_identical(self):
-        views = [bytes(self.drive(make_store(v)).flat_view(512))
-                 for v in STORE_VARIANTS]
-        assert views[0] == views[1]
 
 
 class TestPrefetchCache:

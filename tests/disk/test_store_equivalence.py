@@ -2,7 +2,7 @@
 
 The chunked copy-on-write store is a performance substitution, not a
 behavior change: any sequence of ``read`` / ``write`` / ``write_partial`` /
-``snapshot`` / ``digest`` / ``iter_nonzero`` / ``flat_view`` calls must be
+``snapshot`` / ``digest`` / ``iter_nonzero`` calls must be
 observation-identical to ``ReferenceStore``.  A tracemalloc check also pins
 the shipped store's O(1)-allocations write path (the dict model allocates
 one ``bytes`` per sector).
@@ -57,7 +57,7 @@ def apply_ops(store, op_list):
             observed.append((len(store), store.sectors_written))
     observed.append(store.digest())
     observed.append(list(store.iter_nonzero()))
-    observed.append(bytes(store.flat_view(610)))
+    observed.append(store.read(0, 610))
     observed.append((store.sectors_written, len(store)))
     return observed
 

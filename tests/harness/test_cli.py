@@ -5,12 +5,16 @@ import subprocess
 import sys
 
 
-def test_cli_prints_both_tables():
+def run_cli(*args):
     # keep the smoke run out of the real run ledger
     env = {**os.environ, "REPRO_LEDGER": "off"}
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.harness", "0.02"],
+    return subprocess.run(
+        [sys.executable, "-m", "repro.harness", *args],
         capture_output=True, text=True, timeout=600, env=env)
+
+
+def test_cli_prints_both_tables():
+    completed = run_cli("0.02")
     assert completed.returncode == 0, completed.stderr[-500:]
     out = completed.stdout
     assert "4-user copy" in out
@@ -20,3 +24,23 @@ def test_cli_prints_both_tables():
         # one row at line start in each of the two tables (the '% of No
         # Order' header also mentions No Order, hence the newline anchor)
         assert out.count(f"\n{scheme}") == 2
+
+
+def test_cli_help_prints_the_docstring_and_exits_zero():
+    for flag in ("-h", "--help"):
+        completed = run_cli(flag)
+        assert completed.returncode == 0, completed.stderr[-500:]
+        for subcommand in ("trace", "faults", "[scale]"):
+            assert subcommand in completed.stdout
+
+
+def test_cli_unknown_word_is_a_usage_error_not_a_traceback():
+    for word in ("bogus", "regress"):
+        completed = run_cli(word)
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("usage:")
+        assert len(completed.stderr.splitlines()) == 1
+        for subcommand in ("trace", "faults", "[scale]"):
+            assert subcommand in completed.stderr

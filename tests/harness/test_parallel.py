@@ -1,4 +1,4 @@
-"""The parallel grid runner: serial/parallel identity and perf records."""
+"""The parallel grid runner: serial/parallel identity and failure naming."""
 
 from dataclasses import dataclass
 
@@ -7,10 +7,8 @@ import pytest
 from repro.disk import Disk
 from repro.driver import DeviceDriver, FlagPolicy, FlagSemantics
 from repro.harness.parallel import (
-    GRID_REPORTS,
     Cell,
     GridCellError,
-    GridReport,
     default_jobs,
     run_grid,
 )
@@ -61,26 +59,6 @@ class TestRunGrid:
                            jobs=1)
         assert results == {"a": 1, "b": 2}
 
-    def test_grid_report_records_cells(self):
-        before = len(GRID_REPORTS)
-        run_grid("t-report", make_cells(), jobs=2)
-        report = GRID_REPORTS[-1]
-        assert len(GRID_REPORTS) == before + 1
-        assert isinstance(report, GridReport)
-        assert report.name == "t-report"
-        assert [cell.key for cell in report.cells] \
-            == [f"cell{seed}" for seed in range(4)]
-        # sim_events comes off the result object; walls are measured
-        assert all(cell.sim_events > 0 for cell in report.cells)
-        assert all(cell.wall_seconds >= 0 for cell in report.cells)
-        assert report.sim_events == sum(c.sim_events for c in report.cells)
-        assert report.cell_wall_total == pytest.approx(
-            sum(c.wall_seconds for c in report.cells))
-
-    def test_results_without_sim_events_record_zero(self):
-        run_grid("t-plain", [("x", lambda: 41)], jobs=1)
-        assert GRID_REPORTS[-1].cells[0].sim_events == 0
-
 
 def _boom():
     raise ValueError("synthetic cell failure")
@@ -110,12 +88,6 @@ class TestGridCellError:
         with pytest.raises(GridCellError) as excinfo:
             run_grid("t-first", cells, jobs=jobs)
         assert excinfo.value.key == "b"
-
-    def test_failed_grid_records_no_report(self):
-        before = len(GRID_REPORTS)
-        with pytest.raises(GridCellError):
-            run_grid("t-noreport", [("x", _boom)], jobs=1)
-        assert len(GRID_REPORTS) == before
 
 
 class TestDefaultJobs:

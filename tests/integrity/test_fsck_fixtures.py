@@ -5,9 +5,8 @@ scheme simply never produces an orphan chain or a drifted bitmap.  Each
 test here builds a known-good image, performs one surgical mutation, and
 asserts the *exact* finding string fsck must produce (the strings are the
 API: the explorer's invariant classifier and the repair tests key on
-them).  Every fixture is also audited through the parallel path -- the
-pool must report damaged images identically to serial, not only clean
-ones -- and repaired back to pristine where repair claims to handle it.
+them).  Every fixture is also repaired back to pristine where repair
+claims to handle it.
 """
 
 import struct
@@ -19,7 +18,6 @@ from repro.fs.alloc import CgView
 from repro.fs.layout import FileType, ROOT_INO
 from repro.integrity import fsck, repair
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
-from tests.integrity.test_fsck_parallel import report_key
 
 SPF = SMALL_GEOMETRY.frag_size // 512
 
@@ -59,13 +57,11 @@ def patch_inode(m, ino, offset, data):
 
 
 def assert_finding(m, kind, message):
-    """The fixture produces exactly this finding, serially and pooled."""
-    serial = fsck(m.disk.storage, SMALL_GEOMETRY)
-    findings = serial.errors if kind == "error" else serial.warnings
+    """The fixture produces exactly this finding."""
+    report = fsck(m.disk.storage, SMALL_GEOMETRY)
+    findings = report.errors if kind == "error" else report.warnings
     assert message in findings, (message, findings)
-    parallel = fsck(m.disk.storage, SMALL_GEOMETRY, jobs=4)
-    assert report_key(parallel) == report_key(serial)
-    return serial
+    return report
 
 
 def assert_repairs_to_pristine(m):

@@ -54,29 +54,12 @@ class TestAttribution:
                        for key in machine.obs.snapshot())
 
 
-class TestPerfExtra:
-    def test_run_result_carries_profile_slice(self):
-        from repro.harness.metrics import collect
-        machine = run_profiled("conventional")
-        result = collect(machine, [], 0)
-        assert result.perf_extra
-        assert all(key.startswith("profile.")
-                   for key in result.perf_extra)
-        assert result.perf_extra["profile.vfs.sim"] \
-            == result.extra["profile.vfs.sim"]
-
-    def test_empty_without_profiler(self):
-        from repro.harness.metrics import RunResult
-        assert RunResult(scheme="x", extra={"other": 1}).perf_extra == {}
-
-
 class TestReportRendering:
-    def test_rows_share_and_wall_proration(self):
+    def test_rows_cover_every_layer_and_shares_sum_to_one(self):
         snapshot = run_profiled("softupdates").obs.snapshot()
-        rows = profile_rows(snapshot, wall_seconds=2.0)
+        rows = profile_rows(snapshot)
         assert [row[0] for row in rows] == list(LAYERS)
         assert sum(row[3] for row in rows) == pytest.approx(1.0)
-        assert sum(row[4] for row in rows) == pytest.approx(2.0)
 
     def test_rows_empty_without_profile_keys(self):
         assert profile_rows({"engine.events": 5}) == []
@@ -84,14 +67,14 @@ class TestReportRendering:
     def test_report_skips_unprofiled_cells(self):
         snapshot = run_profiled("softupdates").obs.snapshot()
         report = format_profile_report(
-            [("profiled", 1.0, snapshot), ("bare", 1.0, {})])
+            [("profiled", snapshot), ("bare", {})])
         assert "profiled" in report
         assert "bare" not in report
         assert "vfs" in report
 
     def test_report_names_the_knob_when_nothing_profiled(self):
-        report = format_profile_report([("bare", 1.0, {})])
-        assert "REPRO_PROFILE" in report
+        report = format_profile_report([("bare", {})])
+        assert "MachineConfig(profile=True)" in report
 
 
 class TestDeterminismDiscipline:

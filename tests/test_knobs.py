@@ -16,9 +16,12 @@ SOURCES = sorted((ROOT / "src").rglob("*.py"))
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         ROOT / "docs" / "performance.md", ROOT / "docs" / "observability.md"]
 
-KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_PROFILE", "REPRO_LEDGER",
-         "REPRO_TRACE_MAX_SPANS", "REPRO_HEARTBEAT", "REPRO_STALL_TIMEOUT",
-         "REPRO_REGRESS_ALLOW"}
+KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_LEDGER",
+         "REPRO_TRACE_MAX_SPANS", "REPRO_HEARTBEAT", "REPRO_STALL_TIMEOUT"}
+
+#: the only packages allowed to read the process environment; everything
+#: under them is host-side plumbing, everything else is a simulated layer
+ENV_READERS = ("harness", "obs")
 
 
 def knob_names(paths) -> set:
@@ -29,6 +32,25 @@ def knob_names(paths) -> set:
 def test_knobs_named_in_src_are_the_documented_ones():
     assert knob_names(SOURCES) == KNOBS
     assert knob_names(DOCS) == KNOBS
+
+
+def test_simulated_layers_never_read_the_environment():
+    """A layer whose behaviour depends on ``os.environ`` is configured
+    behind the back of whoever built the ``MachineConfig``."""
+    offenders = []
+    for path in SOURCES:
+        relative = path.relative_to(ROOT / "src" / "repro")
+        if relative.parts[0] in ENV_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("environ", "getenv"):
+                offenders.append(f"{relative}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and any(alias.name in ("environ", "getenv")
+                            for alias in node.names):
+                offenders.append(f"{relative}:{node.lineno}")
+    assert not offenders
 
 
 def test_src_never_imports_numpy():
