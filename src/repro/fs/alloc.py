@@ -59,6 +59,26 @@ _RUN_MATCH = [bytes(1 if (byte and _FIRST_RUN[byte][slot] >= 0) else 0
                     for byte in range(256))
               for slot in range(8)]
 
+#: SET_BITS[byte] -> the offsets of its set bits, ascending
+_SET_BITS = [tuple(bit for bit in range(8) if byte >> bit & 1)
+             for byte in range(256)]
+
+
+def bits_of(indices, count: int) -> int:
+    """A *count*-bit bitmap as one int with bit i set for each i in
+    *indices* (what :meth:`CgView.frag_bits` reads back)."""
+    raw = bytearray((count + 7) // 8)
+    for index in indices:
+        raw[index >> 3] |= 1 << (index & 7)
+    return int.from_bytes(raw, "little")
+
+
+def set_bits(bits: int) -> list[int]:
+    """Indices of the set bits of *bits*, ascending."""
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return [at * 8 + bit for at, byte in enumerate(raw) if byte
+            for bit in _SET_BITS[byte]]
+
 
 class CgView:
     """Byte-level view of one cylinder-group header block."""
@@ -111,7 +131,16 @@ class CgView:
         else:
             self.data[base + index // 8] &= ~(1 << (index % 8)) & 0xFF
 
+    def _bits(self, base: int, count: int) -> int:
+        """A whole bitmap as one int, bit i = index i; bits past *count*
+        in the last byte are masked off."""
+        return int.from_bytes(self.data[base:base + (count + 7) // 8],
+                              "little") & ((1 << count) - 1)
+
     # -- inode bitmap -----------------------------------------------------------
+    def inode_bits(self) -> int:
+        return self._bits(self._ibm_at, self.geometry.ipg)
+
     def inode_used(self, index: int) -> bool:
         self._check(index, self.geometry.ipg)
         return self._get(self._ibm_at, index)
@@ -133,6 +162,9 @@ class CgView:
         return None
 
     # -- fragment bitmap -----------------------------------------------------
+    def frag_bits(self) -> int:
+        return self._bits(self._fbm_at, self.geometry.dfrags_per_cg)
+
     def frag_used(self, index: int) -> bool:
         self._check(index, self.geometry.dfrags_per_cg)
         return self._get(self._fbm_at, index)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 class FileType(enum.IntEnum):
@@ -37,6 +38,9 @@ class FileType(enum.IntEnum):
         return FileType(mode & 0xF000)
 
 
+#: type nibble -> FileType, for decoding a mode without raising
+_FTYPE_OF_BITS = {int(ftype): ftype for ftype in FileType}
+
 #: mode permission default
 DEFAULT_PERM = 0o644
 #: reserved inode numbers
@@ -49,6 +53,16 @@ _DINODE_FMT = "<HHHHQIII12IIIIII"
 _DINODE_USED = struct.calcsize(_DINODE_FMT)
 INODE_SIZE = 128
 assert _DINODE_USED <= INODE_SIZE
+
+
+def allocated_slots(table: bytes) -> list[int]:
+    """Slots of inode-table bytes *table* holding an allocated dinode.
+
+    ``mode`` is the record's first two bytes and ``Dinode.allocated`` is
+    ``mode != 0``, so a scan can skip free slots without unpacking them.
+    """
+    low, high = table[0::INODE_SIZE], table[1::INODE_SIZE]
+    return [slot for slot in range(len(low)) if low[slot] or high[slot]]
 
 
 @dataclass(frozen=True)
@@ -82,57 +96,59 @@ class FSGeometry:
             # a handful of block images, commit) with slack to circulate
             raise ValueError("journal area must be 0 or at least 24 frags")
 
-    # -- derived sizes ---------------------------------------------------
-    @property
+    # -- derived sizes: functions of the frozen fields alone, so each is
+    # computed once per instance (cached_property stores into __dict__,
+    # which __eq__, __hash__, replace() and repr() never look at)
+    @cached_property
     def frags_per_block(self) -> int:
         return self.block_size // self.frag_size
 
-    @property
+    @cached_property
     def inodes_per_block(self) -> int:
         return self.block_size // INODE_SIZE
 
-    @property
+    @cached_property
     def inode_blocks_per_cg(self) -> int:
         return self.ipg // self.inodes_per_block
 
-    @property
+    @cached_property
     def cg_frags(self) -> int:
         """Total fragments per cylinder group (header + inodes + data)."""
         return (self.frags_per_block
                 + self.inode_blocks_per_cg * self.frags_per_block
                 + self.dfrags_per_cg)
 
-    @property
+    @cached_property
     def cg_start(self) -> int:
         """Fragment address of cylinder group 0 (after boot + superblock)."""
         return 2 * self.frags_per_block
 
-    @property
+    @cached_property
     def superblock_daddr(self) -> int:
         return self.frags_per_block
 
-    @property
+    @cached_property
     def journal_start(self) -> int:
         """Fragment address of the journal header (just past the last cg)."""
         return self.cg_start + self.ncg * self.cg_frags
 
-    @property
+    @cached_property
     def total_frags(self) -> int:
         return self.journal_start + self.journal_frags
 
-    @property
+    @cached_property
     def total_inodes(self) -> int:
         return self.ncg * self.ipg
 
     #: direct pointers per inode and indirect fan-out
     NDADDR = 12
 
-    @property
+    @cached_property
     def nindir(self) -> int:
         """Pointers per indirect block."""
         return self.block_size // 4
 
-    @property
+    @cached_property
     def max_file_blocks(self) -> int:
         return self.NDADDR + self.nindir + self.nindir * self.nindir
 
@@ -230,6 +246,12 @@ class Dinode:
     @property
     def ftype(self) -> FileType:
         return FileType.of(self.mode)
+
+    @property
+    def safe_ftype(self) -> FileType | None:
+        """``ftype`` for the checkers of damaged images: a garbage type
+        nibble is None (a finding), not a ``ValueError`` out of them."""
+        return _FTYPE_OF_BITS.get(self.mode & 0xF000)
 
     @property
     def allocated(self) -> bool:

@@ -38,8 +38,15 @@ from dataclasses import dataclass, field
 
 from repro.disk.storage import SectorStore
 from repro.fs import directory, journal
-from repro.fs.alloc import CG_MAGIC, CgView
-from repro.fs.layout import Dinode, FileType, FSGeometry, ROOT_INO
+from repro.fs.alloc import CG_MAGIC, CgView, bits_of, set_bits
+from repro.fs.layout import (
+    INODE_SIZE,
+    ROOT_INO,
+    Dinode,
+    FileType,
+    FSGeometry,
+    allocated_slots,
+)
 from repro.fs.superblock import Superblock
 
 
@@ -83,33 +90,24 @@ def read_image_inode(image: SectorStore, geo: FSGeometry,
     block = read_image_frags(image, geo, geo.inode_block_daddr(ino),
                              geo.frags_per_block)
     at = geo.inode_offset_in_block(ino)
-    return Dinode.unpack(block[at:at + 128])
+    return Dinode.unpack(block[at:at + INODE_SIZE])
 
 
 def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
                    cg: int) -> list[tuple[int, Dinode]]:
     """All allocated dinodes of one cylinder group, ascending.
 
-    Reads each inode-table block once (not once per inode slot) -- the
-    dinodes and their order are exactly what a per-slot walk produces, so
-    replaying the result is byte-identical to the slot-by-slot scan.
+    Reads the group's inode table once and unpacks only the slots whose
+    mode bytes are non-zero -- the dinodes and their order are exactly
+    what a per-slot walk produces (``tests/integrity/reference_fsck.py``).
     """
-    table = geo.cg_inode_table(cg)
-    per_block = geo.inodes_per_block
-    out: list[tuple[int, Dinode]] = []
-    for block_index in range(geo.inode_blocks_per_cg):
-        raw = read_image_frags(image, geo,
-                               table + block_index * geo.frags_per_block,
-                               geo.frags_per_block)
-        base = cg * geo.ipg + block_index * per_block
-        for slot in range(per_block):
-            ino = base + slot
-            if ino < ROOT_INO:
-                continue  # burned inodes
-            din = Dinode.unpack(raw[slot * 128:(slot + 1) * 128])
-            if din.allocated:
-                out.append((ino, din))
-    return out
+    raw = read_image_frags(image, geo, geo.cg_inode_table(cg),
+                           geo.inode_blocks_per_cg * geo.frags_per_block)
+    first = cg * geo.ipg
+    return [(first + slot,
+             Dinode.unpack(raw[slot * INODE_SIZE:(slot + 1) * INODE_SIZE]))
+            for slot in allocated_slots(raw)
+            if first + slot >= ROOT_INO]  # inodes below it are burned
 
 
 class _JournalView:
@@ -117,10 +115,10 @@ class _JournalView:
 
     A crashed journaling file system is judged *with* its log: recovery
     replays every committed transaction, so the recoverable state -- the
-    state fsck must audit -- is the raw image plus the scan overlay.  The
-    view composes reads sector-by-sector (``.read``).  Images without a
-    journal area never construct one, so non-journaling reports are
-    bit-identical to before.
+    state fsck must audit -- is the raw image plus the scan overlay.  A
+    read is one range read of the base with the overlaid sectors patched
+    in.  Images without a journal area never construct one, so
+    non-journaling reports are bit-identical to before.
     """
 
     __slots__ = ("geometry", "_base", "_sector_overlay")
@@ -138,12 +136,18 @@ class _JournalView:
                     data[s * size:(s + 1) * size])
 
     def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        out = []
-        for sector in range(lbn, lbn + nsectors):
-            hit = self._sector_overlay.get(sector)
-            out.append(hit if hit is not None
-                       else self._base.read(sector, 1))
-        return b"".join(out)
+        out = self._base.read(lbn, nsectors)
+        overlay = self._sector_overlay
+        hits = [sector for sector in range(lbn, lbn + nsectors)
+                if sector in overlay]
+        if not hits:
+            return out
+        out = bytearray(out)
+        size = self.geometry.sector_size
+        for sector in hits:
+            at = (sector - lbn) * size
+            out[at:at + size] = overlay[sector]
+        return bytes(out)
 
 
 def journal_overlay_view(image: SectorStore, geo: FSGeometry):
@@ -168,7 +172,7 @@ def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
 
 def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
     """Fragments held by logical block *lblk* (tail blocks may be short)."""
-    if din.ftype is FileType.DIRECTORY:
+    if din.safe_ftype is FileType.DIRECTORY:
         return geo.frags_per_block
     size = din.size
     last = (size - 1) // geo.block_size if size else 0
@@ -269,40 +273,44 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
                        allocated) -> list[tuple[str, str]]:
     """Phase-4 findings for one cylinder group: ``(kind, msg)`` tuples,
     kind ``"error"`` or ``"warning"``.  *claims* maps fragment daddr ->
-    owning ino (may be restricted to this group's range); *allocated* is a
-    container answering ``ino in allocated``."""
-    findings: list[tuple[str, str]] = []
-    raw = bytearray(read_image_frags(image, geo, geo.cg_base(cg),
-                                     geo.frags_per_block))
-    view = CgView(raw, geo)
+    owning ino and *allocated* iterates allocated inode numbers; either
+    may be restricted to this group's range (the rest is ignored).
+
+    Each bitmap is read as one int and XORed against the bits the claims
+    (the allocated dinodes) call for; only the differing bits are walked,
+    ascending, so the findings are those of a bit-by-bit comparison.
+    """
+    view = CgView(read_image_frags(image, geo, geo.cg_base(cg),
+                                   geo.frags_per_block), geo)
     if view.magic != CG_MAGIC:
-        findings.append(("error", f"cylinder group {cg} bad magic"))
-        return findings
-    base = geo.cg_data_start(cg)
-    for index in range(geo.dfrags_per_cg):
+        return [("error", f"cylinder group {cg} bad magic")]
+    findings: list[tuple[str, str]] = []
+    base, limit = geo.cg_data_start(cg), geo.dfrags_per_cg
+    claimed = bits_of([daddr - base for daddr in claims
+                       if 0 <= daddr - base < limit], limit)
+    for index in set_bits(view.frag_bits() ^ claimed):
         daddr = base + index
-        used = view.frag_used(index)
-        claimed = daddr in claims
-        if claimed and not used:
+        if daddr in claims:
             findings.append(("warning",
                              f"fragment {daddr} in use by inode "
                              f"{claims[daddr]} but marked free "
                              f"(fsck repairs)"))
-        elif used and not claimed:
+        else:
             findings.append(("warning",
                              f"fragment {daddr} marked used but "
                              f"unreferenced (leak)"))
-    for index in range(geo.ipg):
-        ino = cg * geo.ipg + index
+    first, limit = cg * geo.ipg, geo.ipg
+    wanted = bits_of([ino - first for ino in allocated
+                      if 0 <= ino - first < limit], limit)
+    for index in set_bits(view.inode_bits() ^ wanted):
+        ino = first + index
         if ino < ROOT_INO:
-            continue
-        used = view.inode_used(index)
-        is_alloc = ino in allocated
-        if is_alloc and not used:
+            continue  # burned inodes
+        if wanted >> index & 1:
             findings.append(("warning",
                              f"inode {ino} allocated but bitmap says free "
                              f"(fsck repairs)"))
-        elif used and not is_alloc and ino != ROOT_INO:
+        elif ino != ROOT_INO:
             findings.append(("warning",
                              f"inode {ino} bitmap used but dinode free "
                              f"(leak)"))
@@ -330,6 +338,11 @@ class _Checker:
         for cg in range(self.geo.ncg):
             for ino, din in scan_cg_inodes(self.image, self.geo, cg):
                 self.report.inodes[ino] = din
+                if din.safe_ftype is None:
+                    # neither its pointers nor its blocks mean anything
+                    self.report.errors.append(
+                        f"inode {ino} mode {din.mode:#06x} unparseable")
+                    continue
                 self.apply_claim_ops(
                     ino, inode_claim_ops(self.image, self.geo, ino, din))
 
@@ -351,7 +364,7 @@ class _Checker:
     # -- phase 2: directory structure ----------------------------------------
     def scan_directories(self) -> None:
         for ino, din in self.report.inodes.items():
-            if din.ftype is not FileType.DIRECTORY:
+            if din.safe_ftype is not FileType.DIRECTORY:
                 continue
             self.apply_directory_events(
                 ino, directory_events(self.image, self.geo, ino, din))
@@ -385,7 +398,7 @@ class _Checker:
                     f"fsck reclaims)")
                 continue
             refs = len(self.report.references.get(ino, []))
-            if din.ftype is FileType.DIRECTORY:
+            if din.safe_ftype is FileType.DIRECTORY:
                 refs += 1  # its own '.'
             if din.nlink < refs:
                 self.report.warnings.append(
@@ -397,10 +410,27 @@ class _Checker:
                     f"references {refs} (fsck repairs)")
 
     # -- phase 4: bitmaps -------------------------------------------------------
+    def by_group(self, dead=()) -> tuple[list[dict[int, int]],
+                                         list[list[int]]]:
+        """The claim table and the allocated inode numbers bucketed by
+        cylinder group, one pass each, without the inodes in *dead* and
+        what they claim."""
+        geo = self.geo
+        claims: list[dict[int, int]] = [{} for _cg in range(geo.ncg)]
+        for daddr, owner in self.claims.items():
+            if owner not in dead:
+                claims[geo.cg_of_daddr(daddr)][daddr] = owner
+        inodes: list[list[int]] = [[] for _cg in range(geo.ncg)]
+        for ino in self.report.inodes:
+            if ino not in dead:
+                inodes[ino // geo.ipg].append(ino)
+        return claims, inodes
+
     def check_bitmaps(self) -> None:
+        claims, inodes = self.by_group()
         for cg in range(self.geo.ncg):
             self.apply_bitmap_findings(cg_bitmap_findings(
-                self.image, self.geo, cg, self.claims, self.report.inodes))
+                self.image, self.geo, cg, claims[cg], inodes[cg]))
 
     def apply_bitmap_findings(self,
                               findings: list[tuple[str, str]]) -> None:
@@ -462,7 +492,7 @@ def repair(image: SectorStore,
         block = bytearray(image.read(daddr * spf,
                                      geo.frags_per_block * spf))
         at = geo.inode_offset_in_block(ino)
-        block[at:at + 128] = din.pack()
+        block[at:at + INODE_SIZE] = din.pack()
         image.write(daddr * spf, bytes(block))
 
     # fix link counts (counting only references that survive the orphan
@@ -474,35 +504,31 @@ def repair(image: SectorStore,
         refs = sum(1 for dir_ino, _name
                    in checker.report.references.get(ino, [])
                    if dir_ino not in orphans)
-        if din.ftype is FileType.DIRECTORY:
+        if din.safe_ftype is FileType.DIRECTORY:
             refs += 1
         if din.nlink != refs:
             din.nlink = refs
             write_inode(ino, din)
 
-    # rebuild the bitmaps from the surviving (non-orphan) claims
-    claims = {daddr for daddr, owner in checker.claims.items()
-              if owner not in orphans}
+    # rebuild the bitmaps from the surviving (non-orphan) claims and
+    # inodes: diff the wanted bits against the stored ones, flip those
+    claims, inodes = checker.by_group(dead=orphans)
     for cg in range(geo.ncg):
         raw = bytearray(image.read(geo.cg_base(cg) * spf,
                                    geo.frags_per_block * spf))
         view = CgView(raw, geo)
-        base = geo.cg_data_start(cg)
-        free_frags = free_inodes = 0
-        for index in range(geo.dfrags_per_cg):
-            wanted = (base + index) in claims
-            if view.frag_used(index) != wanted:
-                view.set_frags(index, 1, wanted)
-            free_frags += 0 if wanted else 1
-        for index in range(geo.ipg):
-            ino = cg * geo.ipg + index
-            wanted = (ino < ROOT_INO and cg == 0) or (
-                ino in checker.report.inodes and ino not in orphans)
-            if view.inode_used(index) != wanted:
-                view.set_inode(index, wanted)
-            free_inodes += 0 if wanted else 1
-        view.free_frags = free_frags
-        view.free_inodes = free_inodes
+        base, first = geo.cg_data_start(cg), cg * geo.ipg
+        wanted = bits_of([daddr - base for daddr in claims[cg]],
+                         geo.dfrags_per_cg)
+        for index in set_bits(view.frag_bits() ^ wanted):
+            view.set_frags(index, 1, bool(wanted >> index & 1))
+        view.free_frags = geo.dfrags_per_cg - wanted.bit_count()
+        burned = range(ROOT_INO) if cg == 0 else ()
+        wanted = bits_of([*burned, *(ino - first for ino in inodes[cg])],
+                         geo.ipg)
+        for index in set_bits(view.inode_bits() ^ wanted):
+            view.set_inode(index, bool(wanted >> index & 1))
+        view.free_inodes = geo.ipg - wanted.bit_count()
         image.write(geo.cg_base(cg) * spf, bytes(raw))
 
     return fsck(image, geometry)

@@ -129,10 +129,16 @@ class Violation:
         return self.severity is Severity.CORRUPTION
 
 
+#: INVARIANTS flattened in order to (pattern, key, severity), so the first
+#: hit of one flat scan is the first invariant that matches
+_PROBES = tuple((pattern, inv.key, inv.severity)
+                for inv in INVARIANTS for pattern in inv.patterns)
+
+
 def _classify_message(message: str, fallback: Invariant) -> Violation:
-    for invariant in INVARIANTS:
-        if invariant.matches(message):
-            return Violation(invariant.key, invariant.severity, message)
+    for pattern, key, severity in _PROBES:
+        if pattern in message:
+            return Violation(key, severity, message)
     return Violation(fallback.key, fallback.severity, message)
 
 

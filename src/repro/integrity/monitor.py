@@ -133,13 +133,6 @@ class _Tracked:
     dir_blocks: list = field(default_factory=list)
 
 
-def _safe_ftype(din: Dinode) -> Optional[FileType]:
-    try:
-        return din.ftype
-    except ValueError:
-        return None
-
-
 class _EffectiveImage:
     """The monitor's *recoverable* view: shadow image + committed log.
 
@@ -546,7 +539,7 @@ class OrderingMonitor:
     def _adopt_structure(self, ino: int, din: Dinode) -> None:
         """(Re-)derive one allocated inode: claims, pointers, dir blocks."""
         tracked = self._tracked[ino]
-        ftype = _safe_ftype(din)
+        ftype = din.safe_ftype
         if ftype is None:
             self._fire_once(("ptr", ino, "mode"), "fs-unsound",
                             f"inode {ino} mode {din.mode:#06x} unparseable")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 
 from repro.disk.storage import SectorStore
-from repro.fs.alloc import CgView
+from repro.fs.alloc import CgView, set_bits
 from repro.fs.layout import FileType, FSGeometry
 from repro.integrity.fsck import fsck, journal_overlay_view, valid_data_frag
 
@@ -33,14 +33,13 @@ def plant_secrets(image: SectorStore, geometry: FSGeometry) -> int:
     marker = SECRET * (geometry.frag_size // len(SECRET))
     planted = 0
     for cg in range(geometry.ncg):
-        raw = bytearray(image.read(geometry.cg_base(cg) * spf,
-                                   geometry.frags_per_block * spf))
-        view = CgView(raw, geometry)
+        raw = image.read(geometry.cg_base(cg) * spf,
+                         geometry.frags_per_block * spf)
         base = geometry.cg_data_start(cg)
-        for index in range(geometry.dfrags_per_cg):
-            if not view.frag_used(index):
-                image.write((base + index) * spf, marker)
-                planted += 1
+        all_used = (1 << geometry.dfrags_per_cg) - 1
+        for index in set_bits(CgView(raw, geometry).frag_bits() ^ all_used):
+            image.write((base + index) * spf, marker)
+            planted += 1
     return planted
 
 
@@ -62,7 +61,7 @@ def find_secret_leaks(image: SectorStore,
     report = fsck(image, geometry)
     leaks: list[str] = []
     for ino, din in report.inodes.items():
-        if din.ftype is not FileType.REGULAR:
+        if din.safe_ftype is not FileType.REGULAR:
             continue
         remaining = din.size
         lblk = 0

@@ -1,5 +1,8 @@
 """Unit tests for on-disk layout, Dinode and Superblock codecs."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +48,30 @@ class TestGeometry:
     def test_header_daddr_is_not_data(self, geo):
         with pytest.raises(ValueError):
             geo.data_index(geo.cg_base(1))
+
+    def test_cached_sizes_stay_out_of_identity(self, geo):
+        """The derived sizes are cached in the instance ``__dict__``; a
+        geometry that has computed them must still compare, hash, copy and
+        pickle as its six fields."""
+        derived = ("frags_per_block", "inodes_per_block",
+                   "inode_blocks_per_cg", "cg_frags", "cg_start",
+                   "superblock_daddr", "journal_start", "total_frags",
+                   "total_inodes", "nindir", "max_file_blocks")
+        warm = {name: getattr(geo, name) for name in derived}
+        fresh = FSGeometry()
+        assert geo == fresh and hash(geo) == hash(fresh)
+        assert repr(geo) == repr(fresh)
+        assert dataclasses.asdict(geo) == dataclasses.asdict(fresh)
+        thawed = pickle.loads(pickle.dumps(geo))
+        assert thawed == geo
+        assert {name: getattr(thawed, name) for name in derived} == warm
+        # replace() must recompute, not inherit, what depends on the field
+        bigger = dataclasses.replace(geo, ncg=geo.ncg + 1, journal_frags=64)
+        assert bigger.total_inodes == geo.total_inodes + geo.ipg
+        assert bigger.journal_start == geo.journal_start + geo.cg_frags
+        assert bigger.total_frags == bigger.journal_start + 64
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geo.ncg = 3
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,14 @@ import struct
 
 import pytest
 
-from repro.fs.layout import Dinode, FileType
-from repro.integrity import fsck
+from repro.fs.layout import ROOT_INO, Dinode, FileType
+from repro.integrity import (
+    Severity,
+    classify_report,
+    find_secret_leaks,
+    fsck,
+    repair,
+)
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 
 
@@ -138,6 +144,42 @@ class TestDamageDetection:
         poke(m, root_daddr, entry.offset + field, bytes([value]))
         report = fsck(m.disk.storage, SMALL_GEOMETRY)
         assert any("corrupt" in e and what in e for e in report.errors)
+
+    @pytest.mark.parametrize("victim", [FileType.REGULAR, FileType.DIRECTORY],
+                             ids=["file", "dir"])
+    @pytest.mark.parametrize("mode", [0x1000, 0x21a4, 0xC000], ids=hex)
+    def test_garbage_mode_is_a_finding_not_a_crash(self, mode, victim):
+        m, ino = self.machine_with_garbage_mode(mode, victim)
+        report = fsck(m.disk.storage, SMALL_GEOMETRY)
+        assert [e for e in report.errors if "unparseable" in e] == [
+            f"inode {ino} mode {mode:#06x} unparseable"]
+        assert ino in report.inodes
+        # neither its pointers nor its directory blocks were walked
+        assert not any(f"inode {ino} " in e or f"directory {ino}" in e
+                       for e in report.errors if "unparseable" not in e)
+        assert not any(dir_ino == ino for refs in report.references.values()
+                       for dir_ino, _name in refs)
+        kinds = {v.severity for v in classify_report(report)
+                 if "unparseable" in v.message}
+        assert kinds == {Severity.CORRUPTION}
+
+    @pytest.mark.parametrize("victim", [FileType.REGULAR, FileType.DIRECTORY],
+                             ids=["file", "dir"])
+    def test_garbage_mode_does_not_crash_repair_or_secrets(self, victim):
+        m, _ino = self.machine_with_garbage_mode(0x1000, victim)
+        find_secret_leaks(m.disk.storage, SMALL_GEOMETRY)
+        repair(m.disk.storage.snapshot(), SMALL_GEOMETRY)
+
+    @staticmethod
+    def machine_with_garbage_mode(mode, victim):
+        m = build_populated_machine()
+        geo = m.fs.geometry
+        clean = fsck(m.disk.storage, SMALL_GEOMETRY)
+        ino = next(i for i, d in clean.inodes.items()
+                   if d.ftype is victim and i != ROOT_INO)
+        poke(m, geo.inode_block_daddr(ino), geo.inode_offset_in_block(ino),
+             struct.pack("<H", mode))
+        return m, ino
 
     def test_undercounted_links_is_repairable_warning(self):
         m = build_populated_machine()
