@@ -116,8 +116,8 @@ class FaultPlan:
 
     Rates are per *media operation* probabilities.  The plan is inert data:
     :meth:`build` creates the per-machine runtime.  Keeping the plan frozen
-    and the runtime separate is what lets the crash explorer ship plans to
-    pool workers and replay identical fault sequences.
+    and the runtime separate is what lets every build of the same plan see
+    the identical fault sequence.
     """
 
     seed: int = 0

@@ -13,21 +13,15 @@
     Runs the seeded disk-fault sweep across ordering schemes and writes
     ``results/fault_report.txt`` (see ``docs/fault-injection.md``).
     Exits nonzero only on silent corruption.
-
-Every subcommand appends one structured record to the run ledger
-(``results/ledger.jsonl`` unless ``REPRO_LEDGER`` redirects or disables
-it) so past invocations stay greppable across sessions.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from repro.harness.report import format_table
-from repro.obs.observatory import append_ledger, snapshot_digest
 from repro.ordering.registry import display_aliases
 from repro.harness.runner import (
     FULL_CACHE_BYTES,
@@ -66,8 +60,6 @@ def compare_main(argv: list[str]) -> int:
     print(f"# 4-user copy/remove at scale {scale} "
           f"({tree.files} files, {tree.total_bytes / 1e6:.1f} MB per user)\n")
 
-    start = time.perf_counter()
-    benches = {}
     for title, runner in (("4-user copy", run_copy),
                           ("4-user remove", run_remove)):
         results = {}
@@ -83,14 +75,6 @@ def compare_main(argv: list[str]) -> int:
             ["Scheme", "Elapsed", "% of No Order", "CPU",
              "Disk requests", "I/O resp (ms)"], rows))
         print()
-        benches[title] = {name: round(r.elapsed, 3)
-                          for name, r in results.items()}
-    append_ledger("bench", {
-        "scale": scale,
-        "users": 4,
-        "wall_seconds": round(time.perf_counter() - start, 3),
-        "sim_elapsed": benches,
-    })
     return 0
 
 
@@ -133,10 +117,8 @@ def trace_main(argv: list[str]) -> int:
     captured = {}
     runner = run_copy if args.bench == "copy" else run_remove
     label = f"{args.bench} {scheme} scale={args.scale} users={args.users}"
-    start = time.perf_counter()
     result = runner(config, args.users, tree, label=label, seed=args.seed,
                     on_machine=lambda machine: captured.update(m=machine))
-    wall = time.perf_counter() - start
     machine = captured["m"]
 
     outdir = Path(args.out)
@@ -167,19 +149,6 @@ def trace_main(argv: list[str]) -> int:
         print(report)
         print(f"  wrote {profile_path}")
     print("  open the JSON in https://ui.perfetto.dev to browse the timeline")
-    append_ledger("trace", {
-        "bench": args.bench,
-        "scheme": scheme,
-        "scale": args.scale,
-        "users": args.users,
-        "wall_seconds": round(wall, 3),
-        "sim_seconds": round(result.elapsed, 3),
-        "sim_events": machine.engine.events_processed,
-        "events_per_second": round(machine.engine.events_processed
-                                   / max(wall, 1e-9)),
-        "snapshot_digest": snapshot_digest(machine.obs.snapshot()),
-        "profile": bool(args.profile),
-    })
     return 0
 
 

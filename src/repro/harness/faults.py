@@ -36,7 +36,6 @@ import argparse
 import functools
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 
 from repro.faults import MediaError, PROFILES
@@ -44,7 +43,6 @@ from repro.harness.parallel import run_grid
 from repro.integrity.explorer import SCHEMES, build_machine, explore
 from repro.integrity.fsck import fsck
 from repro.integrity.monitor import OrderingMonitor, monitor_supported
-from repro.obs.observatory import append_ledger
 from repro.ordering.registry import standard_slugs
 from repro.sim import ProcessCrashed, SimulationError
 from repro.workloads.churn import churn_workload
@@ -90,16 +88,14 @@ class CellResult:
 
 def run_cell(scheme_name: str, profile: str, seed: int,
              operations: int, explore_points: int = 0,
-             synthesize: bool = True,
              monitor: bool = False) -> CellResult:
     """Run one cell of the sweep and classify the survivor.
 
     ``explore_points > 0`` additionally sweeps that many crash points of
     the same (scheme, profile, seed) cell -- crash AND fault -- through
-    :func:`repro.integrity.explorer.explore`, synthesizing images from
-    the media write-log by default (``synthesize=False`` replays, the
-    oracle).  Profiles with latent defects can abort the victim workload
-    mid-recording; that is reported per cell, not raised.
+    :func:`repro.integrity.explorer.explore`.  Profiles with latent
+    defects can abort the victim workload mid-recording; that is reported
+    per cell, not raised.
 
     ``monitor=True`` attaches the online ordering-rule monitor for the
     whole cell: unexpected violations at commit time count as damage,
@@ -192,7 +188,7 @@ def run_cell(scheme_name: str, profile: str, seed: int,
                             ops=operations, jobs=1,
                             max_points=explore_points,
                             fault_profile=profile, fault_seed=seed,
-                            synthesize=synthesize, monitor=monitor)
+                            monitor=monitor)
         except Exception as exc:
             # e.g. a latent-defect profile EIO-aborts the recorded victim
             result.crash_note = (f"exploration n/a: "
@@ -299,14 +295,6 @@ def main(argv: list[str]) -> int:
                         help="abort, naming the stuck (scheme, profile, "
                              "seed) cell, once any cell is in flight this "
                              "long (default REPRO_STALL_TIMEOUT; 0 = off)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--synthesize", dest="synthesize",
-                      action="store_true", default=True,
-                      help="synthesize --explore crash images from the "
-                           "media write-log (the default)")
-    mode.add_argument("--replay", dest="synthesize", action="store_false",
-                      help="replay each --explore crash point from "
-                           "scratch (the verification oracle)")
     parser.add_argument("--out", default=os.path.join(
         "results", "fault_report.txt"),
         help="report path (default results/fault_report.txt)")
@@ -334,12 +322,10 @@ def main(argv: list[str]) -> int:
         ((scheme_name, profile, seed),
          functools.partial(run_cell, scheme_name, profile, seed, args.ops,
                            explore_points=args.explore,
-                           synthesize=args.synthesize,
                            monitor=args.monitor))
         for scheme_name in schemes
         for profile in profiles
         for seed in seeds]
-    start = time.perf_counter()
     results = run_grid("faults", grid_cells, jobs=args.jobs,
                        heartbeat=args.heartbeat, stall=args.stall_timeout)
     cells = list(results.values())
@@ -362,21 +348,6 @@ def main(argv: list[str]) -> int:
     with open(args.out, "w") as handle:
         handle.write(report)
     print(f"\nwrote {args.out}")
-
-    verdicts: dict = {}
-    for cell in cells:
-        verdicts[cell.verdict] = verdicts.get(cell.verdict, 0) + 1
-    append_ledger("faults", {
-        "schemes": schemes,
-        "profiles": profiles,
-        "seeds": seeds,
-        "ops": args.ops,
-        "cells": len(cells),
-        "verdicts": verdicts,
-        "explore": args.explore,
-        "monitor": bool(args.monitor),
-        "wall_seconds": round(time.perf_counter() - start, 3),
-    })
 
     failed = False
     for cell in cells:

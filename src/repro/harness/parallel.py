@@ -4,11 +4,12 @@ The benchmark grids (tables 1-3, figures 1-6, the extensions) are
 embarrassingly parallel: every ``(scheme, config)`` cell builds its own
 :class:`~repro.machine.Machine`, runs it to completion, and reduces the
 trace to a small result object -- cells share no state.  This module fans a
-grid's cells across a pool of forked workers, the same pattern
-``repro.integrity.explorer`` uses for crash-point verification: the work
-list is a module-level global installed *before* the pool forks, so child
-processes inherit the cell closures by address space and only list indices
-(and the small results) cross the pipe.
+grid's cells across a pool of forked workers: the work list is a
+module-level global installed *before* the pool forks, so child processes
+inherit the cell closures by address space and only list indices (and the
+small results) cross the pipe.  It is the only pool in ``src/``; the crash
+explorer's chunks of crash points (``repro.integrity.explorer``) and the
+fault sweep's cells are grid cells too.
 
 Determinism is the contract.  A cell's simulation is bit-identical no
 matter which worker runs it (the simulator seeds all randomness and has no
@@ -25,8 +26,7 @@ longer than the timeout aborts the grid with :class:`GridStallError`
 Both ride on a lock-free shared start-stamp array the forked workers
 inherit; neither touches results, so a heartbeat-monitored grid stays
 byte-identical to a silent one.  ``REPRO_HEARTBEAT`` / ``REPRO_STALL_TIMEOUT``
-(seconds; 0 disables) set session-wide defaults; :class:`Heartbeat` is
-reused by the crash explorer's verification pools.
+(seconds; 0 disables) set session-wide defaults.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ class _CellFailure:
 
 
 #: the active grid's cells; a module-level global so forked workers inherit
-#: the closures and :func:`_run_cell` only needs an index (explorer.py's
-#: pattern -- closures over local state cannot cross a pickle boundary)
+#: the closures and :func:`_run_cell` only needs an index (closures over
+#: local state cannot cross a pickle boundary)
 _WORK: list[Cell] = []
 
 #: shared per-cell start stamps (host epoch seconds), written lock-free by
@@ -231,7 +231,9 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None,
              on_heartbeat: Optional[Callable[[str], None]] = None) -> dict:
     """Run every cell; return ``{key: result}`` in input order.
 
-    *cells* is a list of :class:`Cell` or ``(key, fn)`` pairs.  Runs
+    *cells* is a list of :class:`Cell` or ``(key, fn)`` pairs with
+    distinct keys (a repeated key is a ``ValueError`` before any cell
+    runs: the mapping could hold only one of its results).  Runs
     serially when *jobs* resolves to 1, when only one cell exists, or when
     the platform cannot fork (the pool pattern requires inherited memory);
     otherwise fans out over a fork pool.  Either way the returned mapping
@@ -246,6 +248,12 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None,
     """
     cells = [cell if isinstance(cell, Cell) else Cell(*cell)
              for cell in cells]
+    seen = set()
+    for cell in cells:
+        if cell.key in seen:
+            raise ValueError(f"grid {name!r}: duplicate cell key "
+                             f"{cell.key!r} (its result would be dropped)")
+        seen.add(cell.key)
     if jobs is None:
         jobs = default_jobs()
     if heartbeat is None:

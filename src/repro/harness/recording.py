@@ -6,17 +6,20 @@ carry, when did it complete.  :func:`record_run` executes a workload once on
 a machine with a passive observer on the drive (it records every
 :class:`~repro.disk.drive.InFlightWrite` as its media transfer begins) and
 then lets the system quiesce naturally -- no explicit ``sync()`` is
-injected, because the replayed runs must follow the *identical* event
-timeline and a recording-only sync would fork it.  Quiescence is reached
-through the ordinary syncer-daemon sweeps, exactly as a real machine left
-idle would settle.
+injected, because a re-simulation of the same workload (the test suite's
+replay oracle) must follow the *identical* event timeline and a
+recording-only sync would fork it.  Quiescence is reached through the
+ordinary syncer-daemon sweeps, exactly as a real machine left idle would
+settle.
 
 With ``capture_media=True`` the run additionally snapshots the pre-workload
 base image and attaches a :class:`~repro.integrity.medialog.MediaLog` to the
-drive's ``on_write_commit`` observer, so crash images can later be
-*synthesized* (base + committed sectors) instead of replayed -- see
-``docs/crash-exploration.md``.  Capture is passive: it changes neither the
-event timeline nor a single simulated timestamp.
+drive's ``on_write_commit`` observer -- and, for a scheme with off-media
+survivors (NVRAM), to its ``on_survivor`` observer -- so crash images can
+later be *synthesized* (base + committed sectors + surviving mirror) with
+no further simulation; see ``docs/crash-exploration.md``.  Capture is
+passive: it changes neither the event timeline nor a single simulated
+timestamp.
 """
 
 from __future__ import annotations
@@ -92,7 +95,11 @@ def record_run(machine: Machine, workload: Generator,
     ``capture_media=True`` additionally snapshots the pre-workload image and
     logs every sector that reaches the platters (payload, LBN, per-sector
     commit timing, torn/faulted outcomes) into ``recorded.media_log`` so
-    crash images can be synthesized without replay.
+    crash images can be synthesized without replay.  A scheme that keeps
+    battery-backed state exposes an ``on_survivor`` slot (duck-typed,
+    like ``apply_to_image`` in ``crash_image``); its stores and drops are
+    logged too, stamped with the simulated instant, starting from the
+    empty mirror of the freshly formatted machine recordings begin on.
 
     *monitor* (an :class:`~repro.integrity.monitor.OrderingMonitor`)
     additionally watches the same commit stream for ordering-rule
@@ -111,6 +118,10 @@ def record_run(machine: Machine, workload: Generator,
         recorded.base_image = machine.disk.storage.snapshot()
         recorded.media_log = MediaLog(machine.disk.geometry.sector_size)
         recorded.media_log.attach(machine.disk)
+        if hasattr(machine.scheme, "on_survivor"):
+            survivors = recorded.media_log.survivors
+            machine.scheme.on_survivor = lambda lbn, data: \
+                survivors.append((machine.engine.now, lbn, data))
     if monitor is not None:
         monitor.attach(machine.disk)
     try:
@@ -142,6 +153,8 @@ def record_run(machine: Machine, workload: Generator,
             monitor.detach(machine.disk)  # unchains back to the media log
         if capture_media:
             recorded.media_log.detach(machine.disk)
+            if hasattr(machine.scheme, "on_survivor"):
+                machine.scheme.on_survivor = None
     if capture_media and machine.obs is not None:
         registry = machine.obs.registry
         registry.gauge("medialog.windows").set(len(recorded.media_log))

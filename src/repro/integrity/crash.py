@@ -6,14 +6,15 @@ state is the sector store -- plus the prefix of any write whose transfer was
 under way, because sectors are laid down in order and each sector is
 individually protected by its ECC (paper, footnote 1).
 
-This is the *replay oracle* of the crash-exploration pipeline: sweeps
-normally synthesize each crash image from the media write-log
-(:mod:`repro.integrity.medialog`) with no re-simulation, and the
-equivalence suite proves those images byte-identical to the ones this
-module produces by replaying to the crash instant.  Any change to the
-in-flight prefix semantics here must be mirrored in
-``MediaWrite.sectors_in_flight_by`` -- the two are intentionally the same
-expression.
+This is the image source of the *replay oracle*
+(``tests/integrity/replay_oracle.py``): sweeps synthesize each crash image
+from the media write-log (:mod:`repro.integrity.medialog`) with no
+re-simulation, and the equivalence suite proves those images
+byte-identical to the ones this module produces on a machine run to the
+crash instant.  Any change to the in-flight prefix semantics here must be
+mirrored in ``MediaWrite.sectors_in_flight_by`` -- the two are
+intentionally the same expression -- and any change to what survives
+off the media in ``ImageSynthesizer``'s survivor replay.
 """
 
 from __future__ import annotations

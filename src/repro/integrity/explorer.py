@@ -22,25 +22,26 @@ ones:
    platters do not change.
 3. **Verify** -- for each crash point, *synthesize* the surviving image
    from the media log (base image + sectors committed before the crash
-   instant + the ECC-consistent partial prefix of the in-flight window --
-   no simulation at all), run ``fsck`` on the survivor, and classify the
-   outcome against the declarative invariant set
-   (:mod:`repro.integrity.invariants`) and the scheme's own
-   :class:`~repro.ordering.guarantees.CrashGuarantees`.  Per-point cost is
-   O(sector application + fsck) instead of O(full prefix replay).
+   instant + the ECC-consistent partial prefix of the in-flight window +
+   whatever a battery-backed NVRAM mirror still held -- no simulation at
+   all), run ``fsck`` on the survivor, and classify the outcome against
+   the declarative invariant set (:mod:`repro.integrity.invariants`) and
+   the scheme's own :class:`~repro.ordering.guarantees.CrashGuarantees`.
+   Per-point cost is O(sector application + fsck).
 
-The old per-point replay (fresh machine, ``engine.run_to(t)``,
-:func:`~repro.integrity.crash.crash_image`) is kept as a **verification
-oracle** behind ``--replay``: synthesized images are byte-identical to
-replay-derived ones (``tests/integrity/test_synthesis_equivalence.py``),
-and schemes whose crash state lives partly in memory (NVRAM's
-battery-backed mirror) fall back to it automatically.
+That is the only way a crash point is verified, for every scheme.  The
+per-point re-simulation it replaced (fresh machine, ``engine.run_to(t)``,
+:func:`~repro.integrity.crash.crash_image`) lives on as the reference in
+``tests/integrity/replay_oracle.py``: synthesized images are byte-identical
+to its images and the findings equal, point for point
+(``tests/integrity/test_synthesis_equivalence.py``).
 
-Verification fans out over a ``multiprocessing`` pool: workers inherit the
-base image and the media log copy-on-write through the fork context (no
-per-task pickling), and each worker receives a time-sorted chunk of crash
-points so the image builds incrementally within the chunk.  Serial and
-parallel sweeps produce identical findings.
+Verification fans out over :func:`repro.harness.parallel.run_grid`: each
+cell is a time-sorted chunk of crash points, so the image builds
+incrementally within the chunk, and forked workers inherit the base image
+and the media log copy-on-write (only findings cross the pipe).
+Heartbeats, stall detection naming the wedged chunk and worker tracebacks
+are the grid's.  Serial and parallel sweeps produce identical findings.
 
 CLI::
 
@@ -60,8 +61,8 @@ violations; 1 when a scheme broke its own declaration, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import multiprocessing
 import os
 import random
 import sys
@@ -72,12 +73,8 @@ from typing import Generator, Optional
 from repro.costs import CostModel
 from repro.faults import PROFILES
 from repro.fs.layout import FSGeometry
-from repro.harness.parallel import Heartbeat
-from repro.harness.parallel import heartbeat_interval as _env_heartbeat
-from repro.harness.parallel import stall_timeout as _env_stall
+from repro.harness.parallel import run_grid
 from repro.harness.recording import RecordedRun, record_run
-from repro.obs.observatory import append_ledger
-from repro.integrity.crash import crash_image
 from repro.integrity.findings import CrashFinding, ExplorationReport
 from repro.integrity.fsck import fsck, repair
 from repro.integrity.invariants import (
@@ -86,7 +83,7 @@ from repro.integrity.invariants import (
     invariant_by_key,
     unexpected,
 )
-from repro.integrity.medialog import ImageSynthesizer, MediaLog
+from repro.integrity.medialog import ImageSynthesizer
 from repro.integrity.monitor import OrderingMonitor, monitor_supported
 from repro.integrity.secrets import find_secret_leaks, plant_secrets
 from repro.machine import Machine, MachineConfig
@@ -137,7 +134,7 @@ def build_machine(scheme_name: str, secrets: bool = False,
     """A formatted exploration machine (deterministic for a given name).
 
     *fault_profile* names an entry of :data:`repro.faults.PROFILES`; the
-    resulting plan is seeded with *fault_seed* so record and replay see the
+    resulting plan is seeded with *fault_seed* so every build sees the
     identical fault sequence.
     """
     try:
@@ -176,16 +173,6 @@ def build_workload(machine: Machine, workload_name: str, seed: int,
         raise ValueError(f"unknown workload {workload_name!r}; "
                          f"choose from {sorted(WORKLOADS)}") from None
     return factory(machine, seed, ops if ops is not None else default_ops)
-
-
-def synthesis_supported(machine: Machine) -> bool:
-    """True when the scheme's crash state lives entirely on the media.
-
-    NVRAM keeps battery-backed survivors in memory
-    (``scheme.apply_to_image``); a synthesized image cannot see them, so
-    such schemes verify through the replay oracle.
-    """
-    return getattr(machine.scheme, "apply_to_image", None) is None
 
 
 # ----------------------------------------------------------------------
@@ -245,28 +232,11 @@ def enumerate_crash_points(recorded: RecordedRun,
 
 
 # ----------------------------------------------------------------------
-# per-point verification: the replay oracle (the pool worker)
+# verification: synthesize, fsck, classify
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Task:
-    """Everything a worker needs to rebuild and verify one crash state."""
-
-    scheme: str
-    workload: str
-    seed: int
-    ops: Optional[int]
-    secrets: bool
-    verify_repair: bool
-    index: int
-    crash_time: float
-    label: str
-    fault_profile: Optional[str] = None
-    fault_seed: int = 0
-
-
-def _classify_image(image, geometry, secrets: bool, verify_repair: bool,
-                    guarantees, index: int, crash_time: float,
-                    label: str) -> CrashFinding:
+def classify_image(image, geometry, secrets: bool, verify_repair: bool,
+                   guarantees, index: int, crash_time: float,
+                   label: str) -> CrashFinding:
     """fsck + invariant classification of one surviving image."""
     report = fsck(image, geometry)
     leaks = find_secret_leaks(image, geometry) if secrets else []
@@ -288,62 +258,8 @@ def _classify_image(image, geometry, secrets: bool, verify_repair: bool,
         unexpected=tuple(unexpected(violations, guarantees)))
 
 
-def verify_crash_point(task: _Task) -> CrashFinding:
-    """Replay to the crash instant, fsck the survivor, classify.
-
-    The oracle path: a fresh machine re-simulates the workload prefix.
-    The synthesis path (:func:`_verify_synth_chunk`) must produce findings
-    equal to this, point for point.
-    """
-    machine = build_machine(task.scheme, secrets=task.secrets,
-                            fault_profile=task.fault_profile,
-                            fault_seed=task.fault_seed)
-    workload = build_workload(machine, task.workload, task.seed, task.ops)
-    process = machine.engine.process(workload, name="victim")
-    machine.engine.run_to(task.crash_time, max_events=20_000_000)
-    if process.triggered and not process.ok:
-        raise process.value
-    image = crash_image(machine)
-    return _classify_image(image, machine.config.fs_geometry, task.secrets,
-                           task.verify_repair, machine.scheme.crash_guarantees,
-                           task.index, task.crash_time, task.label)
-
-
-# ----------------------------------------------------------------------
-# per-chunk verification: crash-image synthesis (the pool worker)
-# ----------------------------------------------------------------------
-@dataclass
-class _SynthContext:
-    """Shared read-only state for synthesis workers.
-
-    Installed as a module-level global before the pool forks so children
-    inherit the base image and media log copy-on-write; pickled once per
-    worker (via the pool initializer) only on platforms without ``fork``.
-    """
-
-    base: object           # SectorStore
-    log: MediaLog
-    geometry: FSGeometry
-    secrets: bool
-    verify_repair: bool
-    guarantees: object     # CrashGuarantees
-
-
-_SYNTH_CONTEXT: Optional[_SynthContext] = None
-
-#: the active chunk list + shared start stamps for the synthesis pool's
-#: heartbeat monitor (fork-inherited like the context; both None when the
-#: monitor is off or the platform cannot fork)
-_SYNTH_CHUNKS: Optional[list] = None
-_SYNTH_STARTS = None
-
-
-def _synth_init(context: _SynthContext) -> None:
-    global _SYNTH_CONTEXT
-    _SYNTH_CONTEXT = context
-
-
-def _verify_synth_chunk(chunk: list[CrashPoint]) -> list[CrashFinding]:
+def _verify_chunk(base, log, geometry, secrets: bool, verify_repair: bool,
+                  guarantees, chunk: list[CrashPoint]) -> list[CrashFinding]:
     """Synthesize and verify a time-sorted chunk of crash points.
 
     The synthesizer applies sectors incrementally: point *k+1* reuses the
@@ -351,22 +267,11 @@ def _verify_synth_chunk(chunk: list[CrashPoint]) -> list[CrashFinding]:
     between, so a chunk of *m* points costs one base snapshot + one pass
     over the log + *m* fscks -- zero simulation.
     """
-    ctx = _SYNTH_CONTEXT
-    synthesizer = ImageSynthesizer(ctx.base, ctx.log)
-    findings = []
-    for point in chunk:
-        image = synthesizer.image_at(point.time)
-        findings.append(_classify_image(
-            image, ctx.geometry, ctx.secrets, ctx.verify_repair,
-            ctx.guarantees, point.index, point.time, point.label))
-    return findings
-
-
-def _verify_synth_chunk_indexed(index: int):
-    """Pool task for the heartbeat path: stamp pickup, lead with index."""
-    if _SYNTH_STARTS is not None:
-        _SYNTH_STARTS[index] = time.time()
-    return index, _verify_synth_chunk(_SYNTH_CHUNKS[index])
+    synthesizer = ImageSynthesizer(base, log)
+    return [classify_image(synthesizer.image_at(point.time), geometry,
+                           secrets, verify_repair, guarantees,
+                           point.index, point.time, point.label)
+            for point in chunk]
 
 
 def _chunk_label(chunk: list) -> str:
@@ -379,7 +284,9 @@ def _chunk_label(chunk: list) -> str:
 
 def _chunk(points: list[CrashPoint], chunks: int) -> list[list[CrashPoint]]:
     """Split time-sorted points into at most *chunks* contiguous runs."""
-    chunks = max(1, min(chunks, len(points)))
+    chunks = min(chunks, len(points))
+    if not chunks:
+        return []
     size, extra = divmod(len(points), chunks)
     out, at = [], 0
     for i in range(chunks):
@@ -396,24 +303,24 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
             ops: Optional[int] = None, jobs: int = 1,
             samples_per_write: int = 2, max_points: Optional[int] = 240,
             secrets: bool = False, verify_repair: bool = False,
-            points: Optional[list[CrashPoint]] = None,
+            point: Optional[int] = None,
             fault_profile: Optional[str] = None,
             fault_seed: int = 0,
-            synthesize: bool = True,
             monitor: bool = False,
             heartbeat: Optional[float] = None,
             stall_timeout: Optional[float] = None,
             on_heartbeat=None) -> ExplorationReport:
     """Record once, enumerate, verify every crash point; returns the report.
 
-    ``synthesize=True`` (the default) materializes each crash image from
-    the media write-log with zero post-recording simulation;
-    ``synthesize=False`` replays every point from scratch (the equivalence
-    oracle).  Schemes whose crash state lives partly in memory (NVRAM)
-    fall back to replay automatically.  Either way, ``jobs > 1`` fans the
-    verification out over a process pool and results are deterministic in
-    (scheme, workload, seed, ops, samples_per_write, max_points) --
-    independent of ``jobs`` and the verification mode.
+    Each crash image is materialized from the media write-log with zero
+    post-recording simulation.  ``jobs > 1`` fans the verification out
+    over :func:`~repro.harness.parallel.run_grid`; results are
+    deterministic in (scheme, workload, seed, ops, samples_per_write,
+    max_points) -- independent of ``jobs``.
+
+    *point* verifies only the crash point with that index of the same
+    enumeration (how a report's ``reproduce:`` line re-runs one finding);
+    an index the enumeration does not contain is a ``ValueError``.
 
     *fault_profile* adds the fault dimension: the victim runs against an
     unreliable disk (crash AND fault, then fsck).  Use a profile without
@@ -424,10 +331,9 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     recording run; its violations land in the report (and fail
     ``report.exit_status``) without changing the simulation timeline.
 
-    *heartbeat* / *stall_timeout* (seconds; ``None`` defers to
-    ``REPRO_HEARTBEAT`` / ``REPRO_STALL_TIMEOUT``, 0 disables) attach a
-    :class:`~repro.harness.parallel.Heartbeat` to the verification pool:
-    periodic progress lines (via *on_heartbeat*, default stderr) and a
+    *heartbeat* / *stall_timeout* / *on_heartbeat* go to the grid as they
+    are (seconds; ``None`` defers to ``REPRO_HEARTBEAT`` /
+    ``REPRO_STALL_TIMEOUT``, 0 disables): periodic progress lines and a
     :class:`~repro.harness.parallel.GridStallError` naming the wedged
     crash-point chunk instead of a silent hang.  Pure observers -- the
     findings are identical with or without them.
@@ -435,8 +341,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     machine = build_machine(scheme, secrets=secrets,
                             fault_profile=fault_profile,
                             fault_seed=fault_seed)
-    mode = "synthesize" if synthesize and synthesis_supported(machine) \
-        else "replay"
     monitor_state = "off"
     watcher = None
     if monitor:
@@ -451,30 +355,33 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     record_start = time.perf_counter()
     recorded = record_run(machine,
                           build_workload(machine, workload, seed, ops),
-                          capture_media=(mode == "synthesize"),
-                          monitor=watcher)
+                          capture_media=True, monitor=watcher)
     record_wall = time.perf_counter() - record_start
     enumerated = len(_enumerate_raw(recorded, samples_per_write))
-    if points is None:
-        points = enumerate_crash_points(recorded, samples_per_write,
-                                        max_points, sample_seed=seed)
-    pulse = Heartbeat(
-        name=f"explore {scheme}/{workload} ({mode})", labels=[],
-        interval=_env_heartbeat() if heartbeat is None else heartbeat,
-        timeout=_env_stall() if stall_timeout is None else stall_timeout,
-        emit=on_heartbeat)
+    points = enumerate_crash_points(recorded, samples_per_write,
+                                    max_points, sample_seed=seed)
+    if point is not None:
+        budgeted = len(points)
+        points = [p for p in points if p.index == point]
+        if not points:
+            raise ValueError(f"no crash point with index {point} "
+                             f"(enumerated {budgeted})")
     verify_start = time.perf_counter()
-    if mode == "synthesize":
-        findings = _explore_synthesized(machine, recorded, points, jobs,
-                                        secrets, verify_repair,
-                                        monitor=pulse)
-        replays = 0
-    else:
-        findings = _explore_replayed(scheme, workload, seed, ops, secrets,
-                                     verify_repair, points, jobs,
-                                     fault_profile, fault_seed,
-                                     monitor=pulse)
-        replays = len(points)
+    ordered = sorted(points, key=lambda p: (p.time, p.index))
+    verify = functools.partial(
+        _verify_chunk, recorded.base_image, recorded.media_log,
+        machine.config.fs_geometry, secrets, verify_repair,
+        machine.scheme.crash_guarantees)
+    # forked workers inherit the cells (base image and log included) by
+    # address space; only chunk indices and findings cross the pipe
+    per_chunk = run_grid(
+        f"explore {scheme}/{workload}",
+        [(_chunk_label(chunk), functools.partial(verify, chunk))
+         for chunk in _chunk(ordered, jobs * 4 if jobs > 1 else 1)],
+        jobs=jobs, heartbeat=heartbeat, stall=stall_timeout,
+        on_heartbeat=on_heartbeat)
+    findings = [finding for chunk in per_chunk.values() for finding in chunk]
+    findings.sort(key=lambda f: f.index)
     verify_wall = time.perf_counter() - verify_start
     return ExplorationReport(
         scheme=scheme, workload=workload, seed=seed,
@@ -482,177 +389,14 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         quiesce_time=recorded.quiesce_time,
         write_windows=len(recorded.windows),
         fault_profile=fault_profile, fault_seed=fault_seed,
-        mode=mode, enumerated_points=enumerated,
-        max_points=max_points, replays=replays, jobs=jobs,
+        enumerated_points=enumerated,
+        max_points=max_points, jobs=jobs,
         record_wall_seconds=record_wall, verify_wall_seconds=verify_wall,
-        log_bytes=(recorded.media_log.payload_bytes
-                   if recorded.media_log is not None else 0),
+        log_bytes=recorded.media_log.payload_bytes,
         sim_events=recorded.events_processed,
         monitor=monitor_state,
         monitor_windows=watcher.windows_seen if watcher else 0,
         monitor_violations=tuple(watcher.violations) if watcher else ())
-
-
-def _explore_synthesized(machine: Machine, recorded: RecordedRun,
-                         points: list[CrashPoint], jobs: int,
-                         secrets: bool, verify_repair: bool,
-                         monitor: Optional[Heartbeat] = None
-                         ) -> list[CrashFinding]:
-    """Verify *points* from the media log: zero simulation replays."""
-    global _SYNTH_CONTEXT, _SYNTH_CHUNKS, _SYNTH_STARTS
-    context = _SynthContext(
-        base=recorded.base_image, log=recorded.media_log,
-        geometry=machine.config.fs_geometry, secrets=secrets,
-        verify_repair=verify_repair,
-        guarantees=machine.scheme.crash_guarantees)
-    ordered = sorted(points, key=lambda p: (p.time, p.index))
-    if jobs > 1 and len(ordered) > 1:
-        chunks = _chunk(ordered, jobs * 4)
-        methods = multiprocessing.get_all_start_methods()
-        monitored = monitor is not None and monitor.active \
-            and "fork" in methods
-        if monitored:
-            monitor.labels = [_chunk_label(chunk) for chunk in chunks]
-            starts = multiprocessing.Array("d", len(chunks), lock=False)
-        else:
-            starts = None
-        previous = (_SYNTH_CONTEXT, _SYNTH_CHUNKS, _SYNTH_STARTS)
-        _SYNTH_CONTEXT, _SYNTH_CHUNKS, _SYNTH_STARTS = \
-            context, chunks, starts
-        try:
-            if "fork" in methods:
-                # workers inherit base image + log by address space; only
-                # point lists and findings cross the pipe
-                pool_ctx = multiprocessing.get_context("fork")
-                pool_kwargs = {}
-            else:
-                pool_ctx = multiprocessing.get_context(None)
-                pool_kwargs = {"initializer": _synth_init,
-                               "initargs": (context,)}
-            with pool_ctx.Pool(min(jobs, len(chunks)),
-                               **pool_kwargs) as pool:
-                if monitored:
-                    results_iter = monitor.drain(
-                        pool.imap_unordered(_verify_synth_chunk_indexed,
-                                            range(len(chunks)),
-                                            chunksize=1), starts)
-                    per_chunk = [chunk_findings for _index, chunk_findings
-                                 in results_iter]
-                else:
-                    per_chunk = pool.map(_verify_synth_chunk, chunks,
-                                         chunksize=1)
-        finally:
-            _SYNTH_CONTEXT, _SYNTH_CHUNKS, _SYNTH_STARTS = previous
-        findings = [finding for chunk in per_chunk for finding in chunk]
-    else:
-        previous_ctx, _SYNTH_CONTEXT = _SYNTH_CONTEXT, context
-        try:
-            findings = _verify_synth_chunk(ordered)
-        finally:
-            _SYNTH_CONTEXT = previous_ctx
-    findings.sort(key=lambda f: f.index)
-    return findings
-
-
-#: the active replay task list + shared start stamps (fork-inherited),
-#: used only when a heartbeat monitor is attached
-_REPLAY_TASKS: Optional[list] = None
-_REPLAY_STARTS = None
-
-
-def _verify_point_indexed(index: int):
-    """Pool task for the heartbeat path: stamp pickup, lead with index."""
-    if _REPLAY_STARTS is not None:
-        _REPLAY_STARTS[index] = time.time()
-    return index, verify_crash_point(_REPLAY_TASKS[index])
-
-
-def _explore_replayed(scheme: str, workload: str, seed: int,
-                      ops: Optional[int], secrets: bool, verify_repair: bool,
-                      points: list[CrashPoint], jobs: int,
-                      fault_profile: Optional[str],
-                      fault_seed: int,
-                      monitor: Optional[Heartbeat] = None
-                      ) -> list[CrashFinding]:
-    """The oracle: one full prefix replay per crash point."""
-    global _REPLAY_TASKS, _REPLAY_STARTS
-    tasks = [_Task(scheme, workload, seed, ops, secrets, verify_repair,
-                   point.index, point.time, point.label,
-                   fault_profile, fault_seed)
-             for point in points]
-    if jobs > 1 and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        monitored = monitor is not None and monitor.active \
-            and "fork" in methods
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        chunk = max(1, len(tasks) // (jobs * 4))
-        if monitored:
-            monitor.labels = [f"point #{task.index} ({task.label})"
-                              for task in tasks]
-            starts = multiprocessing.Array("d", len(tasks), lock=False)
-            previous = (_REPLAY_TASKS, _REPLAY_STARTS)
-            _REPLAY_TASKS, _REPLAY_STARTS = tasks, starts
-            try:
-                with context.Pool(jobs) as pool:
-                    findings = [None] * len(tasks)
-                    results_iter = monitor.drain(
-                        pool.imap_unordered(_verify_point_indexed,
-                                            range(len(tasks)),
-                                            chunksize=chunk), starts)
-                    for index, finding in results_iter:
-                        findings[index] = finding
-            finally:
-                _REPLAY_TASKS, _REPLAY_STARTS = previous
-        else:
-            with context.Pool(jobs) as pool:
-                findings = pool.map(verify_crash_point, tasks,
-                                    chunksize=chunk)
-    else:
-        findings = [verify_crash_point(task) for task in tasks]
-    return findings
-
-
-def check_equivalence(scheme: str, workload: str = "microbench",
-                      seed: int = 0, ops: Optional[int] = None,
-                      jobs: int = 1, samples_per_write: int = 2,
-                      max_points: Optional[int] = 240,
-                      fault_profile: Optional[str] = None,
-                      fault_seed: int = 0) -> tuple[bool, str]:
-    """Run synthesis and replay over the same points; diff the findings.
-
-    Returns ``(equal, summary)``.  The CI smoke uses this as a cheap
-    end-to-end proof that the synthesized images stay byte-equivalent to
-    the replay oracle's.
-    """
-    synth = explore(scheme, workload, seed=seed, ops=ops, jobs=jobs,
-                    samples_per_write=samples_per_write,
-                    max_points=max_points, fault_profile=fault_profile,
-                    fault_seed=fault_seed, synthesize=True)
-    replay = explore(scheme, workload, seed=seed, ops=ops, jobs=jobs,
-                     samples_per_write=samples_per_write,
-                     max_points=max_points, fault_profile=fault_profile,
-                     fault_seed=fault_seed, synthesize=False)
-    mismatches = [
-        (s, r) for s, r in zip(synth.findings, replay.findings) if s != r]
-    equal = (not mismatches
-             and len(synth.findings) == len(replay.findings))
-    lines = [f"equivalence {scheme} x {workload} (seed {seed}, "
-             f"fault={fault_profile or 'none'}): "
-             f"{synth.points} synthesized vs {replay.points} replayed "
-             f"points, {len(mismatches)} mismatches",
-             f"  synthesis: {synth.verify_wall_seconds:.2f}s verify "
-             f"({synth.points_per_second:.0f} points/s, 0 replays)",
-             f"  replay:    {replay.verify_wall_seconds:.2f}s verify "
-             f"({replay.points_per_second:.0f} points/s, "
-             f"{replay.replays} replays)"]
-    for s, r in mismatches[:5]:
-        lines.append(f"  MISMATCH point #{s.index} t={s.crash_time:.6f}: "
-                     f"synth errors={s.errors} warnings={s.warnings} "
-                     f"violations={len(s.violations)} | replay "
-                     f"errors={r.errors} warnings={r.warnings} "
-                     f"violations={len(r.violations)}")
-    return equal, "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -686,7 +430,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--stall-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="abort, naming the wedged crash-point chunk, "
-                             "once any pool task is in flight this long "
+                             "once any chunk is in flight this long "
                              "(default REPRO_STALL_TIMEOUT; 0 = off)")
     parser.add_argument("--samples-per-write", type=int, default=2,
                         help="mid-transfer partial-prefix points per write")
@@ -708,17 +452,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                              "profile without latent defects")
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="fault-injection RNG seed")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--synthesize", dest="synthesize",
-                      action="store_true", default=True,
-                      help="synthesize crash images from the media "
-                           "write-log (the default: zero replays)")
-    mode.add_argument("--replay", dest="synthesize", action="store_false",
-                      help="replay every crash point from scratch "
-                           "(the slow verification oracle)")
-    parser.add_argument("--check-equivalence", action="store_true",
-                        help="run BOTH modes and fail unless their "
-                             "findings are identical")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
     return parser.parse_args(argv)
@@ -727,64 +460,26 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     max_points = None if args.max_points == 0 else args.max_points
-    if args.check_equivalence:
-        equal, summary = check_equivalence(
-            args.scheme, args.workload, seed=args.seed, ops=args.ops,
-            jobs=args.jobs, samples_per_write=args.samples_per_write,
-            max_points=max_points, fault_profile=args.fault_profile,
-            fault_seed=args.fault_seed)
-        print(summary)
-        print("PASS: synthesis == replay" if equal
-              else "FAIL: synthesis diverged from the replay oracle")
-        return 0 if equal else 1
-    points = None
-    if args.point is not None:
-        machine = build_machine(args.scheme, secrets=args.secrets,
-                                fault_profile=args.fault_profile,
-                                fault_seed=args.fault_seed)
-        recorded = record_run(
-            machine, build_workload(machine, args.workload, args.seed,
-                                    args.ops))
-        enumerated = enumerate_crash_points(recorded,
-                                            args.samples_per_write,
-                                            max_points,
-                                            sample_seed=args.seed)
-        matches = [p for p in enumerated if p.index == args.point]
-        if not matches:
-            print(f"no crash point with index {args.point} "
-                  f"(enumerated {len(enumerated)})", file=sys.stderr)
-            return 2
-        points = matches
-    report = explore(args.scheme, args.workload, seed=args.seed,
-                     ops=args.ops, jobs=args.jobs,
-                     samples_per_write=args.samples_per_write,
-                     max_points=max_points, secrets=args.secrets,
-                     verify_repair=args.verify_repair, points=points,
-                     fault_profile=args.fault_profile,
-                     fault_seed=args.fault_seed,
-                     synthesize=args.synthesize,
-                     monitor=args.monitor,
-                     heartbeat=args.heartbeat,
-                     stall_timeout=args.stall_timeout)
+    try:
+        report = explore(args.scheme, args.workload, seed=args.seed,
+                         ops=args.ops, jobs=args.jobs,
+                         samples_per_write=args.samples_per_write,
+                         max_points=max_points, secrets=args.secrets,
+                         verify_repair=args.verify_repair, point=args.point,
+                         fault_profile=args.fault_profile,
+                         fault_seed=args.fault_seed,
+                         monitor=args.monitor,
+                         heartbeat=args.heartbeat,
+                         stall_timeout=args.stall_timeout)
+    except ValueError as exc:
+        if args.point is None:
+            raise
+        print(exc, file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.format())
-    append_ledger("explore", {
-        "scheme": args.scheme,
-        "workload": args.workload,
-        "seed": args.seed,
-        "mode": report.mode,
-        "jobs": args.jobs,
-        "points": report.points,
-        "enumerated": report.enumerated_points,
-        "unexpected": len(report.unexpected_findings),
-        "record_wall_seconds": round(report.record_wall_seconds, 3),
-        "verify_wall_seconds": round(report.verify_wall_seconds, 3),
-        "points_per_second": round(report.points_per_second, 1),
-        "sim_events": report.sim_events,
-        "exit_status": report.exit_status,
-    })
     return report.exit_status
 
 

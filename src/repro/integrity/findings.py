@@ -48,22 +48,20 @@ class ExplorationReport:
     #: fault plan the sweep ran under (None = the perfect disk)
     fault_profile: str | None = None
     fault_seed: int = 0
-    #: how crash images were obtained: "synthesize" (from the media
-    #: write-log) or "replay" (full prefix re-simulation per point)
-    mode: str = "replay"
+    #: how crash images are obtained: always from the media write-log.
+    #: A constant, kept because ``bench/workloads.py`` checks it
+    mode: str = "synthesize"
     #: size of the *full* enumeration before any --max-points budget;
     #: ``points < enumerated_points`` means the sweep was sampled
     enumerated_points: int = 0
     #: the budget in force (None = unlimited)
     max_points: int | None = None
-    #: post-recording simulation replays performed (0 under synthesis)
-    replays: int = 0
     #: verification pool size
     jobs: int = 1
     #: wall-clock split: the single recording run vs point verification
     record_wall_seconds: float = 0.0
     verify_wall_seconds: float = 0.0
-    #: media write-log payload bytes held during the sweep (0 on replay)
+    #: media write-log payload bytes held during the sweep
     log_bytes: int = 0
     #: engine events processed by the recording run
     sim_events: int = 0
@@ -172,7 +170,7 @@ class ExplorationReport:
                 f"verification: {self.points_per_second:.0f} points/s "
                 f"({self.record_wall_seconds:.2f}s record + "
                 f"{self.verify_wall_seconds:.2f}s verify, "
-                f"{self.replays} replays, jobs={self.jobs})")
+                f"jobs={self.jobs})")
         lines.append("")
         counts = self.violation_counts
         if counts:
@@ -231,7 +229,6 @@ class ExplorationReport:
             "enumerated_points": self.enumerated_points,
             "max_points": self.max_points,
             "sampled": self.sampled,
-            "replays": self.replays,
             "jobs": self.jobs,
             "record_wall_seconds": self.record_wall_seconds,
             "verify_wall_seconds": self.verify_wall_seconds,

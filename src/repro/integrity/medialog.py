@@ -22,9 +22,15 @@ instant with **no simulation at all**: base image + the durable prefix of
 every window that ended by *t* + the in-flight prefix of the (at most one)
 window containing *t*.  The prefix arithmetic replicates
 ``InFlightWrite.sectors_applied_by`` expression-for-expression so the
-synthesized image is byte-identical to the replay-derived one -- the
-replay path is kept as a verification oracle and
-``tests/integrity/test_synthesis_equivalence.py`` holds the proof.
+synthesized image is byte-identical to the one a re-simulation to *t*
+leaves (``tests/integrity/replay_oracle.py`` is that reference and
+``tests/integrity/test_synthesis_equivalence.py`` holds the proof).
+
+Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
+-- rides along as a second stream, ``MediaLog.survivors``: one
+``(time, lbn, bytes | None)`` entry per mirror store or drop.  Synthesis
+replays it to *t* and writes what is left over the image, exactly as
+``NvramScheme.apply_to_image`` does to a live machine's crash image.
 
 :class:`ImageSynthesizer` is the worker-pool form: crash points arrive in
 time-sorted chunks, so the image is built *incrementally* -- each point
@@ -90,6 +96,10 @@ class MediaLog:
     def __init__(self, sector_size: int) -> None:
         self.sector_size = sector_size
         self.entries: list[MediaWrite] = []
+        #: off-media survivors in time order: ``(time, lbn, data)`` stores
+        #: and ``(time, lbn, None)`` drops (empty unless the scheme keeps
+        #: battery-backed state)
+        self.survivors: list[tuple] = []
 
     # -- the drive-facing observer (Disk.on_write_commit signature) -------
     def record(self, lbn: int, data: bytes, transfer_start: float,
@@ -138,6 +148,12 @@ class ImageSynthesizer:
       onto a throwaway snapshot so the shared image never holds bytes the
       platters would not keep.
 
+    A second cursor replays ``log.survivors`` into the mirror a power
+    failure at the requested instant would leave (insertion-ordered, a
+    re-store moves the entry to the end, as in ``NvramScheme._mirror``).
+    A non-empty mirror is written over a *snapshot*: a survivor dropped
+    later must not linger on the shared image.
+
     Instants must be requested in non-decreasing order (the explorer's
     chunks are time-sorted); going backwards raises.
     """
@@ -147,14 +163,18 @@ class ImageSynthesizer:
         self._entries = sorted(log.entries, key=lambda e: e.transfer_start)
         self._sector_size = log.sector_size
         self._cursor = 0
+        self._survivors = log.survivors
+        self._survivor_cursor = 0
+        self._mirror: dict[int, bytes] = {}
         self._last = float("-inf")
 
     def image_at(self, when: float) -> SectorStore:
         """The surviving image for a power failure at *when*.
 
         Returns the shared evolving store (or a snapshot overlaid with a
-        revocable transient prefix); callers must treat it as read-only --
-        ``fsck`` is, and ``repair`` takes its own snapshot.
+        revocable transient prefix and/or the off-media survivors);
+        callers must treat it as read-only -- ``fsck`` is, and ``repair``
+        takes its own snapshot.
         """
         if when < self._last:
             raise ValueError(
@@ -172,13 +192,34 @@ class ImageSynthesizer:
             entry = entries[cursor]
             applied = entry.sectors_in_flight_by(when, self._sector_size)
             if applied:
-                if applied <= entry.durable:
-                    image.write_partial(entry.lbn, entry.data, applied)
-                else:
-                    probe = image.snapshot()
-                    probe.write_partial(entry.lbn, entry.data, applied)
-                    return probe
+                if applied > entry.durable:
+                    image = image.snapshot()
+                image.write_partial(entry.lbn, entry.data, applied)
+        if self._survivors:
+            mirror = self.mirror_at(when)
+            if mirror and image is self._image:
+                image = image.snapshot()
+            for lbn, data in mirror.items():
+                image.write(lbn, data)
         return image
+
+    def mirror_at(self, when: float) -> dict[int, bytes]:
+        """Off-media survivors at *when*: ``{lbn: bytes}`` in store order.
+
+        ``<=`` matches ``Engine.run_to``, which processes every event
+        stamped at or before its target.
+        """
+        survivors = self._survivors
+        mirror = self._mirror
+        cursor = self._survivor_cursor
+        while cursor < len(survivors) and survivors[cursor][0] <= when:
+            _time, lbn, data = survivors[cursor]
+            mirror.pop(lbn, None)
+            if data is not None:
+                mirror[lbn] = data
+            cursor += 1
+        self._survivor_cursor = cursor
+        return mirror
 
 
 def synthesize_crash_image(base: SectorStore, log: MediaLog,
@@ -186,8 +227,6 @@ def synthesize_crash_image(base: SectorStore, log: MediaLog,
     """One-shot synthesis: the image a power failure at *when* leaves.
 
     Equivalent to replaying the recorded workload to *when* and taking
-    :func:`repro.integrity.crash.crash_image` (for schemes whose crash
-    state lives entirely on the media -- NVRAM's battery-backed survivors
-    need the replay path).
+    :func:`repro.integrity.crash.crash_image`.
     """
     return ImageSynthesizer(base, log).image_at(when)

@@ -66,8 +66,7 @@ attaching it leaves the simulation timeline bit-identical
 (``tests/integrity/test_monitor.py`` holds the proof, same discipline as
 ``tests/obs/test_equivalence.py``).  NVRAM's crash state lives partly in
 a battery-backed memory mirror, not on the media, so a media-stream
-monitor cannot judge it: :func:`monitor_supported` mirrors the explorer's
-``synthesis_supported``.
+monitor cannot judge it (:func:`monitor_supported`).
 """
 
 from __future__ import annotations
@@ -168,9 +167,9 @@ class _EffectiveImage:
 def monitor_supported(machine) -> bool:
     """True when the scheme's crash state lives entirely on the media.
 
-    Mirrors ``repro.integrity.explorer.synthesis_supported``: NVRAM keeps
-    battery-backed survivors in memory, so its media stream alone is not
-    the crash state and the monitor would mis-fire.
+    NVRAM keeps battery-backed survivors in memory
+    (``scheme.apply_to_image``), so its media stream alone is not the
+    crash state and the monitor would mis-fire.
     """
     return getattr(machine.scheme, "apply_to_image", None) is None
 

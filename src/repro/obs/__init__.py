@@ -21,13 +21,6 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.flame import category_totals, coverage, flame_summary, summarize
-from repro.obs.observatory import (
-    append_ledger,
-    host_facts,
-    ledger_path,
-    read_ledger,
-    snapshot_digest,
-)
 from repro.obs.profiler import (
     CATEGORY_LAYER,
     LAYERS,
@@ -59,16 +52,11 @@ __all__ = [
     "TIME_BUCKETS",
     "TraceFormatError",
     "Tracer",
-    "append_ledger",
     "category_totals",
     "coverage",
     "flame_summary",
     "format_profile_report",
-    "host_facts",
-    "ledger_path",
     "profile_rows",
-    "read_ledger",
-    "snapshot_digest",
     "summarize",
     "trace_events",
     "validate_trace_events",

@@ -127,9 +127,9 @@ def flame_summary(obs: "Observability", label: str = "",
     if dropped:
         lines.append(f"WARNING: {dropped} spans dropped at the "
                      f"{obs.tracer.max_spans}-span cap -- totals below "
-                     f"undercount (raise REPRO_TRACE_MAX_SPANS, or rely "
-                     f"on the profile.* metrics, which keep counting "
-                     f"past the cap)")
+                     f"undercount (raise tracer.max_spans before the "
+                     f"run, or rely on the profile.* metrics, which keep "
+                     f"counting past the cap)")
         lines.append("")
     lines.append("Category totals (simulated seconds):")
     for cat, (total, count) in sorted(category_totals(obs).items(),

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from typing import Optional
-
 from repro.obs.profiler import LayerProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import DEFAULT_MAX_SPANS, Tracer
 
 if TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -24,13 +22,14 @@ if TYPE_CHECKING:
 class Observability:
     """Tracing + metrics for one simulated machine.
 
-    *max_spans* bounds tracer memory (None = ``REPRO_TRACE_MAX_SPANS`` /
-    the module default; drops are counted in ``tracer.spans_dropped``).
+    *max_spans* bounds tracer memory (0 = unbounded; drops are counted in
+    ``tracer.spans_dropped``).
     *profile* attaches the per-layer :class:`LayerProfiler`, whose
     ``profile.<layer>.*`` counters ride every snapshot.
     """
 
-    def __init__(self, engine: "Engine", max_spans: Optional[int] = None,
+    def __init__(self, engine: "Engine",
+                 max_spans: int = DEFAULT_MAX_SPANS,
                  profile: bool = False) -> None:
         self.engine = engine
         self.tracer = Tracer(engine, max_spans=max_spans)

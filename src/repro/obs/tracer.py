@@ -19,10 +19,10 @@ residencies, in-flight writes -- are recorded as *async* spans
 ``e`` event pairs keyed by id instead of complete events.
 
 Memory is bounded: the span list stops growing at ``max_spans`` (default
-:data:`DEFAULT_MAX_SPANS`, overridable via ``REPRO_TRACE_MAX_SPANS`` or the
-constructor).  Past the cap, spans still *behave* normally -- ids advance,
-nesting stacks stay consistent, the per-layer profiler keeps counting --
-but they are not retained; ``Tracer.dropped`` counts them (mirrored into
+:data:`DEFAULT_MAX_SPANS`; pass the constructor another value or assign
+``tracer.max_spans`` before the run).  Past the cap, spans still *behave*
+normally -- ids advance, nesting stacks stay consistent, the per-layer
+profiler keeps counting -- but they are not retained; ``Tracer.dropped`` counts them (mirrored into
 the ``tracer.spans_dropped`` metric and flagged by the flame summary), so
 always-on tracing over million-event sweeps degrades to a warning instead
 of exhausting RAM.
@@ -30,7 +30,6 @@ of exhausting RAM.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -40,23 +39,11 @@ if TYPE_CHECKING:
 #: engine callbacks)
 KERNEL_TRACK = "kernel"
 
-#: retained-span ceiling when neither the constructor nor the
-#: ``REPRO_TRACE_MAX_SPANS`` environment variable says otherwise (a span
-#: is ~200 bytes; 1M spans keeps worst-case tracer memory in the
-#: hundreds of MB, far below a million-event distributed sweep's output)
+#: retained-span ceiling unless the constructor or ``tracer.max_spans``
+#: says otherwise; 0 or a negative value disables the cap (a span is
+#: ~200 bytes; 1M spans keeps worst-case tracer memory in the hundreds of
+#: MB, far below a million-event distributed sweep's output)
 DEFAULT_MAX_SPANS = 1_000_000
-
-
-def default_max_spans() -> int:
-    """The span cap: ``REPRO_TRACE_MAX_SPANS`` or the module default
-    (0 or a negative value disables the cap entirely)."""
-    env = os.environ.get("REPRO_TRACE_MAX_SPANS")
-    if env is None:
-        return DEFAULT_MAX_SPANS
-    try:
-        return int(env)
-    except ValueError:
-        return DEFAULT_MAX_SPANS
 
 
 class Span:
@@ -128,15 +115,14 @@ class Tracer:
     """Collects spans against one engine's simulated clock."""
 
     def __init__(self, engine: "Engine",
-                 max_spans: Optional[int] = None) -> None:
+                 max_spans: int = DEFAULT_MAX_SPANS) -> None:
         self.engine = engine
         self.spans: list[Span] = []
         self._next_id = 0
         #: per-track stacks of currently open sync spans
         self._stacks: dict[str, list[Span]] = {}
         #: retained-span ceiling; <= 0 means unbounded
-        self.max_spans = default_max_spans() if max_spans is None \
-            else max_spans
+        self.max_spans = max_spans
         #: spans not retained because the cap was hit
         self.dropped = 0
         #: optional metrics Counter mirroring ``dropped`` (wired by

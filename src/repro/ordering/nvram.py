@@ -53,6 +53,10 @@ class NvramScheme(OrderingScheme):
         self.used_bytes = 0
         self.stores = 0
         self.destage_stalls = 0
+        #: passive observer ``(lbn, bytes | None)`` fired on every mirror
+        #: store (the new bytes) and drop (None); the recording runner
+        #: logs it so crash images can be synthesized without this object
+        self.on_survivor = None
 
     # ------------------------------------------------------------------
     def _mirror_buffer(self, buf) -> Generator:
@@ -79,6 +83,7 @@ class NvramScheme(OrderingScheme):
         self._mirror[buf.daddr] = bytes(buf.data)
         self.used_bytes += buf.size
         self.stores += 1
+        self._survivor_changed(buf.daddr, self._mirror[buf.daddr])
         yield from self.fs.cpu.compute(
             self.store_cost_per_byte * buf.size * self.fs.costs.scale)
         if not buf.post_write:
@@ -98,6 +103,11 @@ class NvramScheme(OrderingScheme):
         data = self._mirror.pop(daddr, None)
         if data is not None:
             self.used_bytes -= len(data)
+            self._survivor_changed(daddr, None)
+
+    def _survivor_changed(self, daddr: int, data) -> None:
+        if self.on_survivor is not None:
+            self.on_survivor(daddr * self.fs.cache.sectors_per_frag, data)
 
     # -- crash integration ------------------------------------------------
     def apply_to_image(self, image: SectorStore) -> None:

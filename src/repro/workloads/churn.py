@@ -4,9 +4,9 @@ These are not paper benchmarks: they are adversarial workloads whose point
 is to keep many *ordering-sensitive* metadata updates in flight at once
 (creates, removes, mkdirs, renames), so that a crash at any disk-write
 boundary lands in the middle of some ordered sequence.  Everything is
-deterministic in the seed -- the crash-exploration engine replays the same
-workload many times and crashes it at different instants, so two runs with
-the same seed must issue byte-identical operation streams.
+deterministic in the seed -- a finding names (scheme, workload, seed, crash
+point) and the replay oracle re-runs the workload to that instant, so two
+runs with the same seed must issue byte-identical operation streams.
 """
 
 from __future__ import annotations

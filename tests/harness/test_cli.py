@@ -1,16 +1,13 @@
 """Smoke test for the ``python -m repro.harness`` entry point."""
 
-import os
 import subprocess
 import sys
 
 
 def run_cli(*args):
-    # keep the smoke run out of the real run ledger
-    env = {**os.environ, "REPRO_LEDGER": "off"}
     return subprocess.run(
         [sys.executable, "-m", "repro.harness", *args],
-        capture_output=True, text=True, timeout=600, env=env)
+        capture_output=True, text=True, timeout=600)
 
 
 def test_cli_prints_both_tables():

@@ -1,8 +1,9 @@
 """Seed plumbing and run-to-run determinism.
 
-Crash exploration replays a recorded workload from scratch and trusts the
-replay to hit the same instants; that only works if (scheme, workload,
-seed) fully determines the event trace.  These are the regression tests
+A crash finding is reproduced from (scheme, workload, seed, crash point)
+and the replay oracle re-runs the workload from scratch, trusting it to hit
+the same instants; that only works if (scheme, workload, seed) fully
+determines the event trace.  These are the regression tests
 for that property, plus the explicit-seed plumbing through the benchmark
 runners (``run_copy``/``run_remove``).
 """

@@ -59,6 +59,17 @@ class TestRunGrid:
                            jobs=1)
         assert results == {"a": 1, "b": 2}
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_duplicate_keys_are_refused_before_any_cell_runs(self, jobs):
+        """``{key: result}`` can hold one result per key: a repeated key
+        used to lose a cell's result without a word."""
+        ran = []
+        cells = [(1, lambda: ran.append("f")), (2, lambda: ran.append("g")),
+                 (1, lambda: ran.append("h"))]
+        with pytest.raises(ValueError, match="duplicate cell key 1"):
+            run_grid("t-dup", cells, jobs=jobs)
+        assert ran == []
+
 
 def _boom():
     raise ValueError("synthetic cell failure")

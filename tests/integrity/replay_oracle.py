@@ -1,0 +1,70 @@
+"""The replay oracle: verify a crash point by re-simulating up to it.
+
+This is how the explorer obtained every crash image before the media
+write-log existed, kept as the reference the shipped path is compared
+against (``test_synthesis_equivalence.py``): build a fresh machine, run the
+same workload with ``engine.run_to(t)``, cut the power with
+:func:`repro.integrity.crash.crash_image` -- which also replays NVRAM's
+live mirror over the image -- and classify the survivor with the explorer's
+own :func:`~repro.integrity.explorer.classify_image`.  O(full prefix
+simulation) per point, which is why it is not shipped; it shares nothing
+with ``ImageSynthesizer``, which is why it is an oracle.
+"""
+
+from repro.integrity.crash import crash_image
+from repro.integrity.explorer import (
+    build_machine,
+    build_workload,
+    classify_image,
+    enumerate_crash_points,
+)
+from repro.harness.recording import record_run
+
+
+def replay_machine(scheme, workload, seed, ops, when, secrets=False,
+                   fault_profile=None, fault_seed=0):
+    """A fresh machine that ran the workload up to *when* (inclusive)."""
+    machine = build_machine(scheme, secrets=secrets,
+                            fault_profile=fault_profile,
+                            fault_seed=fault_seed)
+    process = machine.engine.process(
+        build_workload(machine, workload, seed, ops), name="victim")
+    machine.engine.run_to(when, max_events=20_000_000)
+    if process.triggered and not process.ok:
+        raise process.value
+    return machine
+
+
+def replay_image(scheme, workload, seed, ops, when, **kwargs):
+    """The image a power failure at *when* leaves, by re-simulation."""
+    return crash_image(replay_machine(scheme, workload, seed, ops, when,
+                                      **kwargs))
+
+
+def replay_finding(scheme, workload, seed, ops, point, secrets=False,
+                   verify_repair=False, **kwargs):
+    """The :class:`CrashFinding` for *point*, by re-simulation."""
+    machine = replay_machine(scheme, workload, seed, ops, point.time,
+                             secrets=secrets, **kwargs)
+    return classify_image(crash_image(machine), machine.config.fs_geometry,
+                          secrets, verify_repair,
+                          machine.scheme.crash_guarantees,
+                          point.index, point.time, point.label)
+
+
+def replay_findings(scheme, workload="microbench", seed=0, ops=None,
+                    samples_per_write=2, max_points=240, secrets=False,
+                    verify_repair=False, fault_profile=None, fault_seed=0):
+    """What ``explore(...)`` must report, one re-simulation per point."""
+    machine = build_machine(scheme, secrets=secrets,
+                            fault_profile=fault_profile,
+                            fault_seed=fault_seed)
+    recorded = record_run(machine,
+                          build_workload(machine, workload, seed, ops))
+    points = enumerate_crash_points(recorded, samples_per_write, max_points,
+                                    sample_seed=seed)
+    return [replay_finding(scheme, workload, seed, ops, point,
+                           secrets=secrets, verify_repair=verify_repair,
+                           fault_profile=fault_profile,
+                           fault_seed=fault_seed)
+            for point in points]

@@ -5,19 +5,21 @@ pools); the ``slow`` marker runs the full sweeps the acceptance story is
 about: >=200 crash points per scheme, pool size >= 4, serial == parallel.
 """
 
+import re
+import time
+
 import pytest
 
+from repro.harness.parallel import GridStallError
 from repro.harness.recording import record_run
+from repro.integrity import explorer
 from repro.integrity.explorer import (
-    CrashPoint,
     build_machine,
     build_workload,
     enumerate_crash_points,
     explore,
-    verify_crash_point,
-    _Task,
 )
-from repro.integrity.invariants import Severity
+from tests.integrity.replay_oracle import replay_finding
 
 
 def small_sweep(scheme, workload="microbench", **kwargs):
@@ -118,24 +120,55 @@ class TestBudgetedSweeps:
     def test_default_sweep_synthesizes_with_zero_replays(self):
         report = small_sweep("conventional", max_points=16)
         assert report.mode == "synthesize"
-        assert report.replays == 0
         assert report.log_bytes > 0
         assert report.enumerated_points >= report.points
 
-    def test_nvram_falls_back_to_replay_oracle(self):
-        # NVRAM's crash survivors live in battery-backed memory, invisible
-        # to a media-log synthesis; the sweep must use the replay oracle
+    def test_nvram_sweeps_synthesize_like_every_scheme(self):
+        # NVRAM's crash survivors live in battery-backed memory; the
+        # recording logs them beside the media writes, so its sweep is
+        # synthesized too (equivalence: test_synthesis_equivalence.py)
         report = small_sweep("nvram", max_points=8)
-        assert report.mode == "replay"
-        assert report.replays == report.points == 8
+        assert report.mode == "synthesize"
+        assert report.log_bytes > 0
+        assert report.points == 8
+        assert report.clean and not report.corruption_points
 
     def test_single_point_reproduces_sweep_finding(self):
         report = small_sweep("noorder", max_points=None)
         target = report.corruption_points[0]
-        finding = verify_crash_point(_Task(
-            "noorder", "microbench", 0, None, False, False,
-            target.index, target.crash_time, target.label))
-        assert finding == target
+        single = small_sweep("noorder", max_points=None, point=target.index)
+        assert single.findings == [target]
+        assert single.enumerated_points == report.enumerated_points
+        point = explorer.CrashPoint(target.index, target.crash_time,
+                                    target.label)
+        assert replay_finding("noorder", "microbench", 0, None, point) \
+            == target
+
+    def test_unknown_point_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no crash point with index 999"):
+            small_sweep("noorder", max_points=10, point=999)
+
+    def test_wedged_chunk_is_named_by_its_point_range(self, monkeypatch):
+        """A chunk that never returns aborts the sweep with the grid's
+        stall error, keyed by the chunk's crash-point range."""
+        real = explorer.classify_image
+
+        def wedge_on_point_five(*args):
+            if args[5] == 5:
+                time.sleep(30.0)
+            return real(*args)
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(explorer, "classify_image", wedge_on_point_five)
+        begun = time.time()
+        with pytest.raises(GridStallError) as excinfo:
+            small_sweep("conventional", max_points=16, jobs=2,
+                        stall_timeout=0.5)
+        assert time.time() - begun < 10.0
+        assert excinfo.value.grid == "grid explore conventional/microbench"
+        first, last = re.fullmatch(
+            r"points #(\d+)\.\.#(\d+) \(t=.*\)", excinfo.value.key).groups()
+        assert int(first) <= 5 <= int(last)
 
     def test_verify_repair_holds_for_softupdates(self):
         report = small_sweep("softupdates", max_points=24,
@@ -195,15 +228,16 @@ class TestCli:
         assert "10 of " in out
         assert "sampled, --max-points 10" in out
 
-    def test_cli_replay_oracle_flag(self, capsys):
+    def test_cli_unknown_point_is_a_usage_error(self, capsys):
         from repro.integrity.explorer import main
 
-        code = main(["--scheme", "conventional", "--jobs", "1",
-                     "--max-points", "8", "--replay"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "(seed 0, replay)" in out
-        assert "8 replays" in out
+        code = main(["--scheme", "noorder", "--point", "999", "--jobs", "1",
+                     "--max-points", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no crash point with index 999 (enumerated 10)" \
+            in captured.err
 
 
 class TestSchemeLookup:

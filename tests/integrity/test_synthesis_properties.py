@@ -1,8 +1,9 @@
 """Property tests: ImageSynthesizer prefix arithmetic vs brute force.
 
-The synthesizer earns its O(delta) cost with three pieces of arithmetic --
+The synthesizer earns its O(delta) cost with four pieces of arithmetic --
 the retired-window cursor, the shared-image mutation for committed
-prefixes, and the throwaway snapshot for revocable transient prefixes.
+prefixes, the throwaway snapshot for revocable transient prefixes, and the
+survivor cursor that keeps an off-media (NVRAM) mirror beside the image.
 These tests pit it against a deliberately dumb model: for every query
 instant, start from the base image and lay down each window's surviving
 sectors **one at a time** into a plain dict.  No cursor, no sharing, no
@@ -83,6 +84,36 @@ def brute_force_image(base: SectorStore, log: MediaLog,
     return image
 
 
+def random_survivors(rng, log: MediaLog, events: int) -> None:
+    """A time-ordered store/drop stream over a few overlapping extents:
+    re-stores, drops of absent keys, and stores whose sectors overlap a
+    neighbour's (so the order the mirror is applied in shows)."""
+    horizon = max(entry.end for entry in log.entries)
+    keys = [(lbn, rng.randrange(1, 5))
+            for lbn in rng.sample(range(MAX_LBN - 4), 6)]
+    for when in sorted(rng.uniform(0.0, horizon) for _ in range(events)):
+        lbn, nsectors = rng.choice(keys)
+        data = None if rng.random() < 0.35 \
+            else rng.randbytes(nsectors * SECTOR)
+        log.survivors.append((when, lbn, data))
+
+
+def brute_force_overlay(image: dict, log: MediaLog, when: float) -> dict:
+    """The mirror by definition: replay the whole stream into a list of
+    (lbn, data) in store order, then lay it over the platters."""
+    mirror: list = []
+    for stamp, lbn, data in log.survivors:
+        if stamp > when:
+            break
+        mirror = [held for held in mirror if held[0] != lbn]
+        if data is not None:
+            mirror.append((lbn, data))
+    for lbn, data in mirror:
+        for k in range(len(data) // SECTOR):
+            image[lbn + k] = data[k * SECTOR:(k + 1) * SECTOR]
+    return image
+
+
 def store_sectors(store: SectorStore) -> dict[int, bytes]:
     return {lbn: store.read(lbn) for lbn in range(MAX_LBN)}
 
@@ -111,6 +142,25 @@ def test_incremental_synthesis_matches_brute_force(seed):
     for when in query_instants(rng, log):
         got = store_sectors(synth.image_at(when))
         want = brute_force_image(base, log, when)
+        assert got == want, (
+            f"seed {seed} t={when}: sectors "
+            f"{sorted(l for l in want if got[l] != want[l])} diverge")
+
+
+@pytest.mark.parametrize("seed", range(30, 40))
+def test_survivor_overlay_matches_brute_force(seed):
+    """Off-media survivors lie *over* the platters at every instant and
+    never on them: a dropped entry shows the platter bytes again."""
+    rng = random.Random(seed)
+    base = random_base(rng)
+    log = random_log(rng, windows=rng.randrange(5, 30))
+    random_survivors(rng, log, events=rng.randrange(10, 60))
+    instants = query_instants(rng, log) + [e[0] for e in log.survivors]
+    synth = ImageSynthesizer(base, log)
+    for when in sorted(instants):
+        got = store_sectors(synth.image_at(when))
+        want = brute_force_overlay(brute_force_image(base, log, when),
+                                   log, when)
         assert got == want, (
             f"seed {seed} t={when}: sectors "
             f"{sorted(l for l in want if got[l] != want[l])} diverge")

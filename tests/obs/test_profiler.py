@@ -15,9 +15,11 @@ from tests.conftest import SCHEME_FACTORIES, make_machine, run_user
 from tests.obs.test_equivalence import churn, driver_trace_digest
 
 
-def run_profiled(scheme_name, profile=True):
+def run_profiled(scheme_name, profile=True, max_spans=None):
     machine = make_machine(scheme_name, free_cpu=False, observe=profile,
                            profile=profile)
+    if max_spans is not None:
+        machine.obs.tracer.max_spans = max_spans
     run_user(machine, churn(machine)(), name="user0")
     machine.sync_and_settle()
     return machine
@@ -93,11 +95,9 @@ class TestDeterminismDiscipline:
         b = run_profiled("chains").obs.snapshot()
         assert a == b
 
-    def test_profiler_keeps_counting_past_the_span_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_MAX_SPANS", "30")
-        capped = run_profiled("softupdates")
-        monkeypatch.setenv("REPRO_TRACE_MAX_SPANS", "0")
-        full = run_profiled("softupdates")
+    def test_profiler_keeps_counting_past_the_span_cap(self):
+        capped = run_profiled("softupdates", max_spans=30)
+        full = run_profiled("softupdates", max_spans=0)
         assert capped.obs.tracer.dropped > 0
         for layer in LAYERS:
             for suffix in ("sim", "spans"):

@@ -16,12 +16,13 @@ SOURCES = sorted((ROOT / "src").rglob("*.py"))
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         ROOT / "docs" / "performance.md", ROOT / "docs" / "observability.md"]
 
-KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_LEDGER",
-         "REPRO_TRACE_MAX_SPANS", "REPRO_HEARTBEAT", "REPRO_STALL_TIMEOUT"}
+KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_HEARTBEAT",
+         "REPRO_STALL_TIMEOUT"}
 
-#: the only packages allowed to read the process environment; everything
-#: under them is host-side plumbing, everything else is a simulated layer
-ENV_READERS = ("harness", "obs")
+#: the only package allowed to read the process environment: the CLI and
+#: grid plumbing.  Everything else -- ``obs`` included, which a
+#: ``Machine()`` constructs -- is configured by its caller
+ENV_READERS = ("harness",)
 
 
 def knob_names(paths) -> set:
