@@ -65,23 +65,18 @@ class BufferCache:
         self.hits = 0
         self.misses = 0
         self.flushes_forced = 0
+        #: getblk calls that slept on a locked buffer (section 3.3), and the
+        #: seconds they slept; counted when the buffer is finally acquired
+        self.lock_waits = 0
+        self.lock_wait_time = 0.0
+        #: times an allocation slept waiting for reclaim to make room
+        self.reclaim_waits = 0
         # fault bookkeeping: reads that surfaced EIO, failed writes that were
         # re-dirtied for retry, and writes lost for good ((daddr, code, time))
         self.read_errors = 0
         self.write_retries = 0
         self.lost_writes: list[tuple[int, str, float]] = []
-        obs = engine.obs
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_lock_wait = registry.histogram("cache.lock_wait")
-            self._m_lock_waits = registry.counter("cache.lock_waits")
-            self._m_hits = registry.counter("cache.hits")
-            self._m_misses = registry.counter("cache.misses")
-            self._m_forced = registry.counter("cache.forced_flushes")
-            self._m_reclaim_waits = registry.counter("cache.reclaim_waits")
-        else:
-            self._m_lock_wait = None
+        self._obs = engine.obs
         #: optional provider of extra dependency ids attached to every write
         #: (scheduler chains' barrier-dealloc ablation mode)
         self.global_write_deps = None
@@ -89,10 +84,6 @@ class BufferCache:
     # -- address helpers ---------------------------------------------------
     def _lbn(self, daddr: int) -> int:
         return daddr * self.sectors_per_frag
-
-    def frags_of(self, buf: Buffer) -> int:
-        """Size of *buf* in fragments."""
-        return buf.size // self.frag_size
 
     # -- acquisition ---------------------------------------------------------
     def getblk(self, daddr: int, size: int) -> Generator:
@@ -111,25 +102,23 @@ class BufferCache:
         if buf is not None and not buf.busy and buf.size == size:
             self._make_busy(buf)
             self.hits += 1
-            if self._obs is not None:
-                self._m_hits.inc()
             return buf
         # lock-wait accounting is opened lazily on the first sleep and closed
         # on whichever exit path acquires the buffer; the loop structure (and
         # therefore every wakeup and timestamp) is identical with tracing off
         obs = self._obs
         wait_span = None
-        wait_start = 0.0
+        wait_start = None
         while True:
             buf = self._buffers.get(daddr)
             if buf is not None:
                 if buf.busy:
-                    if obs is not None and wait_span is None:
+                    if wait_start is None:
                         wait_start = self.engine.now
-                        wait_span = obs.tracer.begin(
-                            "cache.lock_wait", "cache",
-                            args={"daddr": daddr, "owner": buf.owner})
-                        self._m_lock_waits.inc()
+                        if obs is not None:
+                            wait_span = obs.tracer.begin(
+                                "cache.lock_wait", "cache",
+                                args={"daddr": daddr, "owner": buf.owner})
                     yield buf.waitq.wait()
                     continue
                 if size > buf.size:
@@ -144,11 +133,8 @@ class BufferCache:
                         f"({buf.size} bytes); missing invalidation?")
                 self._make_busy(buf)
                 self.hits += 1
-                if obs is not None:
-                    self._m_hits.inc()
-                    if wait_span is not None:
-                        obs.tracer.end(wait_span)
-                        self._m_lock_wait.observe(self.engine.now - wait_start)
+                if wait_start is not None:
+                    self._lock_acquired(wait_start, wait_span)
                 return buf
             yield from self._reclaim(size)
             if daddr in self._buffers:
@@ -158,12 +144,16 @@ class BufferCache:
             self.used_bytes += size
             self._make_busy(buf)
             self.misses += 1
-            if obs is not None:
-                self._m_misses.inc()
-                if wait_span is not None:
-                    obs.tracer.end(wait_span)
-                    self._m_lock_wait.observe(self.engine.now - wait_start)
+            if wait_start is not None:
+                self._lock_acquired(wait_start, wait_span)
             return buf
+
+    def _lock_acquired(self, wait_start: float, wait_span) -> None:
+        """Close the lock wait a getblk opened on its first sleep."""
+        self.lock_waits += 1
+        self.lock_wait_time += self.engine.now - wait_start
+        if wait_span is not None:
+            self._obs.tracer.end(wait_span)
 
     def bread(self, daddr: int, size: int) -> Generator:
         """Acquire the buffer and ensure it holds the disk contents."""
@@ -372,9 +362,7 @@ class BufferCache:
                     self.flushes_forced += 1
                     if started >= 16:
                         break
-            if self._obs is not None:
-                self._m_forced.inc(started)
-                self._m_reclaim_waits.inc()
+            self.reclaim_waits += 1
             yield self._space.wait()
         return None
 

@@ -42,17 +42,9 @@ class SyncerDaemon:
         self.wakeups = 0
         self.writes_started = 0
         self.workitems_run = 0
-        obs = engine.obs
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_wakeups = registry.counter("syncer.wakeups")
-            self._m_writes = registry.counter("syncer.writes_started")
-            self._m_workitems = registry.counter("syncer.workitems")
-            self._m_sweep_dirty = registry.counter("syncer.sweep_dirty")
-        else:
-            self._m_wakeups = None
-            self._m_workitems = None
+        #: dirty buffers left after each sweep's writes, summed over sweeps
+        self.sweep_dirty = 0
+        self._obs = engine.obs
         self._process = engine.process(self._run(), name="syncer")
 
     # -- workitem queue ----------------------------------------------------
@@ -64,11 +56,6 @@ class SyncerDaemon:
         """
         self._workitems.append((item, blocking))
 
-    @property
-    def pending_workitems(self) -> int:
-        """Items queued and not yet serviced."""
-        return len(self._workitems)
-
     # -- the daemon ----------------------------------------------------------
     def _run(self) -> Generator:
         obs = self._obs
@@ -79,7 +66,6 @@ class SyncerDaemon:
                 yield from self._service_workitems()
                 self._sweep()
             else:
-                self._m_wakeups.inc()
                 span = obs.tracer.begin("syncer.wakeup", "syncer")
                 yield from self._service_workitems()
                 self._sweep()
@@ -92,8 +78,6 @@ class SyncerDaemon:
         for _ in range(len(self._workitems)):
             item, blocking = self._workitems.popleft()
             self.workitems_run += 1
-            if self._m_workitems is not None:
-                self._m_workitems.inc()
             if blocking:
                 yield from item()
             else:
@@ -102,23 +86,20 @@ class SyncerDaemon:
     def _sweep(self) -> None:
         # write out blocks marked on a previous pass (retry busy ones later)
         retry: list[Buffer] = []
-        started = 0
         for buf in self._marked_buffers:
             if not (buf.marked and buf.dirty):
                 continue  # flushed or invalidated since marking
             if self.cache.start_flush(buf) is not None:
                 self.writes_started += 1
-                started += 1
             else:
                 retry.append(buf)
         self._marked_buffers = retry
-        if self._obs is not None:
-            self._m_writes.inc(started)
-            self._m_sweep_dirty.inc(len(self.cache.dirty_buffers()))
+        dirty = self.cache.dirty_buffers()
+        self.sweep_dirty += len(dirty)
         # mark the dirty blocks in this pass's region; flushed next wakeup
         region = self._pass_number % self.sweep_passes
         self._pass_number += 1
-        for buf in self.cache.dirty_buffers():
+        for buf in dirty:
             if buf.daddr % self.sweep_passes == region and not buf.marked:
                 buf.marked = True
                 self._marked_buffers.append(buf)

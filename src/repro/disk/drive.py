@@ -13,7 +13,6 @@ passed under the head (see ``in_flight`` and ``repro.integrity.crash``).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -47,19 +46,16 @@ class ServiceTimeStats:
 
     The old per-I/O ``list`` grew one float per operation forever; long
     runs carried megabytes of dead samples.  This keeps count/sum/min/max
-    as scalars and, when a reservoir limit is set (observability on), the
-    most recent samples in a bounded deque for percentile-style digging.
-    ``append``/``__len__`` match the old list surface.
+    as scalars.  ``append``/``__len__`` match the old list surface.
     """
 
-    __slots__ = ("count", "total", "min", "max", "_reservoir")
+    __slots__ = ("count", "total", "min", "max")
 
-    def __init__(self, reservoir_limit: int = 0) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._reservoir = deque(maxlen=reservoir_limit) if reservoir_limit else None
 
     def append(self, value: float) -> None:
         self.count += 1
@@ -68,8 +64,6 @@ class ServiceTimeStats:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if self._reservoir is not None:
-            self._reservoir.append(value)
 
     def __len__(self) -> int:
         return self.count
@@ -77,11 +71,6 @@ class ServiceTimeStats:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def samples(self) -> list:
-        """Recent samples (empty unless a reservoir was enabled)."""
-        return list(self._reservoir or ())
 
 
 @dataclass
@@ -135,23 +124,7 @@ class Disk:
         self.cache = PrefetchCache(cache_segments, prefetch_sectors,
                                    self.geometry.total_sectors)
         self.stats = DiskStats()
-        obs = engine.obs
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_service = registry.histogram("disk.service_time")
-            self._m_seek = registry.counter("disk.seek_time")
-            self._m_rotation = registry.counter("disk.rotation_time")
-            self._m_transfer = registry.counter("disk.transfer_time")
-            self._m_cache_hits = registry.counter("disk.cache_hit_reads")
-            # a reservoir only when someone is watching: bounded memory, and
-            # fault-free untraced runs keep the zero-allocation scalar path
-            self.stats.service_times = ServiceTimeStats(reservoir_limit=512)
-        else:
-            self._m_service = None
-        # created lazily on the first injected fault so fault-free traced
-        # runs keep identical metric snapshots
-        self._m_faults = None
+        self._obs = engine.obs
         self._current_cylinder = 0
         #: set to True to make service() free (image population, not benchmarks)
         self.instant = False
@@ -210,8 +183,6 @@ class Disk:
             self.stats.cache_hit_reads += 1
             self._account(start, 0.0, 0.0, 0.0)
             if self._obs is not None:
-                self._m_cache_hits.inc()
-                self._m_service.observe(self.engine.now - start)
                 self._obs.tracer.record(
                     "disk.cache_hit", "disk", start, self.engine.now, "drive",
                     args={"lbn": lbn, "nsectors": nsectors})
@@ -338,9 +309,6 @@ class Disk:
                         f"lbn={lbn} nsectors={nsectors} applied={applied}")
         self._account(start, seek, rotation, transfer)
         if self._obs is not None:
-            if self._m_faults is None:
-                self._m_faults = self._obs.registry.counter("disk.faults")
-            self._m_faults.inc()
             self._obs.tracer.record(
                 "disk.fault", "disk", start, self.engine.now, "drive",
                 args={"lbn": lbn, "nsectors": nsectors, "kind": kind.value})
@@ -359,7 +327,7 @@ class Disk:
     def _record_service(self, start: float, seek: float, rotation: float,
                         transfer: float, lbn: int, nsectors: int,
                         is_write: bool) -> None:
-        """Tracing-on accounting: the mechanical phase breakdown as spans.
+        """Tracing-on path: the mechanical phase breakdown as spans.
 
         The drive serves one request at a time, so these intervals nest
         properly on the dedicated ``drive`` track.  Built entirely from
@@ -367,10 +335,6 @@ class Disk:
         """
         obs = self._obs
         end = self.engine.now
-        self._m_service.observe(end - start)
-        self._m_seek.inc(seek)
-        self._m_rotation.inc(rotation)
-        self._m_transfer.inc(transfer)
         name = "disk.write" if is_write else "disk.read"
         outer = obs.tracer.record(
             name, "disk", start, end, "drive",

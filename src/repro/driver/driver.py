@@ -28,9 +28,6 @@ every pending request lives in exactly one bucket:
   dependency each; a completion wakes exactly its watchers.
 * ``_read_waiters`` -- conflict-checked reads watching the specific
   incomplete write that blocks them.
-* ``_generic_held`` -- fallback for policies with no declared structure;
-  rechecked wholesale on every issue/completion (the old cost, paid only by
-  third-party policies).
 
 Bucket transitions happen on issue, on completion, and on policy release
 (barrier retirement / dependency completion -- both surfaced through
@@ -60,6 +57,11 @@ class DeviceDriver:
     def __init__(self, engine: Engine, disk: Disk, policy: OrderingPolicy,
                  max_batch_sectors: int = 128, max_retries: int = 4,
                  retry_backoff: float = 0.01) -> None:
+        if policy.eligibility not in ("none", "monotone", "deps"):
+            raise ValueError(
+                f"{type(policy).__name__}.eligibility is "
+                f"{policy.eligibility!r}; the dispatch index needs 'none', "
+                "'monotone' or 'deps'")
         self.engine = engine
         self.disk = disk
         self.policy = policy
@@ -97,27 +99,15 @@ class DeviceDriver:
         self._policy_held: list[int] = []
         self._dep_waiters: dict[int, list[int]] = {}
         self._read_waiters: dict[int, list[int]] = {}
-        self._generic_held: dict[int, DiskRequest] = {}
         #: completed requests, in completion order
         self.trace: list[DiskRequest] = []
         self.requests_issued = 0
-        # observability (None = off; instruments captured once, updates are
-        # a single is-not-None check on the hot paths)
-        obs = engine.obs
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_queue_wait = registry.histogram("driver.queue_wait")
-            self._m_reads = registry.counter("driver.reads")
-            self._m_writes = registry.counter("driver.writes")
-            self._m_flagged = registry.counter("driver.flagged_writes")
-            self._m_batches = registry.counter("driver.batches")
-            self._m_queue_peak = registry.gauge("driver.queue_peak")
-        else:
-            self._m_queue_wait = None
-        # recovery instruments are created lazily on the first fault so
-        # fault-free traced runs keep identical metric snapshots
-        self._m_retries = None
+        #: writes issued carrying the ordering flag, completed dispatch
+        #: batches, and the deepest the pending queue has been
+        self.flagged_writes = 0
+        self.batches = 0
+        self.queue_peak = 0
+        self._obs = engine.obs
         self._process = engine.process(self._run(), name="disk-driver")
 
     # -- public API -------------------------------------------------------
@@ -145,14 +135,13 @@ class DeviceDriver:
         self.policy.on_issue(request)
         self._pending[request.id] = request
         self.requests_issued += 1
-        obs = self._obs
-        if obs is not None:
-            request.trace_parent = obs.tracer.current()
-            self._m_queue_peak.track_max(len(self._pending))
-            if flag:
-                self._m_flagged.inc()
-        if self.policy.eligibility == "generic":
-            self._recheck_generic_eligible()
+        if flag:
+            self.flagged_writes += 1
+        depth = len(self._pending)
+        if depth > self.queue_peak:
+            self.queue_peak = depth
+        if self._obs is not None:
+            request.trace_parent = self._obs.tracer.current()
         self._classify(request)
         # broadcast, not signal: both the dispatch loop and any drain()
         # waiters sleep on the same queue and must all re-check
@@ -229,17 +218,13 @@ class DeviceDriver:
                 self._promote(request)
             else:
                 heapq.heappush(held, request.id)
-        elif eligibility == "deps":
+        else:  # "deps"
             blockers = policy.blocking_deps(request)
             if blockers:
                 self._dep_waiters.setdefault(blockers[0], []) \
                     .append(request.id)
             else:
                 self._promote(request)
-        elif policy.may_dispatch(request):
-            self._promote(request)
-        else:
-            self._generic_held[request.id] = request
 
     def _promote(self, request: DiskRequest) -> None:
         self._eligible[request.id] = request
@@ -271,15 +256,6 @@ class DeviceDriver:
             if ids and ids[0] < request_id:
                 return ids[0]
         return None
-
-    def _recheck_generic_eligible(self) -> None:
-        """Generic policies may retract eligibility on issue: recheck all."""
-        policy = self.policy
-        demoted = [request for request in self._eligible.values()
-                   if not policy.may_dispatch(request)]
-        for request in demoted:
-            self._remove_eligible(request)
-            self._generic_held[request.id] = request
 
     def _after_completions(self, batch: list[DiskRequest]) -> None:
         """Wake whatever this batch's completions made dispatchable."""
@@ -322,13 +298,6 @@ class DeviceDriver:
                 if not policy.may_dispatch(request):
                     break
                 heapq.heappop(held)
-                self._promote(request)
-        if self._generic_held:
-            policy = self.policy
-            released = [request for request in self._generic_held.values()
-                        if policy.may_dispatch(request)]
-            for request in released:
-                del self._generic_held[request.id]
                 self._promote(request)
 
     # -- the dispatch loop -------------------------------------------------
@@ -375,6 +344,7 @@ class DeviceDriver:
                             del self._write_fifo[sector]
                 self.policy.on_complete(request)
                 self.trace.append(request)
+            self.batches += 1
             if self._obs is not None:
                 self._record_batch(batch)
             self._after_completions(batch)
@@ -440,11 +410,6 @@ class DeviceDriver:
             disk.faults.log(self.engine.now, "retry",
                             f"{'write' if is_write else 'read'} lbn={lbn} "
                             f"after {sense.code} (attempt {attempts})")
-            if self._obs is not None:
-                if self._m_retries is None:
-                    self._m_retries = self._obs.registry.counter(
-                        "driver.retries")
-                self._m_retries.inc()
             yield from disk.service(lbn, nsectors, is_write, data)
             sense = disk.sense
 
@@ -460,17 +425,13 @@ class DeviceDriver:
             f"lbn={batch[0].lbn}")
 
     def _record_batch(self, batch: list[DiskRequest]) -> None:
-        """Tracing-on completion path: queue-residency spans + metrics.
+        """Tracing-on completion path: queue-residency spans.
 
         Purely retrospective -- built from the stamps the driver keeps
         anyway, so the traced dispatch sequence is identical to untraced.
         """
         tracer = self._obs.tracer
-        queue_wait = self._m_queue_wait
-        self._m_batches.inc()
         for request in batch:
-            queue_wait.observe(request.queue_delay)
-            (self._m_writes if request.is_write else self._m_reads).inc()
             name = ("driver.queue.write" if request.is_write
                     else "driver.queue.read")
             tracer.record_async(

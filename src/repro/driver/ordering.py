@@ -49,7 +49,9 @@ class OrderingPolicy:
     observable side effects -- the driver may call it zero, one, or many
     times per request.
 
-    ``eligibility`` tells the driver how blocked requests wake up:
+    ``eligibility`` tells the driver how blocked requests wake up; every
+    policy declares one of the three (the driver refuses anything else at
+    construction):
 
     * ``"none"`` -- ``may_dispatch`` is constant ``True``; nothing is ever
       policy-held.
@@ -60,10 +62,6 @@ class OrderingPolicy:
     * ``"deps"`` -- a request is held exactly while a dependency named by
       :meth:`blocking_deps` is incomplete (scheduler chains).  The driver
       watches one incomplete dependency at a time.
-    * ``"generic"`` -- no structure known; the driver conservatively
-      rechecks every held request on each issue and completion.  Safe for
-      third-party policies, and the only mode that pays the old full-scan
-      cost.
 
     ``conflict_checked_reads`` marks policies whose *read* admission is
     exactly "no overlap with an incomplete earlier write" (the ``-NR``
@@ -72,7 +70,8 @@ class OrderingPolicy:
     """
 
     name = "base"
-    eligibility = "generic"
+    #: ``"none"``, ``"monotone"`` or ``"deps"``; a subclass must say which
+    eligibility = None
     conflict_checked_reads = False
 
     def on_issue(self, request: DiskRequest) -> None:

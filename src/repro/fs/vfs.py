@@ -46,18 +46,21 @@ class OpenFile:
 
 
 def _syscall(fn):
-    """Trace a syscall generator method when observability is on.
+    """Count a syscall generator method, and trace it when observability
+    is on.
 
-    With tracing off the original generator is returned untouched -- the
-    call costs one attribute check, which keeps the disabled overhead inside
-    the budget in ``docs/observability.md``.  With tracing on the generator
-    is driven through :meth:`FileSystem._traced_syscall`, which brackets it
-    in a ``syscall.<name>`` span and bumps the per-syscall counter.
+    Every call is counted in ``FileSystem.op_counts``.  With tracing off
+    the original generator is then returned untouched -- one attribute
+    check, no per-yield wrapping.  With tracing on the generator is driven
+    through :meth:`FileSystem._traced_syscall`, which brackets it in a
+    ``syscall.<name>`` span.
     """
     name = fn.__name__
 
     def wrapper(self, *args, **kwargs):
         gen = fn(self, *args, **kwargs)
+        counts = self.op_counts
+        counts[name] = counts.get(name, 0) + 1
         obs = self.engine.obs
         if obs is None:
             return gen
@@ -97,7 +100,7 @@ class FileSystem:
         self.allocator: Allocator = None
         self.itable = InodeTable(engine)
         self._generation = 0
-        # instrumentation
+        #: calls per syscall name, in first-call order (``_syscall`` counts)
         self.op_counts: dict[str, int] = {}
 
     # ==================================================================
@@ -562,14 +565,13 @@ class FileSystem:
     # ==================================================================
     # syscalls
     # ==================================================================
-    def _count(self, name: str) -> Generator:
-        self.op_counts[name] = self.op_counts.get(name, 0) + 1
+    def _enter(self) -> Generator:
+        """Charge the fixed kernel-entry cost every syscall pays."""
         yield from self.cpu.compute(self.costs.time("syscall"))
 
     def _traced_syscall(self, name: str, gen: Generator,
                         obs) -> Generator:
         """Drive *gen* inside a ``syscall.<name>`` span (tracing on only)."""
-        obs.registry.counter(f"syscall.{name}").inc()
         span = obs.tracer.begin(f"syscall.{name}", "syscall")
         try:
             result = yield from gen
@@ -580,7 +582,7 @@ class FileSystem:
     @_syscall
     def create(self, path: str) -> Generator:
         """Create a regular file; returns an :class:`OpenFile`."""
-        yield from self._count("create")
+        yield from self._enter()
         dp, name = yield from self.namei_parent(path)
         yield dp.lock.acquire()
         try:
@@ -609,7 +611,7 @@ class FileSystem:
     @_syscall
     def mkdir(self, path: str) -> Generator:
         """Create a directory."""
-        yield from self._count("mkdir")
+        yield from self._enter()
         dp, name = yield from self.namei_parent(path)
         yield dp.lock.acquire()
         try:
@@ -651,7 +653,7 @@ class FileSystem:
     @_syscall
     def unlink(self, path: str) -> Generator:
         """Remove a file's directory entry (and the file at zero links)."""
-        yield from self._count("unlink")
+        yield from self._enter()
         dp, name = yield from self.namei_parent(path)
         yield dp.lock.acquire()
         try:
@@ -675,7 +677,7 @@ class FileSystem:
     @_syscall
     def rmdir(self, path: str) -> Generator:
         """Remove an empty directory."""
-        yield from self._count("rmdir")
+        yield from self._enter()
         dp, name = yield from self.namei_parent(path)
         yield dp.lock.acquire()
         try:
@@ -705,7 +707,7 @@ class FileSystem:
     @_syscall
     def link(self, existing: str, newpath: str) -> Generator:
         """Add a hard link to an existing file."""
-        yield from self._count("link")
+        yield from self._enter()
         ip = yield from self.namei(existing)
         if ip.is_dir:
             self.iput(ip)
@@ -734,7 +736,7 @@ class FileSystem:
         The new directory entry reaches stable storage before the old one is
         removed, so a crash never loses both names.
         """
-        yield from self._count("rename")
+        yield from self._enter()
         target = yield from self.namei(oldpath)
         if target.is_dir:
             self.iput(target)
@@ -787,7 +789,7 @@ class FileSystem:
     @_syscall
     def open(self, path: str) -> Generator:
         """Open an existing file."""
-        yield from self._count("open")
+        yield from self._enter()
         ip = yield from self.namei(path)
         if ip.is_dir:
             self.iput(ip)
@@ -797,7 +799,7 @@ class FileSystem:
     @_syscall
     def close(self, handle: OpenFile) -> Generator:
         """Close: schedule the inode's timestamps/size for stable storage."""
-        yield from self._count("close")
+        yield from self._enter()
         if handle.closed:
             raise FsError("EINVAL", "double close")
         handle.closed = True
@@ -811,7 +813,7 @@ class FileSystem:
     @_syscall
     def write(self, handle: OpenFile, data: bytes) -> Generator:
         """Write *data* at the handle's offset; returns bytes written."""
-        yield from self._count("write")
+        yield from self._enter()
         ip = handle.ip
         yield ip.lock.acquire()
         try:
@@ -845,7 +847,7 @@ class FileSystem:
     @_syscall
     def read(self, handle: OpenFile, nbytes: int) -> Generator:
         """Read up to *nbytes* from the handle's offset."""
-        yield from self._count("read")
+        yield from self._enter()
         ip = handle.ip
         yield ip.lock.acquire()
         try:
@@ -898,7 +900,7 @@ class FileSystem:
     @_syscall
     def stat(self, path: str) -> Generator:
         """Return a copy of the inode's attributes."""
-        yield from self._count("stat")
+        yield from self._enter()
         yield from self.cpu.compute(self.costs.time("stat"))
         ip = yield from self.namei(path)
         din = ip.din.copy()
@@ -908,7 +910,7 @@ class FileSystem:
     @_syscall
     def readdir(self, path: str) -> Generator:
         """List the live entry names of a directory (excluding '.', '..')."""
-        yield from self._count("readdir")
+        yield from self._enter()
         dp = yield from self.namei(path)
         if not dp.is_dir:
             self.iput(dp)
@@ -934,7 +936,7 @@ class FileSystem:
     @_syscall
     def truncate(self, path: str) -> Generator:
         """Truncate a regular file to zero length (the O_TRUNC pattern)."""
-        yield from self._count("truncate")
+        yield from self._enter()
         ip = yield from self.namei(path)
         if ip.is_dir:
             self.iput(ip)
@@ -954,7 +956,7 @@ class FileSystem:
     @_syscall
     def fsync(self, handle: OpenFile) -> Generator:
         """SYNCIO: the handle's file is durable when this returns."""
-        yield from self._count("fsync")
+        yield from self._enter()
         yield from self.scheme.fsync(handle.ip)
 
     @_syscall

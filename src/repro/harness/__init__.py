@@ -9,7 +9,6 @@ configuration, and produces rows in the paper's format.  The benchmark suite
 from repro.harness.metrics import RunResult, collect
 from repro.harness.parallel import GridCellError, run_grid
 from repro.harness.runner import (
-    SchemeSpec,
     STANDARD_SCHEMES,
     build_machine,
     flag_variant,
@@ -23,7 +22,6 @@ __all__ = [
     "GridCellError",
     "RunResult",
     "STANDARD_SCHEMES",
-    "SchemeSpec",
     "build_machine",
     "collect",
     "flag_variant",

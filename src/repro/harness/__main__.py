@@ -99,9 +99,9 @@ def trace_main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="tree RNG seed (default: the spec's own)")
     parser.add_argument("--profile", action="store_true",
-                        help="attach the per-layer counting profiler and "
-                             "print the layer breakdown (also writes "
-                             "<slug>.profile.txt next to the trace)")
+                        help="also print the spans folded per layer, and "
+                             "write that table as <slug>.profile.txt next "
+                             "to the trace")
     parser.add_argument("--out", default="results/traces",
                         help="output directory (default results/traces)")
     args = parser.parse_args(argv)
@@ -111,8 +111,6 @@ def trace_main(argv: list[str]) -> int:
     cache = max(1 << 20, int(FULL_CACHE_BYTES * args.scale))
     config = standard_scheme_config(scheme, cache_bytes=cache)
     config.observe = True
-    if args.profile:
-        config.profile = True
 
     captured = {}
     runner = run_copy if args.bench == "copy" else run_remove
@@ -141,8 +139,7 @@ def trace_main(argv: list[str]) -> int:
     print(f"  wrote {flame_path}")
     if args.profile:
         from repro.obs import format_profile_report
-        report = format_profile_report(
-            [(label, machine.obs.snapshot())], title=label)
+        report = format_profile_report(machine.obs, title=label)
         profile_path = outdir / f"{slug}.profile.txt"
         profile_path.write_text(report + "\n")
         print()

@@ -100,7 +100,7 @@ def collect(machine: Machine, users: list[Process], after_request_id: int,
         result.reads = sum(1 for r in window if not r.is_write)
         result.writes = len(window) - result.reads
     if machine.obs is not None:
-        # observed run: fold the metrics registry into the extras so any
-        # instrument can be cited as a report column by name
+        # observed run: fold the named metrics into the extras so any of
+        # them can be cited as a report column by name
         result.extra.update(machine.obs.snapshot())
     return result

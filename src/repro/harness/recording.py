@@ -155,9 +155,4 @@ def record_run(machine: Machine, workload: Generator,
             recorded.media_log.detach(machine.disk)
             if hasattr(machine.scheme, "on_survivor"):
                 machine.scheme.on_survivor = None
-    if capture_media and machine.obs is not None:
-        registry = machine.obs.registry
-        registry.gauge("medialog.windows").set(len(recorded.media_log))
-        registry.gauge("medialog.bytes").set(
-            recorded.media_log.payload_bytes)
     return recorded

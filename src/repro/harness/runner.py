@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.costs import CostModel
@@ -39,14 +39,6 @@ FULL_CACHE_BYTES = 40 * 1024 * 1024
 def scale_factor(default: float = 0.15) -> float:
     """Benchmark scale (1.0 = paper-scale), from ``REPRO_SCALE``."""
     return float(os.environ.get("REPRO_SCALE", default))
-
-
-@dataclass
-class SchemeSpec:
-    """A named scheme configuration (scheme + driver policy + options)."""
-
-    name: str
-    build: Callable[[], MachineConfig]
 
 
 def _config(scheme, policy=None, block_copy=None,

@@ -66,7 +66,6 @@ import json
 import os
 import random
 import sys
-import time
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -346,17 +345,13 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     if monitor:
         if monitor_supported(machine):
             monitor_state = "online"
-            watcher = OrderingMonitor(
-                machine.config.fs_geometry,
-                machine.scheme.crash_guarantees,
-                registry=machine.obs.registry if machine.obs else None)
+            watcher = OrderingMonitor(machine.config.fs_geometry,
+                                      machine.scheme.crash_guarantees)
         else:
             monitor_state = "unsupported"
-    record_start = time.perf_counter()
     recorded = record_run(machine,
                           build_workload(machine, workload, seed, ops),
                           capture_media=True, monitor=watcher)
-    record_wall = time.perf_counter() - record_start
     enumerated = len(_enumerate_raw(recorded, samples_per_write))
     points = enumerate_crash_points(recorded, samples_per_write,
                                     max_points, sample_seed=seed)
@@ -366,7 +361,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         if not points:
             raise ValueError(f"no crash point with index {point} "
                              f"(enumerated {budgeted})")
-    verify_start = time.perf_counter()
     ordered = sorted(points, key=lambda p: (p.time, p.index))
     verify = functools.partial(
         _verify_chunk, recorded.base_image, recorded.media_log,
@@ -382,7 +376,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         on_heartbeat=on_heartbeat)
     findings = [finding for chunk in per_chunk.values() for finding in chunk]
     findings.sort(key=lambda f: f.index)
-    verify_wall = time.perf_counter() - verify_start
     return ExplorationReport(
         scheme=scheme, workload=workload, seed=seed,
         guarantees=machine.scheme.crash_guarantees, findings=findings,
@@ -391,7 +384,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         fault_profile=fault_profile, fault_seed=fault_seed,
         enumerated_points=enumerated,
         max_points=max_points, jobs=jobs,
-        record_wall_seconds=record_wall, verify_wall_seconds=verify_wall,
         log_bytes=recorded.media_log.payload_bytes,
         sim_events=recorded.events_processed,
         monitor=monitor_state,

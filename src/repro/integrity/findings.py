@@ -58,9 +58,6 @@ class ExplorationReport:
     max_points: int | None = None
     #: verification pool size
     jobs: int = 1
-    #: wall-clock split: the single recording run vs point verification
-    record_wall_seconds: float = 0.0
-    verify_wall_seconds: float = 0.0
     #: media write-log payload bytes held during the sweep
     log_bytes: int = 0
     #: engine events processed by the recording run
@@ -82,16 +79,6 @@ class ExplorationReport:
     def sampled(self) -> bool:
         """True when the budget truncated the enumeration."""
         return 0 < self.points < self.enumerated_points
-
-    @property
-    def points_per_second(self) -> float:
-        if self.verify_wall_seconds <= 0.0:
-            return 0.0
-        return self.points / self.verify_wall_seconds
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.record_wall_seconds + self.verify_wall_seconds
 
     @property
     def violation_counts(self) -> Counter:
@@ -164,14 +151,7 @@ class ExplorationReport:
                 f"declaration{monitor}")
 
     def format(self, max_examples: int = 5) -> str:
-        lines = [self.summary()]
-        if self.wall_seconds > 0.0:
-            lines.append(
-                f"verification: {self.points_per_second:.0f} points/s "
-                f"({self.record_wall_seconds:.2f}s record + "
-                f"{self.verify_wall_seconds:.2f}s verify, "
-                f"jobs={self.jobs})")
-        lines.append("")
+        lines = [self.summary(), ""]
         counts = self.violation_counts
         if counts:
             lines.append("violations by invariant:")
@@ -230,9 +210,6 @@ class ExplorationReport:
             "max_points": self.max_points,
             "sampled": self.sampled,
             "jobs": self.jobs,
-            "record_wall_seconds": self.record_wall_seconds,
-            "verify_wall_seconds": self.verify_wall_seconds,
-            "points_per_second": self.points_per_second,
             "log_bytes": self.log_bytes,
             "write_windows": self.write_windows,
             "quiesce_time": self.quiesce_time,

@@ -85,14 +85,6 @@ def read_image_frags(image: SectorStore, geo: FSGeometry,
     return image.read(daddr * spf, frags * spf)
 
 
-def read_image_inode(image: SectorStore, geo: FSGeometry,
-                     ino: int) -> Dinode:
-    block = read_image_frags(image, geo, geo.inode_block_daddr(ino),
-                             geo.frags_per_block)
-    at = geo.inode_offset_in_block(ino)
-    return Dinode.unpack(block[at:at + INODE_SIZE])
-
-
 def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
                    cg: int) -> list[tuple[int, Dinode]]:
     """All allocated dinodes of one cylinder group, ascending.
@@ -325,13 +317,6 @@ class _Checker:
         self.geo = geometry
         self.report = FsckReport()
         self.claims: dict[int, int] = {}  # fragment daddr -> claiming ino
-
-    # -- raw readers ------------------------------------------------------
-    def read_frags(self, daddr: int, frags: int) -> bytes:
-        return read_image_frags(self.image, self.geo, daddr, frags)
-
-    def read_inode(self, ino: int) -> Dinode:
-        return read_image_inode(self.image, self.geo, ino)
 
     # -- phase 1: inodes and block claims ------------------------------------
     def scan_inodes(self) -> None:

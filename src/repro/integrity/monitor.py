@@ -183,17 +183,12 @@ class OrderingMonitor:
     """
 
     def __init__(self, geometry: FSGeometry,
-                 guarantees: CrashGuarantees = SAFE_DEFAULT,
-                 registry=None) -> None:
+                 guarantees: CrashGuarantees = SAFE_DEFAULT) -> None:
         self.geo = geometry
         self.guarantees = guarantees
         self.violations: list[OrderingViolation] = []
         self.windows_seen = 0
         self.commits_applied = 0
-        self._m_windows = (registry.counter("monitor.windows")
-                           if registry is not None else None)
-        self._m_violations = (registry.counter("monitor.violations")
-                              if registry is not None else None)
         # shadow image + derived structural state (set at attach)
         self._image = None
         self._sector_size = 0
@@ -269,8 +264,6 @@ class OrderingMonitor:
             self._chained(lbn, data, transfer_start, sector_period, end,
                           durable)
         self.windows_seen += 1
-        if self._m_windows is not None:
-            self._m_windows.inc()
         if not durable:
             return  # a transient fault's pass left nothing on the platters
         self.commits_applied += 1
@@ -284,8 +277,6 @@ class OrderingMonitor:
             rule=rule, message=message, when=when, lbn=lbn,
             nsectors=nsectors,
             expected=self.guarantees.allows_corruption))
-        if self._m_violations is not None:
-            self._m_violations.inc()
 
     def _fire_once(self, key: tuple, rule: str, message: str) -> None:
         """Fire on the transition into a (persisting) bad state."""

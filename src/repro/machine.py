@@ -67,13 +67,10 @@ class MachineConfig:
     syncer_passes: int = 10
     #: force the block-copy setting instead of the scheme's preference
     block_copy: Optional[bool] = None
-    #: enable the repro.obs tracing + metrics layer (off by default; a
-    #: traced run is simulation-identical to an untraced one, just slower
-    #: on the host)
+    #: record spans and expose ``machine.obs`` (off by default; a traced
+    #: run is simulation-identical to an untraced one, just slower on the
+    #: host)
     observe: bool = False
-    #: attach the per-layer counting profiler (implies ``observe``;
-    #: profiled runs are simulation-identical, tests/obs/test_profiler.py)
-    profile: bool = False
     #: make the disk unreliable (None = the perfect disk; a plan with all
     #: rates zero is byte-identical to None -- tests/faults proves it)
     faults: Optional[FaultPlan] = None
@@ -92,10 +89,8 @@ class Machine:
             cfg.fs_geometry = with_journal(cfg.fs_geometry)
         self.engine = Engine()
         # observability is installed before any component is built so each
-        # one can capture its instruments (or None) exactly once
-        self.obs = Observability(self.engine,
-                                 profile=cfg.profile).attach(self.engine) \
-            if (cfg.observe or cfg.profile) else None
+        # one can capture it (or None) exactly once
+        self.obs = Observability(self) if cfg.observe else None
         self.cpu = CPU(self.engine)
         self.costs = cfg.costs
         self.disk = Disk(self.engine, geometry=cfg.disk_geometry,

@@ -2,9 +2,11 @@
 
 Enable by building the machine with ``MachineConfig(observe=True)``; every
 layer then records spans (syscall -> buffer cache -> ordering decision ->
-driver queue -> drive mechanics) and updates named metrics.  Tracing is
-strictly passive -- it never touches the event heap -- so a traced run
-produces byte-identical simulated behaviour to an untraced one
+driver queue -> drive mechanics).  The metrics need no enabling: each layer
+counts into its own plain attributes on every run, and
+``machine.obs.snapshot()`` reads them by name (:mod:`repro.obs.registry`).
+Tracing is strictly passive -- it never touches the event heap -- so a
+traced run produces byte-identical simulated behaviour to an untraced one
 (``tests/obs/test_equivalence.py``).
 
 Exports: Perfetto/Chrome ``trace_event`` JSON (:mod:`repro.obs.export`) and
@@ -20,36 +22,28 @@ from repro.obs.export import (
     validate_trace_file,
     write_trace,
 )
-from repro.obs.flame import category_totals, coverage, flame_summary, summarize
-from repro.obs.profiler import (
+from repro.obs.flame import (
     CATEGORY_LAYER,
     LAYERS,
-    LayerProfiler,
+    category_totals,
+    coverage,
+    flame_summary,
     format_profile_report,
     profile_rows,
+    summarize,
 )
-from repro.obs.registry import (
-    TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import METRICS, TIMINGS
 from repro.obs.session import Observability
 from repro.obs.tracer import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "CATEGORY_LAYER",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "LAYERS",
-    "LayerProfiler",
-    "MetricsRegistry",
+    "METRICS",
     "NULL_SPAN",
     "Observability",
     "Span",
-    "TIME_BUCKETS",
+    "TIMINGS",
     "TraceFormatError",
     "Tracer",
     "category_totals",

@@ -10,6 +10,15 @@ missing data.
 
 Async spans (driver queue residencies) overlap and are reported as category
 totals only, not folded into the nesting.
+
+:func:`profile_rows` is the same fold seen per layer -- ``vfs``, ``cache``,
+``scheme``, ``driver``, ``drive``, ``kernel`` -- and
+``python -m repro.harness trace <bench> --profile`` renders it.  **Sim
+self-time** is exact: each closed sync span contributes its duration minus
+its children's, so a syscall's cache waits land under ``cache``, not
+``vfs``; async spans are counted, never folded.  This is *simulated* time;
+where the simulator's own host time goes is ``bench/``'s question (its
+``cProfile`` layer fold), not this table's.
 """
 
 from __future__ import annotations
@@ -22,10 +31,28 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Span
 
 
+#: the fixed attribution targets of :func:`profile_rows`, pipeline order
+LAYERS = ("vfs", "cache", "scheme", "driver", "drive", "kernel")
+
+#: span category -> layer (the syncer is part of the cache layer: its
+#: sweeps exist to push the cache's delayed writes); anything else is
+#: ``kernel``
+CATEGORY_LAYER = {
+    "syscall": "vfs",
+    "cache": "cache",
+    "syncer": "cache",
+    "ordering": "scheme",
+    "driver": "driver",
+    "disk": "drive",
+}
+
+
 @dataclass
 class PathStat:
     """Aggregate for one name-path (e.g. ``syscall.create;cache.bread``)."""
 
+    #: span category of the path's last name
+    cat: str = ""
     total: float = 0.0
     self_time: float = 0.0
     count: int = 0
@@ -73,7 +100,7 @@ def _fold_track(track: str, spans: list) -> TrackSummary:
             child_time[parent.id] = child_time.get(parent.id, 0.0) \
                 + span.duration
         path_of[span.id] = path
-        stat = summary.paths.setdefault(path, PathStat())
+        stat = summary.paths.setdefault(path, PathStat(cat=span.cat))
         stat.total += span.duration
         stat.count += 1
     for span in spans:
@@ -127,9 +154,8 @@ def flame_summary(obs: "Observability", label: str = "",
     if dropped:
         lines.append(f"WARNING: {dropped} spans dropped at the "
                      f"{obs.tracer.max_spans}-span cap -- totals below "
-                     f"undercount (raise tracer.max_spans before the "
-                     f"run, or rely on the profile.* metrics, which keep "
-                     f"counting past the cap)")
+                     f"undercount, the --profile table included (raise "
+                     f"tracer.max_spans before the run)")
         lines.append("")
     lines.append("Category totals (simulated seconds):")
     for cat, (total, count) in sorted(category_totals(obs).items(),
@@ -156,3 +182,32 @@ def flame_summary(obs: "Observability", label: str = "",
                 else str(value)
             lines.append(f"  {name:<32} {rendered}")
     return "\n".join(lines)
+
+
+def profile_rows(obs: "Observability") -> list:
+    """``[(layer, spans, sim_self, share)]``, one row per :data:`LAYERS`.
+
+    Span counts cover every closed span; sim self-time is the fold's, so
+    driver queue residencies (async) count as spans and add no time.
+    """
+    counts = dict.fromkeys(LAYERS, 0)
+    sims = dict.fromkeys(LAYERS, 0.0)
+    for cat, (_total, count) in category_totals(obs).items():
+        counts[CATEGORY_LAYER.get(cat, "kernel")] += count
+    for summary in summarize(obs).values():
+        for stat in summary.paths.values():
+            sims[CATEGORY_LAYER.get(stat.cat, "kernel")] += stat.self_time
+    total = sum(sims.values())
+    return [(layer, counts[layer], sims[layer],
+             sims[layer] / total if total > 0 else 0.0) for layer in LAYERS]
+
+
+def format_profile_report(obs: "Observability", title: str = "") -> str:
+    """The per-layer breakdown table ``trace --profile`` prints."""
+    header = title or "Per-layer profile (sim self-time)"
+    lines = [header, "=" * len(header), "",
+             f"  {'layer':<8}{'spans':>9}{'sim self (s)':>14}{'share':>8}"]
+    for layer, spans, sim, share in profile_rows(obs):
+        lines.append(f"  {layer:<8}{spans:>9}{sim:>14.6f}"
+                     f"{100 * share:>7.1f}%")
+    return "\n".join(lines) + "\n"

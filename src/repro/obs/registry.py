@@ -1,155 +1,123 @@
-"""Named counters, gauges, and fixed-bucket histograms.
+"""The metric names: one table, read from the layers' own counters.
 
-Components register instruments once (at construction, when the machine was
-built with observability on) and update them through direct attribute calls
--- no name lookup on the hot path.  When observability is off, components
-hold ``None`` instead of an instrument and skip the update behind a single
-``is not None`` check, which is what keeps the disabled overhead within the
-budget documented in ``docs/observability.md``.
+A layer counts into its own plain attributes, always (``cache.hits``,
+``driver.retries``, ``disk.stats`` ...); nothing in a layer knows this
+module exists.  :data:`METRICS` and :data:`TIMINGS` name every number a
+traced run reports and say where to read it; :func:`snapshot` evaluates them
+against one machine into the flat ``{name: number}`` dict that rides
+``RunResult.extra``, the flame summary and the exported trace.
+``docs/observability.md`` lists the same names;
+``tests/test_metric_census.py`` holds the two together.
 
-``snapshot()`` flattens everything into a plain ``{name: number}`` dict
-(histograms contribute ``name.count`` / ``name.sum`` / ``name.avg``) so the
-harness can merge it into ``RunResult.extra`` and benchmark tables can cite
-any metric by name.
+A :data:`METRICS` getter that returns ``None`` leaves its name out: the
+soft-updates rows under every other scheme, and the names that appear only
+once counted (syscalls, ordering decisions, recovery), so a fault-free
+snapshot carries no fault names and a scheme's snapshot no other scheme's
+decisions.  A :data:`TIMINGS` getter returns ``(count, seconds)``, reported
+as ``name.count`` / ``name.sum`` / ``name.avg``.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable
 
-#: default latency buckets (simulated seconds): 100us .. 10s, decade thirds
-TIME_BUCKETS = (0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03,
-                0.1, 0.3, 1.0, 3.0, 10.0)
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
-
-class Counter:
-    """A monotonically increasing value (int or float)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
+def _manager(name: str) -> Callable:
+    """A soft-updates manager counter (None: the scheme has no manager)."""
+    return lambda m: getattr(getattr(m.scheme, "manager", None), name, None)
 
 
-class Gauge:
-    """A point-in-time value, with high-watermark convenience."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def track_max(self, value) -> None:
-        if value > self.value:
-            self.value = value
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value}>"
+def _syscall(name: str) -> tuple:
+    """Calls of one syscall, absent until the first."""
+    return (f"syscall.{name}", lambda m: m.fs.op_counts.get(name))
 
 
-class Histogram:
-    """Fixed upper-bound buckets plus count/sum (Prometheus-style).
-
-    ``counts[i]`` is the number of observations ``<= bounds[i]``
-    (non-cumulative storage; cumulated at snapshot time); the final slot
-    counts overflows.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "count")
-
-    def __init__(self, name: str, bounds: Sequence[float] = TIME_BUCKETS) -> None:
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must ascend: {bounds}")
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    @property
-    def avg(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def bucket_rows(self) -> list[tuple[str, int]]:
-        """(label, count) per bucket, overflow last; for reports."""
-        rows = [(f"<={bound:g}", count)
-                for bound, count in zip(self.bounds, self.counts)]
-        rows.append((f">{self.bounds[-1]:g}", self.counts[-1]))
-        return rows
-
-    def __repr__(self) -> str:
-        return f"<Histogram {self.name} n={self.count} avg={self.avg:.6f}>"
+def _decision(name: str) -> tuple:
+    """An ordering scheme's named count, absent until first counted."""
+    return (name, lambda m: m.scheme.counts.get(name))
 
 
-class MetricsRegistry:
-    """Create-or-get registry of named instruments."""
+def _completed(is_write: bool) -> Callable:
+    """Completed requests of one direction, off the driver's trace."""
+    return lambda m: sum(request.is_write is is_write
+                         for request in m.driver.trace)
 
-    def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
-        if instrument is None:
-            self._check_free(name)
-            instrument = self.counters[name] = Counter(name)
-        return instrument
+def _queue_wait(m: "Machine") -> tuple:
+    # summed left to right, in completion order, like every other total
+    # here (the builtin sum() compensates on some Python versions)
+    total = 0.0
+    for request in m.driver.trace:
+        total += request.queue_delay
+    return len(m.driver.trace), total
 
-    def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            self._check_free(name)
-            instrument = self.gauges[name] = Gauge(name)
-        return instrument
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = TIME_BUCKETS) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            self._check_free(name)
-            instrument = self.histograms[name] = Histogram(name, bounds)
-        elif tuple(bounds) != instrument.bounds:
-            raise ValueError(
-                f"histogram {name!r} re-registered with different bounds")
-        return instrument
+#: ``(name, getter(machine))`` in reporting order.  The order is the
+#: one the copy and remove benchmarks first count things in (``mkdir``
+#: opens both, the first ordering decision falls inside it), which keeps
+#: an exported trace byte-comparable with the records made so far.
+METRICS = (
+    ("engine.events", attrgetter("engine.events_processed")),
+    ("tracer.spans_dropped", attrgetter("obs.tracer.dropped")),
+    ("disk.seek_time", attrgetter("disk.stats.seek_time")),
+    ("disk.rotation_time", attrgetter("disk.stats.rotation_time")),
+    ("disk.transfer_time", attrgetter("disk.stats.transfer_time")),
+    ("disk.cache_hit_reads", attrgetter("disk.stats.cache_hit_reads")),
+    ("driver.reads", _completed(False)),
+    ("driver.writes", _completed(True)),
+    ("driver.flagged_writes", attrgetter("driver.flagged_writes")),
+    ("driver.batches", attrgetter("driver.batches")),
+    ("cache.lock_waits", attrgetter("cache.lock_waits")),
+    ("cache.hits", attrgetter("cache.hits")),
+    ("cache.misses", attrgetter("cache.misses")),
+    ("cache.forced_flushes", attrgetter("cache.flushes_forced")),
+    ("cache.reclaim_waits", attrgetter("cache.reclaim_waits")),
+    ("syncer.wakeups", attrgetter("syncer.wakeups")),
+    ("syncer.writes_started", attrgetter("syncer.writes_started")),
+    ("syncer.workitems", attrgetter("syncer.workitems_run")),
+    ("syncer.sweep_dirty", attrgetter("syncer.sweep_dirty")),
+    ("softupdates.rollbacks", _manager("rollbacks")),
+    ("softupdates.deps_created", _manager("deps_created")),
+    ("softupdates.cancelled_adds", _manager("cancelled_adds")),
+    ("softupdates.workitems", _manager("workitems_serviced")),
+    _syscall("mkdir"),
+    *map(_decision, ("ordering.sync_stall", "ordering.journal_commit",
+                     "ordering.delayed_writes", "ordering.flag_tags",
+                     "ordering.chain_links", "journal.commits",
+                     "journal.checkpoints", "journal.degraded")),
+    *map(_syscall, ("create", "write", "close", "sync", "readdir", "stat",
+                    "open", "read", "unlink", "rmdir", "link", "rename",
+                    "truncate", "fsync")),
+    ("driver.retries", lambda m: m.driver.retries or None),
+    ("disk.faults",
+     lambda m: m.disk.stats.read_faults + m.disk.stats.write_faults or None),
+    ("engine.heap_peak", attrgetter("obs.heap_peak")),
+    ("driver.queue_peak", attrgetter("driver.queue_peak")),
+)
 
-    def _check_free(self, name: str) -> None:
-        if name in self.counters or name in self.gauges \
-                or name in self.histograms:
-            raise ValueError(
-                f"metric {name!r} already registered as another type")
+#: ``(name, getter(machine) -> (count, seconds))``, reported after the above
+TIMINGS = (
+    ("disk.service_time", lambda m: (m.disk.stats.service_times.count,
+                                     m.disk.stats.service_times.total)),
+    ("driver.queue_wait", _queue_wait),
+    ("cache.lock_wait", lambda m: (m.cache.lock_waits,
+                                   m.cache.lock_wait_time)),
+)
 
-    def snapshot(self) -> dict:
-        """Flatten every instrument into ``{name: number}``."""
-        flat: dict = {}
-        for name, counter in self.counters.items():
-            flat[name] = counter.value
-        for name, gauge in self.gauges.items():
-            flat[name] = gauge.value
-        for name, histogram in self.histograms.items():
-            flat[f"{name}.count"] = histogram.count
-            flat[f"{name}.sum"] = histogram.total
-            flat[f"{name}.avg"] = histogram.avg
-        return flat
 
-    def __repr__(self) -> str:
-        n = (len(self.counters) + len(self.gauges) + len(self.histograms))
-        return f"<MetricsRegistry instruments={n}>"
+def snapshot(machine: "Machine") -> dict:
+    """Evaluate the two tables against *machine*: ``{name: number}``."""
+    flat: dict = {}
+    for name, get in METRICS:
+        value = get(machine)
+        if value is not None:
+            flat[name] = value
+    for name, get in TIMINGS:
+        count, total = get(machine)
+        flat[f"{name}.count"] = count
+        flat[f"{name}.sum"] = total
+        flat[f"{name}.avg"] = total / count if count else 0.0
+    return flat

@@ -21,9 +21,9 @@ residencies, in-flight writes -- are recorded as *async* spans
 Memory is bounded: the span list stops growing at ``max_spans`` (default
 :data:`DEFAULT_MAX_SPANS`; pass the constructor another value or assign
 ``tracer.max_spans`` before the run).  Past the cap, spans still *behave*
-normally -- ids advance, nesting stacks stay consistent, the per-layer
-profiler keeps counting -- but they are not retained; ``Tracer.dropped`` counts them (mirrored into
-the ``tracer.spans_dropped`` metric and flagged by the flame summary), so
+normally -- ids advance, nesting stacks stay consistent -- but they are not
+retained; ``Tracer.dropped`` counts them (reported as the
+``tracer.spans_dropped`` metric and flagged by the flame summary), so
 always-on tracing over million-event sweeps degrades to a warning instead
 of exhausting RAM.
 """
@@ -125,20 +125,11 @@ class Tracer:
         self.max_spans = max_spans
         #: spans not retained because the cap was hit
         self.dropped = 0
-        #: optional metrics Counter mirroring ``dropped`` (wired by
-        #: :class:`~repro.obs.session.Observability`)
-        self.dropped_counter = None
-        #: optional :class:`~repro.obs.profiler.LayerProfiler`, called as
-        #: every span closes -- including spans the cap dropped, so the
-        #: layer attribution stays exact past the cap
-        self.profiler = None
 
     def _retain(self, span: Span) -> None:
         """Append *span* unless the cap is hit (then count the drop)."""
         if self.max_spans > 0 and len(self.spans) >= self.max_spans:
             self.dropped += 1
-            if self.dropped_counter is not None:
-                self.dropped_counter.inc()
             return
         self.spans.append(span)
 
@@ -179,7 +170,6 @@ class Tracer:
         if args:
             span.args = {**(span.args or {}), **args}
         stack = self._stacks.get(span.track)
-        profiler = self.profiler
         if stack and span in stack:
             # close any children left open (crash/exception unwind)
             while stack:
@@ -188,10 +178,6 @@ class Tracer:
                     break
                 if not top.closed:
                     top.end = self.engine.now
-                    if profiler is not None:
-                        profiler.close(top)
-        if profiler is not None:
-            profiler.close(span)
         return span
 
     def span(self, name: str, cat: str, track: Optional[str] = None,
@@ -214,8 +200,6 @@ class Tracer:
         span = Span(self._next_id, name, cat, track, start, parent, args)
         span.end = end
         self._retain(span)
-        if self.profiler is not None:
-            self.profiler.close(span)
         return span
 
     def record_async(self, name: str, cat: str, start: float, end: float,
@@ -230,8 +214,6 @@ class Tracer:
                     async_id=async_id)
         span.end = end
         self._retain(span)
-        if self.profiler is not None:
-            self.profiler.close(span)
         return span
 
     # -- introspection ---------------------------------------------------

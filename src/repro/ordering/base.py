@@ -78,34 +78,36 @@ class OrderingScheme:
             self.alloc_init = alloc_init
         self.fs: "FileSystem" = None  # set by attach()
         self._obs = None  # set by attach() when the machine observes
+        #: ordering decisions by name (``ordering.sync_stall``,
+        #: ``journal.commits`` ...); a name appears when first counted
+        self.counts: dict[str, int] = {}
 
     def attach(self, fs: "FileSystem") -> None:
         """Bind to the mounted file system (called once at mount)."""
         self.fs = fs
         self._obs = fs.engine.obs
 
-    # -- observability helpers (no-ops when tracing is off) ---------------
-    def _bump(self, name: str, amount=1) -> None:
-        """Increment the registry counter *name* when tracing is on."""
-        if self._obs is not None:
-            self._obs.registry.counter(name).inc(amount)
+    # -- decision accounting ------------------------------------------------
+    def _bump(self, name: str, amount: int = 1) -> None:
+        """Count *amount* ordering decisions under *name*."""
+        self.counts[name] = self.counts.get(name, 0) + amount
 
     def _ordered_wait(self, gen: Generator, kind: str,
                       **info) -> Generator:
-        """Run *gen* -- a blocking ordering write -- inside an
-        ``ordering.<kind>`` span, counting ``ordering.<kind>``.
+        """Run *gen* -- a blocking ordering write -- counting
+        ``ordering.<kind>`` and, when tracing, inside a span of that name.
 
         This is how a scheme's *decision* (stall the process, tag a flag,
         link a chain) shows up on the timeline.  With tracing off the
         generator runs untouched.
         """
+        name = f"ordering.{kind}"
+        self._bump(name)
         obs = self._obs
         if obs is None:
             result = yield from gen
             return result
-        obs.registry.counter(f"ordering.{kind}").inc()
-        span = obs.tracer.begin(f"ordering.{kind}", "ordering",
-                                args=info or None)
+        span = obs.tracer.begin(name, "ordering", args=info or None)
         try:
             result = yield from gen
         finally:

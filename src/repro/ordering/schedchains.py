@@ -171,18 +171,6 @@ class SchedulerChainsScheme(OrderingScheme):
         if self._freed_inodes.get(ino) == request_id:
             del self._freed_inodes[ino]
 
-    def _inherit_freed_frag(self, daddr: int, frags: int, buf) -> None:
-        """New owner of a recently freed run depends on the old reset write.
-
-        "In fact, we make the newly allocated block itself dependent on the
-        old owner.  This prevents new data from being added to the old file
-        due to untimely system failure."
-        """
-        for fragment in range(daddr, daddr + frags):
-            pending = self._freed_frags.get(fragment)
-            if pending is not None:
-                buf.flush_deps.add(pending)
-
     def _inherit_freed_inode(self, ino: int, ibuf) -> None:
         pending = self._freed_inodes.get(ino)
         if pending is not None:

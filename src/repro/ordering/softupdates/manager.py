@@ -69,19 +69,9 @@ class SoftDepManager:
         self.deps_created = 0
         #: failed writes whose dependency batch was put back in play
         self.requeues = 0
-        obs = fs.engine.obs
-        self._obs = obs
-        if obs is not None:
-            registry = obs.registry
-            self._m_rollbacks = registry.counter("softupdates.rollbacks")
-            self._m_deps = registry.counter("softupdates.deps_created")
-            self._m_cancelled = registry.counter("softupdates.cancelled_adds")
-            self._m_workitems = registry.counter("softupdates.workitems")
-        else:
-            self._m_rollbacks = None
-            self._m_deps = None
-            self._m_cancelled = None
-            self._m_workitems = None
+        #: deferred workitems run by :meth:`service`
+        self.workitems_serviced = 0
+        self._obs = fs.engine.obs
         self._daemon = fs.engine.process(self._run(), name="softdep")
 
     # ==================================================================
@@ -128,8 +118,6 @@ class SoftDepManager:
                      data_buf) -> AllocDep:
         """allocdirect/allocindirect + allocsafe for a fresh block pointer."""
         self.deps_created += 1
-        if self._m_deps is not None:
-            self._m_deps.inc()
         if owner_kind == "inode":
             dep = AllocDep(owner=("inode", ip.ino), slot=slot,
                            new_daddr=new_daddr, old_daddr=old_daddr,
@@ -150,8 +138,6 @@ class SoftDepManager:
     def record_add(self, dbuf, offset_in_block: int, ip, ibuf) -> None:
         """add/addsafe: entry must wait for the inode write."""
         self.deps_created += 1
-        if self._m_deps is not None:
-            self._m_deps.inc()
         add = DirAdd(dir_daddr=dbuf.daddr, offset=offset_in_block, ino=ip.ino)
         self.pagedeps.setdefault(
             dbuf.daddr, PageDepState(dbuf.daddr)).adds[offset_in_block] = add
@@ -174,15 +160,11 @@ class SoftDepManager:
                 del pagedep.adds[offset_in_block]
                 self._drop_pending_add(add)
                 self.cancelled_adds += 1
-                if self._m_cancelled is not None:
-                    self._m_cancelled.inc()
                 if pagedep.empty:
                     del self.pagedeps[dbuf.daddr]
                 self._maybe_untrack(dbuf.daddr)
                 return True
         self.deps_created += 1
-        if self._m_deps is not None:
-            self._m_deps.inc()
         self.pagedeps.setdefault(
             dbuf.daddr, PageDepState(dbuf.daddr)).removes.append(DirRem(ip))
         self.track(dbuf, "dir")
@@ -192,8 +174,6 @@ class SoftDepManager:
                     ino: Optional[int]) -> None:
         """freeblocks/freefile: bitmap bits clear after the reset write."""
         self.deps_created += 1
-        if self._m_deps is not None:
-            self._m_deps.inc()
         self._inodedep(ip.ino).frees.append(FreeWork(runs=list(runs), ino=ino))
         self.track(ibuf, "inode")
 
@@ -339,8 +319,7 @@ class SoftDepManager:
                     batch.rolled_back = True
                     self.rollbacks += 1
         rolled = self.rollbacks - rollbacks_before
-        if self._m_rollbacks is not None and rolled:
-            self._m_rollbacks.inc(rolled)
+        if self._obs is not None and rolled:
             # zero-length marker so rollbacks are visible on the timeline
             now = self.fs.engine.now
             tracer = self._obs.tracer
@@ -506,10 +485,10 @@ class SoftDepManager:
         while budget > 0 and self.workitems:
             item = self.workitems.popleft()
             budget -= 1
-            if self._m_workitems is None:
+            self.workitems_serviced += 1
+            if self._obs is None:
                 yield from item()
             else:
-                self._m_workitems.inc()
                 span = self._obs.tracer.begin("softupdates.workitem",
                                               "ordering")
                 try:

@@ -11,8 +11,7 @@ Public surface:
 * :class:`Engine` -- the event loop and clock.
 * :class:`Event`, :class:`Timeout` -- one-shot occurrences.
 * :class:`Process` -- a running coroutine; itself an event (joinable).
-* :class:`Lock`, :class:`Semaphore`, :class:`WaitQueue`, :class:`FIFOQueue`
-  -- synchronisation primitives.
+* :class:`Lock`, :class:`WaitQueue` -- synchronisation primitives.
 * :class:`CPU` -- a single-server compute resource with per-process
   accounting, used to model the 33 MHz i486 of the paper's testbed.
 
@@ -24,18 +23,16 @@ it not being swappable.
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessCrashed
-from repro.sim.primitives import FIFOQueue, Lock, Semaphore, WaitQueue
+from repro.sim.primitives import Lock, WaitQueue
 from repro.sim.cpu import CPU
 
 __all__ = [
     "CPU",
     "Engine",
     "Event",
-    "FIFOQueue",
     "Lock",
     "Process",
     "ProcessCrashed",
-    "Semaphore",
     "SimulationError",
     "Timeout",
     "WaitQueue",

@@ -29,8 +29,7 @@ SAFE_SCHEMES = ["conventional", "flag", "chains", "softupdates"]
 
 def make_machine(scheme_name="noorder", geometry=SMALL_GEOMETRY,
                  cache_bytes=2 * 1024 * 1024, free_cpu=True, observe=False,
-                 profile=False, faults=None,
-                 **scheme_kwargs):
+                 faults=None, **scheme_kwargs):
     """A formatted machine with the given scheme mounted."""
     scheme = SCHEME_FACTORIES[scheme_name](**scheme_kwargs)
     config = MachineConfig(
@@ -39,7 +38,6 @@ def make_machine(scheme_name="noorder", geometry=SMALL_GEOMETRY,
         cache_bytes=cache_bytes,
         costs=CostModel(scale=0.0 if free_cpu else 1.0),
         observe=observe,
-        profile=profile,
         faults=faults,
     )
     machine = Machine(config)

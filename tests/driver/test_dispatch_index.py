@@ -40,9 +40,6 @@ class ReferenceDriver(DeviceDriver):
     def _after_completions(self, batch):
         pass
 
-    def _recheck_generic_eligible(self):
-        pass
-
     def _select_batch(self):
         pool = {}
         for request in self._pending.values():
@@ -84,16 +81,6 @@ class ReferenceDriver(DeviceDriver):
             total += prev.nsectors
             cursor = prev.lbn
         return batch
-
-
-class GenericFlagPolicy(FlagPolicy):
-    """A flag policy that declares no structure: exercises the fallback
-    path where the driver conservatively rechecks held requests."""
-
-    def __init__(self, semantics, read_bypass=False):
-        super().__init__(semantics, read_bypass=read_bypass)
-        self.eligibility = "generic"
-        self.conflict_checked_reads = False
 
 
 def replay(driver_cls, policy_factory, seed, nops=120):
@@ -144,7 +131,6 @@ POLICIES = [
     ("full", lambda: FlagPolicy(FlagSemantics.FULL)),
     ("full-nr", lambda: FlagPolicy(FlagSemantics.FULL, read_bypass=True)),
     ("chains", ChainsPolicy),
-    ("generic", lambda: GenericFlagPolicy(FlagSemantics.PART)),
 ]
 
 
@@ -160,6 +146,19 @@ class TestReferenceEquivalence:
         fast = replay(DeviceDriver, factory, seed)
         reference = replay(ReferenceDriver, factory, seed)
         assert fast == reference
+
+    def test_policy_must_declare_its_eligibility(self):
+        """The index has no fallback scan: a policy that names none of the
+        three wake-up structures is refused when the driver is built."""
+        from repro.driver.ordering import OrderingPolicy
+
+        class Undeclared(OrderingPolicy):
+            def may_dispatch(self, request):
+                return True
+
+        engine = Engine()
+        with pytest.raises(ValueError, match="eligibility"):
+            DeviceDriver(engine, Disk(engine), Undeclared())
 
 
 class TestBackwardTieBreak:

@@ -117,6 +117,14 @@ class TestBudgetedSweeps:
         parallel = small_sweep("chains", max_points=16, jobs=2)
         assert serial.findings == parallel.findings
 
+    def test_report_is_a_function_of_the_seed(self):
+        """No host clock inside a simulated report: the same sweep twice
+        prints byte for byte the same text and the same JSON."""
+        first = small_sweep("noorder", max_points=16)
+        second = small_sweep("noorder", max_points=16)
+        assert first.format() == second.format()
+        assert first.to_dict() == second.to_dict()
+
     def test_default_sweep_synthesizes_with_zero_replays(self):
         report = small_sweep("conventional", max_points=16)
         assert report.mode == "synthesize"

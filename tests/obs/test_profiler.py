@@ -1,82 +1,73 @@
-"""The per-layer counting profiler: attribution sanity, conservation
-against the offline flame fold, report rendering, and the determinism
-discipline -- a profiled run is the same simulation as a bare one."""
+"""The per-layer table (``trace --profile``): attribution sanity, report
+rendering, and the determinism discipline -- the table is a view of the
+retained spans, and a traced run is the same simulation as a bare one."""
 
 import pytest
 
-from repro.obs import (
-    LAYERS,
-    flame_summary,
-    format_profile_report,
-    profile_rows,
-    summarize,
-)
+from repro.obs import LAYERS, format_profile_report, profile_rows
 from tests.conftest import SCHEME_FACTORIES, make_machine, run_user
 from tests.obs.test_equivalence import churn, driver_trace_digest
 
 
-def run_profiled(scheme_name, profile=True, max_spans=None):
-    machine = make_machine(scheme_name, free_cpu=False, observe=profile,
-                           profile=profile)
-    if max_spans is not None:
-        machine.obs.tracer.max_spans = max_spans
+def run_profiled(scheme_name, profile=True):
+    machine = make_machine(scheme_name, free_cpu=False, observe=profile)
     run_user(machine, churn(machine)(), name="user0")
     machine.sync_and_settle()
     return machine
 
 
+def rows_by_layer(machine):
+    return {layer: (spans, sim)
+            for layer, spans, sim, _share in profile_rows(machine.obs)}
+
+
 class TestAttribution:
     def test_layers_see_their_time(self):
-        snapshot = run_profiled("softupdates").obs.snapshot()
+        rows = rows_by_layer(run_profiled("softupdates"))
         # syscalls, cache waits and drive mechanics all burned sim time
-        assert snapshot["profile.vfs.sim"] > 0
-        assert snapshot["profile.cache.sim"] > 0
-        assert snapshot["profile.drive.sim"] > 0
+        assert rows["vfs"][1] > 0
+        assert rows["cache"][1] > 0
+        assert rows["drive"][1] > 0
         # driver queue residencies are async: counted, never folded
-        assert snapshot["profile.driver.spans"] > 0
-        assert snapshot["profile.driver.sim"] == 0.0
+        assert rows["driver"][0] > 0
+        assert rows["driver"][1] == 0.0
         for layer in LAYERS:
-            assert snapshot[f"profile.{layer}.sim"] >= 0.0
+            assert rows[layer][1] >= 0.0
 
-    def test_self_time_conserved_against_flame_fold(self):
-        """The online fold (child subtraction, retrospective parents) must
-        agree with the offline flame summary's self-time totals."""
-        machine = run_profiled("softupdates")
-        snapshot = machine.obs.snapshot()
-        online = sum(snapshot[f"profile.{layer}.sim"] for layer in LAYERS)
-        offline = sum(stat.self_time
-                      for summary in summarize(machine.obs).values()
-                      for stat in summary.paths.values())
-        assert online == pytest.approx(offline, abs=1e-9)
+    def test_every_closed_span_is_counted_once(self):
+        machine = run_profiled("conventional")
+        closed = sum(1 for span in machine.obs.tracer.spans if span.closed)
+        assert sum(spans for spans, _sim in rows_by_layer(machine).values()) \
+            == closed
 
     def test_unprofiled_snapshot_has_no_profile_keys(self):
-        machine = make_machine("softupdates", observe=True)
-        run_user(machine, churn(machine)(), name="user0")
+        """The table is computed when asked for; the metrics carry none of
+        it, so ``--profile`` changes neither trace nor flame summary."""
+        machine = run_profiled("softupdates")
+        profile_rows(machine.obs)
         assert not any(key.startswith("profile.")
                        for key in machine.obs.snapshot())
 
 
 class TestReportRendering:
     def test_rows_cover_every_layer_and_shares_sum_to_one(self):
-        snapshot = run_profiled("softupdates").obs.snapshot()
-        rows = profile_rows(snapshot)
+        rows = profile_rows(run_profiled("softupdates").obs)
         assert [row[0] for row in rows] == list(LAYERS)
         assert sum(row[3] for row in rows) == pytest.approx(1.0)
 
-    def test_rows_empty_without_profile_keys(self):
-        assert profile_rows({"engine.events": 5}) == []
+    def test_report_renders_one_row_per_layer(self):
+        machine = run_profiled("softupdates")
+        report = format_profile_report(machine.obs, title="churn")
+        assert report.startswith("churn\n=====\n")
+        for layer, spans, _sim, _share in profile_rows(machine.obs):
+            assert any(line.split()[:2] == [layer, str(spans)]
+                       for line in report.splitlines())
 
-    def test_report_skips_unprofiled_cells(self):
-        snapshot = run_profiled("softupdates").obs.snapshot()
-        report = format_profile_report(
-            [("profiled", snapshot), ("bare", {})])
-        assert "profiled" in report
-        assert "bare" not in report
-        assert "vfs" in report
-
-    def test_report_names_the_knob_when_nothing_profiled(self):
-        report = format_profile_report([("bare", {})])
-        assert "MachineConfig(profile=True)" in report
+    def test_empty_trace_renders_zero_rows(self):
+        machine = make_machine("softupdates", observe=True)
+        machine.obs.tracer.spans.clear()
+        assert [row[1:] for row in profile_rows(machine.obs)] \
+            == [(0, 0.0, 0.0)] * len(LAYERS)
 
 
 class TestDeterminismDiscipline:
@@ -85,23 +76,14 @@ class TestDeterminismDiscipline:
         bare = run_profiled(scheme_name, profile=False)
         profiled = run_profiled(scheme_name, profile=True)
         assert profiled.obs is not None and bare.obs is None
+        assert profile_rows(profiled.obs)
         assert profiled.engine.events_processed \
             == bare.engine.events_processed
         assert profiled.engine.now == bare.engine.now
         assert driver_trace_digest(profiled) == driver_trace_digest(bare)
 
     def test_profiled_rerun_snapshot_deterministic(self):
-        a = run_profiled("chains").obs.snapshot()
-        b = run_profiled("chains").obs.snapshot()
-        assert a == b
-
-    def test_profiler_keeps_counting_past_the_span_cap(self):
-        capped = run_profiled("softupdates", max_spans=30)
-        full = run_profiled("softupdates", max_spans=0)
-        assert capped.obs.tracer.dropped > 0
-        for layer in LAYERS:
-            for suffix in ("sim", "spans"):
-                key = f"profile.{layer}.{suffix}"
-                assert capped.obs.snapshot()[key] \
-                    == full.obs.snapshot()[key]
-        assert "profile.* metrics" in flame_summary(capped.obs)
+        a = run_profiled("chains")
+        b = run_profiled("chains")
+        assert profile_rows(a.obs) == profile_rows(b.obs)
+        assert a.obs.snapshot() == b.obs.snapshot()

@@ -1,17 +1,22 @@
-"""Unit tests for the span tracer and the metrics registry."""
+"""Unit tests for the span tracer, the metrics table and the exports."""
+
+import functools
 
 import pytest
 
+from repro.harness.parallel import run_grid
 from repro.obs import (
-    MetricsRegistry,
-    Observability,
-    TIME_BUCKETS,
+    METRICS,
+    TIMINGS,
     Tracer,
+    flame_summary,
     trace_events,
     validate_trace_events,
 )
 from repro.obs.export import TraceFormatError
 from repro.sim import Engine
+from tests.conftest import make_machine, run_user
+from tests.obs.test_equivalence import churn
 
 
 def make_engine_at(now: float = 0.0) -> Engine:
@@ -89,64 +94,120 @@ class TestTracer:
         assert span.track == "kernel"
 
 
-class TestRegistry:
-    def test_counter_create_or_get(self):
-        registry = MetricsRegistry()
-        c1 = registry.counter("x")
-        c1.inc()
-        c1.inc(3)
-        assert registry.counter("x") is c1
-        assert registry.snapshot() == {"x": 4}
+def run_churn(scheme_name, observe=True, faults=None):
+    machine = make_machine(scheme_name, free_cpu=False, observe=observe,
+                           faults=faults)
+    run_user(machine, churn(machine)(), name="user0")
+    machine.sync_and_settle()
+    return machine
 
-    def test_gauge_track_max(self):
-        registry = MetricsRegistry()
-        g = registry.gauge("peak")
-        g.track_max(5)
-        g.track_max(3)
-        assert g.value == 5
-        g.set(1)
-        assert g.value == 1
 
-    def test_histogram_buckets_and_snapshot(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat")
-        h.observe(0.0002)
-        h.observe(0.05)
-        h.observe(100.0)  # overflow bucket
-        assert h.count == 3
-        assert sum(h.counts) == 3
-        assert h.counts[-1] == 1
-        snap = registry.snapshot()
-        assert snap["lat.count"] == 3
-        assert snap["lat.sum"] == pytest.approx(0.0002 + 0.05 + 100.0)
-        assert snap["lat.avg"] == pytest.approx(snap["lat.sum"] / 3)
+class TestMetricsTable:
+    def test_names_are_unique(self):
+        names = [name for name, _get in METRICS + TIMINGS]
+        assert len(names) == len(set(names))
 
-    def test_histogram_bounds_must_ascend(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("bad", bounds=(1.0, 0.5))
+    def test_snapshot_reads_the_layers_own_counters(self):
+        machine = run_churn("softupdates")
+        snap = machine.obs.snapshot()
+        assert snap["cache.hits"] == machine.cache.hits > 0
+        assert snap["cache.forced_flushes"] == machine.cache.flushes_forced
+        assert snap["driver.batches"] == machine.driver.batches > 0
+        assert snap["driver.queue_peak"] == machine.driver.queue_peak > 0
+        assert snap["driver.reads"] + snap["driver.writes"] \
+            == len(machine.driver.trace)
+        assert snap["disk.seek_time"] == machine.disk.stats.seek_time > 0
+        assert snap["softupdates.deps_created"] \
+            == machine.scheme.manager.deps_created > 0
+        assert snap["softupdates.workitems"] \
+            == machine.scheme.manager.workitems_serviced > 0
+        assert snap["engine.heap_peak"] > 0
 
-    def test_rebinding_name_to_other_type_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("n")
-        with pytest.raises(ValueError):
-            registry.gauge("n")
-        with pytest.raises(ValueError):
-            registry.histogram("n")
+    def test_timing_is_count_sum_avg(self):
+        snap = run_churn("conventional").obs.snapshot()
+        count = snap["driver.queue_wait.count"]
+        assert count == snap["driver.reads"] + snap["driver.writes"]
+        assert snap["driver.queue_wait.avg"] \
+            == snap["driver.queue_wait.sum"] / count
+        # nothing waited on a buffer lock: an empty timing is all zeros
+        assert snap["cache.lock_wait.count"] == snap["cache.lock_waits"]
 
-    def test_histogram_rebound_with_other_buckets_rejected(self):
-        registry = MetricsRegistry()
-        registry.histogram("h")
-        assert registry.histogram("h", bounds=TIME_BUCKETS) is not None
-        with pytest.raises(ValueError):
-            registry.histogram("h", bounds=(1.0, 2.0))
+    def test_names_appear_once_counted(self):
+        conventional = run_churn("conventional").obs.snapshot()
+        assert conventional["ordering.sync_stall"] > 0
+        assert "ordering.flag_tags" not in conventional
+        assert "softupdates.rollbacks" not in conventional
+        assert "syscall.rmdir" not in conventional  # churn never calls it
+        assert "driver.retries" not in conventional
+        assert "disk.faults" not in conventional
+
+    def test_recovery_names_appear_under_faults(self):
+        from repro.faults import FaultPlan
+        machine = run_churn("noorder", faults=FaultPlan(
+            seed=5, transient_write_rate=0.2))
+        snap = machine.obs.snapshot()
+        assert snap["disk.faults"] == machine.disk.faults.injected > 0
+        assert snap["driver.retries"] == machine.driver.retries > 0
+
+    @pytest.mark.parametrize("scheme_name", ["conventional", "softupdates"])
+    def test_counts_do_not_depend_on_tracing(self, scheme_name):
+        """The rule itself: a layer counts whether or not anyone observes,
+        so an untraced machine holds the numbers a traced one reports."""
+        from repro.obs.registry import snapshot
+        traced = run_churn(scheme_name, observe=True)
+        bare = run_churn(scheme_name, observe=False)
+        assert bare.obs is None
+        # lend it the session for the two rows only a tracer can fill
+        # (spans dropped, heap peak); every other row reads a layer
+        bare.obs = traced.obs
+        assert snapshot(bare) == traced.obs.snapshot()
+
+
+class TestSyscallCounts:
+    def test_op_counts_are_the_syscall_metrics(self):
+        """Every ``@_syscall`` entry point is counted once per call, in the
+        wrapper -- ``sync`` included, which never charged the entry cost
+        that used to do the counting."""
+        machine = make_machine("noorder", observe=True)
+
+        def user():
+            handle = yield from machine.fs.create("/f")
+            yield from machine.fs.write(handle, b"x" * 2048)
+            yield from machine.fs.close(handle)
+            yield from machine.fs.sync()
+
+        run_user(machine, user())
+        assert machine.fs.op_counts == {"create": 1, "write": 1,
+                                        "close": 1, "sync": 1}
+        snap = machine.obs.snapshot()
+        assert snap["syscall.sync"] == 1
+        assert {name: count for name, count in snap.items()
+                if name.startswith("syscall.")} \
+            == {f"syscall.{name}": count
+                for name, count in machine.fs.op_counts.items()}
+
+    def test_counted_without_tracing(self):
+        machine = make_machine("noorder")
+        run_user(machine, machine.fs.write_file("/f", b"x"))
+        run_user(machine, machine.fs.sync())
+        assert machine.fs.op_counts["sync"] == 1
+        assert machine.fs.op_counts["create"] == 1
+
+    def test_every_syscall_has_a_table_row(self):
+        from repro.fs.vfs import FileSystem
+        syscalls = {name for name, fn in vars(FileSystem).items()
+                    if hasattr(fn, "__wrapped__")
+                    and not name.startswith("_")}
+        rows = {name[len("syscall."):] for name, _get in METRICS
+                if name.startswith("syscall.")}
+        assert rows == syscalls
 
 
 class TestObservability:
     def test_attach_installs_hook_and_counts_events(self):
-        engine = Engine()
-        obs = Observability(engine).attach(engine)
-        assert engine.obs is obs
+        machine = make_machine("noorder", observe=True)
+        engine = machine.engine
+        assert engine.obs is machine.obs
         assert engine.trace_hook is not None
 
         def worker():
@@ -154,16 +215,57 @@ class TestObservability:
             yield engine.timeout(1.0)
 
         engine.run_until(engine.process(worker()))
-        snap = obs.snapshot()
+        snap = machine.obs.snapshot()
         assert snap["engine.events"] == engine.events_processed > 0
+
+
+def _observed_cell(scheme_name):
+    machine = make_machine(scheme_name, observe=True)
+
+    def user():
+        yield from machine.fs.write_file("/f", b"x" * 4096)
+        yield from machine.fs.sync()
+
+    run_user(machine, user())
+    return machine.obs.snapshot()
+
+
+class TestSnapshotAcrossWorkers:
+    def test_worker_snapshots_fold_home_deterministically(self):
+        """obs.snapshot() taken inside fork-pool workers crosses the pipe
+        intact and matches the same cell run in-process."""
+        cells = [((name, i), functools.partial(_observed_cell, name))
+                 for i, name in enumerate(["softupdates", "conventional",
+                                           "softupdates", "conventional"])]
+        results = run_grid("snapshot-fold", cells, jobs=2)
+        local = {name: _observed_cell(name)
+                 for name in ("softupdates", "conventional")}
+        for (name, _i), snapshot in results.items():
+            assert snapshot["engine.events"] > 0
+            assert snapshot == local[name]
+
+
+class TestEmptyTraceExports:
+    def test_flame_summary_on_empty_trace(self):
+        machine = make_machine("softupdates", observe=True)
+        machine.obs.tracer.spans.clear()
+        summary = flame_summary(machine.obs, label="empty")
+        assert "Flame summary: empty" in summary
+        assert "Category totals" in summary
+
+    def test_chrome_export_on_empty_trace(self):
+        machine = make_machine("softupdates", observe=True)
+        machine.obs.tracer.spans.clear()
+        document = trace_events(machine.obs, label="empty")
+        validate_trace_events(document)
 
 
 class TestExportValidation:
     def test_roundtrip_valid(self):
-        engine = make_engine_at()
-        obs = Observability(engine).attach(engine)
+        obs = make_machine("noorder", observe=True).obs
+        obs.tracer.spans.clear()
         span = obs.tracer.begin("op", "test", track="t")
-        engine.now = 1.0
+        obs.engine.now += 1.0
         obs.tracer.end(span)
         obs.tracer.record_async("q", "driver", 0.0, 0.5, "t", async_id=3)
         doc = trace_events(obs, label="unit")

@@ -1,7 +1,7 @@
 """The span cap: tracer memory stays bounded, drops are counted and
 surfaced, and a capped run is still the same simulation."""
 
-from repro.obs import flame_summary
+from repro.obs import flame_summary, profile_rows
 from repro.obs.tracer import DEFAULT_MAX_SPANS
 from tests.obs.test_equivalence import churn, driver_trace_digest
 from tests.conftest import make_machine, run_user
@@ -41,6 +41,10 @@ class TestSpanCap:
         summary = flame_summary(capped.obs)
         assert "WARNING" in summary
         assert f"{capped.obs.tracer.dropped} spans dropped" in summary
+        # the per-layer table is a view of the retained spans, so it
+        # undercounts with them -- which the warning says
+        assert "--profile table" in summary
+        assert sum(row[1] for row in profile_rows(capped.obs)) <= 40
         uncapped = run_capped(0)
         assert "WARNING" not in flame_summary(uncapped.obs)
 

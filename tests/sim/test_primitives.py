@@ -1,8 +1,8 @@
-"""Unit tests for Lock, Semaphore, WaitQueue, FIFOQueue and CPU."""
+"""Unit tests for Lock, WaitQueue and CPU."""
 
 import pytest
 
-from repro.sim import CPU, Engine, FIFOQueue, Lock, Semaphore, WaitQueue
+from repro.sim import CPU, Engine, Lock, WaitQueue
 
 
 @pytest.fixture
@@ -58,42 +58,6 @@ class TestLock:
         with pytest.raises(RuntimeError):
             Lock(eng).release()
 
-    def test_holding_releases_on_exception(self, eng):
-        lock = Lock(eng)
-
-        def body():
-            yield eng.timeout(1.0)
-            raise ValueError("inner")
-
-        def worker():
-            with pytest.raises(ValueError):
-                yield from lock.holding(body())
-            return lock.locked
-
-        assert eng.run_until(eng.process(worker())) is False
-
-
-class TestSemaphore:
-    def test_counts_limit_concurrency(self, eng):
-        sem = Semaphore(eng, 2)
-        active = []
-        peak = []
-
-        def worker():
-            yield sem.acquire()
-            active.append(1)
-            peak.append(len(active))
-            yield eng.timeout(1.0)
-            active.pop()
-            sem.release()
-
-        eng.run_all([eng.process(worker()) for _ in range(5)])
-        assert max(peak) == 2
-
-    def test_negative_count_rejected(self, eng):
-        with pytest.raises(ValueError):
-            Semaphore(eng, -1)
-
 
 class TestWaitQueue:
     def test_signal_wakes_one(self, eng):
@@ -115,31 +79,6 @@ class TestWaitQueue:
 
     def test_signal_empty_returns_false(self, eng):
         assert WaitQueue(eng).signal() is False
-
-
-class TestFIFOQueue:
-    def test_put_then_get(self, eng):
-        q = FIFOQueue(eng)
-        q.put("a")
-        q.put("b")
-
-        def consumer():
-            first = yield q.get()
-            second = yield q.get()
-            return [first, second]
-
-        assert eng.run_until(eng.process(consumer())) == ["a", "b"]
-
-    def test_get_blocks_until_put(self, eng):
-        q = FIFOQueue(eng)
-
-        def consumer():
-            item = yield q.get()
-            return (eng.now, item)
-
-        proc = eng.process(consumer())
-        eng.call_later(2.0, q.put, "late")
-        assert eng.run_until(proc) == (2.0, "late")
 
 
 class TestCPU:
