@@ -73,10 +73,9 @@ class CellResult:
     fsck_warnings: int = 0
     degradations: list[str] = field(default_factory=list)
     #: crash-point exploration riding along (``--explore N``): verified
-    #: point count, verification mode, declaration breaches, or the
-    #: reason exploration could not run for this cell
+    #: point count, declaration breaches, or the reason exploration
+    #: could not run for this cell
     crash_points: int = 0
-    crash_mode: str = ""
     crash_unexpected: int = 0
     crash_note: str = ""
     #: online ordering monitor (``--monitor``): "", "online" or
@@ -195,7 +194,6 @@ def run_cell(scheme_name: str, profile: str, seed: int,
                                  f"{type(exc).__name__}: {exc}")
         else:
             result.crash_points = sweep.points
-            result.crash_mode = sweep.mode
             result.crash_unexpected = (len(sweep.unexpected_findings)
                                        + len(sweep.monitor_unexpected))
     return result
@@ -216,7 +214,7 @@ def format_report(cells: list[CellResult], operations: int) -> str:
     if monitored:
         header += f"{'mon':>6}"
     if explored:
-        header += f"{'pts':>6}{'unexp':>7}  mode       "
+        header += f"{'pts':>6}{'unexp':>7}"
     header += "  verdict"
     lines.append(header)
     lines.append("-" * len(header))
@@ -230,9 +228,8 @@ def format_report(cells: list[CellResult], operations: int) -> str:
                    if cell.monitor_state == "online" else "-")
             row += f"{mon:>6}"
         if explored:
-            mode = cell.crash_mode or ("n/a" if cell.crash_note else "-")
-            row += (f"{cell.crash_points:>6}{cell.crash_unexpected:>7}"
-                    f"  {mode:<11}")
+            points = "n/a" if cell.crash_note else cell.crash_points
+            row += f"{points:>6}{cell.crash_unexpected:>7}"
         row += f"  {cell.verdict}"
         lines.append(row)
     lines.append("")
@@ -335,8 +332,8 @@ def main(argv: list[str]) -> int:
             extra += (f" monitor={cell.monitor_violations}"
                       f"/{cell.monitor_unexpected}-unexpected")
         if args.explore:
-            extra += (f" crash-explored={cell.crash_points} "
-                      f"[{cell.crash_mode or 'n/a'}] "
+            points = "n/a" if cell.crash_note else cell.crash_points
+            extra += (f" crash-explored={points} "
                       f"unexpected={cell.crash_unexpected}")
         print(f"{cell.scheme}/{cell.profile}/seed={cell.seed}: "
               f"{cell.verdict} (injected={cell.injected} "

@@ -122,9 +122,10 @@ def record_run(machine: Machine, workload: Generator,
             survivors = recorded.media_log.survivors
             machine.scheme.on_survivor = lambda lbn, data: \
                 survivors.append((machine.engine.now, lbn, data))
-    if monitor is not None:
-        monitor.attach(machine.disk)
     try:
+        if monitor is not None:
+            # a refused attach must still unhook everything installed above
+            monitor.attach(machine.disk)
         engine = machine.engine
         process = engine.process(workload, name=name)
         budget = max_events

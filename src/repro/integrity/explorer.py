@@ -446,7 +446,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="fault-injection RNG seed")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for flag in ("max_points", "samples_per_write"):
+        if getattr(args, flag) < 0:
+            parser.error(f"--{flag.replace('_', '-')} must not be negative")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -28,7 +28,13 @@ Structure (after pFSCK, arxiv 2004.05524): each phase is split into a
 *pure* per-inode or per-cylinder-group pass that reads only the image and a
 *replay* pass that folds the resulting op-stream into the global claim
 table and reference map in ascending inode order, so all cross-inode
-judgement sits in the replay.  The online monitor reuses the pure passes.
+judgement sits in the replay.  The split is what
+``tests/integrity/reference_fsck.py`` is held equal to pass by pass, and
+what a per-group memoised check would key on (ROADMAP).
+
+This is the repository's one structural checker: crash exploration calls
+:func:`fsck` per crash point, the online monitor
+(:mod:`repro.integrity.monitor`) per durable commit.
 """
 
 from __future__ import annotations
@@ -76,8 +82,7 @@ class FsckReport:
 # These know nothing about other inodes, so they parallelize freely; all
 # cross-inode judgement (double claims, unallocated targets) happens when
 # the streams are replayed, in ascending inode order, against the global
-# tables.  The monitor (repro.integrity.monitor) reuses them so its claim
-# semantics match fsck's exactly.
+# tables.
 # ----------------------------------------------------------------------
 def read_image_frags(image: SectorStore, geo: FSGeometry,
                      daddr: int, frags: int) -> bytes:

@@ -208,3 +208,21 @@ def test_explorer_profile_sweep_matches_harness_verdicts():
     cell = run_cell("softupdates", "transient", seed=1, operations=20)
     assert cell.verdict in ("clean", "recovered")
     assert cell.fsck_errors == 0
+
+
+def test_explored_cells_report_their_point_count():
+    """``--explore N``: verified points per cell, ``n/a`` (with the reason
+    under the table) where the recorded victim could not finish."""
+    from repro.harness.faults import CellResult, format_report, run_cell
+
+    explored = run_cell("softupdates", "transient", seed=1, operations=20,
+                        explore_points=4)
+    assert (explored.crash_points, explored.crash_unexpected) == (4, 0)
+    note = "exploration n/a: ProcessCrashed: EIO"
+    aborted = CellResult("flag", "defects", 2, crash_note=note)
+    report = format_report([explored, aborted], 20)
+    header, _rule, first, second = report.splitlines()[5:9]
+    assert header.split()[-3:] == ["pts", "unexp", "verdict"]
+    assert first.split()[-3:] == ["4", "0", "clean"]
+    assert second.split()[-3:] == ["n/a", "0", "clean"]
+    assert f"[flag/defects/seed=2] {note}" in report

@@ -79,6 +79,15 @@ class TestExplorerCli:
                               "--max-points", "8", "--monitor"])
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--max-points", "--samples-per-write"])
+    def test_negative_budget_is_a_usage_error(self, flag, capsys):
+        # refused at the parser: random.sample would raise on it, and a
+        # traceback exits 1 -- the status that means "declaration broken"
+        with pytest.raises(SystemExit) as usage:
+            explorer_main(["--scheme", "softupdates", flag, "-1"])
+        assert usage.value.code == 2
+        assert f"{flag} must not be negative" in capsys.readouterr().err
+
 
 class TestFaultsCli:
     def test_monitor_breach_exits_nonzero(self, tmp_path, capsys):

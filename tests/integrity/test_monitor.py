@@ -21,11 +21,14 @@ import hashlib
 
 import pytest
 
+from repro.fs.layout import INODE_SIZE, ROOT_INO
 from repro.harness.recording import record_run
 from repro.integrity.explorer import build_machine, build_workload, explore
+from repro.integrity.fsck import fsck
 from repro.integrity.medialog import MediaLog
 from repro.integrity.monitor import OrderingMonitor, monitor_supported
 from tests.conftest import run_user
+from tests.integrity.test_fsck import poke
 
 #: every scheme whose crash state lives entirely on the platters
 MEDIA_SCHEMES = ["noorder", "conventional", "flag", "chains",
@@ -113,6 +116,59 @@ class TestLifecycle:
         watcher.attach(machine.disk)
         with pytest.raises(RuntimeError):
             watcher.attach(machine.disk)
+
+    def test_detach_without_attach_leaves_other_observers_alone(self):
+        machine = build_machine("conventional")
+        log = MediaLog(machine.disk.geometry.sector_size)
+        log.attach(machine.disk)
+        make_monitor(machine).detach(machine.disk)
+        assert machine.disk.on_write_commit == log.record
+        # nor does a monitor watching another disk unhook this one
+        other = build_machine("conventional")
+        watcher = make_monitor(other)
+        watcher.attach(other.disk)
+        watcher.detach(machine.disk)
+        assert machine.disk.on_write_commit == log.record
+        assert other.disk.on_write_commit == watcher._on_commit
+
+    def test_reattach_starts_from_a_fresh_snapshot_and_baseline(self):
+        machine = build_machine("conventional")
+        geo = machine.config.fs_geometry
+        watcher = make_monitor(machine)
+
+        def touch(fs):
+            yield from fs.write_file("/f", b"x" * 4096)
+            yield from fs.sync()
+
+        watcher.attach(machine.disk)
+        run_user(machine, touch(machine.fs), name="touch")
+        watcher.detach(machine.disk)
+        assert watcher.clean
+        # behind the detached monitor's back, free /f's inode under its entry
+        report = fsck(machine.disk.storage, geo)
+        ino = next(ino for ino, refs in report.references.items()
+                   if (ROOT_INO, "f") in refs)
+        poke(machine, geo.inode_block_daddr(ino),
+             geo.inode_offset_in_block(ino), bytes(INODE_SIZE))
+        watcher.attach(machine.disk)
+        # the new snapshot is judged from scratch: reported now, with the
+        # attach window, and not as "freed since the audit before"
+        [hit] = watcher.violations
+        assert (hit.rule, hit.lbn) == ("dirent-uninitialized", -1)
+        assert f"unallocated inode {ino}" in hit.message
+
+    def test_refused_attach_leaves_no_recording_hooks(self):
+        machine = build_machine("conventional")
+        elsewhere = build_machine("conventional")
+        watcher = make_monitor(elsewhere)
+        watcher.attach(elsewhere.disk)
+        with pytest.raises(RuntimeError):
+            record_run(machine,
+                       build_workload(machine, "microbench", 0, 4),
+                       capture_media=True, monitor=watcher)
+        assert machine.disk.on_transfer_start is None
+        assert machine.disk.on_write_commit is None
+        assert elsewhere.disk.on_write_commit == watcher._on_commit
 
     def test_supported_only_for_media_resident_schemes(self):
         for scheme in MEDIA_SCHEMES:

@@ -18,14 +18,35 @@ sweep's fsck must see the same corruption on the media, and the report
 must refuse to exit 0.  A monitor that never fires, or fires with the
 wrong rule, fails here -- this is the test of the tests.
 
+**Same bytes, same messages.**  The monitor *is* fsck run at every durable
+commit, so the two verifiers share their predicates by construction; what
+is left to prove is that they see the same bytes.  The monitor's shadow is
+built from the live commit stream, the sweep's images from the media log:
+at every write-window end of a recording, the errors fsck newly reports
+on the synthesized image must be exactly the messages the monitor fired
+at that instant.  A census keeps ``integrity/monitor.py`` a *caller* of
+fsck, so a second checker cannot grow back unnoticed.
+
 Tier-1 runs budgeted sweeps; ``-m slow`` runs the full crash-point
 sweeps the weekly CI job is about.
 """
 
+import ast
+import pathlib
+
 import pytest
 
-from repro.integrity.explorer import explore
-from repro.integrity.monitor import RULES
+from repro.harness.recording import record_run
+from repro.integrity import monitor as monitor_module
+from repro.integrity.explorer import (
+    WORKLOADS,
+    build_machine,
+    build_workload,
+    explore,
+)
+from repro.integrity.fsck import fsck
+from repro.integrity.medialog import ImageSynthesizer
+from repro.integrity.monitor import RULES, OrderingMonitor
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
@@ -119,6 +140,77 @@ class TestMutationAttribution:
         assert [name for name, _w, _r in MUTATIONS] == sorted(SHIMS)
 
 
+def assert_online_equals_post_crash(scheme, workload, profile, seed=0):
+    """Walk the recording's write-window ends in order: what fsck newly
+    reports on the image synthesized at each is what the monitor fired
+    there, message for message.  (``journal-checkpoint-order`` is the one
+    rule fsck cannot see -- it judges the recovered view.)"""
+    # fault seed 4: no victim of the grids below dies of an injected EIO
+    machine = build_machine(scheme, fault_profile=profile, fault_seed=4)
+    geometry = machine.config.fs_geometry
+    watcher = OrderingMonitor(geometry, machine.scheme.crash_guarantees)
+    recorded = record_run(machine,
+                          build_workload(machine, workload, seed, None),
+                          capture_media=True, monitor=watcher)
+    fired: dict[float, list[str]] = {}
+    for violation in watcher.violations:
+        if violation.rule != "journal-checkpoint-order":
+            fired.setdefault(violation.when, []).append(violation.message)
+    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
+    known = set(fsck(recorded.base_image, geometry).errors)
+    assert not known and 0.0 not in fired  # mkfs leaves a clean image
+    ends = [entry.end for entry in recorded.media_log.entries]
+    assert ends == sorted(ends) and len(ends) == watcher.windows_seen > 0
+    for end in ends:
+        errors = fsck(synthesizer.image_at(end), geometry).errors
+        fresh = [error for error in dict.fromkeys(errors)
+                 if error not in known]
+        assert fresh == fired.pop(end, []), (scheme, workload, profile, end)
+        known = set(errors)
+    assert not fired, "violations attributed to no write-window end"
+    return watcher
+
+
+#: every media-resident scheme on a workload that exercises it
+CELLS = ([(scheme, "microbench") for scheme in MEDIA_SCHEMES]
+         + [(scheme, workload) for scheme, workload, _rule in MUTATIONS])
+
+
+class TestOnlineEqualsPostCrash:
+    @pytest.mark.parametrize("profile", PROFILES,
+                             ids=["none", "transient", "mixed"])
+    @pytest.mark.parametrize("scheme,workload", CELLS)
+    def test_new_fsck_errors_are_the_monitor_messages(self, scheme,
+                                                      workload, profile):
+        watcher = assert_online_equals_post_crash(scheme, workload, profile)
+        # neither side of the equality is vacuous
+        assert bool(watcher.violations) == (scheme == "noorder"
+                                            or scheme in SHIMS)
+
+    def test_persisting_breach_fires_once(self):
+        # 'rm' -> inode 256 dangles from t=0.042 to the end of the run,
+        # across rewrites of the directory's own inode block: one
+        # condition, one report
+        report = sweep("shim-rule3", workload="remove", max_points=1)
+        hits = [v for v in report.monitor_violations
+                if v.rule == "dirent-uninitialized"]
+        assert len(hits) == 1, [v.format() for v in hits]
+
+    def test_monitor_holds_no_checker_of_its_own(self):
+        source = pathlib.Path(monitor_module.__file__).read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {f"{node.module}.{alias.name}"
+                             for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert {name for name in imported
+                if name.startswith("repro.fs")} == {"repro.fs.journal"}
+        for name in ("inode_claim_ops", "iter_records", "Dinode", "CgView"):
+            assert name not in source, name
+
+
 @pytest.mark.slow
 class TestDifferentialFullSweeps:
     """Every crash boundary, every media-resident scheme x profile."""
@@ -138,3 +230,13 @@ class TestDifferentialFullSweeps:
         assert rule in {v.rule for v in report.monitor_unexpected}
         assert report.unexpected_findings
         assert report.exit_status == 1
+
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("profile", PROFILES,
+                             ids=["none", "transient", "mixed"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("scheme", MEDIA_SCHEMES + sorted(SHIMS))
+    def test_online_equals_post_crash_everywhere(self, scheme, workload,
+                                                 profile, seed):
+        assert_online_equals_post_crash(scheme, workload, profile, seed)
