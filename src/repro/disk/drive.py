@@ -24,6 +24,18 @@ from repro.disk.mechanics import DiskParameters
 from repro.disk.storage import SectorStore
 
 
+def sectors_landed_by(when: float, transfer_start: float,
+                      sector_period: float, nsectors: int) -> int:
+    """How many of a transfer's *nsectors* had fully reached the media by
+    time *when*: the one prefix expression, shared by the live drive's
+    crash image and its synthesis from the media log, so the two agree
+    bit for bit."""
+    if when <= transfer_start:
+        return 0
+    elapsed = when - transfer_start
+    return min(int(elapsed / sector_period), nsectors)
+
+
 @dataclass
 class InFlightWrite:
     """Descriptor of the write currently being transferred to media."""
@@ -35,10 +47,8 @@ class InFlightWrite:
 
     def sectors_applied_by(self, when: float, sector_size: int) -> int:
         """How many sectors had fully reached the media by time *when*."""
-        if when <= self.transfer_start:
-            return 0
-        elapsed = when - self.transfer_start
-        return min(int(elapsed / self.sector_period), len(self.data) // sector_size)
+        return sectors_landed_by(when, self.transfer_start, self.sector_period,
+                                 len(self.data) // sector_size)
 
 
 class ServiceTimeStats:

@@ -11,10 +11,9 @@ This is the image source of the *replay oracle*
 from the media write-log (:mod:`repro.integrity.medialog`) with no
 re-simulation, and the equivalence suite proves those images
 byte-identical to the ones this module produces on a machine run to the
-crash instant.  Any change to the in-flight prefix semantics here must be
-mirrored in ``MediaWrite.sectors_in_flight_by`` -- the two are
-intentionally the same expression -- and any change to what survives
-off the media in ``ImageSynthesizer``'s survivor replay.
+crash instant.  The in-flight prefix is one function shared with synthesis
+(:func:`repro.disk.drive.sectors_landed_by`); any change to what survives
+off the media must be mirrored in ``ImageSynthesizer``'s survivor replay.
 """
 
 from __future__ import annotations

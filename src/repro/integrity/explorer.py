@@ -76,12 +76,7 @@ from repro.harness.parallel import run_grid
 from repro.harness.recording import RecordedRun, record_run
 from repro.integrity.findings import CrashFinding, ExplorationReport
 from repro.integrity.fsck import fsck, repair
-from repro.integrity.invariants import (
-    Violation,
-    classify_report,
-    invariant_by_key,
-    unexpected,
-)
+from repro.integrity.invariants import classify_report, finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
 from repro.integrity.monitor import OrderingMonitor, monitor_supported
 from repro.integrity.secrets import find_secret_leaks, plant_secrets
@@ -238,18 +233,17 @@ def classify_image(image, geometry, secrets: bool, verify_repair: bool,
                    label: str) -> CrashFinding:
     """fsck + invariant classification of one surviving image."""
     report = fsck(image, geometry)
-    leaks = find_secret_leaks(image, geometry) if secrets else []
+    leaks = (find_secret_leaks(image, geometry, report.inodes)
+             if secrets else [])
     violations = classify_report(report, leaks)
     if verify_repair and not any(v.is_corruption for v in violations):
         # the paper's recovery story: every error-free image must come out
         # of classic fsck repair fully consistent
-        repaired = repair(image.snapshot(), geometry)
-        residue = repaired.errors + repaired.warnings
+        residue = classify_report(repair(image.snapshot(), geometry))
         if residue:
-            inv = invariant_by_key("unrepairable")
-            violations.append(Violation(
-                inv.key, inv.severity,
-                f"repair left {len(residue)} findings: {residue[0]}"))
+            violations.append(finding(
+                "unrepairable", f"repair left {len(residue)} findings: "
+                                f"{residue[0].message}"))
     return CrashFinding(
         index=index, crash_time=crash_time, label=label,
         errors=len(report.errors), warnings=len(report.warnings),

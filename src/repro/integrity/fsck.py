@@ -1,5 +1,13 @@
 """fsck: audit a (possibly crashed) disk image.
 
+Every check names the invariant it guards -- a key of
+:data:`repro.integrity.invariants.INVARIANTS` -- at the line that found
+the breach: a finding is one typed :class:`~repro.integrity.invariants.
+Violation` (key, the catalogue's severity, the sentence, and the inode it
+is about where a consumer needs it), and ``FsckReport.errors`` /
+``.warnings`` are the findings' messages by severity.  Nothing downstream
+reads a sentence to learn what was checked.
+
 Violations (``errors`` -- structural integrity is lost, fsck cannot decide
 the right repair):
 
@@ -54,18 +62,31 @@ from repro.fs.layout import (
     allocated_slots,
 )
 from repro.fs.superblock import Superblock
+from repro.integrity.invariants import Severity, Violation, finding
 
 
 @dataclass
 class FsckReport:
     """Outcome of one audit."""
 
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    #: what the checks found, typed, in the order they found it
+    findings: list[Violation] = field(default_factory=list)
     #: ino -> Dinode for every allocated inode
     inodes: dict[int, Dinode] = field(default_factory=dict)
     #: path-ish names discovered, for tests: ino -> list of (dir ino, name)
     references: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
+
+    @property
+    def errors(self) -> list[str]:
+        """The corruption-class findings' messages."""
+        return [found.message for found in self.findings
+                if found.severity is Severity.CORRUPTION]
+
+    @property
+    def warnings(self) -> list[str]:
+        """The repairable findings' messages."""
+        return [found.message for found in self.findings
+                if found.severity is not Severity.CORRUPTION]
 
     @property
     def clean(self) -> bool:
@@ -181,26 +202,28 @@ def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
 
 
 def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
-                    din: Dinode) -> list[tuple]:
-    """Phase-1 op-stream for one inode: ``("frag", daddr)`` claims (in the
-    exact order the serial walk visits them) and ``("error", msg)`` for
-    pointers that leave the data area."""
-    ops: list[tuple] = []
+                    din: Dinode) -> list:
+    """Phase-1 op-stream for one inode: the fragment daddrs it claims (in
+    the exact order the serial walk visits them) and a ``bad-pointer``
+    finding for each pointer that leaves the data area."""
+    ops: list = []
 
     def claim(daddr: int, frags: int) -> None:
         for fragment in range(daddr, daddr + frags):
             if not valid_data_frag(geo, fragment):
-                ops.append(("error",
-                            f"inode {ino} points outside the data area "
-                            f"(daddr {fragment})"))
+                ops.append(finding(
+                    "bad-pointer",
+                    f"inode {ino} points outside the data area "
+                    f"(daddr {fragment})"))
                 return
-            ops.append(("frag", fragment))
+            ops.append(fragment)
 
     def claim_indirect(daddr: int, depth: int) -> None:
         if not valid_data_frag(geo, daddr):
-            ops.append(("error",
-                        f"inode {ino} indirect pointer outside data area "
-                        f"({daddr})"))
+            ops.append(finding(
+                "bad-pointer",
+                f"inode {ino} indirect pointer outside data area "
+                f"({daddr})"))
             return
         claim(daddr, geo.frags_per_block)
         raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
@@ -225,18 +248,18 @@ def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
 
 
 def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
-                     din: Dinode) -> list[tuple]:
-    """Phase-2 event-stream for one directory: structural ``("error", msg)``
-    findings plus ``("ref", target, name)`` for every live entry (replayed
-    against the global inode table by :meth:`_Checker.note_reference`)."""
-    events: list[tuple] = []
+                     din: Dinode) -> list:
+    """Phase-2 event-stream for one directory: ``dir-corrupt`` findings
+    plus ``(target, name)`` for every live entry (replayed against the
+    global inode table by :meth:`_Checker.note_reference`)."""
+    events: list = []
     seen_dot = seen_dotdot = False
     blocks = (din.size + geo.block_size - 1) // geo.block_size
     for lblk in range(min(blocks, geo.NDADDR)):
         daddr = din.direct[lblk]
         if not daddr:
-            events.append(("error",
-                           f"directory {ino} has a hole at block {lblk}"))
+            events.append(finding(
+                "dir-corrupt", f"directory {ino} has a hole at block {lblk}"))
             continue
         if not valid_data_frag(geo, daddr):
             continue  # already reported by the claim walk
@@ -244,8 +267,8 @@ def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
         try:
             records = list(directory.iter_records(raw))
         except directory.CorruptDirectory as exc:
-            events.append(("error",
-                           f"directory {ino} block {lblk} corrupt: {exc}"))
+            events.append(finding(
+                "dir-corrupt", f"directory {ino} block {lblk} corrupt: {exc}"))
             continue
         for _offset, target, _reclen, name, _ftype in records:
             if not target:
@@ -253,25 +276,25 @@ def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
             if name == ".":
                 seen_dot = True
                 if target != ino:
-                    events.append(("error",
-                                   f"directory {ino}: '.' points to "
-                                   f"{target}"))
+                    events.append(finding(
+                        "dir-corrupt",
+                        f"directory {ino}: '.' points to {target}"))
                 continue
             if name == "..":
                 seen_dotdot = True
-            events.append(("ref", target, name))
+            events.append((target, name))
     if din.size and not (seen_dot and seen_dotdot):
-        events.append(("error", f"directory {ino} missing '.' or '..'"))
+        events.append(finding("dir-corrupt",
+                              f"directory {ino} missing '.' or '..'"))
     return events
 
 
 def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
                        claims: dict[int, int],
-                       allocated) -> list[tuple[str, str]]:
-    """Phase-4 findings for one cylinder group: ``(kind, msg)`` tuples,
-    kind ``"error"`` or ``"warning"``.  *claims* maps fragment daddr ->
-    owning ino and *allocated* iterates allocated inode numbers; either
-    may be restricted to this group's range (the rest is ignored).
+                       allocated) -> list[Violation]:
+    """Phase-4 findings for one cylinder group.  *claims* maps fragment
+    daddr -> owning ino and *allocated* iterates allocated inode numbers;
+    either may be restricted to this group's range (the rest is ignored).
 
     Each bitmap is read as one int and XORed against the bits the claims
     (the allocated dinodes) call for; only the differing bits are walked,
@@ -280,22 +303,22 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
     view = CgView(read_image_frags(image, geo, geo.cg_base(cg),
                                    geo.frags_per_block), geo)
     if view.magic != CG_MAGIC:
-        return [("error", f"cylinder group {cg} bad magic")]
-    findings: list[tuple[str, str]] = []
+        return [finding("fs-unreadable", f"cylinder group {cg} bad magic")]
+    findings: list[Violation] = []
     base, limit = geo.cg_data_start(cg), geo.dfrags_per_cg
     claimed = bits_of([daddr - base for daddr in claims
                        if 0 <= daddr - base < limit], limit)
     for index in set_bits(view.frag_bits() ^ claimed):
         daddr = base + index
         if daddr in claims:
-            findings.append(("warning",
-                             f"fragment {daddr} in use by inode "
-                             f"{claims[daddr]} but marked free "
-                             f"(fsck repairs)"))
+            findings.append(finding(
+                "bitmap-stale",
+                f"fragment {daddr} in use by inode {claims[daddr]} but "
+                f"marked free (fsck repairs)"))
         else:
-            findings.append(("warning",
-                             f"fragment {daddr} marked used but "
-                             f"unreferenced (leak)"))
+            findings.append(finding(
+                "leak", f"fragment {daddr} marked used but unreferenced "
+                        f"(leak)"))
     first, limit = cg * geo.ipg, geo.ipg
     wanted = bits_of([ino - first for ino in allocated
                       if 0 <= ino - first < limit], limit)
@@ -304,13 +327,12 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
         if ino < ROOT_INO:
             continue  # burned inodes
         if wanted >> index & 1:
-            findings.append(("warning",
-                             f"inode {ino} allocated but bitmap says free "
-                             f"(fsck repairs)"))
+            findings.append(finding(
+                "bitmap-stale",
+                f"inode {ino} allocated but bitmap says free (fsck repairs)"))
         elif ino != ROOT_INO:
-            findings.append(("warning",
-                             f"inode {ino} bitmap used but dinode free "
-                             f"(leak)"))
+            findings.append(finding(
+                "leak", f"inode {ino} bitmap used but dinode free (leak)"))
     return findings
 
 
@@ -323,6 +345,10 @@ class _Checker:
         self.report = FsckReport()
         self.claims: dict[int, int] = {}  # fragment daddr -> claiming ino
 
+    def found(self, key: str, message: str,
+              subject: int | None = None) -> None:
+        self.report.findings.append(finding(key, message, subject))
+
     # -- phase 1: inodes and block claims ------------------------------------
     def scan_inodes(self) -> None:
         for cg in range(self.geo.ncg):
@@ -330,24 +356,23 @@ class _Checker:
                 self.report.inodes[ino] = din
                 if din.safe_ftype is None:
                     # neither its pointers nor its blocks mean anything
-                    self.report.errors.append(
-                        f"inode {ino} mode {din.mode:#06x} unparseable")
+                    self.found("integrity-error",
+                               f"inode {ino} mode {din.mode:#06x} unparseable")
                     continue
                 self.apply_claim_ops(
                     ino, inode_claim_ops(self.image, self.geo, ino, din))
 
-    def apply_claim_ops(self, ino: int, ops: list[tuple]) -> None:
+    def apply_claim_ops(self, ino: int, ops: list) -> None:
         """Fold one inode's claim stream into the global claim table."""
-        for op in ops:
-            if op[0] == "error":
-                self.report.errors.append(op[1])
+        for fragment in ops:
+            if isinstance(fragment, Violation):  # the walk's own finding
+                self.report.findings.append(fragment)
                 continue
-            fragment = op[1]
             owner = self.claims.get(fragment)
             if owner is not None and owner != ino:
-                self.report.errors.append(
-                    f"fragment {fragment} claimed by both inode {owner} "
-                    f"and inode {ino} (rule 2 violated)")
+                self.found("double-alloc",
+                           f"fragment {fragment} claimed by both inode "
+                           f"{owner} and inode {ino} (rule 2 violated)")
             else:
                 self.claims[fragment] = ino
 
@@ -359,23 +384,24 @@ class _Checker:
             self.apply_directory_events(
                 ino, directory_events(self.image, self.geo, ino, din))
 
-    def apply_directory_events(self, ino: int, events: list[tuple]) -> None:
+    def apply_directory_events(self, ino: int, events: list) -> None:
         for event in events:
-            if event[0] == "error":
-                self.report.errors.append(event[1])
+            if isinstance(event, Violation):
+                self.report.findings.append(event)
             else:
-                self.note_reference(event[1], ino, event[2])
+                target, name = event
+                self.note_reference(target, ino, name)
 
     def note_reference(self, target: int, dir_ino: int, name: str) -> None:
         if not (0 <= target < self.geo.total_inodes):
-            self.report.errors.append(
-                f"directory {dir_ino} entry {name!r} points to out-of-range "
-                f"inode {target}")
+            self.found("dangling-entry",
+                       f"directory {dir_ino} entry {name!r} points to "
+                       f"out-of-range inode {target}", target)
             return
         if target not in self.report.inodes:
-            self.report.errors.append(
-                f"directory {dir_ino} entry {name!r} points to unallocated "
-                f"inode {target} (rule 3 violated)")
+            self.found("dangling-entry",
+                       f"directory {dir_ino} entry {name!r} points to "
+                       f"unallocated inode {target} (rule 3 violated)", target)
             return
         self.report.references.setdefault(target, []).append((dir_ino, name))
 
@@ -383,21 +409,21 @@ class _Checker:
     def check_links(self) -> None:
         for ino, din in self.report.inodes.items():
             if ino != ROOT_INO and not self.report.references.get(ino):
-                self.report.warnings.append(
-                    f"inode {ino} allocated but unreferenced (orphan; "
-                    f"fsck reclaims)")
+                self.found("leak",
+                           f"inode {ino} allocated but unreferenced (orphan; "
+                           f"fsck reclaims)")
                 continue
             refs = len(self.report.references.get(ino, []))
             if din.safe_ftype is FileType.DIRECTORY:
                 refs += 1  # its own '.'
             if din.nlink < refs:
-                self.report.warnings.append(
-                    f"inode {ino} link count {din.nlink} below actual "
-                    f"references {refs} (fsck repairs)")
+                self.found("link-count",
+                           f"inode {ino} link count {din.nlink} below actual "
+                           f"references {refs} (fsck repairs)")
             elif din.nlink > refs:
-                self.report.warnings.append(
-                    f"inode {ino} link count {din.nlink} above actual "
-                    f"references {refs} (fsck repairs)")
+                self.found("link-count",
+                           f"inode {ino} link count {din.nlink} above actual "
+                           f"references {refs} (fsck repairs)")
 
     # -- phase 4: bitmaps -------------------------------------------------------
     def by_group(self, dead=()) -> tuple[list[dict[int, int]],
@@ -419,14 +445,8 @@ class _Checker:
     def check_bitmaps(self) -> None:
         claims, inodes = self.by_group()
         for cg in range(self.geo.ncg):
-            self.apply_bitmap_findings(cg_bitmap_findings(
-                self.image, self.geo, cg, claims[cg], inodes[cg]))
-
-    def apply_bitmap_findings(self,
-                              findings: list[tuple[str, str]]) -> None:
-        for kind, msg in findings:
-            (self.report.errors if kind == "error"
-             else self.report.warnings).append(msg)
+            self.report.findings += cg_bitmap_findings(
+                self.image, self.geo, cg, claims[cg], inodes[cg])
 
 
 def repair(image: SectorStore,
@@ -439,14 +459,12 @@ def repair(image: SectorStore,
     re-marked, unreferenced used bits are released, and orphaned inodes are
     cleared with their blocks returned to the free pool.  Images with true
     integrity *errors* are not repairable; callers should check
-    :func:`fsck` first.
+    :func:`fsck` first (nothing here audits before it writes: an unreadable
+    superblock is ``Superblock.unpack``'s ``ValueError``).
     """
     geometry = geometry or FSGeometry()
-    report = fsck(image, geometry)
-    geo = Superblock.unpack(image.read(
-        geometry.superblock_daddr * (geometry.frag_size
-                                     // image.geometry.sector_size),
-        geometry.frag_size // image.geometry.sector_size)).geometry
+    geo = Superblock.unpack(read_image_frags(
+        image, geometry, geometry.superblock_daddr, 1)).geometry
     spf = geo.frag_size // image.geometry.sector_size
     if geo.journal_frags:
         # recovery proper: physically replay the committed log and retire
@@ -528,14 +546,12 @@ def fsck(image: SectorStore,
          geometry: FSGeometry | None = None) -> FsckReport:
     """Audit *image*; returns the :class:`FsckReport`."""
     geometry = geometry or FSGeometry()
-    spf = geometry.frag_size // image.geometry.sector_size
     try:
-        superblock = Superblock.unpack(
-            image.read(geometry.superblock_daddr * spf, spf))
+        superblock = Superblock.unpack(read_image_frags(
+            image, geometry, geometry.superblock_daddr, 1))
     except ValueError as exc:
-        report = FsckReport()
-        report.errors.append(f"superblock unreadable: {exc}")
-        return report
+        return FsckReport([finding("fs-unreadable",
+                                   f"superblock unreadable: {exc}")])
     geo = superblock.geometry
     # a journaling image is audited in its *recovered* state: raw image
     # plus the committed log overlay (identity for journal-less layouts)
@@ -543,7 +559,7 @@ def fsck(image: SectorStore,
     checker = _Checker(image, geo)
     checker.scan_inodes()
     if ROOT_INO not in checker.report.inodes:
-        checker.report.errors.append("root inode missing")
+        checker.found("fs-unreadable", "root inode missing")
         return checker.report
     checker.scan_directories()
     checker.check_links()

@@ -1,9 +1,12 @@
 """The declarative invariant set crash exploration checks.
 
-``fsck`` reports free-form messages; this module maps every message onto a
-named invariant with a severity class, so findings can be aggregated,
-compared across schemes, and held against each scheme's
-:class:`~repro.ordering.guarantees.CrashGuarantees` declaration.
+Every check in :mod:`repro.integrity.fsck` (and the stale-data walk, and
+repair verification) names the invariant it guards at the line that found
+the breach, through :func:`finding`; this module is the catalogue those
+names come from, with a severity class each, so findings can be
+aggregated, compared across schemes, and held against each scheme's
+:class:`~repro.ordering.guarantees.CrashGuarantees` declaration.  Nothing
+here reads a message: the sentence is for people, the key is the verdict.
 
 Severities:
 
@@ -22,8 +25,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.integrity.fsck import FsckReport
-
 
 class Severity(enum.Enum):
     CORRUPTION = "corruption"
@@ -33,83 +34,61 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class Invariant:
-    """One named integrity property, matched against fsck messages."""
+    """One named integrity property."""
 
     key: str
     severity: Severity
     description: str
-    #: substrings identifying this invariant's violations in fsck output
-    patterns: tuple[str, ...]
-
-    def matches(self, message: str) -> bool:
-        return any(pattern in message for pattern in self.patterns)
 
 
-#: checked in order; first match wins
 INVARIANTS: tuple[Invariant, ...] = (
     Invariant(
         "dangling-entry", Severity.CORRUPTION,
         "no directory entry may point to an unallocated or out-of-range "
-        "inode (rule 3: never point to an uninitialized structure)",
-        ("points to unallocated inode", "points to out-of-range inode")),
+        "inode (rule 3: never point to an uninitialized structure)"),
     Invariant(
         "double-alloc", Severity.CORRUPTION,
         "no block may be claimed by two files (rule 2: never reuse a "
-        "resource before nullifying all previous pointers)",
-        ("claimed by both inode",)),
+        "resource before nullifying all previous pointers)"),
     Invariant(
         "bad-pointer", Severity.CORRUPTION,
-        "no inode may point outside the volume's data area",
-        ("points outside the data area", "indirect pointer outside")),
+        "no inode may point outside the volume's data area"),
     Invariant(
         "dir-corrupt", Severity.CORRUPTION,
         "directory contents must stay structurally sound ('.'/'..' intact, "
-        "no holes, parseable entries)",
-        ("corrupt:", "missing '.'", "'.' points to", "has a hole")),
+        "no holes, parseable entries)"),
     Invariant(
         "fs-unreadable", Severity.CORRUPTION,
         "the superblock, cylinder-group headers and root inode must "
-        "survive every crash",
-        ("superblock unreadable", "root inode missing", "bad magic")),
+        "survive every crash"),
+    Invariant(
+        "integrity-error", Severity.CORRUPTION,
+        "an allocated inode's mode must name a file type (neither its "
+        "pointers nor its blocks mean anything otherwise)"),
     Invariant(
         "link-count", Severity.REPAIRABLE,
         "an inode's link count must equal its directory references "
         "(fsck recomputes; transient skew is the price of entry-first "
-        "remove orderings)",
-        ("link count",)),
+        "remove orderings)"),
     Invariant(
         "leak", Severity.REPAIRABLE,
         "no allocated-but-unreachable inodes, fragments or bitmap bits "
-        "(fsck reclaims; lazy deallocation leaks by design)",
-        ("unreferenced (leak)", "allocated but unreferenced",
-         "bitmap used but dinode free")),
+        "(fsck reclaims; lazy deallocation leaks by design)"),
     Invariant(
         "bitmap-stale", Severity.REPAIRABLE,
         "the bitmaps must agree with what the inodes reference "
-        "(fsck re-marks referenced-but-free bits)",
-        ("but marked free", "bitmap says free")),
+        "(fsck re-marks referenced-but-free bits)"),
     Invariant(
         "stale-data", Severity.SECURITY,
         "no file may expose bytes of a previously deleted file "
-        "(closed by allocation initialization)",
-        ("stale data",)),
+        "(closed by allocation initialization)"),
     Invariant(
         "unrepairable", Severity.CORRUPTION,
         "an error-free crash image must come out of fsck repair with no "
-        "errors and no warnings",
-        ("repair left",)),
+        "errors and no warnings"),
 )
 
-#: catch-alls so an unrecognized fsck message is never silently dropped
-_UNKNOWN_ERROR = Invariant(
-    "integrity-error", Severity.CORRUPTION,
-    "unclassified fsck error", ())
-_UNKNOWN_WARNING = Invariant(
-    "inconsistency", Severity.REPAIRABLE,
-    "unclassified fsck warning", ())
-
-_BY_KEY = {inv.key: inv for inv in
-           INVARIANTS + (_UNKNOWN_ERROR, _UNKNOWN_WARNING)}
+_BY_KEY = {inv.key: inv for inv in INVARIANTS}
 
 
 def invariant_by_key(key: str) -> Invariant:
@@ -123,40 +102,34 @@ class Violation:
     key: str
     severity: Severity
     message: str
+    #: the inode the finding is about, where a consumer needs it (a
+    #: dangling entry's target: the monitor's rule 1 / rule 3 split)
+    subject: int | None = None
 
     @property
     def is_corruption(self) -> bool:
         return self.severity is Severity.CORRUPTION
 
 
-#: INVARIANTS flattened in order to (pattern, key, severity), so the first
-#: hit of one flat scan is the first invariant that matches
-_PROBES = tuple((pattern, inv.key, inv.severity)
-                for inv in INVARIANTS for pattern in inv.patterns)
+def finding(key: str, message: str, subject: int | None = None) -> Violation:
+    """What a check reports: the invariant it guards, by catalogue *key*
+    (an uncatalogued key is a ``KeyError`` at the check, not a finding
+    booked as unclassified), in the words of *message*."""
+    return Violation(key, _BY_KEY[key].severity, message, subject)
 
 
-def _classify_message(message: str, fallback: Invariant) -> Violation:
-    for pattern, key, severity in _PROBES:
-        if pattern in message:
-            return Violation(key, severity, message)
-    return Violation(fallback.key, fallback.severity, message)
-
-
-def classify_report(report: FsckReport,
-                    secret_leaks: list | None = None) -> list[Violation]:
-    """Map a fsck report (plus optional stale-data findings) to violations."""
-    violations = [_classify_message(error, _UNKNOWN_ERROR)
-                  for error in report.errors]
-    violations += [_classify_message(warning, _UNKNOWN_WARNING)
-                   for warning in report.warnings]
-    stale = invariant_by_key("stale-data")
-    for leak in secret_leaks or []:
-        violations.append(Violation(stale.key, stale.severity,
-                                    f"stale data exposed: {leak}"))
-    return violations
+def classify_report(report, secret_leaks: list | None = None
+                    ) -> list[Violation]:
+    """The findings of a :class:`~repro.integrity.fsck.FsckReport`, errors
+    first, then whatever the stale-data walk found."""
+    found = report.findings
+    return ([v for v in found if v.severity is Severity.CORRUPTION]
+            + [v for v in found if v.severity is not Severity.CORRUPTION]
+            + (secret_leaks or []))
 
 
 def unexpected(violations: list[Violation], guarantees) -> list[Violation]:
     """The subset a scheme's declaration does *not* permit."""
-    return [violation for violation in violations
-            if not guarantees.permits(invariant_by_key(violation.key))]
+    denied = {key for key in {violation.key for violation in violations}
+              if not guarantees.permits(_BY_KEY[key])}
+    return [violation for violation in violations if violation.key in denied]

@@ -20,10 +20,10 @@ left nothing on the platters).
 :func:`synthesize_crash_image` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of
 every window that ended by *t* + the in-flight prefix of the (at most one)
-window containing *t*.  The prefix arithmetic replicates
-``InFlightWrite.sectors_applied_by`` expression-for-expression so the
-synthesized image is byte-identical to the one a re-simulation to *t*
-leaves (``tests/integrity/replay_oracle.py`` is that reference and
+window containing *t*.  The prefix arithmetic is the live drive's
+(:func:`repro.disk.drive.sectors_landed_by`), so the synthesized image is
+byte-identical to the one a re-simulation to *t* leaves
+(``tests/integrity/replay_oracle.py`` is that reference and
 ``tests/integrity/test_synthesis_equivalence.py`` holds the proof).
 
 Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.disk.drive import sectors_landed_by
 from repro.disk.storage import SectorStore
 
 
@@ -67,19 +68,9 @@ class MediaWrite:
     durable: int
 
     def sectors_in_flight_by(self, when: float, sector_size: int) -> int:
-        """Sector prefix under the head by *when*, mid-window.
-
-        Mirrors ``InFlightWrite.sectors_applied_by`` exactly -- same
-        guards, same floating-point expression -- so a synthesized
-        mid-transfer prefix matches the replayed one bit for bit.
-        """
-        if when <= self.transfer_start:
-            return 0
-        if self.sector_period == 0.0:
-            return len(self.data) // sector_size
-        elapsed = when - self.transfer_start
-        return min(int(elapsed / self.sector_period),
-                   len(self.data) // sector_size)
+        """Sector prefix under the head by *when*, mid-window."""
+        return sectors_landed_by(when, self.transfer_start, self.sector_period,
+                                 len(self.data) // sector_size)
 
 
 class MediaLog:

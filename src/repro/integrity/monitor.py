@@ -18,15 +18,16 @@ which is what the monitor is meant for (docs/consistency-monitor.md,
 "Cost").
 
 The rule catalogue is the paper's three ordering rules plus the structural
-soundness they protect; the rule of a new error is the invariant
-:func:`repro.integrity.invariants.classify_report` assigns it, renamed
-through :data:`_RULE_OF`:
+soundness they protect; the rule of a new error is the invariant key the
+fsck check that found it named (:mod:`repro.integrity.invariants`),
+renamed through :data:`_RULE_OF` -- no message is read:
 
 * ``dirent-uninitialized`` -- rule 3: never point a directory entry at an
   uninitialized (unallocated) inode,
 * ``free-while-referenced`` -- rule 1: never reset the old pointer (free
   the inode) while directory entries still reference it -- a dangling
-  entry whose target was allocated at the previous audit,
+  entry whose target (the finding's ``subject``) was allocated at the
+  previous audit,
 * ``reuse-before-nullify`` -- rule 2: never reuse a fragment before the
   previous owner's pointer to it is nullified,
 * ``pointer-invalid`` -- an inode pointer left the data area,
@@ -75,8 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fs import journal
-from repro.integrity.fsck import FsckReport, fsck
-from repro.integrity.invariants import classify_report
+from repro.integrity.fsck import fsck
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
 
 #: rule key -> what it protects
@@ -98,8 +98,9 @@ RULES = {
 }
 
 #: invariant key of a fsck error (repro.integrity.invariants) -> rule key.
-#: A dangling entry is rule 1 instead when its target was allocated at the
-#: previous audit: the inode was freed under the entry, not never written
+#: A dangling entry is rule 1 instead when its target (the finding's
+#: subject) was allocated at the previous audit: the inode was freed
+#: under the entry, not never written
 _RULE_OF = {
     "dangling-entry": "dirent-uninitialized",
     "double-alloc": "reuse-before-nullify",
@@ -232,17 +233,17 @@ class OrderingMonitor:
     def _audit(self) -> None:
         """fsck the shadow image; fire each error the last audit lacked."""
         report = fsck(self._image, self.geo)
-        fresh = [message for message in dict.fromkeys(report.errors)
-                 if message not in self._errors]
-        for violation in classify_report(FsckReport(errors=fresh)):
-            rule = _RULE_OF[violation.key]
-            if violation.key == "dangling-entry":
-                # "... points to {unallocated,out-of-range} inode N ..."
-                target = violation.message.rsplit("inode ", 1)[1].split()[0]
-                if int(target) in self._allocated:
-                    rule = "free-while-referenced"
-            self._fire(rule, violation.message)
-        self._errors = frozenset(report.errors)
+        errors = dict.fromkeys(found for found in report.findings
+                               if found.is_corruption)
+        for found in errors:
+            if found in self._errors:
+                continue
+            rule = _RULE_OF[found.key]
+            if (found.key == "dangling-entry"
+                    and found.subject in self._allocated):
+                rule = "free-while-referenced"
+            self._fire(rule, found.message)
+        self._errors = frozenset(errors)
         self._allocated = frozenset(report.inodes)
 
     # -- the journal's own ordering rule -----------------------------------------

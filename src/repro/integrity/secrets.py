@@ -19,6 +19,7 @@ from repro.disk.storage import SectorStore
 from repro.fs.alloc import CgView, set_bits
 from repro.fs.layout import FileType, FSGeometry
 from repro.integrity.fsck import fsck, journal_overlay_view, valid_data_frag
+from repro.integrity.invariants import Violation, finding
 
 SECRET = b"\xde\xad\xf1\x1e"  # repeated to fill fragments
 
@@ -44,8 +45,12 @@ def plant_secrets(image: SectorStore, geometry: FSGeometry) -> int:
 
 
 def find_secret_leaks(image: SectorStore,
-                      geometry: FSGeometry | None = None) -> list[str]:
-    """Files whose readable contents still contain the planted marker.
+                      geometry: FSGeometry | None = None,
+                      inodes: dict | None = None) -> list[Violation]:
+    """Files whose readable contents still contain the planted marker, one
+    ``stale-data`` finding per exposing block.  *inodes* is the allocated
+    inode table of an audit the caller already ran (``FsckReport.inodes``);
+    without it the walk audits the image itself.
 
     The audit runs on the *recovered* view: journaling leaves committed
     metadata (indirect blocks included) in the log with home still
@@ -56,11 +61,12 @@ def find_secret_leaks(image: SectorStore,
     pointer's garbage here would just crash the auditor).
     """
     geometry = geometry or FSGeometry()
+    if inodes is None:
+        inodes = fsck(image, geometry).inodes
     image = journal_overlay_view(image, geometry)
     spf = _spf(image, geometry)
-    report = fsck(image, geometry)
-    leaks: list[str] = []
-    for ino, din in report.inodes.items():
+    leaks: list[Violation] = []
+    for ino, din in inodes.items():
         if din.safe_ftype is not FileType.REGULAR:
             continue
         remaining = din.size
@@ -72,8 +78,9 @@ def find_secret_leaks(image: SectorStore,
                 frags = (take + geometry.frag_size - 1) // geometry.frag_size
                 raw = image.read(daddr * spf, frags * spf)[:take]
                 if SECRET in raw:
-                    leaks.append(
-                        f"inode {ino} block {lblk} exposes stale data")
+                    leaks.append(finding(
+                        "stale-data", f"stale data exposed: inode {ino} "
+                                      f"block {lblk} exposes stale data"))
             remaining -= take
             lblk += 1
         if remaining > 0 and din.sindirect \
@@ -88,7 +95,9 @@ def find_secret_leaks(image: SectorStore,
                     data = image.read(pointer * spf,
                                       geometry.frags_per_block * spf)[:take]
                     if SECRET in data:
-                        leaks.append(
-                            f"inode {ino} indirect block exposes stale data")
+                        leaks.append(finding(
+                            "stale-data",
+                            f"stale data exposed: inode {ino} indirect block "
+                            f"exposes stale data"))
                 remaining -= take
     return leaks

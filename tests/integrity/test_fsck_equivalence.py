@@ -9,8 +9,12 @@ findings may differ -- not a message, not their order:
   inode tables, through both versions of the two scans;
 * whole crash sweeps (every media-resident scheme, the journal overlay, the
   rule-breaking shims) with the reference scans patched into ``fsck``;
-* the flat invariant probe against the nested ``Invariant.matches`` loop;
 * ``_JournalView.read`` against a sector-by-sector composition.
+
+The same sweeps are the corpus for the other reference kept here,
+``tests/integrity/reference_classify.py`` -- the parent's message ->
+invariant substring classifier: every typed finding must carry the key and
+severity it would have read out of the finding's message.
 """
 
 import importlib
@@ -24,12 +28,13 @@ from repro.disk.storage import SectorStore
 from repro.fs.alloc import CG_MAGIC, CgView, bits_of, set_bits
 from repro.fs.layout import INODE_SIZE, ROOT_INO, Dinode, FSGeometry
 from repro.harness.recording import record_run
-from repro.integrity import invariants
 from repro.integrity.explorer import (
     EXPLORER_GEOMETRY,
+    WORKLOADS,
     build_machine,
     build_workload,
     enumerate_crash_points,
+    explore,
 )
 from repro.integrity.fsck import (
     _JournalView,
@@ -37,17 +42,12 @@ from repro.integrity.fsck import (
     fsck,
     scan_cg_inodes,
 )
-from repro.integrity.invariants import (
-    INVARIANTS,
-    Severity,
-    Violation,
-    _classify_message,
-)
+from repro.integrity.invariants import Violation, classify_report, finding
 from repro.integrity.medialog import ImageSynthesizer
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
-from tests.integrity import reference_fsck
+from tests.integrity import reference_classify, reference_fsck
 
 #: the module, for patching (``repro.integrity.fsck`` the attribute is the
 #: function the package re-exports)
@@ -66,6 +66,12 @@ def _store_with(geo, daddr, data):
     image = SectorStore(DiskGeometry())
     image.write(daddr * (geo.frag_size // SECTOR), data)
     return image
+
+
+def _pairs(findings):
+    """Typed findings as ``reference_fsck``'s ``(kind, msg)`` pairs."""
+    return [("error" if found.is_corruption else "warning", found.message)
+            for found in findings]
 
 
 # ----------------------------------------------------------------------
@@ -129,8 +135,11 @@ def bitmap_cases(draw):
 def test_bitmap_findings_equal_the_per_bit_audit(case):
     geo, cg, header, claims, allocated = case
     image = _store_with(geo, geo.cg_base(cg), header)
-    assert cg_bitmap_findings(image, geo, cg, claims, allocated) == \
-        reference_fsck.cg_bitmap_findings(image, geo, cg, claims, allocated)
+    found = cg_bitmap_findings(image, geo, cg, claims, allocated)
+    pairs = reference_fsck.cg_bitmap_findings(image, geo, cg, claims,
+                                              allocated)
+    assert _pairs(found) == pairs
+    assert found == reference_classify.typed(pairs)
 
 
 def test_root_ino_used_but_free_is_exempt_and_burned_inodes_are_skipped():
@@ -142,10 +151,10 @@ def test_root_ino_used_but_free_is_exempt_and_burned_inodes_are_skipped():
     image = _store_with(geo, geo.cg_base(0), bytes(header))
     for allocated in (set(), {0, 1}):
         found = cg_bitmap_findings(image, geo, 0, {}, allocated)
-        assert found == reference_fsck.cg_bitmap_findings(
+        assert _pairs(found) == reference_fsck.cg_bitmap_findings(
             image, geo, 0, {}, allocated)
-        assert found == [("warning", f"inode {ROOT_INO + 1} bitmap used but "
-                                     f"dinode free (leak)")]
+        assert found == [finding("leak", f"inode {ROOT_INO + 1} bitmap used "
+                                         f"but dinode free (leak)")]
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +201,14 @@ SWEEP_SCHEMES = [slug for slug, info in REGISTRY.items()
 
 
 def _reports(images, geometry):
-    return [(report.errors, report.warnings, report.inodes,
-             report.references)
-            for report in (fsck(image, geometry) for image in images)]
+    reports = [fsck(image, geometry) for image in images]
+    for report in reports:
+        # same words, same order, same verdicts as the parent's classifier
+        assert reference_classify.verdicts(classify_report(report)) == \
+            reference_classify.verdicts(
+                reference_classify.classify_report(report))
+    return [(report.findings, report.errors, report.warnings, report.inodes,
+             report.references) for report in reports]
 
 
 @pytest.mark.parametrize("workload,ops", [("microbench", 6), ("reuse", 4)])
@@ -215,21 +229,36 @@ def test_every_crash_point_reports_identically(monkeypatch, scheme, workload,
     shipped = _reports(images, geometry)
     monkeypatch.setattr(fsck_module, "scan_cg_inodes",
                         reference_fsck.scan_cg_inodes)
-    monkeypatch.setattr(fsck_module, "cg_bitmap_findings",
-                        reference_fsck.cg_bitmap_findings)
+    monkeypatch.setattr(
+        fsck_module, "cg_bitmap_findings",
+        lambda *args: reference_classify.typed(
+            reference_fsck.cg_bitmap_findings(*args)))
     assert shipped == _reports(images, geometry)
     assert len(images) > 20
     if scheme != "nvram":
-        assert any(errors or warnings
-                   for errors, warnings, _inodes, _refs in shipped), \
+        assert any(findings for findings, *_rest in shipped), \
             "a sweep with no finding at all compares nothing"
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
+def test_full_sweeps_carry_the_reference_verdicts(scheme, workload):
+    """Every finding of every boundary, the stale-data walk and repair
+    verification included (a journalled reuse run is sampled)."""
+    report = explore(scheme, workload, jobs=2, max_points=2000,
+                     secrets=True, verify_repair=True)
+    assert report.points > 50
+    for found in report.findings:
+        reference_classify.assert_agrees(found.violations)
+
+
 # ----------------------------------------------------------------------
-# the flat invariant probe
+# the reference classifier itself
 # ----------------------------------------------------------------------
 #: one instance of every message fsck.py, repair verification and the
-#: stale-data audit can produce, with the invariant it must land on
+#: stale-data audit can produce, with the invariant the reference reads
+#: out of it (None: no pattern, the catch-all of the list it came from)
 MESSAGES = [
     ("superblock unreadable: bad superblock magic 0x0", "fs-unreadable"),
     ("root inode missing", "fs-unreadable"),
@@ -273,30 +302,26 @@ MESSAGES = [
 ]
 
 
-def _nested_classify(message, fallback):
-    for invariant in INVARIANTS:
-        if invariant.matches(message):
-            return Violation(invariant.key, invariant.severity, message)
-    return Violation(fallback.key, fallback.severity, message)
+def _nested_classify(message, kind):
+    for key, severity, patterns in reference_classify.PATTERNS:
+        if any(pattern in message for pattern in patterns):
+            return Violation(key, severity, message)
+    return Violation(*reference_classify.UNKNOWN[kind], message)
 
 
-@pytest.mark.parametrize("fallback", [invariants._UNKNOWN_ERROR,
-                                      invariants._UNKNOWN_WARNING],
-                         ids=["error", "warning"])
+@pytest.mark.parametrize("kind", ["error", "warning"])
 @pytest.mark.parametrize("message,key", MESSAGES)
-def test_flat_probe_equals_the_nested_matches_loop(message, key, fallback):
-    violation = _classify_message(message, fallback)
-    assert violation == _nested_classify(message, fallback)
-    assert violation.key == (key or fallback.key)
-
-
-def test_every_pattern_is_probed_in_invariant_order():
-    assert [(pattern, key) for pattern, key, _severity
-            in invariants._PROBES] == [
-        (pattern, inv.key) for inv in INVARIANTS for pattern in inv.patterns]
-    assert _classify_message("inode 9 mode 0x1000 unparseable",
-                             invariants._UNKNOWN_ERROR).severity \
-        is Severity.CORRUPTION
+def test_flat_probe_equals_the_nested_matches_loop(message, key, kind):
+    """The oracle's own pin: the reference's flat probe is first-row-wins
+    over its table and lands every message where this table says -- and
+    the key the check that words the message names is that verdict."""
+    violation = reference_classify.classify_message(message, kind)
+    assert violation == _nested_classify(message, kind)
+    assert violation.key == (key or reference_classify.UNKNOWN[kind][0])
+    # the residue is typed by what was checked, not by what it quotes
+    named = "unrepairable" if message.startswith("repair left") else key
+    if named:
+        reference_classify.assert_agrees([finding(named, message)])
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,13 @@
 The clean sweeps never exercise most of fsck's finding paths -- a safe
 scheme simply never produces an orphan chain or a drifted bitmap.  Each
 test here builds a known-good image, performs one surgical mutation, and
-asserts the *exact* finding string fsck must produce (the strings are the
-API: the explorer's invariant classifier and the repair tests key on
-them).  Every fixture is also repaired back to pristine where repair
-claims to handle it.
+asserts the exact finding fsck must produce: the invariant key the check
+names (what the explorer, the monitor and every scheme's declaration
+judge by) and the sentence (what a person reads, and what the reports are
+compared by, byte for byte).  Every fixture is also repaired back to
+pristine where repair claims to handle it, and the census at the end
+holds the catalogue to the fixtures: a key no image can produce is a dead
+row.
 """
 
 import struct
@@ -15,9 +18,11 @@ import pytest
 
 from repro.fs import directory
 from repro.fs.alloc import CgView
-from repro.fs.layout import FileType, ROOT_INO
-from repro.integrity import fsck, repair
+from repro.fs.layout import ROOT_INO
+from repro.integrity import INVARIANTS, Severity, fsck, repair
+from repro.integrity.invariants import finding, invariant_by_key
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.integrity import reference_classify
 
 SPF = SMALL_GEOMETRY.frag_size // 512
 
@@ -56,11 +61,16 @@ def patch_inode(m, ino, offset, data):
     write_block(m.disk.storage, geo.inode_block_daddr(ino), raw)
 
 
-def assert_finding(m, kind, message):
-    """The fixture produces exactly this finding."""
+def assert_finding(m, kind, message, key):
+    """The fixture produces exactly this finding, under this invariant --
+    and whatever else it produces is typed as the reference classifier
+    would have read it."""
     report = fsck(m.disk.storage, SMALL_GEOMETRY)
     findings = report.errors if kind == "error" else report.warnings
     assert message in findings, (message, findings)
+    assert {found.key for found in report.findings
+            if found.message == message} == {key}
+    reference_classify.assert_agrees(report.findings)
     return report
 
 
@@ -71,77 +81,143 @@ def assert_repairs_to_pristine(m):
                                                 after.warnings[:3])
 
 
+# ----------------------------------------------------------------------
+# the surgical mutations: each damages *m* (whose clean audit is *before*)
+# and returns the (kind, message) fsck must now report
+# ----------------------------------------------------------------------
+def root_entry(m, before, name):
+    """The root directory's block and its live entry called *name*."""
+    root_blk = before.inodes[ROOT_INO].direct[0]
+    raw = read_block(m.disk.storage, root_blk)
+    entry = next(e for e in directory.iter_entries(raw)
+                 if e.live and e.name == name)
+    return root_blk, raw, entry
+
+
+def orphan(m, before):
+    # kill the directory entry (ino := 0) but leave the inode, its
+    # claims, and the bitmaps untouched: a textbook orphan
+    root_blk, raw, entry = root_entry(m, before, "two")
+    struct.pack_into("<I", raw, entry.offset, 0)
+    write_block(m.disk.storage, root_blk, raw)
+    return "warning", (f"inode {ino_of(before, 'two')} allocated but "
+                       f"unreferenced (orphan; fsck reclaims)")
+
+
+def duplicate_claim(m, before):
+    one, two = ino_of(before, "one"), ino_of(before, "two")
+    stolen = before.inodes[two].direct[0]
+    # point 'one' (the lower ino, scanned first) at 'two's block
+    patch_inode(m, one, 28, struct.pack("<I", stolen))
+    owner, thief = sorted((one, two))
+    return "error", (f"fragment {stolen} claimed by both inode {owner} "
+                     f"and inode {thief} (rule 2 violated)")
+
+
+def link_skew(m, before, nlink=1, direction="below"):
+    victim = ino_of(before, "hard")  # true count is 2
+    patch_inode(m, victim, 2, struct.pack("<H", nlink))
+    return "warning", (f"inode {victim} link count {nlink} {direction} "
+                       f"actual references 2 (fsck repairs)")
+
+
+def used_fragment_marked_free(m, before):
+    geo = m.fs.geometry
+    victim = ino_of(before, "one")
+    daddr = before.inodes[victim].direct[0]
+    cg = geo.cg_of_daddr(daddr)
+    raw = read_block(m.disk.storage, geo.cg_base(cg))
+    CgView(raw, geo).set_frags(daddr - geo.cg_data_start(cg), 1, False)
+    write_block(m.disk.storage, geo.cg_base(cg), raw)
+    return "warning", (f"fragment {daddr} in use by inode {victim} but "
+                       f"marked free (fsck repairs)")
+
+
+def dangling_entry(m, before):
+    # the entry survives, the inode it names was never written (rule 3)
+    root_blk, raw, entry = root_entry(m, before, "two")
+    struct.pack_into("<I", raw, entry.offset, 99)
+    write_block(m.disk.storage, root_blk, raw)
+    return "error", ("directory 2 entry 'two' points to unallocated inode "
+                     "99 (rule 3 violated)")
+
+
+def pointer_into_the_boot_area(m, before):
+    victim = ino_of(before, "one")
+    patch_inode(m, victim, 28, struct.pack("<I", 1))
+    return "error", (f"inode {victim} points outside the data area "
+                     f"(daddr 1)")
+
+
+def directory_hole(m, before):
+    patch_inode(m, ROOT_INO, 28, struct.pack("<I", 0))
+    return "error", "directory 2 has a hole at block 0"
+
+
+def bad_group_magic(m, before):
+    geo = m.fs.geometry
+    raw = read_block(m.disk.storage, geo.cg_base(1))
+    struct.pack_into("<I", raw, 0, 0)
+    write_block(m.disk.storage, geo.cg_base(1), raw)
+    return "error", "cylinder group 1 bad magic"
+
+
+def garbage_mode(m, before):
+    victim = ino_of(before, "one")
+    patch_inode(m, victim, 0, struct.pack("<H", 0x1000))
+    return "error", f"inode {victim} mode 0x1000 unparseable"
+
+
+#: the census: one image per catalogued invariant fsck itself can find
+#: (``stale-data`` is the secrets walk's and ``unrepairable`` repair
+#: verification's; tests/integrity/test_explorer.py produces those)
+DAMAGE = {
+    "leak": orphan,
+    "double-alloc": duplicate_claim,
+    "link-count": link_skew,
+    "bitmap-stale": used_fragment_marked_free,
+    "dangling-entry": dangling_entry,
+    "bad-pointer": pointer_into_the_boot_area,
+    "dir-corrupt": directory_hole,
+    "fs-unreadable": bad_group_magic,
+    "integrity-error": garbage_mode,
+}
+
+
+def damaged(key, *args):
+    """A populated machine after the mutation for *key*, audited:
+    ``(m, before, report)`` with the exact finding and its key asserted."""
+    m = populated()
+    before = fsck(m.disk.storage, SMALL_GEOMETRY)
+    kind, message = DAMAGE[key](m, before, *args)
+    return m, before, assert_finding(m, kind, message, key)
+
+
 class TestOrphanedInode:
     def test_exact_code_and_repair(self):
-        m = populated()
-        before = fsck(m.disk.storage, SMALL_GEOMETRY)
-        victim = ino_of(before, "two")
-        # kill the directory entry (ino := 0) but leave the inode, its
-        # claims, and the bitmaps untouched: a textbook orphan
-        root_blk = before.inodes[ROOT_INO].direct[0]
-        raw = read_block(m.disk.storage, root_blk)
-        entry = next(e for e in directory.iter_entries(raw)
-                     if e.live and e.name == "two")
-        struct.pack_into("<I", raw, entry.offset, 0)
-        write_block(m.disk.storage, root_blk, raw)
-
-        report = assert_finding(
-            m, "warning",
-            f"inode {victim} allocated but unreferenced (orphan; "
-            f"fsck reclaims)")
+        m, before, report = damaged("leak")
         assert report.clean  # an orphan is repairable, never corruption
-        assert victim not in report.references
+        assert ino_of(before, "two") not in report.references
         assert_repairs_to_pristine(m)
 
 
 class TestDuplicateClaim:
     def test_exact_code(self):
-        m = populated()
-        before = fsck(m.disk.storage, SMALL_GEOMETRY)
-        one, two = ino_of(before, "one"), ino_of(before, "two")
-        stolen = before.inodes[two].direct[0]
-        # point 'one' (the lower ino, scanned first) at 'two's block
-        patch_inode(m, one, 28, struct.pack("<I", stolen))
-
-        owner, thief = sorted((one, two))
-        report = assert_finding(
-            m, "error",
-            f"fragment {stolen} claimed by both inode {owner} "
-            f"and inode {thief} (rule 2 violated)")
+        _m, _before, report = damaged("double-alloc")
         assert not report.clean  # a double claim is true corruption
 
 
 class TestBadLinkCounts:
     @pytest.mark.parametrize("nlink,direction", [(1, "below"), (7, "above")])
     def test_exact_codes(self, nlink, direction):
-        m = populated()
-        before = fsck(m.disk.storage, SMALL_GEOMETRY)
-        victim = ino_of(before, "hard")  # true count is 2
-        patch_inode(m, victim, 2, struct.pack("<H", nlink))
-        report = assert_finding(
-            m, "warning",
-            f"inode {victim} link count {nlink} {direction} actual "
-            f"references 2 (fsck repairs)")
+        m, _before, report = damaged("link-count", nlink, direction)
         assert report.clean
         assert_repairs_to_pristine(m)
 
 
 class TestBitmapDrift:
     def test_used_fragment_marked_free(self):
-        m = populated()
-        geo = m.fs.geometry
-        before = fsck(m.disk.storage, SMALL_GEOMETRY)
-        victim = ino_of(before, "one")
-        daddr = before.inodes[victim].direct[0]
-        cg = geo.cg_of_daddr(daddr)
-        raw = read_block(m.disk.storage, geo.cg_base(cg))
-        CgView(raw, geo).set_frags(daddr - geo.cg_data_start(cg), 1, False)
-        write_block(m.disk.storage, geo.cg_base(cg), raw)
-
-        report = assert_finding(
-            m, "warning",
-            f"fragment {daddr} in use by inode {victim} but marked free "
-            f"(fsck repairs)")
+        m, _before, report = damaged("bitmap-stale")
         assert report.clean
         assert_repairs_to_pristine(m)
 
@@ -157,7 +233,8 @@ class TestBitmapDrift:
 
         report = assert_finding(
             m, "warning",
-            f"inode {victim} allocated but bitmap says free (fsck repairs)")
+            f"inode {victim} allocated but bitmap says free (fsck repairs)",
+            "bitmap-stale")
         assert report.clean
         assert_repairs_to_pristine(m)
 
@@ -171,7 +248,7 @@ class TestBitmapDrift:
 
         report = assert_finding(
             m, "warning",
-            f"inode {spare} bitmap used but dinode free (leak)")
+            f"inode {spare} bitmap used but dinode free (leak)", "leak")
         assert report.clean
         assert_repairs_to_pristine(m)
 
@@ -185,6 +262,38 @@ class TestBitmapDrift:
 
         report = assert_finding(
             m, "warning",
-            f"fragment {daddr} marked used but unreferenced (leak)")
+            f"fragment {daddr} marked used but unreferenced (leak)", "leak")
         assert report.clean
         assert_repairs_to_pristine(m)
+
+
+# ----------------------------------------------------------------------
+# the census, and the catalogue's edge
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("key", [
+    invariant.key for invariant in INVARIANTS
+    if invariant.key not in ("stale-data", "unrepairable")])
+def test_every_catalogued_invariant_is_produced_by_a_fixture(key):
+    """A catalogue row no image can produce is dead weight nobody would
+    notice (the parent's "repair left" pattern could never win)."""
+    _m, _before, report = damaged(key)
+    assert report.clean == (
+        invariant_by_key(key).severity is not Severity.CORRUPTION)
+
+
+def test_a_check_naming_an_uncatalogued_key_fails_at_the_check():
+    with pytest.raises(KeyError):
+        finding("inconsistency", "a message nobody classified")
+
+
+def test_unreadable_superblock_is_a_finding_from_fsck_and_raises_in_repair():
+    m = populated()
+    m.disk.storage.write(SMALL_GEOMETRY.superblock_daddr * SPF,
+                         bytes(SMALL_GEOMETRY.frag_size))
+    (found,) = fsck(m.disk.storage, SMALL_GEOMETRY).findings
+    assert found.key == "fs-unreadable"
+    assert found.message.startswith("superblock unreadable: ")
+    reference_classify.assert_agrees([found])
+    # repair audits nothing first: the superblock decode is what refuses
+    with pytest.raises(ValueError):
+        repair(m.disk.storage.snapshot(), SMALL_GEOMETRY)

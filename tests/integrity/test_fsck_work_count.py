@@ -4,7 +4,15 @@ A from-scratch check used to probe every bitmap bit (three Python calls
 each) and unpack every inode slot, free ones included.  It now reads each
 bitmap as one int and unpacks only allocated slots; a per-bit or per-slot
 loop creeping back in fails here rather than at the next benchmark run.
+
+One level up, the same for whole audits: a crash point is audited once,
+and neither the stale-data walk nor repair verification audits it again
+to learn what that audit already knew.
 """
+
+import importlib
+
+import pytest
 
 from repro.fs.alloc import CgView
 from repro.fs.layout import Dinode
@@ -14,6 +22,7 @@ from repro.integrity.explorer import (
     build_machine,
     build_workload,
     enumerate_crash_points,
+    explore,
 )
 from repro.integrity.medialog import ImageSynthesizer
 
@@ -49,3 +58,22 @@ def test_one_fsck_probes_no_bit_and_unpacks_only_allocated_slots(monkeypatch):
     assert calls["frag_used"] == 0
     assert calls["inode_used"] == 0
     assert calls["unpack"] <= len(report.inodes) + 1
+
+
+@pytest.mark.parametrize("options,scans_per_point", [
+    # the audit; repair's own scan of what it is about to fix; the re-audit
+    ({"verify_repair": True}, 3),
+    # the stale-data walk reads the audit's inode table
+    ({"secrets": True}, 1),
+    ({"secrets": True, "verify_repair": True}, 3),
+], ids=["verify-repair", "secrets", "both"])
+def test_inode_scans_per_crash_point(monkeypatch, options, scans_per_point):
+    checker = importlib.import_module("repro.integrity.fsck")._Checker
+    scans = []
+    real = checker.scan_inodes
+    monkeypatch.setattr(checker, "scan_inodes",
+                        lambda self: (scans.append(1), real(self))[1])
+    # Soft Updates never corrupts, so every point is repair-verified
+    report = explore("softupdates", "churn", max_points=120, **options)
+    assert report.points > 50 and not report.corruption_points
+    assert len(scans) == scans_per_point * report.points

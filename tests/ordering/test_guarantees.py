@@ -57,7 +57,7 @@ def test_keyed_invariants_ignore_severity(severity):
     its own flag, never by what the severity fallback would say."""
     for key, flag in (("link-count", "allows_link_skew"),
                       ("stale-data", "allows_stale_data")):
-        reclassified = Invariant(key, severity, "reclassified", ())
+        reclassified = Invariant(key, severity, "reclassified")
         for guarantees in all_guarantees():
             assert guarantees.permits(reclassified) == \
                 getattr(guarantees, flag)
