@@ -19,7 +19,7 @@ from benchmarks.conftest import SCALE, emit, run_grid, scaled_cache
 def chains_config(block_copy: bool) -> MachineConfig:
     return MachineConfig(
         scheme=SchedulerChainsScheme(block_copy=block_copy, alloc_init=True),
-        policy=ChainsPolicy(), block_copy=block_copy, costs=CostModel(),
+        policy=ChainsPolicy(), costs=CostModel(),
         cache_bytes=scaled_cache())
 
 

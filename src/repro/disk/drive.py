@@ -9,12 +9,20 @@ calls it with ``yield from`` and regains control when the media operation is
 done.  Writes become persistent in the :class:`SectorStore` at transfer
 completion; a crash mid-transfer applies the sector prefix that had already
 passed under the head (see ``in_flight`` and ``repro.integrity.crash``).
+
+One :class:`InFlightWrite` describes one write transfer, and it is the only
+description: it sits on ``disk.in_flight`` while the transfer runs, is
+stamped with ``end`` and ``durable`` when the media operation ends, and is
+then handed to every entry of ``disk.write_observers`` -- the media log
+(:mod:`repro.integrity.medialog`) keeps the object itself, the crash
+explorer enumerates its crash points from it and the ordering monitor
+applies it to a shadow image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.faults import Fault, FaultInjector, FaultKind, SenseData
 from repro.sim.engine import Engine
@@ -24,31 +32,47 @@ from repro.disk.mechanics import DiskParameters
 from repro.disk.storage import SectorStore
 
 
-def sectors_landed_by(when: float, transfer_start: float,
-                      sector_period: float, nsectors: int) -> int:
-    """How many of a transfer's *nsectors* had fully reached the media by
-    time *when*: the one prefix expression, shared by the live drive's
-    crash image and its synthesis from the media log, so the two agree
-    bit for bit."""
-    if when <= transfer_start:
-        return 0
-    elapsed = when - transfer_start
-    return min(int(elapsed / sector_period), nsectors)
-
-
 @dataclass
 class InFlightWrite:
-    """Descriptor of the write currently being transferred to media."""
+    """One write transfer on the media: in flight, then the log's entry.
+
+    Sectors land in LBN order, one per ``sector_period``, each protected by
+    its own ECC (paper, footnote 1), so a power failure inside
+    ``[transfer_start, complete_time]`` leaves a sector prefix on the
+    platters.  A transfer covers a *dispatched batch*: the driver may have
+    concatenated several logical requests into one.
+
+    ``end`` and ``durable`` are stamped by the drive when the media
+    operation ends.  ``end`` is that instant (``engine.now``), *not* the
+    nominal ``complete_time``: a torn write's transfer stops at the failing
+    sector, and crash-image synthesis must retire the write at exactly the
+    instant a re-simulation does.  ``durable`` is the sector-prefix length
+    that persisted: ``nsectors`` for a successful write, the torn /
+    medium-error prefix for a faulted one, zero for a transient whose pass
+    left nothing on the platters.
+    """
 
     lbn: int
     data: bytes
+    nsectors: int
     transfer_start: float
     sector_period: float
+    end: Optional[float] = None
+    durable: int = 0
 
-    def sectors_applied_by(self, when: float, sector_size: int) -> int:
-        """How many sectors had fully reached the media by time *when*."""
-        return sectors_landed_by(when, self.transfer_start, self.sector_period,
-                                 len(self.data) // sector_size)
+    @property
+    def complete_time(self) -> float:
+        """When the last sector lands if nothing cuts the transfer short."""
+        return self.transfer_start + self.nsectors * self.sector_period
+
+    def sectors_applied_by(self, when: float) -> int:
+        """How many sectors had fully reached the media by time *when*: the
+        one prefix expression, asked by the live drive's crash image and by
+        its synthesis from the media log, so the two agree bit for bit."""
+        if when <= self.transfer_start:
+            return 0
+        elapsed = when - self.transfer_start
+        return min(int(elapsed / self.sector_period), self.nsectors)
 
 
 class ServiceTimeStats:
@@ -140,17 +164,10 @@ class Disk:
         self.instant = False
         #: populated while a write transfer is on the media (crash injection)
         self.in_flight: Optional[InFlightWrite] = None
-        #: optional observer called with each InFlightWrite as its transfer
-        #: begins (the crash-exploration recorder enumerates boundaries here)
-        self.on_transfer_start = None
-        #: optional observer called as each write's media operation *ends*:
-        #: ``on_write_commit(lbn, data, transfer_start, sector_period, end,
-        #: durable)`` where *end* is the simulated completion instant and
-        #: *durable* the sector-prefix length that persisted (the full count
-        #: for a successful write, the torn/medium prefix for a faulted one,
-        #: zero for a transient).  The media write-log recorder
-        #: (``repro.integrity.medialog``) synthesizes crash images from this.
-        self.on_write_commit = None
+        #: called, in append order, with each write's record as its media
+        #: operation *ends* (``end`` and ``durable`` stamped, ``in_flight``
+        #: already cleared); observers are passive and may keep the record
+        self.write_observers: list[Callable[[InFlightWrite], None]] = []
         #: attach a repro.faults.FaultInjector to make the media unreliable
         self.faults: Optional[FaultInjector] = None
         #: SCSI-style sense for the last service(); None means it succeeded
@@ -214,18 +231,9 @@ class Disk:
         if is_write:
             yield self.engine.timeout(
                 self.params.controller_overhead + seek + rotation)
-            self.in_flight = InFlightWrite(
-                lbn=lbn, data=data, transfer_start=self.engine.now,
-                sector_period=self.params.sector_period(self.geometry))
-            if self.on_transfer_start is not None:
-                self.on_transfer_start(self.in_flight)
+            self._begin_transfer(lbn, nsectors, data)
             yield self.engine.timeout(transfer)
-            window = self.in_flight
-            self.in_flight = None
-            if self.on_write_commit is not None:
-                self.on_write_commit(lbn, data, window.transfer_start,
-                                     window.sector_period, self.engine.now,
-                                     nsectors)
+            self._end_transfer(nsectors)
         else:
             yield self.engine.timeout(
                 self.params.controller_overhead + seek + rotation + transfer)
@@ -283,21 +291,12 @@ class Disk:
                         self.geometry)
                 yield self.engine.timeout(
                     self.params.controller_overhead + seek + rotation)
-                self.in_flight = InFlightWrite(
-                    lbn=lbn, data=data, transfer_start=self.engine.now,
-                    sector_period=self.params.sector_period(self.geometry))
-                if self.on_transfer_start is not None:
-                    self.on_transfer_start(self.in_flight)
+                self._begin_transfer(lbn, nsectors, data)
                 if transfer:
                     yield self.engine.timeout(transfer)
-                window = self.in_flight
-                self.in_flight = None
                 if applied:
                     self.storage.write_partial(lbn, data, applied)
-                if self.on_write_commit is not None:
-                    self.on_write_commit(lbn, data, window.transfer_start,
-                                         window.sector_period,
-                                         self.engine.now, applied)
+                self._end_transfer(applied)
                 self.cache.invalidate(lbn, nsectors)
             else:
                 transfer = self.params.transfer_time(self.geometry, nsectors)
@@ -323,6 +322,22 @@ class Disk:
                 "disk.fault", "disk", start, self.engine.now, "drive",
                 args={"lbn": lbn, "nsectors": nsectors, "kind": kind.value})
         return self.engine.now - start
+
+    def _begin_transfer(self, lbn: int, nsectors: int, data: bytes) -> None:
+        """The head is over the first sector: the write is now in flight."""
+        self.in_flight = InFlightWrite(
+            lbn=lbn, data=data, nsectors=nsectors,
+            transfer_start=self.engine.now,
+            sector_period=self.params.sector_period(self.geometry))
+
+    def _end_transfer(self, durable: int) -> None:
+        """The media operation is over: stamp the record, tell observers."""
+        write = self.in_flight
+        self.in_flight = None
+        write.end = self.engine.now
+        write.durable = durable
+        for observer in self.write_observers:
+            observer(write)
 
     def reassign_block(self, lbn: int) -> bool:
         """SCSI REASSIGN BLOCKS for *lbn*; False when spares are exhausted."""

@@ -19,7 +19,7 @@ from repro.costs import CostModel
 from repro.fs import directory
 from repro.fs.alloc import Allocator
 from repro.fs.inode import Inode, InodeTable
-from repro.fs.layout import Dinode, FileType, FSGeometry, ROOT_INO
+from repro.fs.layout import Dinode, FileType, FSGeometry, INODE_SIZE, ROOT_INO
 from repro.fs.superblock import Superblock
 from repro.ordering.base import AllocContext, OrderingScheme
 from repro.sim.cpu import CPU
@@ -139,7 +139,7 @@ class FileSystem:
         if ip is None:
             ibuf = yield from self.load_inode_buf(ino)
             at = self.geometry.inode_offset_in_block(ino)
-            din = Dinode.unpack(bytes(ibuf.data[at:at + 128]))
+            din = Dinode.unpack(bytes(ibuf.data[at:at + INODE_SIZE]))
             self.cache.brelse(ibuf)
             ip = self.itable.get_cached(ino)  # lost a race while reading?
             if ip is None:
@@ -160,7 +160,12 @@ class FileSystem:
     def store_inode(self, ip: Inode, ibuf: Buffer) -> None:
         """Copy the in-core inode into its (held) inode-block buffer."""
         at = self.geometry.inode_offset_in_block(ip.ino)
-        ibuf.data[at:at + 128] = ip.din.pack()
+        ibuf.data[at:at + INODE_SIZE] = ip.din.pack()
+
+    def clear_dinode(self, ino: int, ibuf: Buffer) -> None:
+        """Zero inode *ino*'s slot in its (held) inode-block buffer."""
+        at = self.geometry.inode_offset_in_block(ino)
+        ibuf.data[at:at + INODE_SIZE] = bytes(INODE_SIZE)
 
     def iupdat(self, ip: Inode) -> Generator:
         """Schedule the in-core inode for stable storage (scheme decides how)."""

@@ -42,7 +42,7 @@ from repro.faults import MediaError, PROFILES
 from repro.harness.parallel import run_grid
 from repro.integrity.explorer import SCHEMES, build_machine, explore
 from repro.integrity.fsck import fsck
-from repro.integrity.monitor import OrderingMonitor, monitor_supported
+from repro.integrity.monitor import OrderingMonitor
 from repro.ordering.registry import standard_slugs
 from repro.sim import ProcessCrashed, SimulationError
 from repro.workloads.churn import churn_workload
@@ -106,15 +106,11 @@ def run_cell(scheme_name: str, profile: str, seed: int,
     injector = machine.disk.faults
     result = CellResult(scheme=scheme_name, profile=profile, seed=seed)
 
-    watcher = None
+    watcher = OrderingMonitor.for_machine(machine) if monitor else None
     if monitor:
-        if monitor_supported(machine):
-            result.monitor_state = "online"
-            watcher = OrderingMonitor(machine.config.fs_geometry,
-                                      machine.scheme.crash_guarantees)
-            watcher.attach(machine.disk)
-        else:
-            result.monitor_state = "unsupported"
+        result.monitor_state = "online" if watcher else "unsupported"
+    if watcher is not None:
+        watcher.attach(machine.disk)
 
     victim = machine.spawn(
         churn_workload(machine, seed=seed, operations=operations),

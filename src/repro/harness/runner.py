@@ -41,10 +41,9 @@ def scale_factor(default: float = 0.15) -> float:
     return float(os.environ.get("REPRO_SCALE", default))
 
 
-def _config(scheme, policy=None, block_copy=None,
+def _config(scheme, policy=None,
             cache_bytes: Optional[int] = None) -> MachineConfig:
-    return MachineConfig(scheme=scheme, policy=policy, block_copy=block_copy,
-                         costs=CostModel(),
+    return MachineConfig(scheme=scheme, policy=policy, costs=CostModel(),
                          cache_bytes=cache_bytes or FULL_CACHE_BYTES)
 
 
@@ -79,7 +78,7 @@ def flag_variant(semantics: FlagSemantics, read_bypass: bool,
     return _config(SchedulerFlagScheme(block_copy=block_copy,
                                        alloc_init=alloc_init),
                    policy=FlagPolicy(semantics, read_bypass=read_bypass),
-                   block_copy=block_copy, cache_bytes=cache_bytes)
+                   cache_bytes=cache_bytes)
 
 
 def build_machine(config: MachineConfig) -> Machine:
@@ -103,8 +102,7 @@ def with_seed(tree: TreeSpec, seed: Optional[int]) -> TreeSpec:
 
 
 def run_copy(config: MachineConfig, users: int, tree: TreeSpec,
-             label: str = "", settle: bool = True,
-             seed: Optional[int] = None,
+             label: str = "", seed: Optional[int] = None,
              on_machine: Optional[Callable[[Machine], None]] = None
              ) -> RunResult:
     """N-user copy: returns the table-1-style measurements.
@@ -124,16 +122,14 @@ def run_copy(config: MachineConfig, users: int, tree: TreeSpec,
                                name=f"user{user}")
                  for user in range(users)]
     machine.run(*processes, max_events=300_000_000)
-    if settle:
-        machine.sync_and_settle()
+    machine.sync_and_settle()
     result = collect(machine, processes, mark, label=label)
     result.wall_seconds = time.perf_counter() - wall_start
     return result
 
 
 def run_remove(config: MachineConfig, users: int, tree: TreeSpec,
-               label: str = "", settle: bool = True,
-               cold_cache: bool = False,
+               label: str = "", cold_cache: bool = False,
                seed: Optional[int] = None,
                on_machine: Optional[Callable[[Machine], None]] = None
                ) -> RunResult:
@@ -162,8 +158,7 @@ def run_remove(config: MachineConfig, users: int, tree: TreeSpec,
                                name=f"user{user}")
                  for user in range(users)]
     machine.run(*processes, max_events=300_000_000)
-    if settle:
-        machine.sync_and_settle()
+    machine.sync_and_settle()
     result = collect(machine, processes, mark, label=label)
     result.wall_seconds = time.perf_counter() - wall_start
     return result

@@ -11,9 +11,10 @@ This is the image source of the *replay oracle*
 from the media write-log (:mod:`repro.integrity.medialog`) with no
 re-simulation, and the equivalence suite proves those images
 byte-identical to the ones this module produces on a machine run to the
-crash instant.  The in-flight prefix is one function shared with synthesis
-(:func:`repro.disk.drive.sectors_landed_by`); any change to what survives
-off the media must be mirrored in ``ImageSynthesizer``'s survivor replay.
+crash instant.  The in-flight prefix is asked of the drive's own record of
+the transfer (``InFlightWrite.sectors_applied_by``), the record synthesis
+reads from the log.  What survives *off* the media is still said twice:
+``apply_to_image`` here, the survivor replay in ``ImageSynthesizer``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ def crash_image(machine: Machine) -> SectorStore:
     image = machine.disk.storage.snapshot()
     in_flight = machine.disk.in_flight
     if in_flight is not None:
-        applied = in_flight.sectors_applied_by(
-            machine.engine.now, machine.disk.geometry.sector_size)
-        image.write_partial(in_flight.lbn, in_flight.data, applied)
+        image.write_partial(in_flight.lbn, in_flight.data,
+                            in_flight.sectors_applied_by(machine.engine.now))
     # battery-backed survivors (the NVRAM extension) replay over the image
     apply_nvram = getattr(machine.scheme, "apply_to_image", None)
     if apply_nvram is not None:
@@ -55,18 +55,6 @@ class CrashScheduler:
                       name: str = "victim",
                       max_events: Optional[int] = 5_000_000) -> SectorStore:
         engine = self.machine.engine
-        process = engine.process(workload, name=name)
-        target = engine.now + crash_at
-        while True:
-            upcoming = engine.next_event_time
-            if upcoming is None or upcoming > target:
-                break
-            engine.step()
-            if max_events is not None:
-                max_events -= 1
-                if max_events <= 0:
-                    raise RuntimeError("crash workload ran away")
-            if process.triggered and not process.ok:
-                raise process.value
-        engine.now = max(engine.now, target)
+        engine.process(workload, name=name)
+        engine.run_to(engine.now + crash_at, max_events=max_events)
         return crash_image(self.machine)

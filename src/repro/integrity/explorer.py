@@ -7,12 +7,12 @@ hand-picked instants; this engine instead *enumerates* the interesting
 ones:
 
 1. **Record** -- run the victim workload once on an instrumented machine
-   (:func:`repro.harness.recording.record_run`) and collect every media
-   write transfer window, through natural quiescence (the background write
-   tail included).  The same run captures the **media write-log**
-   (:mod:`repro.integrity.medialog`): every sector that actually reached
-   the platters, with payload, LBN, and per-sector commit timing --
-   torn-write prefixes and faulted/remapped outcomes included.
+   (:func:`repro.harness.recording.record_run`) and keep the drive's record
+   of every media write transfer in the **media write-log**
+   (:mod:`repro.integrity.medialog`), through natural quiescence (the
+   background write tail included): payload, LBN, per-sector timing, and
+   what actually persisted -- torn-write prefixes and faulted/remapped
+   outcomes included.  Steps 2 and 3 read that one list.
 2. **Enumerate** -- every window contributes its start boundary (power
    fails before any sector lands), its completion boundary (the whole
    request is on the platters), and sampled mid-transfer instants (a
@@ -78,7 +78,7 @@ from repro.integrity.findings import CrashFinding, ExplorationReport
 from repro.integrity.fsck import fsck, repair
 from repro.integrity.invariants import classify_report, finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
-from repro.integrity.monitor import OrderingMonitor, monitor_supported
+from repro.integrity.monitor import OrderingMonitor
 from repro.integrity.secrets import find_secret_leaks, plant_secrets
 from repro.machine import Machine, MachineConfig
 from repro.ordering.registry import scheme_classes
@@ -334,18 +334,12 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     machine = build_machine(scheme, secrets=secrets,
                             fault_profile=fault_profile,
                             fault_seed=fault_seed)
-    monitor_state = "off"
-    watcher = None
-    if monitor:
-        if monitor_supported(machine):
-            monitor_state = "online"
-            watcher = OrderingMonitor(machine.config.fs_geometry,
-                                      machine.scheme.crash_guarantees)
-        else:
-            monitor_state = "unsupported"
+    watcher = OrderingMonitor.for_machine(machine) if monitor else None
+    monitor_state = ("off" if not monitor
+                     else "online" if watcher else "unsupported")
     recorded = record_run(machine,
                           build_workload(machine, workload, seed, ops),
-                          capture_media=True, monitor=watcher)
+                          monitor=watcher)
     enumerated = len(_enumerate_raw(recorded, samples_per_write))
     points = enumerate_crash_points(recorded, samples_per_write,
                                     max_points, sample_seed=seed)

@@ -8,21 +8,20 @@ when the drive lays a sector down, the drive serves one media operation at
 a time, and sectors within a transfer land in LBN order, one per
 ``sector_period``, each protected by its own ECC (paper, footnote 1).
 
-:class:`MediaLog` captures that stream once, through the drive's
-``on_write_commit`` observer: one :class:`MediaWrite` per write media
+:class:`MediaLog` captures that stream once: ``log.entries.append`` is an
+entry of the drive's ``write_observers``, so the log holds the drive's own
+:class:`~repro.disk.drive.InFlightWrite` records -- one per write media
 operation, carrying the payload (stored exactly once -- the driver trace
 drops its copy, see ``DeviceDriver.retain_payloads``), the transfer window
-geometry, the *actual* simulated completion instant, and the sector-prefix
-length that persisted (the full count for a successful write, the torn /
-medium-error prefix for a faulted one, zero for a transient whose pass
-left nothing on the platters).
+geometry, the *actual* simulated completion instant ``end`` and the
+sector-prefix length ``durable`` that persisted.
 
 :func:`synthesize_crash_image` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of
 every window that ended by *t* + the in-flight prefix of the (at most one)
-window containing *t*.  The prefix arithmetic is the live drive's
-(:func:`repro.disk.drive.sectors_landed_by`), so the synthesized image is
-byte-identical to the one a re-simulation to *t* leaves
+window containing *t*.  The prefix is asked of the very record the live
+drive's crash image asks (``sectors_applied_by``), so the synthesized image
+is byte-identical to the one a re-simulation to *t* leaves
 (``tests/integrity/replay_oracle.py`` is that reference and
 ``tests/integrity/test_synthesis_equivalence.py`` holds the proof).
 
@@ -40,37 +39,8 @@ re-applying the whole log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.disk.drive import sectors_landed_by
+from repro.disk.drive import InFlightWrite
 from repro.disk.storage import SectorStore
-
-
-@dataclass(frozen=True)
-class MediaWrite:
-    """One write media operation as it played out on the platters.
-
-    ``end`` is the instant the drive's media operation actually completed
-    (``engine.now`` at the commit hook), *not* the nominal
-    ``transfer_start + nsectors * sector_period``: a torn write's transfer
-    stops at the failing sector, and synthesis must retire the window at
-    exactly the instant the replayed simulation does.
-    """
-
-    lbn: int
-    data: bytes
-    transfer_start: float
-    sector_period: float
-    #: simulated instant the media operation ended (window retired)
-    end: float
-    #: sector-prefix length that persisted once the operation ended
-    #: (nsectors for success, the torn/medium prefix, 0 for transient)
-    durable: int
-
-    def sectors_in_flight_by(self, when: float, sector_size: int) -> int:
-        """Sector prefix under the head by *when*, mid-window."""
-        return sectors_landed_by(when, self.transfer_start, self.sector_period,
-                                 len(self.data) // sector_size)
 
 
 class MediaLog:
@@ -84,29 +54,13 @@ class MediaLog:
     per-sector or per-crash-point.
     """
 
-    def __init__(self, sector_size: int) -> None:
-        self.sector_size = sector_size
-        self.entries: list[MediaWrite] = []
+    def __init__(self) -> None:
+        #: the drive's records, in the order their media operations ended
+        self.entries: list[InFlightWrite] = []
         #: off-media survivors in time order: ``(time, lbn, data)`` stores
         #: and ``(time, lbn, None)`` drops (empty unless the scheme keeps
         #: battery-backed state)
         self.survivors: list[tuple] = []
-
-    # -- the drive-facing observer (Disk.on_write_commit signature) -------
-    def record(self, lbn: int, data: bytes, transfer_start: float,
-               sector_period: float, end: float, durable: int) -> None:
-        self.entries.append(MediaWrite(
-            lbn=lbn, data=data, transfer_start=transfer_start,
-            sector_period=sector_period, end=end, durable=durable))
-
-    def attach(self, disk) -> None:
-        if disk.on_write_commit is not None:
-            raise RuntimeError("disk already has a write-commit observer")
-        self.sector_size = disk.geometry.sector_size
-        disk.on_write_commit = self.record
-
-    def detach(self, disk) -> None:
-        disk.on_write_commit = None
 
     # -- instrumentation ---------------------------------------------------
     def __len__(self) -> int:
@@ -152,7 +106,6 @@ class ImageSynthesizer:
     def __init__(self, base: SectorStore, log: MediaLog) -> None:
         self._image = base.snapshot()
         self._entries = sorted(log.entries, key=lambda e: e.transfer_start)
-        self._sector_size = log.sector_size
         self._cursor = 0
         self._survivors = log.survivors
         self._survivor_cursor = 0
@@ -181,7 +134,7 @@ class ImageSynthesizer:
         self._cursor = cursor
         if cursor < len(entries):
             entry = entries[cursor]
-            applied = entry.sectors_in_flight_by(when, self._sector_size)
+            applied = entry.sectors_applied_by(when)
             if applied:
                 if applied > entry.durable:
                     image = image.snapshot()

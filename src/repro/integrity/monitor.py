@@ -4,8 +4,8 @@ The paper's schemes promise that metadata writes reach the platters in an
 order that keeps the image recoverable at every instant.  Crash
 exploration checks this after the fact -- fsck over a sweep of synthesized
 crash images.  The monitor (in the spirit of SquirrelFS, arxiv 2406.09649)
-checks it *online*: it subscribes to the drive's ``on_write_commit``
-stream, mirrors every durable sector prefix into a private shadow image,
+checks it *online*: as an entry of the drive's ``write_observers`` it
+mirrors every write's durable sector prefix into a private shadow image,
 and runs :func:`repro.integrity.fsck.fsck` on that image after every
 durable commit.  Each error the previous commit's audit did not report is
 one typed :class:`OrderingViolation`, carrying fsck's message verbatim and
@@ -64,8 +64,8 @@ synthesized from the media log are the same bytes, message for message.
 Mid-window sector prefixes are the sweep's sampled mid-transfer points.
 
 The monitor is an *observer*: it reads only its own shadow state and the
-callback arguments, schedules nothing, and never touches machine state --
-attaching it leaves the simulation timeline bit-identical
+write record it is handed, schedules nothing, and never touches machine
+state -- attaching it leaves the simulation timeline bit-identical
 (``tests/integrity/test_monitor.py`` holds the proof).  NVRAM's crash
 state lives partly in a battery-backed memory mirror, not on the media, so
 a media-stream monitor cannot judge it (:func:`monitor_supported`).
@@ -74,7 +74,9 @@ a media-stream monitor cannot judge it (:func:`monitor_supported`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+from repro.disk.drive import InFlightWrite
 from repro.fs import journal
 from repro.integrity.fsck import fsck
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
@@ -144,10 +146,7 @@ def monitor_supported(machine) -> bool:
 class OrderingMonitor:
     """fsck at every durable commit, diffed against the commit before.
 
-    Chainable observer: :meth:`attach` preserves any already-installed
-    ``on_write_commit`` callback (the media write-log) and calls it first,
-    so recording and monitoring compose.  *geometry* is the file system's
-    :class:`~repro.fs.layout.FSGeometry`.
+    *geometry* is the file system's :class:`~repro.fs.layout.FSGeometry`.
     """
 
     def __init__(self, geometry,
@@ -168,8 +167,17 @@ class OrderingMonitor:
         self._j_early: set = set()
         #: (when, lbn, nsectors) of the commit being judged
         self._window = (0.0, -1, 0)
-        self._chained = None
         self._attached = None
+
+    @classmethod
+    def for_machine(cls, machine) -> Optional["OrderingMonitor"]:
+        """The monitor for *machine*'s file system and its scheme's
+        declaration, or ``None`` when the media stream alone cannot judge
+        the scheme (:func:`monitor_supported`)."""
+        if not monitor_supported(machine):
+            return None
+        return cls(machine.config.fs_geometry,
+                   machine.scheme.crash_guarantees)
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, disk) -> None:
@@ -187,16 +195,14 @@ class OrderingMonitor:
         self._j_open = self._journal_open()
         self._window = (0.0, -1, 0)
         self._audit()
-        self._chained = disk.on_write_commit
-        disk.on_write_commit = self._on_commit
+        disk.write_observers.append(self._on_commit)
         self._attached = disk
 
     def detach(self, disk) -> None:
-        """Restore the chained observer; a no-op unless attached to *disk*."""
+        """Stop watching; a no-op unless attached to *disk*."""
         if self._attached is not disk:
             return
-        disk.on_write_commit = self._chained
-        self._chained = None
+        disk.write_observers.remove(self._on_commit)
         self._attached = None
 
     # -- reporting ------------------------------------------------------------
@@ -209,20 +215,15 @@ class OrderingMonitor:
         return [v for v in self.violations if not v.expected]
 
     # -- the observer -----------------------------------------------------------
-    def _on_commit(self, lbn: int, data: bytes, transfer_start: float,
-                   sector_period: float, end: float, durable: int) -> None:
-        if self._chained is not None:
-            self._chained(lbn, data, transfer_start, sector_period, end,
-                          durable)
+    def _on_commit(self, write: InFlightWrite) -> None:
         self.windows_seen += 1
-        if not durable:
+        if not write.durable:
             return  # a transient fault's pass left nothing on the platters
         self.commits_applied += 1
-        sector_size = self._image.geometry.sector_size
-        self._window = (end, lbn, len(data) // sector_size)
-        self._image.write_partial(lbn, data, durable)
+        self._window = (write.end, write.lbn, write.nsectors)
+        self._image.write_partial(write.lbn, write.data, write.durable)
         if self.geo.journal_frags:
-            self._check_checkpoint_order(lbn, durable)
+            self._check_checkpoint_order(write.lbn, write.durable)
         self._audit()
 
     def _fire(self, rule: str, message: str) -> None:

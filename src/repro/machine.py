@@ -23,7 +23,7 @@ from typing import Generator, Optional
 
 from repro.cache import BufferCache, SyncerDaemon
 from repro.costs import CostModel
-from repro.disk import Disk, DiskGeometry, DiskParameters
+from repro.disk import Disk
 from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics
 from repro.faults import FaultPlan
 from repro.driver.ordering import OrderingPolicy
@@ -59,14 +59,8 @@ class MachineConfig:
     #: driver ordering policy; None = the scheme's natural choice
     policy: Optional[OrderingPolicy] = None
     fs_geometry: FSGeometry = field(default_factory=FSGeometry)
-    disk_geometry: DiskGeometry = field(default_factory=DiskGeometry)
-    disk_params: DiskParameters = field(default_factory=DiskParameters)
     costs: CostModel = field(default_factory=CostModel)
     cache_bytes: int = 24 * 1024 * 1024
-    syncer_interval: float = 1.0
-    syncer_passes: int = 10
-    #: force the block-copy setting instead of the scheme's preference
-    block_copy: Optional[bool] = None
     #: record spans and expose ``machine.obs`` (off by default; a traced
     #: run is simulation-identical to an untraced one, just slower on the
     #: host)
@@ -93,22 +87,17 @@ class Machine:
         self.obs = Observability(self) if cfg.observe else None
         self.cpu = CPU(self.engine)
         self.costs = cfg.costs
-        self.disk = Disk(self.engine, geometry=cfg.disk_geometry,
-                         params=cfg.disk_params)
+        self.disk = Disk(self.engine)
         if cfg.faults is not None:
             self.disk.faults = cfg.faults.build()
         self.policy = cfg.policy or default_policy_for(cfg.scheme)
         self.driver = DeviceDriver(self.engine, self.disk, self.policy)
-        block_copy = (cfg.block_copy if cfg.block_copy is not None
-                      else cfg.scheme.uses_block_copy)
         self.cache = BufferCache(self.engine, self.driver, self.cpu,
                                  self.costs,
                                  frag_size=cfg.fs_geometry.frag_size,
                                  capacity_bytes=cfg.cache_bytes,
-                                 block_copy=block_copy)
-        self.syncer = SyncerDaemon(self.engine, self.cache,
-                                   interval=cfg.syncer_interval,
-                                   sweep_passes=cfg.syncer_passes)
+                                 block_copy=cfg.scheme.uses_block_copy)
+        self.syncer = SyncerDaemon(self.engine, self.cache)
         self.scheme = cfg.scheme
         self.fs = FileSystem(self.engine, self.cache, self.cpu, self.costs,
                              self.scheme, syncer=self.syncer)

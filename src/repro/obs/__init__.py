@@ -34,13 +34,12 @@ from repro.obs.flame import (
 )
 from repro.obs.registry import METRICS, TIMINGS
 from repro.obs.session import Observability
-from repro.obs.tracer import NULL_SPAN, Span, Tracer
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "CATEGORY_LAYER",
     "LAYERS",
     "METRICS",
-    "NULL_SPAN",
     "Observability",
     "Span",
     "TIMINGS",

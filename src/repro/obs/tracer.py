@@ -96,21 +96,6 @@ class _SpanHandle:
         self.tracer.end(self.span)
 
 
-class _NullSpanHandle:
-    """Shared no-op handle used when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpanHandle()
-
-
 class Tracer:
     """Collects spans against one engine's simulated clock."""
 

@@ -74,8 +74,7 @@ class ConventionalScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         yield from self._ordered_wait(             # synchronous reset
             self.fs.cache.bwrite(ibuf), "sync_stall", point="release_inode")
         yield from self.fs.free_block_list(runs)   # bitmaps: delayed

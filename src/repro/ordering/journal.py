@@ -265,8 +265,7 @@ class JournalScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         ok = yield from self._ordered_wait(
             self._commit_txn([(ibuf.daddr, bytes(ibuf.data))], list(runs),
                              "release_inode"),

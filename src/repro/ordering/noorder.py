@@ -64,6 +64,5 @@ class NoOrderScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         # write the cleared dinode (delayed, unordered)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         self.fs.cache.bdwrite(ibuf)

@@ -150,8 +150,7 @@ class NvramScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         yield from self._mirror_buffer(ibuf)
         self.fs.cache.bdwrite(ibuf)
         yield from self.fs.free_block_list(runs)

@@ -11,7 +11,7 @@ registered: they exist to *fail* sweeps, not to appear in tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ordering.base import OrderingScheme
@@ -35,9 +35,6 @@ class SchemeInfo:
     #: appears in the section-5 comparison tables and the standard
     #: benchmark grid (nvram is a what-if, not a paper configuration)
     standard: bool = True
-    #: constructor keywords for the *standard* (table) configuration, e.g.
-    #: the scheduler schemes run with the -CB block-copy enhancement
-    standard_kwargs: dict = field(default_factory=dict)
     #: whether the standard configuration forwards ``alloc_init`` (No
     #: Order ignores the knob: it orders nothing either way)
     takes_alloc_init: bool = True
@@ -53,11 +50,12 @@ class SchemeInfo:
 
     def build_standard(self,
                        alloc_init: Optional[bool] = None) -> OrderingScheme:
-        """An instance in the standard benchmark configuration."""
-        kwargs = dict(self.standard_kwargs)
+        """An instance in the standard benchmark configuration: the
+        constructor's defaults (the scheduler schemes default to the -CB
+        block-copy enhancement) with *alloc_init* forwarded."""
         if self.takes_alloc_init and alloc_init is not None:
-            kwargs["alloc_init"] = alloc_init
-        return self.cls(**kwargs)
+            return self.cls(alloc_init=alloc_init)
+        return self.cls()
 
 
 #: slug -> info, in the section-5 comparison order (No Order last: it is
@@ -65,10 +63,8 @@ class SchemeInfo:
 REGISTRY: dict[str, SchemeInfo] = {
     info.slug: info for info in (
         SchemeInfo("conventional", "Conventional", ConventionalScheme),
-        SchemeInfo("flag", "Scheduler Flag", SchedulerFlagScheme,
-                   standard_kwargs={"block_copy": True}),
-        SchemeInfo("chains", "Scheduler Chains", SchedulerChainsScheme,
-                   standard_kwargs={"block_copy": True}),
+        SchemeInfo("flag", "Scheduler Flag", SchedulerFlagScheme),
+        SchemeInfo("chains", "Scheduler Chains", SchedulerChainsScheme),
         SchemeInfo("softupdates", "Soft Updates", SoftUpdatesScheme),
         SchemeInfo("journal", "Journaling", JournalScheme),
         SchemeInfo("noorder", "No Order", NoOrderScheme,

@@ -141,8 +141,7 @@ class SchedulerChainsScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         reset = yield from self.fs.cache.bawrite(ibuf)  # carries flush_deps
         if self.dealloc_barrier:
             self._barriers.add(reset.id)

@@ -84,8 +84,7 @@ class SchedulerFlagScheme(OrderingScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         # flagged reset write: any write that reuses these blocks or this
         # inode slot is issued later and ordered behind it (rule 2)
         self._bump("ordering.flag_tags")

@@ -76,8 +76,7 @@ class BreakRule2Scheme(ConventionalScheme):
         ino = ip.ino
         yield from self.fs.free_inode_record(ip)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         # BREACH: the pointer reset is merely delayed while the blocks
         # return to the free pool at once -- a later allocation can land
         # on disk before the old owner's on-disk pointers clear

@@ -139,8 +139,7 @@ class SoftUpdatesScheme(OrderingScheme):
         for daddr, frags in runs:
             self.fs.cache.invalidate(daddr, frags)
         ibuf = yield from self.fs.load_inode_buf(ino)
-        at = self.fs.geometry.inode_offset_in_block(ino)
-        ibuf.data[at:at + 128] = bytes(128)
+        self.fs.clear_dinode(ino, ibuf)
         # the bitmap bits clear only after this reset write completes
         self.manager.record_free(ip, ibuf, runs, ino)
         self.fs.cache.bdwrite(ibuf)

@@ -1,8 +1,11 @@
 """Integration tests for the Disk drive model."""
 
+import random
+
 import pytest
 
 from repro.disk import Disk, DiskGeometry, DiskParameters
+from repro.faults import FaultPlan
 from repro.sim import Engine
 
 
@@ -121,7 +124,7 @@ def test_in_flight_exposed_during_write_transfer(eng, disk):
     assert disk.in_flight is None
     assert observed and observed[0] is not None
     applied = observed[0].sectors_applied_by(
-        observed[0].transfer_start + 10 * observed[0].sector_period, 512)
+        observed[0].transfer_start + 10 * observed[0].sector_period)
     assert applied == 10
 
 
@@ -147,8 +150,6 @@ def test_started_counters_match_completions_when_fault_free(eng, disk):
 
 
 def test_faulted_operations_counted_separately(eng, disk):
-    from repro.faults import FaultPlan
-
     disk.faults = FaultPlan(seed=1, transient_write_rate=1.0).build()
     # the raw drive has no retry loop: the fault consumes service time,
     # leaves sense data for the driver, and completes nothing
@@ -158,3 +159,82 @@ def test_faulted_operations_counted_separately(eng, disk):
     assert disk.stats.write_faults == 1
     assert disk.stats.sectors_written == 0
     assert disk.sense is not None and disk.sense.code == "transient"
+
+
+class HeldWrites(Disk):
+    """A drive that remembers every record ``in_flight`` ever held."""
+
+    def __init__(self, engine):
+        self.held = []
+        super().__init__(engine)
+
+    @property
+    def in_flight(self):
+        return self._in_flight
+
+    @in_flight.setter
+    def in_flight(self, write):
+        if write is not None:
+            self.held.append(write)
+        self._in_flight = write
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rates", [
+    {},
+    {"transient_write_rate": 0.4},
+    {"torn_write_rate": 0.4},
+    {"grown_defect_rate": 0.4},
+    {"timeout_rate": 0.4},
+    {"transient_write_rate": 0.15, "torn_write_rate": 0.15,
+     "grown_defect_rate": 0.15, "timeout_rate": 0.15},
+], ids=["none", "transient", "torn", "medium", "timeout", "mixed"])
+def test_every_started_transfer_reaches_every_observer_once(rates, seed):
+    """The contract of ``write_observers``: each write whose transfer
+    starts is handed to every observer exactly once, when its media
+    operation ends, as the very record ``in_flight`` held -- on the
+    success path and on every faulted one; a timeout never starts."""
+    eng = Engine()
+    disk = HeldWrites(eng)
+    disk.faults = FaultPlan(seed=seed, **rates).build()
+    seen = [[], []]
+
+    def observer(into):
+        def observe(write):
+            assert disk.in_flight is None
+            assert write.end == eng.now >= write.transfer_start
+            assert 0 <= write.durable <= write.nsectors
+            assert len(write.data) == write.nsectors * 512
+            into.append(write)
+        return observe
+
+    disk.write_observers += [observer(seen[0]), observer(seen[1])]
+    rng = random.Random(seed)
+    outcomes = []
+
+    def writer():
+        for _ in range(60):
+            nsectors = rng.randrange(1, 9)
+            lbn = rng.randrange(0, 4096)
+            data = rng.randbytes(nsectors * 512)
+            yield from disk.service(lbn, nsectors, True, data)
+            outcomes.append((lbn, nsectors, data, disk.sense))
+
+    eng.run_until(eng.process(writer()))
+    assert disk.in_flight is None
+    for into in seen:
+        assert len(into) == len(disk.held)
+        assert all(a is b for a, b in zip(into, disk.held))
+    started = [o for o in outcomes
+               if o[3] is None or o[3].code != "timeout"]
+    assert len(started) == len(disk.held)
+    assert len(outcomes) - len(started) == sum(
+        1 for event in disk.faults.events
+        if event.detail.startswith("timeout"))
+    for (lbn, nsectors, data, sense), write in zip(started, disk.held):
+        assert (write.lbn, write.nsectors) == (lbn, nsectors)
+        assert write.data is data
+        assert write.durable == (nsectors if sense is None
+                                 else sense.sectors_applied)
+    assert sum(w.durable for w in disk.held if w.durable == w.nsectors) \
+        == disk.stats.sectors_written

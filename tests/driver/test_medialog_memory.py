@@ -1,11 +1,11 @@
 """The media write-log must hold each payload exactly once.
 
 Companion regression to ``test_trace_memory.py``: capture-enabled
-recording runs attach a :class:`~repro.integrity.medialog.MediaLog` to the
-drive, and the memory discipline is the PR-4 ``retain_payloads`` rule --
-the log keeps one reference per media operation (a reference to the very
-bytes object the drive transferred, never a copy), while the driver trace
-keeps dropping its payloads at completion.  A sweep over hundreds of crash
+recording runs put a :class:`~repro.integrity.medialog.MediaLog` among the
+drive's ``write_observers``, and the memory discipline is the PR-4
+``retain_payloads`` rule -- the log keeps one reference per media operation
+(a reference to the very bytes object the drive transferred, never a copy),
+while the driver trace keeps dropping its payloads at completion.  A sweep over hundreds of crash
 points must cost one workload's write volume, not one per crash point.
 """
 
@@ -28,8 +28,8 @@ def test_log_holds_each_window_once_and_trace_stays_flat():
     eng = Engine()
     disk = Disk(eng)
     driver = DeviceDriver(eng, disk, FlagPolicy(FlagSemantics.IGNORE))
-    log = MediaLog(disk.geometry.sector_size)
-    log.attach(disk)
+    log = MediaLog()
+    disk.write_observers.append(log.entries.append)
     payloads = churn_writes(eng, driver, count=50)
     # the driver trace keeps zero payload bytes (the PR-4 default) ...
     assert sum(len(r.data) for r in driver.trace
@@ -50,26 +50,11 @@ def test_log_references_are_not_copies():
     disk = Disk(eng)
     driver = DeviceDriver(eng, disk, FlagPolicy(FlagSemantics.IGNORE))
     driver.retain_payloads = True
-    log = MediaLog(disk.geometry.sector_size)
-    log.attach(disk)
+    log = MediaLog()
+    disk.write_observers.append(log.entries.append)
     churn_writes(eng, driver, count=5)
     retained = {id(r.data) for r in driver.trace if r.data is not None}
     assert retained, "retain_payloads must keep the driver copies"
     for entry in log.entries:
         assert id(entry.data) in retained, \
             "log entry duplicated the payload instead of sharing it"
-
-
-def test_single_observer_slot_is_enforced():
-    eng = Engine()
-    disk = Disk(eng)
-    log = MediaLog(disk.geometry.sector_size)
-    log.attach(disk)
-    try:
-        MediaLog(disk.geometry.sector_size).attach(disk)
-    except RuntimeError:
-        pass
-    else:
-        raise AssertionError("second attach must be rejected")
-    log.detach(disk)
-    MediaLog(disk.geometry.sector_size).attach(disk)

@@ -51,22 +51,23 @@ class TestSectorsAppliedBy:
     """The pure arithmetic of the prefix model."""
 
     def test_boundaries(self):
-        write = InFlightWrite(lbn=0, data=bytes(4 * 512),
+        write = InFlightWrite(lbn=0, data=bytes(4 * 512), nsectors=4,
                               transfer_start=10.0, sector_period=0.5)
-        assert write.sectors_applied_by(9.0, 512) == 0
-        assert write.sectors_applied_by(10.0, 512) == 0
+        assert write.sectors_applied_by(9.0) == 0
+        assert write.sectors_applied_by(10.0) == 0
         # a sector counts only once fully transferred
-        assert write.sectors_applied_by(10.49, 512) == 0
-        assert write.sectors_applied_by(10.5, 512) == 1
-        assert write.sectors_applied_by(11.25, 512) == 2
+        assert write.sectors_applied_by(10.49) == 0
+        assert write.sectors_applied_by(10.5) == 1
+        assert write.sectors_applied_by(11.25) == 2
         # ... and the count never exceeds the request
-        assert write.sectors_applied_by(12.0, 512) == 4
-        assert write.sectors_applied_by(99.0, 512) == 4
+        assert write.sectors_applied_by(12.0) == 4
+        assert write.sectors_applied_by(99.0) == 4
 
     def test_monotone_in_time(self):
         write = InFlightWrite(lbn=0, data=bytes(NSECTORS * 512),
-                              transfer_start=0.0, sector_period=0.125)
-        counts = [write.sectors_applied_by(t / 16, 512) for t in range(40)]
+                              nsectors=NSECTORS, transfer_start=0.0,
+                              sector_period=0.125)
+        counts = [write.sectors_applied_by(t / 16) for t in range(40)]
         assert counts == sorted(counts)
         assert counts[-1] == NSECTORS
 
@@ -173,7 +174,7 @@ class TestNvramReplay:
         in_transit = sector_pattern(0x33, sector_size) * spf
         fresh = sector_pattern(0x44, sector_size) * spf
         machine.disk.in_flight = InFlightWrite(
-            lbn=lbn, data=in_transit,
+            lbn=lbn, data=in_transit, nsectors=spf,
             transfer_start=machine.engine.now - 1.0, sector_period=1e9)
         scheme._mirror[daddr] = fresh
         scheme.used_bytes += len(fresh)

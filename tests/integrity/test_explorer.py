@@ -77,6 +77,32 @@ class TestEnumeration:
         times = [p.time for p in points]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("scheme", ["conventional", "chains",
+                                        "softupdates", "journal", "nvram"])
+    def test_points_come_from_the_media_logs_own_records(self, scheme):
+        """One list of records: what is enumerated is what is synthesized
+        from, and the points are the windows' boundaries and sampled
+        prefixes, computed here from the four numbers a window is."""
+        machine = build_machine(scheme)
+        recorded = record_run(machine,
+                              build_workload(machine, "churn", 3, 20))
+        assert recorded.windows is recorded.media_log.entries
+        sector = machine.disk.geometry.sector_size
+        want = []
+        for wi, entry in enumerate(recorded.media_log.entries):
+            lbn, n = entry.lbn, len(entry.data) // sector
+            start, period = entry.transfer_start, entry.sector_period
+            base = f"write {wi} (lbn {lbn}+{n})"
+            want.append((start, f"{base} start"))
+            for k in sorted({max(1, min(n - 1, round(j * n / 3)))
+                             for j in (1, 2)} if n > 1 else ()):
+                want.append((start + (k + 0.5) * period,
+                             f"{base} after {k}/{n} sectors"))
+            want.append((start + n * period, f"{base} complete"))
+        points = enumerate_crash_points(recorded, samples_per_write=2,
+                                        max_points=None)
+        assert [(p.time, p.label) for p in points] == want
+
     def test_budget_sampling_is_deterministic(self):
         machine = build_machine("conventional")
         recorded = record_run(machine,

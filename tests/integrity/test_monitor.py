@@ -7,9 +7,11 @@ Three contracts:
    simulation* -- identical write windows, event counts, quiescence time,
    and driver trace, byte for byte.  The monitor only reads commit
    payloads and mutates its own shadow image.
-2. **Chaining**: ``attach`` composes with an already-installed
-   ``on_write_commit`` observer (the media write-log) instead of
-   displacing it, and ``detach`` restores it.
+2. **Composition**: the monitor is one entry of the drive's
+   ``write_observers`` list beside the media write-log (or several):
+   every entry is handed the same record objects in append order,
+   ``detach`` removes only the monitor's own entry, and ``record_run``
+   leaves the list as it found it however the run ends.
 3. **Controls**: ``noorder`` -- which declares no ordering -- must
    produce rule hits (the negative control proves the monitor is not
    vacuously silent), all *within* its declaration; the five guaranteed
@@ -27,6 +29,7 @@ from repro.integrity.explorer import build_machine, build_workload, explore
 from repro.integrity.fsck import fsck
 from repro.integrity.medialog import MediaLog
 from repro.integrity.monitor import OrderingMonitor, monitor_supported
+from repro.sim import ProcessCrashed
 from tests.conftest import run_user
 from tests.integrity.test_fsck import poke
 
@@ -85,30 +88,45 @@ class TestObserverEffect:
         watcher = make_monitor(machine)
         recorded = record_run(
             machine, build_workload(machine, "microbench", 0, 12),
-            capture_media=True, monitor=watcher)
-        assert recorded.media_log is not None
+            monitor=watcher)
         assert len(recorded.media_log) == watcher.windows_seen
         assert watcher.commits_applied > 0
 
 
 class TestLifecycle:
-    def test_attach_chains_behind_existing_observer(self):
+    def test_observers_compose_in_append_order(self):
         machine = build_machine("conventional")
-        log = MediaLog(machine.disk.geometry.sector_size)
-        log.attach(machine.disk)
+        observers = machine.disk.write_observers
+        assert observers == []
+        first, second = MediaLog(), MediaLog()
+        order = []
+        observers.append(lambda write: order.append(("first", id(write))))
+        observers.append(first.entries.append)
         watcher = make_monitor(machine)
         watcher.attach(machine.disk)
-        assert machine.disk.on_write_commit == watcher._on_commit
+        observers.append(second.entries.append)
+        observers.append(lambda write: order.append(("last", id(write))))
 
-        def touch(fs):
-            yield from fs.write_file("/f", b"x" * 4096)
+        def touch(fs, path):
+            yield from fs.write_file(path, b"x" * 4096)
             yield from fs.sync()
 
-        run_user(machine, touch(machine.fs), name="touch")
-        # the chained log saw exactly what the monitor saw
-        assert len(log) == watcher.windows_seen > 0
+        run_user(machine, touch(machine.fs, "/f"), name="touch")
+        # every observer saw every write, as the very same objects ...
+        assert len(first) == len(second) == watcher.windows_seen > 0
+        assert all(a is b for a, b in zip(first.entries, second.entries))
+        # ... and for each write the list was walked front to back
+        assert order == [(tag, id(write)) for write in first.entries
+                         for tag in ("first", "last")]
+        # detaching any one entry leaves the others, in order
         watcher.detach(machine.disk)
-        assert machine.disk.on_write_commit == log.record
+        assert observers[1:3] == [first.entries.append,
+                                  second.entries.append]
+        observers.remove(first.entries.append)
+        seen = len(second)
+        run_user(machine, touch(machine.fs, "/g"), name="touch again")
+        assert len(second) > seen
+        assert len(first) == watcher.windows_seen == seen
 
     def test_double_attach_refused(self):
         machine = build_machine("conventional")
@@ -119,17 +137,17 @@ class TestLifecycle:
 
     def test_detach_without_attach_leaves_other_observers_alone(self):
         machine = build_machine("conventional")
-        log = MediaLog(machine.disk.geometry.sector_size)
-        log.attach(machine.disk)
+        log = MediaLog()
+        machine.disk.write_observers.append(log.entries.append)
         make_monitor(machine).detach(machine.disk)
-        assert machine.disk.on_write_commit == log.record
+        assert machine.disk.write_observers == [log.entries.append]
         # nor does a monitor watching another disk unhook this one
         other = build_machine("conventional")
         watcher = make_monitor(other)
         watcher.attach(other.disk)
         watcher.detach(machine.disk)
-        assert machine.disk.on_write_commit == log.record
-        assert other.disk.on_write_commit == watcher._on_commit
+        assert machine.disk.write_observers == [log.entries.append]
+        assert other.disk.write_observers == [watcher._on_commit]
 
     def test_reattach_starts_from_a_fresh_snapshot_and_baseline(self):
         machine = build_machine("conventional")
@@ -158,17 +176,41 @@ class TestLifecycle:
         assert f"unallocated inode {ino}" in hit.message
 
     def test_refused_attach_leaves_no_recording_hooks(self):
-        machine = build_machine("conventional")
+        machine = build_machine("nvram")
         elsewhere = build_machine("conventional")
         watcher = make_monitor(elsewhere)
         watcher.attach(elsewhere.disk)
         with pytest.raises(RuntimeError):
             record_run(machine,
                        build_workload(machine, "microbench", 0, 4),
-                       capture_media=True, monitor=watcher)
-        assert machine.disk.on_transfer_start is None
-        assert machine.disk.on_write_commit is None
-        assert elsewhere.disk.on_write_commit == watcher._on_commit
+                       monitor=watcher)
+        assert machine.disk.write_observers == []
+        assert machine.scheme.on_survivor is None
+        assert elsewhere.disk.write_observers == [watcher._on_commit]
+
+    @pytest.mark.parametrize("ending", ["quiesces", "victim crashes"])
+    def test_record_run_leaves_the_observers_as_it_found_them(self, ending):
+        machine = build_machine("nvram")
+        mine = MediaLog()
+        machine.disk.write_observers.append(mine.entries.append)
+
+        def victim():
+            yield from build_workload(machine, "microbench", 0, 4)
+            if ending == "victim crashes":
+                raise KeyError("victim bug")
+
+        if ending == "quiesces":
+            recorded = record_run(machine, victim())
+            # an observer installed before the recording sees the
+            # recording's own records
+            assert all(a is b for a, b in zip(mine.entries,
+                                              recorded.windows))
+            assert len(mine) == len(recorded.windows) > 0
+        else:
+            with pytest.raises(ProcessCrashed):
+                record_run(machine, victim())
+        assert machine.disk.write_observers == [mine.entries.append]
+        assert machine.scheme.on_survivor is None
 
     def test_supported_only_for_media_resident_schemes(self):
         for scheme in MEDIA_SCHEMES:

@@ -186,16 +186,15 @@ class TestOneShotSynthesis:
         # window retires (durable == 0)
         _machine, recorded = _record("noorder", "transient", ops=16)
         log = recorded.media_log
-        transient = [e for e in log.entries
-                     if e.durable == 0 and len(e.data) >= log.sector_size]
+        transient = [e for e in log.entries if e.durable == 0]
         assert transient, "transient profile must doom at least one write"
         entry = transient[0]
         mid = entry.transfer_start + 1.5 * entry.sector_period
-        if entry.sectors_in_flight_by(mid, log.sector_size) == 0:
+        if entry.sectors_applied_by(mid) == 0:
             pytest.skip("window too short for a mid-transfer prefix")
         during = synthesize_crash_image(recorded.base_image, log, mid)
         after = synthesize_crash_image(recorded.base_image, log, entry.end)
         sector = during.read(entry.lbn, 1)
-        assert sector == entry.data[:log.sector_size]
+        assert sector == entry.data[:len(entry.data) // entry.nsectors]
         assert after.read(entry.lbn, 1) != sector or \
             recorded.base_image.read(entry.lbn, 1) == sector

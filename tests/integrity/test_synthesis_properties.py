@@ -21,12 +21,12 @@ import random
 
 import pytest
 
+from repro.disk.drive import InFlightWrite
 from repro.disk.geometry import DiskGeometry
 from repro.disk.storage import SectorStore
 from repro.integrity.medialog import (
     ImageSynthesizer,
     MediaLog,
-    MediaWrite,
     synthesize_crash_image,
 )
 
@@ -34,6 +34,14 @@ SECTOR = 512
 MAX_LBN = 96
 GEOMETRY = DiskGeometry(cylinders=1, heads=1, sectors_per_track=MAX_LBN,
                         sector_size=SECTOR)
+
+
+def record(log: MediaLog, lbn, data, start, period, end, durable) -> None:
+    """Append a finished write, as the drive's observer list would."""
+    log.entries.append(InFlightWrite(
+        lbn=lbn, data=data, nsectors=len(data) // SECTOR,
+        transfer_start=start, sector_period=period, end=end,
+        durable=durable))
 
 
 def random_base(rng) -> SectorStore:
@@ -45,7 +53,7 @@ def random_base(rng) -> SectorStore:
 
 def random_log(rng, windows: int) -> MediaLog:
     """Disjoint, time-ordered windows with every fault shape mixed in."""
-    log = MediaLog(SECTOR)
+    log = MediaLog()
     clock = 0.0
     for _ in range(windows):
         nsectors = rng.randrange(1, 9)
@@ -63,7 +71,7 @@ def random_log(rng, windows: int) -> MediaLog:
         else:                   # transient: a full pass, then revoked
             durable = 0
             end = start + nsectors * period
-        log.record(lbn, data, start, period, end, durable)
+        record(log, lbn, data, start, period, end, durable)
         clock = end
     return log
 
@@ -78,7 +86,7 @@ def brute_force_image(base: SectorStore, log: MediaLog,
         if entry.end <= when:
             surviving = entry.durable
         else:
-            surviving = entry.sectors_in_flight_by(when, SECTOR)
+            surviving = entry.sectors_applied_by(when)
         for k in range(surviving):
             image[entry.lbn + k] = entry.data[k * SECTOR:(k + 1) * SECTOR]
     return image
@@ -186,11 +194,11 @@ def test_transient_prefix_never_sticks_to_the_shared_image(seed):
     the next query past the window must show it revoked."""
     rng = random.Random(seed)
     base = random_base(rng)
-    log = MediaLog(SECTOR)
+    log = MediaLog()
     data = rng.randbytes(8 * SECTOR)
     lbn = 16
     # one transient window: full pass visible under the head, durable=0
-    log.record(lbn, data, 1.0, 0.001, 1.008, 0)
+    record(log, lbn, data, 1.0, 0.001, 1.008, 0)
     synth = ImageSynthesizer(base, log)
 
     mid = synth.image_at(1.0045)  # 4 sectors under the head

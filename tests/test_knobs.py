@@ -1,5 +1,6 @@
 """Knob census: the environment variables the code names are the ones the
-docs name, and the simulator stays dependency-free.
+docs name, a machine has the config fields listed here, and the simulator
+stays dependency-free.
 
 Every ``REPRO_*`` variable is an option somebody has to know about, so the
 set is pinned here: adding one means editing this list *and* documenting
@@ -8,8 +9,11 @@ DESIGN.md once did) fails.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from repro.machine import MachineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -18,6 +22,11 @@ DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
 
 KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_HEARTBEAT",
          "REPRO_STALL_TIMEOUT"}
+
+#: every independently settable value of one simulated testbed; a field
+#: nobody sets differently is a constant, not a field
+MACHINE_CONFIG_FIELDS = {"scheme", "policy", "fs_geometry", "costs",
+                         "cache_bytes", "observe", "faults"}
 
 #: the only package allowed to read the process environment: the CLI and
 #: grid plumbing.  Everything else -- ``obs`` included, which a
@@ -33,6 +42,11 @@ def knob_names(paths) -> set:
 def test_knobs_named_in_src_are_the_documented_ones():
     assert knob_names(SOURCES) == KNOBS
     assert knob_names(DOCS) == KNOBS
+
+
+def test_machine_config_fields_are_the_listed_ones():
+    assert {f.name for f in dataclasses.fields(MachineConfig)} \
+        == MACHINE_CONFIG_FIELDS
 
 
 def test_simulated_layers_never_read_the_environment():

@@ -39,12 +39,6 @@ class TestBlockCopyWiring:
         machine = make_machine("softupdates")
         assert machine.cache.block_copy is True
 
-    def test_override_wins(self):
-        config = MachineConfig(scheme=ConventionalScheme(),
-                               fs_geometry=SMALL_GEOMETRY, block_copy=True)
-        machine = Machine(config)
-        assert machine.cache.block_copy is True
-
 
 class TestInstantMode:
     def test_populate_consumes_no_simulated_time(self):
