@@ -146,17 +146,12 @@ class DiskStats:
 class Disk:
     """An HP C2447-class drive attached to the simulation engine."""
 
-    def __init__(self, engine: Engine,
-                 geometry: Optional[DiskGeometry] = None,
-                 params: Optional[DiskParameters] = None,
-                 cache_segments: int = 2,
-                 prefetch_sectors: int = 64) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.geometry = geometry or DiskGeometry()
-        self.params = params or DiskParameters()
+        self.geometry = DiskGeometry()
+        self.params = DiskParameters()
         self.storage = SectorStore(self.geometry)
-        self.cache = PrefetchCache(cache_segments, prefetch_sectors,
-                                   self.geometry.total_sectors)
+        self.cache = PrefetchCache(total_sectors=self.geometry.total_sectors)
         self.stats = DiskStats()
         self._obs = engine.obs
         self._current_cylinder = 0

@@ -18,21 +18,18 @@ every pending request lives in exactly one bucket:
 
 * ``_eligible`` -- dispatchable now; mirrored in ``_eligible_keys``, a
   ``(lbn, id)``-sorted list the C-LOOK sweep bisects into.
-* ``_fifo_held`` -- writes behind an older overlapping write (the driver's
-  media-order invariant); woken when they reach the head of every per-sector
-  FIFO.
+* ``_waiters`` -- requests waiting on one incomplete request, keyed by its
+  id: an older overlapping write (the per-sector write FIFO: the media-order
+  invariant for a write, the ``-NR`` rule for a conflict-checked read) or a
+  chains dependency.  A completion reclassifies exactly its waiters.
 * ``_policy_held`` -- a min-id heap for monotone policies (flag semantics):
   after each completion the driver pops eligible requests off the front and
   stops at the first still-blocked one.
-* ``_dep_waiters`` -- chains-style requests watching one incomplete
-  dependency each; a completion wakes exactly its watchers.
-* ``_read_waiters`` -- conflict-checked reads watching the specific
-  incomplete write that blocks them.
 
-Bucket transitions happen on issue, on completion, and on policy release
-(barrier retirement / dependency completion -- both surfaced through
-completions), so ``_select_batch`` is O(eligible), not O(pending).  The
-dispatch order is byte-identical to the reference full-scan implementation;
+Bucket transitions happen on issue and on completion (a flag policy's
+barrier retirement is surfaced through completions too), so
+``_select_batch`` is O(eligible), not O(pending).  The dispatch order is
+byte-identical to the reference full-scan implementation;
 ``tests/driver/test_dispatch_index.py`` holds the executable spec.
 """
 
@@ -54,9 +51,15 @@ from repro.driver.request import DiskRequest, IOKind
 class DeviceDriver:
     """Queues requests, enforces ordering policy, drives the disk."""
 
-    def __init__(self, engine: Engine, disk: Disk, policy: OrderingPolicy,
-                 max_batch_sectors: int = 128, max_retries: int = 4,
-                 retry_backoff: float = 0.01) -> None:
+    #: most sectors one concatenated dispatch may carry
+    max_batch_sectors = 128
+    #: bounded recovery for faulted media operations (see _service_retried):
+    #: retry budget, and the backoff step in simulated seconds
+    max_retries = 4
+    retry_backoff = 0.01
+
+    def __init__(self, engine: Engine, disk: Disk,
+                 policy: OrderingPolicy) -> None:
         if policy.eligibility not in ("none", "monotone", "deps"):
             raise ValueError(
                 f"{type(policy).__name__}.eligibility is "
@@ -65,16 +68,11 @@ class DeviceDriver:
         self.engine = engine
         self.disk = disk
         self.policy = policy
-        self.max_batch_sectors = max_batch_sectors
-        #: bounded recovery for faulted media operations (see _service_retried)
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+        # a policy that never holds anything back is never told anything
+        self._informs_policy = policy.eligibility != "none"
         self.retries = 0
         self.remaps = 0
         self.io_errors = 0
-        #: keep completed requests' payload bytes in the trace (debugging /
-        #: recorders only; the default drops them so the trace stays flat)
-        self.retain_payloads = False
         # issue-ordered (dicts preserve insertion order); keyed by id so
         # dispatch removal is O(1) even with thousands queued
         self._pending: dict[int, DiskRequest] = {}
@@ -87,7 +85,8 @@ class DeviceDriver:
         # can cover the same sectors, and dispatching the younger one first
         # would let stale bytes land last).  sector -> ids in issue order;
         # deques because completion always retires the head (dispatch is
-        # gated on being first everywhere, so completions pop left).
+        # gated on being first everywhere, so completions pop left).  The
+        # only per-sector record of the write queue: -NR reads ask it too.
         self._write_fifo: dict[int, deque[int]] = {}
         # -- the eligibility index (see module docstring) ------------------
         self._eligible: dict[int, DiskRequest] = {}
@@ -95,10 +94,8 @@ class DeviceDriver:
         # mirror sorted by (end_lbn, id): backward concatenation bisects
         # here instead of scanning every eligible request per dispatch
         self._eligible_ends: list[tuple[int, int]] = []
-        self._fifo_held: set[int] = set()
+        self._waiters: dict[int, list[int]] = {}
         self._policy_held: list[int] = []
-        self._dep_waiters: dict[int, list[int]] = {}
-        self._read_waiters: dict[int, list[int]] = {}
         #: completed requests, in completion order
         self.trace: list[DiskRequest] = []
         self.requests_issued = 0
@@ -132,7 +129,8 @@ class DeviceDriver:
                     self._write_fifo[sector] = deque((request.id,))
                 else:
                     fifo.append(request.id)
-        self.policy.on_issue(request)
+        if self._informs_policy:
+            self.policy.on_issue(request)
         self._pending[request.id] = request
         self.requests_issued += 1
         if flag:
@@ -156,7 +154,11 @@ class DeviceDriver:
               depends_on: Optional[frozenset[int]] = None,
               issuer: str = "") -> DiskRequest:
         """Issue a write request (convenience wrapper over :meth:`issue`)."""
-        nsectors = len(data) // self.disk.geometry.sector_size
+        nsectors, rest = divmod(len(data), self.disk.geometry.sector_size)
+        if rest:
+            raise ValueError(
+                f"write at lbn {lbn}: {len(data)} bytes is not a whole "
+                f"number of {self.disk.geometry.sector_size}-byte sectors")
         return self.issue(IOKind.WRITE, lbn, nsectors, data=data, flag=flag,
                           depends_on=depends_on, issuer=issuer)
 
@@ -181,32 +183,32 @@ class DeviceDriver:
         Usable from simulated processes: ``yield from driver.drain()``.
         """
         while self._pending or self._in_flight:
-            yield self._idle_check_event()
-
-    def _idle_check_event(self):
-        # piggyback on completion signals: wake on next completion
-        return self._work.wait()
+            # piggyback on completion signals: wake on next completion
+            yield self._work.wait()
 
     # -- the eligibility index --------------------------------------------
     def _classify(self, request: DiskRequest) -> None:
         """Place a pending request into the bucket its state demands.
 
-        Called on issue and whenever a wake condition fires; the caller has
-        already removed the request from its previous bucket.
+        Called on issue and when the request it waited on completes; the
+        caller has already removed it from its previous bucket.
         """
-        if request.is_write and not self._write_fifo_ok(request):
-            self._fifo_held.add(request.id)
-            return
         policy = self.policy
         eligibility = policy.eligibility
-        if eligibility == "none":
-            self._promote(request)
-        elif not request.is_write and policy.conflict_checked_reads:
-            blocker = self._conflict_blocker(request)
-            if blocker is None:
-                self._promote(request)
-            else:
-                self._read_waiters.setdefault(blocker, []).append(request.id)
+        blocker = None
+        if request.is_write:
+            blocker = self._overlap_blocker(request)
+        elif policy.conflict_checked_reads:
+            # -NR: an overlapping earlier write is all that can hold this
+            # read, so the policy is not asked about it
+            blocker = self._overlap_blocker(request)
+            eligibility = "none"
+        if blocker is None and eligibility == "deps":
+            blockers = policy.blocking_deps(request)
+            if blockers:
+                blocker = blockers[0]
+        if blocker is not None:
+            self._waiters.setdefault(blocker, []).append(request.id)
         elif eligibility == "monotone":
             held = self._policy_held
             # if an older request is already policy-held, monotonicity says
@@ -218,13 +220,8 @@ class DeviceDriver:
                 self._promote(request)
             else:
                 heapq.heappush(held, request.id)
-        else:  # "deps"
-            blockers = policy.blocking_deps(request)
-            if blockers:
-                self._dep_waiters.setdefault(blockers[0], []) \
-                    .append(request.id)
-            else:
-                self._promote(request)
+        else:
+            self._promote(request)
 
     def _promote(self, request: DiskRequest) -> None:
         self._eligible[request.id] = request
@@ -240,14 +237,16 @@ class DeviceDriver:
         index = bisect_left(ends, (request.end_lbn, request.id))
         del ends[index]
 
-    def _conflict_blocker(self, request: DiskRequest) -> Optional[int]:
-        """Oldest incomplete *earlier* write overlapping *request*.
+    def _overlap_blocker(self, request: DiskRequest) -> Optional[int]:
+        """An incomplete *earlier* write overlapping *request*, or None.
 
-        Only earlier writes block a conflict-checked read (the paper's -NR
-        rule); the per-sector FIFO fronts are the oldest ids, so one
-        comparison per sector decides.  Later writes never block an
-        already-issued read -- which also means issuing a write can never
-        retract a read's eligibility.
+        Each sector FIFO's head is its oldest incomplete write, so one
+        comparison per sector decides.  For a write this is the media-order
+        invariant (it dispatches only at the head of every FIFO it is in);
+        for a conflict-checked read it is the paper's -NR rule.  Only
+        earlier writes count: every wait points at a smaller id, so the
+        wait graph is acyclic (counting later writes once deadlocked the
+        queue), and issuing a write never retracts a read's eligibility.
         """
         fifo = self._write_fifo
         request_id = request.id
@@ -260,45 +259,17 @@ class DeviceDriver:
     def _after_completions(self, batch: list[DiskRequest]) -> None:
         """Wake whatever this batch's completions made dispatchable."""
         pending = self._pending
-        # writes that may have reached the head of every sector FIFO
-        sectors: set[int] = set()
+        waiters = self._waiters
         for request in batch:
-            if request.is_write:
-                sectors.update(range(request.lbn, request.end_lbn))
-        if sectors:
-            fifo = self._write_fifo
-            candidates: set[int] = set()
-            for sector in sectors:
-                ids = fifo.get(sector)
-                if ids:
-                    candidates.add(ids[0])
-            for candidate in sorted(candidates & self._fifo_held):
-                request = pending[candidate]
-                if self._write_fifo_ok(request):
-                    self._fifo_held.discard(candidate)
-                    self._classify(request)
-        # conflict-checked reads watching a completed write, and chains
-        # requests watching a completed dependency
-        for request in batch:
-            for waiter in self._read_waiters.pop(request.id, ()):
-                self._classify(pending[waiter])
-            for waiter in self._dep_waiters.pop(request.id, ()):
+            for waiter in waiters.pop(request.id, ()):
                 self._classify(pending[waiter])
         # monotone policies release the held-back queue in issue order:
         # pop until the first still-blocked request (all later ones are
         # blocked too, so nothing past it needs a look)
         held = self._policy_held
-        if held:
-            policy = self.policy
-            while held:
-                request = pending.get(held[0])
-                if request is None:  # defensive; held ids are pending
-                    heapq.heappop(held)
-                    continue
-                if not policy.may_dispatch(request):
-                    break
-                heapq.heappop(held)
-                self._promote(request)
+        policy = self.policy
+        while held and policy.may_dispatch(pending[held[0]]):
+            self._promote(pending[heapq.heappop(held)])
 
     # -- the dispatch loop -------------------------------------------------
     _in_flight: bool = False
@@ -331,9 +302,9 @@ class DeviceDriver:
                 request.complete_time = done_at
                 # the payload is on the platters now; keeping it would make
                 # the trace hold the whole workload's bytes (paper-scale
-                # runs move hundreds of MB)
-                if not self.retain_payloads:
-                    request.data = None
+                # runs move hundreds of MB); the media log keeps the drive's
+                # record of the transfer
+                request.data = None
                 if request.is_write:
                     for sector in range(request.lbn, request.end_lbn):
                         ids = self._write_fifo[sector]
@@ -342,7 +313,8 @@ class DeviceDriver:
                         ids.popleft()
                         if not ids:
                             del self._write_fifo[sector]
-                self.policy.on_complete(request)
+                if self._informs_policy:
+                    self.policy.on_complete(request)
                 self.trace.append(request)
             self.batches += 1
             if self._obs is not None:
@@ -404,8 +376,7 @@ class DeviceDriver:
                                      EXHAUSTED if is_write else EIO,
                                      sense.code)
                     return
-                if self.retry_backoff:
-                    yield self.engine.timeout(self.retry_backoff * attempts)
+                yield self.engine.timeout(self.retry_backoff * attempts)
             self.retries += 1
             disk.faults.log(self.engine.now, "retry",
                             f"{'write' if is_write else 'read'} lbn={lbn} "
@@ -459,15 +430,6 @@ class DeviceDriver:
             index = 0
         chosen = self._eligible[keys[index][1]]
         return self._concatenate(chosen)
-
-    def _write_fifo_ok(self, request: DiskRequest) -> bool:
-        """True unless an older incomplete write overlaps this write."""
-        if not request.is_write:
-            return True
-        fifo = self._write_fifo
-        request_id = request.id
-        return all(fifo[sector][0] == request_id
-                   for sector in range(request.lbn, request.end_lbn))
 
     def _lowest_at(self, lbn: int, kind: IOKind,
                    chosen: DiskRequest) -> Optional[DiskRequest]:

@@ -1,8 +1,9 @@
 """Ordering policies: flag semantics (section 3.1) and chains (section 3.2).
 
 A policy answers one question for the elevator: *may this pending request be
-dispatched right now?*  All policies see every issue and completion so they
-can maintain whatever bookkeeping their semantics need.
+dispatched right now?*  A policy that can hold a request back sees every
+issue and completion so it can maintain whatever bookkeeping its semantics
+need.
 
 Flag semantics compared by the paper (figure 1):
 
@@ -17,7 +18,9 @@ Flag semantics compared by the paper (figure 1):
 
 ``-NR`` (any semantics): non-conflicting reads bypass writes that are waiting
 because of ordering restrictions.  A read conflicts if it overlaps an
-incomplete earlier write.
+incomplete earlier write -- the same fact as the driver's own media-order
+invariant, so the driver decides it from its per-sector write FIFO and a
+policy keeps no record of the write queue.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import enum
 import heapq
 from collections import deque
 
-from repro.driver.request import DiskRequest, IOKind
+from repro.driver.request import DiskRequest
 
 
 class FlagSemantics(enum.Enum):
@@ -53,23 +56,22 @@ class OrderingPolicy:
     policy declares one of the three (the driver refuses anything else at
     construction):
 
-    * ``"none"`` -- ``may_dispatch`` is constant ``True``; nothing is ever
-      policy-held.
+    * ``"none"`` -- nothing is ever policy-held; the driver makes no
+      per-request call to the policy at all.
     * ``"monotone"`` -- blocked-ness is monotone in issue id: if a request
       is policy-held, every later-issued request is too (the flag
-      semantics).  The driver keeps held requests in a min-id heap and pops
-      from the front after each completion.
+      semantics).  The driver keeps held requests in a min-id heap and asks
+      :meth:`may_dispatch` from the front after each completion.
     * ``"deps"`` -- a request is held exactly while a dependency named by
       :meth:`blocking_deps` is incomplete (scheduler chains).  The driver
-      watches one incomplete dependency at a time.
+      asks nothing else and watches one incomplete dependency at a time.
 
     ``conflict_checked_reads`` marks policies whose *read* admission is
     exactly "no overlap with an incomplete earlier write" (the ``-NR``
-    rule and chains' natural read bypass); the driver then wakes a held
-    read from the completion of the specific write blocking it.
+    rule and chains' natural read bypass); the driver decides such a read
+    from its own write FIFO and never asks the policy about it.
     """
 
-    name = "base"
     #: ``"none"``, ``"monotone"`` or ``"deps"``; a subclass must say which
     eligibility = None
     conflict_checked_reads = False
@@ -81,56 +83,12 @@ class OrderingPolicy:
         """A request finished at the drive."""
 
     def may_dispatch(self, request: DiskRequest) -> bool:
-        """May *request* be sent to the drive now?"""
+        """May *request* be sent to the drive now? (``"monotone"``)"""
         raise NotImplementedError
 
     def blocking_deps(self, request: DiskRequest) -> list[int]:
         """Incomplete request ids *request* waits on (``"deps"`` policies)."""
         return []
-
-
-class _ConflictTracker:
-    """Tracks sectors covered by incomplete writes, for -NR conflict checks.
-
-    A read conflicts only with an incomplete *earlier* write (the paper's
-    definition).  Counting later writes too -- a historical bug -- made the
-    wait graph cyclic: a barrier could wait on an old read, the read on a
-    younger overlapping write, and that write on the barrier, deadlocking
-    the queue.  With only earlier writes blocking, every wait in the driver
-    points at a strictly smaller issue id, so the graph is acyclic.
-
-    Per sector the incomplete write ids are kept in issue order; the driver
-    FIFO guarantees overlapping writes complete in issue order, so the
-    front entry is always the oldest -- one comparison answers the check.
-    """
-
-    def __init__(self) -> None:
-        self._cover: dict[int, deque[int]] = {}
-
-    def add(self, request: DiskRequest) -> None:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover.get(sector)
-            if ids is None:
-                self._cover[sector] = deque((request.id,))
-            else:
-                ids.append(request.id)
-
-    def remove(self, request: DiskRequest) -> None:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover[sector]
-            if ids[0] == request.id:
-                ids.popleft()
-            else:
-                ids.remove(request.id)
-            if not ids:
-                del self._cover[sector]
-
-    def read_conflicts(self, request: DiskRequest) -> bool:
-        for sector in range(request.lbn, request.end_lbn):
-            ids = self._cover.get(sector)
-            if ids and ids[0] < request.id:
-                return True
-        return False
 
 
 class FlagPolicy(OrderingPolicy):
@@ -139,10 +97,10 @@ class FlagPolicy(OrderingPolicy):
     Eligibility is monotone in issue order for every flag meaning: a
     request is blocked exactly when some older flagged/incomplete work
     remains, a condition that only grows with the issue id.  (With
-    ``read_bypass`` the reads drop out of that ordering and are admitted on
-    the pure data-conflict check instead.)  The driver uses this to keep
-    held-back queues -- which reach thousands of requests under the remove
-    benchmarks -- out of the per-dispatch scan entirely.
+    ``read_bypass`` the reads drop out of that ordering: the driver admits
+    them on its own data-conflict check and never asks.)  The driver uses
+    this to keep held-back queues -- which reach thousands of requests
+    under the remove benchmarks -- out of the per-dispatch scan entirely.
     """
 
     def __init__(self, semantics: FlagSemantics,
@@ -151,13 +109,13 @@ class FlagPolicy(OrderingPolicy):
         self.read_bypass = read_bypass
         if semantics is FlagSemantics.IGNORE:
             # IGNORE admits everything unconditionally (even conflicting
-            # reads -- the FIFO below still serializes overlapping writes)
+            # reads -- the driver's write FIFO still serializes overlapping
+            # writes), so the driver never calls it
             self.eligibility = "none"
             self.conflict_checked_reads = False
         else:
             self.eligibility = "monotone"
             self.conflict_checked_reads = read_bypass
-        self.name = semantics.value + ("-NR" if read_bypass else "")
         # ids of incomplete requests (issued, not yet completed)
         self._incomplete: set[int] = set()
         self._min_incomplete_heap: list[int] = []
@@ -167,7 +125,6 @@ class FlagPolicy(OrderingPolicy):
         # BACK: flagged ids not yet retired (retired once everything issued
         # at-or-before them has completed); kept in issue order
         self._barriers: deque[int] = deque()
-        self._writes = _ConflictTracker()
 
     # -- bookkeeping ------------------------------------------------------
     def on_issue(self, request: DiskRequest) -> None:
@@ -177,14 +134,10 @@ class FlagPolicy(OrderingPolicy):
             self._flagged_incomplete.add(request.id)
             heapq.heappush(self._min_flagged_heap, request.id)
             self._barriers.append(request.id)
-        if request.is_write:
-            self._writes.add(request)
 
     def on_complete(self, request: DiskRequest) -> None:
         self._incomplete.discard(request.id)
         self._flagged_incomplete.discard(request.id)
-        if request.is_write:
-            self._writes.remove(request)
         self._retire_barriers()
 
     def _min_incomplete(self) -> int | None:
@@ -208,9 +161,6 @@ class FlagPolicy(OrderingPolicy):
     def may_dispatch(self, request: DiskRequest) -> bool:
         if self.semantics is FlagSemantics.IGNORE:
             return True
-        if request.kind is IOKind.READ and self.read_bypass:
-            return not self._writes.read_conflicts(request)
-
         if self.semantics is FlagSemantics.PART:
             floor = self._min_flagged_incomplete()
             return floor is None or request.id <= floor
@@ -237,16 +187,14 @@ class ChainsPolicy(OrderingPolicy):
     A request is dispatchable once every request it names has completed.
     Reads carry no dependencies, so they bypass ordering queues naturally
     (the paper notes ``-NR`` "holds no meaning with scheduler chains"),
-    subject only to the data-conflict check.
+    subject only to the driver's data-conflict check.
     """
 
-    name = "Chains"
     eligibility = "deps"
     conflict_checked_reads = True
 
     def __init__(self) -> None:
         self._incomplete: set[int] = set()
-        self._writes = _ConflictTracker()
 
     def on_issue(self, request: DiskRequest) -> None:
         bad = [dep for dep in request.depends_on if dep >= request.id]
@@ -255,18 +203,9 @@ class ChainsPolicy(OrderingPolicy):
                 f"request #{request.id} depends on not-yet-issued ids {bad}; "
                 f"chains may only reference previously issued requests")
         self._incomplete.add(request.id)
-        if request.is_write:
-            self._writes.add(request)
 
     def on_complete(self, request: DiskRequest) -> None:
         self._incomplete.discard(request.id)
-        if request.is_write:
-            self._writes.remove(request)
-
-    def may_dispatch(self, request: DiskRequest) -> bool:
-        if request.kind is IOKind.READ:
-            return not self._writes.read_conflicts(request)
-        return all(dep not in self._incomplete for dep in request.depends_on)
 
     def blocking_deps(self, request: DiskRequest) -> list[int]:
         """The still-incomplete dependencies, oldest first."""

@@ -12,7 +12,7 @@ a time, and sectors within a transfer land in LBN order, one per
 entry of the drive's ``write_observers``, so the log holds the drive's own
 :class:`~repro.disk.drive.InFlightWrite` records -- one per write media
 operation, carrying the payload (stored exactly once -- the driver trace
-drops its copy, see ``DeviceDriver.retain_payloads``), the transfer window
+drops its copy at completion), the transfer window
 geometry, the *actual* simulated completion instant ``end`` and the
 sector-prefix length ``durable`` that persisted.
 
@@ -46,10 +46,9 @@ from repro.disk.storage import SectorStore
 class MediaLog:
     """Append-only record of every write that reached the media.
 
-    Memory discipline (the PR-4 ``retain_payloads`` rule): each window's
-    payload bytes are stored here exactly once -- the log holds a reference
-    to the very object the driver handed the drive, and the driver trace
-    drops its own copy at completion.  ``payload_bytes`` is therefore
+    Memory discipline: each window's payload bytes are stored here exactly
+    once -- the log holds a reference to the very object the driver handed
+    the drive, and the driver trace drops its own copy at completion.  ``payload_bytes`` is therefore
     bounded by the workload's unique write volume, never duplicated
     per-sector or per-crash-point.
     """

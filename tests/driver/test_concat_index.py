@@ -66,7 +66,7 @@ def populate(seed, nrequests=40, span=60):
         # park everything in the eligible index without running the
         # dispatch loop (the engine never advances)
         if request.id not in driver._eligible \
-                and driver._write_fifo_ok(request):
+                and driver._overlap_blocker(request) is None:
             driver._promote(request)
     return driver
 

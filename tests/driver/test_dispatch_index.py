@@ -6,11 +6,14 @@ the contract down:
 
 * a reference driver -- the straightforward full-scan selection, kept here
   as an executable specification -- produces the *identical* trace (ids,
-  batching, timestamps) on randomized workloads under every policy family;
+  batching, timestamps, errors) on randomized workloads under every policy
+  family, fault-free and with retried and failed batches, and the index is
+  empty once the queue drains;
 * the backward concatenation direction prefers the first-issued request on
   an end-LBN tie, like the forward direction always has;
 * dispatch cost stays near-linear in queue depth (the policy is consulted
-  O(1) times per request, not once per pending request per dispatch).
+  O(1) times per request, not once per pending request per dispatch), and
+  a policy that holds nothing back is not called at all.
 """
 
 import random
@@ -19,6 +22,7 @@ import pytest
 
 from repro.disk import Disk
 from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics
+from repro.faults import PROFILES
 from repro.sim import Engine
 
 
@@ -27,8 +31,11 @@ class ReferenceDriver(DeviceDriver):
 
     The index plumbing is disabled wholesale (classification and wakeup
     bookkeeping become no-ops) and selection recomputes eligibility from
-    scratch each time -- quadratic, but obviously correct.  The optimized
-    driver must match it exactly.
+    scratch each time -- quadratic, but obviously correct.  The write FIFO
+    and the -NR read conflict are decided by scanning the pending writes,
+    not the driver's per-sector ``_write_fifo`` (selection runs only while
+    the drive is idle, so every incomplete write is pending).  The
+    optimized driver must match it exactly.
     """
 
     def _classify(self, request):
@@ -40,14 +47,27 @@ class ReferenceDriver(DeviceDriver):
     def _after_completions(self, batch):
         pass
 
+    def _behind_earlier_write(self, request):
+        return any(other.is_write and other.id < request.id
+                   and other.overlaps(request.lbn, request.nsectors)
+                   for other in self._pending.values())
+
+    def _dispatchable(self, request):
+        policy = self.policy
+        if request.is_write:
+            if self._behind_earlier_write(request):
+                return False
+        elif policy.conflict_checked_reads:
+            return not self._behind_earlier_write(request)
+        if policy.eligibility == "none":
+            return True
+        if policy.eligibility == "monotone":
+            return policy.may_dispatch(request)
+        return not policy.blocking_deps(request)
+
     def _select_batch(self):
-        pool = {}
-        for request in self._pending.values():
-            if not self._write_fifo_ok(request):
-                continue
-            if not self.policy.may_dispatch(request):
-                continue
-            pool[request.id] = request
+        pool = {request.id: request for request in self._pending.values()
+                if self._dispatchable(request)}
         if not pool:
             return None
         ahead = [r for r in pool.values() if r.lbn >= self._head_lbn]
@@ -83,11 +103,15 @@ class ReferenceDriver(DeviceDriver):
         return batch
 
 
-def replay(driver_cls, policy_factory, seed, nops=120):
-    """Run a seeded random workload; return the completion trace."""
+def replay(driver_cls, policy_factory, seed, nops=120, profile="none"):
+    """Run a seeded random workload, on a drive with fault profile
+    *profile*; return the driver and its completion trace."""
     rng = random.Random(seed)
     engine = Engine()
-    driver = driver_cls(engine, Disk(engine), policy_factory())
+    disk = Disk(engine)
+    if profile != "none":
+        disk.faults = PROFILES[profile](seed).build()
+    driver = driver_cls(engine, disk, policy_factory())
     issued = []
 
     def producer():
@@ -117,9 +141,9 @@ def replay(driver_cls, policy_factory, seed, nops=120):
     engine.run_until(engine.process(producer()), max_events=5_000_000)
     for request in issued:
         engine.run_until(request.done, max_events=5_000_000)
-    return [(r.id, r.kind, r.lbn, r.nsectors,
-             r.issue_time, r.dispatch_time, r.complete_time)
-            for r in driver.trace]
+    return driver, [(r.id, r.kind, r.lbn, r.nsectors, r.issue_time,
+                     r.dispatch_time, r.complete_time, r.error)
+                    for r in driver.trace]
 
 
 POLICIES = [
@@ -137,15 +161,22 @@ POLICIES = [
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("name,factory", POLICIES,
                              ids=[name for name, _ in POLICIES])
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("profile", ["none", "transient", "mixed"])
+    @pytest.mark.parametrize("seed", range(20))
     def test_trace_identical_to_full_scan_reference(self, name, factory,
-                                                    seed):
-        """Same workload, same policy: the indexed driver's trace must be
-        byte-identical to the reference full scan -- same dispatch order,
-        same batching, same timestamps."""
-        fast = replay(DeviceDriver, factory, seed)
-        reference = replay(ReferenceDriver, factory, seed)
+                                                    profile, seed):
+        """Same workload, same policy, same faults: the indexed driver's
+        trace must be byte-identical to the reference full scan -- same
+        dispatch order, same batching, same timestamps, same errors (a
+        failed batch completes through the same wakeups as a good one) --
+        and nothing may be left waiting once the queue has drained."""
+        driver, fast = replay(DeviceDriver, factory, seed, profile=profile)
+        _, reference = replay(ReferenceDriver, factory, seed,
+                              profile=profile)
         assert fast == reference
+        assert driver.idle
+        assert not driver._waiters and not driver._policy_held
+        assert not driver._write_fifo
 
     def test_policy_must_declare_its_eligibility(self):
         """The index has no fallback scan: a policy that names none of the
@@ -195,13 +226,12 @@ class TestBackwardTieBreak:
 
 
 class CountingChains(ChainsPolicy):
+    """Counts the one question the driver asks chains (``may_dispatch`` is
+    left to the base class, which raises: the driver must not ask it)."""
+
     def __init__(self):
         super().__init__()
         self.consultations = 0
-
-    def may_dispatch(self, request):
-        self.consultations += 1
-        return super().may_dispatch(request)
 
     def blocking_deps(self, request):
         self.consultations += 1
@@ -228,3 +258,38 @@ class TestDispatchScaling:
         engine.run_until(issued[-1].done, max_events=10_000_000)
         assert len(driver.trace) == depth
         assert policy.consultations <= 8 * depth
+
+
+class CountingIgnore(FlagPolicy):
+    """IGNORE that counts every per-request call it receives."""
+
+    def __init__(self):
+        super().__init__(FlagSemantics.IGNORE)
+        self.calls = 0
+
+    def on_issue(self, request):
+        self.calls += 1
+
+    def on_complete(self, request):
+        self.calls += 1
+
+    def may_dispatch(self, request):
+        self.calls += 1
+        return True
+
+    def blocking_deps(self, request):
+        self.calls += 1
+        return []
+
+
+class TestIgnoreIsNotCalled:
+    @pytest.mark.parametrize("profile", ["none", "mixed"])
+    def test_ignore_policy_sees_no_per_request_call(self, profile):
+        """A policy that never holds anything back is neither told about
+        issues and completions nor asked about requests: four of the six
+        standard schemes run IGNORE, and its bookkeeping was pure cost."""
+        policy = CountingIgnore()
+        driver, trace = replay(DeviceDriver, lambda: policy, 3,
+                               profile=profile)
+        assert len(trace) == 120
+        assert policy.calls == 0

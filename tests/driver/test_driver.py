@@ -30,6 +30,19 @@ def test_single_write_completes_and_persists(eng):
     assert driver.trace == [req]
 
 
+def test_misaligned_write_is_refused_at_issue(eng):
+    """A payload that is not a whole number of sectors was once accepted as a
+    shorter request; the drive then refused it inside the dispatch loop,
+    killing the driver process, and every later request hung."""
+    driver = make_driver(eng)
+    with pytest.raises(ValueError, match="lbn 100: 700 bytes"):
+        driver.write(100, b"\x01" * 700)
+    assert driver.queue_depth == 0
+    req = driver.read(100, 2)
+    eng.run_until(req.done, max_events=10_000)
+    assert req.error is None and req.complete_time > 0
+
+
 def test_read_completes(eng):
     driver = make_driver(eng)
     req = driver.read(100, 2)

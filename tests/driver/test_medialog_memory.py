@@ -2,10 +2,10 @@
 
 Companion regression to ``test_trace_memory.py``: capture-enabled
 recording runs put a :class:`~repro.integrity.medialog.MediaLog` among the
-drive's ``write_observers``, and the memory discipline is the PR-4
-``retain_payloads`` rule -- the log keeps one reference per media operation
-(a reference to the very bytes object the drive transferred, never a copy),
-while the driver trace keeps dropping its payloads at completion.  A sweep over hundreds of crash
+drive's ``write_observers``, and the memory discipline is one reference per
+media operation -- the log keeps the very bytes object the drive
+transferred, never a copy, while the driver trace drops its payloads at
+completion.  A sweep over hundreds of crash
 points must cost one workload's write volume, not one per crash point.
 """
 
@@ -31,7 +31,7 @@ def test_log_holds_each_window_once_and_trace_stays_flat():
     log = MediaLog()
     disk.write_observers.append(log.entries.append)
     payloads = churn_writes(eng, driver, count=50)
-    # the driver trace keeps zero payload bytes (the PR-4 default) ...
+    # the driver trace keeps zero payload bytes ...
     assert sum(len(r.data) for r in driver.trace
                if r.data is not None) == 0
     # ... while the log holds exactly the media write volume, once:
@@ -49,12 +49,11 @@ def test_log_references_are_not_copies():
     eng = Engine()
     disk = Disk(eng)
     driver = DeviceDriver(eng, disk, FlagPolicy(FlagSemantics.IGNORE))
-    driver.retain_payloads = True
     log = MediaLog()
     disk.write_observers.append(log.entries.append)
-    churn_writes(eng, driver, count=5)
-    retained = {id(r.data) for r in driver.trace if r.data is not None}
-    assert retained, "retain_payloads must keep the driver copies"
-    for entry in log.entries:
-        assert id(entry.data) in retained, \
+    payloads = churn_writes(eng, driver, count=5)
+    # five writes, none contiguous: one media operation each, in LBN order
+    assert len(log.entries) == len(payloads)
+    for i, entry in enumerate(log.entries):
+        assert entry.data is payloads[i], \
             "log entry duplicated the payload instead of sharing it"

@@ -1,8 +1,15 @@
-"""Unit tests for flag semantics and chains eligibility (no disk involved)."""
+"""Flag semantics and chains eligibility.
+
+The policies' own answers are unit-tested with no disk.  What the driver
+decides from its own write FIFO -- the ``-NR`` read conflict and chains'
+read bypass -- and the dispatch order chains' dependencies produce run
+through a :class:`DeviceDriver`: a policy keeps no record of the write queue.
+"""
 
 import pytest
 
-from repro.driver import ChainsPolicy, FlagPolicy, FlagSemantics
+from repro.disk import Disk
+from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics
 from repro.driver.request import DiskRequest, IOKind
 from repro.sim import Engine
 
@@ -22,6 +29,21 @@ def eng():
 def issue_all(policy, requests):
     for request in requests:
         policy.on_issue(request)
+
+
+def busy_driver(eng, policy):
+    """A driver whose drive is busy with a far-away write (LBN 500 000), so
+    whatever is issued next queues up and the eligibility index orders it."""
+    driver = DeviceDriver(eng, Disk(eng), policy)
+    driver.write(500_000, bytes(1024))
+    eng.run(until=0.0001)
+    return driver
+
+
+def completion_order(eng, driver, requests):
+    for request in requests:
+        eng.run_until(request.done)
+    return [r.id for r in driver.trace]
 
 
 class TestIgnore:
@@ -53,18 +75,32 @@ class TestPart:
         assert not policy.may_dispatch(rd)
 
     def test_reads_bypass_with_nr(self, eng):
-        policy = FlagPolicy(FlagSemantics.PART, read_bypass=True)
-        wf = make_request(eng, 1, lbn=0, flag=True)
-        rd = make_request(eng, 2, kind=IOKind.READ, lbn=100)
-        issue_all(policy, [wf, rd])
-        assert policy.may_dispatch(rd)
+        # the read is issued after the flag, yet C-LOOK (head past 500 000)
+        # reaches it first and the driver lets it go
+        driver = busy_driver(
+            eng, FlagPolicy(FlagSemantics.PART, read_bypass=True))
+        wf = driver.write(100_000, bytes(1024), flag=True)
+        rd = driver.read(600_000, 2)
+        order = completion_order(eng, driver, [wf, rd])
+        assert order.index(rd.id) < order.index(wf.id)
 
     def test_nr_read_conflicting_with_pending_write_blocks(self, eng):
-        policy = FlagPolicy(FlagSemantics.PART, read_bypass=True)
-        wf = make_request(eng, 1, lbn=100, nsectors=4, flag=True)
-        rd = make_request(eng, 2, kind=IOKind.READ, lbn=102, nsectors=1)
-        issue_all(policy, [wf, rd])
-        assert not policy.may_dispatch(rd)
+        # an *unflagged* earlier write: nothing in PART's flag order holds
+        # the read, only the overlap does (C-LOOK would take LBN 100 first)
+        driver = busy_driver(
+            eng, FlagPolicy(FlagSemantics.PART, read_bypass=True))
+        w = driver.write(102, bytes(4 * 512))
+        rd = driver.read(100, 4)
+        completion_order(eng, driver, [w, rd])
+        assert rd.dispatch_time >= w.complete_time
+
+    def test_nr_read_is_not_held_by_a_later_overlapping_write(self, eng):
+        driver = busy_driver(
+            eng, FlagPolicy(FlagSemantics.PART, read_bypass=True))
+        rd = driver.read(100, 4)
+        w = driver.write(102, bytes(4 * 512))
+        completion_order(eng, driver, [w, rd])
+        assert rd.complete_time <= w.dispatch_time
 
 
 class TestBack:
@@ -121,16 +157,15 @@ class TestFull:
 
 class TestChains:
     def test_dependency_gating(self, eng):
-        policy = ChainsPolicy()
-        w1 = make_request(eng, 1, lbn=0)
-        w2 = make_request(eng, 2, lbn=10, depends_on=[1])
-        w3 = make_request(eng, 3, lbn=20)  # independent
-        issue_all(policy, [w1, w2, w3])
-        assert policy.may_dispatch(w1)
-        assert not policy.may_dispatch(w2)
-        assert policy.may_dispatch(w3)   # no false dependency (vs flag schemes)
-        policy.on_complete(w1)
-        assert policy.may_dispatch(w2)
+        # C-LOOK from LBN 500 000 would take w2 (600 000) before w3 and w1
+        driver = busy_driver(eng, ChainsPolicy())
+        w1 = driver.write(900_000, bytes(1024))
+        w2 = driver.write(600_000, bytes(1024), depends_on=frozenset([w1.id]))
+        w3 = driver.write(700_000, bytes(1024))  # independent
+        order = completion_order(eng, driver, [w1, w2, w3])
+        assert order.index(w1.id) < order.index(w2.id)
+        # no false dependency (vs flag schemes)
+        assert order.index(w3.id) < order.index(w2.id)
 
     def test_transitive_chain(self, eng):
         policy = ChainsPolicy()
@@ -138,10 +173,10 @@ class TestChains:
                 make_request(eng, 2, depends_on=[1]),
                 make_request(eng, 3, depends_on=[2])]
         issue_all(policy, reqs)
-        assert [policy.may_dispatch(r) for r in reqs] == [True, False, False]
+        assert [policy.blocking_deps(r) for r in reqs] == [[], [1], [2]]
         policy.on_complete(reqs[0])
         policy.on_complete(reqs[1])
-        assert policy.may_dispatch(reqs[2])
+        assert policy.blocking_deps(reqs[2]) == []
 
     def test_future_dependency_rejected(self, eng):
         policy = ChainsPolicy()
@@ -150,19 +185,27 @@ class TestChains:
             policy.on_issue(bad)
 
     def test_reads_bypass_naturally(self, eng):
-        policy = ChainsPolicy()
-        w1 = make_request(eng, 1, lbn=0)
-        w2 = make_request(eng, 2, lbn=10, depends_on=[1])
-        rd = make_request(eng, 3, kind=IOKind.READ, lbn=100)
-        issue_all(policy, [w1, w2, rd])
-        assert policy.may_dispatch(rd)
+        # the read is issued behind a held write and does not wait for it
+        driver = busy_driver(eng, ChainsPolicy())
+        w1 = driver.write(900_000, bytes(1024))
+        w2 = driver.write(100_000, bytes(1024), depends_on=frozenset([w1.id]))
+        rd = driver.read(600_000, 2)
+        order = completion_order(eng, driver, [w1, w2, rd])
+        assert order.index(rd.id) < order.index(w1.id) < order.index(w2.id)
 
     def test_read_of_pending_write_target_blocks(self, eng):
-        policy = ChainsPolicy()
-        w1 = make_request(eng, 1, lbn=100, nsectors=4)
-        rd = make_request(eng, 2, kind=IOKind.READ, lbn=100, nsectors=2)
-        issue_all(policy, [w1, rd])
-        assert not policy.may_dispatch(rd)
+        driver = busy_driver(eng, ChainsPolicy())
+        w1 = driver.write(102, bytes(4 * 512))
+        rd = driver.read(100, 4)
+        completion_order(eng, driver, [w1, rd])
+        assert rd.dispatch_time >= w1.complete_time
+
+    def test_read_is_not_held_by_a_later_overlapping_write(self, eng):
+        driver = busy_driver(eng, ChainsPolicy())
+        rd = driver.read(100, 4)
+        w1 = driver.write(102, bytes(4 * 512))
+        completion_order(eng, driver, [w1, rd])
+        assert rd.complete_time <= w1.dispatch_time
 
 
 class TestRequestValidation:

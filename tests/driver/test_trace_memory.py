@@ -3,8 +3,8 @@
 Regression test for a memory growth bug: ``DeviceDriver.trace`` keeps
 every completed request for the life of the machine, so holding each
 write's payload would accumulate the whole workload's bytes (paper-scale
-runs move hundreds of MB).  Payloads are dropped at completion unless a
-recorder opts in via ``retain_payloads``.
+runs move hundreds of MB).  Payloads are dropped at completion; the media
+log keeps the drive's own record of each transfer.
 """
 
 from repro.disk import Disk
@@ -34,12 +34,3 @@ def test_trace_drops_payloads_by_default():
     assert retained_bytes(driver) == 0
     assert all(r.data is None for r in driver.trace)
 
-
-def test_recorder_can_opt_into_payload_retention():
-    eng = Engine()
-    driver = DeviceDriver(eng, Disk(eng), FlagPolicy(FlagSemantics.IGNORE))
-    driver.retain_payloads = True
-    churn_writes(eng, driver, count=10)
-    writes = [r for r in driver.trace if r.is_write]
-    assert len(writes) == 10
-    assert all(r.data == b"\x5c" * (4 * 512) for r in writes)
