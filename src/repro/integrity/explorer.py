@@ -75,7 +75,7 @@ from repro.fs.layout import FSGeometry
 from repro.harness.parallel import run_grid
 from repro.harness.recording import RecordedRun, record_run
 from repro.integrity.findings import CrashFinding, ExplorationReport
-from repro.integrity.fsck import fsck, repair
+from repro.integrity.fsck import Auditor, repair
 from repro.integrity.invariants import classify_report, finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
 from repro.integrity.monitor import OrderingMonitor
@@ -228,11 +228,13 @@ def enumerate_crash_points(recorded: RecordedRun,
 # ----------------------------------------------------------------------
 # verification: synthesize, fsck, classify
 # ----------------------------------------------------------------------
-def classify_image(image, geometry, secrets: bool, verify_repair: bool,
-                   guarantees, index: int, crash_time: float,
-                   label: str) -> CrashFinding:
-    """fsck + invariant classification of one surviving image."""
-    report = fsck(image, geometry)
+def classify_image(image, auditor: Auditor, secrets: bool,
+                   verify_repair: bool, guarantees, index: int,
+                   crash_time: float, label: str) -> CrashFinding:
+    """fsck (through *auditor*) + invariant classification of one
+    surviving image."""
+    report = auditor.audit(image)
+    geometry = auditor.geometry
     leaks = (find_secret_leaks(image, geometry, report.inodes)
              if secrets else [])
     violations = classify_report(report, leaks)
@@ -258,10 +260,13 @@ def _verify_chunk(base, log, geometry, secrets: bool, verify_repair: bool,
     The synthesizer applies sectors incrementally: point *k+1* reuses the
     image built for point *k* and applies only the sectors committed in
     between, so a chunk of *m* points costs one base snapshot + one pass
-    over the log + *m* fscks -- zero simulation.
+    over the log + *m* fscks -- zero simulation.  The fscks go through one
+    :class:`~repro.integrity.fsck.Auditor`, so each decodes only the
+    records the writes since the previous point changed.
     """
     synthesizer = ImageSynthesizer(base, log)
-    return [classify_image(synthesizer.image_at(point.time), geometry,
+    auditor = Auditor(geometry)
+    return [classify_image(synthesizer.image_at(point.time), auditor,
                            secrets, verify_repair, guarantees,
                            point.index, point.time, point.label)
             for point in chunk]

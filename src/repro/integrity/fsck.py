@@ -37,12 +37,25 @@ Structure (after pFSCK, arxiv 2004.05524): each phase is split into a
 *replay* pass that folds the resulting op-stream into the global claim
 table and reference map in ascending inode order, so all cross-inode
 judgement sits in the replay.  The split is what
-``tests/integrity/reference_fsck.py`` is held equal to pass by pass, and
-what a per-group memoised check would key on (ROADMAP).
+``tests/integrity/reference_fsck.py`` is held equal to pass by pass.
 
-This is the repository's one structural checker: crash exploration calls
-:func:`fsck` per crash point, the online monitor
-(:mod:`repro.integrity.monitor`) per durable commit.
+It is also what makes an audit of a *stream* of images cheap.  An
+:class:`Auditor` remembers each pure result of its previous audit, keyed
+on the bytes it was computed from: an allocated dinode on its inode number
+and 128-byte record (its ``Dinode`` and claim stream), a directory on its
+inode number, size, direct pointers and block bytes (its event stream), a
+cylinder group's bitmap findings on its header block and the part of the
+claim table and inode set that falls in it.  Consecutive crash points
+differ by one media write, so an audit decodes only the records that write
+touched; the replay runs in full every time.  Keys are bytes, not store
+chunks, because a crash-image store is rewritten in place.  A dinode with
+indirect pointers is decoded afresh every audit: its walk reads blocks its
+key does not cover.  :func:`fsck` is a one-audit :class:`Auditor`.
+
+This is the repository's one structural checker: crash exploration audits
+each chunk of crash points through one :class:`Auditor`, the online
+monitor (:mod:`repro.integrity.monitor`) each durable commit through
+another.
 """
 
 from __future__ import annotations
@@ -111,19 +124,21 @@ def read_image_frags(image: SectorStore, geo: FSGeometry,
     return image.read(daddr * spf, frags * spf)
 
 
-def scan_cg_inodes(image: SectorStore, geo: FSGeometry,
-                   cg: int) -> list[tuple[int, Dinode]]:
-    """All allocated dinodes of one cylinder group, ascending.
+def cg_inode_records(image: SectorStore, geo: FSGeometry,
+                     cg: int) -> list[tuple[int, bytes]]:
+    """``(ino, 128-byte record)`` of every allocated dinode of one
+    cylinder group, ascending.
 
-    Reads the group's inode table once and unpacks only the slots whose
-    mode bytes are non-zero -- the dinodes and their order are exactly
-    what a per-slot walk produces (``tests/integrity/reference_fsck.py``).
+    Reads the group's inode table once and keeps only the slots whose mode
+    bytes are non-zero -- the slots and their order are exactly those a
+    per-slot walk decodes as allocated
+    (``tests/integrity/reference_fsck.py``).  The records are the keys
+    :class:`Auditor` remembers a dinode's decode under.
     """
     raw = read_image_frags(image, geo, geo.cg_inode_table(cg),
                            geo.inode_blocks_per_cg * geo.frags_per_block)
     first = cg * geo.ipg
-    return [(first + slot,
-             Dinode.unpack(raw[slot * INODE_SIZE:(slot + 1) * INODE_SIZE]))
+    return [(first + slot, raw[slot * INODE_SIZE:(slot + 1) * INODE_SIZE])
             for slot in allocated_slots(raw)
             if first + slot >= ROOT_INO]  # inodes below it are burned
 
@@ -181,11 +196,12 @@ def journal_overlay_view(image: SectorStore, geo: FSGeometry):
 
 
 def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
-    try:
-        geo.data_index(daddr)
-        return True
-    except ValueError:
+    """Whether ``geo.data_index(daddr)`` accepts *daddr*, by arithmetic:
+    a claim walk asks once per claimed fragment."""
+    if not geo.cg_start <= daddr < geo.journal_start:
         return False
+    return ((daddr - geo.cg_start) % geo.cg_frags
+            >= geo.cg_frags - geo.dfrags_per_cg)
 
 
 def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
@@ -247,23 +263,31 @@ def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
     return ops
 
 
-def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
-                     din: Dinode) -> list:
-    """Phase-2 event-stream for one directory: ``dir-corrupt`` findings
-    plus ``(target, name)`` for every live entry (replayed against the
-    global inode table by :meth:`_Checker.note_reference`)."""
+def directory_blocks(image: SectorStore, geo: FSGeometry,
+                     din: Dinode) -> tuple:
+    """The bytes of each block of directory *din*, by logical block:
+    ``None`` for a hole or a pointer outside the data area."""
+    nblocks = (din.size + geo.block_size - 1) // geo.block_size
+    return tuple(read_image_frags(image, geo, daddr, geo.frags_per_block)
+                 if daddr and valid_data_frag(geo, daddr) else None
+                 for daddr in din.direct[:min(nblocks, geo.NDADDR)])
+
+
+def directory_events(geo: FSGeometry, ino: int, din: Dinode,
+                     blocks: tuple) -> list:
+    """Phase-2 event-stream for one directory whose blocks hold *blocks*
+    (:func:`directory_blocks`): ``dir-corrupt`` findings plus ``(target,
+    name)`` for every live entry (replayed against the global inode table
+    by :meth:`_Checker.note_reference`)."""
     events: list = []
     seen_dot = seen_dotdot = False
-    blocks = (din.size + geo.block_size - 1) // geo.block_size
-    for lblk in range(min(blocks, geo.NDADDR)):
-        daddr = din.direct[lblk]
-        if not daddr:
-            events.append(finding(
-                "dir-corrupt", f"directory {ino} has a hole at block {lblk}"))
-            continue
-        if not valid_data_frag(geo, daddr):
-            continue  # already reported by the claim walk
-        raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
+    for lblk, raw in enumerate(blocks):
+        if raw is None:
+            if not din.direct[lblk]:
+                events.append(finding(
+                    "dir-corrupt",
+                    f"directory {ino} has a hole at block {lblk}"))
+            continue  # a bad pointer: already reported by the claim walk
         try:
             records = list(directory.iter_records(raw))
         except directory.CorruptDirectory as exc:
@@ -289,19 +313,19 @@ def directory_events(image: SectorStore, geo: FSGeometry, ino: int,
     return events
 
 
-def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
+def cg_bitmap_findings(header: bytes, geo: FSGeometry, cg: int,
                        claims: dict[int, int],
                        allocated) -> list[Violation]:
-    """Phase-4 findings for one cylinder group.  *claims* maps fragment
-    daddr -> owning ino and *allocated* iterates allocated inode numbers;
-    either may be restricted to this group's range (the rest is ignored).
+    """Phase-4 findings for one cylinder group whose header block holds
+    *header*.  *claims* maps fragment daddr -> owning ino and *allocated*
+    iterates allocated inode numbers; either may be restricted to this
+    group's range (the rest is ignored).
 
     Each bitmap is read as one int and XORed against the bits the claims
     (the allocated dinodes) call for; only the differing bits are walked,
     ascending, so the findings are those of a bit-by-bit comparison.
     """
-    view = CgView(read_image_frags(image, geo, geo.cg_base(cg),
-                                   geo.frags_per_block), geo)
+    view = CgView(header, geo)
     if view.magic != CG_MAGIC:
         return [finding("fs-unreadable", f"cylinder group {cg} bad magic")]
     findings: list[Violation] = []
@@ -337,13 +361,24 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
 
 
 class _Checker:
-    """Replays op-streams into the global report (the serial core)."""
+    """Replays op-streams into the global report (the serial core).
 
-    def __init__(self, image: SectorStore, geometry: FSGeometry) -> None:
+    Each pure result is looked up in *previous* (the per-record results of
+    the audit before, see :class:`Auditor`) before it is computed, and is
+    kept in ``results`` for the audit after.  The three kinds of key --
+    ``(ino, record)``, ``(ino, size, pointers, blocks)`` and ``(cg,
+    header, claims, inodes)`` -- differ in length or in the type of their
+    second element, so they share one dict without colliding.
+    """
+
+    def __init__(self, image: SectorStore, geometry: FSGeometry,
+                 previous: dict | None = None) -> None:
         self.image = image
         self.geo = geometry
         self.report = FsckReport()
         self.claims: dict[int, int] = {}  # fragment daddr -> claiming ino
+        self.previous = {} if previous is None else previous
+        self.results: dict = {}
 
     def found(self, key: str, message: str,
               subject: int | None = None) -> None:
@@ -351,16 +386,28 @@ class _Checker:
 
     # -- phase 1: inodes and block claims ------------------------------------
     def scan_inodes(self) -> None:
+        previous, results = self.previous, self.results
         for cg in range(self.geo.ncg):
-            for ino, din in scan_cg_inodes(self.image, self.geo, cg):
-                self.report.inodes[ino] = din
-                if din.safe_ftype is None:
-                    # neither its pointers nor its blocks mean anything
-                    self.found("integrity-error",
-                               f"inode {ino} mode {din.mode:#06x} unparseable")
-                    continue
-                self.apply_claim_ops(
-                    ino, inode_claim_ops(self.image, self.geo, ino, din))
+            for key in cg_inode_records(self.image, self.geo, cg):
+                scanned = previous.get(key)
+                if scanned is None:
+                    scanned = self.decode_inode(*key)
+                din, ops = scanned
+                if not (din.sindirect or din.dindirect):
+                    # its walk read no block outside the key
+                    results[key] = scanned
+                self.report.inodes[key[0]] = din
+                self.apply_claim_ops(key[0], ops)
+
+    def decode_inode(self, ino: int, record: bytes) -> tuple[Dinode, list]:
+        """The dinode in *record* and its claim stream."""
+        din = Dinode.unpack(record)
+        if din.safe_ftype is None:
+            # neither its pointers nor its blocks mean anything
+            return din, [finding("integrity-error",
+                                 f"inode {ino} mode {din.mode:#06x} "
+                                 f"unparseable")]
+        return din, inode_claim_ops(self.image, self.geo, ino, din)
 
     def apply_claim_ops(self, ino: int, ops: list) -> None:
         """Fold one inode's claim stream into the global claim table."""
@@ -378,11 +425,17 @@ class _Checker:
 
     # -- phase 2: directory structure ----------------------------------------
     def scan_directories(self) -> None:
+        previous, results = self.previous, self.results
         for ino, din in self.report.inodes.items():
             if din.safe_ftype is not FileType.DIRECTORY:
                 continue
-            self.apply_directory_events(
-                ino, directory_events(self.image, self.geo, ino, din))
+            blocks = directory_blocks(self.image, self.geo, din)
+            key = (ino, din.size, tuple(din.direct), blocks)
+            events = previous.get(key)
+            if events is None:
+                events = directory_events(self.geo, ino, din, blocks)
+            results[key] = events
+            self.apply_directory_events(ino, events)
 
     def apply_directory_events(self, ino: int, events: list) -> None:
         for event in events:
@@ -432,10 +485,12 @@ class _Checker:
         cylinder group, one pass each, without the inodes in *dead* and
         what they claim."""
         geo = self.geo
+        start, size = geo.cg_start, geo.cg_frags
         claims: list[dict[int, int]] = [{} for _cg in range(geo.ncg)]
         for daddr, owner in self.claims.items():
             if owner not in dead:
-                claims[geo.cg_of_daddr(daddr)][daddr] = owner
+                # a claim is a valid data fragment: its group is arithmetic
+                claims[(daddr - start) // size][daddr] = owner
         inodes: list[list[int]] = [[] for _cg in range(geo.ncg)]
         for ino in self.report.inodes:
             if ino not in dead:
@@ -443,10 +498,19 @@ class _Checker:
         return claims, inodes
 
     def check_bitmaps(self) -> None:
+        previous, results = self.previous, self.results
+        geo = self.geo
         claims, inodes = self.by_group()
-        for cg in range(self.geo.ncg):
-            self.report.findings += cg_bitmap_findings(
-                self.image, self.geo, cg, claims[cg], inodes[cg])
+        for cg in range(geo.ncg):
+            header = read_image_frags(self.image, geo, geo.cg_base(cg),
+                                      geo.frags_per_block)
+            key = (cg, header, tuple(claims[cg].items()), tuple(inodes[cg]))
+            found = previous.get(key)
+            if found is None:
+                found = cg_bitmap_findings(header, geo, cg, claims[cg],
+                                           inodes[cg])
+            results[key] = found
+            self.report.findings += found
 
 
 def repair(image: SectorStore,
@@ -542,26 +606,55 @@ def repair(image: SectorStore,
     return fsck(image, geometry)
 
 
+class Auditor:
+    """fsck over a stream of images of one file system.
+
+    :meth:`audit` returns exactly what :func:`fsck` returns for the image,
+    and reuses each per-record result of the previous audit whose bytes
+    have not changed (module docstring).  Results the audit does not meet
+    again are dropped, so it holds one image's worth of them.  The
+    ``Dinode`` objects of its reports are shared with the next report:
+    read-only.
+    """
+
+    def __init__(self, geometry: FSGeometry | None = None) -> None:
+        #: where to look for the superblock
+        self.geometry = geometry or FSGeometry()
+        #: the superblock's layout the remembered results were computed in
+        self._geo: FSGeometry | None = None
+        #: the previous audit's per-record results, keyed on their bytes
+        self._results: dict = {}
+
+    def audit(self, image: SectorStore) -> FsckReport:
+        """Audit *image*; returns the :class:`FsckReport`."""
+        previous, self._results = self._results, {}
+        try:
+            superblock = Superblock.unpack(read_image_frags(
+                image, self.geometry, self.geometry.superblock_daddr, 1))
+        except ValueError as exc:
+            return FsckReport([finding("fs-unreadable",
+                                       f"superblock unreadable: {exc}")])
+        geo = superblock.geometry
+        if geo == self._geo:
+            geo = self._geo  # its derived sizes are already computed
+        else:
+            previous, self._geo = {}, geo
+        # a journaling image is audited in its *recovered* state: raw image
+        # plus the committed log overlay (identity for journal-less layouts)
+        image = journal_overlay_view(image, geo)
+        checker = _Checker(image, geo, previous)
+        self._results = checker.results
+        checker.scan_inodes()
+        if ROOT_INO not in checker.report.inodes:
+            checker.found("fs-unreadable", "root inode missing")
+            return checker.report
+        checker.scan_directories()
+        checker.check_links()
+        checker.check_bitmaps()
+        return checker.report
+
+
 def fsck(image: SectorStore,
          geometry: FSGeometry | None = None) -> FsckReport:
     """Audit *image*; returns the :class:`FsckReport`."""
-    geometry = geometry or FSGeometry()
-    try:
-        superblock = Superblock.unpack(read_image_frags(
-            image, geometry, geometry.superblock_daddr, 1))
-    except ValueError as exc:
-        return FsckReport([finding("fs-unreadable",
-                                   f"superblock unreadable: {exc}")])
-    geo = superblock.geometry
-    # a journaling image is audited in its *recovered* state: raw image
-    # plus the committed log overlay (identity for journal-less layouts)
-    image = journal_overlay_view(image, geo)
-    checker = _Checker(image, geo)
-    checker.scan_inodes()
-    if ROOT_INO not in checker.report.inodes:
-        checker.found("fs-unreadable", "root inode missing")
-        return checker.report
-    checker.scan_directories()
-    checker.check_links()
-    checker.check_bitmaps()
-    return checker.report
+    return Auditor(geometry).audit(image)

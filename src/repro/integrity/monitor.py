@@ -6,16 +6,18 @@ exploration checks this after the fact -- fsck over a sweep of synthesized
 crash images.  The monitor (in the spirit of SquirrelFS, arxiv 2406.09649)
 checks it *online*: as an entry of the drive's ``write_observers`` it
 mirrors every write's durable sector prefix into a private shadow image,
-and runs :func:`repro.integrity.fsck.fsck` on that image after every
-durable commit.  Each error the previous commit's audit did not report is
-one typed :class:`OrderingViolation`, carrying fsck's message verbatim and
-naming the rule, the offending write window (lbn + sectors) and the
-simulated instant.  There is one structural checker in the repository and
-the monitor is a caller of it: between commits it remembers only the last
-audit's error set and allocated-inode set.  The price is one from-scratch
-fsck per durable commit -- about a millisecond on the exploration testbed,
-which is what the monitor is meant for (docs/consistency-monitor.md,
-"Cost").
+and audits that image with a :class:`repro.integrity.fsck.Auditor` after
+every durable commit.  Each error the previous commit's audit did not
+report is one typed :class:`OrderingViolation`, carrying fsck's message
+verbatim and naming the rule, the offending write window (lbn + sectors)
+and the simulated instant.  There is one structural checker in the
+repository and the monitor is a caller of it: between commits it
+remembers the last audit's error set and allocated-inode set, and its
+auditor the per-record results that audit decoded.  The price is one fsck
+per durable commit that re-decodes only the records the commit changed,
+plus the cross-inode replay over the whole image -- about a millisecond
+on the exploration testbed, which is what the monitor is meant for
+(docs/consistency-monitor.md, "Cost").
 
 The rule catalogue is the paper's three ordering rules plus the structural
 soundness they protect; the rule of a new error is the invariant key the
@@ -78,7 +80,7 @@ from typing import Optional
 
 from repro.disk.drive import InFlightWrite
 from repro.fs import journal
-from repro.integrity.fsck import fsck
+from repro.integrity.fsck import Auditor
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
 
 #: rule key -> what it protects
@@ -156,8 +158,10 @@ class OrderingMonitor:
         self.violations: list[OrderingViolation] = []
         self.windows_seen = 0
         self.commits_applied = 0
-        #: the shadow image (set at attach) and what its last audit found
+        #: the shadow image and its auditor (set at attach), and what its
+        #: last audit found
         self._image = None
+        self._auditor = None
         self._spf = 0
         self._errors: frozenset = frozenset()
         self._allocated: frozenset = frozenset()
@@ -185,10 +189,11 @@ class OrderingMonitor:
 
         Every attach starts from a fresh snapshot and an empty baseline,
         so whatever is already wrong with the image is reported now, with
-        the placeholder window ``lbn -1``."""
+        the placeholder window ``lbn -1``, and a fresh auditor."""
         if self._attached is not None:
             raise RuntimeError("monitor already attached")
         self._image = disk.storage.snapshot()
+        self._auditor = Auditor(self.geo)
         self._spf = self.geo.frag_size // disk.geometry.sector_size
         self._errors = self._allocated = frozenset()
         self._j_early = set()
@@ -233,7 +238,7 @@ class OrderingMonitor:
 
     def _audit(self) -> None:
         """fsck the shadow image; fire each error the last audit lacked."""
-        report = fsck(self._image, self.geo)
+        report = self._auditor.audit(self._image)
         errors = dict.fromkeys(found for found in report.findings
                                if found.is_corruption)
         for found in errors:

@@ -63,9 +63,13 @@ class NvramScheme(OrderingScheme):
         """Copy the buffer's current bytes into NVRAM (may stall if full)."""
         while (self.used_bytes + buf.size > self.capacity_bytes
                and buf.daddr not in self._mirror):
+            oldest = self._destage_victim()
+            if oldest is None:
+                # every mirrored block is one this operation holds: they
+                # stay until it releases them, over capacity meanwhile
+                break
             # force a destage of the oldest mirrored block and wait for it
             self.destage_stalls += 1
-            oldest = next(iter(self._mirror))
             victim = self.fs.cache.peek(oldest)
             if victim is not None and victim.dirty:
                 request = self.fs.cache.start_flush(victim)
@@ -88,6 +92,20 @@ class NvramScheme(OrderingScheme):
             self.store_cost_per_byte * buf.size * self.fs.costs.scale)
         if not buf.post_write:
             buf.post_write.append(self._destaged)
+
+    def _destage_victim(self):
+        """The oldest mirrored block the calling process does not hold.
+
+        A held block cannot be destaged until its holder releases it, and
+        the holder is waiting here: ``link_added`` mirrors ``ibuf`` and
+        then ``dbuf`` with both held.
+        """
+        caller = self.fs.engine.current_process.name
+        for daddr in self._mirror:
+            held = self.fs.cache.peek(daddr)
+            if held is None or not held.busy or held.owner != caller:
+                return daddr
+        return None
 
     def _destaged(self, buf) -> None:
         """Disk caught up with this block: the NVRAM copy can be dropped.

@@ -18,6 +18,7 @@ from repro.integrity.explorer import (
     classify_image,
     enumerate_crash_points,
 )
+from repro.integrity.fsck import Auditor
 from repro.harness.recording import record_run
 
 
@@ -46,7 +47,8 @@ def replay_finding(scheme, workload, seed, ops, point, secrets=False,
     """The :class:`CrashFinding` for *point*, by re-simulation."""
     machine = replay_machine(scheme, workload, seed, ops, point.time,
                              secrets=secrets, **kwargs)
-    return classify_image(crash_image(machine), machine.config.fs_geometry,
+    return classify_image(crash_image(machine),
+                          Auditor(machine.config.fs_geometry),
                           secrets, verify_repair,
                           machine.scheme.crash_guarantees,
                           point.index, point.time, point.label)

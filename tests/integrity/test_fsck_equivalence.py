@@ -7,6 +7,8 @@ findings may differ -- not a message, not their order:
 
 * random cylinder-group headers x random claim / allocated sets, and random
   inode tables, through both versions of the two scans;
+* ``valid_data_frag``'s arithmetic against ``FSGeometry.data_index`` at
+  every fragment of a volume;
 * whole crash sweeps (every media-resident scheme, the journal overlay, the
   rule-breaking shims) with the reference scans patched into ``fsck``;
 * ``_JournalView.read`` against a sector-by-sector composition.
@@ -26,7 +28,13 @@ from hypothesis import given, settings, strategies as st
 from repro.disk.geometry import DiskGeometry
 from repro.disk.storage import SectorStore
 from repro.fs.alloc import CG_MAGIC, CgView, bits_of, set_bits
-from repro.fs.layout import INODE_SIZE, ROOT_INO, Dinode, FSGeometry
+from repro.fs.layout import (
+    INODE_SIZE,
+    ROOT_INO,
+    Dinode,
+    FSGeometry,
+    with_journal,
+)
 from repro.harness.recording import record_run
 from repro.integrity.explorer import (
     EXPLORER_GEOMETRY,
@@ -39,8 +47,10 @@ from repro.integrity.explorer import (
 from repro.integrity.fsck import (
     _JournalView,
     cg_bitmap_findings,
+    cg_inode_records,
     fsck,
-    scan_cg_inodes,
+    read_image_frags,
+    valid_data_frag,
 )
 from repro.integrity.invariants import Violation, classify_report, finding
 from repro.integrity.medialog import ImageSynthesizer
@@ -97,6 +107,21 @@ def test_whole_bitmap_reads_match_the_bit_probes(geo, data):
         index for index in range(geo.ipg) if view.inode_used(index)]
 
 
+@pytest.mark.parametrize("geo", GEOMETRIES + [with_journal(EXPLORER_GEOMETRY)],
+                         ids=["tiny", "explorer", "journal"])
+def test_valid_data_frag_is_what_data_index_accepts(geo):
+    def accepted(daddr):
+        try:
+            geo.data_index(daddr)
+            return True
+        except ValueError:
+            return False
+
+    # every fragment of the volume and a few past both ends
+    for daddr in range(-3, geo.total_frags + 3):
+        assert valid_data_frag(geo, daddr) == accepted(daddr), daddr
+
+
 # ----------------------------------------------------------------------
 # cg_bitmap_findings: random headers x random claims / allocated sets
 # ----------------------------------------------------------------------
@@ -135,7 +160,7 @@ def bitmap_cases(draw):
 def test_bitmap_findings_equal_the_per_bit_audit(case):
     geo, cg, header, claims, allocated = case
     image = _store_with(geo, geo.cg_base(cg), header)
-    found = cg_bitmap_findings(image, geo, cg, claims, allocated)
+    found = cg_bitmap_findings(header, geo, cg, claims, allocated)
     pairs = reference_fsck.cg_bitmap_findings(image, geo, cg, claims,
                                               allocated)
     assert _pairs(found) == pairs
@@ -150,7 +175,7 @@ def test_root_ino_used_but_free_is_exempt_and_burned_inodes_are_skipped():
         view.set_inode(index, True)
     image = _store_with(geo, geo.cg_base(0), bytes(header))
     for allocated in (set(), {0, 1}):
-        found = cg_bitmap_findings(image, geo, 0, {}, allocated)
+        found = cg_bitmap_findings(bytes(header), geo, 0, {}, allocated)
         assert _pairs(found) == reference_fsck.cg_bitmap_findings(
             image, geo, 0, {}, allocated)
         assert found == [finding("leak", f"inode {ROOT_INO + 1} bitmap used "
@@ -158,7 +183,7 @@ def test_root_ino_used_but_free_is_exempt_and_burned_inodes_are_skipped():
 
 
 # ----------------------------------------------------------------------
-# scan_cg_inodes: random inode tables
+# cg_inode_records: random inode tables
 # ----------------------------------------------------------------------
 _RECORD = st.one_of(
     st.builds(lambda mode, nlink, size, ptr: Dinode(
@@ -185,9 +210,24 @@ def test_inode_scan_equals_the_per_slot_walk(geo, data):
                                                   max_size=12)).items():
         table[slot * INODE_SIZE:(slot + 1) * INODE_SIZE] = record
     image = _store_with(geo, geo.cg_inode_table(cg), bytes(table))
-    scanned = scan_cg_inodes(image, geo, cg)
-    assert scanned == reference_fsck.scan_cg_inodes(image, geo, cg)
-    assert all(ino >= ROOT_INO for ino, _din in scanned)
+    records = cg_inode_records(image, geo, cg)
+    assert records == _reference_records(image, geo, cg)
+    assert all(ino >= ROOT_INO for ino, _record in records)
+
+
+def _reference_records(image, geo, cg):
+    """The per-slot walk's allocated dinodes as the records the checker
+    keys its results on: each is the slot's 128 bytes, which decode to the
+    walk's dinode."""
+    table = read_image_frags(image, geo, geo.cg_inode_table(cg),
+                             geo.inode_blocks_per_cg * geo.frags_per_block)
+    records = []
+    for ino, din in reference_fsck.scan_cg_inodes(image, geo, cg):
+        slot = ino - cg * geo.ipg
+        record = table[slot * INODE_SIZE:(slot + 1) * INODE_SIZE]
+        assert Dinode.unpack(record) == din
+        records.append((ino, record))
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -227,14 +267,25 @@ def test_every_crash_point_reports_identically(monkeypatch, scheme, workload,
               for point in sorted(points, key=lambda p: (p.time, p.index))]
     geometry = machine.config.fs_geometry
     shipped = _reports(images, geometry)
-    monkeypatch.setattr(fsck_module, "scan_cg_inodes",
-                        reference_fsck.scan_cg_inodes)
-    monkeypatch.setattr(
-        fsck_module, "cg_bitmap_findings",
-        lambda *args: reference_classify.typed(
-            reference_fsck.cg_bitmap_findings(*args)))
+    reached = {"records": 0, "bitmaps": 0}
+
+    def reference_records(image, geo, cg):
+        reached["records"] += 1
+        return _reference_records(image, geo, cg)
+
+    def reference_bitmaps(header, geo, cg, claims, allocated):
+        reached["bitmaps"] += 1
+        return reference_classify.typed(reference_fsck.cg_bitmap_findings(
+            _store_with(geo, geo.cg_base(cg), header), geo, cg, claims,
+            allocated))
+
+    monkeypatch.setattr(fsck_module, "cg_inode_records", reference_records)
+    monkeypatch.setattr(fsck_module, "cg_bitmap_findings", reference_bitmaps)
     assert shipped == _reports(images, geometry)
     assert len(images) > 20
+    # every audit went through both: the reference is not bypassed
+    assert reached["records"] == geometry.ncg * len(images)
+    assert reached["bitmaps"] >= len(images)
     if scheme != "nvram":
         assert any(findings for findings, *_rest in shipped), \
             "a sweep with no finding at all compares nothing"

@@ -5,6 +5,9 @@ each) and unpack every inode slot, free ones included.  It now reads each
 bitmap as one int and unpacks only allocated slots; a per-bit or per-slot
 loop creeping back in fails here rather than at the next benchmark run.
 
+Across audits, the same for dinodes: a sweep decodes a dinode when its
+record changed, not at every crash point.
+
 One level up, the same for whole audits: a crash point is audited once,
 and neither the stale-data walk nor repair verification audits it again
 to learn what that audit already knew.
@@ -19,6 +22,7 @@ from repro.fs.layout import Dinode
 from repro.harness.recording import record_run
 from repro.integrity import fsck
 from repro.integrity.explorer import (
+    _verify_chunk,
     build_machine,
     build_workload,
     enumerate_crash_points,
@@ -58,6 +62,33 @@ def test_one_fsck_probes_no_bit_and_unpacks_only_allocated_slots(monkeypatch):
     assert calls["frag_used"] == 0
     assert calls["inode_used"] == 0
     assert calls["unpack"] <= len(report.inodes) + 1
+
+
+def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
+    # consecutive crash points differ by one media write: a chunk audited
+    # through one auditor unpacks a dinode again only when its record
+    # changed, where a from-scratch fsck per point unpacks every allocated
+    # dinode at every point
+    machine = build_machine("softupdates")
+    recorded = record_run(machine,
+                          build_workload(machine, "microbench", 0, 24),
+                          capture_media=True)
+    points = enumerate_crash_points(recorded)
+    geometry = machine.config.fs_geometry
+    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
+    per_point = sum(len(fsck(synthesizer.image_at(point.time),
+                             geometry).inodes) for point in points)
+
+    unpacked = []
+    real = Dinode.unpack.__func__
+    monkeypatch.setattr(Dinode, "unpack", classmethod(
+        lambda cls, raw: (unpacked.append(1), real(cls, raw))[1]))
+    findings = _verify_chunk(recorded.base_image, recorded.media_log,
+                             geometry, False, False,
+                             machine.scheme.crash_guarantees, points)
+
+    assert len(findings) == len(points) > 50
+    assert 0 < len(unpacked) <= per_point // 2, (len(unpacked), per_point)
 
 
 @pytest.mark.parametrize("options,scans_per_point", [
