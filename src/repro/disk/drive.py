@@ -14,9 +14,8 @@ One :class:`InFlightWrite` describes one write transfer, and it is the only
 description: it sits on ``disk.in_flight`` while the transfer runs, is
 stamped with ``end`` and ``durable`` when the media operation ends, and is
 then handed to every entry of ``disk.write_observers`` -- the media log
-(:mod:`repro.integrity.medialog`) keeps the object itself, the crash
-explorer enumerates its crash points from it and the ordering monitor
-applies it to a shadow image.
+(:mod:`repro.integrity.medialog`) keeps the object itself, and the crash
+explorer and the ordering monitor read it from there.
 """
 
 from __future__ import annotations

@@ -27,13 +27,13 @@ checksum-valid transaction in unbroken sequence order contributes its
 images to an *overlay* (newest image of a fragment wins, revoked
 fragments drop out); the crash image plus the overlay is the recovered
 state.  ``repro.integrity.fsck`` checks that recovered state,
-``repro.integrity.monitor`` tracks it online, and
+``repro.integrity.monitor`` judges it at every commit, and
 :class:`repro.ordering.journal.JournalScheme` writes it.
 
 Everything here is pure bytes-in/bytes-out: callers supply a
 ``read_frag(daddr, nfrags) -> bytes`` function, so the same scan serves
-the live scheme (sector store), fsck (crash images), and the monitor
-(its shadow image).
+the live scheme (sector store), fsck and the monitor (images synthesized
+from the media log).
 """
 
 from __future__ import annotations

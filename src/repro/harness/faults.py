@@ -40,9 +40,10 @@ from dataclasses import dataclass, field
 
 from repro.faults import MediaError, PROFILES
 from repro.harness.parallel import run_grid
+from repro.harness.recording import recording
 from repro.integrity.explorer import SCHEMES, build_machine, explore
 from repro.integrity.fsck import fsck
-from repro.integrity.monitor import OrderingMonitor
+from repro.integrity.monitor import monitor_violations
 from repro.ordering.registry import standard_slugs
 from repro.sim import ProcessCrashed, SimulationError
 from repro.workloads.churn import churn_workload
@@ -78,9 +79,9 @@ class CellResult:
     crash_points: int = 0
     crash_unexpected: int = 0
     crash_note: str = ""
-    #: online ordering monitor (``--monitor``): "", "online" or
-    #: "unsupported", plus what it saw during the cell's run
-    monitor_state: str = ""
+    #: ordering monitor (``--monitor``): whether it judged the cell's
+    #: recorded run, and what it found
+    monitored: bool = False
     monitor_violations: int = 0
     monitor_unexpected: int = 0
 
@@ -96,65 +97,26 @@ def run_cell(scheme_name: str, profile: str, seed: int,
     defects can abort the victim workload mid-recording; that is reported
     per cell, not raised.
 
-    ``monitor=True`` attaches the online ordering-rule monitor for the
-    whole cell: unexpected violations at commit time count as damage,
-    classified exactly like fsck damage (accounted-for -> ``degraded``,
-    unaccounted-for -> ``SILENT-CORRUPTION``).
+    The whole cell runs under :func:`~repro.harness.recording.recording`;
+    ``monitor=True`` runs the ordering-rule monitor over that record:
+    unexpected violations count as damage, classified exactly like fsck
+    damage (accounted-for -> ``degraded``, unaccounted-for ->
+    ``SILENT-CORRUPTION``).
     """
     machine = build_machine(scheme_name, fault_profile=profile,
                             fault_seed=seed)
-    injector = machine.disk.faults
     result = CellResult(scheme=scheme_name, profile=profile, seed=seed)
-
-    watcher = OrderingMonitor.for_machine(machine) if monitor else None
+    with recording(machine) as recorded:
+        _run_and_settle(machine, operations, seed)
     if monitor:
-        result.monitor_state = "online" if watcher else "unsupported"
-    if watcher is not None:
-        watcher.attach(machine.disk)
+        violations = monitor_violations(recorded,
+                                        machine.config.fs_geometry,
+                                        machine.scheme.crash_guarantees)
+        result.monitored = True
+        result.monitor_violations = len(violations)
+        result.monitor_unexpected = sum(not v.expected for v in violations)
 
-    victim = machine.spawn(
-        churn_workload(machine, seed=seed, operations=operations),
-        name="victim")
-    try:
-        machine.engine.run_until(victim)
-    except ProcessCrashed as exc:
-        if isinstance(exc.original, MediaError):
-            # the syscall path surfaced EIO/nospare to the caller: a typed,
-            # expected degradation (the workload stops, the image must
-            # still audit consistently with what was reported)
-            injector.log(machine.engine.now, "op_failed", str(exc.original))
-        else:
-            injector.log(machine.engine.now, "wedged", f"victim: {exc}")
-    except MediaError as exc:
-        injector.log(machine.engine.now, "op_failed", str(exc))
-    except (RuntimeError, SimulationError) as exc:
-        injector.log(machine.engine.now, "wedged", f"victim: {exc}")
-
-    for _ in range(SETTLE_ATTEMPTS):
-        try:
-            machine.sync_and_settle()
-            break
-        except ProcessCrashed as exc:
-            if isinstance(exc.original, MediaError):
-                injector.log(machine.engine.now, "sync_write_failed",
-                             str(exc.original))
-            else:
-                injector.log(machine.engine.now, "wedged", f"sync: {exc}")
-                break
-        except MediaError as exc:
-            injector.log(machine.engine.now, "sync_write_failed", str(exc))
-        except (RuntimeError, SimulationError) as exc:
-            injector.log(machine.engine.now, "wedged", f"sync: {exc}")
-            break
-    else:
-        injector.log(machine.engine.now, "wedged",
-                     f"sync still failing after {SETTLE_ATTEMPTS} attempts")
-
-    if watcher is not None:
-        watcher.detach(machine.disk)
-        result.monitor_violations = len(watcher.violations)
-        result.monitor_unexpected = len(watcher.unexpected)
-
+    injector = machine.disk.faults
     report = fsck(machine.disk.storage, machine.config.fs_geometry)
     degradations = injector.degradations()
 
@@ -195,6 +157,49 @@ def run_cell(scheme_name: str, profile: str, seed: int,
     return result
 
 
+def _run_and_settle(machine, operations: int, seed: int) -> None:
+    """The seeded churn victim, then a bounded settle; every failure on
+    the way is logged as a typed degradation, never raised."""
+    injector = machine.disk.faults
+    victim = machine.spawn(
+        churn_workload(machine, seed=seed, operations=operations),
+        name="victim")
+    try:
+        machine.engine.run_until(victim)
+    except ProcessCrashed as exc:
+        if isinstance(exc.original, MediaError):
+            # the syscall path surfaced EIO/nospare to the caller: a typed,
+            # expected degradation (the workload stops, the image must
+            # still audit consistently with what was reported)
+            injector.log(machine.engine.now, "op_failed", str(exc.original))
+        else:
+            injector.log(machine.engine.now, "wedged", f"victim: {exc}")
+    except MediaError as exc:
+        injector.log(machine.engine.now, "op_failed", str(exc))
+    except (RuntimeError, SimulationError) as exc:
+        injector.log(machine.engine.now, "wedged", f"victim: {exc}")
+
+    for _ in range(SETTLE_ATTEMPTS):
+        try:
+            machine.sync_and_settle()
+            break
+        except ProcessCrashed as exc:
+            if isinstance(exc.original, MediaError):
+                injector.log(machine.engine.now, "sync_write_failed",
+                             str(exc.original))
+            else:
+                injector.log(machine.engine.now, "wedged", f"sync: {exc}")
+                break
+        except MediaError as exc:
+            injector.log(machine.engine.now, "sync_write_failed", str(exc))
+        except (RuntimeError, SimulationError) as exc:
+            injector.log(machine.engine.now, "wedged", f"sync: {exc}")
+            break
+    else:
+        injector.log(machine.engine.now, "wedged",
+                     f"sync still failing after {SETTLE_ATTEMPTS} attempts")
+
+
 def format_report(cells: list[CellResult], operations: int) -> str:
     """Render the sweep outcome as a deterministic text report."""
     lines = ["fault sweep report",
@@ -203,7 +208,7 @@ def format_report(cells: list[CellResult], operations: int) -> str:
              f"cells: {len(cells)}",
              ""]
     explored = any(cell.crash_points or cell.crash_note for cell in cells)
-    monitored = any(cell.monitor_state for cell in cells)
+    monitored = any(cell.monitored for cell in cells)
     header = (f"{'scheme':<14}{'profile':<11}{'seed':>5}{'inj':>6}"
               f"{'retry':>7}{'remap':>7}{'eio':>5}{'lost':>6}"
               f"{'fsck':>6}")
@@ -220,9 +225,7 @@ def format_report(cells: list[CellResult], operations: int) -> str:
                f"{cell.io_errors:>5}{cell.lost_writes:>6}"
                f"{cell.fsck_errors:>6}")
         if monitored:
-            mon = (str(cell.monitor_violations)
-                   if cell.monitor_state == "online" else "-")
-            row += f"{mon:>6}"
+            row += f"{cell.monitor_violations:>6}"
         if explored:
             points = "n/a" if cell.crash_note else cell.crash_points
             row += f"{points:>6}{cell.crash_unexpected:>7}"
@@ -273,9 +276,9 @@ def main(argv: list[str]) -> int:
                         help="also sweep up to N crash points per cell "
                              "(crash AND fault; 0 = off)")
     parser.add_argument("--monitor", action="store_true",
-                        help="attach the online ordering-rule monitor to "
-                             "every cell (unexpected commit-time "
-                             "violations count as damage)")
+                        help="run the ordering-rule monitor over every "
+                             "cell's recorded run (unexpected violations "
+                             "count as damage)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="sweep cells in parallel over a fork pool "
                              "(default REPRO_JOBS, then the core count)")
@@ -324,7 +327,7 @@ def main(argv: list[str]) -> int:
     cells = list(results.values())
     for cell in cells:
         extra = ""
-        if args.monitor and cell.monitor_state == "online":
+        if cell.monitored:
             extra += (f" monitor={cell.monitor_violations}"
                       f"/{cell.monitor_unexpected}-unexpected")
         if args.explore:

@@ -3,29 +3,30 @@
 Crash exploration needs the *timeline* of a run before it can enumerate
 crash points: when did each write transfer start, how many sectors did it
 carry, when did it end and what did it leave on the platters.
-:func:`record_run` snapshots the pre-workload base image, executes a
-workload once on a machine with a :class:`~repro.integrity.medialog.MediaLog`
-among the drive's ``write_observers`` (it keeps every
-:class:`~repro.disk.drive.InFlightWrite` the drive hands out as its media
-operation ends) and then lets the system quiesce naturally -- no explicit
-``sync()`` is injected, because a re-simulation of the same workload (the
-test suite's replay oracle) must follow the *identical* event timeline and
-a recording-only sync would fork it.  Quiescence is reached through the
-ordinary syncer-daemon sweeps, exactly as a real machine left idle would
-settle.
+``with recording(machine) as recorded:`` snapshots the base image and puts
+a :class:`~repro.integrity.medialog.MediaLog` among the drive's
+``write_observers`` (it keeps every :class:`~repro.disk.drive.InFlightWrite`
+the drive hands out as its media operation ends) for the duration of the
+block.  :func:`record_run` runs a workload once inside it and then lets
+the system quiesce naturally -- no explicit ``sync()`` is injected,
+because a re-simulation of the same workload (the test suite's replay
+oracle) must follow the *identical* event timeline and a recording-only
+sync would fork it.  Quiescence is reached through the ordinary
+syncer-daemon sweeps, exactly as a real machine left idle would settle.
 
-That one list of records is both what crash points are enumerated from and
-what crash images are later *synthesized* from (base + committed sectors +
-the surviving mirror of a scheme with off-media survivors, logged through
-its ``on_survivor`` observer) with no further simulation; see
-``docs/crash-exploration.md``.  Recording is passive: it changes neither
-the event timeline nor a single simulated timestamp.
+That one list of records is what crash points are enumerated from, what
+crash images are later *synthesized* from (base + committed sectors + the
+surviving mirror of a scheme with off-media survivors, logged through its
+``on_survivor`` observer) with no further simulation, and what the
+ordering monitor (:func:`repro.integrity.monitor.monitor_violations`)
+walks; see ``docs/crash-exploration.md``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from repro.disk.drive import InFlightWrite
 from repro.disk.storage import SectorStore
@@ -67,41 +68,51 @@ def quiescent(machine: Machine) -> bool:
             and machine.scheme.pending_work() == 0)
 
 
-def record_run(machine: Machine, workload: Generator,
-               name: str = "victim",
-               max_events: Optional[int] = 20_000_000,
-               capture_media: bool = True,
-               monitor=None) -> RecordedRun:
-    """Run *workload* to completion, then to quiescence, recording writes.
+@contextmanager
+def recording(machine: Machine) -> Iterator[RecordedRun]:
+    """Record every media write of *machine* while the block runs.
 
-    The pre-workload image is snapshotted (copy-on-write, so free) and
-    every write transfer (payload, LBN, per-sector timing, torn/faulted
-    outcome) lands in ``recorded.media_log`` so crash images can be
-    synthesized without replay.  A scheme that keeps battery-backed state
-    exposes an ``on_survivor`` slot (duck-typed, like ``apply_to_image`` in
-    ``crash_image``); its stores and drops are logged too, stamped with the
-    simulated instant, starting from the empty mirror of the freshly
-    formatted machine recordings begin on.
-
-    *capture_media* is vestigial: both values record the same thing.  It
-    stays because ``bench/workloads.py`` passes it.
-
-    *monitor* (an :class:`~repro.integrity.monitor.OrderingMonitor`)
-    additionally watches the same records for ordering-rule violations;
-    like the log it is purely passive.
+    The current image is snapshotted (copy-on-write, so free) as the base,
+    the log's ``entries.append`` joins the drive's ``write_observers``
+    (each write's record is kept by reference: payload, LBN, per-sector
+    timing, torn/faulted outcome) and a scheme that keeps battery-backed
+    state, exposing an ``on_survivor`` slot (duck-typed, like
+    ``apply_to_image`` in ``crash_image``), has its stores and drops
+    logged too, stamped with the simulated instant.  Both hooks come off
+    however the block exits.  Recording is passive: it changes neither the
+    event timeline nor a single simulated timestamp.
     """
     recorded = RecordedRun(machine.disk.storage.snapshot())
     observers = machine.disk.write_observers
     log_write = recorded.media_log.entries.append
     observers.append(log_write)
-    if hasattr(machine.scheme, "on_survivor"):
+    scheme = machine.scheme
+    survivor_slot = hasattr(scheme, "on_survivor")
+    if survivor_slot:
         survivors = recorded.media_log.survivors
-        machine.scheme.on_survivor = lambda lbn, data: \
+        scheme.on_survivor = lambda lbn, data: \
             survivors.append((machine.engine.now, lbn, data))
     try:
-        if monitor is not None:
-            # a refused attach must still unhook everything installed above
-            monitor.attach(machine.disk)
+        yield recorded
+    finally:
+        observers.remove(log_write)
+        if survivor_slot:
+            scheme.on_survivor = None
+
+
+def record_run(machine: Machine, workload: Generator,
+               name: str = "victim",
+               max_events: Optional[int] = 20_000_000,
+               capture_media: bool = True) -> RecordedRun:
+    """Run *workload* to completion, then to quiescence, under
+    :func:`recording`, so crash images can be synthesized without replay.
+    The mirror's log starts from the empty mirror of the freshly
+    formatted machine recordings begin on.
+
+    *capture_media* is vestigial: both values record the same thing.  It
+    stays because ``bench/workloads.py`` passes it.
+    """
+    with recording(machine) as recorded:
         engine = machine.engine
         process = engine.process(workload, name=name)
         budget = max_events
@@ -124,10 +135,4 @@ def record_run(machine: Machine, workload: Generator,
         recorded.quiesce_time = engine.now
         recorded.requests_issued = machine.driver.requests_issued
         recorded.events_processed = engine.events_processed
-    finally:
-        if monitor is not None:
-            monitor.detach(machine.disk)
-        observers.remove(log_write)
-        if hasattr(machine.scheme, "on_survivor"):
-            machine.scheme.on_survivor = None
     return recorded

@@ -21,15 +21,11 @@ from repro.integrity.invariants import (
     classify_report,
     unexpected,
 )
-from repro.integrity.monitor import (
-    OrderingMonitor,
-    OrderingViolation,
-    monitor_supported,
-)
+from repro.integrity.monitor import OrderingViolation, monitor_violations
 from repro.integrity.secrets import plant_secrets, find_secret_leaks
 
 __all__ = ["CrashFinding", "CrashScheduler", "ExplorationReport",
-           "FsckReport", "INVARIANTS", "Invariant", "OrderingMonitor",
-           "OrderingViolation", "Severity", "Violation",
-           "classify_report", "crash_image", "fsck", "find_secret_leaks",
-           "monitor_supported", "plant_secrets", "repair", "unexpected"]
+           "FsckReport", "INVARIANTS", "Invariant", "OrderingViolation",
+           "Severity", "Violation", "classify_report", "crash_image",
+           "fsck", "find_secret_leaks", "monitor_violations",
+           "plant_secrets", "repair", "unexpected"]

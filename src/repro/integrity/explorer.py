@@ -48,14 +48,14 @@ CLI::
     python -m repro.integrity.explorer --scheme softupdates \
         --workload microbench --jobs 4 --monitor
 
-``--monitor`` additionally attaches the online ordering-rule monitor
-(:mod:`repro.integrity.monitor`) to the recording run, so breaches are
-flagged at commit time as well as post-crash.
+``--monitor`` additionally runs the ordering-rule monitor
+(:mod:`repro.integrity.monitor`) over the same recording, so breaches are
+flagged at the commit that caused them as well as post-crash.
 
 Exit status is 0 when every crash state falls within the scheme's declared
 guarantees (for No Order that includes corruption -- it declares itself
-unsafe) AND the monitor, when attached, saw no unexpected online
-violations; 1 when a scheme broke its own declaration, 2 on usage errors.
+unsafe) AND the monitor, when asked for, saw no unexpected violations;
+1 when a scheme broke its own declaration, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from repro.integrity.findings import CrashFinding, ExplorationReport
 from repro.integrity.fsck import Auditor, repair
 from repro.integrity.invariants import classify_report, finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
-from repro.integrity.monitor import OrderingMonitor
+from repro.integrity.monitor import monitor_violations
 from repro.integrity.secrets import find_secret_leaks, plant_secrets
 from repro.machine import Machine, MachineConfig
 from repro.ordering.registry import scheme_classes
@@ -325,9 +325,9 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     latent defects (e.g. ``"transient"``) so the driver recovers every
     fault and the victim workload itself never aborts on EIO.
 
-    ``monitor=True`` attaches the online :class:`OrderingMonitor` to the
-    recording run; its violations land in the report (and fail
-    ``report.exit_status``) without changing the simulation timeline.
+    ``monitor=True`` runs :func:`~repro.integrity.monitor.
+    monitor_violations` over the recording; its violations land in the
+    report (and fail ``report.exit_status``).
 
     *heartbeat* / *stall_timeout* / *on_heartbeat* go to the grid as they
     are (seconds; ``None`` defers to ``REPRO_HEARTBEAT`` /
@@ -339,12 +339,12 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     machine = build_machine(scheme, secrets=secrets,
                             fault_profile=fault_profile,
                             fault_seed=fault_seed)
-    watcher = OrderingMonitor.for_machine(machine) if monitor else None
-    monitor_state = ("off" if not monitor
-                     else "online" if watcher else "unsupported")
     recorded = record_run(machine,
-                          build_workload(machine, workload, seed, ops),
-                          monitor=watcher)
+                          build_workload(machine, workload, seed, ops))
+    ordering_violations = (
+        monitor_violations(recorded, machine.config.fs_geometry,
+                           machine.scheme.crash_guarantees)
+        if monitor else [])
     enumerated = len(_enumerate_raw(recorded, samples_per_write))
     points = enumerate_crash_points(recorded, samples_per_write,
                                     max_points, sample_seed=seed)
@@ -379,9 +379,9 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         max_points=max_points, jobs=jobs,
         log_bytes=recorded.media_log.payload_bytes,
         sim_events=recorded.events_processed,
-        monitor=monitor_state,
-        monitor_windows=watcher.windows_seen if watcher else 0,
-        monitor_violations=tuple(watcher.violations) if watcher else ())
+        monitor="online" if monitor else "off",
+        monitor_windows=len(recorded.windows) if monitor else 0,
+        monitor_violations=tuple(ordering_violations))
 
 
 # ----------------------------------------------------------------------
@@ -404,9 +404,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         default=max(1, min(4, os.cpu_count() or 1)),
                         help="verification pool size (default: up to 4)")
     parser.add_argument("--monitor", action="store_true",
-                        help="attach the online ordering-rule monitor to "
-                             "the recording run; unexpected online "
-                             "violations fail the sweep")
+                        help="also run the ordering-rule monitor over "
+                             "the recording; unexpected violations fail "
+                             "the sweep")
     parser.add_argument("--heartbeat", type=float, default=None,
                         metavar="SECONDS",
                         help="progress line every SECONDS during "

@@ -62,12 +62,12 @@ class ExplorationReport:
     log_bytes: int = 0
     #: engine events processed by the recording run
     sim_events: int = 0
-    #: online ordering monitor state: "off", "online", or "unsupported"
-    #: (requested, but the scheme's crash state is not media-resident)
+    #: ordering monitor state: "off", or "online" when it judged the
+    #: recording
     monitor: str = "off"
-    #: write windows the monitor observed during the recording run
+    #: write windows of the recording the monitor walked
     monitor_windows: int = 0
-    #: OrderingViolation tuple raised at commit time
+    #: OrderingViolation tuple, each attributed to its commit
     monitor_violations: tuple = ()
 
     # -- aggregation -----------------------------------------------------
@@ -109,7 +109,7 @@ class ExplorationReport:
 
     @property
     def monitor_unexpected(self) -> list:
-        """Online violations outside the scheme's declaration."""
+        """Monitor violations outside the scheme's declaration."""
         return [v for v in self.monitor_violations if not v.expected]
 
     @property
@@ -117,8 +117,8 @@ class ExplorationReport:
         """The CLI/CI contract: 0 only when BOTH verifiers came up clean.
 
         Any crash finding outside the scheme's declaration, or any
-        unexpected online ordering violation, makes the sweep fail with
-        status 1 -- a breach is never reported through text alone.
+        unexpected monitor violation, makes the sweep fail with status 1
+        -- a breach is never reported through text alone.
         """
         return 0 if self.clean and not self.monitor_unexpected else 1
 
@@ -141,8 +141,6 @@ class ExplorationReport:
             monitor = (f"; monitor: {len(self.monitor_violations)} online "
                        f"violations ({len(self.monitor_unexpected)} "
                        f"unexpected) over {self.monitor_windows} windows")
-        elif self.monitor == "unsupported":
-            monitor = "; monitor: unsupported (crash state off-media)"
         return (f"{self.scheme} x {self.workload} (seed {self.seed}, "
                 f"{self.mode}): {coverage}, "
                 f"{len(violating)} with invariant violations "

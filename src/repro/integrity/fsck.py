@@ -53,9 +53,9 @@ indirect pointers is decoded afresh every audit: its walk reads blocks its
 key does not cover.  :func:`fsck` is a one-audit :class:`Auditor`.
 
 This is the repository's one structural checker: crash exploration audits
-each chunk of crash points through one :class:`Auditor`, the online
-monitor (:mod:`repro.integrity.monitor`) each durable commit through
-another.
+each chunk of crash points through one :class:`Auditor`, the ordering
+monitor (:mod:`repro.integrity.monitor`) each durable commit of a
+recording through another.
 """
 
 from __future__ import annotations

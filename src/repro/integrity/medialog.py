@@ -8,13 +8,16 @@ when the drive lays a sector down, the drive serves one media operation at
 a time, and sectors within a transfer land in LBN order, one per
 ``sector_period``, each protected by its own ECC (paper, footnote 1).
 
-:class:`MediaLog` captures that stream once: ``log.entries.append`` is an
-entry of the drive's ``write_observers``, so the log holds the drive's own
-:class:`~repro.disk.drive.InFlightWrite` records -- one per write media
-operation, carrying the payload (stored exactly once -- the driver trace
-drops its copy at completion), the transfer window
-geometry, the *actual* simulated completion instant ``end`` and the
-sector-prefix length ``durable`` that persisted.
+:class:`MediaLog` captures that stream once
+(:func:`repro.harness.recording.recording` hooks it to the drive), so the
+log holds the drive's own :class:`~repro.disk.drive.InFlightWrite`
+records -- one per write media operation, carrying the payload (stored
+exactly once -- the driver trace drops its copy at completion), the
+transfer window geometry, the *actual* simulated completion instant
+``end`` and the sector-prefix length ``durable`` that persisted.  It is
+the one record of the media: the crash explorer synthesizes its images
+from it and the ordering monitor
+(:func:`repro.integrity.monitor.monitor_violations`) walks it.
 
 :func:`synthesize_crash_image` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of

@@ -31,7 +31,7 @@ Replay is recovery: :meth:`JournalScheme.mounted` scans the log and writes
 the committed overlay to the home locations before the first operation,
 so a machine adopting a crash image boots into the recovered state.  The
 same scan drives :mod:`repro.integrity.fsck` (a crash image is judged
-*with* its committed log) and, through fsck, the online monitor.
+*with* its committed log) and, through fsck, the ordering monitor.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""The differential harness: online monitor vs post-crash fsck.
+"""The differential harness: the monitor vs the post-crash sweep.
 
-The tentpole's proof obligation, in two halves:
-
-**Agreement.** For every media-resident scheme x fault profile, one sweep
-runs both verifiers on the same recording -- the monitor watching the
-commit stream live, fsck auditing the synthesized image at every crash
-point -- and their *verdicts* must agree: the monitor reports an
+**Agreement.** For every registered scheme x fault profile, one sweep
+runs both verifiers on the same recording -- the monitor at every durable
+commit end, the sweep at every sampled crash point -- and their
+*verdicts* must agree: the monitor reports an
 unexpected ordering violation if and only if the crash sweep finds a
 point outside the scheme's declaration.  Safe schemes: both clean.
 ``noorder``: both fire, both within the declaration.  The rule-breaking
@@ -18,14 +16,13 @@ sweep's fsck must see the same corruption on the media, and the report
 must refuse to exit 0.  A monitor that never fires, or fires with the
 wrong rule, fails here -- this is the test of the tests.
 
-**Same bytes, same messages.**  The monitor *is* fsck run at every durable
-commit, so the two verifiers share their predicates by construction; what
-is left to prove is that they see the same bytes.  The monitor's shadow is
-built from the live commit stream, the sweep's images from the media log:
-at every write-window end of a recording, the errors fsck newly reports
-on the synthesized image must be exactly the messages the monitor fired
-at that instant.  A census keeps ``integrity/monitor.py`` a *caller* of
-fsck, so a second checker cannot grow back unnoticed.
+**One checker, one record.**  The monitor *is* fsck run on the image the
+media log synthesizes at every durable commit end, so the two verifiers
+share their predicates and their bytes by construction.  A census keeps
+it that way: ``integrity/monitor.py`` is a *caller* of fsck (no second
+checker), and it neither copies the image nor watches the drive (no
+second record of the media); under ``src/`` only the drive and the
+recording runner name ``write_observers``.
 
 Tier-1 runs budgeted sweeps; ``-m slow`` runs the full crash-point
 sweeps the weekly CI job is about.
@@ -36,25 +33,16 @@ import pathlib
 
 import pytest
 
-from repro.harness.recording import record_run
 from repro.integrity import monitor as monitor_module
-from repro.integrity.explorer import (
-    WORKLOADS,
-    build_machine,
-    build_workload,
-    explore,
-)
-from repro.integrity.fsck import fsck
-from repro.integrity.medialog import ImageSynthesizer
-from repro.integrity.monitor import RULES, OrderingMonitor
+from repro.integrity.explorer import explore
+from repro.integrity.monitor import RULES
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
-#: every registered scheme whose crash state lives on the platters (nvram
-#: keeps survivors in battery-backed memory); derived from the registry so
-#: a newly registered scheme is under differential test automatically
-MEDIA_SCHEMES = [slug for slug, info in REGISTRY.items()
-                 if getattr(info.cls, "apply_to_image", None) is None]
+#: every registered scheme, NVRAM included (its mirror is part of every
+#: synthesized image); derived from the registry so a newly registered
+#: scheme is under differential test automatically
+SCHEMES = list(REGISTRY)
 #: fault dimension: perfect disk, recoverable transients, transients +
 #: recoverable write-path defects (profiles with latent defects would
 #: abort the victim workload itself and test the fault harness, not the
@@ -95,7 +83,7 @@ def assert_verdicts_agree(report):
 class TestDifferential:
     @pytest.mark.parametrize("profile", PROFILES,
                              ids=["none", "transient", "mixed"])
-    @pytest.mark.parametrize("scheme", MEDIA_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_monitor_agrees_with_fsck(self, scheme, profile):
         report = sweep(scheme, profile=profile)
         assert report.monitor == "online"
@@ -140,52 +128,10 @@ class TestMutationAttribution:
         assert [name for name, _w, _r in MUTATIONS] == sorted(SHIMS)
 
 
-def assert_online_equals_post_crash(scheme, workload, profile, seed=0):
-    """Walk the recording's write-window ends in order: what fsck newly
-    reports on the image synthesized at each is what the monitor fired
-    there, message for message.  (``journal-checkpoint-order`` is the one
-    rule fsck cannot see -- it judges the recovered view.)"""
-    # fault seed 4: no victim of the grids below dies of an injected EIO
-    machine = build_machine(scheme, fault_profile=profile, fault_seed=4)
-    geometry = machine.config.fs_geometry
-    watcher = OrderingMonitor(geometry, machine.scheme.crash_guarantees)
-    recorded = record_run(machine,
-                          build_workload(machine, workload, seed, None),
-                          capture_media=True, monitor=watcher)
-    fired: dict[float, list[str]] = {}
-    for violation in watcher.violations:
-        if violation.rule != "journal-checkpoint-order":
-            fired.setdefault(violation.when, []).append(violation.message)
-    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
-    known = set(fsck(recorded.base_image, geometry).errors)
-    assert not known and 0.0 not in fired  # mkfs leaves a clean image
-    ends = [entry.end for entry in recorded.media_log.entries]
-    assert ends == sorted(ends) and len(ends) == watcher.windows_seen > 0
-    for end in ends:
-        errors = fsck(synthesizer.image_at(end), geometry).errors
-        fresh = [error for error in dict.fromkeys(errors)
-                 if error not in known]
-        assert fresh == fired.pop(end, []), (scheme, workload, profile, end)
-        known = set(errors)
-    assert not fired, "violations attributed to no write-window end"
-    return watcher
-
-
-#: every media-resident scheme on a workload that exercises it
-CELLS = ([(scheme, "microbench") for scheme in MEDIA_SCHEMES]
-         + [(scheme, workload) for scheme, workload, _rule in MUTATIONS])
-
-
 class TestOnlineEqualsPostCrash:
-    @pytest.mark.parametrize("profile", PROFILES,
-                             ids=["none", "transient", "mixed"])
-    @pytest.mark.parametrize("scheme,workload", CELLS)
-    def test_new_fsck_errors_are_the_monitor_messages(self, scheme,
-                                                      workload, profile):
-        watcher = assert_online_equals_post_crash(scheme, workload, profile)
-        # neither side of the equality is vacuous
-        assert bool(watcher.violations) == (scheme == "noorder"
-                                            or scheme in SHIMS)
+    """The monitor's image at a commit end *is* the sweep's image at that
+    instant (both are ``ImageSynthesizer.image_at``), so what is left to
+    hold is the diff's behaviour and the census."""
 
     def test_persisting_breach_fires_once(self):
         # 'rm' -> inode 256 dangles from t=0.042 to the end of the run,
@@ -210,14 +156,24 @@ class TestOnlineEqualsPostCrash:
         for name in ("inode_claim_ops", "iter_records", "Dinode", "CgView"):
             assert name not in source, name
 
+    def test_the_media_log_is_the_only_record_of_the_media(self):
+        source = pathlib.Path(monitor_module.__file__).read_text()
+        for name in ("snapshot(", "write_partial(", "write_observers"):
+            assert name not in source, name
+        src = pathlib.Path(monitor_module.__file__).parents[2]
+        naming = sorted(str(path.relative_to(src / "repro"))
+                        for path in src.rglob("*.py")
+                        if "write_observers" in path.read_text())
+        assert naming == ["disk/drive.py", "harness/recording.py"]
+
 
 @pytest.mark.slow
 class TestDifferentialFullSweeps:
-    """Every crash boundary, every media-resident scheme x profile."""
+    """Every crash boundary, every registered scheme x profile."""
 
     @pytest.mark.parametrize("profile", PROFILES,
                              ids=["none", "transient", "mixed"])
-    @pytest.mark.parametrize("scheme", MEDIA_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_full_sweep_agreement(self, scheme, profile):
         report = sweep(scheme, profile=profile, max_points=None)
         assert report.points == report.enumerated_points > 0
@@ -231,12 +187,3 @@ class TestDifferentialFullSweeps:
         assert report.unexpected_findings
         assert report.exit_status == 1
 
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("profile", PROFILES,
-                             ids=["none", "transient", "mixed"])
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("scheme", MEDIA_SCHEMES + sorted(SHIMS))
-    def test_online_equals_post_crash_everywhere(self, scheme, workload,
-                                                 profile, seed):
-        assert_online_equals_post_crash(scheme, workload, profile, seed)

@@ -5,11 +5,11 @@ logged block image must not reach its home location before the
 transaction's commit record is durable.  The breach is staged here at the
 media level -- a descriptor and payload written to the log, then the
 image checkpointed home with no commit record in sight -- so the test
-exercises exactly what the monitor sees (the write-commit stream) with no
+exercises exactly what the monitor sees (the recorded media log) with no
 scheme cooperation required.
 
-Also pinned: the monitor judges the *recoverable* view (shadow image plus
-committed log overlay), so the journal scheme's lazy checkpoints --
+Also pinned: the monitor judges the *recoverable* view (synthesized image
+plus committed log overlay), so the journal scheme's lazy checkpoints --
 arbitrarily delayed home writes of committed images -- never read as
 structural violations, and a commit in the log region immediately updates
 the structural state the rules run against.
@@ -18,7 +18,8 @@ the structural state the rules run against.
 from repro.costs import CostModel
 from repro.fs import journal
 from repro.fs.layout import FSGeometry
-from repro.integrity.monitor import RULES, OrderingMonitor
+from repro.harness.recording import recording
+from repro.integrity.monitor import RULES, monitor_violations
 from repro.machine import Machine, MachineConfig
 from repro.ordering import JournalScheme
 
@@ -34,11 +35,13 @@ def journal_machine() -> Machine:
     return machine
 
 
-def attach_monitor(machine) -> OrderingMonitor:
-    monitor = OrderingMonitor(machine.config.fs_geometry,
+def judge(machine, recorded):
+    return monitor_violations(recorded, machine.config.fs_geometry,
                               machine.scheme.crash_guarantees)
-    monitor.attach(machine.disk)
-    return monitor
+
+
+def durable_commits(recorded) -> int:
+    return sum(1 for write in recorded.windows if write.durable)
 
 
 def test_rule_is_in_the_catalogue():
@@ -47,7 +50,6 @@ def test_rule_is_in_the_catalogue():
 
 def test_journal_scheme_run_is_clean():
     machine = journal_machine()
-    monitor = attach_monitor(machine)
 
     def work(fs):
         yield from fs.mkdir("/d")
@@ -56,17 +58,18 @@ def test_journal_scheme_run_is_clean():
         for i in range(0, 10, 2):
             yield from fs.unlink(f"/d/f{i}")
 
-    machine.run(machine.spawn(work(machine.fs), name="work"))
-    machine.sync_and_settle()
-    assert monitor.commits_applied > 0
-    assert monitor.clean, [v.format() for v in monitor.violations][:5]
+    with recording(machine) as recorded:
+        machine.run(machine.spawn(work(machine.fs), name="work"))
+        machine.sync_and_settle()
+    violations = judge(machine, recorded)
+    assert durable_commits(recorded) > 0
+    assert not violations, [v.format() for v in violations][:5]
 
 
 def test_checkpoint_before_commit_fires_and_commit_clears():
     """descriptor + payload durable, image checkpointed home, *then* the
     commit record: one rule hit, attributed to the home write."""
     machine = journal_machine()
-    monitor = attach_monitor(machine)
     geo = machine.config.fs_geometry
     spf = geo.frag_size // machine.disk.geometry.sector_size
     base = geo.journal_start + 1
@@ -88,15 +91,6 @@ def test_checkpoint_before_commit_fires_and_commit_clears():
                                        issuer="breach")
         yield request.done
 
-    machine.run(machine.spawn(breach(), name="breach"))
-    hits = [v for v in monitor.violations
-            if v.rule == "journal-checkpoint-order"]
-    assert len(hits) == 1, [v.format() for v in monitor.violations]
-    assert hits[0].lbn == target * spf
-    # the journal scheme declares no corruption: the hit is unexpected
-    assert not hits[0].expected
-    assert monitor.unexpected == hits
-
     def commit():
         checksum = journal.txn_checksum(desc, image)
         request = machine.driver.write(
@@ -109,16 +103,24 @@ def test_checkpoint_before_commit_fires_and_commit_clears():
                                        issuer="breach")
         yield request.done
 
-    machine.run(machine.spawn(commit(), name="commit"))
-    hits_after = [v for v in monitor.violations
-                  if v.rule == "journal-checkpoint-order"]
-    assert hits_after == hits  # no new firing after the commit landed
+    with recording(machine) as recorded:
+        machine.run(machine.spawn(breach(), name="breach"))
+        machine.run(machine.spawn(commit(), name="commit"))
+    violations = judge(machine, recorded)
+    hits = [v for v in violations if v.rule == "journal-checkpoint-order"]
+    # one firing, at the first home write: none after the commit landed
+    assert len(hits) == 1, [v.format() for v in violations]
+    first_home, _commit, second_home = recorded.windows[1:]
+    assert (hits[0].when, hits[0].lbn) == (first_home.end, target * spf)
+    assert second_home.lbn == target * spf
+    # the journal scheme declares no corruption: the hit is unexpected
+    assert not hits[0].expected
+    assert [v for v in violations if not v.expected] == hits
 
 
 def test_checkpoint_after_commit_never_fires():
     """The legal order -- record, commit, then checkpoint -- is silent."""
     machine = journal_machine()
-    monitor = attach_monitor(machine)
     geo = machine.config.fs_geometry
     spf = geo.frag_size // machine.disk.geometry.sector_size
     base = geo.journal_start + 1
@@ -142,8 +144,11 @@ def test_checkpoint_after_commit_never_fires():
         request = machine.driver.write(target * spf, image, issuer="legal")
         yield request.done
 
-    machine.run(machine.spawn(legal(), name="legal"))
-    assert monitor.clean, [v.format() for v in monitor.violations]
+    with recording(machine) as recorded:
+        machine.run(machine.spawn(legal(), name="legal"))
+    violations = judge(machine, recorded)
+    assert durable_commits(recorded) == 3
+    assert not violations, [v.format() for v in violations]
 
 
 def test_lazy_checkpoints_do_not_false_fire():
@@ -152,7 +157,6 @@ def test_lazy_checkpoints_do_not_false_fire():
     writes replay older states over newer effective ones -- all silent,
     because the monitor reads the composite view."""
     machine = journal_machine()
-    monitor = attach_monitor(machine)
 
     def work(fs):
         yield from fs.mkdir("/a")
@@ -164,11 +168,13 @@ def test_lazy_checkpoints_do_not_false_fire():
             yield from fs.unlink(f"/a/b/f{i}")
         yield from fs.rmdir("/a/b")
 
-    machine.run(machine.spawn(work(machine.fs), name="work"))
-    machine.sync_and_settle()
-    machine.engine.run_until(
-        machine.engine.process(machine.fs.unmount(), name="unmount"))
-    assert monitor.clean, [v.format() for v in monitor.violations][:5]
-    # and the log really did cycle: commits happened while we watched
+    with recording(machine) as recorded:
+        machine.run(machine.spawn(work(machine.fs), name="work"))
+        machine.sync_and_settle()
+        machine.engine.run_until(
+            machine.engine.process(machine.fs.unmount(), name="unmount"))
+    violations = judge(machine, recorded)
+    assert not violations, [v.format() for v in violations][:5]
+    # and the log really did cycle: commits happened while we recorded
     assert machine.scheme._next_seq > 1
-    assert monitor.commits_applied > 10
+    assert durable_commits(recorded) > 10
