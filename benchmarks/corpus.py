@@ -25,7 +25,7 @@ parent's ``src/`` and against this commit's, then ``diff -r`` the two.  A
 change that means to move a report lists the moved paths in
 ``benchmarks/corpus_moves.txt`` (CI skips them only when the commit
 itself edits that file).  Each command runs in a scratch working
-directory; stderr (heartbeats, tracebacks) passes through and is not part
+directory; stderr (progress, tracebacks) passes through and is not part
 of the corpus.  ``--jobs`` runs that many commands at once (default 1);
 the corpus does not depend on it.
 """
@@ -109,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="commands run at once (default 1)")
     args = parser.parse_args(argv)
-    env = {**os.environ, "PYTHONPATH": str(args.src.resolve()),
-           "REPRO_HEARTBEAT": "0"}
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
     listed = commands()
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         statuses = list(pool.map(lambda c: run(c, args.out, env), listed))

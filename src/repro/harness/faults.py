@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from repro.faults import MediaError, PROFILES
 from repro.harness.parallel import run_grid
 from repro.harness.recording import recording
-from repro.integrity.explorer import SCHEMES, build_machine, explore
+from repro.integrity.explorer import SCHEMES, build_machine
 from repro.integrity.fsck import fsck
 from repro.integrity.monitor import monitor_violations
 from repro.ordering.registry import standard_slugs
@@ -55,6 +55,11 @@ DEFAULT_PROFILES = ["transient", "defects", "mixed"]
 DEFAULT_SEEDS = [1, 2, 3]
 #: bounded attempts to settle a machine whose sync keeps hitting faults
 SETTLE_ATTEMPTS = 5
+#: event budget of the victim run and of each settle attempt, a
+#: recording's (the largest default cell processes under 2 000 events): a
+#: cell that wedges while the syncer keeps the event heap busy is logged
+#: ``wedged`` instead of hanging the sweep
+MAX_EVENTS = 20_000_000
 
 
 @dataclass
@@ -73,12 +78,6 @@ class CellResult:
     fsck_errors: int = 0
     fsck_warnings: int = 0
     degradations: list[str] = field(default_factory=list)
-    #: crash-point exploration riding along (``--explore N``): verified
-    #: point count, declaration breaches, or the reason exploration
-    #: could not run for this cell
-    crash_points: int = 0
-    crash_unexpected: int = 0
-    crash_note: str = ""
     #: ordering monitor (``--monitor``): whether it judged the cell's
     #: recorded run, and what it found
     monitored: bool = False
@@ -87,15 +86,8 @@ class CellResult:
 
 
 def run_cell(scheme_name: str, profile: str, seed: int,
-             operations: int, explore_points: int = 0,
-             monitor: bool = False) -> CellResult:
+             operations: int, monitor: bool = False) -> CellResult:
     """Run one cell of the sweep and classify the survivor.
-
-    ``explore_points > 0`` additionally sweeps that many crash points of
-    the same (scheme, profile, seed) cell -- crash AND fault -- through
-    :func:`repro.integrity.explorer.explore`.  Profiles with latent
-    defects can abort the victim workload mid-recording; that is reported
-    per cell, not raised.
 
     The whole cell runs under :func:`~repro.harness.recording.recording`;
     ``monitor=True`` runs the ordering-rule monitor over that record:
@@ -138,22 +130,6 @@ def run_cell(scheme_name: str, profile: str, seed: int,
         result.verdict = "degraded"
     else:
         result.verdict = "SILENT-CORRUPTION"
-
-    if explore_points > 0:
-        try:
-            sweep = explore(scheme_name, "churn", seed=seed,
-                            ops=operations, jobs=1,
-                            max_points=explore_points,
-                            fault_profile=profile, fault_seed=seed,
-                            monitor=monitor)
-        except Exception as exc:
-            # e.g. a latent-defect profile EIO-aborts the recorded victim
-            result.crash_note = (f"exploration n/a: "
-                                 f"{type(exc).__name__}: {exc}")
-        else:
-            result.crash_points = sweep.points
-            result.crash_unexpected = (len(sweep.unexpected_findings)
-                                       + len(sweep.monitor_unexpected))
     return result
 
 
@@ -165,7 +141,7 @@ def _run_and_settle(machine, operations: int, seed: int) -> None:
         churn_workload(machine, seed=seed, operations=operations),
         name="victim")
     try:
-        machine.engine.run_until(victim)
+        machine.engine.run_until(victim, max_events=MAX_EVENTS)
     except ProcessCrashed as exc:
         if isinstance(exc.original, MediaError):
             # the syscall path surfaced EIO/nospare to the caller: a typed,
@@ -181,7 +157,7 @@ def _run_and_settle(machine, operations: int, seed: int) -> None:
 
     for _ in range(SETTLE_ATTEMPTS):
         try:
-            machine.sync_and_settle()
+            machine.sync_and_settle(max_events=MAX_EVENTS)
             break
         except ProcessCrashed as exc:
             if isinstance(exc.original, MediaError):
@@ -207,15 +183,12 @@ def format_report(cells: list[CellResult], operations: int) -> str:
              f"workload: churn x {operations} operations per cell",
              f"cells: {len(cells)}",
              ""]
-    explored = any(cell.crash_points or cell.crash_note for cell in cells)
     monitored = any(cell.monitored for cell in cells)
     header = (f"{'scheme':<14}{'profile':<11}{'seed':>5}{'inj':>6}"
               f"{'retry':>7}{'remap':>7}{'eio':>5}{'lost':>6}"
               f"{'fsck':>6}")
     if monitored:
         header += f"{'mon':>6}"
-    if explored:
-        header += f"{'pts':>6}{'unexp':>7}"
     header += "  verdict"
     lines.append(header)
     lines.append("-" * len(header))
@@ -226,18 +199,9 @@ def format_report(cells: list[CellResult], operations: int) -> str:
                f"{cell.fsck_errors:>6}")
         if monitored:
             row += f"{cell.monitor_violations:>6}"
-        if explored:
-            points = "n/a" if cell.crash_note else cell.crash_points
-            row += f"{points:>6}{cell.crash_unexpected:>7}"
         row += f"  {cell.verdict}"
         lines.append(row)
     lines.append("")
-    for cell in cells:
-        if cell.crash_note:
-            lines.append(f"[{cell.scheme}/{cell.profile}/seed={cell.seed}] "
-                         f"{cell.crash_note}")
-    if any(cell.crash_note for cell in cells):
-        lines.append("")
     for cell in cells:
         if not cell.degradations:
             continue
@@ -251,10 +215,31 @@ def format_report(cells: list[CellResult], operations: int) -> str:
     if monitored:
         lines.append(f"online ordering violations outside declarations: "
                      f"{sum(cell.monitor_unexpected for cell in cells)}")
-    if explored:
-        lines.append(f"crash points outside declarations: "
-                     f"{sum(cell.crash_unexpected for cell in cells)}")
     return "\n".join(lines) + "\n"
+
+
+def _listed(parser: argparse.ArgumentParser, what: str, text: str,
+            choices=None) -> list:
+    """The values of a comma-separated option: names from *choices*, or
+    integers when there are none.  A malformed, unknown or repeated value
+    is a usage error naming it (a traceback would exit 1, the status that
+    means silent corruption)."""
+    values = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        if choices is None:
+            try:
+                item = int(item)
+            except ValueError:
+                parser.error(f"{what} {item!r} is not an integer")
+        elif item not in choices:
+            parser.error(f"unknown {what} {item!r}; choose from "
+                         f"{sorted(choices)}")
+        if item in values:
+            parser.error(f"{what} {item!r} is given twice")
+        values.append(item)
+    return values
 
 
 def main(argv: list[str]) -> int:
@@ -272,9 +257,6 @@ def main(argv: list[str]) -> int:
         help="comma-separated fault/workload seeds")
     parser.add_argument("--ops", type=int, default=40,
                         help="churn operations per cell (default 40)")
-    parser.add_argument("--explore", type=int, default=0, metavar="N",
-                        help="also sweep up to N crash points per cell "
-                             "(crash AND fault; 0 = off)")
     parser.add_argument("--monitor", action="store_true",
                         help="run the ordering-rule monitor over every "
                              "cell's recorded run (unexpected violations "
@@ -282,58 +264,33 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--jobs", type=int, default=None,
                         help="sweep cells in parallel over a fork pool "
                              "(default REPRO_JOBS, then the core count)")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="progress line every SECONDS while cells are "
-                             "in flight (default REPRO_HEARTBEAT; 0 = off)")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="abort, naming the stuck (scheme, profile, "
-                             "seed) cell, once any cell is in flight this "
-                             "long (default REPRO_STALL_TIMEOUT; 0 = off)")
     parser.add_argument("--out", default=os.path.join(
         "results", "fault_report.txt"),
         help="report path (default results/fault_report.txt)")
     args = parser.parse_args(argv)
 
-    schemes = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    profiles = [name.strip() for name in args.profiles.split(",")
-                if name.strip()]
-    seeds = [int(seed) for seed in args.seeds.split(",") if seed.strip()]
-    for name in schemes:
-        if name not in SCHEMES:
-            parser.error(f"unknown scheme {name!r}; choose from "
-                         f"{sorted(SCHEMES)}")
-    for name in profiles:
-        if name not in PROFILES:
-            parser.error(f"unknown profile {name!r}; choose from "
-                         f"{sorted(PROFILES)}")
+    schemes = _listed(parser, "scheme", args.schemes, SCHEMES)
+    profiles = _listed(parser, "profile", args.profiles, PROFILES)
+    seeds = _listed(parser, "seed", args.seeds)
 
     # every (scheme, profile, seed) cell is independent -- fan them over
-    # the same fork-pool grid machinery as the benchmark tables, which
-    # buys the sweep heartbeats and stall detection for free.  Results
-    # come back keyed in input order, so the printed lines and the report
-    # are byte-identical to the old serial loop's.
+    # the same fork-pool grid as the benchmark tables.  Results come back
+    # keyed in input order, so the printed lines and the report are
+    # byte-identical to a serial loop's.
     grid_cells = [
         ((scheme_name, profile, seed),
          functools.partial(run_cell, scheme_name, profile, seed, args.ops,
-                           explore_points=args.explore,
                            monitor=args.monitor))
         for scheme_name in schemes
         for profile in profiles
         for seed in seeds]
-    results = run_grid("faults", grid_cells, jobs=args.jobs,
-                       heartbeat=args.heartbeat, stall=args.stall_timeout)
+    results = run_grid("faults", grid_cells, jobs=args.jobs)
     cells = list(results.values())
     for cell in cells:
         extra = ""
         if cell.monitored:
             extra += (f" monitor={cell.monitor_violations}"
                       f"/{cell.monitor_unexpected}-unexpected")
-        if args.explore:
-            points = "n/a" if cell.crash_note else cell.crash_points
-            extra += (f" crash-explored={points} "
-                      f"unexpected={cell.crash_unexpected}")
         print(f"{cell.scheme}/{cell.profile}/seed={cell.seed}: "
               f"{cell.verdict} (injected={cell.injected} "
               f"retries={cell.retries} remaps={cell.remaps})"
@@ -350,12 +307,6 @@ def main(argv: list[str]) -> int:
         if cell.verdict == "SILENT-CORRUPTION":
             print(f"SILENT CORRUPTION: {cell.scheme}/{cell.profile}/"
                   f"seed={cell.seed}", file=sys.stderr)
-            failed = True
-        if cell.crash_unexpected:
-            print(f"DECLARATION BREACH: {cell.scheme}/{cell.profile}/"
-                  f"seed={cell.seed}: {cell.crash_unexpected} crash "
-                  f"points outside the scheme's declaration",
-                  file=sys.stderr)
             failed = True
         if cell.monitor_unexpected and not cell.degradations:
             print(f"ONLINE ORDERING BREACH: {cell.scheme}/{cell.profile}/"

@@ -39,9 +39,10 @@ to its images and the findings equal, point for point
 Verification fans out over :func:`repro.harness.parallel.run_grid`: each
 cell is a time-sorted chunk of crash points, so the image builds
 incrementally within the chunk, and forked workers inherit the base image
-and the media log copy-on-write (only findings cross the pipe).
-Heartbeats, stall detection naming the wedged chunk and worker tracebacks
-are the grid's.  Serial and parallel sweeps produce identical findings.
+and the media log copy-on-write (only findings cross the pipe).  A chunk
+that raises fails the sweep with the grid's
+:class:`~repro.harness.parallel.GridCellError`, keyed by its point range.
+Serial and parallel sweeps produce identical findings.
 
 CLI::
 
@@ -273,7 +274,7 @@ def _verify_chunk(base, log, geometry, secrets: bool, verify_repair: bool,
 
 
 def _chunk_label(chunk: list) -> str:
-    """A heartbeat/stall label naming a chunk's crash-point range."""
+    """A grid key naming a chunk's crash-point range."""
     if len(chunk) == 1:
         return f"point #{chunk[0].index} ({chunk[0].label})"
     return (f"points #{chunk[0].index}..#{chunk[-1].index} "
@@ -304,10 +305,7 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
             point: Optional[int] = None,
             fault_profile: Optional[str] = None,
             fault_seed: int = 0,
-            monitor: bool = False,
-            heartbeat: Optional[float] = None,
-            stall_timeout: Optional[float] = None,
-            on_heartbeat=None) -> ExplorationReport:
+            monitor: bool = False) -> ExplorationReport:
     """Record once, enumerate, verify every crash point; returns the report.
 
     Each crash image is materialized from the media write-log with zero
@@ -328,13 +326,6 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     ``monitor=True`` runs :func:`~repro.integrity.monitor.
     monitor_violations` over the recording; its violations land in the
     report (and fail ``report.exit_status``).
-
-    *heartbeat* / *stall_timeout* / *on_heartbeat* go to the grid as they
-    are (seconds; ``None`` defers to ``REPRO_HEARTBEAT`` /
-    ``REPRO_STALL_TIMEOUT``, 0 disables): periodic progress lines and a
-    :class:`~repro.harness.parallel.GridStallError` naming the wedged
-    crash-point chunk instead of a silent hang.  Pure observers -- the
-    findings are identical with or without them.
     """
     machine = build_machine(scheme, secrets=secrets,
                             fault_profile=fault_profile,
@@ -365,8 +356,7 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         f"explore {scheme}/{workload}",
         [(_chunk_label(chunk), functools.partial(verify, chunk))
          for chunk in _chunk(ordered, jobs * 4 if jobs > 1 else 1)],
-        jobs=jobs, heartbeat=heartbeat, stall=stall_timeout,
-        on_heartbeat=on_heartbeat)
+        jobs=jobs)
     findings = [finding for chunk in per_chunk.values() for finding in chunk]
     findings.sort(key=lambda f: f.index)
     return ExplorationReport(
@@ -407,16 +397,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         help="also run the ordering-rule monitor over "
                              "the recording; unexpected violations fail "
                              "the sweep")
-    parser.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="progress line every SECONDS during "
-                             "verification (default REPRO_HEARTBEAT; "
-                             "0 = off)")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="abort, naming the wedged crash-point chunk, "
-                             "once any chunk is in flight this long "
-                             "(default REPRO_STALL_TIMEOUT; 0 = off)")
     parser.add_argument("--samples-per-write", type=int, default=2,
                         help="mid-transfer partial-prefix points per write")
     parser.add_argument("--max-points", type=int, default=240,
@@ -457,9 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                          verify_repair=args.verify_repair, point=args.point,
                          fault_profile=args.fault_profile,
                          fault_seed=args.fault_seed,
-                         monitor=args.monitor,
-                         heartbeat=args.heartbeat,
-                         stall_timeout=args.stall_timeout)
+                         monitor=args.monitor)
     except ValueError as exc:
         if args.point is None:
             raise

@@ -176,10 +176,11 @@ class Machine:
         self.disk.cache._segments.clear()
 
     # ------------------------------------------------------------------
-    def sync_and_settle(self) -> None:
+    def sync_and_settle(self, max_events: Optional[int] = None) -> None:
         """Flush all dirty state (advances the clock)."""
         self.engine.run_until(
-            self.engine.process(self.fs.sync(), name="sync"))
+            self.engine.process(self.fs.sync(), name="sync"),
+            max_events=max_events)
 
     @property
     def scheme_name(self) -> str:

@@ -15,24 +15,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.obs import registry
-from repro.obs.tracer import DEFAULT_MAX_SPANS, Tracer
+from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:
     from repro.machine import Machine
 
 
 class Observability:
-    """Tracing + metrics for one simulated machine.
+    """Tracing + metrics for one simulated machine."""
 
-    *max_spans* bounds tracer memory (0 = unbounded; drops are counted in
-    ``tracer.dropped``).
-    """
-
-    def __init__(self, machine: "Machine",
-                 max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.engine = engine = machine.engine
-        self.tracer = Tracer(engine, max_spans=max_spans)
+        self.tracer = Tracer(engine)
         #: peak event-heap size, the one number only the dispatch hook sees
         self.heap_peak = 0
         engine.obs = self

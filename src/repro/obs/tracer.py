@@ -19,13 +19,12 @@ residencies, in-flight writes -- are recorded as *async* spans
 ``e`` event pairs keyed by id instead of complete events.
 
 Memory is bounded: the span list stops growing at ``max_spans`` (default
-:data:`DEFAULT_MAX_SPANS`; pass the constructor another value or assign
-``tracer.max_spans`` before the run).  Past the cap, spans still *behave*
-normally -- ids advance, nesting stacks stay consistent -- but they are not
-retained; ``Tracer.dropped`` counts them (reported as the
-``tracer.spans_dropped`` metric and flagged by the flame summary), so
-always-on tracing over million-event sweeps degrades to a warning instead
-of exhausting RAM.
+:data:`DEFAULT_MAX_SPANS`; assign ``tracer.max_spans`` before the run).
+Past the cap, spans still *behave* normally -- ids advance, nesting
+stacks stay consistent -- but they are not retained; ``Tracer.dropped``
+counts them (reported as the ``tracer.spans_dropped`` metric and flagged
+by the flame summary), so always-on tracing over million-event sweeps
+degrades to a warning instead of exhausting RAM.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ if TYPE_CHECKING:
 #: engine callbacks)
 KERNEL_TRACK = "kernel"
 
-#: retained-span ceiling unless the constructor or ``tracer.max_spans``
-#: says otherwise; 0 or a negative value disables the cap (a span is
-#: ~200 bytes; 1M spans keeps worst-case tracer memory in the hundreds of
-#: MB, far below a million-event distributed sweep's output)
+#: retained-span ceiling unless ``tracer.max_spans`` says otherwise; 0 or
+#: a negative value disables the cap (a span is ~200 bytes; 1M spans
+#: keeps worst-case tracer memory in the hundreds of MB, far below a
+#: million-event distributed sweep's output)
 DEFAULT_MAX_SPANS = 1_000_000
 
 
@@ -99,15 +98,14 @@ class _SpanHandle:
 class Tracer:
     """Collects spans against one engine's simulated clock."""
 
-    def __init__(self, engine: "Engine",
-                 max_spans: int = DEFAULT_MAX_SPANS) -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.spans: list[Span] = []
         self._next_id = 0
         #: per-track stacks of currently open sync spans
         self._stacks: dict[str, list[Span]] = {}
         #: retained-span ceiling; <= 0 means unbounded
-        self.max_spans = max_spans
+        self.max_spans = DEFAULT_MAX_SPANS
         #: spans not retained because the cap was hit
         self.dropped = 0
 

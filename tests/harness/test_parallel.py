@@ -6,12 +6,7 @@ import pytest
 
 from repro.disk import Disk
 from repro.driver import DeviceDriver, FlagPolicy, FlagSemantics
-from repro.harness.parallel import (
-    Cell,
-    GridCellError,
-    default_jobs,
-    run_grid,
-)
+from repro.harness.parallel import GridCellError, default_jobs, run_grid
 from repro.sim import Engine
 
 
@@ -40,7 +35,7 @@ def simulate(seed: int) -> MiniResult:
 
 
 def make_cells():
-    return [Cell(f"cell{seed}", lambda seed=seed: simulate(seed))
+    return [(f"cell{seed}", lambda seed=seed: simulate(seed))
             for seed in range(4)]
 
 

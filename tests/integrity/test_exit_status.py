@@ -98,6 +98,22 @@ class TestFaultsCli:
         assert code == 1
         assert "ONLINE ORDERING BREACH" in captured.err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seeds", "x", "seed 'x' is not an integer"),
+        ("--seeds", "1,1", "seed 1 is given twice"),
+        ("--schemes", "flag,flag", "scheme 'flag' is given twice"),
+        ("--profiles", "none,none", "profile 'none' is given twice"),
+    ], ids=["malformed-seed", "repeated-seed", "repeated-scheme",
+            "repeated-profile"])
+    def test_bad_list_value_is_a_usage_error(self, flag, value, named,
+                                             tmp_path, capsys):
+        # a traceback would exit 1 -- the status that means silent
+        # corruption
+        with pytest.raises(SystemExit) as usage:
+            faults_main([flag, value, "--out", str(tmp_path / "r.txt")])
+        assert usage.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_safe_scheme_exits_zero(self, tmp_path):
         code = faults_main(["--schemes", "conventional", "--profiles",
                             "transient", "--seeds", "1", "--ops", "20",

@@ -6,11 +6,10 @@ about: >=200 crash points per scheme, pool size >= 4, serial == parallel.
 """
 
 import re
-import time
 
 import pytest
 
-from repro.harness.parallel import GridStallError
+from repro.harness.parallel import GridCellError
 from repro.harness.recording import record_run
 from repro.integrity import explorer
 from repro.integrity.explorer import (
@@ -182,24 +181,22 @@ class TestBudgetedSweeps:
         with pytest.raises(ValueError, match="no crash point with index 999"):
             small_sweep("noorder", max_points=10, point=999)
 
-    def test_wedged_chunk_is_named_by_its_point_range(self, monkeypatch):
-        """A chunk that never returns aborts the sweep with the grid's
-        stall error, keyed by the chunk's crash-point range."""
+    def test_failing_chunk_is_named_by_its_point_range(self, monkeypatch):
+        """A chunk that raises fails the sweep with the grid's cell error,
+        keyed by the chunk's crash-point range."""
         real = explorer.classify_image
 
-        def wedge_on_point_five(*args):
+        def fail_on_point_five(*args):
             if args[5] == 5:
-                time.sleep(30.0)
+                raise RuntimeError("synthetic failure at point 5")
             return real(*args)
 
         # forked workers inherit the patched module
-        monkeypatch.setattr(explorer, "classify_image", wedge_on_point_five)
-        begun = time.time()
-        with pytest.raises(GridStallError) as excinfo:
-            small_sweep("conventional", max_points=16, jobs=2,
-                        stall_timeout=0.5)
-        assert time.time() - begun < 10.0
-        assert excinfo.value.grid == "grid explore conventional/microbench"
+        monkeypatch.setattr(explorer, "classify_image", fail_on_point_five)
+        with pytest.raises(GridCellError) as excinfo:
+            small_sweep("conventional", max_points=16, jobs=2)
+        assert excinfo.value.grid == "explore conventional/microbench"
+        assert "synthetic failure at point 5" in excinfo.value.error
         first, last = re.fullmatch(
             r"points #(\d+)\.\.#(\d+) \(t=.*\)", excinfo.value.key).groups()
         assert int(first) <= 5 <= int(last)

@@ -20,8 +20,7 @@ SOURCES = sorted((ROOT / "src").rglob("*.py"))
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         ROOT / "docs" / "performance.md", ROOT / "docs" / "observability.md"]
 
-KNOBS = {"REPRO_SCALE", "REPRO_JOBS", "REPRO_HEARTBEAT",
-         "REPRO_STALL_TIMEOUT"}
+KNOBS = {"REPRO_SCALE", "REPRO_JOBS"}
 
 #: every independently settable value of one simulated testbed; a field
 #: nobody sets differently is a constant, not a field
