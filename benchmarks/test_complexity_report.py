@@ -2,8 +2,10 @@
 
 The paper reports lines of C code: flag support <50 (driver), chains ~550
 driver + 100 fs + 150 remove-deps, block copy ~50, soft updates ~1500.  We
-report the same inventory for this implementation's Python modules and
-assert the paper's complexity ordering: flag < chains < soft updates.
+report the same inventory for this implementation's Python modules --
+every standard scheme, plus the bookkeeping they share on the base class
+-- and assert the paper's complexity ordering: flag < chains < soft
+updates.
 """
 
 import pathlib
@@ -50,6 +52,8 @@ def test_complexity_report(once):
                 loc("ordering/softupdates/manager.py"),
             "Soft updates (structures)":
                 loc("ordering/softupdates/structures.py"),
+            "Journaling (scheme)": loc("ordering/journal.py"),
+            "Shared scheme bookkeeping (base)": loc("ordering/base.py"),
         }
 
     inventory = once(experiment)

@@ -93,9 +93,10 @@ class ScanResult:
 
     #: recovered state: home fragment daddr -> committed image bytes
     overlay: dict[int, bytes] = field(default_factory=dict)
-    #: home fragments named by a valid but *uncommitted* trailing
-    #: descriptor (the transaction in flight when the image was taken)
-    open_frags: frozenset[int] = frozenset()
+    #: home fragment -> logged bytes of the valid but *uncommitted*
+    #: record at the head (the transaction in flight when the image was
+    #: taken)
+    open_images: dict[int, bytes] = field(default_factory=dict)
     #: committed transactions applied, in sequence order
     transactions: list[Transaction] = field(default_factory=list)
     #: where the next record would begin (sequence, log position)
@@ -238,7 +239,8 @@ def scan_journal(read_frag: ReadFrag, geometry: FSGeometry) -> ScanResult:
         seq += 1
     result.head_seq = seq
     result.head_pos = pos
-    result.open_frags = _open_frags(read_frag, base, log_frags, pos, seq)
+    result.open_images = _open_images(read_frag, geometry.frag_size, base,
+                                      log_frags, pos, seq)
     return result
 
 
@@ -262,21 +264,28 @@ def _txn_at(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
                        payload=bytes(payload))
 
 
-def _open_frags(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
-                seq: int) -> frozenset[int]:
-    """Home frags of the in-flight (descriptor-only) record at the head."""
+def _open_images(read_frag: ReadFrag, frag_size: int, base: int,
+                 log_frags: int, pos: int, seq: int) -> dict[int, bytes]:
+    """Home frag -> logged bytes of the in-flight (uncommitted) record at
+    the head."""
     for candidate in ((pos,) if pos == 0 else (pos, 0)):
         entries = parse_descriptor(read_frag(base + candidate, 1), seq)
         if entries is None:
             continue
         if candidate + record_extent(entries) > log_frags:
             continue
-        frags: set[int] = set()
+        images: dict[int, bytes] = {}
+        at = candidate + 1
         for entry in entries:
-            if entry.kind == IMAGE:
-                frags.update(range(entry.daddr, entry.daddr + entry.nfrags))
-        return frozenset(frags)
-    return frozenset()
+            if entry.kind != IMAGE:
+                continue
+            data = read_frag(base + at, entry.nfrags)
+            for i in range(entry.nfrags):
+                images[entry.daddr + i] = bytes(
+                    data[i * frag_size:(i + 1) * frag_size])
+            at += entry.nfrags
+        return images
+    return {}
 
 
 def replay_into(read_frag: ReadFrag,

@@ -31,9 +31,9 @@ Journaling: fsck audits a journaling image in its *recovered* state (raw
 image plus committed log overlay), so lazy checkpoints -- home writes
 arbitrarily later than their commits -- never trip a structural rule.
 ``journal-checkpoint-order`` is the one rule that view cannot show: the
-pass keeps the head transaction's not-yet-committed images (re-read from
-the image when a write touches the log region) and compares home writes
-to them.
+pass keeps the head transaction's not-yet-committed images (the journal
+scan's ``open_images``, rescanned when a write touches the log region) and
+compares home writes to them.
 
 Per-scheme rulesets derive from :class:`~repro.ordering.guarantees.
 CrashGuarantees`: every rule above guards corruption-class state, so a hit
@@ -188,30 +188,6 @@ def _journal_open(image, geometry, spf: int) -> dict[int, bytes]:
     descriptor, no commit record yet) of *image*'s log, if it has one: a
     home write matching one is a checkpoint running ahead of its commit
     record."""
-
-    def read_frag(daddr: int, nfrags: int) -> bytes:
-        return image.read(daddr * spf, nfrags * spf)
-
-    result = journal.scan_journal(read_frag, geometry)
-    open_images: dict[int, bytes] = {}
-    if not result.open_frags:
-        return open_images
-    base = geometry.journal_start + 1
-    frag_size = geometry.frag_size
-    for pos in dict.fromkeys((result.head_pos, 0)):
-        entries = journal.parse_descriptor(read_frag(base + pos, 1),
-                                           result.head_seq)
-        if (entries is None or pos + journal.record_extent(entries)
-                > geometry.journal_frags - 1):
-            continue
-        at = pos + 1
-        for entry in entries:
-            if entry.kind != journal.IMAGE:
-                continue
-            data = read_frag(base + at, entry.nfrags)
-            for i in range(entry.nfrags):
-                open_images[entry.daddr + i] = bytes(
-                    data[i * frag_size:(i + 1) * frag_size])
-            at += entry.nfrags
-        break
-    return open_images
+    return journal.scan_journal(
+        lambda daddr, nfrags: image.read(daddr * spf, nfrags * spf),
+        geometry).open_images

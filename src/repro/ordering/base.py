@@ -16,6 +16,11 @@ The three ordering rules the hooks exist to uphold (paper, section 1):
    set,
 2. never re-use a resource before nullifying all previous pointers to it,
 3. never point to a structure before it has been initialized.
+
+Bookkeeping the schemes share lives here, so a hook holds only its ordering
+decision: ``AllocContext.moved``, ``_inode_image``, ``_released`` (the
+in-memory release of an inode) and ``_free_moved``.  No Order and soft
+updates release in their own order and keep their own release code.
 """
 
 from __future__ import annotations
@@ -57,6 +62,12 @@ class AllocContext:
     old_frags: int
     data_buf: "Buffer"
     is_metadata: bool
+
+    @property
+    def moved(self) -> bool:
+        """The fragment run was extended by moving it: the old run at
+        ``old_daddr`` is the scheme's to free at the safe time."""
+        return bool(self.old_daddr) and self.old_daddr != self.new_daddr
 
 
 class OrderingScheme:
@@ -133,6 +144,34 @@ class OrderingScheme:
                     self.fs.cache.brelse(buf)
             raise
         return result
+
+    # -- bookkeeping every ordering scheme shares ---------------------------
+    def _inode_image(self, ip: "Inode", *held) -> Generator:
+        """Load *ip*'s inode block and copy the in-core inode into it
+        (returned held); the *held* buffers are released on EIO."""
+        ibuf = yield from self._release_on_error(
+            self.fs.load_inode_buf(ip.ino), *held)
+        self.fs.store_inode(ip, ibuf)
+        return ibuf
+
+    def _released(self, ip: "Inode") -> Generator:
+        """Release *ip* in memory: collect its runs, clear its pointers and
+        free its inode record, then zero its dinode in the inode block.
+
+        Returns ``(runs, ibuf)`` with *ibuf* held; ordering *ibuf*'s reset
+        write against freeing *runs* (rule 2) is the caller's decision.
+        """
+        runs = yield from self.fs.collect_blocks(ip)
+        self.fs.clear_block_pointers(ip)
+        yield from self.fs.free_inode_record(ip)
+        ibuf = yield from self.fs.load_inode_buf(ip.ino)
+        self.fs.clear_dinode(ip.ino, ibuf)
+        return runs, ibuf
+
+    def _free_moved(self, ctx: AllocContext) -> Generator:
+        """Return a moved allocation's old run to the free pool."""
+        self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
+        yield from self.fs.allocator.free_frags(ctx.old_daddr, ctx.old_frags)
 
     @property
     def crash_guarantees(self) -> CrashGuarantees:

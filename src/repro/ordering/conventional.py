@@ -27,9 +27,7 @@ class ConventionalScheme(OrderingScheme):
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
         # rule 3/1: the pointed-to inode reaches disk before the entry
         # (an EIO inside either step must not leave dbuf locked forever)
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         yield from self._release_on_error(self._ordered_wait(  # synchronous
             self.fs.cache.bwrite(ibuf), "sync_stall", point="link_added"),
             dbuf)
@@ -43,7 +41,7 @@ class ConventionalScheme(OrderingScheme):
 
     def block_allocated(self, ctx: AllocContext) -> Generator:
         must_init = ctx.is_metadata or self.alloc_init
-        moved = bool(ctx.old_daddr) and ctx.old_daddr != ctx.new_daddr
+        moved = ctx.moved
         if moved:
             # rule 2 for fragment extension by move: the relocated pointer
             # reaches disk before the old run can be reused
@@ -62,19 +60,12 @@ class ConventionalScheme(OrderingScheme):
         else:
             self.fs.cache.brelse(ctx.data_buf)
         if moved:
-            self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+            yield from self._free_moved(ctx)
 
     def release_inode(self, ip) -> Generator:
         # rule 2: nullify every on-disk pointer (synchronously) before the
         # blocks and the inode slot return to the free pool
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
+        runs, ibuf = yield from self._released(ip)
         yield from self._ordered_wait(             # synchronous reset
             self.fs.cache.bwrite(ibuf), "sync_stall", point="release_inode")
         yield from self.fs.free_block_list(runs)   # bitmaps: delayed

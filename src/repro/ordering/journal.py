@@ -118,7 +118,8 @@ class JournalScheme(OrderingScheme):
         try:
             if self._degraded or not self._pending:
                 return
-            ok = yield from self._retire_all()
+            # room for the whole log: every transaction retires
+            ok = yield from self._reclaim(self.fs.geometry.journal_frags - 1)
             if not ok:
                 yield from self._enter_degraded("drain checkpoint failed")
         finally:
@@ -151,44 +152,20 @@ class JournalScheme(OrderingScheme):
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
         # one transaction carries the initialized inode and the entry
         # pointing at it (rules 3 and 1 collapse into the commit barrier)
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
-        ok = yield from self._release_on_error(self._ordered_wait(
-            self._commit_txn([(ibuf.daddr, bytes(ibuf.data)),
-                              (dbuf.daddr, bytes(dbuf.data))], [],
-                             "link_added"),
-            "journal_commit", point="link_added"), ibuf, dbuf)
-        if ok:
-            self.fs.cache.bdwrite(ibuf)
-            self.fs.cache.bdwrite(dbuf)
-            return
-        # degraded: the conventional synchronous ordering
-        yield from self._release_on_error(self._ordered_wait(
-            self.fs.cache.bwrite(ibuf), "sync_stall", point="link_added"),
-            dbuf)
-        self.fs.cache.bdwrite(dbuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
+        yield from self._journal("link_added", [ibuf, dbuf])
 
     def link_removed(self, dp, dbuf, offset, ip) -> Generator:
         # rule 1: the cleared entry is recoverable before the link count
         # can drop on disk (the drop itself is an unjournaled delayed
         # write; a crash leaves at worst fsck-repairable link skew)
-        ok = yield from self._ordered_wait(
-            self._commit_txn([(dbuf.daddr, bytes(dbuf.data))], [],
-                             "link_removed"),
-            "journal_commit", point="link_removed")
-        if ok:
-            self.fs.cache.bdwrite(dbuf)
-        else:
-            yield from self._ordered_wait(
-                self.fs.cache.bwrite(dbuf), "sync_stall",
-                point="link_removed")
+        yield from self._journal("link_removed", [dbuf])
         yield from self.fs.drop_link(ip)
 
     def block_allocated(self, ctx: AllocContext) -> Generator:
         cache = self.fs.cache
         must_init = ctx.is_metadata or self.alloc_init
-        moved = bool(ctx.old_daddr) and ctx.old_daddr != ctx.new_daddr
+        moved = ctx.moved
         data_consumed = False
         if must_init and not ctx.is_metadata:
             # rule 3 for regular data: initialization goes to its *home*
@@ -200,10 +177,8 @@ class JournalScheme(OrderingScheme):
             data_consumed = True
         if ctx.ibuf is None:
             # the pointer lives in the in-core inode: journal its block
-            ibuf = yield from self._release_on_error(
-                self.fs.load_inode_buf(ctx.ip.ino),
-                None if data_consumed else ctx.data_buf)
-            self.fs.store_inode(ctx.ip, ibuf)
+            ibuf = yield from self._inode_image(
+                ctx.ip, None if data_consumed else ctx.data_buf)
         else:
             ibuf = ctx.ibuf
         images = [(ibuf.daddr, bytes(ibuf.data))]
@@ -224,7 +199,7 @@ class JournalScheme(OrderingScheme):
             elif not data_consumed:
                 cache.brelse(ctx.data_buf)
         else:
-            # degraded: the conventional discipline with the held buffers
+            # degraded: conventional's allocation order, not _journal's
             if moved:
                 yield from self._release_on_error(self._ordered_wait(
                     cache.bwrite(ibuf), "sync_stall", point="frag_move"),
@@ -238,64 +213,47 @@ class JournalScheme(OrderingScheme):
             elif not data_consumed:
                 cache.brelse(ctx.data_buf)
         if moved:
-            cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+            yield from self._free_moved(ctx)
 
     def truncated(self, ip, runs: list) -> Generator:
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
-        ok = yield from self._ordered_wait(
-            self._commit_txn([(ibuf.daddr, bytes(ibuf.data))], list(runs),
-                             "truncate"),
-            "journal_commit", point="truncate")
-        if ok:
-            self.fs.cache.bdwrite(ibuf)
-        else:
-            yield from self._ordered_wait(
-                self.fs.cache.bwrite(ibuf), "sync_stall", point="truncate")
+        ibuf = yield from self._inode_image(ip)
+        yield from self._journal("truncate", [ibuf], runs)
         yield from self.fs.free_block_list(runs)
 
     def release_inode(self, ip) -> Generator:
         # rule 2: one transaction zeroes the inode and revokes its runs;
         # after the commit both the blocks and the slot can safely return
         # to the free pool
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
-        ok = yield from self._ordered_wait(
-            self._commit_txn([(ibuf.daddr, bytes(ibuf.data))], list(runs),
-                             "release_inode"),
-            "journal_commit", point="release_inode")
-        if ok:
-            self.fs.cache.bdwrite(ibuf)
-        else:
-            yield from self._ordered_wait(
-                self.fs.cache.bwrite(ibuf), "sync_stall",
-                point="release_inode")
+        runs, ibuf = yield from self._released(ip)
+        yield from self._journal("release_inode", [ibuf], runs)
         yield from self.fs.free_block_list(runs)
 
     def fsync(self, ip) -> Generator:
         # durability via the log: data to home, then the inode image's
         # commit makes the file recoverable
         yield from self.fs.flush_file_data(ip)
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
-        ok = yield from self._ordered_wait(
-            self._commit_txn([(ibuf.daddr, bytes(ibuf.data))], [], "fsync"),
-            "journal_commit", point="fsync")
-        if ok:
-            self.fs.cache.bdwrite(ibuf)
-        else:
-            yield from self._ordered_wait(
-                self.fs.cache.bwrite(ibuf), "sync_stall", point="fsync")
+        ibuf = yield from self._inode_image(ip)
+        yield from self._journal("fsync", [ibuf])
 
     # ------------------------------------------------------------------
     # transaction machinery
     # ------------------------------------------------------------------
+    def _journal(self, point: str, bufs: list, revokes=()) -> Generator:
+        """Commit the held *bufs*' images and *revokes* as one transaction,
+        then delay-write *bufs*; degraded, write the first synchronously
+        (the conventional discipline) and delay the rest."""
+        ok = yield from self._release_on_error(self._ordered_wait(
+            self._commit_txn([(buf.daddr, bytes(buf.data)) for buf in bufs],
+                             revokes, point),
+            "journal_commit", point=point), *bufs)
+        if not ok:
+            first, *bufs = bufs
+            yield from self._release_on_error(self._ordered_wait(
+                self.fs.cache.bwrite(first), "sync_stall", point=point),
+                *bufs)
+        for buf in bufs:
+            self.fs.cache.bdwrite(buf)
+
     def _commit_txn(self, images: list, revokes: list,
                     point: str) -> Generator:
         """Commit one transaction; False = degraded, caller falls back.
@@ -412,22 +370,6 @@ class JournalScheme(OrderingScheme):
             ok = yield from self._write_header(tail_seq, tail_pos)
             if not ok:
                 return False
-        return True
-
-    def _retire_all(self) -> Generator:
-        """Checkpoint everything and neutralize the header (drain path)."""
-        for index, txn in enumerate(self._pending):
-            superseded = self._superseded_after(index)
-            for daddr, data in txn.images:
-                ok = yield from self._checkpoint_image(daddr, data,
-                                                      superseded)
-                if not ok:
-                    return False
-        ok = yield from self._write_header(self._next_seq, self._head_pos)
-        if not ok:
-            return False
-        self._pending.clear()
-        self._used = 0
         return True
 
     def _superseded_after(self, index: int) -> set:

@@ -28,9 +28,7 @@ class NoOrderScheme(OrderingScheme):
     declared_guarantees = UNSAFE
 
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         self.fs.cache.bdwrite(ibuf)
         self.fs.cache.bdwrite(dbuf)
         self._bump("ordering.delayed_writes", 2)
@@ -46,11 +44,9 @@ class NoOrderScheme(OrderingScheme):
             self._bump("ordering.delayed_writes")
         self.fs.cache.bdwrite(ctx.data_buf)
         self._bump("ordering.delayed_writes")
-        if ctx.old_daddr and ctx.old_daddr != ctx.new_daddr:
+        if ctx.moved:
             # fragment moved: free the old run right away (unsafe ordering)
-            self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+            yield from self._free_moved(ctx)
 
     def truncated(self, ip, runs) -> Generator:
         yield from self.fs.iupdat(ip)            # delayed, unordered

@@ -136,9 +136,7 @@ class NvramScheme(OrderingScheme):
 
     # -- the four structural changes ---------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         yield from self._mirror_buffer(ibuf)
         yield from self._mirror_buffer(dbuf)
         self.fs.cache.bdwrite(ibuf)
@@ -156,29 +154,21 @@ class NvramScheme(OrderingScheme):
             yield from self._mirror_buffer(ctx.ibuf)
             self.fs.cache.bdwrite(ctx.ibuf)
         self.fs.cache.bdwrite(ctx.data_buf)
-        if ctx.old_daddr and ctx.old_daddr != ctx.new_daddr:
-            self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+        if ctx.moved:
+            yield from self._free_moved(ctx)
             yield from self._mirror_cg_of(ctx.old_daddr)
 
     def release_inode(self, ip) -> Generator:
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
+        runs, ibuf = yield from self._released(ip)
         yield from self._mirror_buffer(ibuf)
         self.fs.cache.bdwrite(ibuf)
         yield from self.fs.free_block_list(runs)
         for daddr, _frags in runs:
             yield from self._mirror_cg_of(daddr)
-        yield from self._mirror_cg_of_inode(ino)
+        yield from self._mirror_cg_of_inode(ip.ino)
 
     def truncated(self, ip, runs) -> Generator:
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip)
         yield from self._mirror_buffer(ibuf)
         self.fs.cache.bdwrite(ibuf)
         yield from self.fs.free_block_list(runs)
@@ -204,6 +194,3 @@ class NvramScheme(OrderingScheme):
                                              self.fs.geometry.block_size)
         yield from self._mirror_buffer(buf)
         self.fs.cache.brelse(buf)
-
-    def pending_work(self) -> int:
-        return 0

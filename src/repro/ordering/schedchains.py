@@ -51,9 +51,7 @@ class SchedulerChainsScheme(OrderingScheme):
 
     # -- the four structural changes --------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         if new_inode:
             self._inherit_freed_inode(ip.ino, ibuf)
         request = yield from self.fs.cache.bawrite(ibuf)
@@ -73,7 +71,7 @@ class SchedulerChainsScheme(OrderingScheme):
 
     def block_allocated(self, ctx: AllocContext) -> Generator:
         must_init = ctx.is_metadata or self.alloc_init
-        moved = bool(ctx.old_daddr) and ctx.old_daddr != ctx.new_daddr
+        moved = ctx.moved
         # reallocation of recently freed fragments: "the new owner (inode or
         # indirect block) becomes dependent on the write of the old owner.
         # In fact, we make the newly allocated block itself dependent"
@@ -85,9 +83,8 @@ class SchedulerChainsScheme(OrderingScheme):
         self._bump("ordering.chain_links", len(pending_resets))
         if moved:
             # issue the pointer update now so the old run's reuse can name it
-            ibuf2 = yield from self._release_on_error(
-                self.fs.load_inode_buf(ctx.ip.ino), ctx.ibuf, ctx.data_buf)
-            self.fs.store_inode(ctx.ip, ibuf2)
+            ibuf2 = yield from self._inode_image(ctx.ip, ctx.ibuf,
+                                                 ctx.data_buf)
             reset = yield from self.fs.cache.bawrite(ibuf2)
             for daddr in range(ctx.old_daddr, ctx.old_daddr + ctx.old_frags):
                 self._track_frag(daddr, reset)
@@ -117,13 +114,10 @@ class SchedulerChainsScheme(OrderingScheme):
             else:
                 self.fs.cache.bdwrite(owner)
         if moved:
-            self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+            yield from self._free_moved(ctx)
 
     def truncated(self, ip, runs) -> Generator:
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip)
         reset = yield from self.fs.cache.bawrite(ibuf)
         if self.dealloc_barrier:
             self._barriers.add(reset.id)
@@ -136,12 +130,7 @@ class SchedulerChainsScheme(OrderingScheme):
         yield from self.fs.free_block_list(runs)
 
     def release_inode(self, ip) -> Generator:
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
+        runs, ibuf = yield from self._released(ip)
         reset = yield from self.fs.cache.bawrite(ibuf)  # carries flush_deps
         if self.dealloc_barrier:
             self._barriers.add(reset.id)
@@ -151,9 +140,9 @@ class SchedulerChainsScheme(OrderingScheme):
             for daddr, frags in runs:
                 for fragment in range(daddr, daddr + frags):
                     self._track_frag(fragment, reset)
-            self._freed_inodes[ino] = reset.id
+            self._freed_inodes[ip.ino] = reset.id
             reset.on_complete.append(
-                lambda req, i=ino: self._untrack_inode(i, req.id))
+                lambda req, i=ip.ino: self._untrack_inode(i, req.id))
         yield from self.fs.free_block_list(runs)
 
     # -- freed-resource tracking (section 3.2's better approach) ------------

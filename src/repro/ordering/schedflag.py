@@ -37,9 +37,7 @@ class SchedulerFlagScheme(OrderingScheme):
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
         # the inode write is flagged: the (delayed, later-issued) directory
         # block write cannot be scheduled before it
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         self._bump("ordering.flag_tags")
         yield from self.fs.cache.bawrite(ibuf, flag=True)
         self.fs.cache.bdwrite(dbuf)
@@ -53,7 +51,7 @@ class SchedulerFlagScheme(OrderingScheme):
 
     def block_allocated(self, ctx: AllocContext) -> Generator:
         must_init = ctx.is_metadata or self.alloc_init
-        moved = bool(ctx.old_daddr) and ctx.old_daddr != ctx.new_daddr
+        moved = ctx.moved
         if moved:
             # flagged pointer-update write; any write reusing the old run is
             # issued later and therefore ordered behind it
@@ -69,9 +67,7 @@ class SchedulerFlagScheme(OrderingScheme):
         else:
             self.fs.cache.brelse(ctx.data_buf)
         if moved:
-            self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
-            yield from self.fs.allocator.free_frags(ctx.old_daddr,
-                                                    ctx.old_frags)
+            yield from self._free_moved(ctx)
 
     def truncated(self, ip, runs) -> Generator:
         # flagged reset write: reusers' writes are issued later (rule 2)
@@ -79,12 +75,7 @@ class SchedulerFlagScheme(OrderingScheme):
         yield from self.fs.free_block_list(runs)
 
     def release_inode(self, ip) -> Generator:
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
+        runs, ibuf = yield from self._released(ip)
         # flagged reset write: any write that reuses these blocks or this
         # inode slot is issued later and ordered behind it (rule 2)
         self._bump("ordering.flag_tags")
@@ -92,7 +83,6 @@ class SchedulerFlagScheme(OrderingScheme):
         yield from self.fs.free_block_list(runs)
 
     def _flush_inode_flagged(self, ip) -> Generator:
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip)
         self._bump("ordering.flag_tags")
         yield from self.fs.cache.bawrite(ibuf, flag=True)

@@ -36,9 +36,7 @@ class BreakRule3Scheme(ConventionalScheme):
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         # BREACH: the entry is forced out first; the inode it names
         # follows lazily through the syncer
         yield from self._release_on_error(self._ordered_wait(
@@ -71,12 +69,7 @@ class BreakRule2Scheme(ConventionalScheme):
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
     def release_inode(self, ip) -> Generator:
-        runs = yield from self.fs.collect_blocks(ip)
-        self.fs.clear_block_pointers(ip)
-        ino = ip.ino
-        yield from self.fs.free_inode_record(ip)
-        ibuf = yield from self.fs.load_inode_buf(ino)
-        self.fs.clear_dinode(ino, ibuf)
+        runs, ibuf = yield from self._released(ip)
         # BREACH: the pointer reset is merely delayed while the blocks
         # return to the free pool at once -- a later allocation can land
         # on disk before the old owner's on-disk pointers clear

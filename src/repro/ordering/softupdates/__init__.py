@@ -49,9 +49,7 @@ class SoftUpdatesScheme(OrderingScheme):
 
     # ------------------------------------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
-        ibuf = yield from self._release_on_error(
-            self.fs.load_inode_buf(ip.ino), dbuf)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip, dbuf)
         offset_in_block = offset % self.fs.geometry.block_size
         self.manager.record_add(dbuf, offset_in_block, ip, ibuf)
         self.fs.cache.bdwrite(ibuf)
@@ -76,7 +74,7 @@ class SoftUpdatesScheme(OrderingScheme):
         # directory block reaches stable storage
 
     def block_allocated(self, ctx: AllocContext) -> Generator:
-        moved = bool(ctx.old_daddr) and ctx.old_daddr != ctx.new_daddr
+        moved = ctx.moved
         # deallocation ordering (rule 2, the fragment-move case) is always
         # enforced; only *initialization* tracking is optional
         track_needed = ctx.is_metadata or self.alloc_init or moved
@@ -118,8 +116,7 @@ class SoftUpdatesScheme(OrderingScheme):
     def truncated(self, ip, runs) -> Generator:
         extra = self.manager.cancel_for_truncate(ip, runs)
         runs = list(runs) + extra
-        ibuf = yield from self.fs.load_inode_buf(ip.ino)
-        self.fs.store_inode(ip, ibuf)
+        ibuf = yield from self._inode_image(ip)
         # the bitmap bits clear only after the reset pointers are written
         self.manager.record_free(ip, ibuf, runs, ino=None)
         self.fs.cache.bdwrite(ibuf)
@@ -156,8 +153,7 @@ class SoftUpdatesScheme(OrderingScheme):
         """SYNCIO: push this inode's whole dependency chain to disk."""
         for _ in range(1000):
             if not self.manager.inode_busy(ip.ino):
-                ibuf = yield from self.fs.load_inode_buf(ip.ino)
-                self.fs.store_inode(ip, ibuf)
+                ibuf = yield from self._inode_image(ip)
                 yield from self.fs.cache.bwrite(ibuf)
                 if not self.manager.inode_busy(ip.ino):
                     return

@@ -152,9 +152,9 @@ def test_scan_stops_at_torn_commit():
     result = journal.scan_journal(store.read, GEO)
     assert result.overlay == {100: frag_of(0x11)}
     assert result.head_seq == seq
-    # ...but the torn record's images are reported open (the in-flight
-    # transaction the checkpoint-order rule watches)
-    assert result.open_frags == frozenset({200})
+    # ...but the torn record's images are reported open, with their logged
+    # bytes (the in-flight transaction the checkpoint-order rule watches)
+    assert result.open_images == {200: frag_of(0x22)}
 
 
 def test_scan_corrupt_payload_invalidates_commit():
