@@ -36,6 +36,7 @@ same scan drives :mod:`repro.integrity.fsck` (a crash image is judged
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -55,7 +56,8 @@ class _PendingTxn:
     #: log fragments consumed: the record extent plus any end-of-log gap
     #: skipped to start it (the gap frees when this transaction retires)
     ring_cost: int
-    entries: list
+    #: the home frags its IMAGE and REVOKE entries cover, each once
+    frags: set
     #: the IMAGE payloads, as (home daddr, block image bytes)
     images: list
 
@@ -79,7 +81,10 @@ class JournalScheme(OrderingScheme):
         self._lock: Optional[Lock] = None
         self._next_seq = 1
         self._head_pos = 0
-        self._pending: list[_PendingTxn] = []
+        self._pending: deque[_PendingTxn] = deque()
+        #: home frag -> number of pending transactions whose entries cover
+        #: it; a checkpoint skips a frag another pending one also covers
+        self._covers: dict[int, int] = {}
         self._used = 0
         self._degraded = False
 
@@ -102,7 +107,8 @@ class JournalScheme(OrderingScheme):
         self._lock = Lock(self.fs.engine)
         self._next_seq = result.head_seq + 1
         self._head_pos = result.head_pos
-        self._pending = []
+        self._pending = deque()
+        self._covers = {}
         self._used = 0
         self._degraded = False
 
@@ -333,9 +339,16 @@ class JournalScheme(OrderingScheme):
             head = 0
         self._head_pos = head
         self._used += need
+        frags = {frag for entry in entries
+                 for frag in range(entry.daddr, entry.daddr + entry.nfrags)}
         self._pending.append(_PendingTxn(seq=seq, pos=pos, ring_cost=need,
-                                         entries=list(entries),
-                                         images=list(images)))
+                                         frags=frags, images=list(images)))
+        covers = self._covers
+        for frag in frags:
+            if frag in covers:
+                covers[frag] += 1
+            else:
+                covers[frag] = 1
         return True
 
     def _reclaim(self, need: int) -> Generator:
@@ -349,13 +362,12 @@ class JournalScheme(OrderingScheme):
         retired = False
         while self._pending and self._used + need > log_frags:
             txn = self._pending[0]
-            superseded = self._superseded_after(0)
             for daddr, data in txn.images:
-                ok = yield from self._checkpoint_image(daddr, data,
-                                                       superseded)
+                ok = yield from self._checkpoint_image(daddr, data)
                 if not ok:
-                    return False
-            self._pending.pop(0)
+                    return False  # left pending, and counted, for the fence
+            self._pending.popleft()
+            self._uncount(txn)
             self._used -= txn.ring_cost
             retired = True
             self._bump("journal.checkpoints")
@@ -372,21 +384,29 @@ class JournalScheme(OrderingScheme):
                 return False
         return True
 
-    def _superseded_after(self, index: int) -> set:
-        """Home frags imaged or revoked by a transaction after *index*.
+    def _uncount(self, txn: _PendingTxn) -> None:
+        """Take a transaction leaving the log out of the cover counts."""
+        covers = self._covers
+        for frag in txn.frags:
+            if covers[frag] == 1:
+                del covers[frag]
+            else:
+                covers[frag] -= 1
 
-        Checkpointing such a fragment from an older image would regress
-        state a newer committed transaction owns; the newer transaction's
-        own retirement (or revoke) covers it instead.
+    def _unsuperseded(self, daddr: int, nfrags: int) -> list:
+        """Offsets of an image's frags no newer pending transaction covers.
+
+        The image's own transaction is the oldest still counted (the
+        ring's tail, or the fence's current step) and counts each of its
+        frags once, so a count above one means a newer committed
+        transaction re-imaged or revoked the frag.  Checkpointing it from
+        the older image would regress state the newer one owns; the newer
+        transaction's own retirement (or revoke) covers it instead.
         """
-        frags: set = set()
-        for txn in self._pending[index + 1:]:
-            for entry in txn.entries:
-                frags.update(range(entry.daddr, entry.daddr + entry.nfrags))
-        return frags
+        covers = self._covers
+        return [i for i in range(nfrags) if covers[daddr + i] == 1]
 
-    def _checkpoint_image(self, daddr: int, data: bytes,
-                          superseded: set) -> Generator:
+    def _checkpoint_image(self, daddr: int, data: bytes) -> Generator:
         """Make one image's content (or newer) durable at home.
 
         Decided off the cache's view of the block:
@@ -405,8 +425,7 @@ class JournalScheme(OrderingScheme):
         """
         cache = self.fs.cache
         frag_size = self.fs.geometry.frag_size
-        nfrags = len(data) // frag_size
-        wanted = [i for i in range(nfrags) if daddr + i not in superseded]
+        wanted = self._unsuperseded(daddr, len(data) // frag_size)
         if not wanted:
             return True
         attempts = 0
@@ -463,12 +482,11 @@ class JournalScheme(OrderingScheme):
         event marks the run as degraded for the harness verdicts.
         """
         ok = True
-        for index, txn in enumerate(self._pending):
-            superseded = self._superseded_after(index)
+        for txn in self._pending:  # oldest first, each counted out once
             for daddr, data in txn.images:
-                done = yield from self._checkpoint_image(daddr, data,
-                                                        superseded)
+                done = yield from self._checkpoint_image(daddr, data)
                 ok = ok and done
+            self._uncount(txn)
         if ok:
             yield from self._write_header(self._next_seq, self._head_pos)
         self._pending.clear()
