@@ -8,6 +8,7 @@ every standard scheme, plus the bookkeeping they share on the base class
 updates.
 """
 
+import ast
 import pathlib
 
 import repro.ordering as ordering_pkg
@@ -19,22 +20,21 @@ SRC = pathlib.Path(ordering_pkg.__file__).parent.parent
 
 
 def loc(relative: str) -> int:
-    """Non-blank, non-comment source lines (a rough sloc)."""
-    path = SRC / relative
-    count = 0
-    in_doc = False
-    for line in path.read_text().splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith('"""') or stripped.startswith("'''"):
-            if not (in_doc is False and stripped.count('"""') == 2):
-                in_doc = not in_doc
-            continue
-        if in_doc:
-            continue
-        count += 1
-    return count
+    """Non-blank, non-comment source lines outside docstrings (a rough
+    sloc)."""
+    source = (SRC / relative).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if number not in docstrings and line.strip()
+               and not line.strip().startswith("#"))
 
 
 def test_complexity_report(once):

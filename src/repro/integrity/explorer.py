@@ -217,7 +217,14 @@ def enumerate_crash_points(recorded: RecordedRun,
     explicit, never a silent truncation of the tail, and the sweep report
     states enumerated vs verified counts.
     """
-    raw = _enumerate_raw(recorded, samples_per_write)
+    return _budget(_enumerate_raw(recorded, samples_per_write), max_points,
+                   sample_seed)
+
+
+def _budget(raw: list[tuple[float, str]], max_points: Optional[int],
+            sample_seed: int) -> list[CrashPoint]:
+    """The crash points of the full enumeration *raw* that a budget of
+    *max_points* keeps (:func:`enumerate_crash_points`)."""
     if max_points is not None and len(raw) > max_points:
         rng = random.Random(sample_seed)
         keep = sorted(rng.sample(range(len(raw)), max_points))
@@ -336,9 +343,8 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         monitor_violations(recorded, machine.config.fs_geometry,
                            machine.scheme.crash_guarantees)
         if monitor else [])
-    enumerated = len(_enumerate_raw(recorded, samples_per_write))
-    points = enumerate_crash_points(recorded, samples_per_write,
-                                    max_points, sample_seed=seed)
+    raw = _enumerate_raw(recorded, samples_per_write)
+    points = _budget(raw, max_points, sample_seed=seed)
     if point is not None:
         budgeted = len(points)
         points = [p for p in points if p.index == point]
@@ -365,7 +371,7 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         quiesce_time=recorded.quiesce_time,
         write_windows=len(recorded.windows),
         fault_profile=fault_profile, fault_seed=fault_seed,
-        enumerated_points=enumerated,
+        enumerated_points=len(raw),
         max_points=max_points, jobs=jobs,
         log_bytes=recorded.media_log.payload_bytes,
         sim_events=recorded.events_processed,

@@ -39,18 +39,23 @@ table and reference map in ascending inode order, so all cross-inode
 judgement sits in the replay.  The split is what
 ``tests/integrity/reference_fsck.py`` is held equal to pass by pass.
 
-It is also what makes an audit of a *stream* of images cheap.  An
-:class:`Auditor` remembers each pure result of its previous audit, keyed
-on the bytes it was computed from: an allocated dinode on its inode number
-and 128-byte record (its ``Dinode`` and claim stream), a directory on its
-inode number, size, direct pointers and block bytes (its event stream), a
-cylinder group's bitmap findings on its header block and the part of the
-claim table and inode set that falls in it.  Consecutive crash points
-differ by one media write, so an audit decodes only the records that write
-touched; the replay runs in full every time.  Keys are bytes, not store
-chunks, because a crash-image store is rewritten in place.  A dinode with
-indirect pointers is decoded afresh every audit: its walk reads blocks its
-key does not cover.  :func:`fsck` is a one-audit :class:`Auditor`.
+It is also what makes an audit of a *stream* of images cheap, at two
+levels.  An audit is a function of the bytes it reads, so an
+:class:`Auditor` remembers every range its previous audit read and what it
+held: an image that holds the same bytes at all of them -- most crash
+points differ from the one before by a data-block write fsck never reads
+-- gets the previous report back.  Otherwise each pure result of the
+previous audit is reused where the bytes it was computed from are
+unchanged: a cylinder group's dinodes on its inode table, an allocated
+dinode on its inode number, 128-byte record and the indirect blocks its
+claim walk read (its ``Dinode`` and claim stream), a directory on its
+size, direct pointers and block bytes (its event stream).  The replay is
+incremental too: the claim table is the previous one minus the claims of
+the dinodes that changed plus their new claims, a phase whose inputs are
+all unchanged keeps its findings, and a finding is built again only when
+what it says changed (:class:`_Checker`).  Keys are bytes, not store
+chunks, because a crash-image store is rewritten in place.  :func:`fsck`
+is a one-audit :class:`Auditor`.
 
 This is the repository's one structural checker: crash exploration audits
 each chunk of crash points through one :class:`Auditor`, the ordering
@@ -124,22 +129,19 @@ def read_image_frags(image: SectorStore, geo: FSGeometry,
     return image.read(daddr * spf, frags * spf)
 
 
-def cg_inode_records(image: SectorStore, geo: FSGeometry,
+def cg_inode_records(table: bytes, geo: FSGeometry,
                      cg: int) -> list[tuple[int, bytes]]:
-    """``(ino, 128-byte record)`` of every allocated dinode of one
-    cylinder group, ascending.
+    """``(ino, 128-byte record)`` of every allocated dinode in *table*,
+    the inode table of cylinder group *cg*, ascending.
 
-    Reads the group's inode table once and keeps only the slots whose mode
-    bytes are non-zero -- the slots and their order are exactly those a
-    per-slot walk decodes as allocated
-    (``tests/integrity/reference_fsck.py``).  The records are the keys
+    Keeps only the slots whose mode bytes are non-zero -- the slots and
+    their order are exactly those a per-slot walk decodes as allocated
+    (``tests/integrity/reference_fsck.py``).  The records are the bytes
     :class:`Auditor` remembers a dinode's decode under.
     """
-    raw = read_image_frags(image, geo, geo.cg_inode_table(cg),
-                           geo.inode_blocks_per_cg * geo.frags_per_block)
     first = cg * geo.ipg
-    return [(first + slot, raw[slot * INODE_SIZE:(slot + 1) * INODE_SIZE])
-            for slot in allocated_slots(raw)
+    return [(first + slot, table[slot * INODE_SIZE:(slot + 1) * INODE_SIZE])
+            for slot in allocated_slots(table)
             if first + slot >= ROOT_INO]  # inodes below it are burned
 
 
@@ -218,10 +220,12 @@ def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
 
 
 def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
-                    din: Dinode) -> list:
+                    din: Dinode, indirect: list) -> list:
     """Phase-1 op-stream for one inode: the fragment daddrs it claims (in
     the exact order the serial walk visits them) and a ``bad-pointer``
-    finding for each pointer that leaves the data area."""
+    finding for each pointer that leaves the data area.  ``(daddr,
+    bytes)`` of each indirect block the walk reads is appended to
+    *indirect*."""
     ops: list = []
 
     def claim(daddr: int, frags: int) -> None:
@@ -243,6 +247,7 @@ def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
             return
         claim(daddr, geo.frags_per_block)
         raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
+        indirect.append((daddr, raw))
         for pointer in struct.unpack(f"<{geo.nindir}I", raw):
             if not pointer:
                 continue
@@ -314,203 +319,403 @@ def directory_events(geo: FSGeometry, ino: int, din: Dinode,
 
 
 def cg_bitmap_findings(header: bytes, geo: FSGeometry, cg: int,
-                       claims: dict[int, int],
-                       allocated) -> list[Violation]:
+                       claimed: int, wanted: int, claims: dict[int, int],
+                       known: dict | None = None) -> dict:
     """Phase-4 findings for one cylinder group whose header block holds
-    *header*.  *claims* maps fragment daddr -> owning ino and *allocated*
-    iterates allocated inode numbers; either may be restricted to this
-    group's range (the rest is ignored).
+    *header*: the group's claimed data fragments are the bits of *claimed*
+    (bit ``daddr - geo.cg_data_start(cg)``), its allocated inodes the bits
+    of *wanted* (bit ``ino - cg * geo.ipg``), and *claims* maps at least
+    each claimed fragment to the inode that owns it.
 
     Each bitmap is read as one int and XORed against the bits the claims
     (the allocated dinodes) call for; only the differing bits are walked,
-    ascending, so the findings are those of a bit-by-bit comparison.
+    ascending, so the findings are those of a bit-by-bit comparison.  They
+    come back in that order, keyed on what each one says: ``("fragment",
+    daddr, owner)`` (owner None for a leak), ``("inode", ino, wanted
+    bit)`` or ``("magic",)``.  A finding under the same key in *known* (the
+    previous audit's result for this group) is reused, not built again.
     """
+    known = known or {}
     view = CgView(header, geo)
     if view.magic != CG_MAGIC:
-        return [finding("fs-unreadable", f"cylinder group {cg} bad magic")]
-    findings: list[Violation] = []
-    base, limit = geo.cg_data_start(cg), geo.dfrags_per_cg
-    claimed = bits_of([daddr - base for daddr in claims
-                       if 0 <= daddr - base < limit], limit)
+        return {("magic",): known.get(("magic",)) or finding(
+            "fs-unreadable", f"cylinder group {cg} bad magic")}
+    found: dict = {}
+    base = geo.cg_data_start(cg)
     for index in set_bits(view.frag_bits() ^ claimed):
         daddr = base + index
-        if daddr in claims:
-            findings.append(finding(
-                "bitmap-stale",
-                f"fragment {daddr} in use by inode {claims[daddr]} but "
-                f"marked free (fsck repairs)"))
-        else:
-            findings.append(finding(
+        owner = claims[daddr] if daddr in claims else None
+        key = ("fragment", daddr, owner)
+        violation = known.get(key)
+        if violation is None:
+            violation = finding(
+                "bitmap-stale", f"fragment {daddr} in use by inode {owner} "
+                                f"but marked free (fsck repairs)"
+            ) if owner is not None else finding(
                 "leak", f"fragment {daddr} marked used but unreferenced "
-                        f"(leak)"))
-    first, limit = cg * geo.ipg, geo.ipg
-    wanted = bits_of([ino - first for ino in allocated
-                      if 0 <= ino - first < limit], limit)
+                        f"(leak)")
+        found[key] = violation
+    first = cg * geo.ipg
     for index in set_bits(view.inode_bits() ^ wanted):
         ino = first + index
-        if ino < ROOT_INO:
-            continue  # burned inodes
-        if wanted >> index & 1:
-            findings.append(finding(
-                "bitmap-stale",
-                f"inode {ino} allocated but bitmap says free (fsck repairs)"))
-        elif ino != ROOT_INO:
-            findings.append(finding(
-                "leak", f"inode {ino} bitmap used but dinode free (leak)"))
-    return findings
+        stale = wanted >> index & 1
+        if ino < ROOT_INO or ino == ROOT_INO and not stale:
+            continue  # burned inodes; the root is never a leak
+        key = ("inode", ino, stale)
+        violation = known.get(key)
+        if violation is None:
+            violation = finding(
+                "bitmap-stale", f"inode {ino} allocated but bitmap says free "
+                                f"(fsck repairs)"
+            ) if stale else finding(
+                "leak", f"inode {ino} bitmap used but dinode free (leak)")
+        found[key] = violation
+    return found
+
+
+class _Inode:
+    """One allocated dinode's pure results: its ``Dinode`` and claim
+    stream (:func:`inode_claim_ops`), and the indirect blocks the stream
+    was read from."""
+
+    __slots__ = ("record", "din", "ops", "indirect", "is_dir")
+
+    def __init__(self, record: bytes, din: Dinode, ops: list,
+                 indirect: list, is_dir: bool) -> None:
+        self.record = record
+        self.din = din
+        self.ops = ops
+        self.indirect = indirect
+        self.is_dir = is_dir
+
+
+class _Group:
+    """One cylinder group's inode table and what phase 1 made of it."""
+
+    __slots__ = ("table", "inodes", "dinodes", "walk", "wanted", "dirs",
+                 "indirect")
+
+    def __init__(self, geo: FSGeometry, cg: int, table: bytes,
+                 inodes: dict[int, _Inode]) -> None:
+        self.table = table
+        #: ino -> _Inode, ascending
+        self.inodes = inodes
+        self.dinodes = {ino: scanned.din for ino, scanned in inodes.items()}
+        #: the claim walks' own findings, in replay order
+        self.walk = [op for scanned in inodes.values()
+                     for op in scanned.ops if type(op) is not int]
+        #: the inode bitmap the allocated dinodes call for
+        first = cg * geo.ipg
+        self.wanted = bits_of([ino - first for ino in inodes], geo.ipg)
+        self.dirs = [ino for ino, scanned in inodes.items() if scanned.is_dir]
+        #: the dinodes whose claim stream read blocks outside the table
+        self.indirect = [scanned for scanned in inodes.values()
+                         if scanned.indirect]
 
 
 class _Checker:
     """Replays op-streams into the global report (the serial core).
 
-    Each pure result is looked up in *previous* (the per-record results of
-    the audit before, see :class:`Auditor`) before it is computed, and is
-    kept in ``results`` for the audit after.  The three kinds of key --
-    ``(ino, record)``, ``(ino, size, pointers, blocks)`` and ``(cg,
-    header, claims, inodes)`` -- differ in length or in the type of their
-    second element, so they share one dict without colliding.
+    *previous* is the checker of the audit before over the same layout
+    (see :class:`Auditor`), or None.  Each phase takes from it whatever
+    the bytes it reads show to be unchanged and keeps, for the audit
+    after, exactly what it used:
+
+    * phase 1 a cylinder group whose inode table (and the indirect blocks
+      its dinodes' claim streams read) is unchanged, and otherwise each
+      dinode whose record is; the claim table -- fragment -> claiming
+      inode, and per group the claimed bits -- is the previous one minus
+      the claims of the dinodes that changed plus their new claims.  A
+      fragment claimed by two inodes is where the replay's order decides
+      the verdict: while there is one the table is replayed in full;
+    * phase 2 a directory whose size, pointers and blocks are unchanged,
+      and the whole phase when every directory and the allocated set is;
+    * phase 3 the whole phase when no dinode and no reference changed;
+    * phase 4 a group whose header, claims and allocated set are
+      unchanged.
+
+    A finding whose inputs are unchanged is the previous audit's
+    ``Violation``, keyed on them: ``(fragment, owner, ino)`` for a double
+    claim, ``ino`` / ``(ino, nlink, refs)`` for a link finding, and
+    :func:`cg_bitmap_findings`' keys.
     """
 
     def __init__(self, image: SectorStore, geometry: FSGeometry,
-                 previous: dict | None = None) -> None:
+                 previous: _Checker | None = None) -> None:
         self.image = image
         self.geo = geometry
         self.report = FsckReport()
-        self.claims: dict[int, int] = {}  # fragment daddr -> claiming ino
-        self.previous = {} if previous is None else previous
-        self.results: dict = {}
+        self.previous = previous
+        #: phase 1, one per cylinder group
+        self.groups: list[_Group] = []
+        #: fragment daddr -> the lowest inode claiming it
+        self.owner: dict[int, int] = {}
+        #: per cylinder group, its claimed data fragments' bits
+        self.claimed: list[bytearray] = []
+        #: per cylinder group, whether its claims moved since *previous*
+        self.dirty: list[bool] = []
+        #: whether a dinode or its claim stream changed since *previous*
+        self.moved = True
+        #: (fragment, owner, ino) -> double-alloc finding; empty unless a
+        #: fragment is claimed twice (``contested``)
+        self.doubles: dict = {}
+        self.contested = False
+        #: phase 2: directory ino -> (size, pointers, blocks, events)
+        self.directories: dict = {}
+        #: (ino, events) of each directory in replay order (None before
+        #: phase 2 ran) and the findings replaying them gave
+        self.dirs: list | None = None
+        self.dir_findings: list[Violation] = []
+        #: phase 3: key -> finding, in order
+        self.links: dict = {}
+        #: phase 4, per cylinder group: (header, wanted bits, findings)
+        self.bitmaps: list = []
 
-    def found(self, key: str, message: str,
-              subject: int | None = None) -> None:
-        self.report.findings.append(finding(key, message, subject))
+    def kept(self) -> _Checker:
+        """This checker, holding only what the next audit may reuse."""
+        self.image = self.previous = None
+        return self
 
     # -- phase 1: inodes and block claims ------------------------------------
     def scan_inodes(self) -> None:
-        previous, results = self.previous, self.results
+        previous = self.previous
+        left: list = []  # (ino, _Inode) whose claims leave the table
+        joined: list = []  # and whose claims join it
         for cg in range(self.geo.ncg):
-            for key in cg_inode_records(self.image, self.geo, cg):
-                scanned = previous.get(key)
-                if scanned is None:
-                    scanned = self.decode_inode(*key)
-                din, ops = scanned
-                if not (din.sindirect or din.dindirect):
-                    # its walk read no block outside the key
-                    results[key] = scanned
-                self.report.inodes[key[0]] = din
-                self.apply_claim_ops(key[0], ops)
+            old = previous.groups[cg] if previous is not None else None
+            group = self.scan_group(cg, old)
+            if old is not None and group is not old:
+                before, now = old.inodes, group.inodes
+                left += [(ino, scanned) for ino, scanned in before.items()
+                         if now.get(ino) is not scanned]
+                joined += [(ino, scanned) for ino, scanned in now.items()
+                           if before.get(ino) is not scanned]
+            self.groups.append(group)
+            self.report.inodes.update(group.dinodes)
+        self.moved = previous is None or bool(left or joined)
+        if previous is None or previous.contested:
+            self.replay_claims()
+        else:
+            self.update_claims(previous, left, joined)
 
-    def decode_inode(self, ino: int, record: bytes) -> tuple[Dinode, list]:
+    def scan_group(self, cg: int, old: _Group | None) -> _Group:
+        """Group *cg* as the image holds it: *old* itself when nothing
+        it was computed from changed."""
+        geo = self.geo
+        table = read_image_frags(self.image, geo, geo.cg_inode_table(cg),
+                                 geo.inode_blocks_per_cg
+                                 * geo.frags_per_block)
+        if (old is not None and old.table == table
+                and all(map(self.unchanged, old.indirect))):
+            return old
+        before = old.inodes if old is not None else {}
+        inodes: dict[int, _Inode] = {}
+        for ino, record in cg_inode_records(table, geo, cg):
+            scanned = before.get(ino)
+            if (scanned is None or scanned.record != record
+                    or scanned.indirect and not self.unchanged(scanned)):
+                scanned = self.decode_inode(ino, record)
+            inodes[ino] = scanned
+        return _Group(geo, cg, table, inodes)
+
+    def unchanged(self, scanned: _Inode) -> bool:
+        """Whether the indirect blocks *scanned*'s claim stream read still
+        hold the bytes it read."""
+        geo = self.geo
+        return all(read_image_frags(self.image, geo, daddr,
+                                    geo.frags_per_block) == raw
+                   for daddr, raw in scanned.indirect)
+
+    def decode_inode(self, ino: int, record: bytes) -> _Inode:
         """The dinode in *record* and its claim stream."""
         din = Dinode.unpack(record)
-        if din.safe_ftype is None:
+        ftype = din.safe_ftype
+        if ftype is None:
             # neither its pointers nor its blocks mean anything
-            return din, [finding("integrity-error",
-                                 f"inode {ino} mode {din.mode:#06x} "
-                                 f"unparseable")]
-        return din, inode_claim_ops(self.image, self.geo, ino, din)
+            return _Inode(record, din, [finding(
+                "integrity-error",
+                f"inode {ino} mode {din.mode:#06x} unparseable")], [], False)
+        indirect: list = []
+        return _Inode(record, din, inode_claim_ops(self.image, self.geo, ino,
+                                                   din, indirect),
+                      indirect, ftype is FileType.DIRECTORY)
 
-    def apply_claim_ops(self, ino: int, ops: list) -> None:
-        """Fold one inode's claim stream into the global claim table."""
-        for fragment in ops:
-            if isinstance(fragment, Violation):  # the walk's own finding
-                self.report.findings.append(fragment)
-                continue
-            owner = self.claims.get(fragment)
-            if owner is not None and owner != ino:
-                self.found("double-alloc",
-                           f"fragment {fragment} claimed by both inode "
-                           f"{owner} and inode {ino} (rule 2 violated)")
-            else:
-                self.claims[fragment] = ino
+    def update_claims(self, previous: _Checker, left: list,
+                      joined: list) -> None:
+        """The previous claim table minus the claims in *left* plus those
+        in *joined*; replayed in full if that claims a fragment twice."""
+        owner, claimed = previous.owner, previous.claimed  # taken over
+        dirty = [False] * self.geo.ncg
+        start, size = self.geo.cg_start, self.geo.cg_frags
+        skip = size - self.geo.dfrags_per_cg
+        for _ino, scanned in left:
+            for daddr in scanned.ops:
+                # (not ``in owner``: a fragment it claims twice is gone)
+                if type(daddr) is int and daddr in owner:
+                    del owner[daddr]
+                    cg = (daddr - start) // size
+                    index = daddr - start - cg * size - skip
+                    claimed[cg][index >> 3] &= ~(1 << (index & 7))
+                    dirty[cg] = True
+        for ino, scanned in joined:
+            for daddr in scanned.ops:
+                if type(daddr) is not int:
+                    continue
+                if daddr in owner:
+                    if owner[daddr] != ino:
+                        self.replay_claims()
+                        return
+                    continue
+                owner[daddr] = ino
+                cg = (daddr - start) // size
+                index = daddr - start - cg * size - skip
+                claimed[cg][index >> 3] |= 1 << (index & 7)
+                dirty[cg] = True
+        self.owner, self.claimed, self.dirty = owner, claimed, dirty
+        for group in self.groups:
+            self.report.findings += group.walk
+
+    def replay_claims(self) -> None:
+        """The claim table replayed from every claim stream, ascending: a
+        fragment claimed twice is a ``double-alloc`` finding against the
+        later claimant, in claim order."""
+        geo = self.geo
+        before = self.previous.doubles if self.previous is not None else {}
+        owner: dict[int, int] = {}
+        claimed = [bytearray((geo.dfrags_per_cg + 7) // 8)
+                   for _cg in range(geo.ncg)]
+        start, size = geo.cg_start, geo.cg_frags
+        skip = size - geo.dfrags_per_cg
+        findings = self.report.findings
+        for group in self.groups:
+            for ino, scanned in group.inodes.items():
+                for daddr in scanned.ops:
+                    if type(daddr) is not int:  # the walk's own finding
+                        findings.append(daddr)
+                    elif daddr not in owner:
+                        owner[daddr] = ino
+                        # a claim is a valid data fragment: its group and
+                        # bit are arithmetic
+                        cg = (daddr - start) // size
+                        index = daddr - start - cg * size - skip
+                        claimed[cg][index >> 3] |= 1 << (index & 7)
+                    elif owner[daddr] != ino:
+                        key = (daddr, owner[daddr], ino)
+                        found = before.get(key) or finding(
+                            "double-alloc",
+                            f"fragment {daddr} claimed by both inode "
+                            f"{owner[daddr]} and inode {ino} (rule 2 "
+                            f"violated)")
+                        self.doubles[key] = found
+                        findings.append(found)
+        self.owner, self.claimed = owner, claimed
+        self.dirty = [True] * geo.ncg
+        self.contested = bool(self.doubles)
 
     # -- phase 2: directory structure ----------------------------------------
     def scan_directories(self) -> None:
-        previous, results = self.previous, self.results
-        for ino, din in self.report.inodes.items():
-            if din.safe_ftype is not FileType.DIRECTORY:
-                continue
-            blocks = directory_blocks(self.image, self.geo, din)
-            key = (ino, din.size, tuple(din.direct), blocks)
-            events = previous.get(key)
-            if events is None:
-                events = directory_events(self.geo, ino, din, blocks)
-            results[key] = events
-            self.apply_directory_events(ino, events)
+        previous = self.previous
+        before = previous.directories if previous is not None else {}
+        dirs = self.dirs = []
+        for group in self.groups:
+            for ino in group.dirs:
+                din = group.dinodes[ino]
+                blocks = directory_blocks(self.image, self.geo, din)
+                kept = before.get(ino)
+                if (kept is not None and kept[2] == blocks
+                        and kept[0] == din.size and kept[1] == din.direct):
+                    events = kept[3]
+                else:
+                    events = directory_events(self.geo, ino, din, blocks)
+                self.directories[ino] = (din.size, din.direct, blocks, events)
+                dirs.append((ino, events))
+        if (previous is not None and previous.dirs == dirs
+                and previous.report.inodes.keys()
+                == self.report.inodes.keys()):
+            self.report.references = previous.report.references
+            self.dir_findings = previous.dir_findings
+        else:
+            for ino, events in dirs:
+                self.apply_directory_events(ino, events)
+        self.report.findings += self.dir_findings
 
     def apply_directory_events(self, ino: int, events: list) -> None:
         for event in events:
             if isinstance(event, Violation):
-                self.report.findings.append(event)
+                self.dir_findings.append(event)
             else:
                 target, name = event
                 self.note_reference(target, ino, name)
 
     def note_reference(self, target: int, dir_ino: int, name: str) -> None:
         if not (0 <= target < self.geo.total_inodes):
-            self.found("dangling-entry",
-                       f"directory {dir_ino} entry {name!r} points to "
-                       f"out-of-range inode {target}", target)
+            self.dir_findings.append(finding(
+                "dangling-entry", f"directory {dir_ino} entry {name!r} points "
+                                  f"to out-of-range inode {target}", target))
             return
         if target not in self.report.inodes:
-            self.found("dangling-entry",
-                       f"directory {dir_ino} entry {name!r} points to "
-                       f"unallocated inode {target} (rule 3 violated)", target)
+            self.dir_findings.append(finding(
+                "dangling-entry", f"directory {dir_ino} entry {name!r} points "
+                                  f"to unallocated inode {target} (rule 3 "
+                                  f"violated)", target))
             return
         self.report.references.setdefault(target, []).append((dir_ino, name))
 
     # -- phase 3: link counts -------------------------------------------------
     def check_links(self) -> None:
-        for ino, din in self.report.inodes.items():
-            if ino != ROOT_INO and not self.report.references.get(ino):
-                self.found("leak",
-                           f"inode {ino} allocated but unreferenced (orphan; "
-                           f"fsck reclaims)")
-                continue
-            refs = len(self.report.references.get(ino, []))
-            if din.safe_ftype is FileType.DIRECTORY:
-                refs += 1  # its own '.'
-            if din.nlink < refs:
-                self.found("link-count",
-                           f"inode {ino} link count {din.nlink} below actual "
-                           f"references {refs} (fsck repairs)")
-            elif din.nlink > refs:
-                self.found("link-count",
-                           f"inode {ino} link count {din.nlink} above actual "
-                           f"references {refs} (fsck repairs)")
+        previous = self.previous
+        references = self.report.references
+        if (previous is not None and not self.moved
+                and previous.report.references is references):
+            self.links = previous.links
+        else:
+            before = previous.links if previous is not None else {}
+            links = self.links = {}
+            for group in self.groups:
+                for ino, scanned in group.inodes.items():
+                    refs = references.get(ino)
+                    if refs is None and ino != ROOT_INO:
+                        key = ino  # an orphan
+                    else:
+                        count = (len(refs) if refs else 0) + scanned.is_dir
+                        if scanned.din.nlink == count:
+                            continue
+                        key = (ino, scanned.din.nlink, count)
+                    found = before.get(key)
+                    links[key] = found or _link_finding(key)
+        self.report.findings += self.links.values()
 
-    # -- phase 4: bitmaps -------------------------------------------------------
-    def by_group(self, dead=()) -> tuple[list[dict[int, int]],
-                                         list[list[int]]]:
-        """The claim table and the allocated inode numbers bucketed by
-        cylinder group, one pass each, without the inodes in *dead* and
-        what they claim."""
-        geo = self.geo
-        start, size = geo.cg_start, geo.cg_frags
-        claims: list[dict[int, int]] = [{} for _cg in range(geo.ncg)]
-        for daddr, owner in self.claims.items():
-            if owner not in dead:
-                # a claim is a valid data fragment: its group is arithmetic
-                claims[(daddr - start) // size][daddr] = owner
-        inodes: list[list[int]] = [[] for _cg in range(geo.ncg)]
-        for ino in self.report.inodes:
-            if ino not in dead:
-                inodes[ino // geo.ipg].append(ino)
-        return claims, inodes
-
+    # -- phase 4: bitmaps -----------------------------------------------------
     def check_bitmaps(self) -> None:
-        previous, results = self.previous, self.results
         geo = self.geo
-        claims, inodes = self.by_group()
-        for cg in range(geo.ncg):
+        before = self.previous.bitmaps if self.previous is not None else []
+        for cg, group in enumerate(self.groups):
             header = read_image_frags(self.image, geo, geo.cg_base(cg),
                                       geo.frags_per_block)
-            key = (cg, header, tuple(claims[cg].items()), tuple(inodes[cg]))
-            found = previous.get(key)
-            if found is None:
-                found = cg_bitmap_findings(header, geo, cg, claims[cg],
-                                           inodes[cg])
-            results[key] = found
-            self.report.findings += found
+            old = before[cg] if before else None
+            if (old is not None and not self.dirty[cg] and old[0] == header
+                    and old[1] == group.wanted):
+                found = old[2]
+            else:
+                found = cg_bitmap_findings(
+                    header, geo, cg,
+                    int.from_bytes(self.claimed[cg], "little"),
+                    group.wanted, self.owner, old[2] if old else None)
+            self.bitmaps.append((header, group.wanted, found))
+            self.report.findings += found.values()
+
+
+def _link_finding(key) -> Violation:
+    """Phase 3's finding under *key*: ``ino`` for an orphan, ``(ino,
+    nlink, refs)`` for a link count that is not the references'."""
+    if type(key) is int:
+        return finding("leak", f"inode {key} allocated but unreferenced "
+                               f"(orphan; fsck reclaims)")
+    ino, nlink, refs = key
+    return finding("link-count",
+                   f"inode {ino} link count {nlink} "
+                   f"{'below' if nlink < refs else 'above'} actual "
+                   f"references {refs} (fsck repairs)")
 
 
 def repair(image: SectorStore,
@@ -584,8 +789,12 @@ def repair(image: SectorStore,
 
     # rebuild the bitmaps from the surviving (non-orphan) claims and
     # inodes: diff the wanted bits against the stored ones, flip those
-    claims, inodes = checker.by_group(dead=orphans)
-    for cg in range(geo.ncg):
+    claims: list[list[int]] = [[] for _cg in range(geo.ncg)]
+    for daddr, owner in checker.owner.items():
+        if owner not in orphans:
+            # a claim is a valid data fragment: its group is arithmetic
+            claims[(daddr - geo.cg_start) // geo.cg_frags].append(daddr)
+    for cg, group in enumerate(checker.groups):
         raw = bytearray(image.read(geo.cg_base(cg) * spf,
                                    geo.frags_per_block * spf))
         view = CgView(raw, geo)
@@ -596,8 +805,8 @@ def repair(image: SectorStore,
             view.set_frags(index, 1, bool(wanted >> index & 1))
         view.free_frags = geo.dfrags_per_cg - wanted.bit_count()
         burned = range(ROOT_INO) if cg == 0 else ()
-        wanted = bits_of([*burned, *(ino - first for ino in inodes[cg])],
-                         geo.ipg)
+        wanted = bits_of([*burned, *(ino - first for ino in group.inodes
+                                     if ino not in orphans)], geo.ipg)
         for index in set_bits(view.inode_bits() ^ wanted):
             view.set_inode(index, bool(wanted >> index & 1))
         view.free_inodes = geo.ipg - wanted.bit_count()
@@ -606,52 +815,87 @@ def repair(image: SectorStore,
     return fsck(image, geometry)
 
 
+class _ReadLog:
+    """A SectorStore view that remembers what each read returned."""
+
+    __slots__ = ("geometry", "_base", "reads")
+
+    def __init__(self, base: SectorStore) -> None:
+        self.geometry = base.geometry
+        self._base = base
+        #: (lbn, nsectors) -> the bytes read there
+        self.reads: dict[tuple[int, int], bytes] = {}
+
+    def read(self, lbn: int, nsectors: int = 1) -> bytes:
+        data = self.reads[lbn, nsectors] = self._base.read(lbn, nsectors)
+        return data
+
+
 class Auditor:
     """fsck over a stream of images of one file system.
 
-    :meth:`audit` returns exactly what :func:`fsck` returns for the image,
-    and reuses each per-record result of the previous audit whose bytes
-    have not changed (module docstring).  Results the audit does not meet
-    again are dropped, so it holds one image's worth of them.  The
-    ``Dinode`` objects of its reports are shared with the next report:
-    read-only.
+    :meth:`audit` returns exactly what :func:`fsck` returns for the image.
+    An audit is a function of the bytes it reads, so an image that holds
+    the previous audit's bytes at every range it read -- superblock, log,
+    inode tables, directory and indirect blocks, group headers -- gets the
+    previous report back.  Otherwise the audit reuses each result of the
+    previous one whose bytes have not changed (module docstring).  Results
+    the audit does not meet again are dropped, so it holds one image's
+    worth of them.  A report, its containers and its ``Dinode`` objects
+    may be shared with the next report: read-only.
     """
 
     def __init__(self, geometry: FSGeometry | None = None) -> None:
         #: where to look for the superblock
         self.geometry = geometry or FSGeometry()
-        #: the superblock's layout the remembered results were computed in
-        self._geo: FSGeometry | None = None
-        #: the previous audit's per-record results, keyed on their bytes
-        self._results: dict = {}
+        #: the previous audit's reads, the disk they were read from, and
+        #: its report
+        self._reads: dict | None = None
+        self._disk = None
+        self._report: FsckReport | None = None
+        #: the previous audit's checker, holding what the next may reuse
+        #: (None: the next audit starts cold)
+        self._checker: _Checker | None = None
 
     def audit(self, image: SectorStore) -> FsckReport:
         """Audit *image*; returns the :class:`FsckReport`."""
-        previous, self._results = self._results, {}
+        reads = self._reads
+        if (reads is not None and image.geometry == self._disk
+                and all(image.read(lbn, nsectors) == data
+                        for (lbn, nsectors), data in reads.items())):
+            return self._report
+        # an audit that raises leaves nothing half-updated behind
+        previous, self._checker, self._reads = self._checker, None, None
+        log = _ReadLog(image)
+        self._report, self._checker = self._audit(log, previous)
+        self._reads, self._disk = log.reads, image.geometry
+        return self._report
+
+    def _audit(self, image: _ReadLog, previous: _Checker | None
+               ) -> tuple[FsckReport, _Checker | None]:
         try:
             superblock = Superblock.unpack(read_image_frags(
                 image, self.geometry, self.geometry.superblock_daddr, 1))
         except ValueError as exc:
             return FsckReport([finding("fs-unreadable",
-                                       f"superblock unreadable: {exc}")])
+                                       f"superblock unreadable: {exc}")]), None
         geo = superblock.geometry
-        if geo == self._geo:
-            geo = self._geo  # its derived sizes are already computed
+        if previous is not None and geo == previous.geo:
+            geo = previous.geo  # its derived sizes are already computed
         else:
-            previous, self._geo = {}, geo
+            previous = None
         # a journaling image is audited in its *recovered* state: raw image
         # plus the committed log overlay (identity for journal-less layouts)
-        image = journal_overlay_view(image, geo)
-        checker = _Checker(image, geo, previous)
-        self._results = checker.results
+        checker = _Checker(journal_overlay_view(image, geo), geo, previous)
         checker.scan_inodes()
-        if ROOT_INO not in checker.report.inodes:
-            checker.found("fs-unreadable", "root inode missing")
-            return checker.report
-        checker.scan_directories()
-        checker.check_links()
-        checker.check_bitmaps()
-        return checker.report
+        if ROOT_INO in checker.report.inodes:
+            checker.scan_directories()
+            checker.check_links()
+            checker.check_bitmaps()
+        else:
+            checker.report.findings.append(
+                finding("fs-unreadable", "root inode missing"))
+        return checker.report, checker.kept()
 
 
 def fsck(image: SectorStore,

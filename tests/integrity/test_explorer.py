@@ -112,6 +112,24 @@ class TestEnumeration:
         other = enumerate_crash_points(recorded, 2, 10, sample_seed=6)
         assert [p.time for p in other] != [p.time for p in once]
 
+    def test_a_sweep_enumerates_once(self, monkeypatch):
+        # the enumerated count and the budgeted points come from one pass
+        # over the recording, the points those enumerate_crash_points gives
+        passes = []
+        real = explorer._enumerate_raw
+        monkeypatch.setattr(explorer, "_enumerate_raw", lambda *args: (
+            passes.append(1), real(*args))[1])
+        report = small_sweep("conventional", max_points=10)
+        assert len(passes) == 1
+        assert report.points == 10 < report.enumerated_points
+        machine = build_machine("conventional")
+        recorded = record_run(machine,
+                              build_workload(machine, "microbench", 0, None))
+        assert report.enumerated_points == len(
+            enumerate_crash_points(recorded, 2, None))
+        assert [f.label for f in report.findings] == [
+            p.label for p in enumerate_crash_points(recorded, 2, 10)]
+
 
 class TestBudgetedSweeps:
     def test_noorder_microbench_shows_corruption(self):

@@ -155,12 +155,25 @@ def bitmap_cases(draw):
     return geo, cg, bytes(header), claims, allocated
 
 
+def _bitmap_findings(header, geo, cg, claims, allocated):
+    """``cg_bitmap_findings`` fed what the reference is fed: a claim
+    table and an allocated set, either reaching past the group."""
+    base, first = geo.cg_data_start(cg), cg * geo.ipg
+    claimed = bits_of([daddr - base for daddr in claims
+                       if 0 <= daddr - base < geo.dfrags_per_cg],
+                      geo.dfrags_per_cg)
+    wanted = bits_of([ino - first for ino in allocated
+                      if 0 <= ino - first < geo.ipg], geo.ipg)
+    return list(cg_bitmap_findings(header, geo, cg, claimed, wanted,
+                                   claims).values())
+
+
 @given(bitmap_cases())
 @settings(max_examples=300, deadline=None)
 def test_bitmap_findings_equal_the_per_bit_audit(case):
     geo, cg, header, claims, allocated = case
     image = _store_with(geo, geo.cg_base(cg), header)
-    found = cg_bitmap_findings(header, geo, cg, claims, allocated)
+    found = _bitmap_findings(header, geo, cg, claims, allocated)
     pairs = reference_fsck.cg_bitmap_findings(image, geo, cg, claims,
                                               allocated)
     assert _pairs(found) == pairs
@@ -175,7 +188,7 @@ def test_root_ino_used_but_free_is_exempt_and_burned_inodes_are_skipped():
         view.set_inode(index, True)
     image = _store_with(geo, geo.cg_base(0), bytes(header))
     for allocated in (set(), {0, 1}):
-        found = cg_bitmap_findings(bytes(header), geo, 0, {}, allocated)
+        found = _bitmap_findings(bytes(header), geo, 0, {}, allocated)
         assert _pairs(found) == reference_fsck.cg_bitmap_findings(
             image, geo, 0, {}, allocated)
         assert found == [finding("leak", f"inode {ROOT_INO + 1} bitmap used "
@@ -210,7 +223,7 @@ def test_inode_scan_equals_the_per_slot_walk(geo, data):
                                                   max_size=12)).items():
         table[slot * INODE_SIZE:(slot + 1) * INODE_SIZE] = record
     image = _store_with(geo, geo.cg_inode_table(cg), bytes(table))
-    records = cg_inode_records(image, geo, cg)
+    records = cg_inode_records(bytes(table), geo, cg)
     assert records == _reference_records(image, geo, cg)
     assert all(ino >= ROOT_INO for ino, _record in records)
 
@@ -269,15 +282,21 @@ def test_every_crash_point_reports_identically(monkeypatch, scheme, workload,
     shipped = _reports(images, geometry)
     reached = {"records": 0, "bitmaps": 0}
 
-    def reference_records(image, geo, cg):
+    def reference_records(table, geo, cg):
         reached["records"] += 1
-        return _reference_records(image, geo, cg)
+        return _reference_records(
+            _store_with(geo, geo.cg_inode_table(cg), table), geo, cg)
 
-    def reference_bitmaps(header, geo, cg, claims, allocated):
+    def reference_bitmaps(header, geo, cg, claimed, wanted, claims,
+                          known=None):
         reached["bitmaps"] += 1
-        return reference_classify.typed(reference_fsck.cg_bitmap_findings(
-            _store_with(geo, geo.cg_base(cg), header), geo, cg, claims,
-            allocated))
+        base, first = geo.cg_data_start(cg), cg * geo.ipg
+        found = reference_classify.typed(reference_fsck.cg_bitmap_findings(
+            _store_with(geo, geo.cg_base(cg), header), geo, cg,
+            {base + index: claims[base + index]
+             for index in set_bits(claimed)},
+            {first + index for index in set_bits(wanted)}))
+        return dict(enumerate(found))
 
     monkeypatch.setattr(fsck_module, "cg_inode_records", reference_records)
     monkeypatch.setattr(fsck_module, "cg_bitmap_findings", reference_bitmaps)

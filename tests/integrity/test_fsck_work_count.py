@@ -10,7 +10,10 @@ record changed, not at every crash point.
 
 One level up, the same for whole audits: a crash point is audited once,
 and neither the stale-data walk nor repair verification audits it again
-to learn what that audit already knew.
+to learn what that audit already knew.  And an audit re-derives only what
+its reads changed: a point whose audited bytes match the previous point's
+keeps that report without a replay, and a replay builds a finding only
+when what it says changed.
 """
 
 import importlib
@@ -20,7 +23,7 @@ import pytest
 from repro.fs.alloc import CgView
 from repro.fs.layout import Dinode
 from repro.harness.recording import record_run
-from repro.integrity import fsck
+from repro.integrity import explorer as explorer_module, fsck
 from repro.integrity.explorer import (
     _verify_chunk,
     build_machine,
@@ -91,20 +94,75 @@ def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
     assert 0 < len(unpacked) <= per_point // 2, (len(unpacked), per_point)
 
 
-@pytest.mark.parametrize("options,scans_per_point", [
-    # the audit; repair's own scan of what it is about to fix; the re-audit
-    ({"verify_repair": True}, 3),
+@pytest.mark.parametrize("options,repairs_per_point", [
+    ({"verify_repair": True}, 1),
     # the stale-data walk reads the audit's inode table
-    ({"secrets": True}, 1),
-    ({"secrets": True, "verify_repair": True}, 3),
+    ({"secrets": True}, 0),
+    ({"secrets": True, "verify_repair": True}, 1),
 ], ids=["verify-repair", "secrets", "both"])
-def test_inode_scans_per_crash_point(monkeypatch, options, scans_per_point):
-    checker = importlib.import_module("repro.integrity.fsck")._Checker
-    scans = []
-    real = checker.scan_inodes
-    monkeypatch.setattr(checker, "scan_inodes",
-                        lambda self: (scans.append(1), real(self))[1])
+def test_inode_scans_per_crash_point(monkeypatch, options, repairs_per_point):
+    # exactly one Auditor.audit per point, whether or not it replays; and
+    # per repair-verified point repair's two scans: of what it is about to
+    # fix, and the re-audit of the result
+    fsck_module = importlib.import_module("repro.integrity.fsck")
+    audits, repairs, repair_scans = [], [], []
+    in_repair = []
+    real_audit = fsck_module.Auditor.audit
+    real_scan = fsck_module._Checker.scan_inodes
+    real_repair = explorer_module.repair
+
+    def audit(self, image):
+        if not in_repair:
+            audits.append(1)
+        return real_audit(self, image)
+
+    def scan_inodes(self):
+        if in_repair:
+            repair_scans.append(1)
+        return real_scan(self)
+
+    def repair(image, geometry):
+        repairs.append(1)
+        in_repair.append(1)
+        try:
+            return real_repair(image, geometry)
+        finally:
+            in_repair.pop()
+
+    monkeypatch.setattr(fsck_module.Auditor, "audit", audit)
+    monkeypatch.setattr(fsck_module._Checker, "scan_inodes", scan_inodes)
+    monkeypatch.setattr(explorer_module, "repair", repair)
     # Soft Updates never corrupts, so every point is repair-verified
     report = explore("softupdates", "churn", max_points=120, **options)
     assert report.points > 50 and not report.corruption_points
-    assert len(scans) == scans_per_point * report.points
+    assert len(audits) == report.points
+    assert len(repairs) == repairs_per_point * report.points
+    assert len(repair_scans) == 2 * len(repairs)
+
+
+def test_a_sweep_replays_and_builds_findings_only_where_its_reads_moved(
+        monkeypatch):
+    # the seed-0 Soft Updates microbench sweep: 80 crash points.  One-shot
+    # audits replay 80 times and build 1205 findings.  Reusing the report
+    # of a point whose reads are unchanged, and each finding whose inputs
+    # are unchanged, the sweep's auditor replays 10 times and builds 59;
+    # the ceilings are those counts + 10 %.
+    fsck_module = importlib.import_module("repro.integrity.fsck")
+    replays, built = [], []
+    real_init = fsck_module._Checker.__init__
+    real_finding = fsck_module.finding
+
+    def init(self, *args, **kwargs):
+        replays.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counted_finding(*args, **kwargs):
+        built.append(1)
+        return real_finding(*args, **kwargs)
+
+    monkeypatch.setattr(fsck_module._Checker, "__init__", init)
+    monkeypatch.setattr(fsck_module, "finding", counted_finding)
+    report = explore("softupdates", "microbench")
+    assert report.points == 80 and report.findings
+    assert 0 < len(replays) <= 11, len(replays)
+    assert 0 < len(built) <= 64, len(built)
