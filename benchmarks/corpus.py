@@ -8,11 +8,10 @@ runs a fixed list of commands against the ``repro`` package under *SRC*
 (default: the ``src/`` next to this script) and writes what each prints:
 
 * ``explorer/S-W.txt`` / ``.json`` -- ``python -m repro.integrity.explorer
-  --scheme S --workload W --jobs 1 --monitor --secrets --verify-repair``
-  (text and ``--json``) for the ten schemes x four workloads, plus
-  ``explorer/softupdates-microbench-transient-jobsJ.*``: the same sweep
-  with ``--fault-profile transient --fault-seed 3`` at ``--jobs 1`` and
-  ``4``;
+  --scheme S --workload W --monitor --secrets --verify-repair`` (text and
+  ``--json``) for the ten schemes x four workloads, plus
+  ``explorer/softupdates-microbench-transient.*``: the same sweep with
+  ``--fault-profile transient --fault-seed 3``;
 * ``faults[-monitor].stdout`` / ``.report.txt`` -- ``python -m
   repro.harness faults --seeds 1,2 --ops 40`` without and with
   ``--monitor``, its stdout and its report file;
@@ -43,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 SCHEMES = ["noorder", "conventional", "flag", "chains", "softupdates",
            "journal", "nvram", "shim-rule1", "shim-rule2", "shim-rule3"]
 WORKLOADS = ["microbench", "churn", "remove", "reuse"]
-SWEEP = ["--jobs", "1", "--monitor", "--secrets", "--verify-repair"]
+SWEEP = ["--monitor", "--secrets", "--verify-repair"]
 EXPLORER = ["-m", "repro.integrity.explorer"]
 #: the fault sweep writes its report into the command's working directory
 FAULT_REPORT = "fault_report.txt"
@@ -61,14 +60,12 @@ def commands() -> list[tuple[str, list[str], str | None]]:
                         argv + SWEEP, None))
             out.append((f"explorer/{scheme}-{workload}.json",
                         argv + SWEEP + ["--json"], None))
-    for jobs in ("1", "4"):
-        argv = EXPLORER + ["--scheme", "softupdates", "--workload",
-                           "microbench", *SWEEP, "--jobs", jobs,
-                           "--fault-profile", "transient", "--fault-seed",
-                           "3"]
-        name = f"explorer/softupdates-microbench-transient-jobs{jobs}"
-        out.append((f"{name}.txt", argv, None))
-        out.append((f"{name}.json", argv + ["--json"], None))
+    argv = EXPLORER + ["--scheme", "softupdates", "--workload",
+                       "microbench", *SWEEP, "--fault-profile", "transient",
+                       "--fault-seed", "3"]
+    name = "explorer/softupdates-microbench-transient"
+    out.append((f"{name}.txt", argv, None))
+    out.append((f"{name}.json", argv + ["--json"], None))
     for name, extra in (("faults", []), ("faults-monitor", ["--monitor"])):
         out.append((f"{name}.stdout",
                     ["-m", "repro.harness", "faults", "--seeds", "1,2",

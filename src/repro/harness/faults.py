@@ -268,6 +268,8 @@ def main(argv: list[str]) -> int:
         "results", "fault_report.txt"),
         help="report path (default results/fault_report.txt)")
     args = parser.parse_args(argv)
+    if args.ops < 0:
+        parser.error("--ops must not be negative")
 
     schemes = _listed(parser, "scheme", args.schemes, SCHEMES)
     profiles = _listed(parser, "profile", args.profiles, PROFILES)

@@ -7,9 +7,8 @@ trace to a small result object -- cells share no state.  This module fans a
 grid's cells across a pool of forked workers: the work list is a
 module-level global installed *before* the pool forks, so child processes
 inherit the cell closures by address space and only list indices (and the
-small results) cross the pipe.  It is the only pool in ``src/``; the crash
-explorer's chunks of crash points (``repro.integrity.explorer``) and the
-fault sweep's cells are grid cells too.
+small results) cross the pipe.  It is the only pool in ``src/``; the fault
+sweep's cells are grid cells too.
 
 Determinism is the contract.  A cell's simulation is bit-identical no
 matter which worker runs it (the simulator seeds all randomness and has no

@@ -1,4 +1,4 @@
-"""Systematic crash-point exploration with parallel fsck verification.
+"""Systematic crash-point exploration with fsck verification.
 
 The paper's argument is that each ordering scheme keeps metadata
 recoverable after a power failure at *any* instant.  The legacy
@@ -20,14 +20,15 @@ ones:
    ``crash_image``).  Every crash state any power failure could produce is
    one of these, or identical to one of these: between boundaries the
    platters do not change.
-3. **Verify** -- for each crash point, *synthesize* the surviving image
-   from the media log (base image + sectors committed before the crash
-   instant + the ECC-consistent partial prefix of the in-flight window +
-   whatever a battery-backed NVRAM mirror still held -- no simulation at
-   all), run ``fsck`` on the survivor, and classify the outcome against
-   the declarative invariant set (:mod:`repro.integrity.invariants`) and
-   the scheme's own :class:`~repro.ordering.guarantees.CrashGuarantees`.
-   Per-point cost is O(sector application + fsck).
+3. **Verify** -- for each crash point, in time order, *synthesize* the
+   surviving image from the media log (base image + sectors committed
+   before the crash instant + the ECC-consistent partial prefix of the
+   in-flight window + whatever a battery-backed NVRAM mirror still held --
+   no simulation at all), run ``fsck`` on the survivor, and classify the
+   outcome against the declarative invariant set
+   (:mod:`repro.integrity.invariants`) and the scheme's own
+   :class:`~repro.ordering.guarantees.CrashGuarantees`.  Per-point cost
+   is O(sector application + fsck); both are incremental (:func:`_verify`).
 
 That is the only way a crash point is verified, for every scheme.  The
 per-point re-simulation it replaced (fresh machine, ``engine.run_to(t)``,
@@ -36,18 +37,10 @@ per-point re-simulation it replaced (fresh machine, ``engine.run_to(t)``,
 to its images and the findings equal, point for point
 (``tests/integrity/test_synthesis_equivalence.py``).
 
-Verification fans out over :func:`repro.harness.parallel.run_grid`: each
-cell is a time-sorted chunk of crash points, so the image builds
-incrementally within the chunk, and forked workers inherit the base image
-and the media log copy-on-write (only findings cross the pipe).  A chunk
-that raises fails the sweep with the grid's
-:class:`~repro.harness.parallel.GridCellError`, keyed by its point range.
-Serial and parallel sweeps produce identical findings.
-
 CLI::
 
     python -m repro.integrity.explorer --scheme softupdates \
-        --workload microbench --jobs 4 --monitor
+        --workload microbench --monitor
 
 ``--monitor`` additionally runs the ordering-rule monitor
 (:mod:`repro.integrity.monitor`) over the same recording, so breaches are
@@ -62,9 +55,7 @@ unsafe) AND the monitor, when asked for, saw no unexpected violations;
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -73,9 +64,13 @@ from typing import Generator, Optional
 from repro.costs import CostModel
 from repro.faults import PROFILES
 from repro.fs.layout import FSGeometry
-from repro.harness.parallel import run_grid
 from repro.harness.recording import RecordedRun, record_run
-from repro.integrity.findings import CrashFinding, ExplorationReport
+from repro.integrity.findings import (
+    MAX_POINTS,
+    SAMPLES_PER_WRITE,
+    CrashFinding,
+    ExplorationReport,
+)
 from repro.integrity.fsck import Auditor, repair
 from repro.integrity.invariants import classify_report, finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
@@ -237,19 +232,21 @@ def _budget(raw: list[tuple[float, str]], max_points: Optional[int],
 # verification: synthesize, fsck, classify
 # ----------------------------------------------------------------------
 def classify_image(image, auditor: Auditor, secrets: bool,
-                   verify_repair: bool, guarantees, index: int,
+                   repairs: Optional[Auditor], guarantees, index: int,
                    crash_time: float, label: str) -> CrashFinding:
     """fsck (through *auditor*) + invariant classification of one
-    surviving image."""
+    surviving image; with *repairs*, every image without corruption must
+    also repair to a state that auditor finds consistent."""
     report = auditor.audit(image)
     geometry = auditor.geometry
     leaks = (find_secret_leaks(image, geometry, report.inodes)
              if secrets else [])
     violations = classify_report(report, leaks)
-    if verify_repair and not any(v.is_corruption for v in violations):
+    if repairs is not None and not any(v.is_corruption for v in violations):
         # the paper's recovery story: every error-free image must come out
         # of classic fsck repair fully consistent
-        residue = classify_report(repair(image.snapshot(), geometry))
+        residue = classify_report(
+            repair(image.snapshot(), geometry, repairs))
         if residue:
             violations.append(finding(
                 "unrepairable", f"repair left {len(residue)} findings: "
@@ -261,45 +258,28 @@ def classify_image(image, auditor: Auditor, secrets: bool,
         unexpected=tuple(unexpected(violations, guarantees)))
 
 
-def _verify_chunk(base, log, geometry, secrets: bool, verify_repair: bool,
-                  guarantees, chunk: list[CrashPoint]) -> list[CrashFinding]:
-    """Synthesize and verify a time-sorted chunk of crash points.
+def _verify(base, log, geometry, secrets: bool, verify_repair: bool,
+            guarantees, points: list[CrashPoint]) -> list[CrashFinding]:
+    """Synthesize and verify *points*; the findings, in index order.
 
-    The synthesizer applies sectors incrementally: point *k+1* reuses the
-    image built for point *k* and applies only the sectors committed in
-    between, so a chunk of *m* points costs one base snapshot + one pass
-    over the log + *m* fscks -- zero simulation.  The fscks go through one
-    :class:`~repro.integrity.fsck.Auditor`, so each decodes only the
-    records the writes since the previous point changed.
+    One pass in time order: the synthesizer applies sectors incrementally
+    (point *k+1* reuses the image built for point *k* and applies only the
+    sectors committed in between), so *m* points cost one base snapshot +
+    one pass over the log + *m* audits -- zero simulation.  The audits go
+    through one :class:`~repro.integrity.fsck.Auditor`, so each decodes
+    only the records the writes since the previous point changed; the
+    repaired images, which differ as little from one point to the next,
+    through a second.
     """
     synthesizer = ImageSynthesizer(base, log)
     auditor = Auditor(geometry)
-    return [classify_image(synthesizer.image_at(point.time), auditor,
-                           secrets, verify_repair, guarantees,
-                           point.index, point.time, point.label)
-            for point in chunk]
-
-
-def _chunk_label(chunk: list) -> str:
-    """A grid key naming a chunk's crash-point range."""
-    if len(chunk) == 1:
-        return f"point #{chunk[0].index} ({chunk[0].label})"
-    return (f"points #{chunk[0].index}..#{chunk[-1].index} "
-            f"(t={chunk[0].time:.4f}..{chunk[-1].time:.4f})")
-
-
-def _chunk(points: list[CrashPoint], chunks: int) -> list[list[CrashPoint]]:
-    """Split time-sorted points into at most *chunks* contiguous runs."""
-    chunks = min(chunks, len(points))
-    if not chunks:
-        return []
-    size, extra = divmod(len(points), chunks)
-    out, at = [], 0
-    for i in range(chunks):
-        step = size + (1 if i < extra else 0)
-        out.append(points[at:at + step])
-        at += step
-    return out
+    repairs = Auditor(geometry) if verify_repair else None
+    findings = [classify_image(synthesizer.image_at(point.time), auditor,
+                               secrets, repairs, guarantees, point.index,
+                               point.time, point.label)
+                for point in sorted(points, key=lambda p: (p.time, p.index))]
+    findings.sort(key=lambda f: f.index)
+    return findings
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +287,8 @@ def _chunk(points: list[CrashPoint], chunks: int) -> list[list[CrashPoint]]:
 # ----------------------------------------------------------------------
 def explore(scheme: str, workload: str = "microbench", seed: int = 0,
             ops: Optional[int] = None, jobs: int = 1,
-            samples_per_write: int = 2, max_points: Optional[int] = 240,
-            secrets: bool = False, verify_repair: bool = False,
+            samples_per_write: int = SAMPLES_PER_WRITE,
+            max_points: Optional[int] = MAX_POINTS, secrets: bool = False, verify_repair: bool = False,
             point: Optional[int] = None,
             fault_profile: Optional[str] = None,
             fault_seed: int = 0,
@@ -316,10 +296,11 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
     """Record once, enumerate, verify every crash point; returns the report.
 
     Each crash image is materialized from the media write-log with zero
-    post-recording simulation.  ``jobs > 1`` fans the verification out
-    over :func:`~repro.harness.parallel.run_grid`; results are
-    deterministic in (scheme, workload, seed, ops, samples_per_write,
-    max_points) -- independent of ``jobs``.
+    post-recording simulation; results are deterministic in (scheme,
+    workload, seed, ops, samples_per_write, max_points).
+
+    *jobs* is vestigial: a sweep verifies in one process whatever it says.
+    It stays because ``bench/workloads.py`` passes it.
 
     *point* verifies only the crash point with that index of the same
     enumeration (how a report's ``reproduce:`` line re-runs one finding);
@@ -351,20 +332,9 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         if not points:
             raise ValueError(f"no crash point with index {point} "
                              f"(enumerated {budgeted})")
-    ordered = sorted(points, key=lambda p: (p.time, p.index))
-    verify = functools.partial(
-        _verify_chunk, recorded.base_image, recorded.media_log,
-        machine.config.fs_geometry, secrets, verify_repair,
-        machine.scheme.crash_guarantees)
-    # forked workers inherit the cells (base image and log included) by
-    # address space; only chunk indices and findings cross the pipe
-    per_chunk = run_grid(
-        f"explore {scheme}/{workload}",
-        [(_chunk_label(chunk), functools.partial(verify, chunk))
-         for chunk in _chunk(ordered, jobs * 4 if jobs > 1 else 1)],
-        jobs=jobs)
-    findings = [finding for chunk in per_chunk.values() for finding in chunk]
-    findings.sort(key=lambda f: f.index)
+    findings = _verify(recorded.base_image, recorded.media_log,
+                       machine.config.fs_geometry, secrets, verify_repair,
+                       machine.scheme.crash_guarantees, points)
     return ExplorationReport(
         scheme=scheme, workload=workload, seed=seed,
         guarantees=machine.scheme.crash_guarantees, findings=findings,
@@ -372,7 +342,8 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         write_windows=len(recorded.windows),
         fault_profile=fault_profile, fault_seed=fault_seed,
         enumerated_points=len(raw),
-        max_points=max_points, jobs=jobs,
+        ops=ops, samples_per_write=samples_per_write,
+        max_points=max_points,
         log_bytes=recorded.media_log.payload_bytes,
         sim_events=recorded.events_processed,
         monitor="online" if monitor else "off",
@@ -396,16 +367,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--ops", type=int, default=None,
                         help="workload size (files/operations; "
                              "per-workload default)")
-    parser.add_argument("--jobs", type=int,
-                        default=max(1, min(4, os.cpu_count() or 1)),
-                        help="verification pool size (default: up to 4)")
     parser.add_argument("--monitor", action="store_true",
                         help="also run the ordering-rule monitor over "
                              "the recording; unexpected violations fail "
                              "the sweep")
-    parser.add_argument("--samples-per-write", type=int, default=2,
+    parser.add_argument("--samples-per-write", type=int,
+                        default=SAMPLES_PER_WRITE,
                         help="mid-transfer partial-prefix points per write")
-    parser.add_argument("--max-points", type=int, default=240,
+    parser.add_argument("--max-points", type=int, default=MAX_POINTS,
                         help="crash-point budget (0 = unlimited)")
     parser.add_argument("--point", type=int, default=None,
                         help="verify only this crash-point index "
@@ -426,8 +395,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable report")
     args = parser.parse_args(argv)
-    for flag in ("max_points", "samples_per_write"):
-        if getattr(args, flag) < 0:
+    for flag in ("ops", "max_points", "samples_per_write"):
+        if (getattr(args, flag) or 0) < 0:
             parser.error(f"--{flag.replace('_', '-')} must not be negative")
     return args
 
@@ -437,7 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     max_points = None if args.max_points == 0 else args.max_points
     try:
         report = explore(args.scheme, args.workload, seed=args.seed,
-                         ops=args.ops, jobs=args.jobs,
+                         ops=args.ops,
                          samples_per_write=args.samples_per_write,
                          max_points=max_points, secrets=args.secrets,
                          verify_repair=args.verify_repair, point=args.point,

@@ -1,10 +1,11 @@
 """Findings: what a crash-exploration sweep observed, aggregated.
 
-Every verified crash point yields one :class:`CrashFinding` (picklable, so
-pool workers can ship them back); :class:`ExplorationReport` aggregates a
-sweep and renders the human-readable summary the CLI prints.  A finding
-carries everything needed to reproduce it by hand: the scheme, workload,
-seed and the exact simulated crash instant (see docs/crash-exploration.md).
+Every verified crash point yields one :class:`CrashFinding`;
+:class:`ExplorationReport` aggregates a sweep and renders the
+human-readable summary the CLI prints.  A finding carries everything
+needed to reproduce it by hand: the scheme, workload, seed, enumeration
+options and the exact simulated crash instant (see
+docs/crash-exploration.md).
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.integrity.invariants import Severity, Violation, invariant_by_key
+
+#: the explorer's defaults for two of the options that decide which crash
+#: point an index names; a ``reproduce:`` line spells out only the options
+#: a sweep changed
+SAMPLES_PER_WRITE = 2
+MAX_POINTS = 240
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,12 @@ class ExplorationReport:
     #: size of the *full* enumeration before any --max-points budget;
     #: ``points < enumerated_points`` means the sweep was sampled
     enumerated_points: int = 0
-    #: the budget in force (None = unlimited)
+    #: the workload size (None = the workload's default), partial-prefix
+    #: samples per write and budget (None = unlimited) the enumeration
+    #: ran with: a point's index means nothing without them
+    ops: int | None = None
+    samples_per_write: int = SAMPLES_PER_WRITE
     max_points: int | None = None
-    #: verification pool size
-    jobs: int = 1
     #: media write-log payload bytes held during the sweep
     log_bytes: int = 0
     #: engine events processed by the recording run
@@ -172,12 +181,10 @@ class ExplorationReport:
             for violation in finding.violations[:4]:
                 lines.append(f"    {violation.severity.value}: "
                              f"{violation.message}")
-            fault = ("" if self.fault_profile is None
-                     else f" --fault-profile {self.fault_profile} "
-                          f"--fault-seed {self.fault_seed}")
             lines.append(f"    reproduce: --scheme {self.scheme} "
                          f"--workload {self.workload} --seed {self.seed}"
-                         f"{fault} --point {finding.index}")
+                         f"{self._enumeration_options()} "
+                         f"--point {finding.index}")
         if self.monitor == "online" and self.monitor_violations:
             lines.append("")
             lines.append(f"online ordering violations "
@@ -196,6 +203,21 @@ class ExplorationReport:
         lines += ["", verdict]
         return "\n".join(lines)
 
+    def _enumeration_options(self) -> str:
+        """The explorer options, beyond scheme, workload and seed, that
+        re-create this sweep's enumeration (defaults left out)."""
+        options = ""
+        if self.fault_profile is not None:
+            options += (f" --fault-profile {self.fault_profile} "
+                        f"--fault-seed {self.fault_seed}")
+        if self.ops is not None:
+            options += f" --ops {self.ops}"
+        if self.samples_per_write != SAMPLES_PER_WRITE:
+            options += f" --samples-per-write {self.samples_per_write}"
+        if self.max_points != MAX_POINTS:
+            options += f" --max-points {self.max_points or 0}"
+        return options
+
     def to_dict(self) -> dict:
         """JSON-ready representation (for the CLI's --json mode)."""
         return {
@@ -207,7 +229,6 @@ class ExplorationReport:
             "enumerated_points": self.enumerated_points,
             "max_points": self.max_points,
             "sampled": self.sampled,
-            "jobs": self.jobs,
             "log_bytes": self.log_bytes,
             "write_windows": self.write_windows,
             "quiesce_time": self.quiesce_time,

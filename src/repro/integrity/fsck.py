@@ -58,9 +58,10 @@ chunks, because a crash-image store is rewritten in place.  :func:`fsck`
 is a one-audit :class:`Auditor`.
 
 This is the repository's one structural checker: crash exploration audits
-each chunk of crash points through one :class:`Auditor`, the ordering
-monitor (:mod:`repro.integrity.monitor`) each durable commit of a
-recording through another.
+a sweep's crash points through one :class:`Auditor` (and their repaired
+images through a second), the ordering monitor
+(:mod:`repro.integrity.monitor`) each durable commit of a recording
+through another.
 """
 
 from __future__ import annotations
@@ -718,9 +719,10 @@ def _link_finding(key) -> Violation:
                    f"references {refs} (fsck repairs)")
 
 
-def repair(image: SectorStore,
-           geometry: FSGeometry | None = None) -> FsckReport:
-    """Repair an image in place (warnings only); returns the re-audit.
+def repair(image: SectorStore, geometry: FSGeometry | None = None,
+           auditor: Auditor | None = None) -> FsckReport:
+    """Repair an image in place (warnings only); returns the re-audit,
+    made by *auditor* (default: a one-shot :func:`fsck`).
 
     Implements classic fsck's mechanical fixes for the inconsistencies the
     paper's safe schemes deliberately allow: link counts are rewritten to
@@ -812,7 +814,7 @@ def repair(image: SectorStore,
         view.free_inodes = geo.ipg - wanted.bit_count()
         image.write(geo.cg_base(cg) * spf, bytes(raw))
 
-    return fsck(image, geometry)
+    return (auditor or Auditor(geometry)).audit(image)
 
 
 class _ReadLog:

@@ -97,7 +97,7 @@ def invariant_by_key(key: str) -> Invariant:
 
 @dataclass(frozen=True)
 class Violation:
-    """One observed invariant violation (picklable across pool workers)."""
+    """One observed invariant violation."""
 
     key: str
     severity: Severity

@@ -34,10 +34,9 @@ Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
 replays it to *t* and writes what is left over the image, exactly as
 ``NvramScheme.apply_to_image`` does to a live machine's crash image.
 
-:class:`ImageSynthesizer` is the worker-pool form: crash points arrive in
-time-sorted chunks, so the image is built *incrementally* -- each point
-applies only the sectors committed since the previous point instead of
-re-applying the whole log.
+:class:`ImageSynthesizer` serves a sweep's crash points in time order, so
+the image is built *incrementally* -- each point applies only the sectors
+committed since the previous point instead of re-applying the whole log.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class ImageSynthesizer:
     A non-empty mirror is written over a *snapshot*: a survivor dropped
     later must not linger on the shared image.
 
-    Instants must be requested in non-decreasing order (the explorer's
-    chunks are time-sorted); going backwards raises.
+    Instants must be requested in non-decreasing order (the explorer
+    verifies in time order); going backwards raises.
     """
 
     def __init__(self, base: SectorStore, log: MediaLog) -> None:

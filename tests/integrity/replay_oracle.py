@@ -47,9 +47,9 @@ def replay_finding(scheme, workload, seed, ops, point, secrets=False,
     """The :class:`CrashFinding` for *point*, by re-simulation."""
     machine = replay_machine(scheme, workload, seed, ops, point.time,
                              secrets=secrets, **kwargs)
-    return classify_image(crash_image(machine),
-                          Auditor(machine.config.fs_geometry),
-                          secrets, verify_repair,
+    geometry = machine.config.fs_geometry
+    return classify_image(crash_image(machine), Auditor(geometry), secrets,
+                          Auditor(geometry) if verify_repair else None,
                           machine.scheme.crash_guarantees,
                           point.index, point.time, point.label)
 

@@ -68,21 +68,22 @@ class TestReportContract:
 class TestExplorerCli:
     def test_mutation_breach_exits_nonzero(self, capsys):
         code = explorer_main(["--scheme", "shim-rule3", "--workload",
-                              "remove", "--jobs", "1", "--max-points", "8",
-                              "--monitor"])
+                              "remove", "--max-points", "8", "--monitor"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out or "UNEXPECTED" in out
 
     def test_declared_violations_still_exit_zero(self, capsys):
-        code = explorer_main(["--scheme", "noorder", "--jobs", "1",
-                              "--max-points", "8", "--monitor"])
+        code = explorer_main(["--scheme", "noorder", "--max-points", "8",
+                              "--monitor"])
         assert code == 0
 
-    @pytest.mark.parametrize("flag", ["--max-points", "--samples-per-write"])
+    @pytest.mark.parametrize("flag", ["--max-points", "--samples-per-write",
+                                      "--ops"])
     def test_negative_budget_is_a_usage_error(self, flag, capsys):
         # refused at the parser: random.sample would raise on it, and a
-        # traceback exits 1 -- the status that means "declaration broken"
+        # traceback exits 1 -- the status that means "declaration broken";
+        # a negative --ops would run the zero-file workload and pass
         with pytest.raises(SystemExit) as usage:
             explorer_main(["--scheme", "softupdates", flag, "-1"])
         assert usage.value.code == 2
@@ -103,12 +104,14 @@ class TestFaultsCli:
         ("--seeds", "1,1", "seed 1 is given twice"),
         ("--schemes", "flag,flag", "scheme 'flag' is given twice"),
         ("--profiles", "none,none", "profile 'none' is given twice"),
+        ("--ops", "-3", "--ops must not be negative"),
     ], ids=["malformed-seed", "repeated-seed", "repeated-scheme",
-            "repeated-profile"])
+            "repeated-profile", "negative-ops"])
     def test_bad_list_value_is_a_usage_error(self, flag, value, named,
                                              tmp_path, capsys):
         # a traceback would exit 1 -- the status that means silent
-        # corruption
+        # corruption; a negative --ops would run the zero-file workload in
+        # every cell and pass
         with pytest.raises(SystemExit) as usage:
             faults_main([flag, value, "--out", str(tmp_path / "r.txt")])
         assert usage.value.code == 2

@@ -1,15 +1,12 @@
 """The crash-point exploration engine, exercised end to end.
 
-Tier-1 keeps the sweeps budgeted (a sampled subset of crash points, small
-pools); the ``slow`` marker runs the full sweeps the acceptance story is
-about: >=200 crash points per scheme, pool size >= 4, serial == parallel.
+Tier-1 keeps the sweeps budgeted (a sampled subset of crash points); the
+``slow`` marker runs the full sweeps the acceptance story is about: every
+crash point of churn, two seeds per scheme.
 """
-
-import re
 
 import pytest
 
-from repro.harness.parallel import GridCellError
 from repro.harness.recording import record_run
 from repro.integrity import explorer
 from repro.integrity.explorer import (
@@ -23,7 +20,6 @@ from tests.integrity.replay_oracle import replay_finding
 
 def small_sweep(scheme, workload="microbench", **kwargs):
     kwargs.setdefault("seed", 0)
-    kwargs.setdefault("jobs", 1)
     kwargs.setdefault("max_points", 40)
     return explore(scheme, workload, **kwargs)
 
@@ -155,11 +151,6 @@ class TestBudgetedSweeps:
             "deferred deallocation should leak at some crash point"
         assert report.clean
 
-    def test_serial_equals_parallel(self):
-        serial = small_sweep("chains", max_points=16)
-        parallel = small_sweep("chains", max_points=16, jobs=2)
-        assert serial.findings == parallel.findings
-
     def test_report_is_a_function_of_the_seed(self):
         """No host clock inside a simulated report: the same sweep twice
         prints byte for byte the same text and the same JSON."""
@@ -199,26 +190,6 @@ class TestBudgetedSweeps:
         with pytest.raises(ValueError, match="no crash point with index 999"):
             small_sweep("noorder", max_points=10, point=999)
 
-    def test_failing_chunk_is_named_by_its_point_range(self, monkeypatch):
-        """A chunk that raises fails the sweep with the grid's cell error,
-        keyed by the chunk's crash-point range."""
-        real = explorer.classify_image
-
-        def fail_on_point_five(*args):
-            if args[5] == 5:
-                raise RuntimeError("synthetic failure at point 5")
-            return real(*args)
-
-        # forked workers inherit the patched module
-        monkeypatch.setattr(explorer, "classify_image", fail_on_point_five)
-        with pytest.raises(GridCellError) as excinfo:
-            small_sweep("conventional", max_points=16, jobs=2)
-        assert excinfo.value.grid == "explore conventional/microbench"
-        assert "synthetic failure at point 5" in excinfo.value.error
-        first, last = re.fullmatch(
-            r"points #(\d+)\.\.#(\d+) \(t=.*\)", excinfo.value.key).groups()
-        assert int(first) <= 5 <= int(last)
-
     def test_verify_repair_holds_for_softupdates(self):
         report = small_sweep("softupdates", max_points=24,
                              verify_repair=True)
@@ -237,7 +208,7 @@ class TestCli:
         from repro.integrity.explorer import main
 
         code = main(["--scheme", "noorder", "--workload", "microbench",
-                     "--jobs", "1", "--max-points", "40"])
+                     "--max-points", "40"])
         out = capsys.readouterr().out
         assert code == 0
         assert "corruption" in out
@@ -248,8 +219,8 @@ class TestCli:
 
         from repro.integrity.explorer import main
 
-        code = main(["--scheme", "conventional", "--jobs", "1",
-                     "--max-points", "12", "--json"])
+        code = main(["--scheme", "conventional", "--max-points", "12",
+                     "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scheme"] == "conventional"
@@ -259,7 +230,7 @@ class TestCli:
     def test_cli_single_point_mode(self, capsys):
         from repro.integrity.explorer import main
 
-        code = main(["--scheme", "noorder", "--point", "0", "--jobs", "1"])
+        code = main(["--scheme", "noorder", "--point", "0"])
         assert code == 0
         out = capsys.readouterr().out
         # verified count AND full enumeration size are both stated
@@ -270,17 +241,52 @@ class TestCli:
         # the report must state enumerated vs verified counts
         from repro.integrity.explorer import main
 
-        code = main(["--scheme", "noorder", "--jobs", "1",
-                     "--max-points", "10"])
+        code = main(["--scheme", "noorder", "--max-points", "10"])
         assert code == 0
         out = capsys.readouterr().out
         assert "10 of " in out
         assert "sampled, --max-points 10" in out
 
+    def test_reproduce_line_reruns_the_same_point(self, capsys):
+        # a point's index is a function of --ops, --samples-per-write and
+        # --max-points too: the hint of a sweep that changed them must name
+        # them, or it verifies a different crash point
+        from repro.integrity.explorer import main
+
+        def first_finding(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("crash point #"))
+            end = next(i for i in range(start, len(lines))
+                       if "reproduce:" in lines[i])
+            return lines[start:end + 1]
+
+        swept = first_finding(["--scheme", "noorder", "--workload", "churn",
+                               "--ops", "60", "--samples-per-write", "3",
+                               "--max-points", "100"])
+        hint = swept[-1].split("reproduce:")[1].split()
+        assert hint[hint.index("--ops") + 1] == "60"
+        assert hint[hint.index("--samples-per-write") + 1] == "3"
+        assert hint[hint.index("--max-points") + 1] == "100"
+        # same index, instant, label, violations and hint
+        assert first_finding(hint) == swept
+
+    def test_default_options_stay_out_of_the_reproduce_line(self, capsys):
+        from repro.integrity.explorer import main
+
+        assert main(["--scheme", "noorder", "--max-points", "240"]) == 0
+        hints = [line for line in capsys.readouterr().out.splitlines()
+                 if "reproduce:" in line]
+        assert hints and all(
+            line.split("reproduce: ")[1].startswith(
+                "--scheme noorder --workload microbench --seed 0 --point ")
+            for line in hints)
+
     def test_cli_unknown_point_is_a_usage_error(self, capsys):
         from repro.integrity.explorer import main
 
-        code = main(["--scheme", "noorder", "--point", "999", "--jobs", "1",
+        code = main(["--scheme", "noorder", "--point", "999",
                      "--max-points", "10"])
         assert code == 2
         captured = capsys.readouterr()
@@ -310,22 +316,14 @@ class TestSchemeLookup:
 
 @pytest.mark.slow
 class TestFullSweeps:
-    """The acceptance-grade sweeps: every boundary, pool >= 4."""
-
-    def test_parallel_full_sweep_matches_serial(self):
-        serial = explore("conventional", "microbench", seed=0, jobs=1,
-                         max_points=None)
-        parallel = explore("conventional", "microbench", seed=0, jobs=4,
-                           max_points=None)
-        assert serial.points >= 200
-        assert serial.findings == parallel.findings
+    """The acceptance-grade sweeps: every boundary."""
 
     @pytest.mark.parametrize("scheme", ["conventional", "flag", "chains",
                                         "softupdates", "nvram"])
     def test_safe_schemes_full_sweep_clean(self, scheme):
         for seed in (0, 7):
-            report = explore(scheme, "churn", seed=seed, jobs=4,
-                             max_points=None, verify_repair=True)
+            report = explore(scheme, "churn", seed=seed, max_points=None,
+                             verify_repair=True)
             assert not report.corruption_points, [
                 (f.index, f.label, [v.message for v in f.violations[:3]])
                 for f in report.corruption_points]
@@ -334,8 +332,7 @@ class TestFullSweeps:
     def test_noorder_full_sweep_breaks_integrity(self):
         corrupted = 0
         for seed in (0, 7):
-            report = explore("noorder", "churn", seed=seed, jobs=4,
-                             max_points=None)
+            report = explore("noorder", "churn", seed=seed, max_points=None)
             corrupted += len(report.corruption_points)
             assert report.clean  # unsafe by declaration, not by surprise
         assert corrupted > 0

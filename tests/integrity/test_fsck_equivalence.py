@@ -316,7 +316,7 @@ def test_every_crash_point_reports_identically(monkeypatch, scheme, workload,
 def test_full_sweeps_carry_the_reference_verdicts(scheme, workload):
     """Every finding of every boundary, the stale-data walk and repair
     verification included (a journalled reuse run is sampled)."""
-    report = explore(scheme, workload, jobs=2, max_points=2000,
+    report = explore(scheme, workload, max_points=2000,
                      secrets=True, verify_repair=True)
     assert report.points > 50
     for found in report.findings:

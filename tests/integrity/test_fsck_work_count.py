@@ -10,13 +10,15 @@ record changed, not at every crash point.
 
 One level up, the same for whole audits: a crash point is audited once,
 and neither the stale-data walk nor repair verification audits it again
-to learn what that audit already knew.  And an audit re-derives only what
-its reads changed: a point whose audited bytes match the previous point's
-keeps that report without a replay, and a replay builds a finding only
-when what it says changed.
+to learn what that audit already knew; the repaired images are re-audited
+through one more Auditor, not one cold fsck each.  And an audit re-derives
+only what its reads changed: a point whose audited bytes match the
+previous point's keeps that report without a replay, and a replay builds a
+finding only when what it says changed.
 """
 
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.fs.layout import Dinode
 from repro.harness.recording import record_run
 from repro.integrity import explorer as explorer_module, fsck
 from repro.integrity.explorer import (
-    _verify_chunk,
+    _verify,
     build_machine,
     build_workload,
     enumerate_crash_points,
@@ -68,7 +70,7 @@ def test_one_fsck_probes_no_bit_and_unpacks_only_allocated_slots(monkeypatch):
 
 
 def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
-    # consecutive crash points differ by one media write: a chunk audited
+    # consecutive crash points differ by one media write: a sweep audited
     # through one auditor unpacks a dinode again only when its record
     # changed, where a from-scratch fsck per point unpacks every allocated
     # dinode at every point
@@ -86,12 +88,64 @@ def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
     real = Dinode.unpack.__func__
     monkeypatch.setattr(Dinode, "unpack", classmethod(
         lambda cls, raw: (unpacked.append(1), real(cls, raw))[1]))
-    findings = _verify_chunk(recorded.base_image, recorded.media_log,
-                             geometry, False, False,
-                             machine.scheme.crash_guarantees, points)
+    findings = _verify(recorded.base_image, recorded.media_log, geometry,
+                       False, False, machine.scheme.crash_guarantees, points)
 
     assert len(findings) == len(points) > 50
     assert 0 < len(unpacked) <= per_point // 2, (len(unpacked), per_point)
+
+
+class _AuditCensus:
+    """An explore() sweep's audits, counted per Auditor, split into the
+    sweep's own ("sweep") and the re-audits of repaired images
+    ("repair"); the checkers those audits built (replays); and the inode
+    scans repair() makes itself, outside its re-audit."""
+
+    def __init__(self, monkeypatch):
+        fsck_module = importlib.import_module("repro.integrity.fsck")
+        self.audits = {"sweep": Counter(), "repair": Counter()}
+        self.replays = Counter()
+        self.repairs = 0
+        self.repair_scans = 0
+        #: the innermost call under way: "fixing" (repair() itself), an
+        #: audit's role, or None
+        self._inside = [None]
+        real_audit = fsck_module.Auditor.audit
+        real_init = fsck_module._Checker.__init__
+        real_scan = fsck_module._Checker.scan_inodes
+        real_repair = explorer_module.repair
+
+        def audit(auditor, image):
+            role = "repair" if self._inside[-1] == "fixing" else "sweep"
+            self.audits[role][auditor] += 1
+            self._inside.append(role)
+            try:
+                return real_audit(auditor, image)
+            finally:
+                self._inside.pop()
+
+        def init(checker, *args, **kwargs):
+            if self._inside[-1] in self.audits:
+                self.replays[self._inside[-1]] += 1
+            real_init(checker, *args, **kwargs)
+
+        def scan_inodes(checker):
+            if self._inside[-1] == "fixing":
+                self.repair_scans += 1
+            return real_scan(checker)
+
+        def repair(*args):
+            self.repairs += 1
+            self._inside.append("fixing")
+            try:
+                return real_repair(*args)
+            finally:
+                self._inside.pop()
+
+        monkeypatch.setattr(fsck_module.Auditor, "audit", audit)
+        monkeypatch.setattr(fsck_module._Checker, "__init__", init)
+        monkeypatch.setattr(fsck_module._Checker, "scan_inodes", scan_inodes)
+        monkeypatch.setattr(explorer_module, "repair", repair)
 
 
 @pytest.mark.parametrize("options,repairs_per_point", [
@@ -101,43 +155,33 @@ def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
     ({"secrets": True, "verify_repair": True}, 1),
 ], ids=["verify-repair", "secrets", "both"])
 def test_inode_scans_per_crash_point(monkeypatch, options, repairs_per_point):
-    # exactly one Auditor.audit per point, whether or not it replays; and
-    # per repair-verified point repair's two scans: of what it is about to
-    # fix, and the re-audit of the result
-    fsck_module = importlib.import_module("repro.integrity.fsck")
-    audits, repairs, repair_scans = [], [], []
-    in_repair = []
-    real_audit = fsck_module.Auditor.audit
-    real_scan = fsck_module._Checker.scan_inodes
-    real_repair = explorer_module.repair
-
-    def audit(self, image):
-        if not in_repair:
-            audits.append(1)
-        return real_audit(self, image)
-
-    def scan_inodes(self):
-        if in_repair:
-            repair_scans.append(1)
-        return real_scan(self)
-
-    def repair(image, geometry):
-        repairs.append(1)
-        in_repair.append(1)
-        try:
-            return real_repair(image, geometry)
-        finally:
-            in_repair.pop()
-
-    monkeypatch.setattr(fsck_module.Auditor, "audit", audit)
-    monkeypatch.setattr(fsck_module._Checker, "scan_inodes", scan_inodes)
-    monkeypatch.setattr(explorer_module, "repair", repair)
+    # exactly one audit per point, through the sweep's one Auditor, whether
+    # or not it replays; and per repair-verified point, repair's own scan
+    # of what it is about to fix, then one re-audit of the result through
+    # the sweep's one repair Auditor
+    census = _AuditCensus(monkeypatch)
     # Soft Updates never corrupts, so every point is repair-verified
     report = explore("softupdates", "churn", max_points=120, **options)
     assert report.points > 50 and not report.corruption_points
-    assert len(audits) == report.points
-    assert len(repairs) == repairs_per_point * report.points
-    assert len(repair_scans) == 2 * len(repairs)
+    sweep, repairs = census.audits["sweep"], census.audits["repair"]
+    assert list(sweep.values()) == [report.points]
+    assert list(repairs.values()) == [report.points] * repairs_per_point
+    assert not sweep.keys() & repairs.keys()
+    assert census.repairs == repairs_per_point * report.points
+    assert census.repair_scans == census.repairs
+
+
+def test_repaired_images_are_audited_incrementally(monkeypatch):
+    # the seed-0 Soft Updates churn sweep: 86 crash points, each repaired
+    # and re-audited.  A cold fsck of each repaired image replays 86
+    # times; the sweep's repair Auditor replays 3 times (repair leaves
+    # most points' images holding the same bytes wherever fsck reads), and
+    # the ceiling is that count + 10 %.
+    census = _AuditCensus(monkeypatch)
+    report = explore("softupdates", "churn", verify_repair=True)
+    assert report.points == census.repairs == 86
+    assert list(census.audits["repair"].values()) == [86]
+    assert 0 < census.replays["repair"] <= 3, census.replays
 
 
 def test_a_sweep_replays_and_builds_findings_only_where_its_reads_moved(

@@ -41,9 +41,9 @@ def touch(fs, path):
 class TestObserverEffect:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_monitored_run_is_simulation_identical(self, scheme):
-        bare = explore(scheme, "microbench", seed=0, ops=12, jobs=1,
+        bare = explore(scheme, "microbench", seed=0, ops=12,
                        max_points=16)
-        watched = explore(scheme, "microbench", seed=0, ops=12, jobs=1,
+        watched = explore(scheme, "microbench", seed=0, ops=12,
                           max_points=16, monitor=True)
         assert watched.findings == bare.findings
         assert watched.write_windows == bare.write_windows > 0
@@ -130,7 +130,7 @@ class TestControls:
     def test_noorder_negative_control_fires(self):
         # No Order declares no ordering: the monitor MUST see rule hits
         # (else it is vacuously silent), all inside the declaration
-        report = explore("noorder", "microbench", seed=0, jobs=1,
+        report = explore("noorder", "microbench", seed=0,
                          max_points=8, monitor=True)
         assert report.monitor == "online"
         assert report.monitor_violations, "monitor must fire for noorder"
@@ -141,7 +141,7 @@ class TestControls:
     @pytest.mark.parametrize("scheme", SAFE_SCHEMES)
     def test_guaranteed_schemes_stay_clean_across_seeds(self, scheme):
         for seed in (0, 7):
-            report = explore(scheme, "microbench", seed=seed, jobs=1,
+            report = explore(scheme, "microbench", seed=seed,
                              max_points=4, monitor=True)
             assert report.monitor == "online"
             assert report.monitor_windows > 0
@@ -154,7 +154,7 @@ class TestControls:
         # judged like every other scheme: at each durable commit end
         for workload in sorted(WORKLOADS):
             for seed in (0, 7):
-                report = explore("nvram", workload, seed=seed, jobs=1,
+                report = explore("nvram", workload, seed=seed,
                                  max_points=1, monitor=True)
                 assert report.monitor == "online"
                 assert report.monitor_windows > 0
@@ -176,7 +176,7 @@ class TestControls:
         assert monitor_violations(recorded, geo, guarantees)
 
     def test_monitor_off_by_default(self):
-        report = explore("conventional", "microbench", seed=0, jobs=1,
+        report = explore("conventional", "microbench", seed=0,
                          max_points=4)
         assert report.monitor == "off"
         assert report.monitor_windows == 0
@@ -189,7 +189,7 @@ class TestControlsFullSweeps:
     @pytest.mark.parametrize("scheme", SAFE_SCHEMES)
     def test_guaranteed_schemes_clean_under_churn(self, scheme):
         for seed in (0, 7, 23):
-            report = explore(scheme, "churn", seed=seed, jobs=1,
+            report = explore(scheme, "churn", seed=seed,
                              max_points=24, monitor=True)
             assert report.monitor_violations == (), (
                 scheme, seed,
@@ -197,7 +197,7 @@ class TestControlsFullSweeps:
 
     def test_noorder_fires_under_churn_across_seeds(self):
         for seed in (0, 7, 23):
-            report = explore("noorder", "churn", seed=seed, jobs=1,
+            report = explore("noorder", "churn", seed=seed,
                              max_points=24, monitor=True)
             assert report.monitor_violations
             assert not report.monitor_unexpected

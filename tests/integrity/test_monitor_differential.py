@@ -62,7 +62,7 @@ MUTATIONS = [
 
 def sweep(scheme, workload="microbench", profile=None, seed=0,
           max_points=40, **kwargs):
-    return explore(scheme, workload, seed=seed, jobs=1,
+    return explore(scheme, workload, seed=seed,
                    max_points=max_points, monitor=True,
                    fault_profile=profile, fault_seed=3, **kwargs)
 

@@ -97,7 +97,7 @@ class TestFindingsIdentical:
     def test_reports_match_replay_oracle(self, scheme, fault_profile):
         kwargs = dict(workload="microbench", seed=0, ops=8, max_points=16,
                       fault_profile=fault_profile, fault_seed=3)
-        report = explore(scheme, jobs=1, **kwargs)
+        report = explore(scheme, **kwargs)
         assert report.mode == "synthesize"
         assert report.findings == replay_findings(scheme, **kwargs)
 
@@ -129,7 +129,7 @@ class TestNvramUnderCapacityPressure:
     def test_findings_match_replay_oracle(self, tight_nvram):
         kwargs = dict(workload="churn", seed=0, ops=60, max_points=24,
                       verify_repair=True)
-        report = explore(tight_nvram, jobs=1, **kwargs)
+        report = explore(tight_nvram, **kwargs)
         assert report.findings == replay_findings(tight_nvram, **kwargs)
         assert report.clean and not report.corruption_points
 

@@ -240,7 +240,7 @@ def test_journal_never_leaks_planted_secrets(workload):
     """Every free fragment is filled with a marker before the victim
     workload runs; no crash point -- including mid-checkpoint partial
     writes -- may leave a file exposing it through replayed blocks."""
-    report = explore("journal", workload, seed=0, jobs=1, max_points=60,
+    report = explore("journal", workload, seed=0, max_points=60,
                      secrets=True)
     assert report.exit_status == 0, \
         [(f.index, f.label) for f in report.unexpected_findings][:5]
