@@ -10,6 +10,10 @@ done.  Writes become persistent in the :class:`SectorStore` at transfer
 completion; a crash mid-transfer applies the sector prefix that had already
 passed under the head (see ``in_flight`` and ``repro.integrity.crash``).
 
+An injected fault is one outcome of that same media operation, not a
+second path; the drawn :class:`~repro.faults.Fault` is left on
+``disk.sense`` for the driver's recovery policy.
+
 One :class:`InFlightWrite` describes one write transfer, and it is the only
 description: it sits on ``disk.in_flight`` while the transfer runs, is
 stamped with ``end`` and ``durable`` when the media operation ends, and is
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
-from repro.faults import Fault, FaultInjector, FaultKind, SenseData
+from repro.faults import Fault, FaultInjector, FaultKind
 from repro.sim.engine import Engine
 from repro.disk.cache import PrefetchCache
 from repro.disk.geometry import DiskGeometry
@@ -164,16 +168,24 @@ class Disk:
         self.write_observers: list[Callable[[InFlightWrite], None]] = []
         #: attach a repro.faults.FaultInjector to make the media unreliable
         self.faults: Optional[FaultInjector] = None
-        #: SCSI-style sense for the last service(); None means it succeeded
-        self.sense: Optional[SenseData] = None
+        #: the sense of the last service(): the Fault the injector drew for
+        #: it (SCSI-style sense data), None when it succeeded
+        self.sense: Optional[Fault] = None
 
     # ------------------------------------------------------------------
     def service(self, lbn: int, nsectors: int, is_write: bool,
                 data: Optional[bytes] = None) -> Generator:
         """Perform one media operation; returns the service time in seconds.
 
-        For writes, *data* must be ``nsectors * sector_size`` bytes and is
-        applied to the sector store at transfer completion.
+        For writes, *data* must be ``nsectors * sector_size`` bytes; the
+        sector prefix that survives is applied to the sector store at
+        transfer completion -- every sector when the write succeeds.  With
+        an injector attached the fate is drawn once, before the mechanics:
+        a doomed operation still seeks, rotates and transfers up to its
+        failure point (a timeout costs only the controller's penalty), a
+        torn or medium-error write keeps the prefix before the failing
+        sector, a transient keeps nothing, and only successes reach the
+        prefetch cache and the completed-operation stats.
         """
         if is_write:
             if data is None:
@@ -183,15 +195,17 @@ class Disk:
                     f"write data is {len(data)} bytes; expected "
                     f"{nsectors * self.geometry.sector_size}")
         if self.instant:
-            self._finish(lbn, nsectors, is_write, data)
+            if is_write:
+                self.write_now(lbn, data)
+            else:
+                self.cache.insert_after_read(lbn, nsectors)
             return 0.0
         start = self.engine.now
         if is_write:
             self.stats.writes_started += 1
         else:
             self.stats.reads_started += 1
-        if self.faults is not None:
-            self.sense = None
+        self.sense = None
 
         if not is_write and self.cache.lookup(lbn, nsectors):
             # on-board cache hit: controller overhead + bus transfer only,
@@ -209,59 +223,11 @@ class Disk:
                     args={"lbn": lbn, "nsectors": nsectors})
             return self.engine.now - start
 
+        fault = None
         if self.faults is not None:
-            fault = self.faults.draw(lbn, nsectors, is_write)
-            if fault is not None:
-                result = yield from self._service_faulted(
-                    fault, lbn, nsectors, is_write, data, start)
-                return result
-
-        cylinder, _head, sector = self.geometry.decompose(lbn)
-        seek = self.params.seek_time(self._current_cylinder, cylinder)
-        arrival = start + self.params.controller_overhead + seek
-        rotation = self.params.rotational_delay(self.geometry, arrival, sector)
-        transfer = self.params.transfer_time(self.geometry, nsectors)
-
-        if is_write:
-            yield self.engine.timeout(
-                self.params.controller_overhead + seek + rotation)
-            self._begin_transfer(lbn, nsectors, data)
-            yield self.engine.timeout(transfer)
-            self._end_transfer(nsectors)
-        else:
-            yield self.engine.timeout(
-                self.params.controller_overhead + seek + rotation + transfer)
-
-        self._finish(lbn, nsectors, is_write, data)
-        if is_write:
-            self.stats.writes += 1
-            self.stats.sectors_written += nsectors
-        else:
-            self.stats.reads += 1
-            self.stats.sectors_read += nsectors
-        self._current_cylinder = self.geometry.cylinder_of(lbn + nsectors - 1)
-        self._account(start, seek, rotation, transfer)
-        if self._obs is not None:
-            self._record_service(start, seek, rotation, transfer,
-                                 lbn, nsectors, is_write)
-        return self.engine.now - start
-
-    # ------------------------------------------------------------------
-    def _service_faulted(self, fault: Fault, lbn: int, nsectors: int,
-                         is_write: bool, data: Optional[bytes],
-                         start: float) -> Generator:
-        """Serve one media operation that the injector has doomed.
-
-        The mechanical time really passes (a failing operation still seeks,
-        rotates, and transfers up to the failure point), torn/medium writes
-        persist their sector prefix through :meth:`SectorStore.write_partial`,
-        and the drive holds :class:`SenseData` for the driver to inspect.
-        Nothing is inserted into the prefetch cache and completed-operation
-        stats are not credited.
-        """
-        kind = fault.kind
+            fault = self.sense = self.faults.draw(lbn, nsectors, is_write)
         applied = 0
-        if kind is FaultKind.TIMEOUT:
+        if fault is not None and fault.kind is FaultKind.TIMEOUT:
             # the controller gives up before the mechanics do anything
             seek = rotation = transfer = 0.0
             yield self.engine.timeout(self.faults.plan.timeout_penalty)
@@ -271,15 +237,15 @@ class Disk:
             arrival = start + self.params.controller_overhead + seek
             rotation = self.params.rotational_delay(self.geometry, arrival,
                                                     sector)
+            transfer = self.params.transfer_time(self.geometry, nsectors)
             if is_write:
-                if kind is FaultKind.TRANSIENT:
-                    # full pass under the head, write current disabled:
-                    # nothing reaches the platters
-                    transfer = self.params.transfer_time(self.geometry,
-                                                         nsectors)
-                else:
+                if fault is None:
+                    applied = nsectors
+                elif fault.kind is not FaultKind.TRANSIENT:
                     # torn write / medium error: the transfer stops at the
-                    # failing sector, leaving a persistent prefix
+                    # failing sector, leaving a persistent prefix (a
+                    # transient passes every sector under the head with
+                    # the write current off)
                     applied = min(fault.sectors_applied, nsectors)
                     transfer = applied * self.params.sector_period(
                         self.geometry)
@@ -288,33 +254,44 @@ class Disk:
                 self._begin_transfer(lbn, nsectors, data)
                 if transfer:
                     yield self.engine.timeout(transfer)
-                if applied:
-                    self.storage.write_partial(lbn, data, applied)
+                self.storage.write_partial(lbn, data, applied)
                 self._end_transfer(applied)
                 self.cache.invalidate(lbn, nsectors)
             else:
-                transfer = self.params.transfer_time(self.geometry, nsectors)
                 yield self.engine.timeout(
                     self.params.controller_overhead + seek + rotation
                     + transfer)
+                if fault is None:
+                    self.cache.insert_after_read(lbn, nsectors)
             self._current_cylinder = self.geometry.cylinder_of(
                 lbn + nsectors - 1)
+
+        self._account(start, seek, rotation, transfer)
+        if fault is None:
+            if is_write:
+                self.stats.writes += 1
+                self.stats.sectors_written += nsectors
+            else:
+                self.stats.reads += 1
+                self.stats.sectors_read += nsectors
+            if self._obs is not None:
+                self._record_service(start, seek, rotation, transfer,
+                                     lbn, nsectors, is_write)
+            return self.engine.now - start
 
         if is_write:
             self.stats.write_faults += 1
         else:
             self.stats.read_faults += 1
-        self.sense = SenseData(code=kind.value, bad_lbn=fault.bad_lbn,
-                               sectors_applied=applied)
+        kind = fault.kind.value
         self.faults.injected += 1
         self.faults.log(self.engine.now, "inject",
-                        f"{kind.value} {'write' if is_write else 'read'} "
+                        f"{kind} {'write' if is_write else 'read'} "
                         f"lbn={lbn} nsectors={nsectors} applied={applied}")
-        self._account(start, seek, rotation, transfer)
         if self._obs is not None:
             self._obs.tracer.record(
                 "disk.fault", "disk", start, self.engine.now, "drive",
-                args={"lbn": lbn, "nsectors": nsectors, "kind": kind.value})
+                args={"lbn": lbn, "nsectors": nsectors, "kind": kind})
         return self.engine.now - start
 
     def _begin_transfer(self, lbn: int, nsectors: int, data: bytes) -> None:
@@ -370,14 +347,6 @@ class Disk:
         if transfer:
             record("transfer", "disk", at, at + transfer, "drive",
                    parent=outer.id)
-
-    def _finish(self, lbn: int, nsectors: int, is_write: bool,
-                data: Optional[bytes]) -> None:
-        if is_write:
-            self.storage.write(lbn, data)
-            self.cache.invalidate(lbn, nsectors)
-        else:
-            self.cache.insert_after_read(lbn, nsectors)
 
     def _account(self, start: float, seek: float, rotation: float,
                  transfer: float) -> None:

@@ -40,7 +40,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Optional
 
-from repro.faults import EIO, EXHAUSTED, NOSPARE
+from repro.faults import EIO, EXHAUSTED, NOSPARE, FaultKind
 from repro.sim.engine import Engine
 from repro.sim.primitives import WaitQueue
 from repro.disk.drive import Disk
@@ -361,12 +361,12 @@ class DeviceDriver:
             return
         attempts = 0
         while sense is not None:
-            if sense.code == "medium":
+            if sense.kind is FaultKind.MEDIUM:
                 if not is_write:
-                    self._fail_batch(batch, EIO, sense.code)
+                    self._fail_batch(batch, EIO, sense.kind)
                     return
                 if not disk.reassign_block(sense.bad_lbn):
-                    self._fail_batch(batch, NOSPARE, sense.code)
+                    self._fail_batch(batch, NOSPARE, sense.kind)
                     return
                 self.remaps += 1
             else:
@@ -374,25 +374,25 @@ class DeviceDriver:
                 if attempts > self.max_retries:
                     self._fail_batch(batch,
                                      EXHAUSTED if is_write else EIO,
-                                     sense.code)
+                                     sense.kind)
                     return
                 yield self.engine.timeout(self.retry_backoff * attempts)
             self.retries += 1
             disk.faults.log(self.engine.now, "retry",
                             f"{'write' if is_write else 'read'} lbn={lbn} "
-                            f"after {sense.code} (attempt {attempts})")
+                            f"after {sense.kind.value} (attempt {attempts})")
             yield from disk.service(lbn, nsectors, is_write, data)
             sense = disk.sense
 
     def _fail_batch(self, batch: list[DiskRequest], code: str,
-                    sense_code: str) -> None:
+                    kind: FaultKind) -> None:
         """Mark every request in a doomed batch with a typed error code."""
         self.io_errors += len(batch)
         for request in batch:
             request.error = code
         self.disk.faults.log(
             self.engine.now, "io_error",
-            f"{code} ({sense_code}) ids={[r.id for r in batch]} "
+            f"{code} ({kind.value}) ids={[r.id for r in batch]} "
             f"lbn={batch[0].lbn}")
 
     def _record_batch(self, batch: list[DiskRequest]) -> None:

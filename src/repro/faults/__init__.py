@@ -81,22 +81,17 @@ def is_retryable(code: Optional[str]) -> bool:
 
 @dataclass(frozen=True)
 class Fault:
-    """One injected fault, decided before the media operation starts."""
+    """One injected fault, decided before the media operation starts.
+
+    The drive leaves it on ``disk.sense`` (SCSI-style sense data) for the
+    driver's recovery policy to read.
+    """
 
     kind: FaultKind
     #: sectors that reach the platters before the failure (writes only)
     sectors_applied: int = 0
     #: the defective sector for MEDIUM faults
     bad_lbn: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SenseData:
-    """SCSI-style sense the drive holds for the command just completed."""
-
-    code: str                       # FaultKind value
-    bad_lbn: Optional[int] = None   # medium errors: the defective sector
-    sectors_applied: int = 0        # writes: prefix that reached the media
 
 
 @dataclass(frozen=True)
@@ -258,6 +253,5 @@ PROFILES = {
 
 __all__ = [
     "EIO", "EXHAUSTED", "NOSPARE", "Fault", "FaultEvent", "FaultInjector",
-    "FaultKind", "FaultPlan", "MediaError", "PROFILES", "SenseData",
-    "is_retryable",
+    "FaultKind", "FaultPlan", "MediaError", "PROFILES", "is_retryable",
 ]

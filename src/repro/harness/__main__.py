@@ -55,6 +55,10 @@ def compare_main(argv: list[str]) -> int:
         print("usage: python -m repro.harness "
               "[trace ... | faults ... | [scale]]", file=sys.stderr)
         return 2
+    if not scale > 0:
+        print(f"usage: python -m repro.harness [scale]: scale must be "
+              f"positive, got {argv[1]}", file=sys.stderr)
+        return 2
     tree = TreeSpec().scaled(scale)
     cache = max(1 << 20, int(FULL_CACHE_BYTES * scale))
     print(f"# 4-user copy/remove at scale {scale} "
@@ -105,6 +109,10 @@ def trace_main(argv: list[str]) -> int:
     parser.add_argument("--out", default="results/traces",
                         help="output directory (default results/traces)")
     args = parser.parse_args(argv)
+    if not args.scale > 0:
+        parser.error("--scale must be positive")
+    if args.users < 1:
+        parser.error("--users must be at least 1")
 
     scheme = _resolve_scheme(args.scheme)
     tree = TreeSpec().scaled(args.scale)

@@ -239,8 +239,7 @@ def classify_image(image, auditor: Auditor, secrets: bool,
     also repair to a state that auditor finds consistent."""
     report = auditor.audit(image)
     geometry = auditor.geometry
-    leaks = (find_secret_leaks(image, geometry, report.inodes)
-             if secrets else [])
+    leaks = find_secret_leaks(image, geometry, report) if secrets else []
     violations = classify_report(report, leaks)
     if repairs is not None and not any(v.is_corruption for v in violations):
         # the paper's recovery story: every error-free image must come out

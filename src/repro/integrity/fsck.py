@@ -94,6 +94,10 @@ class FsckReport:
     inodes: dict[int, Dinode] = field(default_factory=dict)
     #: path-ish names discovered, for tests: ino -> list of (dir ino, name)
     references: dict[int, list[tuple[int, str]]] = field(default_factory=dict)
+    #: the scan of the image's log the audit recovered it through (None
+    #: without a journal area): its overlay and the head transaction's
+    #: not-yet-committed images
+    journal: journal.ScanResult | None = None
 
     @property
     def errors(self) -> list[str]:
@@ -186,16 +190,23 @@ class _JournalView:
         return bytes(out)
 
 
-def journal_overlay_view(image: SectorStore, geo: FSGeometry):
-    """*image* as recovery would leave it (identity when there is no log)."""
+def scan_log(image: SectorStore,
+             geo: FSGeometry) -> journal.ScanResult | None:
+    """The forward scan of *image*'s log (None when there is no log)."""
     if not geo.journal_frags:
-        return image
+        return None
     spf = geo.frag_size // image.geometry.sector_size
-    result = journal.scan_journal(
+    return journal.scan_journal(
         lambda daddr, n: image.read(daddr * spf, n * spf), geo)
-    if not result.overlay:
+
+
+def journal_overlay_view(image: SectorStore, geo: FSGeometry,
+                         scan: journal.ScanResult | None):
+    """*image* as recovery would leave it, given *scan*, the scan of its
+    log (identity when the log holds nothing committed)."""
+    if scan is None or not scan.overlay:
         return image
-    return _JournalView(image, geo, result.overlay)
+    return _JournalView(image, geo, scan.overlay)
 
 
 def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
@@ -888,7 +899,10 @@ class Auditor:
             previous = None
         # a journaling image is audited in its *recovered* state: raw image
         # plus the committed log overlay (identity for journal-less layouts)
-        checker = _Checker(journal_overlay_view(image, geo), geo, previous)
+        scan = scan_log(image, geo)
+        checker = _Checker(journal_overlay_view(image, geo, scan), geo,
+                           previous)
+        checker.report.journal = scan
         checker.scan_inodes()
         if ROOT_INO in checker.report.inodes:
             checker.scan_directories()

@@ -31,9 +31,9 @@ Journaling: fsck audits a journaling image in its *recovered* state (raw
 image plus committed log overlay), so lazy checkpoints -- home writes
 arbitrarily later than their commits -- never trip a structural rule.
 ``journal-checkpoint-order`` is the one rule that view cannot show: the
-pass keeps the head transaction's not-yet-committed images (the journal
-scan's ``open_images``, rescanned when a write touches the log region) and
-compares home writes to them.
+pass compares home writes to the head transaction's not-yet-committed
+images, the ``open_images`` of the log scan the previous audit recovered
+its image through (``FsckReport.journal``) -- only the audit scans the log.
 
 Per-scheme rulesets derive from :class:`~repro.ordering.guarantees.
 CrashGuarantees`: every rule above guards corruption-class state, so a hit
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fs import journal
 from repro.integrity.fsck import Auditor
 from repro.integrity.medialog import ImageSynthesizer
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
@@ -139,19 +138,18 @@ def monitor_violations(recorded, geometry,
     auditor = Auditor(geometry)
     violations: list[OrderingViolation] = []
     errors = allocated = frozenset()
-    # the head transaction's not-yet-committed images (checkpoint rule),
-    # and the home frags currently in breach of it
-    journal_open = (_journal_open(recorded.base_image, geometry, spf)
-                    if geometry.journal_frags else {})
+    # the head transaction's not-yet-committed images in the previous
+    # audit's log scan (checkpoint rule), and the home frags currently in
+    # breach of it
+    journal_open: dict[int, bytes] = {}
     early: set[int] = set()
     for write, image in _media_states(recorded):
         window = ((0.0, -1, 0) if write is None
                   else (write.end, write.lbn, write.nsectors))
         fired = []
-        if write is not None and geometry.journal_frags:
-            frags = range(write.lbn // spf,
-                          (write.lbn + write.durable - 1) // spf + 1)
-            for frag in frags:
+        if write is not None and journal_open:
+            for frag in range(write.lbn // spf,
+                              (write.lbn + write.durable - 1) // spf + 1):
                 want = journal_open.get(frag)
                 if (want is not None and frag not in early
                         and image.read(frag * spf, spf) == want):
@@ -160,10 +158,6 @@ def monitor_violations(recorded, geometry,
                         "journal-checkpoint-order",
                         f"fragment {frag} checkpointed home before its "
                         f"transaction's commit record is durable"))
-            if frags[-1] >= geometry.journal_start:
-                # the log changed: a commit or retire closes the open set
-                journal_open = _journal_open(image, geometry, spf)
-                early &= journal_open.keys()
         report = auditor.audit(image)
         found = dict.fromkeys(finding for finding in report.findings
                               if finding.is_corruption)
@@ -177,17 +171,11 @@ def monitor_violations(recorded, geometry,
             fired.append((rule, finding.message))
         errors = frozenset(found)
         allocated = frozenset(report.inodes)
+        # a commit or retire closes the open set
+        journal_open = (report.journal.open_images
+                        if report.journal is not None else {})
+        early &= journal_open.keys()
         violations += [OrderingViolation(
             rule, message, *window, expected=guarantees.allows_corruption)
             for rule, message in fired]
     return violations
-
-
-def _journal_open(image, geometry, spf: int) -> dict[int, bytes]:
-    """Home frag -> logged bytes for the head transaction (valid
-    descriptor, no commit record yet) of *image*'s log, if it has one: a
-    home write matching one is a checkpoint running ahead of its commit
-    record."""
-    return journal.scan_journal(
-        lambda daddr, nfrags: image.read(daddr * spf, nfrags * spf),
-        geometry).open_images

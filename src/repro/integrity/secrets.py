@@ -18,7 +18,12 @@ import struct
 from repro.disk.storage import SectorStore
 from repro.fs.alloc import CgView, set_bits
 from repro.fs.layout import FileType, FSGeometry
-from repro.integrity.fsck import fsck, journal_overlay_view, valid_data_frag
+from repro.integrity.fsck import (
+    FsckReport,
+    fsck,
+    journal_overlay_view,
+    valid_data_frag,
+)
 from repro.integrity.invariants import Violation, finding
 
 SECRET = b"\xde\xad\xf1\x1e"  # repeated to fill fragments
@@ -46,13 +51,14 @@ def plant_secrets(image: SectorStore, geometry: FSGeometry) -> int:
 
 def find_secret_leaks(image: SectorStore,
                       geometry: FSGeometry | None = None,
-                      inodes: dict | None = None) -> list[Violation]:
+                      report: FsckReport | None = None) -> list[Violation]:
     """Files whose readable contents still contain the planted marker, one
-    ``stale-data`` finding per exposing block.  *inodes* is the allocated
-    inode table of an audit the caller already ran (``FsckReport.inodes``);
-    without it the walk audits the image itself.
+    ``stale-data`` finding per exposing block.  *report* is an audit of
+    *image* the caller already ran; the walk takes its allocated inode
+    table (``inodes``) and its log scan (``journal``) from there, and
+    without it audits the image itself.
 
-    The audit runs on the *recovered* view: journaling leaves committed
+    The walk reads the *recovered* view: journaling leaves committed
     metadata (indirect blocks included) in the log with home still
     holding a previous owner's bytes, and recovery replays the log before
     any file is readable -- so, like fsck, the walk reads through the
@@ -61,12 +67,12 @@ def find_secret_leaks(image: SectorStore,
     pointer's garbage here would just crash the auditor).
     """
     geometry = geometry or FSGeometry()
-    if inodes is None:
-        inodes = fsck(image, geometry).inodes
-    image = journal_overlay_view(image, geometry)
+    if report is None:
+        report = fsck(image, geometry)
+    image = journal_overlay_view(image, geometry, report.journal)
     spf = _spf(image, geometry)
     leaks: list[Violation] = []
-    for ino, din in inodes.items():
+    for ino, din in report.inodes.items():
         if din.safe_ftype is not FileType.REGULAR:
             continue
         remaining = din.size

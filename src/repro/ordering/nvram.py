@@ -4,13 +4,20 @@
 improvements as compared to soft updates (by reducing syncer daemon
 activity), but is very expensive."
 
-Model: every metadata update is mirrored, atomically and instantly, into a
-battery-backed store that survives power failure.  No write ordering is
-needed at all -- the NVRAM always holds the latest consistent metadata --
-and the dirty blocks destage to the disk lazily through the normal syncer
-path, dropping their NVRAM copy once the disk catches up.  Crash recovery
+Model: every structural metadata update -- inodes, directory blocks,
+indirect blocks, and the cylinder-group headers of frees -- is mirrored,
+atomically and instantly, into a battery-backed store that survives power
+failure.  No write ordering is needed for structural soundness, and the
+dirty blocks destage to the disk lazily through the normal syncer path,
+dropping their NVRAM copy once the disk catches up.  Crash recovery
 replays the surviving NVRAM over the disk image
 (:meth:`NvramScheme.apply_to_image`, consulted by ``repro.integrity.crash``).
+
+What recovery sees is never corrupt, but it is not always the latest
+metadata: an allocation dirties its cylinder-group header and neither
+``link_added`` nor ``block_allocated`` mirrors it, so a crash before that
+header destages leaves in-use inodes and fragments marked free -- the
+repairable ``bitmap-stale`` wear fsck fixes, within the declaration.
 
 The capacity limit is what makes NVRAM "very expensive": when the store is
 full, a metadata update must wait for a destage, so an under-provisioned
@@ -30,9 +37,10 @@ from repro.ordering.guarantees import CrashGuarantees
 class NvramScheme(OrderingScheme):
     """Delayed writes with an NVRAM mirror of all metadata updates."""
 
-    # the replayed mirror always holds the latest consistent metadata, so
-    # recovery sees neither corruption nor leaks; only the data-block
-    # stale-data hole stays open (metadata-only NVRAM, see below)
+    # the replayed mirror keeps the image free of corruption; allocation
+    # bitmaps may lag (headers of allocations are not mirrored, see the
+    # module docstring) and the data-block stale-data hole stays open
+    # (metadata-only NVRAM, see below): repairable wear, both declared
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
     name = "NVRAM"

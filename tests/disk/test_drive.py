@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.disk import Disk, DiskGeometry, DiskParameters
-from repro.faults import FaultPlan
+from repro.faults import Fault, FaultKind, FaultPlan
 from repro.sim import Engine
 
 
@@ -158,7 +158,7 @@ def test_faulted_operations_counted_separately(eng, disk):
     assert disk.stats.writes == 0          # never completed
     assert disk.stats.write_faults == 1
     assert disk.stats.sectors_written == 0
-    assert disk.sense is not None and disk.sense.code == "transient"
+    assert disk.sense == Fault(FaultKind.TRANSIENT)
 
 
 class HeldWrites(Disk):
@@ -226,7 +226,7 @@ def test_every_started_transfer_reaches_every_observer_once(rates, seed):
         assert len(into) == len(disk.held)
         assert all(a is b for a, b in zip(into, disk.held))
     started = [o for o in outcomes
-               if o[3] is None or o[3].code != "timeout"]
+               if o[3] is None or o[3].kind is not FaultKind.TIMEOUT]
     assert len(started) == len(disk.held)
     assert len(outcomes) - len(started) == sum(
         1 for event in disk.faults.events
@@ -238,3 +238,50 @@ def test_every_started_transfer_reaches_every_observer_once(rates, seed):
                                  else sense.sectors_applied)
     assert sum(w.durable for w in disk.held if w.durable == w.nsectors) \
         == disk.stats.sectors_written
+
+
+#: one request, doomed by each plan: (rates, is_write)
+DOOMED = {
+    "transient-read": ({"transient_read_rate": 1.0}, False),
+    "latent-defect-read": ({"latent_defect_rate": 1.0}, False),
+    "transient-write": ({"transient_write_rate": 1.0}, True),
+    "torn-write": ({"torn_write_rate": 1.0}, True),
+}
+
+
+@pytest.mark.parametrize("rates,is_write", DOOMED.values(), ids=DOOMED)
+def test_a_doomed_request_runs_the_clean_mechanics(rates, is_write):
+    """A fault is one outcome of the media operation, not another
+    operation: the same request on a clean drive and on one whose plan
+    dooms it seeks and rotates alike and leaves the head on the same
+    cylinder; only a torn write's transfer stops early, at the failing
+    sector, and a faulted read caches nothing."""
+    lbn, nsectors = 400_000, 8
+    data = bytes(range(256)) * 16 if is_write else None
+    drives = []
+    for plan in (None, FaultPlan(seed=7, **rates)):
+        eng = Engine()
+        disk = Disk(eng)
+        disk.faults = plan and plan.build()
+        disk.cache.insert_after_read(1000, 8)  # a segment the read must keep
+        before = disk.cache.segments
+        run_io(eng, disk, lbn, nsectors, is_write, data)
+        drives.append((disk, before))
+    (clean, _), (doomed, before) = drives
+    assert clean.sense is None and doomed.sense is not None
+    assert clean.stats.seek_time > 0
+    assert doomed.stats.seek_time == clean.stats.seek_time
+    assert doomed.stats.rotation_time == clean.stats.rotation_time
+    assert doomed._current_cylinder == clean._current_cylinder
+    if doomed.sense.kind is FaultKind.TORN:
+        applied = doomed.sense.sectors_applied
+        assert 0 < applied < nsectors
+        assert doomed.stats.transfer_time == applied * doomed.params.\
+            sector_period(doomed.geometry)
+    else:
+        assert doomed.stats.transfer_time == clean.stats.transfer_time
+    if is_write:
+        assert doomed.cache.segments == clean.cache.segments
+    else:
+        assert clean.cache.segments != before
+        assert doomed.cache.segments == before

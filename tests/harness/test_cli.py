@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -41,3 +43,27 @@ def test_cli_unknown_word_is_a_usage_error_not_a_traceback():
         assert len(completed.stderr.splitlines()) == 1
         for subcommand in ("trace", "faults", "[scale]"):
             assert subcommand in completed.stderr
+
+
+def test_cli_non_positive_scale_is_a_usage_error():
+    completed = run_cli("-1")
+    assert completed.returncode == 2
+    assert completed.stdout == ""
+    assert completed.stderr.startswith("usage:")
+    assert "scale must be positive" in completed.stderr
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--users", "0", "--users must be at least 1"),
+    ("--scale", "-0.5", "--scale must be positive"),
+], ids=["no-users", "negative-scale"])
+def test_trace_out_of_range_option_is_a_usage_error(flag, value, named,
+                                                    tmp_path):
+    """A cell that cannot run is refused before anything runs or is
+    written."""
+    completed = run_cli("trace", "copy", flag, value, "--out", str(tmp_path))
+    assert completed.returncode == 2
+    assert completed.stdout == ""
+    assert named in completed.stderr
+    assert "Traceback" not in completed.stderr
+    assert not any(tmp_path.iterdir())

@@ -39,7 +39,7 @@ from repro.integrity.explorer import (
     build_workload,
     enumerate_crash_points,
 )
-from repro.integrity.fsck import Auditor, fsck, journal_overlay_view
+from repro.integrity.fsck import Auditor, fsck, scan_log
 from repro.integrity.medialog import ImageSynthesizer
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 from tests.integrity.test_fsck import build_populated_machine, poke
@@ -183,10 +183,11 @@ def test_an_edit_of_the_log_is_seen_by_the_next_audit():
     image = next(image for image in (
         synthesizer.image_at(point.time).snapshot()
         for point in enumerate_crash_points(recorded, samples_per_write=0))
-        if journal_overlay_view(image, geo) is not image)
+        if scan_log(image, geo).overlay)
     auditor = Auditor(geo)
     before = auditor.audit(image)
     assert auditor.audit(image) is before
+    assert before.journal == scan_log(image, geo)  # the scan it audited
     # one byte of the transaction's first log sector: it no longer checks
     _seq, position = journal.parse_header(
         image.read(geo.journal_start * spf, spf))
@@ -194,9 +195,9 @@ def test_an_edit_of_the_log_is_seen_by_the_next_audit():
     sector = bytearray(image.read(lbn))
     sector[0] ^= 0xFF
     image.write(lbn, bytes(sector))
-    assert journal_overlay_view(image, geo) is image
+    assert not scan_log(image, geo).overlay
     after = auditor.audit(image)
-    assert after is not before
+    assert after is not before and not after.journal.overlay
     assert _seen(after) == _seen(fsck(image, geo))
 
 

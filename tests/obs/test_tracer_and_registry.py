@@ -1,6 +1,7 @@
 """Unit tests for the span tracer, the metrics table and the exports."""
 
 import functools
+import json
 
 import pytest
 
@@ -148,6 +149,14 @@ class TestMetricsTable:
         snap = machine.obs.snapshot()
         assert snap["disk.faults"] == machine.disk.faults.injected > 0
         assert snap["driver.retries"] == machine.driver.retries > 0
+        # the exported trace is valid and shows each injected fault as
+        # one disk.fault span
+        doc = json.loads(json.dumps(trace_events(machine.obs, "faults")))
+        assert validate_trace_events(doc) > 0
+        faults = [event for event in doc["traceEvents"]
+                  if event["name"] == "disk.fault"]
+        assert len(faults) == machine.disk.faults.injected
+        assert {event["args"]["kind"] for event in faults} == {"transient"}
 
     @pytest.mark.parametrize("scheme_name", ["conventional", "softupdates"])
     def test_counts_do_not_depend_on_tracing(self, scheme_name):
