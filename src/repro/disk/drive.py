@@ -212,7 +212,7 @@ class Disk:
             # and never a media fault -- the platters are not touched
             service = (self.params.controller_overhead
                        + self.params.bus_time(self.geometry, nsectors))
-            yield self.engine.timeout(service)
+            yield from self.engine.hold(service)
             self.stats.reads += 1
             self.stats.sectors_read += nsectors
             self.stats.cache_hit_reads += 1
@@ -230,7 +230,7 @@ class Disk:
         if fault is not None and fault.kind is FaultKind.TIMEOUT:
             # the controller gives up before the mechanics do anything
             seek = rotation = transfer = 0.0
-            yield self.engine.timeout(self.faults.plan.timeout_penalty)
+            yield from self.engine.hold(self.faults.plan.timeout_penalty)
         else:
             cylinder, _head, sector = self.geometry.decompose(lbn)
             seek = self.params.seek_time(self._current_cylinder, cylinder)
@@ -249,16 +249,16 @@ class Disk:
                     applied = min(fault.sectors_applied, nsectors)
                     transfer = applied * self.params.sector_period(
                         self.geometry)
-                yield self.engine.timeout(
+                yield from self.engine.hold(
                     self.params.controller_overhead + seek + rotation)
                 self._begin_transfer(lbn, nsectors, data)
                 if transfer:
-                    yield self.engine.timeout(transfer)
+                    yield from self.engine.hold(transfer)
                 self.storage.write_partial(lbn, data, applied)
                 self._end_transfer(applied)
                 self.cache.invalidate(lbn, nsectors)
             else:
-                yield self.engine.timeout(
+                yield from self.engine.hold(
                     self.params.controller_overhead + seek + rotation
                     + transfer)
                 if fault is None:

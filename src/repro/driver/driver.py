@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from collections import deque
 from typing import Optional
 
 from repro.faults import EIO, EXHAUSTED, NOSPARE, FaultKind
@@ -83,11 +82,13 @@ class DeviceDriver:
         # what the ordering policy allows (a driver invariant: with the -CB
         # block-copy enhancement or freed-block reuse, two in-queue writes
         # can cover the same sectors, and dispatching the younger one first
-        # would let stale bytes land last).  sector -> ids in issue order;
-        # deques because completion always retires the head (dispatch is
-        # gated on being first everywhere, so completions pop left).  The
-        # only per-sector record of the write queue: -NR reads ask it too.
-        self._write_fifo: dict[int, deque[int]] = {}
+        # would let stale bytes land last).  sector -> ids in issue order.
+        # Completion always retires the head (dispatch is gated on being
+        # first everywhere); plain lists, because a one-id list is cheaper
+        # to build than a deque and the queues stay a few dozen ids deep,
+        # so the head delete is cheap.  The only per-sector record of the
+        # write queue: -NR reads ask it too.
+        self._write_fifo: dict[int, list[int]] = {}
         # -- the eligibility index (see module docstring) ------------------
         self._eligible: dict[int, DiskRequest] = {}
         self._eligible_keys: list[tuple[int, int]] = []
@@ -126,7 +127,7 @@ class DeviceDriver:
             for sector in range(request.lbn, request.end_lbn):
                 fifo = self._write_fifo.get(sector)
                 if fifo is None:
-                    self._write_fifo[sector] = deque((request.id,))
+                    self._write_fifo[sector] = [request.id]
                 else:
                     fifo.append(request.id)
         if self._informs_policy:
@@ -310,9 +311,10 @@ class DeviceDriver:
                         ids = self._write_fifo[sector]
                         # dispatch is gated on being first everywhere, so
                         # the completing write is the head in each FIFO
-                        ids.popleft()
-                        if not ids:
+                        if len(ids) == 1:
                             del self._write_fifo[sector]
+                        else:
+                            del ids[0]
                 if self._informs_policy:
                     self.policy.on_complete(request)
                 self.trace.append(request)

@@ -277,7 +277,7 @@ class FileSystem:
             if not ip.is_dir:
                 self.iput(ip)
                 raise FsError("ENOTDIR", path)
-            yield ip.lock.acquire()
+            yield from ip.lock.acquire()
             try:
                 found = yield from self._dir_lookup(ip, part)
             finally:
@@ -589,7 +589,7 @@ class FileSystem:
         """Create a regular file; returns an :class:`OpenFile`."""
         yield from self._enter()
         dp, name = yield from self.namei_parent(path)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             existing = yield from self._dir_lookup(dp, name)
             if existing is not None:
@@ -618,7 +618,7 @@ class FileSystem:
         """Create a directory."""
         yield from self._enter()
         dp, name = yield from self.namei_parent(path)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             existing = yield from self._dir_lookup(dp, name)
             if existing is not None:
@@ -660,7 +660,7 @@ class FileSystem:
         """Remove a file's directory entry (and the file at zero links)."""
         yield from self._enter()
         dp, name = yield from self.namei_parent(path)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             entry = yield from self._dir_lookup(dp, name)
             if entry is None:
@@ -684,7 +684,7 @@ class FileSystem:
         """Remove an empty directory."""
         yield from self._enter()
         dp, name = yield from self.namei_parent(path)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             entry = yield from self._dir_lookup(dp, name)
             if entry is None:
@@ -718,7 +718,7 @@ class FileSystem:
             self.iput(ip)
             raise FsError("EISDIR", existing)
         dp, name = yield from self.namei_parent(newpath)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             clash = yield from self._dir_lookup(dp, name)
             if clash is not None:
@@ -753,7 +753,7 @@ class FileSystem:
                 self.iput(target)
                 raise
         dp, name = yield from self.namei_parent(newpath)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             target.din.nlink += 1
             dbuf, offset = yield from self._dir_add_entry(
@@ -820,7 +820,7 @@ class FileSystem:
         """Write *data* at the handle's offset; returns bytes written."""
         yield from self._enter()
         ip = handle.ip
-        yield ip.lock.acquire()
+        yield from ip.lock.acquire()
         try:
             yield from self.cpu.compute(self.costs.copy_bytes(len(data)))
             bs = self.geometry.block_size
@@ -854,7 +854,7 @@ class FileSystem:
         """Read up to *nbytes* from the handle's offset."""
         yield from self._enter()
         ip = handle.ip
-        yield ip.lock.acquire()
+        yield from ip.lock.acquire()
         try:
             bs = self.geometry.block_size
             position = handle.offset
@@ -920,7 +920,7 @@ class FileSystem:
         if not dp.is_dir:
             self.iput(dp)
             raise FsError("ENOTDIR", path)
-        yield dp.lock.acquire()
+        yield from dp.lock.acquire()
         try:
             names = []
             for lblk in range(self._dir_nblocks(dp)):
@@ -946,7 +946,7 @@ class FileSystem:
         if ip.is_dir:
             self.iput(ip)
             raise FsError("EISDIR", path)
-        yield ip.lock.acquire()
+        yield from ip.lock.acquire()
         try:
             runs = yield from self.collect_blocks(ip)
             self.clear_block_pointers(ip)

@@ -120,7 +120,7 @@ class JournalScheme(OrderingScheme):
         make home blocks newer than their logged images, and a replay at
         the next mount must not regress them.
         """
-        yield self._lock.acquire()
+        yield from self._lock.acquire()
         try:
             if self._degraded or not self._pending:
                 return
@@ -270,7 +270,7 @@ class JournalScheme(OrderingScheme):
         safe, because the freed runs only reach the allocator after the
         hook returns.
         """
-        yield self._lock.acquire()
+        yield from self._lock.acquire()
         try:
             if self._degraded:
                 return False

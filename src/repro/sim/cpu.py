@@ -3,13 +3,19 @@
 The paper's testbed is a 33 MHz i486; every benchmark result has a CPU
 component (the dark regions in figures 3/4, the CPU-time columns of tables 1
 and 2, and the compile-dominated Andrew phase).  We model the CPU as a FIFO
-single server that drives its own queue: a process *computes* by yielding one
-event per quantum-bounded slice of the duration.  An idle CPU puts the
-slice's completion straight on the engine's heap at ``now + slice``; a busy
-one parks it, and the completion of the slice in service starts the oldest
-parked one.  Either way a slice costs one event and one process resume, and
-a long computation re-queues behind the waiters at every quantum boundary,
-so concurrent processes interleave rather than monopolise.
+single server that drives its own queue: a process *computes* in
+quantum-bounded slices of the duration.  An idle CPU puts the slice's
+completion straight on the engine's heap at ``now + slice``; a busy one
+parks it, and the completion of the slice in service starts the oldest
+parked one.  A long computation re-queues behind the waiters at every
+quantum boundary, so concurrent processes interleave rather than monopolise.
+
+Each slice counts as one engine event, but a charge on an idle CPU whose
+last slice ends before anything else on the heap (the engine's in-place
+rule, :meth:`repro.sim.engine.Engine._advance_in_place`) builds no event
+and costs no resume: nobody could run before the caller wakes, so the
+caller runs on with the clock at the charge's end.  Only a charge that
+another process could interleave with yields its slices.
 
 Durations are produced by :class:`repro.harness.config.CostModel`; this module
 only executes them.
@@ -56,6 +62,29 @@ class CPU:
             raise ValueError(f"negative compute time: {seconds}")
         if not self.enabled or seconds == 0.0:
             return ()
+        if not self._busy:
+            # the end of the last slice, added slice by slice exactly as
+            # the heap entries would be
+            quantum = self.quantum
+            engine = self.engine
+            end = engine.now
+            remaining = seconds
+            slices = 0
+            while remaining > 0.0:
+                slice_len = quantum if quantum < remaining else remaining
+                end += slice_len
+                remaining -= slice_len
+                slices += 1
+            if engine._advance_in_place(end, slices):
+                process = engine.current_process
+                remaining = seconds
+                while remaining > 0.0:
+                    slice_len = quantum if quantum < remaining else remaining
+                    remaining -= slice_len
+                    self.busy_time += slice_len
+                    if process is not None:
+                        process.cpu_time += slice_len
+                return ()
         return self._slices(seconds)
 
     def _slices(self, seconds: float) -> Generator:

@@ -5,6 +5,19 @@ heap of ``(time, sequence, event)`` entries, the queue of late callback
 subscriptions, and the loops that dispatch them.  It is deliberately not
 swappable (``docs/performance.md`` has the measurement), so events push onto
 the heap directly and a scheduling fast path has one place to land.
+
+That fast path is :meth:`Engine._advance_in_place`.  A process about to
+suspend on its own wake-up at ``when`` keeps running instead, with ``now``
+advanced to ``when`` and nothing pushed, when the engine can prove that
+wake-up is its next dispatch: no deferred callback is queued, another entry
+is on the heap and ``when`` is strictly before it (a tie keeps its sequence
+order), ``when`` is within the running loop's horizon (``until`` for
+``run``), and the loop's event budget has room.  Work run in place still
+counts in ``events_processed``.  The horizon is ``-inf`` outside a run
+loop, under :meth:`Engine.step` and with a ``trace_hook`` set, so nothing
+runs in place there; the callbacks of one event other than its last, and
+whatever runs once ``run_until``'s awaited event is dispatched, run with it
+at ``-inf`` too, so nobody that would have run first is overtaken.
 """
 
 from __future__ import annotations
@@ -16,6 +29,9 @@ from typing import Any, Callable, Generator, Optional
 from repro.sim.events import Event, Timeout
 
 __all__ = ["Engine", "SimulationError"]
+
+_INF = float("inf")
+_NEG_INF = float("-inf")
 
 
 class SimulationError(RuntimeError):
@@ -43,7 +59,8 @@ class Engine:
     """
 
     __slots__ = ("now", "current_process", "obs", "trace_hook",
-                 "events_processed", "_heap", "_seq", "_deferred")
+                 "events_processed", "_heap", "_seq", "_deferred",
+                 "_horizon", "_budget")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -65,6 +82,11 @@ class Engine:
         #: the next dispatch and flushed at every run-loop exit, so a run
         #: that stops first can never silently drop one
         self._deferred: deque = deque()
+        #: the latest time the running loop would still dispatch, and the
+        #: ``events_processed`` count its budget runs out at; ``-inf`` when
+        #: nothing may run in place (see the module docstring)
+        self._horizon = _NEG_INF
+        self._budget = _INF
 
     # -- event construction ---------------------------------------------
     def event(self) -> Event:
@@ -75,6 +97,20 @@ class Engine:
         """Create an event that fires ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
 
+    def hold(self, delay: float) -> tuple:
+        """Sleep the calling process for *delay* simulated seconds.
+
+        Used with ``yield from``: returns ``()`` when the wake-up runs in
+        place, else ``(Timeout,)`` to suspend on::
+
+            yield from engine.hold(seek_time)
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        if self._advance_in_place(self.now + delay):
+            return ()
+        return (Timeout(self, delay),)
+
     def process(self, generator: Generator, name: str = "") -> "Process":  # noqa: F821
         """Spawn *generator* as a simulated process, started on the next step."""
         from repro.sim.process import Process
@@ -84,6 +120,23 @@ class Engine:
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* simulated seconds (no process)."""
         Timeout(self, delay).callbacks.append(lambda _event: fn(*args))
+
+    def _advance_in_place(self, when: float, events: int = 1) -> bool:
+        """Run the caller's next *events* dispatches, up to *when*, in place.
+
+        True when they are provably what the running loop would dispatch
+        next (the module docstring states the proof): the clock moves to
+        *when* and ``events_processed`` counts them.  False leaves
+        everything as it was, and the caller schedules its wake-up.
+        """
+        heap = self._heap
+        if (when <= self._horizon and heap and when < heap[0][0]
+                and not self._deferred
+                and self.events_processed + events <= self._budget):
+            self.now = when
+            self.events_processed += events
+            return True
+        return False
 
     # -- run loops ---------------------------------------------------------
     # run() and run_until() inline step()'s body: they are the hottest
@@ -98,7 +151,7 @@ class Engine:
             fn(event)
 
     def step(self) -> None:
-        """Process the single next event on the queue."""
+        """Process the single next event; nothing runs in place here."""
         if self._deferred:
             self._drain_deferred()
         if not self._heap:
@@ -120,34 +173,43 @@ class Engine:
         whether the queue drained early or still holds later events (in
         particular the clock never moves backwards when *until* is already in
         the past).  ``max_events`` is a safety valve for tests: the loop
-        dispatches at most that many events and raises
-        :class:`SimulationError` when one more would be needed, rather than
-        hanging.
+        dispatches at most that many events, those run in place included,
+        and raises :class:`SimulationError` when one more would be needed,
+        rather than hanging.
         """
         heap = self._heap
         hook = self.trace_hook
         deferred = self._deferred
-        processed = 0
-        if deferred:
-            self._drain_deferred()
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} at t={self.now:.6f}")
-            when, _seq, event = heappop(heap)
-            if when < self.now:
-                raise SimulationError(
-                    f"time went backwards: {when} < {self.now}")
-            self.now = when
-            self.events_processed += 1
-            if hook is not None:
-                hook(when, event)
-            event._process()
-            processed += 1
+        if max_events is not None:
+            budget = self.events_processed + max_events
+        else:
+            budget = _INF
+        if hook is None:
+            self._horizon = _INF if until is None else until
+            self._budget = budget
+        try:
             if deferred:
                 self._drain_deferred()
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                if max_events is not None and self.events_processed >= budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} "
+                        f"at t={self.now:.6f}")
+                when, _seq, event = heappop(heap)
+                if when < self.now:
+                    raise SimulationError(
+                        f"time went backwards: {when} < {self.now}")
+                self.now = when
+                self.events_processed += 1
+                if hook is not None:
+                    hook(when, event)
+                event._process()
+                if deferred:
+                    self._drain_deferred()
+        finally:
+            self._horizon = _NEG_INF
         if until is not None and until > self.now:
             self.now = until
         if deferred:
@@ -171,29 +233,41 @@ class Engine:
         heap = self._heap
         hook = self.trace_hook
         deferred = self._deferred
-        processed = 0
-        if deferred:
-            self._drain_deferred()
-        while not event._processed:
-            if not heap:
-                raise SimulationError(
-                    f"event heap drained at t={self.now:.6f} before the "
-                    "awaited event fired (deadlock or missing wakeup)")
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} at t={self.now:.6f}")
-            when, _seq, next_event = heappop(heap)
-            if when < self.now:
-                raise SimulationError(
-                    f"time went backwards: {when} < {self.now}")
-            self.now = when
-            self.events_processed += 1
-            if hook is not None:
-                hook(when, next_event)
-            next_event._process()
-            processed += 1
+        if max_events is not None:
+            budget = self.events_processed + max_events
+        else:
+            budget = _INF
+        if hook is None and not event._processed:
+            self._horizon = _INF
+            self._budget = budget
+        try:
             if deferred:
                 self._drain_deferred()
+            while not event._processed:
+                if not heap:
+                    raise SimulationError(
+                        f"event heap drained at t={self.now:.6f} before the "
+                        "awaited event fired (deadlock or missing wakeup)")
+                if max_events is not None and self.events_processed >= budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} "
+                        f"at t={self.now:.6f}")
+                when, _seq, next_event = heappop(heap)
+                if when < self.now:
+                    raise SimulationError(
+                        f"time went backwards: {when} < {self.now}")
+                self.now = when
+                self.events_processed += 1
+                if hook is not None:
+                    hook(when, next_event)
+                if next_event is event:
+                    # the loop stops here: whoever this wakes must not run on
+                    self._horizon = _NEG_INF
+                next_event._process()
+                if deferred:
+                    self._drain_deferred()
+        finally:
+            self._horizon = _NEG_INF
         if deferred:
             self._drain_deferred()
         if not event.ok:

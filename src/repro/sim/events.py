@@ -19,6 +19,8 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, Optional
 
+_NEG_INF = float("-inf")
+
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -90,8 +92,17 @@ class Event:
         """Run callbacks.  Called by the engine only."""
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        elif callbacks:
+            # a process resumed by any callback but the last would overtake
+            # the ones after it if it ran on in place
+            engine = self.engine
+            horizon, engine._horizon = engine._horizon, _NEG_INF
+            for callback in callbacks[:-1]:
+                callback(self)
+            engine._horizon = horizon
+            callbacks[-1](self)
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._processed:

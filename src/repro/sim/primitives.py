@@ -61,7 +61,7 @@ class Lock:
 
     Usage from a process::
 
-        yield lock.acquire()
+        yield from lock.acquire()
         try:
             ...
         finally:
@@ -79,15 +79,23 @@ class Lock:
     def locked(self) -> bool:
         return self._locked
 
-    def acquire(self) -> Event:
-        """Return an event that fires when the caller holds the lock."""
-        event = Event(self.engine)
+    def acquire(self) -> tuple:
+        """Take the lock; used with ``yield from``.
+
+        Returns ``()`` when the caller holds the lock already: an
+        uncontended grant at ``now`` that the engine runs in place.  Any
+        other grant returns ``(event,)``, the event firing once the caller
+        holds the lock.
+        """
+        engine = self.engine
         if not self._locked:
             self._locked = True
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
+            if engine._advance_in_place(engine.now):
+                return ()
+            return (Event(engine).succeed(),)
+        event = Event(engine)
+        self._waiters.append(event)
+        return (event,)
 
     def release(self) -> None:
         """Release; ownership passes immediately to the oldest waiter."""

@@ -23,12 +23,17 @@ def _functions(path: Path):
             yield node.name, node
 
 
+def _callers(attr: str) -> set:
+    """The functions of ``repro/disk/drive.py`` that call ``<x>.attr(...)``."""
+    return {name for name, func in _functions(DRIVE)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr}
+
+
 def test_only_service_spends_simulated_time():
     """In ``repro/disk/drive.py`` only ``Disk.service`` calls
-    ``engine.timeout``."""
-    callers = {name for name, func in _functions(DRIVE)
-               for node in ast.walk(func)
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "timeout"}
-    assert callers == {"Disk.service"}
+    ``engine.hold``, and nothing builds an ``engine.timeout``."""
+    assert _callers("hold") == {"Disk.service"}
+    assert _callers("timeout") == set()

@@ -1,9 +1,10 @@
 """Reference model of the CPU: the mutex-and-timeout server it replaced.
 
-A compute charge here costs two events and two process resumes per slice
-(the ``Lock.acquire()`` grant, then a ``Timeout`` for the hold).  It is kept
-only so the equivalence tests can require the shipped one-event server in
-``repro.sim.cpu`` to produce the same simulated timestamps and accounting.
+A compute charge here costs two events per slice: the ``Lock.acquire()``
+grant, which the engine may run in place, then a ``Timeout`` for the hold.
+It is kept only so the equivalence tests can require the shipped one-event
+server in ``repro.sim.cpu`` to produce the same simulated timestamps and
+accounting.
 """
 
 from typing import Generator
@@ -28,7 +29,7 @@ class ReferenceCPU:
         remaining = seconds
         while remaining > 0.0:
             slice_len = min(remaining, self.quantum)
-            yield self._mutex.acquire()
+            yield from self._mutex.acquire()
             try:
                 yield self.engine.timeout(slice_len)
             finally:

@@ -13,6 +13,11 @@ by 2**-n, so a sleep's end carries a bit that no CPU completion can carry at
 that instant (a completion scheduled after the sleep ended is strictly
 later).  Same-instant *arrivals* at the CPU are still covered: all processes
 start at t=0, and waiters released together re-queue together.
+
+Those runs set a ``trace_hook``, which sends every wake-up through the heap.
+Each schedule then runs once more without it, where the engine runs charges,
+grants and sleeps in place whenever nobody else could run first: that run
+must match the reference too, and count the same events as the hooked one.
 """
 
 import math
@@ -55,21 +60,22 @@ def slices_of(programs) -> int:
                for kind, amount in program if kind == "compute")
 
 
-def run(cpu_class, programs):
+def run(cpu_class, programs, hooked=True):
     eng = Engine()
     cpu = cpu_class(eng, quantum=QUANTUM)
     stamps = [[] for _ in programs]
     finished = []
     dispatched = []
-    eng.trace_hook = lambda when, event: dispatched.append(
-        (when, type(event)))
+    if hooked:
+        eng.trace_hook = lambda when, event: dispatched.append(
+            (when, type(event)))
 
     def body(index, program):
         for kind, amount in program:
             if kind == "compute":
                 yield from cpu.compute(amount)
             else:
-                yield eng.timeout(amount)
+                yield from eng.hold(amount)
             stamps[index].append(eng.now)
         finished.append(index)
 
@@ -95,6 +101,9 @@ def test_same_timestamps_order_and_accounting(schedule):
                              if kind is Event and when > 0.0}
     assert observed == expected
     assert reference_events - events == slices_of(programs)
+    in_place, in_place_events, _ = run(CPU, programs, hooked=False)
+    assert in_place == expected
+    assert in_place_events == events
 
 
 def test_contended_quantum_boundaries_match_by_hand():

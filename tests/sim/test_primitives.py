@@ -15,7 +15,7 @@ class TestLock:
         lock = Lock(eng)
 
         def worker():
-            yield lock.acquire()
+            yield from lock.acquire()
             lock.release()
             return eng.now
 
@@ -26,7 +26,7 @@ class TestLock:
         trace = []
 
         def worker(tag):
-            yield lock.acquire()
+            yield from lock.acquire()
             trace.append(("enter", tag, eng.now))
             yield eng.timeout(1.0)
             trace.append(("exit", tag, eng.now))
@@ -46,7 +46,7 @@ class TestLock:
 
         def worker(tag, delay):
             yield eng.timeout(delay)
-            yield lock.acquire()
+            yield from lock.acquire()
             order.append(tag)
             yield eng.timeout(10.0)
             lock.release()
