@@ -22,8 +22,8 @@ Every command is a function of its arguments, so two checkouts whose
 reports agree write identical directories: run this script against the
 parent's ``src/`` and against this commit's, then ``diff -r`` the two.  A
 change that means to move a report lists the moved paths in
-``benchmarks/corpus_moves.txt`` (CI skips them only when the commit
-itself edits that file).  Each command runs in a scratch working
+``benchmarks/corpus_moves.txt`` (CI skips only the lines the commit
+itself adds to that file).  Each command runs in a scratch working
 directory; stderr (progress, tracebacks) passes through and is not part
 of the corpus.  ``--jobs`` runs that many commands at once (default 1);
 the corpus does not depend on it.

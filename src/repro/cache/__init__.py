@@ -5,8 +5,8 @@ conventional scheme's synchronous writes, the flag/chains schemes' decorated
 asynchronous writes, and the delayed-write schemes' dirty buffers all flow
 through :class:`BufferCache`.  The write-lock behaviour of section 3.3 (and
 its ``-CB`` block-copy remedy) lives here, as does the syncer daemon of
-section 2 (one-second wakeups, mark-then-write sweeps, and the soft-updates
-workitem queue of section 4.2).
+section 2 (one-second wakeups, mark-then-write sweeps).  Soft updates'
+workitem queue of section 4.2 is its manager's, not the syncer's.
 """
 
 from repro.cache.buffer import Buffer

@@ -83,11 +83,21 @@ def _run_cell(index: int):
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else the machine's core count."""
+    """Worker count: ``REPRO_JOBS`` if set, else the machine's core count.
+
+    A ``REPRO_JOBS`` that is not an integer of at least 1 is a
+    ``ValueError``.
+    """
     env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {env!r}")
+    return jobs
 
 
 def run_grid(name: str, cells: list, jobs: Optional[int] = None) -> dict:

@@ -11,6 +11,7 @@ dynamics (the cache-full throttling of the copy benchmark) are preserved.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import replace
@@ -37,8 +38,19 @@ FULL_CACHE_BYTES = 40 * 1024 * 1024
 
 
 def scale_factor(default: float = 0.15) -> float:
-    """Benchmark scale (1.0 = paper-scale), from ``REPRO_SCALE``."""
-    return float(os.environ.get("REPRO_SCALE", default))
+    """Benchmark scale (1.0 = paper-scale), from ``REPRO_SCALE``.
+
+    Anything but a positive finite number is a ``ValueError``.
+    """
+    value = os.environ.get("REPRO_SCALE", default)
+    try:
+        scale = float(value)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"REPRO_SCALE must be a positive finite number, got {value!r}")
+    return scale
 
 
 def _config(scheme, policy=None,

@@ -128,7 +128,6 @@ class Machine:
         """
         saved_scale = self.costs.scale
         self.costs.scale = 0.0
-        self.cpu.enabled = False
         self.disk.instant = True
         start = self.engine.now
         try:
@@ -136,7 +135,6 @@ class Machine:
                 self.engine.process(generator, name=name))
         finally:
             self.costs.scale = saved_scale
-            self.cpu.enabled = True
             self.disk.instant = False
         if self.engine.now != start:
             raise RuntimeError(

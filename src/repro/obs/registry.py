@@ -77,7 +77,6 @@ METRICS = (
     ("cache.reclaim_waits", attrgetter("cache.reclaim_waits")),
     ("syncer.wakeups", attrgetter("syncer.wakeups")),
     ("syncer.writes_started", attrgetter("syncer.writes_started")),
-    ("syncer.workitems", attrgetter("syncer.workitems_run")),
     ("syncer.sweep_dirty", attrgetter("syncer.sweep_dirty")),
     ("softupdates.rollbacks", _manager("rollbacks")),
     ("softupdates.deps_created", _manager("deps_created")),
@@ -94,7 +93,6 @@ METRICS = (
     ("driver.retries", lambda m: m.driver.retries or None),
     ("disk.faults",
      lambda m: m.disk.stats.read_faults + m.disk.stats.write_faults or None),
-    ("engine.heap_peak", attrgetter("obs.heap_peak")),
     ("driver.queue_peak", attrgetter("driver.queue_peak")),
 )
 

@@ -6,7 +6,8 @@ installed on the engine *before* any component is constructed, so every
 component can capture it (or ``None``) once at build time.  Components use
 it for spans only; their counts are plain attributes that exist either way
 and :meth:`Observability.snapshot` reads them through the one table in
-:mod:`repro.obs.registry`.  Nothing here touches the event heap; see
+:mod:`repro.obs.registry`.  Nothing here touches the event heap or the
+dispatch loop, so a traced run schedules exactly as an untraced one; see
 ``tracer.py`` for the determinism argument.
 """
 
@@ -28,16 +29,7 @@ class Observability:
         self.machine = machine
         self.engine = engine = machine.engine
         self.tracer = Tracer(engine)
-        #: peak event-heap size, the one number only the dispatch hook sees
-        self.heap_peak = 0
         engine.obs = self
-        engine.trace_hook = self._on_event
-
-    def _on_event(self, when: float, event) -> None:
-        """Engine dispatch hook (never blocks)."""
-        pending = self.engine.pending_events
-        if pending > self.heap_peak:
-            self.heap_peak = pending
 
     def snapshot(self) -> dict:
         """Flat ``{metric name: value}`` for ``RunResult.extra``."""

@@ -45,8 +45,6 @@ class CPU:
         self.quantum = quantum
         #: total busy seconds, for utilisation reporting
         self.busy_time = 0.0
-        #: when False, compute() consumes no simulated time (image building)
-        self.enabled = True
         self._busy = False
         #: ``(completion event, slice)`` requested while busy, oldest first
         self._waiters: deque[tuple[Event, float]] = deque()
@@ -60,7 +58,7 @@ class CPU:
         """
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        if not self.enabled or seconds == 0.0:
+        if seconds == 0.0:
             return ()
         if not self._busy:
             # the end of the last slice, added slice by slice exactly as

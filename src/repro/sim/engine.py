@@ -1,10 +1,13 @@
-"""The discrete-event engine: clock, event queue, and run loops.
+"""The discrete-event engine: clock, event queue, and dispatch loop.
 
 The engine is the whole event kernel: it owns the simulated clock, a binary
 heap of ``(time, sequence, event)`` entries, the queue of late callback
-subscriptions, and the loops that dispatch them.  It is deliberately not
-swappable (``docs/performance.md`` has the measurement), so events push onto
-the heap directly and a scheduling fast path has one place to land.
+subscriptions, and the one loop that dispatches them (``run`` and
+``run_until`` are entry points over it; ``step`` dispatches a single event).
+It is deliberately not swappable (``docs/performance.md`` has the
+measurement), so events push onto the heap directly and a scheduling fast
+path has one place to land.  Tracing reads the clock and never touches the
+loop, so a traced run schedules exactly as an untraced one.
 
 That fast path is :meth:`Engine._advance_in_place`.  A process about to
 suspend on its own wake-up at ``when`` keeps running instead, with ``now``
@@ -13,11 +16,11 @@ wake-up is its next dispatch: no deferred callback is queued, another entry
 is on the heap and ``when`` is strictly before it (a tie keeps its sequence
 order), ``when`` is within the running loop's horizon (``until`` for
 ``run``), and the loop's event budget has room.  Work run in place still
-counts in ``events_processed``.  The horizon is ``-inf`` outside a run
-loop, under :meth:`Engine.step` and with a ``trace_hook`` set, so nothing
-runs in place there; the callbacks of one event other than its last, and
-whatever runs once ``run_until``'s awaited event is dispatched, run with it
-at ``-inf`` too, so nobody that would have run first is overtaken.
+counts in ``events_processed``.  The horizon is ``-inf`` outside the
+dispatch loop and under :meth:`Engine.step`, so nothing runs in place
+there; the callbacks of one event other than its last, and whatever runs
+once ``run_until``'s awaited event is dispatched, run with it at ``-inf``
+too, so nobody that would have run first is overtaken.
 """
 
 from __future__ import annotations
@@ -58,9 +61,8 @@ class Engine:
         assert eng.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("now", "current_process", "obs", "trace_hook",
-                 "events_processed", "_heap", "_seq", "_deferred",
-                 "_horizon", "_budget")
+    __slots__ = ("now", "current_process", "obs", "events_processed",
+                 "_heap", "_seq", "_deferred", "_horizon", "_budget")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -69,9 +71,6 @@ class Engine:
         #: the machine's observability session (None = tracing off); set by
         #: Observability.attach() before any component is constructed
         self.obs = None
-        #: per-event dispatch hook ``hook(when, event)``; must be passive
-        #: (read-only) so dispatch order and timestamps never change
-        self.trace_hook = None
         #: total events dispatched since construction (instrumentation)
         self.events_processed = 0
         #: the event queue; :mod:`repro.sim.events` pushes onto it directly
@@ -79,10 +78,10 @@ class Engine:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: late subscriptions to already-processed events, delivered before
-        #: the next dispatch and flushed at every run-loop exit, so a run
-        #: that stops first can never silently drop one
+        #: the next dispatch and after every one, so a run that stops first
+        #: can never silently drop one
         self._deferred: deque = deque()
-        #: the latest time the running loop would still dispatch, and the
+        #: the latest time the dispatch loop would still dispatch, and the
         #: ``events_processed`` count its budget runs out at; ``-inf`` when
         #: nothing may run in place (see the module docstring)
         self._horizon = _NEG_INF
@@ -138,12 +137,7 @@ class Engine:
             return True
         return False
 
-    # -- run loops ---------------------------------------------------------
-    # run() and run_until() inline step()'s body: they are the hottest
-    # frames of every simulation (one iteration per event), and the method
-    # call + repeated attribute lookups cost ~15% of total runtime at
-    # benchmark scale.  step() stays as the single-event API.
-
+    # -- dispatch ---------------------------------------------------------
     def _drain_deferred(self) -> None:
         deferred = self._deferred
         while deferred:
@@ -161,9 +155,60 @@ class Engine:
             raise SimulationError(f"time went backwards: {when} < {self.now}")
         self.now = when
         self.events_processed += 1
-        if self.trace_hook is not None:
-            self.trace_hook(when, event)
         event._process()
+
+    def _dispatch(self, until: float, awaited: Optional[Event],
+                  max_events: Optional[int]) -> None:
+        """The one dispatch loop, under :meth:`run` and :meth:`run_until`.
+
+        Dispatches until *awaited* has been processed, the next event is
+        past *until*, or the heap drains (an error when something is
+        awaited).  It inlines :meth:`step`'s body: one iteration per event
+        makes it the hottest frame of every simulation.
+        """
+        heap = self._heap
+        deferred = self._deferred
+        drains = awaited is None
+        if drains:
+            # an event nobody fires: run() stops on *until* or an empty heap
+            awaited = Event(self)
+        if max_events is not None:
+            budget = self.events_processed + max_events
+        else:
+            budget = _INF
+        if not awaited._processed:
+            self._horizon = until
+            self._budget = budget
+        try:
+            if deferred:
+                self._drain_deferred()
+            while not awaited._processed:
+                if not heap:
+                    if drains:
+                        break
+                    raise SimulationError(
+                        f"event heap drained at t={self.now:.6f} before the "
+                        "awaited event fired (deadlock or missing wakeup)")
+                if heap[0][0] > until:
+                    break
+                if max_events is not None and self.events_processed >= budget:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} "
+                        f"at t={self.now:.6f}")
+                when, _seq, event = heappop(heap)
+                if when < self.now:
+                    raise SimulationError(
+                        f"time went backwards: {when} < {self.now}")
+                self.now = when
+                self.events_processed += 1
+                if event is awaited:
+                    # the loop stops here: whoever this wakes must not run on
+                    self._horizon = _NEG_INF
+                event._process()
+                if deferred:
+                    self._drain_deferred()
+        finally:
+            self._horizon = _NEG_INF
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, the clock passes *until*, or *max_events*.
@@ -177,43 +222,9 @@ class Engine:
         and raises :class:`SimulationError` when one more would be needed,
         rather than hanging.
         """
-        heap = self._heap
-        hook = self.trace_hook
-        deferred = self._deferred
-        if max_events is not None:
-            budget = self.events_processed + max_events
-        else:
-            budget = _INF
-        if hook is None:
-            self._horizon = _INF if until is None else until
-            self._budget = budget
-        try:
-            if deferred:
-                self._drain_deferred()
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                if max_events is not None and self.events_processed >= budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"at t={self.now:.6f}")
-                when, _seq, event = heappop(heap)
-                if when < self.now:
-                    raise SimulationError(
-                        f"time went backwards: {when} < {self.now}")
-                self.now = when
-                self.events_processed += 1
-                if hook is not None:
-                    hook(when, event)
-                event._process()
-                if deferred:
-                    self._drain_deferred()
-        finally:
-            self._horizon = _NEG_INF
+        self._dispatch(_INF if until is None else until, None, max_events)
         if until is not None and until > self.now:
             self.now = until
-        if deferred:
-            self._drain_deferred()
 
     def run_to(self, when: float, max_events: Optional[int] = None) -> None:
         """Advance the clock to the absolute instant *when*: ``run(until=when)``.
@@ -230,46 +241,7 @@ class Engine:
         Raises the event's exception if it failed, and
         :class:`SimulationError` if the queue drains first.
         """
-        heap = self._heap
-        hook = self.trace_hook
-        deferred = self._deferred
-        if max_events is not None:
-            budget = self.events_processed + max_events
-        else:
-            budget = _INF
-        if hook is None and not event._processed:
-            self._horizon = _INF
-            self._budget = budget
-        try:
-            if deferred:
-                self._drain_deferred()
-            while not event._processed:
-                if not heap:
-                    raise SimulationError(
-                        f"event heap drained at t={self.now:.6f} before the "
-                        "awaited event fired (deadlock or missing wakeup)")
-                if max_events is not None and self.events_processed >= budget:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"at t={self.now:.6f}")
-                when, _seq, next_event = heappop(heap)
-                if when < self.now:
-                    raise SimulationError(
-                        f"time went backwards: {when} < {self.now}")
-                self.now = when
-                self.events_processed += 1
-                if hook is not None:
-                    hook(when, next_event)
-                if next_event is event:
-                    # the loop stops here: whoever this wakes must not run on
-                    self._horizon = _NEG_INF
-                next_event._process()
-                if deferred:
-                    self._drain_deferred()
-        finally:
-            self._horizon = _NEG_INF
-        if deferred:
-            self._drain_deferred()
+        self._dispatch(_INF, event, max_events)
         if not event.ok:
             raise event.value
         return event.value

@@ -1,4 +1,4 @@
-"""Tests for the syncer daemon: sweeps, mark-then-write, workitems."""
+"""Tests for the syncer daemon: sweeps and mark-then-write."""
 
 import pytest
 
@@ -47,42 +47,6 @@ def test_redirtied_block_flushes_again(rig):
     run_for(rig, 4.0)
     assert rig.disk.storage.read(20, 2) == b"\x02" * 1024
     assert rig.disk.stats.writes == 2
-
-
-def test_nonblocking_workitem_runs_within_interval(rig):
-    ran = []
-    rig.syncer.add_workitem(lambda: ran.append(rig.engine.now))
-    run_for(rig, 1.5)
-    assert ran and ran[0] <= 1.0 + 1e-9
-
-
-def test_blocking_workitem_can_do_io(rig):
-    rig.disk.write_now(40, b"\xaa" * 1024)
-    seen = []
-
-    def work():
-        buf = yield from rig.cache.bread(20, 1024)
-        seen.append(bytes(buf.data))
-        rig.cache.brelse(buf)
-
-    rig.syncer.add_workitem(work, blocking=True)
-    run_for(rig, 2.0)
-    assert seen == [b"\xaa" * 1024]
-
-
-def test_workitem_added_by_workitem_runs_next_wakeup(rig):
-    log = []
-
-    def second():
-        log.append(("second", rig.syncer.wakeups))
-
-    def first():
-        log.append(("first", rig.syncer.wakeups))
-        rig.syncer.add_workitem(second)
-
-    rig.syncer.add_workitem(first)
-    run_for(rig, 3.5)
-    assert log == [("first", 1), ("second", 2)]
 
 
 def test_busy_buffer_retried_not_dropped(rig):

@@ -1,4 +1,7 @@
-"""Shared helpers: machine factories and scheme parametrization."""
+"""Shared helpers: machine factories, scheme parametrization, and the
+heap-path reference the engine's in-place rule is held to."""
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.ordering import (
     SchedulerFlagScheme,
     SoftUpdatesScheme,
 )
+from repro.sim import Engine, Event
 
 #: a small file system: 2 cylinder groups, 256 inodes each, 2 MB data each
 SMALL_GEOMETRY = FSGeometry(ipg=256, dfrags_per_cg=2048, ncg=2)
@@ -59,6 +63,43 @@ def run_user(machine, generator, name="user", max_events=5_000_000):
     """Run one simulated user to completion; returns its value."""
     return machine.engine.run_until(
         machine.engine.process(generator, name=name), max_events=max_events)
+
+
+def _refuse_in_place(self, when, events=1):
+    return False
+
+
+@contextmanager
+def heap_only():
+    """Nothing runs in place: every wake-up is an event on the heap.
+
+    The reference for the engine's in-place rule
+    (``Engine._advance_in_place``): with the rule refused, every CPU
+    charge, lock grant and drive hold schedules its wake-up and the
+    dispatch loop pops it.  A run must observe the same either way.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "_advance_in_place", _refuse_in_place)
+        yield
+
+
+@contextmanager
+def recording_dispatches():
+    """Yield a list that gets ``(now, type(event))`` per dispatched event.
+
+    Every dispatch calls ``Event._process`` once (``Process._process``
+    reaches it through ``super()``), so wrapping it records the stream.
+    """
+    dispatched = []
+    original = Event._process
+
+    def recorded(event):
+        dispatched.append((event.engine.now, type(event)))
+        original(event)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Event, "_process", recorded)
+        yield dispatched
 
 
 def pytest_collection_modifyitems(config, items):

@@ -102,8 +102,11 @@ class TestDefaultJobs:
         assert default_jobs() == 3
 
     def test_env_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
+        monkeypatch.setenv("REPRO_JOBS", "1")
         assert default_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
 
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

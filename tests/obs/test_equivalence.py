@@ -5,14 +5,26 @@ of the same workload are the *same simulation*.  The tracer only reads the
 clock and appends to Python lists, so every simulated timestamp, every
 dispatch decision, and the event count must match exactly.  These tests run
 each scheme's workload twice -- observe on and off -- and compare the full
-driver trace byte for byte.
+driver trace byte for byte.  Tracing sits outside the dispatch loop, so a
+traced run also schedules exactly as an untraced one: the engine's in-place
+rule runs in both, and a traced cell records the same spans with or without
+it.
 """
 
 import hashlib
 
 import pytest
 
-from tests.conftest import SCHEME_FACTORIES, make_machine, run_user
+from repro.harness.runner import run_copy, standard_scheme_config
+from repro.workloads.trees import TreeSpec
+
+from tests.conftest import (
+    SCHEME_FACTORIES,
+    heap_only,
+    make_machine,
+    recording_dispatches,
+    run_user,
+)
 
 
 def churn(machine):
@@ -85,3 +97,35 @@ def test_traced_rerun_is_deterministic(scheme_name):
     spans_b = [(s.name, s.track, s.start, s.end, s.parent) for s in b.obs.tracer.spans]
     assert spans_a == spans_b
     assert a.obs.snapshot() == b.obs.snapshot()
+
+
+def _span(span):
+    return (span.id, span.name, span.cat, span.track, span.start, span.end,
+            span.parent, span.args, span.async_id)
+
+
+def traced_soft_updates_copy():
+    """Spans, ``events_processed`` and the number of events that took the
+    heap, for one small traced Soft Updates copy cell."""
+    config = standard_scheme_config("Soft Updates")
+    config.observe = True
+    machines = []
+    with recording_dispatches() as dispatched:
+        run_copy(config, users=2, seed=3, on_machine=machines.append,
+                 tree=TreeSpec(files=16, total_bytes=192 * 1024, dirs=3))
+    machine, = machines
+    return ([_span(span) for span in machine.obs.tracer.spans],
+            machine.engine.events_processed, len(dispatched))
+
+
+def test_traced_spans_do_not_depend_on_the_scheduling_path():
+    """The traced cell runs work in place like an untraced one, and records
+    the same spans and event count as under the heap-only fixture."""
+    spans, events, popped = traced_soft_updates_copy()
+    with heap_only():
+        heap_spans, heap_events, heap_popped = traced_soft_updates_copy()
+    assert len(spans) > 100
+    assert heap_popped == heap_events
+    assert popped * 2 < events         # most of the traced cell ran in place
+    assert spans == heap_spans
+    assert events == heap_events

@@ -122,7 +122,6 @@ class TestMetricsTable:
             == machine.scheme.manager.deps_created > 0
         assert snap["softupdates.workitems"] \
             == machine.scheme.manager.workitems_serviced > 0
-        assert snap["engine.heap_peak"] > 0
 
     def test_timing_is_count_sum_avg(self):
         snap = run_churn("conventional").obs.snapshot()
@@ -217,7 +216,6 @@ class TestObservability:
         machine = make_machine("noorder", observe=True)
         engine = machine.engine
         assert engine.obs is machine.obs
-        assert engine.trace_hook is not None
 
         def worker():
             yield engine.timeout(1.0)

@@ -18,12 +18,11 @@ class ReferenceCPU:
         self.quantum = quantum
         self._mutex = Lock(engine)
         self.busy_time = 0.0
-        self.enabled = True
 
     def compute(self, seconds: float) -> Generator:
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        if not self.enabled or seconds == 0.0:
+        if seconds == 0.0:
             return
         process = self.engine.current_process
         remaining = seconds

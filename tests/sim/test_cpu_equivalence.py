@@ -14,18 +14,22 @@ that instant (a completion scheduled after the sleep ended is strictly
 later).  Same-instant *arrivals* at the CPU are still covered: all processes
 start at t=0, and waiters released together re-queue together.
 
-Those runs set a ``trace_hook``, which sends every wake-up through the heap.
-Each schedule then runs once more without it, where the engine runs charges,
+Those runs use the heap-only fixture (``tests.conftest.heap_only``), which
+sends every wake-up through the heap, and record the dispatch stream.  Each
+schedule then runs once more without it, where the engine runs charges,
 grants and sleeps in place whenever nobody else could run first: that run
-must match the reference too, and count the same events as the hooked one.
+must match the reference too, and count the same events as the heap-only
+one.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.costs import CostModel
 from repro.sim import CPU, Engine, Event, Timeout
 
+from tests.conftest import heap_only, recording_dispatches
 from tests.sim.reference_cpu import ReferenceCPU
 
 QUANTUM = 4.0
@@ -60,15 +64,20 @@ def slices_of(programs) -> int:
                for kind, amount in program if kind == "compute")
 
 
-def run(cpu_class, programs, hooked=True):
+def run(cpu_class, programs, in_place=False):
+    """``(observed, events, dispatched)``; only a heap-only run records
+    its dispatch stream."""
+    if in_place:
+        return _run(cpu_class, programs) + ([],)
+    with heap_only(), recording_dispatches() as dispatched:
+        return _run(cpu_class, programs) + (dispatched,)
+
+
+def _run(cpu_class, programs):
     eng = Engine()
     cpu = cpu_class(eng, quantum=QUANTUM)
     stamps = [[] for _ in programs]
     finished = []
-    dispatched = []
-    if hooked:
-        eng.trace_hook = lambda when, event: dispatched.append(
-            (when, type(event)))
 
     def body(index, program):
         for kind, amount in program:
@@ -85,7 +94,7 @@ def run(cpu_class, programs, hooked=True):
     observed = {"stamps": stamps, "finished": finished, "end": eng.now,
                 "cpu_time": [process.cpu_time for process in processes],
                 "busy_time": cpu.busy_time}
-    return observed, eng.events_processed, dispatched
+    return observed, eng.events_processed
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,7 +110,7 @@ def test_same_timestamps_order_and_accounting(schedule):
                              if kind is Event and when > 0.0}
     assert observed == expected
     assert reference_events - events == slices_of(programs)
-    in_place, in_place_events, _ = run(CPU, programs, hooked=False)
+    in_place, in_place_events, _ = run(CPU, programs, in_place=True)
     assert in_place == expected
     assert in_place_events == events
 
@@ -140,9 +149,11 @@ def test_one_event_per_uncontended_slice():
 
 
 def test_free_charge_builds_no_generator():
+    """A free CPU is a zero-cost model: every charge scales to nothing."""
     eng = Engine()
     cpu = CPU(eng)
     assert cpu.compute(0.0) == ()
-    cpu.enabled = False
-    assert cpu.compute(5.0) == ()
+    free = CostModel(scale=0.0)
+    assert cpu.compute(free.time("create", 5)) == ()
+    assert cpu.compute(free.copy_bytes(64 * 1024)) == ()
     assert not eng.pending_events

@@ -6,10 +6,11 @@ observable untouched: the table-row measurements, each disk request's issue,
 dispatch and completion instants, and the bytes on the disk at the end.  Only
 the number of events it took to get there may differ.
 
-The same observables, the event count included, must not move when a
-passive ``trace_hook`` is set either: a hook sends every wake-up through
-the heap, so the run without one is the engine running CPU charges,
-uncontended grants and drive holds in place against the run that does not.
+The same observables, the event count included, must not move under the
+heap-only fixture (``tests.conftest.heap_only``) either: it sends every
+wake-up through the heap, so the run without it is the engine running CPU
+charges, uncontended grants and drive holds in place against the run that
+does not.
 """
 
 from dataclasses import asdict
@@ -21,6 +22,7 @@ from repro.ordering.registry import REGISTRY
 from repro.sim import CPU
 from repro.workloads.trees import TreeSpec
 
+from tests.conftest import heap_only
 from tests.sim.reference_cpu import ReferenceCPU
 
 SMALL_TREE = TreeSpec(files=24, total_bytes=256 * 1024, dirs=4)
@@ -32,19 +34,10 @@ HOST_FIELDS = ("sim_events", "wall_seconds")
 SOFT_UPDATES_COPY_EVENT_CEILING = 8_800
 
 
-def _no_op(when, event):
-    """A passive dispatch hook: with one set, nothing runs in place."""
-
-
-def observe(runner, scheme, hook=None):
+def observe(runner, scheme):
     machines = []
-
-    def on_machine(machine):
-        machine.engine.trace_hook = hook
-        machines.append(machine)
-
     result = runner(standard_scheme_config(scheme), users=3, tree=SMALL_TREE,
-                    seed=7, on_machine=on_machine)
+                    seed=7, on_machine=machines.append)
     machine, = machines
     row = {name: value for name, value in asdict(result).items()
            if name not in HOST_FIELDS}
@@ -84,7 +77,8 @@ def test_soft_updates_copy_cell_event_ceiling(monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_running_in_place_changes_nothing(scheme, runner):
     observed, events = observe(runner, scheme)
-    expected, heap_events = observe(runner, scheme, hook=_no_op)
+    with heap_only():
+        expected, heap_events = observe(runner, scheme)
     assert observed == expected
     assert events == heap_events
 
@@ -92,8 +86,8 @@ def test_running_in_place_changes_nothing(scheme, runner):
 def test_soft_updates_copy_cell_runs_most_charges_in_place(monkeypatch):
     """A charge that cannot run in place falls back to ``CPU._slices``;
     counting those calls pins that the path fires at all.  1 933 of 7 907
-    charges fall back at this commit, and 5 344 with the path off (the
-    rest are free either way: the populate's and zero-second charges)."""
+    charges fall back, and 5 344 under the heap-only fixture (the rest are
+    free either way: the populate's and zero-second charges)."""
     calls = {"compute": 0, "_slices": 0}
 
     def counted(name):

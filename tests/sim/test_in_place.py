@@ -3,16 +3,18 @@
 A process about to suspend on its own wake-up at ``when`` runs on in place
 only when that wake-up is provably the running loop's next dispatch (see
 :mod:`repro.sim.engine`).  These tests pin each half of the proof --
-``step()``, a ``trace_hook``, ``run``'s horizon, the event budget, a tie on
-the heap, a queued deferred callback, a later callback of the same event,
-``run_until``'s awaited event -- and that nothing observable moves: the clock,
-the order of wake-ups and ``events_processed`` read as if every wake-up had
-taken the heap.
+``step()``, ``run``'s horizon, the event budget, a tie on the heap, a queued
+deferred callback, a later callback of the same event, ``run_until``'s
+awaited event -- and that nothing observable moves: the clock, the order of
+wake-ups and ``events_processed`` read as under the heap-only fixture
+(``tests.conftest.heap_only``), where every wake-up takes the heap.
 """
 
 import pytest
 
 from repro.sim import CPU, Engine, Lock, SimulationError, Timeout
+
+from tests.conftest import heap_only
 
 FAR = 1e9
 
@@ -20,10 +22,6 @@ FAR = 1e9
 def _far(eng):
     """Something else on the heap, long after anything a test does."""
     eng.timeout(FAR)
-
-
-def _no_op(when, event):
-    """A passive dispatch hook: with one set, every wake-up takes the heap."""
 
 
 def test_hold_outside_a_run_loop_takes_the_heap():
@@ -116,17 +114,17 @@ def test_step_never_runs_anything_in_place():
     assert steps == 5 and stamps == [0.0, 2.0, 5.0]
 
 
-def test_a_trace_hook_turns_the_path_off():
+def test_the_heap_only_fixture_turns_the_path_off():
     eng = Engine()
     _far(eng)
-    eng.trace_hook = _no_op
     seen = []
 
     def body():
         seen.append(eng.hold(1.0))
         yield from seen[-1]
 
-    eng.run_until(eng.process(body()))
+    with heap_only():
+        eng.run_until(eng.process(body()))
     assert len(seen[0]) == 1 and eng.now == 1.0
 
 
@@ -155,9 +153,8 @@ def test_a_spin_on_compute_still_trips_the_event_budget():
     """The naive fast path would hang here: the only other event is 10**9
     seconds away, so every charge would run in place.  (The spin is bounded
     at 1000 seconds so that path fails this test rather than hanging it.)"""
-    def spin(hook):
+    def spin():
         eng = Engine()
-        eng.trace_hook = hook
         cpu = CPU(eng)
         _far(eng)
 
@@ -170,9 +167,10 @@ def test_a_spin_on_compute_still_trips_the_event_budget():
             eng.run(max_events=1000)
         return eng.now, eng.events_processed, cpu.busy_time
 
-    in_place = spin(None)
+    in_place = spin()
     assert in_place[0] < 10.0 and in_place[1] == 1000
-    assert in_place == spin(_no_op)
+    with heap_only():
+        assert in_place == spin()
 
 
 def test_run_until_event_budget_counts_in_place_work():
@@ -221,10 +219,9 @@ def test_an_uncontended_grant_runs_in_place_only_under_the_proof():
     assert not lock.locked
 
 
-def _two_sleepers(hook):
+def _two_sleepers():
     """Two processes woken by one event at t=2, holding 0.5 and 1.0."""
     eng = Engine()
-    eng.trace_hook = hook
     _far(eng)
     gate = eng.event()
     held, woke = {}, []
@@ -245,10 +242,11 @@ def _two_sleepers(hook):
 def test_only_an_events_last_callback_runs_in_place():
     """Two processes wake on one event: the first must not run on in place
     and leave the second to wake half a second late."""
-    held, woke = _two_sleepers(None)
+    held, woke = _two_sleepers()
     assert len(held["first"]) == 1
     assert woke == [("first", 2.5), ("second", 3.0)]
-    assert woke == _two_sleepers(_no_op)[1]
+    with heap_only():
+        assert woke == _two_sleepers()[1]
 
 
 def test_run_until_stops_at_its_event_without_running_its_waiters_on():

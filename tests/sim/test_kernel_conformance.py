@@ -10,16 +10,22 @@ was folded back into the engine, so a rewrite of the loop has to reproduce
 them exactly.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.sim.engine
 from repro.sim import Engine, SimulationError
+
+from tests.conftest import recording_dispatches
 
 
 # ---------------------------------------------------------------------------
 # a scripted schedule exercising every enqueue path with equal-time ties
 # ---------------------------------------------------------------------------
 
-def scripted_run(hook_log=None):
+def scripted_run():
     """Run a fixed mixed workload; return (engine, observable trace).
 
     The script mixes processes, awaited timeouts, bare (never-awaited)
@@ -28,9 +34,6 @@ def scripted_run(hook_log=None):
     event loop is most likely to diverge.
     """
     eng = Engine()
-    if hook_log is not None:
-        eng.trace_hook = lambda when, event: hook_log.append(
-            (when, type(event).__name__))
     trace = []
     gate = eng.event()
 
@@ -90,14 +93,15 @@ class TestScriptedEquivalence:
         assert eng.now == 10.0
         assert eng.events_processed == 33
 
-    def test_trace_hook_sees_identical_dispatch_stream(self):
-        """A hook sees every dispatched event as (timestamp, event type),
-        and installing one changes nothing else."""
-        hook = []
-        eng, trace = scripted_run(hook_log=hook)
-        assert hook == GOLDEN_DISPATCH
+    def test_dispatch_stream_is_the_golden_one(self):
+        """Every dispatched event, as (timestamp, event type), and recording
+        them changes nothing else."""
+        with recording_dispatches() as dispatched:
+            eng, trace = scripted_run()
+        assert [(when, kind.__name__) for when, kind in dispatched] \
+            == GOLDEN_DISPATCH
         assert trace == GOLDEN_TRACE
-        assert eng.events_processed == len(hook)
+        assert eng.events_processed == len(dispatched)
 
     def test_determinism_across_repeated_runs(self):
         eng_a, trace_a = scripted_run()
@@ -225,3 +229,19 @@ class TestClockLeaveSemantics:
         assert eng.run_until(proc) == "done"
         assert eng.now == 1.5
         assert eng.pending_events == 1
+
+
+def test_only_the_dispatch_loop_and_step_pop_the_heap():
+    """``run`` and ``run_until`` are entry points over one dispatch loop:
+    a second inlined copy of it would pop the heap itself."""
+    tree = ast.parse(Path(repro.sim.engine.__file__).read_text())
+    poppers = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and "heappop" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                poppers.add(function.name)
+    assert poppers == {"_dispatch", "step"}

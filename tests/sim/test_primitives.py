@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.costs import CostModel
 from repro.sim import CPU, Engine, Lock, WaitQueue
 
 
@@ -118,11 +119,13 @@ class TestCPU:
         assert finish["short"] < 0.100
 
     def test_disabled_cpu_is_free(self, eng):
+        """A free CPU is a zero-cost model (``Machine.run_instantly``'s
+        ``costs.scale = 0``), not a switch on the CPU."""
         cpu = CPU(eng)
-        cpu.enabled = False
+        free = CostModel(scale=0.0)
 
         def worker():
-            yield from cpu.compute(5.0)
+            yield from cpu.compute(free.time("create", 5))
 
         proc = eng.process(worker())
         eng.run_until(proc)

@@ -1,6 +1,6 @@
 """Knob census: the environment variables the code names are the ones the
-docs name, a machine has the config fields listed here, and the simulator
-stays dependency-free.
+docs name and reject nonsense values, a machine has the config fields
+listed here, and the simulator stays dependency-free.
 
 Every ``REPRO_*`` variable is an option somebody has to know about, so the
 set is pinned here: adding one means editing this list *and* documenting
@@ -13,6 +13,10 @@ import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
+from repro.harness.parallel import default_jobs
+from repro.harness.runner import scale_factor
 from repro.machine import MachineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +45,29 @@ def knob_names(paths) -> set:
 def test_knobs_named_in_src_are_the_documented_ones():
     assert knob_names(SOURCES) == KNOBS
     assert knob_names(DOCS) == KNOBS
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "abc", ""])
+def test_a_nonsense_scale_is_rejected(monkeypatch, value):
+    """Not a positive finite number: the tables would be labelled with it
+    (and built at the clamped minimum tree), or fail far from the cause."""
+    monkeypatch.setenv("REPRO_SCALE", value)
+    with pytest.raises(ValueError, match="REPRO_SCALE"):
+        scale_factor()
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "abc", "2.5"])
+def test_a_nonsense_job_count_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        default_jobs()
+
+
+def test_a_sane_scale_is_read(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "0.5")
+    assert scale_factor() == 0.5
+    monkeypatch.delenv("REPRO_SCALE")
+    assert scale_factor() == 0.15
 
 
 def test_machine_config_fields_are_the_listed_ones():
