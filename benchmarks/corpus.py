@@ -16,6 +16,9 @@ runs a fixed list of commands against the ``repro`` package under *SRC*
   repro.harness faults --seeds 1,2 --ops 40`` without and with
   ``--monitor``, its stdout and its report file;
 * ``harness-0.15.stdout`` -- ``python -m repro.harness 0.15``;
+* ``trace-copy-softupdates.stdout`` / ``.trace.json`` / ``.flame.txt`` --
+  ``python -m repro.harness trace copy --scheme softupdates --scale
+  0.03``, its stdout and the traced record it writes;
 * ``exit_status.txt`` -- each command's exit status, one line per output.
 
 Every command is a function of its arguments, so two checkouts whose
@@ -46,48 +49,55 @@ SWEEP = ["--monitor", "--secrets", "--verify-repair"]
 EXPLORER = ["-m", "repro.integrity.explorer"]
 #: the fault sweep writes its report into the command's working directory
 FAULT_REPORT = "fault_report.txt"
+#: where the traced copy cell writes its record, in the same directory
+TRACE = "traces/copy-soft-updates"
 
 
-def commands() -> list[tuple[str, list[str], str | None]]:
-    """``(output path, python arguments, report path or None)`` in the
-    corpus's fixed order; the report goes beside the output as
-    ``NAME.report.txt``."""
+def commands() -> list[tuple[str, list[str], dict]]:
+    """``(output path, python arguments, {suffix: file it writes})`` in
+    the corpus's fixed order; each file the command writes goes beside
+    the output with the output's suffix replaced by *suffix*."""
     out = []
     for scheme in SCHEMES:
         for workload in WORKLOADS:
             argv = EXPLORER + ["--scheme", scheme, "--workload", workload]
             out.append((f"explorer/{scheme}-{workload}.txt",
-                        argv + SWEEP, None))
+                        argv + SWEEP, {}))
             out.append((f"explorer/{scheme}-{workload}.json",
-                        argv + SWEEP + ["--json"], None))
+                        argv + SWEEP + ["--json"], {}))
     argv = EXPLORER + ["--scheme", "softupdates", "--workload",
                        "microbench", *SWEEP, "--fault-profile", "transient",
                        "--fault-seed", "3"]
     name = "explorer/softupdates-microbench-transient"
-    out.append((f"{name}.txt", argv, None))
-    out.append((f"{name}.json", argv + ["--json"], None))
+    out.append((f"{name}.txt", argv, {}))
+    out.append((f"{name}.json", argv + ["--json"], {}))
     for name, extra in (("faults", []), ("faults-monitor", ["--monitor"])):
         out.append((f"{name}.stdout",
                     ["-m", "repro.harness", "faults", "--seeds", "1,2",
                      "--ops", "40", "--out", FAULT_REPORT, *extra],
-                    FAULT_REPORT))
+                    {".report.txt": FAULT_REPORT}))
     out.append(("harness-0.15.stdout", ["-m", "repro.harness", "0.15"],
-                None))
+                {}))
+    out.append(("trace-copy-softupdates.stdout",
+                ["-m", "repro.harness", "trace", "copy", "--scheme",
+                 "softupdates", "--scale", "0.03", "--out", "traces"],
+                {".trace.json": f"{TRACE}.trace.json",
+                 ".flame.txt": f"{TRACE}.flame.txt"}))
     return out
 
 
 def run(command, out: pathlib.Path, env: dict) -> int:
     """Run one command in a scratch directory; write what it produced."""
-    path, argv, report = command
+    path, argv, written = command
     target = out / path
     target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                               stdout=subprocess.PIPE, check=False)
         target.write_bytes(done.stdout)
-        if report is not None:
-            produced = pathlib.Path(cwd, report)
-            target.with_suffix(".report.txt").write_bytes(
+        for suffix, name in written.items():
+            produced = pathlib.Path(cwd, name)
+            target.with_suffix(suffix).write_bytes(
                 produced.read_bytes() if produced.exists() else b"")
     print(f"{done.returncode} {path}", file=sys.stderr, flush=True)
     return done.returncode
@@ -112,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         statuses = list(pool.map(lambda c: run(c, args.out, env), listed))
     (args.out / "exit_status.txt").write_text("".join(
         f"{status} {path}\n"
-        for (path, _argv, _report), status in zip(listed, statuses)))
+        for (path, _argv, _written), status in zip(listed, statuses)))
     return 0
 
 

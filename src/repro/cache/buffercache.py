@@ -76,7 +76,7 @@ class BufferCache:
         self.read_errors = 0
         self.write_retries = 0
         self.lost_writes: list[tuple[int, str, float]] = []
-        self._obs = engine.obs
+        self._tracer = engine.tracer
         #: optional provider of extra dependency ids attached to every write
         #: (scheduler chains' barrier-dealloc ablation mode)
         self.global_write_deps = None
@@ -106,7 +106,7 @@ class BufferCache:
         # lock-wait accounting is opened lazily on the first sleep and closed
         # on whichever exit path acquires the buffer; the loop structure (and
         # therefore every wakeup and timestamp) is identical with tracing off
-        obs = self._obs
+        tracer = self._tracer
         wait_span = None
         wait_start = None
         while True:
@@ -115,8 +115,8 @@ class BufferCache:
                 if buf.busy:
                     if wait_start is None:
                         wait_start = self.engine.now
-                        if obs is not None:
-                            wait_span = obs.tracer.begin(
+                        if tracer is not None:
+                            wait_span = tracer.begin(
                                 "cache.lock_wait", "cache",
                                 args={"daddr": daddr, "owner": buf.owner})
                     yield buf.waitq.wait()
@@ -153,16 +153,16 @@ class BufferCache:
         self.lock_waits += 1
         self.lock_wait_time += self.engine.now - wait_start
         if wait_span is not None:
-            self._obs.tracer.end(wait_span)
+            self._tracer.end(wait_span)
 
     def bread(self, daddr: int, size: int) -> Generator:
         """Acquire the buffer and ensure it holds the disk contents."""
         buf = yield from self.getblk(daddr, size)
         if not buf.valid:
-            obs = self._obs
-            span = obs.tracer.begin("cache.read_miss", "cache",
-                                    args={"daddr": daddr}) \
-                if obs is not None else None
+            tracer = self._tracer
+            span = tracer.begin("cache.read_miss", "cache",
+                                args={"daddr": daddr}) \
+                if tracer is not None else None
             yield from self.cpu.compute(self.costs.time("io_setup"))
             nsectors = (size // self.frag_size) * self.sectors_per_frag
             request = self.driver.read(self._lbn(daddr), nsectors,
@@ -177,13 +177,13 @@ class BufferCache:
                     faults.log(self.engine.now, "read_eio",
                                f"daddr={daddr} ({request.error})")
                 if span is not None:
-                    obs.tracer.end(span)
+                    tracer.end(span)
                 self._unbusy(buf)
                 raise MediaError(daddr, f"read failed ({request.error})")
             buf.fill(self.driver.disk.storage.read(
                 self._lbn(daddr), size // self.frag_size * self.sectors_per_frag))
             if span is not None:
-                obs.tracer.end(span)
+                tracer.end(span)
         return buf
 
     def peek(self, daddr: int) -> Optional[Buffer]:
@@ -220,14 +220,14 @@ class BufferCache:
         if self.block_copy:
             yield from self.cpu.compute(self.costs.block_copy(buf.size))
         yield from self.cpu.compute(self.costs.time("io_setup"))
-        obs = self._obs
-        span = obs.tracer.begin("cache.write_wait", "cache",
-                                args={"daddr": buf.daddr}) \
-            if obs is not None else None
+        tracer = self._tracer
+        span = tracer.begin("cache.write_wait", "cache",
+                            args={"daddr": buf.daddr}) \
+            if tracer is not None else None
         request = self._issue_write(buf, flag, depends_on)
         yield request.done
         if span is not None:
-            obs.tracer.end(span)
+            tracer.end(span)
         if request.error is not None and not is_retryable(request.error):
             # the synchronous write is permanently lost: the blocked syscall
             # gets EIO, like bwrite's B_ERROR path.  (A *retryable* failure

@@ -44,21 +44,21 @@ class SyncerDaemon:
         self.workitems_run = 0
         #: dirty buffers left after each sweep's writes, summed over sweeps
         self.sweep_dirty = 0
-        self._obs = engine.obs
+        self._tracer = engine.tracer
         self._process = engine.process(self._run(), name="syncer")
 
     # -- the daemon ----------------------------------------------------------
     def _run(self) -> Generator:
-        obs = self._obs
+        tracer = self._tracer
         while True:
             yield self.engine.timeout(self.interval)
             self.wakeups += 1
-            if obs is None:
+            if tracer is None:
                 self._sweep()
             else:
-                span = obs.tracer.begin("syncer.wakeup", "syncer")
+                span = tracer.begin("syncer.wakeup", "syncer")
                 self._sweep()
-                obs.tracer.end(span)
+                tracer.end(span)
 
     def _sweep(self) -> None:
         # write out blocks marked on a previous pass (retry busy ones later)

@@ -156,7 +156,7 @@ class Disk:
         self.storage = SectorStore(self.geometry)
         self.cache = PrefetchCache(total_sectors=self.geometry.total_sectors)
         self.stats = DiskStats()
-        self._obs = engine.obs
+        self._tracer = engine.tracer
         self._current_cylinder = 0
         #: set to True to make service() free (image population, not benchmarks)
         self.instant = False
@@ -217,8 +217,8 @@ class Disk:
             self.stats.sectors_read += nsectors
             self.stats.cache_hit_reads += 1
             self._account(start, 0.0, 0.0, 0.0)
-            if self._obs is not None:
-                self._obs.tracer.record(
+            if self._tracer is not None:
+                self._tracer.record(
                     "disk.cache_hit", "disk", start, self.engine.now, "drive",
                     args={"lbn": lbn, "nsectors": nsectors})
             return self.engine.now - start
@@ -274,7 +274,7 @@ class Disk:
             else:
                 self.stats.reads += 1
                 self.stats.sectors_read += nsectors
-            if self._obs is not None:
+            if self._tracer is not None:
                 self._record_service(start, seek, rotation, transfer,
                                      lbn, nsectors, is_write)
             return self.engine.now - start
@@ -288,8 +288,8 @@ class Disk:
         self.faults.log(self.engine.now, "inject",
                         f"{kind} {'write' if is_write else 'read'} "
                         f"lbn={lbn} nsectors={nsectors} applied={applied}")
-        if self._obs is not None:
-            self._obs.tracer.record(
+        if self._tracer is not None:
+            self._tracer.record(
                 "disk.fault", "disk", start, self.engine.now, "drive",
                 args={"lbn": lbn, "nsectors": nsectors, "kind": kind})
         return self.engine.now - start
@@ -329,13 +329,11 @@ class Disk:
         properly on the dedicated ``drive`` track.  Built entirely from
         timestamps already computed by :meth:`service`.
         """
-        obs = self._obs
+        record = self._tracer.record
         end = self.engine.now
         name = "disk.write" if is_write else "disk.read"
-        outer = obs.tracer.record(
-            name, "disk", start, end, "drive",
-            args={"lbn": lbn, "nsectors": nsectors})
-        record = obs.tracer.record
+        outer = record(name, "disk", start, end, "drive",
+                       args={"lbn": lbn, "nsectors": nsectors})
         at = start + self.params.controller_overhead
         if seek:
             record("seek", "disk", at, at + seek, "drive", parent=outer.id)

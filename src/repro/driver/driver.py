@@ -105,7 +105,7 @@ class DeviceDriver:
         self.flagged_writes = 0
         self.batches = 0
         self.queue_peak = 0
-        self._obs = engine.obs
+        self._tracer = engine.tracer
         self._process = engine.process(self._run(), name="disk-driver")
 
     # -- public API -------------------------------------------------------
@@ -139,8 +139,8 @@ class DeviceDriver:
         depth = len(self._pending)
         if depth > self.queue_peak:
             self.queue_peak = depth
-        if self._obs is not None:
-            request.trace_parent = self._obs.tracer.current()
+        if self._tracer is not None:
+            request.trace_parent = self._tracer.current()
         self._classify(request)
         # broadcast, not signal: both the dispatch loop and any drain()
         # waiters sleep on the same queue and must all re-check
@@ -319,7 +319,7 @@ class DeviceDriver:
                     self.policy.on_complete(request)
                 self.trace.append(request)
             self.batches += 1
-            if self._obs is not None:
+            if self._tracer is not None:
                 self._record_batch(batch)
             self._after_completions(batch)
             # completion callbacks run after *all* policy bookkeeping so a
@@ -403,11 +403,11 @@ class DeviceDriver:
         Purely retrospective -- built from the stamps the driver keeps
         anyway, so the traced dispatch sequence is identical to untraced.
         """
-        tracer = self._obs.tracer
+        tracer = self._tracer
         for request in batch:
             name = ("driver.queue.write" if request.is_write
                     else "driver.queue.read")
-            tracer.record_async(
+            tracer.record(
                 name, "driver", request.issue_time, request.dispatch_time,
                 "driver.queue", async_id=request.id,
                 parent=request.trace_parent,

@@ -280,3 +280,18 @@ class Dinode:
     def copy(self) -> "Dinode":
         clone = Dinode.unpack(self.pack())
         return clone
+
+
+def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
+    """Fragments held by logical block *lblk* of *din* at its current size:
+    a full block, except the tail of a file that fits in the direct blocks
+    (directories always hold full blocks)."""
+    if din.safe_ftype is FileType.DIRECTORY:
+        return geo.frags_per_block
+    size = din.size
+    last = (size - 1) // geo.block_size if size else 0
+    if (lblk < last or lblk >= geo.NDADDR
+            or size > geo.NDADDR * geo.block_size):
+        return geo.frags_per_block
+    tail = size - lblk * geo.block_size
+    return max(1, (tail + geo.frag_size - 1) // geo.frag_size)

@@ -19,7 +19,8 @@ from repro.costs import CostModel
 from repro.fs import directory
 from repro.fs.alloc import Allocator
 from repro.fs.inode import Inode, InodeTable
-from repro.fs.layout import Dinode, FileType, FSGeometry, INODE_SIZE, ROOT_INO
+from repro.fs.layout import (Dinode, FileType, FSGeometry, INODE_SIZE,
+                             ROOT_INO, block_frags)
 from repro.fs.superblock import Superblock
 from repro.ordering.base import AllocContext, OrderingScheme
 from repro.sim.cpu import CPU
@@ -61,10 +62,10 @@ def _syscall(fn):
         gen = fn(self, *args, **kwargs)
         counts = self.op_counts
         counts[name] = counts.get(name, 0) + 1
-        obs = self.engine.obs
-        if obs is None:
+        tracer = self.engine.tracer
+        if tracer is None:
             return gen
-        return self._traced_syscall(name, gen, obs)
+        return self._traced_syscall(name, gen, tracer)
 
     wrapper.__name__ = name
     wrapper.__qualname__ = fn.__qualname__
@@ -219,7 +220,7 @@ class FileSystem:
         for lblk in range(min(nblocks, geo.NDADDR)):
             daddr = ip.din.direct[lblk]
             if daddr:
-                runs.append((daddr, self._block_frags(ip, lblk)))
+                runs.append((daddr, block_frags(geo, ip.din, lblk)))
         if ip.din.sindirect:
             runs.extend((yield from self._collect_indirect(
                 ip.din.sindirect, depth=1)))
@@ -378,18 +379,6 @@ class FileSystem:
     # ==================================================================
     # block mapping and allocation
     # ==================================================================
-    def _block_frags(self, ip: Inode, lblk: int) -> int:
-        """Fragments held by logical block *lblk* given the current size."""
-        geo = self.geometry
-        if ip.is_dir:
-            return geo.frags_per_block
-        size = ip.din.size
-        last = (size - 1) // geo.block_size if size else 0
-        if lblk < last or lblk >= geo.NDADDR or size > geo.NDADDR * geo.block_size:
-            return geo.frags_per_block
-        tail = size - lblk * geo.block_size
-        return max(1, (tail + geo.frag_size - 1) // geo.frag_size)
-
     def bmap(self, ip: Inode, lblk: int) -> Generator:
         """Logical block -> fragment daddr (0 for a hole)."""
         geo = self.geometry
@@ -440,7 +429,7 @@ class FileSystem:
         hint = geo.cg_of_inode(ip.ino)
 
         owner_kind, ibuf, slot, old_daddr = yield from self._owner_of(ip, lblk)
-        old_frags = self._block_frags(ip, lblk) if old_daddr else 0
+        old_frags = block_frags(geo, ip.din, lblk) if old_daddr else 0
 
         if old_daddr and old_frags >= want_frags:
             if ibuf is not None:
@@ -575,13 +564,13 @@ class FileSystem:
         yield from self.cpu.compute(self.costs.time("syscall"))
 
     def _traced_syscall(self, name: str, gen: Generator,
-                        obs) -> Generator:
+                        tracer) -> Generator:
         """Drive *gen* inside a ``syscall.<name>`` span (tracing on only)."""
-        span = obs.tracer.begin(f"syscall.{name}", "syscall")
+        span = tracer.begin(f"syscall.{name}", "syscall")
         try:
             result = yield from gen
         finally:
-            obs.tracer.end(span)
+            tracer.end(span)
         return result
 
     @_syscall
@@ -868,7 +857,7 @@ class FileSystem:
                 if daddr == 0:
                     chunks.append(bytes(take))  # hole
                 else:
-                    frags = self._block_frags(ip, lblk)
+                    frags = block_frags(self.geometry, ip.din, lblk)
                     buf = yield from self.cache.bread(
                         daddr, frags * self.geometry.frag_size)
                     chunks.append(bytes(buf.data[in_block:in_block + take]))

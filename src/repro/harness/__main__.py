@@ -102,10 +102,6 @@ def trace_main(argv: list[str]) -> int:
                         help="concurrent user processes (default 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="tree RNG seed (default: the spec's own)")
-    parser.add_argument("--profile", action="store_true",
-                        help="also print the spans folded per layer, and "
-                             "write that table as <slug>.profile.txt next "
-                             "to the trace")
     parser.add_argument("--out", default="results/traces",
                         help="output directory (default results/traces)")
     args = parser.parse_args(argv)
@@ -132,27 +128,19 @@ def trace_main(argv: list[str]) -> int:
     slug = f"{args.bench}-{scheme.lower().replace(' ', '-')}"
     trace_path = outdir / f"{slug}.trace.json"
     flame_path = outdir / f"{slug}.flame.txt"
-    write_trace(machine.obs, trace_path, label=label)
-    flame_path.write_text(flame_summary(machine.obs, label=label) + "\n")
+    write_trace(machine, trace_path, label=label)
+    flame_path.write_text(flame_summary(machine, label=label) + "\n")
 
     print(f"# traced {label}")
     print(f"  elapsed {result.elapsed:.3f}s simulated, "
           f"{result.disk_requests} disk requests, "
-          f"{len(machine.obs.tracer.spans)} spans, "
+          f"{len(machine.tracer.spans)} spans, "
           f"{machine.engine.events_processed} events")
-    for track, summary in sorted(summarize(machine.obs).items()):
+    for track, summary in sorted(summarize(machine.tracer).items()):
         print(f"  track {track}: {summary.active:.3f}s active, "
               f"{100 * summary.coverage:.1f}% under named spans")
     print(f"  wrote {trace_path}")
     print(f"  wrote {flame_path}")
-    if args.profile:
-        from repro.obs import format_profile_report
-        report = format_profile_report(machine.obs, title=label)
-        profile_path = outdir / f"{slug}.profile.txt"
-        profile_path.write_text(report + "\n")
-        print()
-        print(report)
-        print(f"  wrote {profile_path}")
     print("  open the JSON in https://ui.perfetto.dev to browse the timeline")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.machine import Machine
+from repro.obs import snapshot
 from repro.sim import Process
 
 
@@ -99,8 +100,8 @@ def collect(machine: Machine, users: list[Process], after_request_id: int,
         result.driver_response_avg = result.queue_avg + result.access_avg
         result.reads = sum(1 for r in window if not r.is_write)
         result.writes = len(window) - result.reads
-    if machine.obs is not None:
+    if machine.tracer is not None:
         # observed run: fold the named metrics into the extras so any of
         # them can be cited as a report column by name
-        result.extra.update(machine.obs.snapshot())
+        result.extra.update(snapshot(machine))
     return result

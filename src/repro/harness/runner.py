@@ -120,8 +120,8 @@ def run_copy(config: MachineConfig, users: int, tree: TreeSpec,
     """N-user copy: returns the table-1-style measurements.
 
     *on_machine* (if given) receives the machine right after it is built --
-    the trace CLI uses it to keep a handle for exporting the observability
-    session once the run finishes.
+    the trace CLI uses it to keep a handle for exporting the machine's
+    trace once the run finishes.
     """
     wall_start = time.perf_counter()
     tree = with_seed(tree, seed)

@@ -79,6 +79,7 @@ from repro.fs.layout import (
     FileType,
     FSGeometry,
     allocated_slots,
+    block_frags,
 )
 from repro.fs.superblock import Superblock
 from repro.integrity.invariants import Severity, Violation, finding
@@ -218,19 +219,6 @@ def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
             >= geo.cg_frags - geo.dfrags_per_cg)
 
 
-def block_frags(geo: FSGeometry, din: Dinode, lblk: int) -> int:
-    """Fragments held by logical block *lblk* (tail blocks may be short)."""
-    if din.safe_ftype is FileType.DIRECTORY:
-        return geo.frags_per_block
-    size = din.size
-    last = (size - 1) // geo.block_size if size else 0
-    if (lblk < last or lblk >= geo.NDADDR
-            or size > geo.NDADDR * geo.block_size):
-        return geo.frags_per_block
-    tail = size - lblk * geo.block_size
-    return max(1, (tail + geo.frag_size - 1) // geo.frag_size)
-
-
 def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
                     din: Dinode, indirect: list) -> list:
     """Phase-1 op-stream for one inode: the fragment daddrs it claims (in
@@ -280,14 +268,57 @@ def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
     return ops
 
 
+def _indirect_map(image: SectorStore, geo: FSGeometry, daddr: int,
+                  count: int, depth: int) -> list:
+    """The first *count* block pointers under indirect block *daddr* of
+    *depth* (1: single, 2: double), as :func:`block_map` reports them."""
+    if not daddr:
+        return [0] * count
+    if not valid_data_frag(geo, daddr):
+        return [None] * count
+    nindir = geo.nindir
+    slots = struct.unpack(f"<{nindir}I", read_image_frags(
+        image, geo, daddr, geo.frags_per_block))
+    if depth == 1:
+        return list(slots[:count])
+    mapped: list = []
+    for slot in slots[:(count + nindir - 1) // nindir]:
+        mapped += _indirect_map(image, geo, slot,
+                                min(nindir, count - len(mapped)), 1)
+    return mapped
+
+
+def block_map(image: SectorStore, geo: FSGeometry, din: Dinode) -> list:
+    """The fragment daddr of each logical block of *din* within its size,
+    through its indirect blocks (read as :func:`inode_claim_ops` reads
+    them): 0 for a hole, ``None`` for a pointer outside the data area and
+    for every block under an indirect pointer outside it."""
+    nindir = geo.nindir
+    nblocks = min((din.size + geo.block_size - 1) // geo.block_size,
+                  geo.NDADDR + nindir + nindir * nindir)
+    daddrs = din.direct[:nblocks]
+    rest = nblocks - geo.NDADDR
+    if rest > 0:
+        daddrs += _indirect_map(image, geo, din.sindirect,
+                                min(rest, nindir), 1)
+        if rest > nindir:
+            daddrs += _indirect_map(image, geo, din.dindirect,
+                                    rest - nindir, 2)
+    for lblk, daddr in enumerate(daddrs):
+        if daddr and not valid_data_frag(geo, daddr):
+            daddrs[lblk] = None
+    return daddrs
+
+
 def directory_blocks(image: SectorStore, geo: FSGeometry,
                      din: Dinode) -> tuple:
-    """The bytes of each block of directory *din*, by logical block:
-    ``None`` for a hole or a pointer outside the data area."""
-    nblocks = (din.size + geo.block_size - 1) // geo.block_size
-    return tuple(read_image_frags(image, geo, daddr, geo.frags_per_block)
-                 if daddr and valid_data_frag(geo, daddr) else None
-                 for daddr in din.direct[:min(nblocks, geo.NDADDR)])
+    """The bytes of each block of directory *din*, by logical block
+    (:func:`block_map`): ``b""`` for a hole, ``None`` for a pointer
+    outside the data area."""
+    return tuple(None if daddr is None
+                 else read_image_frags(image, geo, daddr, geo.frags_per_block)
+                 if daddr else b""
+                 for daddr in block_map(image, geo, din))
 
 
 def directory_events(geo: FSGeometry, ino: int, din: Dinode,
@@ -299,8 +330,8 @@ def directory_events(geo: FSGeometry, ino: int, din: Dinode,
     events: list = []
     seen_dot = seen_dotdot = False
     for lblk, raw in enumerate(blocks):
-        if raw is None:
-            if not din.direct[lblk]:
+        if not raw:
+            if raw is not None:
                 events.append(finding(
                     "dir-corrupt",
                     f"directory {ino} has a hole at block {lblk}"))
@@ -472,7 +503,7 @@ class _Checker:
         #: fragment is claimed twice (``contested``)
         self.doubles: dict = {}
         self.contested = False
-        #: phase 2: directory ino -> (size, pointers, blocks, events)
+        #: phase 2: directory ino -> (size, blocks, events)
         self.directories: dict = {}
         #: (ino, events) of each directory in replay order (None before
         #: phase 2 ran) and the findings replaying them gave
@@ -634,12 +665,12 @@ class _Checker:
                 din = group.dinodes[ino]
                 blocks = directory_blocks(self.image, self.geo, din)
                 kept = before.get(ino)
-                if (kept is not None and kept[2] == blocks
-                        and kept[0] == din.size and kept[1] == din.direct):
-                    events = kept[3]
+                if (kept is not None and kept[1] == blocks
+                        and kept[0] == din.size):
+                    events = kept[2]
                 else:
                     events = directory_events(self.geo, ino, din, blocks)
-                self.directories[ino] = (din.size, din.direct, blocks, events)
+                self.directories[ino] = (din.size, blocks, events)
                 dirs.append((ino, events))
         if (previous is not None and previous.dirs == dirs
                 and previous.report.inodes.keys()

@@ -13,16 +13,14 @@ crash exposed stale data -- exactly what allocation initialization prevents.
 
 from __future__ import annotations
 
-import struct
-
 from repro.disk.storage import SectorStore
 from repro.fs.alloc import CgView, set_bits
 from repro.fs.layout import FileType, FSGeometry
 from repro.integrity.fsck import (
     FsckReport,
+    block_map,
     fsck,
     journal_overlay_view,
-    valid_data_frag,
 )
 from repro.integrity.invariants import Violation, finding
 
@@ -62,7 +60,9 @@ def find_secret_leaks(image: SectorStore,
     metadata (indirect blocks included) in the log with home still
     holding a previous owner's bytes, and recovery replays the log before
     any file is readable -- so, like fsck, the walk reads through the
-    committed overlay.  Pointers that leave the data area are skipped
+    committed overlay.  Each logical block is found through fsck's
+    :func:`~repro.integrity.fsck.block_map`, indirect blocks included, and
+    pointers that leave the data area are skipped
     (fsck books them as corruption findings; dereferencing a torn
     pointer's garbage here would just crash the auditor).
     """
@@ -76,34 +76,16 @@ def find_secret_leaks(image: SectorStore,
         if din.safe_ftype is not FileType.REGULAR:
             continue
         remaining = din.size
-        lblk = 0
-        while remaining > 0 and lblk < geometry.NDADDR:
-            daddr = din.direct[lblk]
+        for lblk, daddr in enumerate(block_map(image, geometry, din)):
             take = min(remaining, geometry.block_size)
-            if daddr and valid_data_frag(geometry, daddr):
-                frags = (take + geometry.frag_size - 1) // geometry.frag_size
-                raw = image.read(daddr * spf, frags * spf)[:take]
-                if SECRET in raw:
-                    leaks.append(finding(
-                        "stale-data", f"stale data exposed: inode {ino} "
-                                      f"block {lblk} exposes stale data"))
             remaining -= take
-            lblk += 1
-        if remaining > 0 and din.sindirect \
-                and valid_data_frag(geometry, din.sindirect):
-            raw = image.read(din.sindirect * spf,
-                             geometry.frags_per_block * spf)
-            for pointer in struct.unpack(f"<{geometry.nindir}I", raw):
-                if remaining <= 0:
-                    break
-                take = min(remaining, geometry.block_size)
-                if pointer and valid_data_frag(geometry, pointer):
-                    data = image.read(pointer * spf,
-                                      geometry.frags_per_block * spf)[:take]
-                    if SECRET in data:
-                        leaks.append(finding(
-                            "stale-data",
-                            f"stale data exposed: inode {ino} indirect block "
-                            f"exposes stale data"))
-                remaining -= take
+            if not daddr:
+                continue
+            frags = (take + geometry.frag_size - 1) // geometry.frag_size
+            if SECRET in image.read(daddr * spf, frags * spf)[:take]:
+                where = f"block {lblk}" if lblk < geometry.NDADDR \
+                    else "indirect block"
+                leaks.append(finding(
+                    "stale-data", f"stale data exposed: inode {ino} "
+                                  f"{where} exposes stale data"))
     return leaks

@@ -29,7 +29,7 @@ from repro.faults import FaultPlan
 from repro.driver.ordering import OrderingPolicy
 from repro.fs import FileSystem, FSGeometry, mkfs
 from repro.fs.layout import with_journal
-from repro.obs import Observability
+from repro.obs import Tracer
 from repro.ordering import (
     NoOrderScheme,
     OrderingScheme,
@@ -61,7 +61,7 @@ class MachineConfig:
     fs_geometry: FSGeometry = field(default_factory=FSGeometry)
     costs: CostModel = field(default_factory=CostModel)
     cache_bytes: int = 24 * 1024 * 1024
-    #: record spans and expose ``machine.obs`` (off by default; a traced
+    #: record spans into ``machine.tracer`` (off by default; a traced
     #: run is simulation-identical to an untraced one, just slower on the
     #: host)
     observe: bool = False
@@ -82,9 +82,10 @@ class Machine:
             # explorer, fault sweep, ad-hoc tests -- gets it for free
             cfg.fs_geometry = with_journal(cfg.fs_geometry)
         self.engine = Engine()
-        # observability is installed before any component is built so each
+        # the tracer is installed before any component is built so each
         # one can capture it (or None) exactly once
-        self.obs = Observability(self) if cfg.observe else None
+        self.tracer = self.engine.tracer = (Tracer(self.engine)
+                                            if cfg.observe else None)
         self.cpu = CPU(self.engine)
         self.costs = cfg.costs
         self.disk = Disk(self.engine)

@@ -22,8 +22,10 @@ import json
 import pathlib
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.obs.registry import snapshot
+
 if TYPE_CHECKING:
-    from repro.obs.session import Observability
+    from repro.machine import Machine
     from repro.obs.tracer import Span
 
 #: single simulated machine = one perfetto process
@@ -53,9 +55,10 @@ def _span_event(span: "Span", tid: int) -> list[dict]:
     ]
 
 
-def trace_events(obs: "Observability", label: str = "") -> dict:
-    """Render the session's spans as a trace_event JSON document (a dict)."""
-    tracks = obs.tracer.tracks()
+def trace_events(machine: "Machine", label: str = "") -> dict:
+    """Render the machine's spans as a trace_event JSON document (a dict)."""
+    tracer = machine.tracer
+    tracks = tracer.tracks()
     tid_of = {track: index + 1 for index, track in enumerate(tracks)}
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": PID, "tid": 0,
@@ -64,7 +67,7 @@ def trace_events(obs: "Observability", label: str = "") -> dict:
     for track, tid in tid_of.items():
         events.append({"name": "thread_name", "ph": "M", "pid": PID,
                        "tid": tid, "args": {"name": track}})
-    for span in obs.tracer.spans:
+    for span in tracer.spans:
         if not span.closed:
             continue
         events.extend(_span_event(span, tid_of[span.track]))
@@ -74,17 +77,17 @@ def trace_events(obs: "Observability", label: str = "") -> dict:
         "otherData": {
             "clock": "simulated seconds (exported as microseconds)",
             "label": label,
-            "metrics": obs.snapshot(),
+            "metrics": snapshot(machine),
         },
     }
 
 
-def write_trace(obs: "Observability", path: Union[str, pathlib.Path],
+def write_trace(machine: "Machine", path: Union[str, pathlib.Path],
                 label: str = "") -> pathlib.Path:
-    """Write the trace_event JSON for *obs* to *path*; returns the path."""
+    """Write the trace_event JSON for *machine* to *path*; returns it."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(trace_events(obs, label=label)) + "\n")
+    path.write_text(json.dumps(trace_events(machine, label=label)) + "\n")
     return path
 
 

@@ -8,17 +8,13 @@ The harness asserts coverage stays >= 95% on user tracks, so a future layer
 that forgets to open spans shows up as a failed benchmark, not as silently
 missing data.
 
-Async spans (driver queue residencies) overlap and are reported as category
-totals only, not folded into the nesting.
-
-:func:`profile_rows` is the same fold seen per layer -- ``vfs``, ``cache``,
-``scheme``, ``driver``, ``drive``, ``kernel`` -- and
-``python -m repro.harness trace <bench> --profile`` renders it.  **Sim
-self-time** is exact: each closed sync span contributes its duration minus
-its children's, so a syscall's cache waits land under ``cache``, not
-``vfs``; async spans are counted, never folded.  This is *simulated* time;
-where the simulator's own host time goes is ``bench/``'s question (its
-``cProfile`` layer fold), not this table's.
+The "Category totals" table is the same fold seen per span category.  Its
+``self`` column is simulated self-time and is exact: each closed sync span
+contributes its duration minus its children's, so a syscall's cache waits
+land under ``cache``, not ``syscall``.  Async spans (driver queue
+residencies) overlap: they are counted and totalled, never folded, so they
+add no self-time.  This is *simulated* time; where the simulator's own host
+time goes is ``bench/``'s question (its ``cProfile`` layer fold).
 """
 
 from __future__ import annotations
@@ -26,25 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.obs.registry import snapshot
+
 if TYPE_CHECKING:
-    from repro.obs.session import Observability
-    from repro.obs.tracer import Span
-
-
-#: the fixed attribution targets of :func:`profile_rows`, pipeline order
-LAYERS = ("vfs", "cache", "scheme", "driver", "drive", "kernel")
-
-#: span category -> layer (the syncer is part of the cache layer: its
-#: sweeps exist to push the cache's delayed writes); anything else is
-#: ``kernel``
-CATEGORY_LAYER = {
-    "syscall": "vfs",
-    "cache": "cache",
-    "syncer": "cache",
-    "ordering": "scheme",
-    "driver": "driver",
-    "disk": "drive",
-}
+    from repro.machine import Machine
+    from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -110,58 +92,52 @@ def _fold_track(track: str, spans: list) -> TrackSummary:
     return summary
 
 
-def summarize(obs: "Observability") -> dict[str, TrackSummary]:
+def summarize(tracer: "Tracer") -> dict[str, TrackSummary]:
     """Fold every track; async spans contribute only to category totals."""
     sync_by_track: dict[str, list] = {}
-    for span in obs.tracer.spans:
+    for span in tracer.spans:
         if span.closed and span.async_id is None:
             sync_by_track.setdefault(span.track, []).append(span)
     return {track: _fold_track(track, spans)
             for track, spans in sync_by_track.items()}
 
 
-def coverage(obs: "Observability",
-             tracks: list[str] | None = None) -> dict[str, float]:
-    """Coverage fraction per track (optionally restricted to *tracks*)."""
-    summaries = summarize(obs)
-    if tracks is not None:
-        summaries = {track: summary for track, summary in summaries.items()
-                     if track in tracks}
-    return {track: summary.coverage
-            for track, summary in summaries.items()}
-
-
-def category_totals(obs: "Observability") -> dict[str, tuple[float, int]]:
-    """``category -> (total seconds, span count)`` over all closed spans."""
-    totals: dict[str, tuple[float, int]] = {}
-    for span in obs.tracer.spans:
+def category_totals(tracer: "Tracer") -> dict[str, tuple[float, float, int]]:
+    """``category -> (total seconds, self seconds, span count)`` over all
+    closed spans; self-time is :func:`summarize`'s, summed per category."""
+    totals: dict[str, tuple[float, float, int]] = {}
+    for span in tracer.spans:
         if not span.closed:
             continue
-        total, count = totals.get(span.cat, (0.0, 0))
-        totals[span.cat] = (total + span.duration, count + 1)
+        total, self_time, count = totals.get(span.cat, (0.0, 0.0, 0))
+        totals[span.cat] = (total + span.duration, self_time, count + 1)
+    for summary in summarize(tracer).values():
+        for stat in summary.paths.values():
+            total, self_time, count = totals[stat.cat]
+            totals[stat.cat] = (total, self_time + stat.self_time, count)
     return totals
 
 
-def flame_summary(obs: "Observability", label: str = "",
+def flame_summary(machine: "Machine", label: str = "",
                   max_paths: int = 40) -> str:
     """The human-readable report written next to each exported trace."""
+    tracer = machine.tracer
     lines: list[str] = []
     title = f"Flame summary{': ' + label if label else ''}"
     lines.append(title)
     lines.append("=" * len(title))
     lines.append("")
-    dropped = getattr(obs.tracer, "dropped", 0)
-    if dropped:
-        lines.append(f"WARNING: {dropped} spans dropped at the "
-                     f"{obs.tracer.max_spans}-span cap -- totals below "
-                     f"undercount, the --profile table included (raise "
-                     f"tracer.max_spans before the run)")
+    if tracer.dropped:
+        lines.append(f"WARNING: {tracer.dropped} spans dropped at the "
+                     f"{tracer.max_spans}-span cap -- totals below "
+                     f"undercount (raise tracer.max_spans before the run)")
         lines.append("")
     lines.append("Category totals (simulated seconds):")
-    for cat, (total, count) in sorted(category_totals(obs).items(),
-                                      key=lambda kv: -kv[1][0]):
-        lines.append(f"  {cat:<14} {total:12.6f}s  {count:8d} spans")
-    for track, summary in summarize(obs).items():
+    for cat, (total, self_time, count) in sorted(
+            category_totals(tracer).items(), key=lambda kv: -kv[1][0]):
+        lines.append(f"  {cat:<14} {total:12.6f}s  self {self_time:12.6f}s"
+                     f"  {count:8d} spans")
+    for track, summary in summarize(tracer).items():
         lines.append("")
         lines.append(f"Track {track}: {summary.active:.6f}s active, "
                      f"{100 * summary.coverage:.1f}% under named spans")
@@ -172,7 +148,7 @@ def flame_summary(obs: "Observability", label: str = "",
             lines.append(
                 f"{indent}{path[-1]:<28} total {stat.total:10.6f}s  "
                 f"self {stat.self_time:10.6f}s  x{stat.count}")
-    metrics = obs.snapshot()
+    metrics = snapshot(machine)
     if metrics:
         lines.append("")
         lines.append("Metrics:")
@@ -182,32 +158,3 @@ def flame_summary(obs: "Observability", label: str = "",
                 else str(value)
             lines.append(f"  {name:<32} {rendered}")
     return "\n".join(lines)
-
-
-def profile_rows(obs: "Observability") -> list:
-    """``[(layer, spans, sim_self, share)]``, one row per :data:`LAYERS`.
-
-    Span counts cover every closed span; sim self-time is the fold's, so
-    driver queue residencies (async) count as spans and add no time.
-    """
-    counts = dict.fromkeys(LAYERS, 0)
-    sims = dict.fromkeys(LAYERS, 0.0)
-    for cat, (_total, count) in category_totals(obs).items():
-        counts[CATEGORY_LAYER.get(cat, "kernel")] += count
-    for summary in summarize(obs).values():
-        for stat in summary.paths.values():
-            sims[CATEGORY_LAYER.get(stat.cat, "kernel")] += stat.self_time
-    total = sum(sims.values())
-    return [(layer, counts[layer], sims[layer],
-             sims[layer] / total if total > 0 else 0.0) for layer in LAYERS]
-
-
-def format_profile_report(obs: "Observability", title: str = "") -> str:
-    """The per-layer breakdown table ``trace --profile`` prints."""
-    header = title or "Per-layer profile (sim self-time)"
-    lines = [header, "=" * len(header), "",
-             f"  {'layer':<8}{'spans':>9}{'sim self (s)':>14}{'share':>8}"]
-    for layer, spans, sim, share in profile_rows(obs):
-        lines.append(f"  {layer:<8}{spans:>9}{sim:>14.6f}"
-                     f"{100 * share:>7.1f}%")
-    return "\n".join(lines) + "\n"

@@ -61,7 +61,8 @@ def _queue_wait(m: "Machine") -> tuple:
 #: an exported trace byte-comparable with the records made so far.
 METRICS = (
     ("engine.events", attrgetter("engine.events_processed")),
-    ("tracer.spans_dropped", attrgetter("obs.tracer.dropped")),
+    ("tracer.spans_dropped",
+     lambda m: m.tracer.dropped if m.tracer is not None else None),
     ("disk.seek_time", attrgetter("disk.stats.seek_time")),
     ("disk.rotation_time", attrgetter("disk.stats.rotation_time")),
     ("disk.transfer_time", attrgetter("disk.stats.transfer_time")),

@@ -15,8 +15,8 @@ can never perturb simulated timestamps -- the property
 Sync spans (``begin``/``end``, or retrospective :meth:`Tracer.record`) must
 nest properly within their track; overlapping intervals -- driver queue
 residencies, in-flight writes -- are recorded as *async* spans
-(:meth:`Tracer.record_async`), which the Perfetto exporter emits as ``b``/
-``e`` event pairs keyed by id instead of complete events.
+(:meth:`Tracer.record` with an ``async_id``), which the Perfetto exporter
+emits as ``b``/``e`` event pairs keyed by id instead of complete events.
 
 Memory is bounded: the span list stops growing at ``max_spans`` (default
 :data:`DEFAULT_MAX_SPANS`; assign ``tracer.max_spans`` before the run).
@@ -77,22 +77,6 @@ class Span:
         state = f"{self.start:.6f}..{self.end:.6f}" if self.closed \
             else f"{self.start:.6f}.."
         return f"<Span #{self.id} {self.name!r} [{self.cat}] {state}>"
-
-
-class _SpanHandle:
-    """Context-manager handle returned by :meth:`Tracer.span`."""
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self.tracer = tracer
-        self.span = span
-
-    def __enter__(self) -> Span:
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.tracer.end(self.span)
 
 
 class Tracer:
@@ -163,35 +147,20 @@ class Tracer:
                     top.end = self.engine.now
         return span
 
-    def span(self, name: str, cat: str, track: Optional[str] = None,
-             args: Optional[dict] = None) -> _SpanHandle:
-        """``with tracer.span(...):`` convenience around begin/end."""
-        return _SpanHandle(self, self.begin(name, cat, track, args=args))
-
     # -- retrospective spans ----------------------------------------------
     def record(self, name: str, cat: str, start: float, end: float,
                track: str, parent: Optional[int] = None,
-               args: Optional[dict] = None) -> Span:
+               args: Optional[dict] = None,
+               async_id: Optional[int] = None) -> Span:
         """Record an already-finished interval from saved timestamps.
 
         Used where the natural instrumentation point is a completion path
         that already holds begin/end stamps (the driver trace, the drive's
-        mechanical phases).  The interval must nest properly within *track*;
-        overlapping intervals belong in :meth:`record_async`.
+        mechanical phases).  Without *async_id* the interval must nest
+        properly within *track*; an interval that may overlap others there
+        (driver queue residency) passes an *async_id*, which groups its
+        begin/end pair in the Perfetto export.
         """
-        self._next_id += 1
-        span = Span(self._next_id, name, cat, track, start, parent, args)
-        span.end = end
-        self._retain(span)
-        return span
-
-    def record_async(self, name: str, cat: str, start: float, end: float,
-                     track: str, async_id: int,
-                     parent: Optional[int] = None,
-                     args: Optional[dict] = None) -> Span:
-        """Record a finished interval that may overlap others on its track
-        (driver queue residency).  *async_id* groups the begin/end pair in
-        the Perfetto export."""
         self._next_id += 1
         span = Span(self._next_id, name, cat, track, start, parent, args,
                     async_id=async_id)
@@ -200,9 +169,6 @@ class Tracer:
         return span
 
     # -- introspection ---------------------------------------------------
-    def closed_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.closed]
-
     def tracks(self) -> list[str]:
         seen: dict[str, None] = {}
         for span in self.spans:

@@ -88,7 +88,7 @@ class OrderingScheme:
         if alloc_init is not None:
             self.alloc_init = alloc_init
         self.fs: "FileSystem" = None  # set by attach()
-        self._obs = None  # set by attach() when the machine observes
+        self._tracer = None  # set by attach() when the machine observes
         #: ordering decisions by name (``ordering.sync_stall``,
         #: ``journal.commits`` ...); a name appears when first counted
         self.counts: dict[str, int] = {}
@@ -96,7 +96,7 @@ class OrderingScheme:
     def attach(self, fs: "FileSystem") -> None:
         """Bind to the mounted file system (called once at mount)."""
         self.fs = fs
-        self._obs = fs.engine.obs
+        self._tracer = fs.engine.tracer
 
     # -- decision accounting ------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:
@@ -114,15 +114,15 @@ class OrderingScheme:
         """
         name = f"ordering.{kind}"
         self._bump(name)
-        obs = self._obs
-        if obs is None:
+        tracer = self._tracer
+        if tracer is None:
             result = yield from gen
             return result
-        span = obs.tracer.begin(name, "ordering", args=info or None)
+        span = tracer.begin(name, "ordering", args=info or None)
         try:
             result = yield from gen
         finally:
-            obs.tracer.end(span)
+            tracer.end(span)
         return result
 
     def _release_on_error(self, gen: Generator, *bufs) -> Generator:

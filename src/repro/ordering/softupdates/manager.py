@@ -71,7 +71,7 @@ class SoftDepManager:
         self.requeues = 0
         #: deferred workitems run by :meth:`service`
         self.workitems_serviced = 0
-        self._obs = fs.engine.obs
+        self._tracer = fs.engine.tracer
         self._daemon = fs.engine.process(self._run(), name="softdep")
 
     # ==================================================================
@@ -319,10 +319,10 @@ class SoftDepManager:
                     batch.rolled_back = True
                     self.rollbacks += 1
         rolled = self.rollbacks - rollbacks_before
-        if self._obs is not None and rolled:
+        tracer = self._tracer
+        if tracer is not None and rolled:
             # zero-length marker so rollbacks are visible on the timeline
             now = self.fs.engine.now
-            tracer = self._obs.tracer
             tracer.record("softupdates.rollback", "ordering", now, now,
                           tracer._track(None),
                           args={"daddr": daddr, "count": rolled})
@@ -486,15 +486,15 @@ class SoftDepManager:
             item = self.workitems.popleft()
             budget -= 1
             self.workitems_serviced += 1
-            if self._obs is None:
+            if self._tracer is None:
                 yield from item()
             else:
-                span = self._obs.tracer.begin("softupdates.workitem",
-                                              "ordering")
+                span = self._tracer.begin("softupdates.workitem",
+                                          "ordering")
                 try:
                     yield from item()
                 finally:
-                    self._obs.tracer.end(span)
+                    self._tracer.end(span)
 
     def _run(self) -> Generator:
         while True:

@@ -61,16 +61,16 @@ class Engine:
         assert eng.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("now", "current_process", "obs", "events_processed",
+    __slots__ = ("now", "current_process", "tracer", "events_processed",
                  "_heap", "_seq", "_deferred", "_horizon", "_budget")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         #: the process currently being resumed (None outside process context)
         self.current_process = None
-        #: the machine's observability session (None = tracing off); set by
-        #: Observability.attach() before any component is constructed
-        self.obs = None
+        #: the machine's span tracer (None = tracing off); the machine sets
+        #: it before any component is constructed
+        self.tracer = None
         #: total events dispatched since construction (instrumentation)
         self.events_processed = 0
         #: the event queue; :mod:`repro.sim.events` pushes onto it directly

@@ -95,3 +95,31 @@ def test_repaired_image_is_mountable_and_usable():
     assert run_user(reborn, user()) == b"alive"
     final = fsck(reborn.disk.storage, SMALL_GEOMETRY)
     assert final.clean and not final.warnings
+
+
+def test_directory_past_the_direct_blocks_is_clean():
+    """A directory of 420 entries with 240-character names fills 14 blocks,
+    two of them through its single-indirect block.  Every entry is read,
+    so the synced image has no orphans and repair keeps every inode."""
+    from repro.fs.layout import FSGeometry
+    geometry = FSGeometry()
+    machine = make_machine("conventional", geometry=geometry)
+    names = [f"{index:03d}".ljust(240, "x") for index in range(420)]
+
+    def user():
+        yield from machine.fs.mkdir("/big")
+        for name in names:
+            handle = yield from machine.fs.create(f"/big/{name}")
+            yield from machine.fs.close(handle)
+        yield from machine.fs.sync()
+
+    run_user(machine, user())
+    image = machine.disk.storage.snapshot()
+    report = fsck(image, geometry)
+    big = max(report.inodes.values(), key=lambda din: din.size)
+    assert big.size > geometry.NDADDR * geometry.block_size
+    assert report.clean and not report.warnings, report.warnings[:3]
+    assert len(report.inodes) == 422
+    after = repair(image, geometry)
+    assert after.clean and not after.warnings
+    assert len(after.inodes) == 422

@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from repro.harness.runner import run_copy, standard_scheme_config
+from repro.obs import snapshot
 from repro.workloads.trees import TreeSpec
 
 from tests.conftest import (
@@ -78,14 +79,14 @@ def test_traced_run_is_simulation_identical(scheme_name):
     untraced = run_once(scheme_name, observe=False)
     traced = run_once(scheme_name, observe=True)
 
-    assert traced.obs is not None and untraced.obs is None
+    assert traced.tracer is not None and untraced.tracer is None
     # same simulated history, to the last event and timestamp
     assert traced.engine.events_processed == untraced.engine.events_processed
     assert traced.engine.now == untraced.engine.now
     assert driver_trace_digest(traced) == driver_trace_digest(untraced)
     # and the traced run actually observed something
-    assert len(traced.obs.tracer.spans) > 0
-    assert traced.obs.snapshot()["engine.events"] > 0
+    assert len(traced.tracer.spans) > 0
+    assert snapshot(traced)["engine.events"] > 0
 
 
 @pytest.mark.parametrize("scheme_name", ["conventional", "softupdates"])
@@ -93,10 +94,10 @@ def test_traced_rerun_is_deterministic(scheme_name):
     """Two traced runs produce identical spans (no host-time leakage)."""
     a = run_once(scheme_name, observe=True)
     b = run_once(scheme_name, observe=True)
-    spans_a = [(s.name, s.track, s.start, s.end, s.parent) for s in a.obs.tracer.spans]
-    spans_b = [(s.name, s.track, s.start, s.end, s.parent) for s in b.obs.tracer.spans]
+    spans_a = [(s.name, s.track, s.start, s.end, s.parent) for s in a.tracer.spans]
+    spans_b = [(s.name, s.track, s.start, s.end, s.parent) for s in b.tracer.spans]
     assert spans_a == spans_b
-    assert a.obs.snapshot() == b.obs.snapshot()
+    assert snapshot(a) == snapshot(b)
 
 
 def _span(span):
@@ -114,7 +115,7 @@ def traced_soft_updates_copy():
         run_copy(config, users=2, seed=3, on_machine=machines.append,
                  tree=TreeSpec(files=16, total_bytes=192 * 1024, dirs=3))
     machine, = machines
-    return ([_span(span) for span in machine.obs.tracer.spans],
+    return ([_span(span) for span in machine.tracer.spans],
             machine.engine.events_processed, len(dispatched))
 
 

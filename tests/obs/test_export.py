@@ -42,11 +42,10 @@ def traced_cell(scheme_name: str, bench: str):
 ])
 def test_traced_cell_exports_valid_trace(scheme_name, bench):
     machine, result = traced_cell(scheme_name, bench)
-    obs = machine.obs
-    assert obs is not None
+    assert machine.tracer is not None
     assert result.disk_requests > 0
 
-    doc = trace_events(obs, label=f"{bench} {scheme_name}")
+    doc = trace_events(machine, label=f"{bench} {scheme_name}")
     count = validate_trace_events(doc)
     assert count > 100  # a real workload, not a stub trace
     # survives a JSON round trip (what Perfetto actually loads)
@@ -54,14 +53,14 @@ def test_traced_cell_exports_valid_trace(scheme_name, bench):
 
     # flame acceptance: >= 95% of each user track's active time is under
     # named top-level spans (syscalls)
-    summaries = summarize(obs)
+    summaries = summarize(machine.tracer)
     user_tracks = [track for track in summaries if track.startswith("user")]
     assert user_tracks
     for track in user_tracks:
         assert summaries[track].coverage >= 0.95, \
             f"{track}: {summaries[track].coverage:.3f}"
 
-    text = flame_summary(obs, label=scheme_name)
+    text = flame_summary(machine, label=scheme_name)
     assert "Track user0" in text
     assert "syscall." in text
     assert "Metrics:" in text

@@ -11,6 +11,7 @@ from repro.obs import (
     TIMINGS,
     Tracer,
     flame_summary,
+    snapshot,
     trace_events,
     validate_trace_events,
 )
@@ -77,16 +78,9 @@ class TestTracer:
     def test_record_async_keeps_id(self):
         engine = make_engine_at()
         tracer = Tracer(engine)
-        span = tracer.record_async("q", "driver", 0.0, 1.0, "t", async_id=7)
+        span = tracer.record("q", "driver", 0.0, 1.0, "t", async_id=7)
         assert span.async_id == 7
-
-    def test_span_context_manager(self):
-        engine = make_engine_at()
-        tracer = Tracer(engine)
-        with tracer.span("cm", "test", track="t"):
-            engine.now = 1.0
-        (span,) = tracer.closed_spans()
-        assert span.duration == pytest.approx(1.0)
+        assert tracer.record("x", "test", 0.0, 1.0, "t").async_id is None
 
     def test_track_defaults_to_kernel_outside_processes(self):
         engine = make_engine_at()
@@ -110,7 +104,7 @@ class TestMetricsTable:
 
     def test_snapshot_reads_the_layers_own_counters(self):
         machine = run_churn("softupdates")
-        snap = machine.obs.snapshot()
+        snap = snapshot(machine)
         assert snap["cache.hits"] == machine.cache.hits > 0
         assert snap["cache.forced_flushes"] == machine.cache.flushes_forced
         assert snap["driver.batches"] == machine.driver.batches > 0
@@ -124,7 +118,7 @@ class TestMetricsTable:
             == machine.scheme.manager.workitems_serviced > 0
 
     def test_timing_is_count_sum_avg(self):
-        snap = run_churn("conventional").obs.snapshot()
+        snap = snapshot(run_churn("conventional"))
         count = snap["driver.queue_wait.count"]
         assert count == snap["driver.reads"] + snap["driver.writes"]
         assert snap["driver.queue_wait.avg"] \
@@ -133,7 +127,7 @@ class TestMetricsTable:
         assert snap["cache.lock_wait.count"] == snap["cache.lock_waits"]
 
     def test_names_appear_once_counted(self):
-        conventional = run_churn("conventional").obs.snapshot()
+        conventional = snapshot(run_churn("conventional"))
         assert conventional["ordering.sync_stall"] > 0
         assert "ordering.flag_tags" not in conventional
         assert "softupdates.rollbacks" not in conventional
@@ -145,12 +139,12 @@ class TestMetricsTable:
         from repro.faults import FaultPlan
         machine = run_churn("noorder", faults=FaultPlan(
             seed=5, transient_write_rate=0.2))
-        snap = machine.obs.snapshot()
+        snap = snapshot(machine)
         assert snap["disk.faults"] == machine.disk.faults.injected > 0
         assert snap["driver.retries"] == machine.driver.retries > 0
         # the exported trace is valid and shows each injected fault as
         # one disk.fault span
-        doc = json.loads(json.dumps(trace_events(machine.obs, "faults")))
+        doc = json.loads(json.dumps(trace_events(machine, "faults")))
         assert validate_trace_events(doc) > 0
         faults = [event for event in doc["traceEvents"]
                   if event["name"] == "disk.fault"]
@@ -161,14 +155,14 @@ class TestMetricsTable:
     def test_counts_do_not_depend_on_tracing(self, scheme_name):
         """The rule itself: a layer counts whether or not anyone observes,
         so an untraced machine holds the numbers a traced one reports."""
-        from repro.obs.registry import snapshot
         traced = run_churn(scheme_name, observe=True)
         bare = run_churn(scheme_name, observe=False)
-        assert bare.obs is None
-        # lend it the session for the two rows only a tracer can fill
-        # (spans dropped, heap peak); every other row reads a layer
-        bare.obs = traced.obs
-        assert snapshot(bare) == traced.obs.snapshot()
+        assert bare.tracer is None
+        # the one row only a tracer can fill is left out, like any row
+        # that reads None; every other row reads a layer
+        expected = snapshot(traced)
+        assert expected.pop("tracer.spans_dropped") == 0
+        assert snapshot(bare) == expected
 
 
 class TestSyscallCounts:
@@ -187,7 +181,7 @@ class TestSyscallCounts:
         run_user(machine, user())
         assert machine.fs.op_counts == {"create": 1, "write": 1,
                                         "close": 1, "sync": 1}
-        snap = machine.obs.snapshot()
+        snap = snapshot(machine)
         assert snap["syscall.sync"] == 1
         assert {name: count for name, count in snap.items()
                 if name.startswith("syscall.")} \
@@ -211,18 +205,18 @@ class TestSyscallCounts:
         assert rows == syscalls
 
 
-class TestObservability:
-    def test_attach_installs_hook_and_counts_events(self):
+class TestMachineTracer:
+    def test_engine_holds_the_machines_tracer(self):
         machine = make_machine("noorder", observe=True)
         engine = machine.engine
-        assert engine.obs is machine.obs
+        assert engine.tracer is machine.tracer is not None
 
         def worker():
             yield engine.timeout(1.0)
             yield engine.timeout(1.0)
 
         engine.run_until(engine.process(worker()))
-        snap = machine.obs.snapshot()
+        snap = snapshot(machine)
         assert snap["engine.events"] == engine.events_processed > 0
 
 
@@ -234,12 +228,12 @@ def _observed_cell(scheme_name):
         yield from machine.fs.sync()
 
     run_user(machine, user())
-    return machine.obs.snapshot()
+    return snapshot(machine)
 
 
 class TestSnapshotAcrossWorkers:
     def test_worker_snapshots_fold_home_deterministically(self):
-        """obs.snapshot() taken inside fork-pool workers crosses the pipe
+        """snapshot() taken inside fork-pool workers crosses the pipe
         intact and matches the same cell run in-process."""
         cells = [((name, i), functools.partial(_observed_cell, name))
                  for i, name in enumerate(["softupdates", "conventional",
@@ -255,27 +249,28 @@ class TestSnapshotAcrossWorkers:
 class TestEmptyTraceExports:
     def test_flame_summary_on_empty_trace(self):
         machine = make_machine("softupdates", observe=True)
-        machine.obs.tracer.spans.clear()
-        summary = flame_summary(machine.obs, label="empty")
+        machine.tracer.spans.clear()
+        summary = flame_summary(machine, label="empty")
         assert "Flame summary: empty" in summary
         assert "Category totals" in summary
 
     def test_chrome_export_on_empty_trace(self):
         machine = make_machine("softupdates", observe=True)
-        machine.obs.tracer.spans.clear()
-        document = trace_events(machine.obs, label="empty")
+        machine.tracer.spans.clear()
+        document = trace_events(machine, label="empty")
         validate_trace_events(document)
 
 
 class TestExportValidation:
     def test_roundtrip_valid(self):
-        obs = make_machine("noorder", observe=True).obs
-        obs.tracer.spans.clear()
-        span = obs.tracer.begin("op", "test", track="t")
-        obs.engine.now += 1.0
-        obs.tracer.end(span)
-        obs.tracer.record_async("q", "driver", 0.0, 0.5, "t", async_id=3)
-        doc = trace_events(obs, label="unit")
+        machine = make_machine("noorder", observe=True)
+        tracer = machine.tracer
+        tracer.spans.clear()
+        span = tracer.begin("op", "test", track="t")
+        machine.engine.now += 1.0
+        tracer.end(span)
+        tracer.record("q", "driver", 0.0, 0.5, "t", async_id=3)
+        doc = trace_events(machine, label="unit")
         count = validate_trace_events(doc)
         assert count >= 4  # metadata + X + b/e pair
 

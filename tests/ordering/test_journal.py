@@ -16,6 +16,7 @@ from repro.fs.layout import FSGeometry
 from repro.integrity.explorer import explore
 from repro.integrity.fsck import fsck, repair
 from repro.machine import Machine, MachineConfig
+from repro.obs import snapshot
 from repro.ordering import JournalScheme
 
 SMALL = FSGeometry(ipg=256, dfrags_per_cg=2048, ncg=2)
@@ -199,7 +200,7 @@ def test_degraded_fallback_keeps_ordering():
     machine.run(machine.spawn(work(machine.fs), name="work"))
     assert machine.scheme._degraded
     assert machine.scheme.pending_work() == 0
-    points = {span.args["point"] for span in machine.obs.tracer.spans
+    points = {span.args["point"] for span in machine.tracer.spans
               if span.name == "ordering.sync_stall"}
     assert points >= {"link_added", "link_removed", "block_init",
                       "truncate", "release_inode", "fsync"}, points
@@ -225,8 +226,8 @@ def test_counters_register_commits_and_checkpoints():
     machine.engine.run_until(
         machine.engine.process(machine.fs.unmount(), name="unmount"))
     counters = machine.scheme.counts
-    snapshot = machine.obs.snapshot()
-    assert counters["journal.commits"] == snapshot["journal.commits"]
+    metrics = snapshot(machine)
+    assert counters["journal.commits"] == metrics["journal.commits"]
     assert counters.get("journal.commits", 0) > 0
     assert counters["journal.checkpoints"] == counters["journal.commits"]
     assert counters.get("journal.degraded", 0) == 0

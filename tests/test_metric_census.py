@@ -2,7 +2,7 @@
 
 The rule (``docs/observability.md``): a layer counts into its own plain
 attributes, always; observability reads them through the one table in
-``repro.obs.registry``; only spans sit behind the ``obs`` check.  These
+``repro.obs.registry``; only spans sit behind the ``tracer`` check.  These
 tests hold the layers, the table and the documentation to it.
 """
 
@@ -18,11 +18,11 @@ LAYER_SOURCES = [path for path in sorted(PACKAGE.rglob("*.py"))
                  if path.relative_to(PACKAGE).parts[0] != "obs"]
 
 
-def _names_obs(node) -> bool:
-    """Does this expression read ``obs`` / ``self._obs`` / ``x.obs``?"""
-    return any((isinstance(sub, ast.Name) and sub.id in ("obs", "_obs"))
-               or (isinstance(sub, ast.Attribute)
-                   and sub.attr in ("obs", "_obs"))
+def _names(node, *names) -> bool:
+    """Does this expression read one of *names*, bare or as an attribute
+    (``tracer`` / ``self._tracer`` / ``x.tracer``)?"""
+    return any((isinstance(sub, ast.Name) and sub.id in names)
+               or (isinstance(sub, ast.Attribute) and sub.attr in names)
                for sub in ast.walk(node))
 
 
@@ -36,7 +36,7 @@ def test_no_layer_holds_an_instrument():
             if isinstance(node, ast.Attribute):
                 if node.attr.startswith("_m_"):
                     offenders.append(f"{where}:{node.lineno} {node.attr}")
-                if node.attr == "registry" and _names_obs(node.value):
+                if node.attr == "registry" and _names(node.value, "obs"):
                     offenders.append(f"{where}:{node.lineno} obs.registry")
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
@@ -54,19 +54,21 @@ def test_no_layer_holds_an_instrument():
     assert not offenders
 
 
-def test_no_count_sits_behind_the_obs_check():
-    """Under ``if obs is (not) None`` a layer opens, closes and records
+def test_no_count_sits_behind_the_tracer_check():
+    """Under ``if tracer is (not) None`` a layer opens, closes and records
     spans; it never adds to a number -- that would be a count an untraced
     run does not keep."""
-    offenders = []
+    checks, offenders = 0, []
     for path in LAYER_SOURCES:
         where = path.relative_to(PACKAGE)
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.If) and _names_obs(node.test):
+            if isinstance(node, ast.If) \
+                    and _names(node.test, "tracer", "_tracer"):
+                checks += 1
                 offenders += [f"{where}:{sub.lineno}"
                               for sub in ast.walk(node)
                               if isinstance(sub, ast.AugAssign)]
-    assert not offenders
+    assert checks and not offenders
 
 
 def documented_names() -> set:
