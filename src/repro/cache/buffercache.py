@@ -329,8 +329,8 @@ class BufferCache:
         """Drop buffers inside a freed fragment range; cancels delayed writes.
 
         Buffers with a write already outstanding keep their identity until
-        the write lands (the driver's overlap FIFO orders any reuse), but are
-        marked invalid so nobody trusts their contents.
+        the write lands (the driver's write extent index orders any reuse
+        after it), but are marked invalid so nobody trusts their contents.
         """
         for fragment in range(daddr, daddr + frags):
             buf = self._buffers.get(fragment)

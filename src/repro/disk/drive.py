@@ -153,6 +153,8 @@ class Disk:
         self.engine = engine
         self.geometry = DiskGeometry()
         self.params = DiskParameters()
+        #: seconds per sector under the head, for every write's record
+        self._sector_period = self.params.sector_period(self.geometry)
         self.storage = SectorStore(self.geometry)
         self.cache = PrefetchCache(total_sectors=self.geometry.total_sectors)
         self.stats = DiskStats()
@@ -185,15 +187,21 @@ class Disk:
         failure point (a timeout costs only the controller's penalty), a
         torn or medium-error write keeps the prefix before the failing
         sector, a transient keeps nothing, and only successes reach the
-        prefetch cache and the completed-operation stats.
+        prefetch cache and the completed-operation stats.  A range outside
+        the disk is refused with ``ValueError`` before anything happens.
         """
+        geometry = self.geometry
+        if lbn < 0 or lbn + nsectors > geometry.total_sectors:
+            raise ValueError(
+                f"sectors [{lbn}, {lbn + nsectors}) outside disk "
+                f"(0..{geometry.total_sectors - 1})")
         if is_write:
             if data is None:
                 raise ValueError("write without data")
-            if len(data) != nsectors * self.geometry.sector_size:
+            if len(data) != nsectors * geometry.sector_size:
                 raise ValueError(
                     f"write data is {len(data)} bytes; expected "
-                    f"{nsectors * self.geometry.sector_size}")
+                    f"{nsectors * geometry.sector_size}")
         if self.instant:
             if is_write:
                 self.write_now(lbn, data)
@@ -211,7 +219,7 @@ class Disk:
             # on-board cache hit: controller overhead + bus transfer only,
             # and never a media fault -- the platters are not touched
             service = (self.params.controller_overhead
-                       + self.params.bus_time(self.geometry, nsectors))
+                       + self.params.bus_time(geometry, nsectors))
             yield from self.engine.hold(service)
             self.stats.reads += 1
             self.stats.sectors_read += nsectors
@@ -232,12 +240,16 @@ class Disk:
             seek = rotation = transfer = 0.0
             yield from self.engine.hold(self.faults.plan.timeout_penalty)
         else:
-            cylinder, _head, sector = self.geometry.decompose(lbn)
-            seek = self.params.seek_time(self._current_cylinder, cylinder)
-            arrival = start + self.params.controller_overhead + seek
-            rotation = self.params.rotational_delay(self.geometry, arrival,
-                                                    sector)
-            transfer = self.params.transfer_time(self.geometry, nsectors)
+            # the range is checked above, so the LBN decodes by plain
+            # integer arithmetic (DiskGeometry.decompose's mapping)
+            params = self.params
+            per_cylinder = geometry.sectors_per_cylinder
+            seek = params.seek_time(self._current_cylinder,
+                                    lbn // per_cylinder)
+            arrival = start + params.controller_overhead + seek
+            rotation = params.rotational_delay(
+                geometry, arrival, lbn % geometry.sectors_per_track)
+            transfer = params.transfer_time(geometry, nsectors)
             if is_write:
                 if fault is None:
                     applied = nsectors
@@ -247,10 +259,9 @@ class Disk:
                     # transient passes every sector under the head with
                     # the write current off)
                     applied = min(fault.sectors_applied, nsectors)
-                    transfer = applied * self.params.sector_period(
-                        self.geometry)
+                    transfer = params.transfer_time(geometry, applied)
                 yield from self.engine.hold(
-                    self.params.controller_overhead + seek + rotation)
+                    params.controller_overhead + seek + rotation)
                 self._begin_transfer(lbn, nsectors, data)
                 if transfer:
                     yield from self.engine.hold(transfer)
@@ -259,12 +270,10 @@ class Disk:
                 self.cache.invalidate(lbn, nsectors)
             else:
                 yield from self.engine.hold(
-                    self.params.controller_overhead + seek + rotation
-                    + transfer)
+                    params.controller_overhead + seek + rotation + transfer)
                 if fault is None:
                     self.cache.insert_after_read(lbn, nsectors)
-            self._current_cylinder = self.geometry.cylinder_of(
-                lbn + nsectors - 1)
+            self._current_cylinder = (lbn + nsectors - 1) // per_cylinder
 
         self._account(start, seek, rotation, transfer)
         if fault is None:
@@ -298,8 +307,7 @@ class Disk:
         """The head is over the first sector: the write is now in flight."""
         self.in_flight = InFlightWrite(
             lbn=lbn, data=data, nsectors=nsectors,
-            transfer_start=self.engine.now,
-            sector_period=self.params.sector_period(self.geometry))
+            transfer_start=self.engine.now, sector_period=self._sector_period)
 
     def _end_transfer(self, durable: int) -> None:
         """The media operation is over: stamp the record, tell observers."""

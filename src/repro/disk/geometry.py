@@ -9,6 +9,7 @@ cylinder, so consecutive LBNs are rotationally consecutive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,14 @@ class DiskGeometry:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    # -- derived sizes: functions of the frozen fields alone, so each is
+    # computed once per instance (cached_property stores into __dict__,
+    # which __eq__, __hash__ and repr() never look at)
+    @cached_property
     def sectors_per_cylinder(self) -> int:
         return self.heads * self.sectors_per_track
 
-    @property
+    @cached_property
     def total_sectors(self) -> int:
         return self.cylinders * self.sectors_per_cylinder
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.disk.geometry import DiskGeometry
 
@@ -33,9 +34,9 @@ class DiskParameters:
     #: SCSI bus bandwidth, bytes/second (cache-hit transfers run at bus speed)
     bus_bandwidth: float = 10e6
 
-    @property
+    @cached_property
     def rotation_time(self) -> float:
-        """Seconds per revolution."""
+        """Seconds per revolution (computed once per instance)."""
         return 60.0 / self.rpm
 
     def sector_period(self, geometry: DiskGeometry) -> float:

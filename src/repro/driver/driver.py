@@ -19,7 +19,7 @@ every pending request lives in exactly one bucket:
 * ``_eligible`` -- dispatchable now; mirrored in ``_eligible_keys``, a
   ``(lbn, id)``-sorted list the C-LOOK sweep bisects into.
 * ``_waiters`` -- requests waiting on one incomplete request, keyed by its
-  id: an older overlapping write (the per-sector write FIFO: the media-order
+  id: an older overlapping write (the write extent index: the media-order
   invariant for a write, the ``-NR`` rule for a conflict-checked read) or a
   chains dependency.  A completion reclassifies exactly its waiters.
 * ``_policy_held`` -- a min-id heap for monotone policies (flag semantics):
@@ -31,6 +31,15 @@ barrier retirement is surfaced through completions too), so
 ``_select_batch`` is O(eligible), not O(pending).  The dispatch order is
 byte-identical to the reference full-scan implementation;
 ``tests/driver/test_dispatch_index.py`` holds the executable spec.
+
+Every incomplete write -- queued or at the drive -- is one entry of the
+**write extent index**, ``_writes``: ``(lbn, id, end_lbn)`` sorted by
+``(lbn, id)``, plus ``_longest_write``, the most sectors any write has
+covered.  Issue is one ``insort``, completion one bisect-and-delete, and
+the overlap question bisects to the first write that could still reach the
+request, so the driver's bookkeeping is per request, not per sector
+(``tests/driver/reference_write_fifo.py`` keeps the per-sector FIFO it
+replaced, and ``tests/driver/test_write_index.py`` holds the two equal).
 """
 
 from __future__ import annotations
@@ -78,17 +87,20 @@ class DeviceDriver:
         self._work = WaitQueue(engine)
         self._next_id = 0
         self._head_lbn = 0
+        geometry = disk.geometry
+        self._total_sectors = geometry.total_sectors
+        self._sector_size = geometry.sector_size
         # Overlapping writes must reach the media in issue order no matter
         # what the ordering policy allows (a driver invariant: with the -CB
         # block-copy enhancement or freed-block reuse, two in-queue writes
         # can cover the same sectors, and dispatching the younger one first
-        # would let stale bytes land last).  sector -> ids in issue order.
-        # Completion always retires the head (dispatch is gated on being
-        # first everywhere); plain lists, because a one-id list is cheaper
-        # to build than a deque and the queues stay a few dozen ids deep,
-        # so the head delete is cheap.  The only per-sector record of the
-        # write queue: -NR reads ask it too.
-        self._write_fifo: dict[int, list[int]] = {}
+        # would let stale bytes land last).  Every incomplete write, as
+        # (lbn, id, end_lbn) sorted by (lbn, id), and the longest any write
+        # has been: no write starting below lbn - _longest_write + 1 can
+        # reach lbn.  The driver's one record of the write queue: -NR reads
+        # ask it too.
+        self._writes: list[tuple[int, int, int]] = []
+        self._longest_write = 0
         # -- the eligibility index (see module docstring) ------------------
         self._eligible: dict[int, DiskRequest] = {}
         self._eligible_keys: list[tuple[int, int]] = []
@@ -116,20 +128,28 @@ class DeviceDriver:
         """Create and enqueue a request; returns it immediately.
 
         The caller decides whether to wait: ``yield request.done`` makes the
-        write synchronous from the issuing process's point of view.
+        write synchronous from the issuing process's point of view.  A
+        range outside the disk, or write data that is not *nsectors* whole
+        sectors, is refused here with ``ValueError`` (the driver process
+        would otherwise die on it at dispatch).
         """
+        if lbn < 0 or lbn + nsectors > self._total_sectors:
+            raise ValueError(
+                f"{kind.value} of sectors [{lbn}, {lbn + nsectors}) outside "
+                f"disk (0..{self._total_sectors - 1})")
+        if data is not None and len(data) != nsectors * self._sector_size:
+            raise ValueError(
+                f"{kind.value} at lbn {lbn}: {len(data)} bytes is not "
+                f"{nsectors} whole {self._sector_size}-byte sectors")
         self._next_id += 1
         request = DiskRequest(self.engine, self._next_id, kind, lbn, nsectors,
                               data=data, flag=flag, depends_on=depends_on,
                               issuer=issuer)
         request.issue_time = self.engine.now
         if request.is_write:
-            for sector in range(request.lbn, request.end_lbn):
-                fifo = self._write_fifo.get(sector)
-                if fifo is None:
-                    self._write_fifo[sector] = [request.id]
-                else:
-                    fifo.append(request.id)
+            insort(self._writes, (lbn, request.id, request.end_lbn))
+            if nsectors > self._longest_write:
+                self._longest_write = nsectors
         if self._informs_policy:
             self.policy.on_issue(request)
         self._pending[request.id] = request
@@ -155,13 +175,9 @@ class DeviceDriver:
               depends_on: Optional[frozenset[int]] = None,
               issuer: str = "") -> DiskRequest:
         """Issue a write request (convenience wrapper over :meth:`issue`)."""
-        nsectors, rest = divmod(len(data), self.disk.geometry.sector_size)
-        if rest:
-            raise ValueError(
-                f"write at lbn {lbn}: {len(data)} bytes is not a whole "
-                f"number of {self.disk.geometry.sector_size}-byte sectors")
-        return self.issue(IOKind.WRITE, lbn, nsectors, data=data, flag=flag,
-                          depends_on=depends_on, issuer=issuer)
+        return self.issue(IOKind.WRITE, lbn, len(data) // self._sector_size,
+                          data=data, flag=flag, depends_on=depends_on,
+                          issuer=issuer)
 
     @property
     def queue_depth(self) -> int:
@@ -241,20 +257,45 @@ class DeviceDriver:
     def _overlap_blocker(self, request: DiskRequest) -> Optional[int]:
         """An incomplete *earlier* write overlapping *request*, or None.
 
-        Each sector FIFO's head is its oldest incomplete write, so one
-        comparison per sector decides.  For a write this is the media-order
-        invariant (it dispatches only at the head of every FIFO it is in);
-        for a conflict-checked read it is the paper's -NR rule.  Only
-        earlier writes count: every wait points at a smaller id, so the
-        wait graph is acyclic (counting later writes once deadlocked the
-        queue), and issuing a write never retracts a read's eligibility.
+        For a write this is the media-order invariant (it dispatches only
+        once no older write shares a sector with it); for a conflict-checked
+        read it is the paper's -NR rule.  Only earlier writes count: every
+        wait points at a smaller id, so the wait graph is acyclic (counting
+        later writes once deadlocked the queue), and issuing a write never
+        retracts a read's eligibility.
+
+        The answer is the oldest incomplete write on the first sector of
+        *request* that an earlier write covers -- what a per-sector FIFO's
+        head would say: the smallest id among earlier writes that start at
+        or before ``request.lbn`` and reach it, else the first earlier
+        write by ``(lbn, id)`` that starts inside the request.  One bisect
+        to the first write that could reach ``request.lbn``, then a walk
+        that stops at ``request.end_lbn``.
         """
-        fifo = self._write_fifo
+        writes = self._writes
         request_id = request.id
-        for sector in range(request.lbn, request.end_lbn):
-            ids = fifo.get(sector)
-            if ids and ids[0] < request_id:
-                return ids[0]
+        lbn = request.lbn
+        index = bisect_left(writes, (lbn - self._longest_write + 1,))
+        count = len(writes)
+        oldest = None
+        while index < count:
+            start, other, end = writes[index]
+            if start > lbn:
+                break
+            if end > lbn and other < request_id and (
+                    oldest is None or other < oldest):
+                oldest = other
+            index += 1
+        if oldest is not None:
+            return oldest
+        end_lbn = request.end_lbn
+        while index < count:
+            start, other, _end = writes[index]
+            if start >= end_lbn:
+                break
+            if other < request_id:
+                return other
+            index += 1
         return None
 
     def _after_completions(self, batch: list[DiskRequest]) -> None:
@@ -282,13 +323,14 @@ class DeviceDriver:
                 yield self._work.wait()
                 continue
             now = self.engine.now
+            total_sectors = 0
             for request in batch:
                 request.dispatch_time = now
+                total_sectors += request.nsectors
                 del self._pending[request.id]
                 self._remove_eligible(request)
             self._in_flight = True
             first = batch[0]
-            total_sectors = sum(r.nsectors for r in batch)
             if first.is_write:
                 data = b"".join(r.data for r in batch)
                 yield from self._service_retried(
@@ -307,14 +349,9 @@ class DeviceDriver:
                 # record of the transfer
                 request.data = None
                 if request.is_write:
-                    for sector in range(request.lbn, request.end_lbn):
-                        ids = self._write_fifo[sector]
-                        # dispatch is gated on being first everywhere, so
-                        # the completing write is the head in each FIFO
-                        if len(ids) == 1:
-                            del self._write_fifo[sector]
-                        else:
-                            del ids[0]
+                    writes = self._writes
+                    del writes[bisect_left(writes,
+                                           (request.lbn, request.id))]
                 if self._informs_policy:
                     self.policy.on_complete(request)
                 self.trace.append(request)

@@ -19,8 +19,9 @@ Flag semantics compared by the paper (figure 1):
 ``-NR`` (any semantics): non-conflicting reads bypass writes that are waiting
 because of ordering restrictions.  A read conflicts if it overlaps an
 incomplete earlier write -- the same fact as the driver's own media-order
-invariant, so the driver decides it from its per-sector write FIFO and a
-policy keeps no record of the write queue.
+invariant, so the driver decides it from its write extent index (one
+sorted entry per incomplete write) and a policy keeps no record of the
+write queue.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class OrderingPolicy:
     ``conflict_checked_reads`` marks policies whose *read* admission is
     exactly "no overlap with an incomplete earlier write" (the ``-NR``
     rule and chains' natural read bypass); the driver decides such a read
-    from its own write FIFO and never asks the policy about it.
+    from its own write extent index and never asks the policy about it.
     """
 
     #: ``"none"``, ``"monotone"`` or ``"deps"``; a subclass must say which
@@ -109,8 +110,8 @@ class FlagPolicy(OrderingPolicy):
         self.read_bypass = read_bypass
         if semantics is FlagSemantics.IGNORE:
             # IGNORE admits everything unconditionally (even conflicting
-            # reads -- the driver's write FIFO still serializes overlapping
-            # writes), so the driver never calls it
+            # reads -- the driver's write extent index still serializes
+            # overlapping writes), so the driver never calls it
             self.eligibility = "none"
             self.conflict_checked_reads = False
         else:

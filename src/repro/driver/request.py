@@ -37,10 +37,10 @@ class DiskRequest:
     used by the buffer cache and by soft updates' ISR-time processing).
     """
 
-    __slots__ = ("id", "kind", "lbn", "nsectors", "end_lbn", "data", "flag",
-                 "depends_on", "issuer", "issue_time", "dispatch_time",
-                 "complete_time", "done", "on_complete", "trace_parent",
-                 "error")
+    __slots__ = ("id", "kind", "is_write", "lbn", "nsectors", "end_lbn",
+                 "data", "flag", "depends_on", "issuer", "issue_time",
+                 "dispatch_time", "complete_time", "done", "on_complete",
+                 "trace_parent", "error")
 
     def __init__(self, engine: Engine, request_id: int, kind: IOKind,
                  lbn: int, nsectors: int, data: Optional[bytes] = None,
@@ -55,6 +55,9 @@ class DiskRequest:
             raise ValueError("ordering flags apply only to writes")
         self.id = request_id
         self.kind = kind
+        #: the driver and its policies ask this on every classification,
+        #: dispatch and completion; the kind is immutable after issue
+        self.is_write = kind is IOKind.WRITE
         self.lbn = lbn
         self.nsectors = nsectors
         #: one past the last sector; lbn/nsectors are immutable after issue,
@@ -77,10 +80,6 @@ class DiskRequest:
         self.error: Optional[str] = None
 
     # -- derived metrics (valid once complete) ---------------------------
-    @property
-    def is_write(self) -> bool:
-        return self.kind is IOKind.WRITE
-
     @property
     def queue_delay(self) -> float:
         """Seconds spent waiting in the driver queue."""

@@ -420,8 +420,8 @@ class JournalScheme(OrderingScheme):
           the cache's own path,
         * dirty but held by a process mid-operation -- lay the committed
           image down directly; the holder's newer content is still dirty
-          and flushes later (the driver's overlap FIFO keeps any older
-          in-flight snapshot ordered before this write).
+          and flushes later (the driver's write extent index keeps any
+          older in-flight snapshot ordered before this write).
         """
         cache = self.fs.cache
         frag_size = self.fs.geometry.frag_size

@@ -33,8 +33,8 @@ class ReferenceDriver(DeviceDriver):
     bookkeeping become no-ops) and selection recomputes eligibility from
     scratch each time -- quadratic, but obviously correct.  The write FIFO
     and the -NR read conflict are decided by scanning the pending writes,
-    not the driver's per-sector ``_write_fifo`` (selection runs only while
-    the drive is idle, so every incomplete write is pending).  The
+    not the driver's write extent index ``_writes`` (selection runs only
+    while the drive is idle, so every incomplete write is pending).  The
     optimized driver must match it exactly.
     """
 
@@ -182,7 +182,7 @@ class TestReferenceEquivalence:
         assert fast == reference
         assert driver.idle
         assert not driver._waiters and not driver._policy_held
-        assert not driver._write_fifo
+        assert not driver._writes
 
     def test_policy_must_declare_its_eligibility(self):
         """The index has no fallback scan: a policy that names none of the

@@ -43,6 +43,42 @@ def test_misaligned_write_is_refused_at_issue(eng):
     assert req.error is None and req.complete_time > 0
 
 
+@pytest.mark.parametrize("kind,lbn,nsectors", [
+    ("read", "last", 4), ("write", "last", 4), ("read", -1, 2),
+    ("write", -2, 4), ("read", "end", 1)])
+def test_out_of_range_request_is_refused_at_issue(eng, kind, lbn, nsectors):
+    """A range past either end of the disk was once accepted, and the drive
+    then refused it inside the dispatch loop: the driver process died and
+    every later request hung.  It is refused at the call, naming the range,
+    and the driver serves the next request."""
+    driver = make_driver(eng)
+    total = driver.disk.geometry.total_sectors
+    lbn = {"last": total - 1, "end": total}.get(lbn, lbn)
+    with pytest.raises(ValueError, match=rf"\[{lbn}, {lbn + nsectors}\) "
+                                         rf"outside disk \(0\.\.{total - 1}\)"):
+        if kind == "read":
+            driver.read(lbn, nsectors)
+        else:
+            driver.write(lbn, sector_data(7, nsectors))
+    assert driver.queue_depth == 0 and driver.last_issued_id == 0
+    tail = driver.write(total - 4, sector_data(9, 4))
+    eng.run_until(tail.done, max_events=10_000)
+    assert tail.error is None
+    assert driver.disk.storage.read(total - 1) == b"\x09" * 512
+
+
+def test_write_data_must_be_whole_sectors_at_issue(eng):
+    """``issue`` is public: data that is not *nsectors* whole sectors is
+    refused there too, not only by the ``write`` wrapper."""
+    driver = make_driver(eng)
+    with pytest.raises(ValueError, match="lbn 100: 1024 bytes is not 4"):
+        driver.issue(IOKind.WRITE, 100, 4, data=bytes(1024))
+    assert driver.queue_depth == 0
+    req = driver.issue(IOKind.WRITE, 100, 2, data=bytes(1024))
+    eng.run_until(req.done, max_events=10_000)
+    assert req.error is None
+
+
 def test_read_completes(eng):
     driver = make_driver(eng)
     req = driver.read(100, 2)

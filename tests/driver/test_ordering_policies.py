@@ -1,9 +1,10 @@
 """Flag semantics and chains eligibility.
 
 The policies' own answers are unit-tested with no disk.  What the driver
-decides from its own write FIFO -- the ``-NR`` read conflict and chains'
-read bypass -- and the dispatch order chains' dependencies produce run
-through a :class:`DeviceDriver`: a policy keeps no record of the write queue.
+decides from its own write extent index -- the ``-NR`` read conflict and
+chains' read bypass -- and the dispatch order chains' dependencies produce
+run through a :class:`DeviceDriver`: a policy keeps no record of the write
+queue.
 """
 
 import pytest
