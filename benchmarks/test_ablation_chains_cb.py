@@ -6,7 +6,6 @@ copy benchmark and 57 percent for the 4-user remove benchmark."
 """
 
 from repro.costs import CostModel
-from repro.driver import ChainsPolicy
 from repro.harness.report import format_table
 from repro.harness.runner import run_copy, run_remove
 from repro.machine import MachineConfig
@@ -19,8 +18,7 @@ from benchmarks.conftest import SCALE, emit, run_grid, scaled_cache
 def chains_config(block_copy: bool) -> MachineConfig:
     return MachineConfig(
         scheme=SchedulerChainsScheme(block_copy=block_copy, alloc_init=True),
-        policy=ChainsPolicy(), costs=CostModel(),
-        cache_bytes=scaled_cache())
+        costs=CostModel(), cache_bytes=scaled_cache())
 
 
 def test_ablation_chains_block_copy(once):

@@ -14,7 +14,6 @@ the same effect as figure 2 -- so this ablation runs both regimes.
 """
 
 from repro.costs import CostModel
-from repro.driver import ChainsPolicy
 from repro.harness.report import format_table
 from repro.harness.runner import run_remove
 from repro.machine import MachineConfig
@@ -28,7 +27,7 @@ def chains_config(dealloc_barrier: bool, cache_bytes: int) -> MachineConfig:
     return MachineConfig(
         scheme=SchedulerChainsScheme(block_copy=True,
                                      dealloc_barrier=dealloc_barrier),
-        policy=ChainsPolicy(), costs=CostModel(), cache_bytes=cache_bytes)
+        costs=CostModel(), cache_bytes=cache_bytes)
 
 
 def test_ablation_chains_dealloc(once):

@@ -11,7 +11,7 @@ in-flight disk write.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.primitives import WaitQueue
@@ -20,21 +20,15 @@ from repro.sim.primitives import WaitQueue
 class Buffer:
     """A cached, byte-addressable image of ``size`` bytes at fragment ``daddr``.
 
-    Hook points used by the ordering schemes:
-
-    * ``pre_write(buf, image)`` -- called with a *copy* of the data just
-      before a disk write is issued; soft updates uses this to roll back
-      updates with unsatisfied dependencies so the written image is always
-      consistent with the on-disk state.
-    * ``post_write(buf)`` -- called at I/O completion, in driver (ISR)
-      context; must not block.  Soft updates processes completed
-      dependencies here and re-dirties the buffer if rollbacks remain.
+    A buffer carries no ordering hooks: the cache hands every write it
+    issues, and every completion, to the mounted scheme
+    (``OrderingScheme.write_starting`` / ``write_done``), which keeps its
+    own per-block state.
     """
 
     __slots__ = ("daddr", "size", "data", "valid", "dirty", "busy", "marked",
-                 "write_outstanding", "hold_count", "waitq", "pre_write",
-                 "post_write", "dep_info", "dirtied_at", "last_release",
-                 "owner", "flush_deps", "error", "dir_index")
+                 "write_outstanding", "hold_count", "waitq", "dirtied_at",
+                 "last_release", "owner", "flush_deps", "error", "dir_index")
 
     def __init__(self, engine: Engine, daddr: int, size: int) -> None:
         self.daddr = daddr
@@ -53,10 +47,6 @@ class Buffer:
         #: >0 pins the buffer in the cache (soft updates dependency anchors)
         self.hold_count = 0
         self.waitq = WaitQueue(engine)
-        self.pre_write: list[Callable[["Buffer", bytearray], None]] = []
-        self.post_write: list[Callable[["Buffer"], None]] = []
-        #: per-scheme attachment point (soft updates hangs its dep lists here)
-        self.dep_info: Any = None
         #: request ids the *next* write of this buffer must depend on
         #: (scheduler chains; attached and cleared by the cache at issue)
         self.flush_deps: set[int] = set()
@@ -66,7 +56,7 @@ class Buffer:
         self.owner: str = ""
         #: B_ERROR analogue: error code of the last completed write of this
         #: buffer (None = succeeded); set by the cache at I/O completion so
-        #: post_write hooks and waiting writers see the failure
+        #: the scheme's ``write_done`` and waiting writers see the failure
         self.error: Optional[str] = None
         #: host-side mirror of a directory block (repro.fs.directory.DirIndex):
         #: None = not built, False = bytes it cannot mirror (scan instead).

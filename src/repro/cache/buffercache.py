@@ -5,25 +5,25 @@ covers ``size`` bytes = a whole number of fragments.  The cache maps a daddr
 to at most one buffer, and the file system guarantees (by invalidating on
 deallocation) that live buffers never overlap.
 
-Write mechanics and the section 3.3 write lock:
+Write mechanics (the mounted scheme's choice) and the section 3.3 write lock:
 
-* ``block_copy=False`` (classic): issuing a disk write holds the buffer
+* ``uses_block_copy`` false (classic): issuing a disk write holds the buffer
   ``busy`` until the media operation completes, so any process updating that
   metadata again stalls for the full disk access -- the behaviour the paper
   measures as "processes still wait for them in many cases".
-* ``block_copy=True`` (the -CB enhancement): the write request carries an
-  in-memory copy of the block, the buffer is released at issue time, and the
-  only cost is a kernel memcpy (charged to the issuing process).
+* ``uses_block_copy`` true (the -CB enhancement): the write request carries
+  an in-memory copy of the block, the buffer is released at issue time, and
+  the only cost is a kernel memcpy (charged to the issuing process).
 
-In both modes the written image is snapshotted at issue time after running
-the buffer's ``pre_write`` hooks, which is where soft updates applies its
-undo (rollback) so every image sent to the disk is consistent.
+In both modes the written image is snapshotted at issue time and handed to
+the scheme's ``write_starting`` (soft updates' undo); its ``write_done``
+runs at completion.  Like FreeBSD's ``bioops``, both see every write.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.costs import CostModel
 from repro.driver.driver import DeviceDriver
@@ -34,14 +34,17 @@ from repro.sim.engine import Engine
 from repro.sim.primitives import WaitQueue
 from repro.cache.buffer import Buffer
 
+if TYPE_CHECKING:
+    from repro.ordering.base import OrderingScheme
+
 
 class BufferCache:
     """Fixed-capacity cache of disk buffers with LRU replacement."""
 
     def __init__(self, engine: Engine, driver: DeviceDriver, cpu: CPU,
-                 costs: CostModel, frag_size: int = 1024,
-                 capacity_bytes: int = 8 * 1024 * 1024,
-                 block_copy: bool = False) -> None:
+                 costs: CostModel, scheme: "OrderingScheme",
+                 frag_size: int = 1024,
+                 capacity_bytes: int = 8 * 1024 * 1024) -> None:
         sector = driver.disk.geometry.sector_size
         if frag_size % sector != 0:
             raise ValueError("fragment size must be a multiple of the sector size")
@@ -52,7 +55,8 @@ class BufferCache:
         self.frag_size = frag_size
         self.sectors_per_frag = frag_size // sector
         self.capacity_bytes = capacity_bytes
-        self.block_copy = block_copy
+        self.scheme = scheme
+        self.block_copy = scheme.uses_block_copy
         self._buffers: dict[int, Buffer] = {}
         self._lru: OrderedDict[int, Buffer] = OrderedDict()
         self.used_bytes = 0
@@ -77,9 +81,6 @@ class BufferCache:
         self.write_retries = 0
         self.lost_writes: list[tuple[int, str, float]] = []
         self._tracer = engine.tracer
-        #: optional provider of extra dependency ids attached to every write
-        #: (scheduler chains' barrier-dealloc ablation mode)
-        self.global_write_deps = None
 
     # -- address helpers ---------------------------------------------------
     def _lbn(self, daddr: int) -> int:
@@ -259,13 +260,10 @@ class BufferCache:
                      depends_on: Optional[frozenset[int]],
                      from_flush: bool = False) -> DiskRequest:
         image = bytearray(buf.data)
-        for hook in list(buf.pre_write):
-            hook(buf, image)
         deps = set(depends_on or ())
         deps |= buf.flush_deps
         buf.flush_deps = set()
-        if self.global_write_deps is not None:
-            deps |= self.global_write_deps()
+        self.scheme.write_starting(buf, image, deps)
         buf.dirty = False
         buf.marked = False
         buf.valid = True
@@ -292,7 +290,7 @@ class BufferCache:
         """I/O completion (driver context; must not block).
 
         A failed write sets ``buf.error`` (B_ERROR) before the scheme's
-        ``post_write`` hooks run, so soft updates can refuse to retire the
+        ``write_done`` runs, so soft updates can refuse to retire the
         dependencies riding on it.  Retryable failures re-dirty the buffer
         *first* -- the data in memory is still newer than disk and the
         syncer must write it again (and NVRAM must keep its mirror);
@@ -315,8 +313,7 @@ class BufferCache:
                 if faults is not None:
                     faults.log(self.engine.now, "lost_write",
                                f"daddr={buf.daddr} ({error})")
-        for hook in list(buf.post_write):
-            hook(buf)
+        self.scheme.write_done(buf)
         if buf.busy and buf.owner in ("io", "flush"):
             self._unbusy(buf)
         elif not self.block_copy and buf.busy:

@@ -12,7 +12,7 @@ block image without disturbing the in-core copy.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.fs.layout import Dinode, FileType
 from repro.sim.engine import Engine
@@ -22,15 +22,13 @@ from repro.sim.primitives import Lock
 class Inode:
     """An in-core inode: the live ``Dinode`` plus locking and references."""
 
-    __slots__ = ("ino", "din", "lock", "refs", "dep_info", "deleted")
+    __slots__ = ("ino", "din", "lock", "refs", "deleted")
 
     def __init__(self, engine: Engine, ino: int, din: Dinode) -> None:
         self.ino = ino
         self.din = din
         self.lock = Lock(engine)
         self.refs = 0
-        #: per-scheme attachment (soft updates inodedep)
-        self.dep_info: Any = None
         #: set once the inode has been released to the free pool
         self.deleted = False
 

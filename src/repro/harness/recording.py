@@ -75,29 +75,25 @@ def recording(machine: Machine) -> Iterator[RecordedRun]:
     The current image is snapshotted (copy-on-write, so free) as the base,
     the log's ``entries.append`` joins the drive's ``write_observers``
     (each write's record is kept by reference: payload, LBN, per-sector
-    timing, torn/faulted outcome) and a scheme that keeps battery-backed
-    state, exposing an ``on_survivor`` slot (duck-typed, like
-    ``apply_to_image`` in ``crash_image``), has its stores and drops
-    logged too, stamped with the simulated instant.  Both hooks come off
-    however the block exits.  Recording is passive: it changes neither the
-    event timeline nor a single simulated timestamp.
+    timing, torn/faulted outcome) and the scheme's ``on_survivor``
+    observer logs every store and drop of its battery-backed state (only
+    NVRAM has any), stamped with the simulated instant.  Both hooks come
+    off however the block exits.  Recording is passive: it changes neither
+    the event timeline nor a single simulated timestamp.
     """
     recorded = RecordedRun(machine.disk.storage.snapshot())
     observers = machine.disk.write_observers
     log_write = recorded.media_log.entries.append
     observers.append(log_write)
     scheme = machine.scheme
-    survivor_slot = hasattr(scheme, "on_survivor")
-    if survivor_slot:
-        survivors = recorded.media_log.survivors
-        scheme.on_survivor = lambda lbn, data: \
-            survivors.append((machine.engine.now, lbn, data))
+    survivors = recorded.media_log.survivors
+    scheme.on_survivor = lambda lbn, data: \
+        survivors.append((machine.engine.now, lbn, data))
     try:
         yield recorded
     finally:
         observers.remove(log_write)
-        if survivor_slot:
-            scheme.on_survivor = None
+        scheme.on_survivor = None
 
 
 def record_run(machine: Machine, workload: Generator,

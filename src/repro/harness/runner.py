@@ -18,7 +18,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.costs import CostModel
-from repro.driver import FlagPolicy, FlagSemantics
+from repro.driver import FlagSemantics
 from repro.harness.metrics import RunResult, collect
 from repro.machine import Machine, MachineConfig
 from repro.ordering import SchedulerFlagScheme
@@ -53,9 +53,8 @@ def scale_factor(default: float = 0.15) -> float:
     return scale
 
 
-def _config(scheme, policy=None,
-            cache_bytes: Optional[int] = None) -> MachineConfig:
-    return MachineConfig(scheme=scheme, policy=policy, costs=CostModel(),
+def _config(scheme, cache_bytes: Optional[int] = None) -> MachineConfig:
+    return MachineConfig(scheme=scheme, costs=CostModel(),
                          cache_bytes=cache_bytes or FULL_CACHE_BYTES)
 
 
@@ -65,9 +64,8 @@ def standard_scheme_config(name: str, alloc_init: bool = False,
 
     Everything comes from :data:`repro.ordering.registry.REGISTRY` -- the
     scheme instance in its table configuration (the scheduler schemes get
-    the -CB block-copy enhancement there), the driver policy from the
-    machine's ``default_policy_for`` (Part-NR for the flag, chains for
-    chains).
+    the -CB block-copy enhancement there), which also builds the driver
+    policy (Part-NR for the flag, chains for chains).
     """
     scheme = by_display_name(name).build_standard(alloc_init=alloc_init)
     return _config(scheme, cache_bytes=cache_bytes)
@@ -88,8 +86,9 @@ def flag_variant(semantics: FlagSemantics, read_bypass: bool,
     what makes flagged writes frequent enough for the semantics to matter.
     """
     return _config(SchedulerFlagScheme(block_copy=block_copy,
-                                       alloc_init=alloc_init),
-                   policy=FlagPolicy(semantics, read_bypass=read_bypass),
+                                       alloc_init=alloc_init,
+                                       semantics=semantics,
+                                       read_bypass=read_bypass),
                    cache_bytes=cache_bytes)
 
 

@@ -14,7 +14,8 @@ byte-identical to the ones this module produces on a machine run to the
 crash instant.  The in-flight prefix is asked of the drive's own record of
 the transfer (``InFlightWrite.sectors_applied_by``), the record synthesis
 reads from the log.  What survives *off* the media is still said twice:
-``apply_to_image`` here, the survivor replay in ``ImageSynthesizer``.
+the scheme's ``apply_to_image`` here (a no-op for every disk-only
+scheme), the survivor replay in ``ImageSynthesizer``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ def crash_image(machine: Machine) -> SectorStore:
         image.write_partial(in_flight.lbn, in_flight.data,
                             in_flight.sectors_applied_by(machine.engine.now))
     # battery-backed survivors (the NVRAM extension) replay over the image
-    apply_nvram = getattr(machine.scheme, "apply_to_image", None)
-    if apply_nvram is not None:
-        apply_nvram(image)
+    machine.scheme.apply_to_image(image)
     return image
 
 

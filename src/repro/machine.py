@@ -24,40 +24,21 @@ from typing import Generator, Optional
 from repro.cache import BufferCache, SyncerDaemon
 from repro.costs import CostModel
 from repro.disk import Disk
-from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics
+from repro.driver import DeviceDriver
 from repro.faults import FaultPlan
-from repro.driver.ordering import OrderingPolicy
 from repro.fs import FileSystem, FSGeometry, mkfs
 from repro.fs.layout import with_journal
 from repro.obs import Tracer
-from repro.ordering import (
-    NoOrderScheme,
-    OrderingScheme,
-    SchedulerChainsScheme,
-    SchedulerFlagScheme,
-    SoftUpdatesScheme,
-)
+from repro.ordering import NoOrderScheme, OrderingScheme
 from repro.sim import CPU, Engine, Process
-
-
-def default_policy_for(scheme: OrderingScheme) -> OrderingPolicy:
-    """The driver policy each scheme expects (section 5's configurations)."""
-    if isinstance(scheme, SchedulerChainsScheme):
-        return ChainsPolicy()
-    if isinstance(scheme, SchedulerFlagScheme):
-        # the headline configuration: Part-NR (/CB comes from the scheme)
-        return FlagPolicy(FlagSemantics.PART, read_bypass=True)
-    # conventional / no order / soft updates do not use the flag
-    return FlagPolicy(FlagSemantics.IGNORE)
 
 
 @dataclass
 class MachineConfig:
     """Knobs for one simulated testbed."""
 
+    #: the ordering scheme; it also chooses the driver's ordering policy
     scheme: OrderingScheme = field(default_factory=NoOrderScheme)
-    #: driver ordering policy; None = the scheme's natural choice
-    policy: Optional[OrderingPolicy] = None
     fs_geometry: FSGeometry = field(default_factory=FSGeometry)
     costs: CostModel = field(default_factory=CostModel)
     cache_bytes: int = 24 * 1024 * 1024
@@ -76,7 +57,7 @@ class Machine:
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.config = config or MachineConfig()
         cfg = self.config
-        if getattr(cfg.scheme, "wants_journal", False):
+        if cfg.scheme.wants_journal:
             # journaling schemes need the reserved journal area; sizing it
             # here (idempotently) means every harness surface -- runner,
             # explorer, fault sweep, ad-hoc tests -- gets it for free
@@ -91,15 +72,14 @@ class Machine:
         self.disk = Disk(self.engine)
         if cfg.faults is not None:
             self.disk.faults = cfg.faults.build()
-        self.policy = cfg.policy or default_policy_for(cfg.scheme)
-        self.driver = DeviceDriver(self.engine, self.disk, self.policy)
-        self.cache = BufferCache(self.engine, self.driver, self.cpu,
-                                 self.costs,
-                                 frag_size=cfg.fs_geometry.frag_size,
-                                 capacity_bytes=cfg.cache_bytes,
-                                 block_copy=cfg.scheme.uses_block_copy)
-        self.syncer = SyncerDaemon(self.engine, self.cache)
         self.scheme = cfg.scheme
+        self.driver = DeviceDriver(self.engine, self.disk,
+                                   self.scheme.driver_policy())
+        self.cache = BufferCache(self.engine, self.driver, self.cpu,
+                                 self.costs, self.scheme,
+                                 frag_size=cfg.fs_geometry.frag_size,
+                                 capacity_bytes=cfg.cache_bytes)
+        self.syncer = SyncerDaemon(self.engine, self.cache)
         self.fs = FileSystem(self.engine, self.cache, self.cpu, self.costs,
                              self.scheme, syncer=self.syncer)
         self.users: list[Process] = []

@@ -9,10 +9,11 @@ removal) and decides *how* the affected metadata reaches the disk:
 * :class:`ConventionalScheme` -- synchronous writes at every ordering point
   (the classic FFS approach).
 * :class:`SchedulerFlagScheme` -- asynchronous writes with the one-bit
-  ordering flag (section 3.1); pair with a
-  :class:`~repro.driver.ordering.FlagPolicy` driver.
+  ordering flag (section 3.1); its ``driver_policy()`` is the
+  :class:`~repro.driver.ordering.FlagPolicy` of its ``semantics`` and
+  ``read_bypass``.
 * :class:`SchedulerChainsScheme` -- asynchronous writes with explicit
-  request dependency lists (section 3.2); pair with
+  request dependency lists (section 3.2); its ``driver_policy()`` is a
   :class:`~repro.driver.ordering.ChainsPolicy`.
 * :class:`SoftUpdatesScheme` -- delayed writes with fine-grained dependency
   records, undo/redo rollback and deferred deallocation (section 4.2 and the

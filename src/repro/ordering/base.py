@@ -21,6 +21,11 @@ Bookkeeping the schemes share lives here, so a hook holds only its ordering
 decision: ``AllocContext.moved``, ``_inode_image``, ``_released`` (the
 in-memory release of an inode) and ``_free_moved``.  No Order and soft
 updates release in their own order and keep their own release code.
+
+The scheme is also the machine's one view of ordering: its driver policy,
+``uses_block_copy``, the cache's two write hooks (FreeBSD's ``bioops``) and
+what a crash leaves off the media each have an inert default here, so
+nothing outside this package asks which scheme it holds.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Generator, Optional
 
+from repro.driver.ordering import FlagPolicy, FlagSemantics, OrderingPolicy
 from repro.faults import MediaError
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
 
 if TYPE_CHECKING:
     from repro.cache.buffer import Buffer
+    from repro.disk.storage import SectorStore
     from repro.fs.inode import Inode
     from repro.fs.vfs import FileSystem
 
@@ -83,6 +90,11 @@ class OrderingScheme:
     #: what a crash at an arbitrary instant may leave behind; verified by
     #: the crash-exploration engine, never assumed
     declared_guarantees: CrashGuarantees = SAFE_DEFAULT
+    #: machines size a journal area into the geometry for this scheme
+    wants_journal = False
+    #: observer ``(lbn, bytes | None)`` the recording installs; fired on
+    #: every store and drop of battery-backed state (only NVRAM has any)
+    on_survivor = None
 
     def __init__(self, alloc_init: Optional[bool] = None) -> None:
         if alloc_init is not None:
@@ -97,6 +109,22 @@ class OrderingScheme:
         """Bind to the mounted file system (called once at mount)."""
         self.fs = fs
         self._tracer = fs.engine.tracer
+
+    # -- what the rest of the machine asks of the scheme ---------------------
+    def driver_policy(self) -> OrderingPolicy:
+        """The driver discipline this scheme's writes rely on."""
+        return FlagPolicy(FlagSemantics.IGNORE)
+
+    def write_starting(self, buf: "Buffer", image: bytearray,
+                       deps: set) -> None:
+        """The cache issues a write of *buf* from *image* (a copy of its
+        data) depending on the request ids in *deps*; both may be edited."""
+
+    def write_done(self, buf: "Buffer") -> None:
+        """A write of *buf* completed (driver context: must not block)."""
+
+    def apply_to_image(self, image: "SectorStore") -> None:
+        """Replay what survives a power failure off the media over *image*."""
 
     # -- decision accounting ------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:

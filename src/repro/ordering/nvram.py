@@ -9,9 +9,9 @@ indirect blocks, and the cylinder-group headers of frees -- is mirrored,
 atomically and instantly, into a battery-backed store that survives power
 failure.  No write ordering is needed for structural soundness, and the
 dirty blocks destage to the disk lazily through the normal syncer path,
-dropping their NVRAM copy once the disk catches up.  Crash recovery
-replays the surviving NVRAM over the disk image
-(:meth:`NvramScheme.apply_to_image`, consulted by ``repro.integrity.crash``).
+dropping their NVRAM copy once the disk catches up (or the block is
+freed).  Crash recovery replays the surviving NVRAM over the disk image
+(:meth:`NvramScheme.apply_to_image`, called by ``repro.integrity.crash``).
 
 What recovery sees is never corrupt, but it is not always the latest
 metadata: an allocation dirties its cylinder-group header and neither
@@ -61,10 +61,6 @@ class NvramScheme(OrderingScheme):
         self.used_bytes = 0
         self.stores = 0
         self.destage_stalls = 0
-        #: passive observer ``(lbn, bytes | None)`` fired on every mirror
-        #: store (the new bytes) and drop (None); the recording runner
-        #: logs it so crash images can be synthesized without this object
-        self.on_survivor = None
 
     # ------------------------------------------------------------------
     def _mirror_buffer(self, buf) -> Generator:
@@ -98,8 +94,6 @@ class NvramScheme(OrderingScheme):
         self._survivor_changed(buf.daddr, self._mirror[buf.daddr])
         yield from self.fs.cpu.compute(
             self.store_cost_per_byte * buf.size * self.fs.costs.scale)
-        if not buf.post_write:
-            buf.post_write.append(self._destaged)
 
     def _destage_victim(self):
         """The oldest mirrored block the calling process does not hold.
@@ -115,7 +109,7 @@ class NvramScheme(OrderingScheme):
                 return daddr
         return None
 
-    def _destaged(self, buf) -> None:
+    def write_done(self, buf) -> None:
         """Disk caught up with this block: the NVRAM copy can be dropped.
 
         Only when the buffer is clean: a completed write may carry an older
@@ -124,6 +118,12 @@ class NvramScheme(OrderingScheme):
         """
         if not buf.dirty and not buf.write_outstanding:
             self._drop(buf.daddr)
+
+    def _forget(self, runs) -> None:
+        """Drop the mirror of *runs* about to be freed: recovery must not
+        replay their dead bytes over the blocks' next owner."""
+        for daddr, _frags in runs:
+            self._drop(daddr)
 
     def _drop(self, daddr: int) -> None:
         data = self._mirror.pop(daddr, None)
@@ -170,6 +170,7 @@ class NvramScheme(OrderingScheme):
         runs, ibuf = yield from self._released(ip)
         yield from self._mirror_buffer(ibuf)
         self.fs.cache.bdwrite(ibuf)
+        self._forget(runs)
         yield from self.fs.free_block_list(runs)
         for daddr, _frags in runs:
             yield from self._mirror_cg_of(daddr)
@@ -179,6 +180,7 @@ class NvramScheme(OrderingScheme):
         ibuf = yield from self._inode_image(ip)
         yield from self._mirror_buffer(ibuf)
         self.fs.cache.bdwrite(ibuf)
+        self._forget(runs)
         yield from self.fs.free_block_list(runs)
         for daddr, _frags in runs:
             yield from self._mirror_cg_of(daddr)

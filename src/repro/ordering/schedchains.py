@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.driver.ordering import ChainsPolicy
 from repro.ordering.base import AllocContext, OrderingScheme
 from repro.ordering.guarantees import CrashGuarantees
 
@@ -44,10 +45,11 @@ class SchedulerChainsScheme(OrderingScheme):
         self._freed_inodes: dict[int, int] = {}    # ino -> request id
         self._barriers: set[int] = set()
 
-    def attach(self, fs) -> None:
-        super().attach(fs)
-        if self.dealloc_barrier:
-            fs.cache.global_write_deps = lambda: set(self._barriers)
+    def driver_policy(self) -> ChainsPolicy:
+        return ChainsPolicy()
+
+    def write_starting(self, buf, image, deps) -> None:
+        deps |= self._barriers  # empty unless ``dealloc_barrier``
 
     # -- the four structural changes --------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:

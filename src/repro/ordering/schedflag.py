@@ -9,14 +9,16 @@ the writes that must land first are issued immediately (flagged) while the
 dependent updates stay delayed and are flushed later -- automatically
 ordered behind the flagged request.
 
-The -CB block-copy enhancement (section 3.3) is selected via
-``use_block_copy``; the headline configuration in section 5 is Part-NR/CB.
+``semantics`` and ``read_bypass`` build the driver's policy, and the -CB
+block-copy enhancement (section 3.3) is ``block_copy``; the defaults are
+section 5's headline configuration, Part-NR/CB.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
+from repro.driver.ordering import FlagPolicy, FlagSemantics
 from repro.ordering.base import AllocContext, OrderingScheme
 from repro.ordering.guarantees import CrashGuarantees
 
@@ -28,11 +30,17 @@ class SchedulerFlagScheme(OrderingScheme):
     # dependents admit the usual repairable wear
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
-    def __init__(self, alloc_init: bool = False,
-                 block_copy: bool = True) -> None:
+    def __init__(self, alloc_init: bool = False, block_copy: bool = True,
+                 semantics: FlagSemantics = FlagSemantics.PART,
+                 read_bypass: bool = True) -> None:
         super().__init__(alloc_init=alloc_init)
         self.uses_block_copy = block_copy
+        self.semantics = semantics
+        self.read_bypass = read_bypass
         self.name = "Scheduler Flag"
+
+    def driver_policy(self) -> FlagPolicy:
+        return FlagPolicy(self.semantics, read_bypass=self.read_bypass)
 
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
         # the inode write is flagged: the (delayed, later-issued) directory

@@ -47,6 +47,12 @@ class SoftUpdatesScheme(OrderingScheme):
         super().attach(fs)
         self.manager = SoftDepManager(fs)
 
+    def write_starting(self, buf, image, deps) -> None:
+        self.manager.write_starting(buf, image)
+
+    def write_done(self, buf) -> None:
+        self.manager.write_done(buf)
+
     # ------------------------------------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:
         ibuf = yield from self._inode_image(ip, dbuf)
@@ -105,7 +111,7 @@ class SoftUpdatesScheme(OrderingScheme):
             dep.free_on_clear.append((ctx.old_daddr, ctx.old_frags))
             self.fs.cache.invalidate(ctx.old_daddr, ctx.old_frags)
         if ctx.owner_kind == "inode":
-            self.manager.track(owner_buf, "inode")
+            self.manager.track(owner_buf)
             self.fs.store_inode(ctx.ip, owner_buf)
             self.fs.cache.bdwrite(owner_buf)
         else:

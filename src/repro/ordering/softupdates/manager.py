@@ -10,12 +10,12 @@ Central ideas (section 4.2):
   trivial, and through a workitem queue when it can block (link-count drops,
   bitmap frees).
 
-Every buffer with dependencies gets one standing pre-write/post-write hook
-pair and is pinned in the cache while tracked.  The pre-write hook applies
-rollbacks to the outgoing image and snapshots which dependencies that write
-carries (an :class:`InFlight` batch); the post-write hook completes exactly
-that batch.  Because the driver completes overlapping writes in issue order,
-batches complete FIFO per buffer.
+Every buffer with dependencies is pinned in the cache while tracked.  At
+each write's issue :meth:`SoftDepManager.write_starting` applies rollbacks
+to the outgoing image and snapshots which dependencies that write carries
+(an :class:`InFlight` batch); :meth:`SoftDepManager.write_done` completes
+exactly that batch.  Because the driver completes overlapping writes in
+issue order, batches complete FIFO per buffer.
 
 Deviation from the paper, documented: the paper undoes updates in the buffer
 itself, inhibits access during the write, and redoes them afterwards (with a
@@ -77,21 +77,12 @@ class SoftDepManager:
     # ==================================================================
     # buffer tracking
     # ==================================================================
-    def track(self, buf, kind: str) -> TrackedBuffer:
-        """Pin *buf* and attach the standing hooks (idempotent)."""
-        tracked = self.tracked.get(buf.daddr)
-        if tracked is not None:
-            return tracked
-        tracked = TrackedBuffer(buf.daddr, kind)
-        tracked.buf = buf
-        tracked.pre_fn = (lambda b, image, d=buf.daddr:
-                          self._pre_write(d, b, image))
-        tracked.post_fn = lambda b, d=buf.daddr: self._post_write(d, b)
-        buf.pre_write.append(tracked.pre_fn)
-        buf.post_write.append(tracked.post_fn)
-        buf.hold_count += 1
-        self.tracked[buf.daddr] = tracked
-        return tracked
+    def track(self, buf) -> None:
+        """Pin *buf* so its writes carry dependencies (idempotent); pinned,
+        it stays the cache's buffer at its daddr, which the hooks look up."""
+        if buf.daddr not in self.tracked:
+            buf.hold_count += 1
+            self.tracked[buf.daddr] = TrackedBuffer(buf)
 
     def _maybe_untrack(self, daddr: int) -> None:
         tracked = self.tracked.get(daddr)
@@ -102,12 +93,7 @@ class SoftDepManager:
             return
         if self._inos_by_block.get(daddr):
             return
-        buf = tracked.buf
-        if tracked.pre_fn in buf.pre_write:
-            buf.pre_write.remove(tracked.pre_fn)
-        if tracked.post_fn in buf.post_write:
-            buf.post_write.remove(tracked.post_fn)
-        buf.hold_count -= 1
+        tracked.buf.hold_count -= 1
         del self.tracked[daddr]
 
     # ==================================================================
@@ -130,9 +116,9 @@ class SoftDepManager:
             self.indirdeps.setdefault(
                 owner_buf.daddr, IndirDepState(owner_buf.daddr)
             ).alloc[slot] = dep
-            self.track(owner_buf, "indir")
+            self.track(owner_buf)
         self.allocsafe.setdefault(new_daddr, []).append(dep)
-        self.track(data_buf, "data")
+        self.track(data_buf)
         return dep
 
     def record_add(self, dbuf, offset_in_block: int, ip, ibuf) -> None:
@@ -142,8 +128,8 @@ class SoftDepManager:
         self.pagedeps.setdefault(
             dbuf.daddr, PageDepState(dbuf.daddr)).adds[offset_in_block] = add
         self._inodedep(ip.ino).pending_adds.append(add)
-        self.track(dbuf, "dir")
-        self.track(ibuf, "inode")
+        self.track(dbuf)
+        self.track(ibuf)
 
     def record_remove(self, dbuf, offset_in_block: int, ip) -> bool:
         """remove: returns True if it cancelled a pending add (no I/O at all).
@@ -167,7 +153,7 @@ class SoftDepManager:
         self.deps_created += 1
         self.pagedeps.setdefault(
             dbuf.daddr, PageDepState(dbuf.daddr)).removes.append(DirRem(ip))
-        self.track(dbuf, "dir")
+        self.track(dbuf)
         return False
 
     def record_free(self, ip, ibuf, runs: list[tuple[int, int]],
@@ -175,12 +161,12 @@ class SoftDepManager:
         """freeblocks/freefile: bitmap bits clear after the reset write."""
         self.deps_created += 1
         self._inodedep(ip.ino).frees.append(FreeWork(runs=list(runs), ino=ino))
-        self.track(ibuf, "inode")
+        self.track(ibuf)
 
     def track_inode_buffer(self, ip, ibuf) -> None:
-        """Ensure *ip*'s inode-block buffer carries the standing hooks."""
+        """Track *ip*'s inode-block buffer while *ip* has dependencies."""
         if self._inodedep_if_any(ip.ino) is not None:
-            self.track(ibuf, "inode")
+            self.track(ibuf)
 
     # -- cancellation at deallocation --------------------------------------
     def cancel_for_release(self, ip,
@@ -257,7 +243,11 @@ class SoftDepManager:
     # ==================================================================
     # the write hooks
     # ==================================================================
-    def _pre_write(self, daddr: int, buf, image: bytearray) -> None:
+    def write_starting(self, buf, image: bytearray) -> None:
+        daddr = buf.daddr
+        tracked = self.tracked.get(daddr)
+        if tracked is None:
+            return
         batch = InFlight()
         rollbacks_before = self.rollbacks
         # role: inode block
@@ -326,10 +316,11 @@ class SoftDepManager:
             tracer.record("softupdates.rollback", "ordering", now, now,
                           tracer._track(None),
                           args={"daddr": daddr, "count": rolled})
-        self.tracked[daddr].inflight.append(batch)
+        tracked.inflight.append(batch)
 
-    def _post_write(self, daddr: int, buf) -> None:
+    def write_done(self, buf) -> None:
         """I/O completion: retire this write's batch (ISR context)."""
+        daddr = buf.daddr
         tracked = self.tracked.get(daddr)
         if tracked is None or not tracked.inflight:
             # This write was snapshotted before the buffer was tracked (it

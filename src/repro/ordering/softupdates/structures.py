@@ -150,11 +150,7 @@ class InFlight:
 
 @dataclass
 class TrackedBuffer:
-    """Per-buffer bookkeeping: pinned + standing hooks + in-flight queue."""
+    """Per-buffer bookkeeping: the pinned buffer + its in-flight queue."""
 
-    daddr: int
-    kind: str  # "inode" | "dir" | "indir" | "data"
+    buf: object
     inflight: deque = field(default_factory=deque)
-    buf: object = None
-    pre_fn: object = None
-    post_fn: object = None

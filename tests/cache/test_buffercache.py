@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ordering import OrderingScheme
 from tests.cache.conftest import CacheRig
 
 
@@ -174,15 +175,17 @@ class TestWritePaths:
         rig.run(body())
         assert rig.disk.storage.read(20, 2) == b"\x03" * 1024
 
-    def test_pre_write_hook_rewrites_image_not_memory(self, rig):
-        def rollback(buf, image):
-            image[0:4] = b"SAFE"
+    def test_pre_write_hook_rewrites_image_not_memory(self):
+        class RollingBack(OrderingScheme):
+            def write_starting(self, buf, image, deps):
+                image[0:4] = b"SAFE"
+
+        rig = CacheRig(scheme=RollingBack())
 
         def body():
             buf = yield from rig.cache.getblk(10, 1024)
             buf.data[:] = b"\xee" * 1024
             buf.valid = True
-            buf.pre_write.append(rollback)
             yield from rig.cache.bwrite(buf)
             return bytes(rig.cache.peek(10).data[0:4])
 
@@ -190,13 +193,18 @@ class TestWritePaths:
         assert rig.disk.storage.read(20, 1)[0:4] == b"SAFE"
         assert in_memory == b"\xee" * 4  # memory copy untouched
 
-    def test_post_write_hook_runs_at_completion(self, rig):
+    def test_post_write_hook_runs_at_completion(self):
         fired = []
+
+        class Watching(OrderingScheme):
+            def write_done(self, buf):
+                fired.append(rig.engine.now)
+
+        rig = CacheRig(scheme=Watching())
 
         def body():
             buf = yield from rig.cache.getblk(10, 1024)
             buf.valid = True
-            buf.post_write.append(lambda b: fired.append(rig.engine.now))
             yield from rig.cache.bwrite(buf)
 
         rig.run(body())

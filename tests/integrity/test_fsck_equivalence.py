@@ -54,6 +54,7 @@ from repro.integrity.fsck import (
 )
 from repro.integrity.invariants import Violation, classify_report, finding
 from repro.integrity.medialog import ImageSynthesizer
+from repro.ordering import OrderingScheme
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
@@ -249,7 +250,7 @@ def _reference_records(image, geo, cg):
 #: the media-resident standard schemes (the journal among them: its log is
 #: more media sectors, judged through the overlay) and the three mutants
 SWEEP_SCHEMES = [slug for slug, info in REGISTRY.items()
-                 if getattr(info.cls, "apply_to_image", None) is None] \
+                 if info.cls.apply_to_image is OrderingScheme.apply_to_image] \
     + sorted(SHIMS)
 
 

@@ -1,6 +1,7 @@
 """Knob census: the environment variables the code names are the ones the
 docs name and reject nonsense values, a machine has the config fields
-listed here, and the simulator stays dependency-free.
+listed here, nothing outside the ordering package asks which scheme it
+holds, and the simulator stays dependency-free.
 
 Every ``REPRO_*`` variable is an option somebody has to know about, so the
 set is pinned here: adding one means editing this list *and* documenting
@@ -28,8 +29,12 @@ KNOBS = {"REPRO_SCALE", "REPRO_JOBS"}
 
 #: every independently settable value of one simulated testbed; a field
 #: nobody sets differently is a constant, not a field
-MACHINE_CONFIG_FIELDS = {"scheme", "policy", "fs_geometry", "costs",
+MACHINE_CONFIG_FIELDS = {"scheme", "fs_geometry", "costs",
                          "cache_bytes", "observe", "faults"}
+
+#: files outside ``repro/ordering/`` allowed to probe a scheme: the metric
+#: registry reads soft updates' counters off whatever scheme is mounted
+SCHEME_PROBE_EXEMPT = {"obs/registry.py"}
 
 #: the only package allowed to read the process environment: the CLI and
 #: grid plumbing.  Everything else -- ``obs`` included, which a
@@ -73,6 +78,56 @@ def test_a_sane_scale_is_read(monkeypatch):
 def test_machine_config_fields_are_the_listed_ones():
     assert {f.name for f in dataclasses.fields(MachineConfig)} \
         == MACHINE_CONFIG_FIELDS
+
+
+def scheme_probes(source: str) -> list[int]:
+    """Lines of *source* that ask which scheme they hold:
+    ``isinstance(..., ...Scheme)`` or ``hasattr`` / ``getattr`` on an
+    expression naming a scheme."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) >= 2):
+            continue
+        if node.func.id == "isinstance":
+            classes = node.args[1]
+            names = classes.elts if isinstance(classes, ast.Tuple) \
+                else [classes]
+            probe = any(ast.unparse(name).endswith("Scheme")
+                        for name in names)
+        elif node.func.id in ("hasattr", "getattr"):
+            probe = "scheme" in ast.unparse(node.args[0]).lower()
+        else:
+            continue
+        if probe:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("probe", [
+    "isinstance(scheme, SchedulerChainsScheme)",
+    "isinstance(s, (int, SchedulerFlagScheme))",
+    "getattr(cfg.scheme, 'wants_journal', False)",
+    "hasattr(machine.scheme, 'on_survivor')",
+])
+def test_the_scheme_probe_census_sees_a_probe(probe):
+    assert scheme_probes(probe) == [1]
+
+
+def test_nothing_outside_ordering_probes_the_scheme():
+    """The scheme's interface (``driver_policy``, the write hooks,
+    ``wants_journal``, ``on_survivor``, ``apply_to_image``) has a default
+    for every scheme, so the machine, the recording and the crash image
+    never ask which one they hold."""
+    offenders = []
+    for path in SOURCES:
+        relative = path.relative_to(ROOT / "src" / "repro")
+        if relative.parts[0] == "ordering" \
+                or relative.as_posix() in SCHEME_PROBE_EXEMPT:
+            continue
+        offenders += [f"{relative}:{line}"
+                      for line in scheme_probes(path.read_text())]
+    assert not offenders
 
 
 def test_simulated_layers_never_read_the_environment():

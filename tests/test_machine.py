@@ -2,8 +2,13 @@
 
 import pytest
 
+from benchmarks.test_fig1_flag_semantics import VARIANTS as FIG1
+from benchmarks.test_fig2_flag_semantics_remove import VARIANTS as FIG2
+from benchmarks.test_fig3_flag_impl import VARIANTS as FIG3
+from benchmarks.test_fig4_flag_impl_remove import VARIANTS as FIG4
 from repro.driver import ChainsPolicy, FlagPolicy, FlagSemantics
-from repro.machine import Machine, MachineConfig, default_policy_for
+from repro.harness.runner import flag_variant
+from repro.machine import Machine, MachineConfig
 from repro.ordering import (
     ConventionalScheme,
     NoOrderScheme,
@@ -16,11 +21,11 @@ from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 
 class TestDefaultPolicies:
     def test_chains_scheme_gets_chains_policy(self):
-        assert isinstance(default_policy_for(SchedulerChainsScheme()),
+        assert isinstance(SchedulerChainsScheme().driver_policy(),
                           ChainsPolicy)
 
     def test_flag_scheme_gets_part_nr(self):
-        policy = default_policy_for(SchedulerFlagScheme())
+        policy = SchedulerFlagScheme().driver_policy()
         assert isinstance(policy, FlagPolicy)
         assert policy.semantics is FlagSemantics.PART
         assert policy.read_bypass
@@ -28,8 +33,30 @@ class TestDefaultPolicies:
     def test_others_get_ignore(self):
         for scheme in (NoOrderScheme(), ConventionalScheme(),
                        SoftUpdatesScheme()):
-            policy = default_policy_for(scheme)
+            policy = scheme.driver_policy()
             assert policy.semantics is FlagSemantics.IGNORE
+
+
+#: every (semantics, read_bypass, block_copy) figures 1-4 build
+FIGURE_FLAG_VARIANTS = sorted(
+    {(semantics, bypass, True) for _label, semantics, bypass in FIG1 + FIG2}
+    | {(FlagSemantics.PART, bypass, block_copy)
+       for _label, bypass, block_copy in FIG3 + FIG4},
+    key=lambda variant: (variant[0].value, variant[1:]))
+
+
+@pytest.mark.parametrize("semantics,read_bypass,block_copy",
+                         FIGURE_FLAG_VARIANTS)
+def test_flag_variant_machine_runs_the_variants_policy(semantics,
+                                                       read_bypass,
+                                                       block_copy):
+    """The figures name a flag meaning; the driver they run must have it."""
+    machine = Machine(flag_variant(semantics, read_bypass,
+                                   block_copy=block_copy))
+    policy = machine.driver.policy
+    assert type(policy) is FlagPolicy
+    assert (policy.semantics, policy.read_bypass) == (semantics, read_bypass)
+    assert machine.cache.block_copy is block_copy
 
 
 class TestBlockCopyWiring:
