@@ -5,6 +5,14 @@ covers ``size`` bytes = a whole number of fragments.  The cache maps a daddr
 to at most one buffer, and the file system guarantees (by invalidating on
 deallocation) that live buffers never overlap.
 
+Acquisition: ``getblk`` and ``bread`` share one acquisition path,
+``_acquire``, which waits out a busy buffer, grows a fragment run in place
+or reclaims room for a miss.  ``bread``, the hot one, takes an uncontended
+same-size hit itself, so its hit is one generator and nests no
+``getblk``.  ``brelse`` is the one release (I/O completion drops a write's
+hold through it too) and wakes the buffer's sleepers only when it has
+some.
+
 Write mechanics (the mounted scheme's choice) and the section 3.3 write lock:
 
 * ``uses_block_copy`` false (classic): issuing a disk write holds the buffer
@@ -96,17 +104,71 @@ class BufferCache:
         """
         if size <= 0 or size % self.frag_size != 0:
             raise ValueError(f"buffer size {size} is not a whole fragment count")
-        yield from self.cpu.compute(self.costs.time("getblk"))
-        # uncontended same-size hit: what the loop below does on its first
-        # pass when nothing blocks, minus the bookkeeping it never reaches
+        costs = self.costs
+        yield from self.cpu.compute(costs.getblk * costs.scale)
+        buf = yield from self._acquire(daddr, size)
+        return buf
+
+    def bread(self, daddr: int, size: int) -> Generator:
+        """Acquire the buffer and ensure it holds the disk contents.
+
+        The same acquisition as :meth:`getblk`, then a disk read when the
+        buffer is not valid.
+        """
+        if size <= 0 or size % self.frag_size != 0:
+            raise ValueError(f"buffer size {size} is not a whole fragment count")
+        costs = self.costs
+        yield from self.cpu.compute(costs.getblk * costs.scale)
         buf = self._buffers.get(daddr)
         if buf is not None and not buf.busy and buf.size == size:
-            self._make_busy(buf)
+            # an uncontended same-size hit, taken here: what _acquire does
+            # on its first pass when nothing blocks
+            buf.busy = True
+            process = self.engine.current_process
+            buf.owner = process.name if process is not None else "?"
+            self._lru.pop(daddr, None)
             self.hits += 1
+        else:
+            buf = yield from self._acquire(daddr, size)
+        if buf.valid:
             return buf
+        tracer = self._tracer
+        span = tracer.begin("cache.read_miss", "cache",
+                            args={"daddr": daddr}) \
+            if tracer is not None else None
+        yield from self.cpu.compute(costs.io_setup * costs.scale)
+        nsectors = (size // self.frag_size) * self.sectors_per_frag
+        request = self.driver.read(self._lbn(daddr), nsectors,
+                                   issuer=self._issuer())
+        yield request.done
+        if request.error is not None:
+            # the driver's retries are spent and the sector is gone:
+            # this is where a UNIX process gets EIO from the kernel
+            self.read_errors += 1
+            faults = self.driver.disk.faults
+            if faults is not None:
+                faults.log(self.engine.now, "read_eio",
+                           f"daddr={daddr} ({request.error})")
+            if span is not None:
+                tracer.end(span)
+            self.brelse(buf)
+            raise MediaError(daddr, f"read failed ({request.error})")
+        buf.fill(self.driver.disk.storage.read(
+            self._lbn(daddr), size // self.frag_size * self.sectors_per_frag))
+        if span is not None:
+            tracer.end(span)
+        return buf
+
+    def _acquire(self, daddr: int, size: int) -> Generator:
+        """Take the buffer for :meth:`getblk` and :meth:`bread`; returns it
+        held.
+
+        Waits out a busy buffer, grows a fragment run in place, or reclaims
+        room for a fresh buffer.
+        """
         # lock-wait accounting is opened lazily on the first sleep and closed
-        # on whichever exit path acquires the buffer; the loop structure (and
-        # therefore every wakeup and timestamp) is identical with tracing off
+        # once the buffer is acquired; the loop structure (and therefore
+        # every wakeup and timestamp) is identical with tracing off
         tracer = self._tracer
         wait_span = None
         wait_start = None
@@ -132,59 +194,25 @@ class BufferCache:
                     raise RuntimeError(
                         f"getblk({daddr}, {size}) found a larger live buffer "
                         f"({buf.size} bytes); missing invalidation?")
-                self._make_busy(buf)
                 self.hits += 1
-                if wait_start is not None:
-                    self._lock_acquired(wait_start, wait_span)
-                return buf
+                break
             yield from self._reclaim(size)
             if daddr in self._buffers:
                 continue  # someone else created it while we slept
             buf = Buffer(self.engine, daddr, size)
             self._buffers[daddr] = buf
             self.used_bytes += size
-            self._make_busy(buf)
             self.misses += 1
-            if wait_start is not None:
-                self._lock_acquired(wait_start, wait_span)
-            return buf
-
-    def _lock_acquired(self, wait_start: float, wait_span) -> None:
-        """Close the lock wait a getblk opened on its first sleep."""
-        self.lock_waits += 1
-        self.lock_wait_time += self.engine.now - wait_start
-        if wait_span is not None:
-            self._tracer.end(wait_span)
-
-    def bread(self, daddr: int, size: int) -> Generator:
-        """Acquire the buffer and ensure it holds the disk contents."""
-        buf = yield from self.getblk(daddr, size)
-        if not buf.valid:
-            tracer = self._tracer
-            span = tracer.begin("cache.read_miss", "cache",
-                                args={"daddr": daddr}) \
-                if tracer is not None else None
-            yield from self.cpu.compute(self.costs.time("io_setup"))
-            nsectors = (size // self.frag_size) * self.sectors_per_frag
-            request = self.driver.read(self._lbn(daddr), nsectors,
-                                       issuer=self._issuer())
-            yield request.done
-            if request.error is not None:
-                # the driver's retries are spent and the sector is gone:
-                # this is where a UNIX process gets EIO from the kernel
-                self.read_errors += 1
-                faults = self.driver.disk.faults
-                if faults is not None:
-                    faults.log(self.engine.now, "read_eio",
-                               f"daddr={daddr} ({request.error})")
-                if span is not None:
-                    tracer.end(span)
-                self._unbusy(buf)
-                raise MediaError(daddr, f"read failed ({request.error})")
-            buf.fill(self.driver.disk.storage.read(
-                self._lbn(daddr), size // self.frag_size * self.sectors_per_frag))
-            if span is not None:
-                tracer.end(span)
+            break
+        buf.busy = True
+        process = self.engine.current_process
+        buf.owner = process.name if process is not None else "?"
+        self._lru.pop(daddr, None)
+        if wait_start is not None:
+            self.lock_waits += 1
+            self.lock_wait_time += self.engine.now - wait_start
+            if wait_span is not None:
+                tracer.end(wait_span)
         return buf
 
     def peek(self, daddr: int) -> Optional[Buffer]:
@@ -193,14 +221,28 @@ class BufferCache:
 
     # -- release paths ------------------------------------------------------
     def brelse(self, buf: Buffer) -> None:
-        """Release a held buffer without scheduling a write."""
-        self._unbusy(buf)
+        """Release a held buffer without scheduling a write.
+
+        Also how the cache drops the hold an I/O took (like ``biodone``):
+        the buffer goes to the LRU tail and its sleepers, if any, wake.
+        """
+        buf.busy = False
+        buf.owner = ""
+        buf.last_release = self.engine.now
+        daddr = buf.daddr
+        if daddr in self._buffers:
+            lru = self._lru
+            lru[daddr] = buf
+            lru.move_to_end(daddr)
+        waitq = buf.waitq
+        if waitq.waiters:
+            waitq.broadcast()
 
     def bdwrite(self, buf: Buffer) -> None:
         """Delayed write: mark dirty, release; the syncer flushes it later."""
         buf.mark_dirty(self.engine.now)
         buf.valid = True
-        self._unbusy(buf)
+        self.brelse(buf)
 
     def bawrite(self, buf: Buffer, flag: bool = False,
                 depends_on: Optional[frozenset[int]] = None) -> Generator:
@@ -212,7 +254,8 @@ class BufferCache:
         """
         if self.block_copy:
             yield from self.cpu.compute(self.costs.block_copy(buf.size))
-        yield from self.cpu.compute(self.costs.time("io_setup"))
+        costs = self.costs
+        yield from self.cpu.compute(costs.io_setup * costs.scale)
         return self._issue_write(buf, flag, depends_on)
 
     def bwrite(self, buf: Buffer, flag: bool = False,
@@ -220,7 +263,8 @@ class BufferCache:
         """Synchronous write: issue and wait for completion."""
         if self.block_copy:
             yield from self.cpu.compute(self.costs.block_copy(buf.size))
-        yield from self.cpu.compute(self.costs.time("io_setup"))
+        costs = self.costs
+        yield from self.cpu.compute(costs.io_setup * costs.scale)
         tracer = self._tracer
         span = tracer.begin("cache.write_wait", "cache",
                             args={"daddr": buf.daddr}) \
@@ -283,7 +327,7 @@ class BufferCache:
                 lambda _req, n=nbytes: self._copy_released(n))
         request.on_complete.append(lambda req, b=buf: self._write_done(b, req))
         if self.block_copy and not from_flush:
-            self._unbusy(buf)
+            self.brelse(buf)
         return request
 
     def _write_done(self, buf: Buffer, request: DiskRequest) -> None:
@@ -315,10 +359,10 @@ class BufferCache:
                                f"daddr={buf.daddr} ({error})")
         self.scheme.write_done(buf)
         if buf.busy and buf.owner in ("io", "flush"):
-            self._unbusy(buf)
+            self.brelse(buf)
         elif not self.block_copy and buf.busy:
             # non-CB foreground write: the lock was transferred to the I/O
-            self._unbusy(buf)
+            self.brelse(buf)
         self._space.broadcast()
 
     # -- invalidation (deallocation support) -----------------------------------
@@ -376,22 +420,6 @@ class BufferCache:
         self.used_bytes -= buf.size
         buf.valid = False
         self._space.broadcast()
-
-    # -- busy/LRU bookkeeping -----------------------------------------------
-    def _make_busy(self, buf: Buffer) -> None:
-        buf.busy = True
-        process = self.engine.current_process
-        buf.owner = process.name if process is not None else "?"
-        self._lru.pop(buf.daddr, None)
-
-    def _unbusy(self, buf: Buffer) -> None:
-        buf.busy = False
-        buf.owner = ""
-        buf.last_release = self.engine.now
-        if buf.daddr in self._buffers:
-            self._lru[buf.daddr] = buf
-            self._lru.move_to_end(buf.daddr)
-        buf.waitq.broadcast()
 
     # -- sync ------------------------------------------------------------------
     def dirty_buffers(self) -> list[Buffer]:

@@ -283,9 +283,8 @@ class Allocator:
 
     # -- header access -------------------------------------------------------
     def _cg_buf(self, cg: int) -> Generator:
-        buf = yield from self.cache.bread(self.geometry.cg_base(cg),
-                                          self.geometry.block_size)
-        return buf
+        return self.cache.bread(self.geometry.cg_base(cg),
+                                self.geometry.block_size)
 
     def load_summaries(self) -> Generator:
         """Rebuild the in-memory free counts from the on-disk headers."""

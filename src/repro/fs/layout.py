@@ -155,7 +155,8 @@ class FSGeometry:
     # -- cylinder group addressing ------------------------------------------
     def cg_base(self, cg: int) -> int:
         """Fragment address of cylinder group *cg*'s header."""
-        self._check_cg(cg)
+        if not 0 <= cg < self.ncg:
+            raise ValueError(f"cylinder group {cg} out of range")
         return self.cg_start + cg * self.cg_frags
 
     def cg_inode_table(self, cg: int) -> int:
@@ -168,15 +169,19 @@ class FSGeometry:
                 + self.inode_blocks_per_cg * self.frags_per_block)
 
     def cg_of_inode(self, ino: int) -> int:
-        self._check_ino(ino)
+        if not 0 <= ino < self.total_inodes:
+            raise ValueError(f"inode {ino} out of range")
         return ino // self.ipg
 
     def inode_block_daddr(self, ino: int) -> int:
-        """Fragment address of the inode block containing *ino*."""
-        cg = self.cg_of_inode(ino)
-        index = ino % self.ipg
-        block = index // self.inodes_per_block
-        return self.cg_inode_table(cg) + block * self.frags_per_block
+        """Fragment address of the inode block containing *ino*:
+        ``cg_inode_table(cg) + block * frags_per_block``, in one frame."""
+        if not 0 <= ino < self.total_inodes:
+            raise ValueError(f"inode {ino} out of range")
+        ipg = self.ipg
+        frags_per_block = self.frags_per_block
+        return (self.cg_start + ino // ipg * self.cg_frags + frags_per_block
+                + ino % ipg // self.inodes_per_block * frags_per_block)
 
     def inode_offset_in_block(self, ino: int) -> int:
         """Byte offset of *ino* within its inode block."""
@@ -200,14 +205,6 @@ class FSGeometry:
         if not (0 <= index < self.dfrags_per_cg):
             raise ValueError(f"daddr {daddr} is not in a data area")
         return index
-
-    def _check_cg(self, cg: int) -> None:
-        if not (0 <= cg < self.ncg):
-            raise ValueError(f"cylinder group {cg} out of range")
-
-    def _check_ino(self, ino: int) -> None:
-        if not (0 <= ino < self.total_inodes):
-            raise ValueError(f"inode {ino} out of range")
 
 
 def with_journal(geometry: FSGeometry) -> FSGeometry:

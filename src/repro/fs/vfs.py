@@ -10,7 +10,7 @@ structural change points.
 from __future__ import annotations
 
 import struct
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional
 
 from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
@@ -154,9 +154,8 @@ class FileSystem:
 
     def load_inode_buf(self, ino: int) -> Generator:
         """bread the inode block containing *ino* (returned held)."""
-        buf = yield from self.cache.bread(
-            self.geometry.inode_block_daddr(ino), self.geometry.block_size)
-        return buf
+        return self.cache.bread(self.geometry.inode_block_daddr(ino),
+                                self.geometry.block_size)
 
     def store_inode(self, ip: Inode, ibuf: Buffer) -> None:
         """Copy the in-core inode into its (held) inode-block buffer."""
@@ -170,7 +169,7 @@ class FileSystem:
 
     def iupdat(self, ip: Inode) -> Generator:
         """Schedule the in-core inode for stable storage (scheme decides how)."""
-        yield from self.scheme.inode_updated(ip)
+        return self.scheme.inode_updated(ip)
 
     def flush_inode_sync(self, ip: Inode) -> Generator:
         """Synchronously write the inode block (base fsync building block)."""
@@ -256,7 +255,7 @@ class FileSystem:
         """Return runs to the free pool and drop their cached buffers."""
         for daddr, frags in runs:
             self.cache.invalidate(daddr, frags)
-            yield from self.cpu.compute(self.costs.time("free"))
+            yield from self.cpu.compute(self.costs.free * self.costs.scale)
             yield from self.allocator.free_frags(daddr, frags)
 
     def free_inode_record(self, ip: Inode) -> Generator:
@@ -271,10 +270,14 @@ class FileSystem:
     # ==================================================================
     def namei(self, path: str) -> Generator:
         """Resolve *path* to a referenced in-core inode."""
-        parts = _split(path)
+        return self._walk(_split(path), path)
+
+    def _walk(self, parts: list[str], path: str) -> Generator:
+        """Resolve the components *parts* of *path* from the root."""
+        costs = self.costs
         ip = yield from self.iget(ROOT_INO)
         for part in parts:
-            yield from self.cpu.compute(self.costs.time("namei_component"))
+            yield from self.cpu.compute(costs.namei_component * costs.scale)
             if not ip.is_dir:
                 self.iput(ip)
                 raise FsError("ENOTDIR", path)
@@ -295,7 +298,7 @@ class FileSystem:
         if not parts:
             raise FsError("EINVAL", "path has no final component")
         parent_path = "/" + "/".join(parts[:-1])
-        dp = yield from self.namei(parent_path)
+        dp = yield from self._walk(parts[:-1], parent_path)
         if not dp.is_dir:
             self.iput(dp)
             raise FsError("ENOTDIR", parent_path)
@@ -303,7 +306,10 @@ class FileSystem:
 
     # -- directory internals ------------------------------------------------
     def _dir_block(self, dp: Inode, lblk: int) -> Generator:
-        daddr = yield from self.bmap(dp, lblk)
+        if 0 <= lblk < FSGeometry.NDADDR:
+            daddr = dp.din.direct[lblk]
+        else:
+            daddr = yield from self.bmap(dp, lblk)
         if daddr == 0:
             raise FsError("EIO", f"hole in directory {dp.ino} at block {lblk}")
         buf = yield from self.cache.bread(daddr, self.geometry.block_size)
@@ -337,7 +343,7 @@ class FileSystem:
             entry, scanned = index.find(name, lblk * bs) if index \
                 else directory.lookup(buf.data, name, lblk * bs)
             yield from self.cpu.compute(
-                self.costs.time("dirent_scan", scanned))
+                self.costs.dirent_scan * scanned * self.costs.scale)
             self.cache.brelse(buf)
             if entry is not None:
                 return entry
@@ -439,7 +445,7 @@ class FileSystem:
             buf = yield from self.cache.bread(old_daddr, old_frags * frag)
             return buf
 
-        yield from self.cpu.compute(self.costs.time("alloc"))
+        yield from self.cpu.compute(self.costs.alloc * self.costs.scale)
         if old_daddr:
             extended = yield from self.allocator.try_extend_frags(
                 old_daddr, old_frags, want_frags)
@@ -559,9 +565,9 @@ class FileSystem:
     # ==================================================================
     # syscalls
     # ==================================================================
-    def _enter(self) -> Generator:
+    def _enter(self) -> Iterable:
         """Charge the fixed kernel-entry cost every syscall pays."""
-        yield from self.cpu.compute(self.costs.time("syscall"))
+        return self.cpu.compute(self.costs.syscall * self.costs.scale)
 
     def _traced_syscall(self, name: str, gen: Generator,
                         tracer) -> Generator:
@@ -583,7 +589,7 @@ class FileSystem:
             existing = yield from self._dir_lookup(dp, name)
             if existing is not None:
                 raise FsError("EEXIST", path)
-            yield from self.cpu.compute(self.costs.time("create"))
+            yield from self.cpu.compute(self.costs.create * self.costs.scale)
             ino = yield from self.allocator.alloc_inode(
                 self.geometry.cg_of_inode(dp.ino), for_directory=False)
             self._generation += 1
@@ -612,7 +618,7 @@ class FileSystem:
             existing = yield from self._dir_lookup(dp, name)
             if existing is not None:
                 raise FsError("EEXIST", path)
-            yield from self.cpu.compute(self.costs.time("create"))
+            yield from self.cpu.compute(self.costs.create * self.costs.scale)
             ino = yield from self.allocator.alloc_inode(
                 self.geometry.cg_of_inode(dp.ino), for_directory=True)
             self._generation += 1
@@ -658,7 +664,7 @@ class FileSystem:
             if ip.is_dir:
                 self.iput(ip)
                 raise FsError("EISDIR", path)
-            yield from self.cpu.compute(self.costs.time("remove"))
+            yield from self.cpu.compute(self.costs.remove * self.costs.scale)
             dbuf, offset = yield from self._dir_delete(dp, entry)
             # drop our transient reference before the scheme runs drop_link,
             # so an immediate release is not mistaken for an open file
@@ -686,7 +692,7 @@ class FileSystem:
             if not empty:
                 self.iput(ip)
                 raise FsError("ENOTEMPTY", path)
-            yield from self.cpu.compute(self.costs.time("remove"))
+            yield from self.cpu.compute(self.costs.remove * self.costs.scale)
             dbuf, offset = yield from self._dir_delete(dp, entry)
             # the victim's '..' link on the parent goes away with it
             dp.din.nlink -= 1
@@ -895,7 +901,7 @@ class FileSystem:
     def stat(self, path: str) -> Generator:
         """Return a copy of the inode's attributes."""
         yield from self._enter()
-        yield from self.cpu.compute(self.costs.time("stat"))
+        yield from self.cpu.compute(self.costs.stat * self.costs.scale)
         ip = yield from self.namei(path)
         din = ip.din.copy()
         self.iput(ip)
@@ -921,7 +927,7 @@ class FileSystem:
                           if ino and name not in (".", "..")]
                 self.cache.brelse(buf)
             yield from self.cpu.compute(
-                self.costs.time("readdir_entry", len(names)))
+                self.costs.readdir_entry * len(names) * self.costs.scale)
         finally:
             dp.lock.release()
             self.iput(dp)

@@ -504,7 +504,7 @@ class JournalScheme(OrderingScheme):
     # ------------------------------------------------------------------
     def _raw_write(self, daddr: int, data: bytes) -> Generator:
         cache = self.fs.cache
-        yield from self.fs.cpu.compute(self.fs.costs.time("io_setup"))
+        yield from self.fs.cpu.compute(self.fs.costs.io_setup * self.fs.costs.scale)
         for _attempt in range(3):
             request = cache.driver.write(daddr * cache.sectors_per_frag,
                                          bytes(data), issuer="journal")

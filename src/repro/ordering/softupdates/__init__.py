@@ -117,7 +117,7 @@ class SoftUpdatesScheme(OrderingScheme):
         else:
             self.fs.cache.bdwrite(owner_buf)
         self.fs.cache.bdwrite(ctx.data_buf)
-        yield from self.fs.cpu.compute(self.fs.costs.time("softdep", 2))
+        yield from self.fs.cpu.compute(self.fs.costs.softdep * 2 * self.fs.costs.scale)
 
     def truncated(self, ip, runs) -> Generator:
         extra = self.manager.cancel_for_truncate(ip, runs)
@@ -126,7 +126,7 @@ class SoftUpdatesScheme(OrderingScheme):
         # the bitmap bits clear only after the reset pointers are written
         self.manager.record_free(ip, ibuf, runs, ino=None)
         self.fs.cache.bdwrite(ibuf)
-        yield from self.fs.cpu.compute(self.fs.costs.time("softdep"))
+        yield from self.fs.cpu.compute(self.fs.costs.softdep * self.fs.costs.scale)
 
     def release_inode(self, ip) -> Generator:
         runs = yield from self.fs.collect_blocks(ip)
@@ -146,7 +146,7 @@ class SoftUpdatesScheme(OrderingScheme):
         # the bitmap bits clear only after this reset write completes
         self.manager.record_free(ip, ibuf, runs, ino)
         self.fs.cache.bdwrite(ibuf)
-        yield from self.fs.cpu.compute(self.fs.costs.time("softdep"))
+        yield from self.fs.cpu.compute(self.fs.costs.softdep * self.fs.costs.scale)
 
     # ------------------------------------------------------------------
     def inode_updated(self, ip) -> Generator:

@@ -104,8 +104,9 @@ class Engine:
 
             yield from engine.hold(seek_time)
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(
+                f"timeout delay must be finite and non-negative: {delay}")
         if self._advance_in_place(self.now + delay):
             return ()
         return (Timeout(self, delay),)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, Optional
 
+_INF = float("inf")
 _NEG_INF = float("-inf")
 
 
@@ -127,8 +128,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:  # noqa: F821
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(
+                f"timeout delay must be finite and non-negative: {delay}")
         # Event.__init__'s slots set here: one constructor frame per timeout
         self.engine = engine
         self.callbacks = []

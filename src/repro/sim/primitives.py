@@ -26,34 +26,39 @@ class WaitQueue:
             yield buf.unbusy.wait()
     """
 
-    __slots__ = ("engine", "_waiters")
+    __slots__ = ("engine", "waiters")
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self._waiters: deque[Event] = deque()
+        #: the sleepers' events, oldest first (a release reads it to skip
+        #: waking an empty queue; only this class changes it)
+        self.waiters: deque[Event] = deque()
 
     def wait(self) -> Event:
         """Return an event that fires at the next signal/broadcast."""
         event = Event(self.engine)
-        self._waiters.append(event)
+        self.waiters.append(event)
         return event
 
     def signal(self, value: Any = None) -> bool:
         """Wake the oldest sleeper.  Returns False if nobody was waiting."""
-        if not self._waiters:
+        if not self.waiters:
             return False
-        self._waiters.popleft().succeed(value)
+        self.waiters.popleft().succeed(value)
         return True
 
     def broadcast(self, value: Any = None) -> int:
         """Wake every current sleeper; returns the number woken."""
-        count = len(self._waiters)
-        while self._waiters:
-            self._waiters.popleft().succeed(value)
+        waiters = self.waiters
+        if not waiters:
+            return 0
+        count = len(waiters)
+        while waiters:
+            waiters.popleft().succeed(value)
         return count
 
     def __len__(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
 
 class Lock:

@@ -16,6 +16,7 @@ from repro.ordering import (
     SoftUpdatesScheme,
 )
 from repro.sim import Engine, Event
+from repro.sim.cpu import CPUSlice
 
 #: a small file system: 2 cylinder groups, 256 inodes each, 2 MB data each
 SMALL_GEOMETRY = FSGeometry(ipg=256, dfrags_per_cg=2048, ncg=2)
@@ -88,17 +89,20 @@ def recording_dispatches():
     """Yield a list that gets ``(now, type(event))`` per dispatched event.
 
     Every dispatch calls ``Event._process`` once (``Process._process``
-    reaches it through ``super()``), so wrapping it records the stream.
+    reaches it through ``super()``) or, for a CPU slice, ``CPUSlice._process``
+    (which does not reach it), so wrapping the two records the stream.
     """
     dispatched = []
-    original = Event._process
 
-    def recorded(event):
-        dispatched.append((event.engine.now, type(event)))
-        original(event)
+    def recording(original):
+        def recorded(event):
+            dispatched.append((event.engine.now, type(event)))
+            original(event)
+        return recorded
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Event, "_process", recorded)
+        for cls in (Event, CPUSlice):
+            patch.setattr(cls, "_process", recording(cls._process))
         yield dispatched
 
 

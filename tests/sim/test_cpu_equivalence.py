@@ -27,7 +27,8 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.costs import CostModel
-from repro.sim import CPU, Engine, Event, Timeout
+from repro.sim import CPU, Engine, Timeout
+from repro.sim.cpu import CPUSlice
 
 from tests.conftest import heap_only, recording_dispatches
 from tests.sim.reference_cpu import ReferenceCPU
@@ -104,10 +105,9 @@ def test_same_timestamps_order_and_accounting(schedule):
     expected, reference_events, _ = run(ReferenceCPU, programs)
     observed, events, dispatched = run(CPU, programs)
     # the precondition: no sleep ended on the instant of a slice completion
-    # (the server's completions are the only plain Events after t=0)
     sleep_ends = {when for when, kind in dispatched if kind is Timeout}
     assert not sleep_ends & {when for when, kind in dispatched
-                             if kind is Event and when > 0.0}
+                             if kind is CPUSlice}
     assert observed == expected
     assert reference_events - events == slices_of(programs)
     in_place, in_place_events, _ = run(CPU, programs, in_place=True)

@@ -20,6 +20,7 @@ import pytest
 from repro.harness.runner import run_copy, run_remove, standard_scheme_config
 from repro.ordering.registry import REGISTRY
 from repro.sim import CPU
+from repro.sim.cpu import CPUSlice
 from repro.workloads.trees import TreeSpec
 
 from tests.conftest import heap_only
@@ -84,23 +85,24 @@ def test_running_in_place_changes_nothing(scheme, runner):
 
 
 def test_soft_updates_copy_cell_runs_most_charges_in_place(monkeypatch):
-    """A charge that cannot run in place falls back to ``CPU._slices``;
-    counting those calls pins that the path fires at all.  1 933 of 7 907
-    charges fall back, and 5 344 under the heap-only fixture (the rest are
+    """A charge that cannot run in place builds one ``CPUSlice`` event;
+    counting those pins that the path fires at all.  1 933 of 7 907
+    charges build one, and 5 344 under the heap-only fixture (the rest are
     free either way: the populate's and zero-second charges)."""
-    calls = {"compute": 0, "_slices": 0}
+    calls = {"compute": 0, "slices": 0}
+    compute, slice_init = CPU.compute, CPUSlice.__init__
 
-    def counted(name):
-        original = getattr(CPU, name)
+    def counted_compute(self, seconds):
+        calls["compute"] += 1
+        return compute(self, seconds)
 
-        def wrapper(self, seconds):
-            calls[name] += 1
-            return original(self, seconds)
-        monkeypatch.setattr(CPU, name, wrapper)
+    def counted_slice(self, cpu, seconds):
+        calls["slices"] += 1
+        slice_init(self, cpu, seconds)
 
-    counted("compute")
-    counted("_slices")
+    monkeypatch.setattr(CPU, "compute", counted_compute)
+    monkeypatch.setattr(CPUSlice, "__init__", counted_slice)
     observe(run_copy, "Soft Updates")
     assert calls["compute"] > 1000
     # under a third fall back
-    assert calls["_slices"] * 3 < calls["compute"]
+    assert 0 < calls["slices"] and calls["slices"] * 3 < calls["compute"]
