@@ -23,17 +23,19 @@ from repro.sim.engine import Engine
 from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
 
+#: the daemon's wakeup period, seconds: "awakens once each second"
+WAKEUP_INTERVAL = 1.0
+
 
 class SyncerDaemon:
     """Background flusher with mark-then-write sweeps."""
 
     def __init__(self, engine: Engine, cache: BufferCache,
-                 interval: float = 1.0, sweep_passes: int = 10) -> None:
+                 sweep_passes: int = 10) -> None:
         if sweep_passes < 1:
             raise ValueError("sweep_passes must be >= 1")
         self.engine = engine
         self.cache = cache
-        self.interval = interval
         self.sweep_passes = sweep_passes
         self._marked_buffers: list[Buffer] = []
         self._pass_number = 0
@@ -51,7 +53,7 @@ class SyncerDaemon:
     def _run(self) -> Generator:
         tracer = self._tracer
         while True:
-            yield self.engine.timeout(self.interval)
+            yield self.engine.timeout(WAKEUP_INTERVAL)
             self.wakeups += 1
             if tracer is None:
                 self._sweep()

@@ -208,45 +208,47 @@ def scan_journal(read_frag: ReadFrag, geometry: FSGeometry) -> ScanResult:
     seq, pos = header
     if not (0 <= pos < log_frags):
         return result
+    frag_size = geometry.frag_size
     overlay = result.overlay
     while True:
-        txn = _txn_at(read_frag, base, log_frags, pos, seq)
-        if txn is None and pos != 0:
-            txn = _txn_at(read_frag, base, log_frags, 0, seq)
-        if txn is None:
+        # the record *seq* starts at *pos*, or at 0 when it would not have
+        # fit there; the first that parses without a valid commit is the
+        # head transaction, in flight when the image was taken
+        opened = None
+        for at in ((pos,) if pos == 0 else (pos, 0)):
+            record = _record_at(read_frag, base, log_frags, at, seq)
+            if record is None:
+                continue
+            desc_raw, txn = record
+            if commit_valid(read_frag(base + at + txn.extent - 1, 1), seq,
+                            txn_checksum(desc_raw, txn.payload)):
+                break
+            if opened is None:
+                opened = txn
+        else:
+            if opened is not None:
+                result.open_images = _images(opened, frag_size)
             break
-        pos = txn.pos
         for entry in txn.entries:
             if entry.kind == REVOKE:
                 for frag in range(entry.daddr, entry.daddr + entry.nfrags):
                     overlay.pop(frag, None)
-        # images come out of the payload the checksum pass already read --
-        # whole records per slice, no second trip to the log
-        at = 0
-        frag_size = geometry.frag_size
-        payload = txn.payload
-        for entry in txn.entries:
-            if entry.kind != IMAGE:
-                continue
-            for i in range(entry.nfrags):
-                overlay[entry.daddr + i] = bytes(
-                    payload[(at + i) * frag_size:(at + i + 1) * frag_size])
-            at += entry.nfrags
+        overlay.update(_images(txn, frag_size))
         result.transactions.append(txn)
-        pos += txn.extent
+        pos = txn.pos + txn.extent
         if pos >= log_frags:
             pos = 0
         seq += 1
     result.head_seq = seq
     result.head_pos = pos
-    result.open_images = _open_images(read_frag, geometry.frag_size, base,
-                                      log_frags, pos, seq)
     return result
 
 
-def _txn_at(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
-            seq: int) -> Optional[Transaction]:
-    """The committed transaction *seq* at log position *pos*, else None."""
+def _record_at(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
+               seq: int) -> Optional[tuple[bytes, Transaction]]:
+    """``(descriptor bytes, record)`` of the record *seq* at log position
+    *pos*, its payload read in one read, else None; its commit is not
+    checked."""
     desc_raw = read_frag(base + pos, 1)
     entries = parse_descriptor(desc_raw, seq)
     if entries is None:
@@ -254,38 +256,24 @@ def _txn_at(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
     extent = record_extent(entries)
     if pos + extent > log_frags:
         return None  # the writer would have skipped to 0 instead
-    payload_frags = extent - 2
-    payload = read_frag(base + pos + 1, payload_frags) if payload_frags \
-        else b""
-    commit_raw = read_frag(base + pos + extent - 1, 1)
-    if not commit_valid(commit_raw, seq, txn_checksum(desc_raw, payload)):
-        return None
-    return Transaction(seq=seq, pos=pos, entries=entries, extent=extent,
-                       payload=bytes(payload))
+    payload = read_frag(base + pos + 1, extent - 2) if extent > 2 else b""
+    return desc_raw, Transaction(seq=seq, pos=pos, entries=entries,
+                                 extent=extent, payload=bytes(payload))
 
 
-def _open_images(read_frag: ReadFrag, frag_size: int, base: int,
-                 log_frags: int, pos: int, seq: int) -> dict[int, bytes]:
-    """Home frag -> logged bytes of the in-flight (uncommitted) record at
-    the head."""
-    for candidate in ((pos,) if pos == 0 else (pos, 0)):
-        entries = parse_descriptor(read_frag(base + candidate, 1), seq)
-        if entries is None:
+def _images(txn: Transaction, frag_size: int) -> dict[int, bytes]:
+    """Home fragment -> logged bytes of every image *txn* carries (a
+    later image of a fragment wins)."""
+    images = {}
+    at = 0
+    payload = txn.payload
+    for entry in txn.entries:
+        if entry.kind != IMAGE:
             continue
-        if candidate + record_extent(entries) > log_frags:
-            continue
-        images: dict[int, bytes] = {}
-        at = candidate + 1
-        for entry in entries:
-            if entry.kind != IMAGE:
-                continue
-            data = read_frag(base + at, entry.nfrags)
-            for i in range(entry.nfrags):
-                images[entry.daddr + i] = bytes(
-                    data[i * frag_size:(i + 1) * frag_size])
-            at += entry.nfrags
-        return images
-    return {}
+        for daddr in range(entry.daddr, entry.daddr + entry.nfrags):
+            images[daddr] = payload[at:at + frag_size]
+            at += frag_size
+    return images
 
 
 def replay_into(read_frag: ReadFrag,

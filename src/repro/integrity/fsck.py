@@ -151,46 +151,6 @@ def cg_inode_records(table: bytes, geo: FSGeometry,
             if first + slot >= ROOT_INO]  # inodes below it are burned
 
 
-class _JournalView:
-    """A SectorStore view with the committed journal overlay applied.
-
-    A crashed journaling file system is judged *with* its log: recovery
-    replays every committed transaction, so the recoverable state -- the
-    state fsck must audit -- is the raw image plus the scan overlay.  A
-    read is one range read of the base with the overlaid sectors patched
-    in.  Images without a journal area never construct one, so
-    non-journaling reports are bit-identical to before.
-    """
-
-    __slots__ = ("geometry", "_base", "_sector_overlay")
-
-    def __init__(self, base: SectorStore, geo: FSGeometry,
-                 overlay: dict[int, bytes]) -> None:
-        self.geometry = base.geometry
-        self._base = base
-        size = base.geometry.sector_size
-        spf = geo.frag_size // size
-        self._sector_overlay: dict[int, bytes] = {}
-        for frag, data in overlay.items():
-            for s in range(spf):
-                self._sector_overlay[frag * spf + s] = bytes(
-                    data[s * size:(s + 1) * size])
-
-    def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        out = self._base.read(lbn, nsectors)
-        overlay = self._sector_overlay
-        hits = [sector for sector in range(lbn, lbn + nsectors)
-                if sector in overlay]
-        if not hits:
-            return out
-        out = bytearray(out)
-        size = self.geometry.sector_size
-        for sector in hits:
-            at = (sector - lbn) * size
-            out[at:at + size] = overlay[sector]
-        return bytes(out)
-
-
 def scan_log(image: SectorStore,
              geo: FSGeometry) -> journal.ScanResult | None:
     """The forward scan of *image*'s log (None when there is no log)."""
@@ -201,13 +161,30 @@ def scan_log(image: SectorStore,
         lambda daddr, n: image.read(daddr * spf, n * spf), geo)
 
 
-def journal_overlay_view(image: SectorStore, geo: FSGeometry,
-                         scan: journal.ScanResult | None):
+def recovered_image(image: SectorStore, geo: FSGeometry,
+                    scan: journal.ScanResult | None) -> SectorStore:
     """*image* as recovery would leave it, given *scan*, the scan of its
-    log (identity when the log holds nothing committed)."""
+    log: a copy-on-write snapshot with every committed image written home,
+    one write per contiguous run (*image* itself when the log holds
+    nothing committed).
+
+    Only fragments inside the file system are written: no check reads
+    past ``geo.total_frags``, and a checksum-valid entry may name any
+    fragment number.
+    """
     if scan is None or not scan.overlay:
         return image
-    return _JournalView(image, geo, scan.overlay)
+    recovered = image.snapshot()
+    spf = geo.frag_size // image.geometry.sector_size
+    overlay = scan.overlay
+    frags = sorted(frag for frag in overlay if frag < geo.total_frags)
+    start = 0
+    for end in range(1, len(frags) + 1):
+        if end == len(frags) or frags[end] != frags[end - 1] + 1:
+            recovered.write(frags[start] * spf, b"".join(
+                overlay[frag] for frag in frags[start:end]))
+            start = end
+    return recovered
 
 
 def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
@@ -227,45 +204,52 @@ def inode_claim_ops(image: SectorStore, geo: FSGeometry, ino: int,
     bytes)`` of each indirect block the walk reads is appended to
     *indirect*."""
     ops: list = []
-
-    def claim(daddr: int, frags: int) -> None:
-        for fragment in range(daddr, daddr + frags):
-            if not valid_data_frag(geo, fragment):
-                ops.append(finding(
-                    "bad-pointer",
-                    f"inode {ino} points outside the data area "
-                    f"(daddr {fragment})"))
-                return
-            ops.append(fragment)
-
-    def claim_indirect(daddr: int, depth: int) -> None:
-        if not valid_data_frag(geo, daddr):
-            ops.append(finding(
-                "bad-pointer",
-                f"inode {ino} indirect pointer outside data area "
-                f"({daddr})"))
-            return
-        claim(daddr, geo.frags_per_block)
-        raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
-        indirect.append((daddr, raw))
-        for pointer in struct.unpack(f"<{geo.nindir}I", raw):
-            if not pointer:
-                continue
-            if depth > 1:
-                claim_indirect(pointer, depth - 1)
-            else:
-                claim(pointer, geo.frags_per_block)
-
     blocks = (din.size + geo.block_size - 1) // geo.block_size
     for lblk in range(min(blocks, geo.NDADDR)):
         daddr = din.direct[lblk]
         if daddr:
-            claim(daddr, block_frags(geo, din, lblk))
+            _claim(ops, geo, ino, daddr, block_frags(geo, din, lblk))
     if din.sindirect:
-        claim_indirect(din.sindirect, depth=1)
+        _claim_indirect(ops, image, geo, ino, indirect, din.sindirect, 1)
     if din.dindirect:
-        claim_indirect(din.dindirect, depth=2)
+        _claim_indirect(ops, image, geo, ino, indirect, din.dindirect, 2)
     return ops
+
+
+def _claim(ops: list, geo: FSGeometry, ino: int, daddr: int,
+           frags: int) -> None:
+    for fragment in range(daddr, daddr + frags):
+        if not valid_data_frag(geo, fragment):
+            ops.append(finding(
+                "bad-pointer",
+                f"inode {ino} points outside the data area "
+                f"(daddr {fragment})"))
+            return
+        ops.append(fragment)
+
+
+def _claim_indirect(ops: list, image: SectorStore, geo: FSGeometry,
+                    ino: int, indirect: list, daddr: int,
+                    depth: int) -> None:
+    # module-level, not a closure: a recursive closure is a reference
+    # cycle, and would keep the audited image alive until the cyclic GC
+    if not valid_data_frag(geo, daddr):
+        ops.append(finding(
+            "bad-pointer",
+            f"inode {ino} indirect pointer outside data area "
+            f"({daddr})"))
+        return
+    _claim(ops, geo, ino, daddr, geo.frags_per_block)
+    raw = read_image_frags(image, geo, daddr, geo.frags_per_block)
+    indirect.append((daddr, raw))
+    for pointer in struct.unpack(f"<{geo.nindir}I", raw):
+        if not pointer:
+            continue
+        if depth > 1:
+            _claim_indirect(ops, image, geo, ino, indirect, pointer,
+                            depth - 1)
+        else:
+            _claim(ops, geo, ino, pointer, geo.frags_per_block)
 
 
 def _indirect_map(image: SectorStore, geo: FSGeometry, daddr: int,
@@ -860,19 +844,28 @@ def repair(image: SectorStore, geometry: FSGeometry | None = None,
 
 
 class _ReadLog:
-    """A SectorStore view that remembers what each read returned."""
+    """A SectorStore view that remembers what each read of *base*
+    returned and answers from ``recovered`` (*base* until the audit has
+    recovered the log, :func:`recovered_image`).
 
-    __slots__ = ("geometry", "_base", "reads")
+    The memo compares raw bytes, the checks judge recovered ones: the log
+    is read raw, so raw bytes unchanged at every range read recover to
+    the same bytes.
+    """
+
+    __slots__ = ("geometry", "base", "recovered", "reads")
 
     def __init__(self, base: SectorStore) -> None:
         self.geometry = base.geometry
-        self._base = base
-        #: (lbn, nsectors) -> the bytes read there
+        self.base = self.recovered = base
+        #: (lbn, nsectors) -> the raw bytes read there
         self.reads: dict[tuple[int, int], bytes] = {}
 
     def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        data = self.reads[lbn, nsectors] = self._base.read(lbn, nsectors)
-        return data
+        data = self.reads[lbn, nsectors] = self.base.read(lbn, nsectors)
+        if self.recovered is self.base:
+            return data
+        return self.recovered.read(lbn, nsectors)
 
 
 class Auditor:
@@ -928,11 +921,12 @@ class Auditor:
             geo = previous.geo  # its derived sizes are already computed
         else:
             previous = None
-        # a journaling image is audited in its *recovered* state: raw image
-        # plus the committed log overlay (identity for journal-less layouts)
+        # a journaling image is audited in its *recovered* state: the raw
+        # image with the committed log written home (itself for
+        # journal-less layouts)
         scan = scan_log(image, geo)
-        checker = _Checker(journal_overlay_view(image, geo, scan), geo,
-                           previous)
+        image.recovered = recovered_image(image.base, geo, scan)
+        checker = _Checker(image, geo, previous)
         checker.report.journal = scan
         checker.scan_inodes()
         if ROOT_INO in checker.report.inodes:

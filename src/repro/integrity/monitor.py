@@ -27,9 +27,10 @@ unless its target, the finding's ``subject``, was allocated at the
 previous audit: then the inode was freed under the entry, rule 1
 (``free-while-referenced``).
 
-Journaling: fsck audits a journaling image in its *recovered* state (raw
-image plus committed log overlay), so lazy checkpoints -- home writes
-arbitrarily later than their commits -- never trip a structural rule.
+Journaling: fsck audits a journaling image in its *recovered* state (the
+raw image with the committed log written home), so lazy checkpoints --
+home writes arbitrarily later than their commits -- never trip a
+structural rule.
 ``journal-checkpoint-order`` is the one rule that view cannot show: the
 pass compares home writes to the head transaction's not-yet-committed
 images, the ``open_images`` of the log scan the previous audit recovered

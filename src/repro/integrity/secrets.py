@@ -20,7 +20,7 @@ from repro.integrity.fsck import (
     FsckReport,
     block_map,
     fsck,
-    journal_overlay_view,
+    recovered_image,
 )
 from repro.integrity.invariants import Violation, finding
 
@@ -56,20 +56,20 @@ def find_secret_leaks(image: SectorStore,
     table (``inodes``) and its log scan (``journal``) from there, and
     without it audits the image itself.
 
-    The walk reads the *recovered* view: journaling leaves committed
+    The walk reads the *recovered* image: journaling leaves committed
     metadata (indirect blocks included) in the log with home still
     holding a previous owner's bytes, and recovery replays the log before
-    any file is readable -- so, like fsck, the walk reads through the
-    committed overlay.  Each logical block is found through fsck's
-    :func:`~repro.integrity.fsck.block_map`, indirect blocks included, and
-    pointers that leave the data area are skipped
+    any file is readable -- so, like fsck, the walk reads
+    :func:`~repro.integrity.fsck.recovered_image`.  Each logical block is
+    found through fsck's :func:`~repro.integrity.fsck.block_map`, indirect
+    blocks included, and pointers that leave the data area are skipped
     (fsck books them as corruption findings; dereferencing a torn
     pointer's garbage here would just crash the auditor).
     """
     geometry = geometry or FSGeometry()
     if report is None:
         report = fsck(image, geometry)
-    image = journal_overlay_view(image, geometry, report.journal)
+    image = recovered_image(image, geometry, report.journal)
     spf = _spf(image, geometry)
     leaks: list[Violation] = []
     for ino, din in report.inodes.items():

@@ -46,15 +46,18 @@ from repro.ordering.softupdates.structures import (
     dinode_slot_offset,
 )
 
+#: the ``softdep`` daemon's wakeup period, seconds: the paper's workitem
+#: queue is serviced "within one second"
+WAKEUP_INTERVAL = 1.0
+
 
 class SoftDepManager:
     """Tracks, rolls back, and retires soft-updates dependencies."""
 
-    def __init__(self, fs, interval: float = 1.0) -> None:
+    def __init__(self, fs) -> None:
         self.fs = fs
         self.cache = fs.cache
         self.geometry = fs.geometry
-        self.interval = interval
         self.inodedeps: dict[int, InodeDepState] = {}
         self.pagedeps: dict[int, PageDepState] = {}
         self.indirdeps: dict[int, IndirDepState] = {}
@@ -489,7 +492,7 @@ class SoftDepManager:
 
     def _run(self) -> Generator:
         while True:
-            yield self.fs.engine.timeout(self.interval)
+            yield self.fs.engine.timeout(WAKEUP_INTERVAL)
             yield from self.service()
 
     # ==================================================================

@@ -23,7 +23,8 @@ and costs no resume: nobody could run before the caller wakes, so the
 caller runs on with the clock at the charge's end.
 
 Durations are produced by :class:`repro.costs.CostModel`; this module only
-executes them, and refuses a negative or non-finite one.
+executes them, and refuses a negative or non-finite one -- and a quantum
+that is not finite and positive, which would slice a charge forever.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ class CPU:
     """
 
     def __init__(self, engine: Engine, quantum: float = 0.005) -> None:
+        if not 0.0 < quantum < _INF:
+            raise ValueError(
+                f"quantum must be finite and positive: {quantum}")
         self.engine = engine
         self.quantum = quantum
         #: total busy seconds, for utilisation reporting

@@ -3,8 +3,8 @@
 A fake frag store (a plain dict) plays the disk; every property the
 recovery path depends on is pinned here: header versioning, descriptor
 entry packing, the commit checksum refusing torn records, newest-wins
-overlay composition, revokes, the end-of-log skip, and replay's
-retire-the-log header rewrite.
+overlay composition, revokes, the end-of-log skip, the open (uncommitted)
+head record's images, and replay's retire-the-log header rewrite.
 """
 
 import pytest
@@ -155,6 +155,65 @@ def test_scan_stops_at_torn_commit():
     # ...but the torn record's images are reported open, with their logged
     # bytes (the in-flight transaction the checkpoint-order rule watches)
     assert result.open_images == {200: frag_of(0x22)}
+
+
+def write_open(store, seq, pos, entries, payload=b""):
+    """Lay down a record's descriptor and payload, but no commit."""
+    store.write(BASE + pos, journal.descriptor_bytes(FRAG, seq, entries))
+    if payload:
+        store.write(BASE + pos + 1, payload)
+
+
+def test_open_record_at_position_zero_after_a_wrap():
+    """The head record did not fit before the log end, so the writer put
+    it at 0: the scan finds it open there."""
+    store = fresh(tail_seq=1, tail_pos=LOG - 5)
+    seq, pos = write_txn(store, 1, LOG - 5,
+                         [journal.Entry(journal.IMAGE, 100, 1)],
+                         frag_of(0x11))
+    assert (seq, pos) == (2, LOG - 2)
+    # extent 4 > the 2 frags left
+    write_open(store, seq, 0, [journal.Entry(journal.IMAGE, 200, 2)],
+               frag_of(0x21) + frag_of(0x22))
+    result = journal.scan_journal(store.read, GEO)
+    assert result.overlay == {100: frag_of(0x11)}
+    assert (result.head_seq, result.head_pos) == (2, LOG - 2)
+    assert result.open_images == {200: frag_of(0x21), 201: frag_of(0x22)}
+
+
+def test_open_head_descriptor_crossing_the_log_end_falls_back_to_zero():
+    """A descriptor at the head that parses but whose record would cross
+    the log end is not the head record: the one at 0 is."""
+    store = fresh(tail_seq=1, tail_pos=LOG - 5)
+    seq, pos = write_txn(store, 1, LOG - 5,
+                         [journal.Entry(journal.IMAGE, 100, 1)],
+                         frag_of(0x11))
+    write_open(store, seq, pos, [journal.Entry(journal.IMAGE, 300, 3)])
+    write_open(store, seq, 0, [journal.Entry(journal.IMAGE, 400, 1)],
+               frag_of(0x44))
+    result = journal.scan_journal(store.read, GEO)
+    assert [t.seq for t in result.transactions] == [1]
+    assert (result.head_seq, result.head_pos) == (2, LOG - 2)
+    assert result.open_images == {400: frag_of(0x44)}
+
+
+def test_open_record_mixing_a_revoke_and_a_two_fragment_image():
+    """An open record's revoke takes no payload room and drops nothing:
+    only a committed revoke retracts an image."""
+    store = fresh()
+    seq, pos = write_txn(store, 1, 0,
+                         [journal.Entry(journal.IMAGE, 500, 1)],
+                         frag_of(0x50))
+    write_open(store, seq, pos,
+               [journal.Entry(journal.REVOKE, 500, 4),
+                journal.Entry(journal.IMAGE, 200, 2),
+                journal.Entry(journal.IMAGE, 600, 1)],
+               frag_of(0x21) + frag_of(0x22) + frag_of(0x60))
+    result = journal.scan_journal(store.read, GEO)
+    assert result.overlay == {500: frag_of(0x50)}
+    assert (result.head_seq, result.head_pos) == (seq, pos)
+    assert result.open_images == {200: frag_of(0x21), 201: frag_of(0x22),
+                                  600: frag_of(0x60)}
 
 
 def test_scan_corrupt_payload_invalidates_commit():

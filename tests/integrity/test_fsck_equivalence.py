@@ -11,7 +11,7 @@ findings may differ -- not a message, not their order:
   every fragment of a volume;
 * whole crash sweeps (every media-resident scheme, the journal overlay, the
   rule-breaking shims) with the reference scans patched into ``fsck``;
-* ``_JournalView.read`` against a sector-by-sector composition.
+* ``recovered_image`` against a sector-by-sector composition.
 
 The same sweeps are the corpus for the other reference kept here,
 ``tests/integrity/reference_classify.py`` -- the parent's message ->
@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.disk.geometry import DiskGeometry
 from repro.disk.storage import SectorStore
 from repro.fs.alloc import CG_MAGIC, CgView, bits_of, set_bits
+from repro.fs.journal import ScanResult
 from repro.fs.layout import (
     INODE_SIZE,
     ROOT_INO,
@@ -45,11 +46,11 @@ from repro.integrity.explorer import (
     explore,
 )
 from repro.integrity.fsck import (
-    _JournalView,
     cg_bitmap_findings,
     cg_inode_records,
     fsck,
     read_image_frags,
+    recovered_image,
     valid_data_frag,
 )
 from repro.integrity.invariants import Violation, classify_report, finding
@@ -396,9 +397,9 @@ def test_flat_probe_equals_the_nested_matches_loop(message, key, kind):
 
 
 # ----------------------------------------------------------------------
-# _JournalView.read
+# recovered_image
 # ----------------------------------------------------------------------
-def test_journal_view_read_equals_the_per_sector_composition():
+def test_recovered_image_read_equals_the_per_sector_composition():
     geo = EXPLORER_GEOMETRY
     spf = geo.frag_size // SECTOR
     base = SectorStore(DiskGeometry())
@@ -406,7 +407,7 @@ def test_journal_view_read_equals_the_per_sector_composition():
     # fragments 2 and 3 (adjacent), 6, and one past everything written
     overlay = {frag: bytes([0xA0 + frag]) * geo.frag_size
                for frag in (2, 3, 6, 14)}
-    view = _JournalView(base, geo, overlay)
+    view = recovered_image(base, geo, ScanResult(overlay=overlay))
 
     def composed(lbn, nsectors):
         out = []

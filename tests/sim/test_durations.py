@@ -4,7 +4,9 @@ An infinite CPU charge would spin inside one ``compute`` call (its slice
 loop never ends, and no ``max_events`` budget can stop a loop that never
 returns to the engine); a NaN charge would be silently free; a NaN timeout
 would sit on the heap out of order and set the clock to NaN when popped.
-Each is a ``ValueError`` at the call, with nothing scheduled.
+Each is a ``ValueError`` at the call, with nothing scheduled.  So is a CPU
+quantum that is not finite and positive: a zero or negative one never
+ends a charge's slicing, a NaN one silently skips it.
 """
 
 import pytest
@@ -32,6 +34,12 @@ def test_compute_refuses_on_a_busy_cpu(seconds):
     with pytest.raises(ValueError):
         cpu.compute(seconds)
     assert eng.pending_events == 1 and not cpu._waiters
+
+
+@pytest.mark.parametrize("quantum", [0.0, -1.0, float("nan"), float("inf")])
+def test_cpu_refuses_quantum(quantum):
+    with pytest.raises(ValueError, match="finite and positive"):
+        CPU(Engine(), quantum=quantum)
 
 
 @pytest.mark.parametrize("delay", BAD)
