@@ -5,7 +5,8 @@ driver + 100 fs + 150 remove-deps, block copy ~50, soft updates ~1500.  We
 report the same inventory for this implementation's Python modules --
 every standard scheme, plus the bookkeeping they share on the base class
 -- and assert the paper's complexity ordering: flag < chains < soft
-updates.
+updates, with the flag scheme smaller than the Conventional scheme it
+modifies.
 """
 
 import ast
@@ -69,3 +70,6 @@ def test_complexity_report(once):
     flag_total = inventory["Ordering flag (scheme)"]
     # the paper's ordering: flag simplest, chains mid, soft updates largest
     assert flag_total < chains_total < soft_total
+    # Scheduler Flag is Conventional with its ordered write swapped, so
+    # its own module is only the delta (section 3.1)
+    assert flag_total < inventory["Conventional (scheme)"]

@@ -244,8 +244,7 @@ class BufferCache:
         buf.valid = True
         self.brelse(buf)
 
-    def bawrite(self, buf: Buffer, flag: bool = False,
-                depends_on: Optional[frozenset[int]] = None) -> Generator:
+    def bawrite(self, buf: Buffer, flag: bool = False) -> Generator:
         """Asynchronous write: issue now, do not wait.  Returns the request.
 
         Consumes the caller's hold on the buffer: with block copy the buffer
@@ -256,10 +255,9 @@ class BufferCache:
             yield from self.cpu.compute(self.costs.block_copy(buf.size))
         costs = self.costs
         yield from self.cpu.compute(costs.io_setup * costs.scale)
-        return self._issue_write(buf, flag, depends_on)
+        return self._issue_write(buf, flag)
 
-    def bwrite(self, buf: Buffer, flag: bool = False,
-               depends_on: Optional[frozenset[int]] = None) -> Generator:
+    def bwrite(self, buf: Buffer) -> Generator:
         """Synchronous write: issue and wait for completion."""
         if self.block_copy:
             yield from self.cpu.compute(self.costs.block_copy(buf.size))
@@ -269,7 +267,7 @@ class BufferCache:
         span = tracer.begin("cache.write_wait", "cache",
                             args={"daddr": buf.daddr}) \
             if tracer is not None else None
-        request = self._issue_write(buf, flag, depends_on)
+        request = self._issue_write(buf, flag=False)
         yield request.done
         if span is not None:
             tracer.end(span)
@@ -296,16 +294,13 @@ class BufferCache:
         if not self.block_copy:
             buf.busy = True
             buf.owner = "flush"
-        return self._issue_write(buf, flag=False, depends_on=None,
-                                 from_flush=True)
+        return self._issue_write(buf, flag=False, from_flush=True)
 
     # -- write plumbing -------------------------------------------------------
     def _issue_write(self, buf: Buffer, flag: bool,
-                     depends_on: Optional[frozenset[int]],
                      from_flush: bool = False) -> DiskRequest:
         image = bytearray(buf.data)
-        deps = set(depends_on or ())
-        deps |= buf.flush_deps
+        deps = buf.flush_deps
         buf.flush_deps = set()
         self.scheme.write_starting(buf, image, deps)
         buf.dirty = False

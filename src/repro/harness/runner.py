@@ -76,17 +76,17 @@ STANDARD_SCHEMES = standard_display_names()
 
 
 def flag_variant(semantics: FlagSemantics, read_bypass: bool,
-                 block_copy: bool, alloc_init: bool = True,
+                 block_copy: bool,
                  cache_bytes: Optional[int] = None) -> MachineConfig:
     """A Scheduler Flag machine with explicit flag semantics (figures 1-4).
 
-    Allocation initialization defaults on: the figures' elapsed times
+    Allocation initialization is on: the figures' elapsed times
     (500-800 s) exceed table 1's no-init flag row (381 s), so the flag
     studies were clearly run with initialization enforced -- which is also
     what makes flagged writes frequent enough for the semantics to matter.
     """
     return _config(SchedulerFlagScheme(block_copy=block_copy,
-                                       alloc_init=alloc_init,
+                                       alloc_init=True,
                                        semantics=semantics,
                                        read_bypass=read_bypass),
                    cache_bytes=cache_bytes)

@@ -8,8 +8,9 @@ removal) and decides *how* the affected metadata reaches the disk:
   baseline; fast and unsafe).
 * :class:`ConventionalScheme` -- synchronous writes at every ordering point
   (the classic FFS approach).
-* :class:`SchedulerFlagScheme` -- asynchronous writes with the one-bit
-  ordering flag (section 3.1); its ``driver_policy()`` is the
+* :class:`SchedulerFlagScheme` -- Conventional with each synchronous
+  ordering write issued asynchronously with the one-bit ordering flag
+  (section 3.1); its ``driver_policy()`` is the
   :class:`~repro.driver.ordering.FlagPolicy` of its ``semantics`` and
   ``read_bypass``.
 * :class:`SchedulerChainsScheme` -- asynchronous writes with explicit

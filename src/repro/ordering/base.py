@@ -20,7 +20,9 @@ The three ordering rules the hooks exist to uphold (paper, section 1):
 Bookkeeping the schemes share lives here, so a hook holds only its ordering
 decision: ``AllocContext.moved``, ``_inode_image``, ``_released`` (the
 in-memory release of an inode) and ``_free_moved``.  No Order and soft
-updates release in their own order and keep their own release code.
+updates release in their own order and keep their own release code.  A
+synchronous ordering write is ``_ordered_write(buf, point, *held)``, one
+call per ordering edge, named by *point*.
 
 The scheme is also the machine's one view of ordering: its driver policy,
 ``uses_block_copy``, the cache's two write hooks (FreeBSD's ``bioops``) and
@@ -173,6 +175,19 @@ class OrderingScheme:
             raise
         return result
 
+    def _ordered_write(self, buf: "Buffer", point: str, *held) -> Generator:
+        """Write held *buf* synchronously: one ordering edge, named by
+        *point*, that later writes are ordered behind by waiting it out.
+
+        Counts ``ordering.sync_stall``; the *held* buffers are released on
+        EIO.  A scheme with another way to order a write overrides this
+        (Scheduler Flag tags it instead).  Returns the generator rather
+        than wrapping it, so an edge costs no extra frame.
+        """
+        gen = self._ordered_wait(self.fs.cache.bwrite(buf), "sync_stall",
+                                 point=point)
+        return self._release_on_error(gen, *held) if held else gen
+
     # -- bookkeeping every ordering scheme shares ---------------------------
     def _inode_image(self, ip: "Inode", *held) -> Generator:
         """Load *ip*'s inode block and copy the in-core inode into it
@@ -266,12 +281,9 @@ class OrderingScheme:
         """*ip* was truncated to zero: pointers already reset in core.
 
         Must enforce rule 2 for *runs* (the freed block runs): they may not
-        be reused before the reset pointers reach stable storage.  Default:
-        the conventional discipline (synchronous reset write, then free).
+        be reused before the reset pointers reach stable storage.
         """
-        yield from self._ordered_wait(
-            self.fs.flush_inode_sync(ip), "sync_stall", point="truncate")
-        yield from self.fs.free_block_list(runs)
+        raise NotImplementedError
 
     # -- unordered update points -------------------------------------------
     def inode_updated(self, ip: "Inode") -> Generator:

@@ -177,9 +177,8 @@ class JournalScheme(OrderingScheme):
             # rule 3 for regular data: initialization goes to its *home*
             # (bulk data does not belong in the log) and must be durable
             # before the pointer commits
-            yield from self._release_on_error(self._ordered_wait(
-                cache.bwrite(ctx.data_buf), "sync_stall",
-                point="block_init"), ctx.ibuf)
+            yield from self._ordered_write(ctx.data_buf, "block_init",
+                                           ctx.ibuf)
             data_consumed = True
         if ctx.ibuf is None:
             # the pointer lives in the in-core inode: journal its block
@@ -207,15 +206,13 @@ class JournalScheme(OrderingScheme):
         else:
             # degraded: conventional's allocation order, not _journal's
             if moved:
-                yield from self._release_on_error(self._ordered_wait(
-                    cache.bwrite(ibuf), "sync_stall", point="frag_move"),
+                yield from self._ordered_write(
+                    ibuf, "frag_move",
                     None if data_consumed else ctx.data_buf)
             else:
                 cache.bdwrite(ibuf)
             if ctx.is_metadata:
-                yield from self._ordered_wait(
-                    cache.bwrite(ctx.data_buf), "sync_stall",
-                    point="block_init")
+                yield from self._ordered_write(ctx.data_buf, "block_init")
             elif not data_consumed:
                 cache.brelse(ctx.data_buf)
         if moved:
@@ -254,9 +251,7 @@ class JournalScheme(OrderingScheme):
             "journal_commit", point=point), *bufs)
         if not ok:
             first, *bufs = bufs
-            yield from self._release_on_error(self._ordered_wait(
-                self.fs.cache.bwrite(first), "sync_stall", point=point),
-                *bufs)
+            yield from self._ordered_write(first, point, *bufs)
         for buf in bufs:
             self.fs.cache.bdwrite(buf)
 

@@ -1,7 +1,7 @@
 """Rule-breaking shim schemes: seeded mutations for the monitor's tests.
 
 Each shim is the conventional scheme with exactly ONE ordered write
-dropped or delayed -- a seeded ordering breach -- while still *declaring*
+delayed or inverted -- a seeded ordering breach -- while still *declaring*
 the safe ``allows_corruption=False`` guarantees.  A correct monitor must
 therefore catch each breach as an **unexpected** violation at commit time
 (and the crash sweep's fsck must catch it post-crash): these schemes are
@@ -17,6 +17,11 @@ production orderings.
 * :class:`BreakRule2Scheme` -- blocks return to the free pool while the
   on-disk inode still points at them (rule 2 inverted): a later
   allocation reuses a fragment the old owner never disowned on disk.
+
+Rules 1 and 2 each drop one edge, so their shims override only
+``_ordered_write``, turning the edge named ``link_removed`` or
+``release_inode`` into a plain delayed write; rule 3's shim swaps the
+order of two writes, so it overrides the hook.
 """
 
 from __future__ import annotations
@@ -39,9 +44,7 @@ class BreakRule3Scheme(ConventionalScheme):
         ibuf = yield from self._inode_image(ip, dbuf)
         # BREACH: the entry is forced out first; the inode it names
         # follows lazily through the syncer
-        yield from self._release_on_error(self._ordered_wait(
-            self.fs.cache.bwrite(dbuf), "sync_stall", point="link_added"),
-            ibuf)
+        yield from self._ordered_write(dbuf, "link_added", ibuf)
         self.fs.cache.bdwrite(ibuf)
 
 
@@ -53,11 +56,13 @@ class BreakRule1Scheme(ConventionalScheme):
     name = "Shim(rule 1 broken)"
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
-    def link_removed(self, dp, dbuf, offset, ip) -> Generator:
+    def _ordered_write(self, buf, point, *held) -> Generator:
+        if point != "link_removed":
+            return super()._ordered_write(buf, point, *held)
         # BREACH: the cleared entry is merely delayed; the link drop (and
         # a possible inode free) proceeds immediately
-        self.fs.cache.bdwrite(dbuf)
-        yield from self.fs.drop_link(ip)
+        self.fs.cache.bdwrite(buf)
+        return ()
 
 
 class BreakRule2Scheme(ConventionalScheme):
@@ -68,13 +73,14 @@ class BreakRule2Scheme(ConventionalScheme):
     name = "Shim(rule 2 broken)"
     declared_guarantees = CrashGuarantees(allows_corruption=False)
 
-    def release_inode(self, ip) -> Generator:
-        runs, ibuf = yield from self._released(ip)
+    def _ordered_write(self, buf, point, *held) -> Generator:
+        if point != "release_inode":
+            return super()._ordered_write(buf, point, *held)
         # BREACH: the pointer reset is merely delayed while the blocks
         # return to the free pool at once -- a later allocation can land
         # on disk before the old owner's on-disk pointers clear
-        self.fs.cache.bdwrite(ibuf)
-        yield from self.fs.free_block_list(runs)
+        self.fs.cache.bdwrite(buf)
+        return ()
 
 
 #: mutation-test registry: shim name -> (scheme class, rule key the

@@ -15,6 +15,7 @@ from repro.disk import Disk
 from repro.driver import DeviceDriver, FlagPolicy, FlagSemantics
 from repro.faults import EXHAUSTED, NOSPARE, FaultPlan, MediaError, PROFILES
 from repro.integrity.fsck import fsck
+from repro.ordering import AllocContext
 from repro.sim import Engine, ProcessCrashed
 from tests.conftest import SAFE_SCHEMES, SMALL_GEOMETRY, make_machine, run_user
 
@@ -182,6 +183,48 @@ def test_scheme_recovers_clean_under_recoverable_fault_storm(scheme_name):
     report = fsck(machine.disk.storage, SMALL_GEOMETRY)
     assert report.clean, report.errors
     assert not machine.cache.lost_writes
+
+
+@pytest.mark.parametrize("scheme_name", ["conventional", "flag", "chains"])
+def test_frag_move_inode_read_eio_releases_held_buffers(scheme_name,
+                                                        monkeypatch):
+    """A fragment extended by moving it orders the moved pointer through
+    the inode block; when reading that block fails, the hook's held
+    pointer-owning and data buffers are released, not left busy for the
+    next getblk of either to wait on forever."""
+    machine = make_machine(scheme_name)
+    fs, cache, geo = machine.fs, machine.cache, machine.fs.geometry
+    run_user(machine, fs.write_file("/f", b"x" * 1024))
+    ip = run_user(machine, fs.namei("/f"))
+
+    def unreadable_inode_block(ino):
+        raise MediaError(geo.inode_block_daddr(ino))
+        yield  # pragma: no cover - keeps this a generator
+
+    monkeypatch.setattr(fs, "load_inode_buf", unreadable_inode_block)
+    old, new = geo.total_frags - 16, geo.total_frags - 8
+    held = []
+
+    def extend_by_move():
+        held.append((yield from cache.getblk(new - 8, geo.block_size)))
+        held.append((yield from cache.getblk(new, 2 * geo.frag_size)))
+        ctx = AllocContext(ip=ip, lblk=0, owner_kind="indirect",
+                           ibuf=held[0], slot=0, new_daddr=new, new_frags=2,
+                           old_daddr=old, old_frags=1, data_buf=held[1],
+                           is_metadata=False)
+        yield from machine.scheme.block_allocated(ctx)
+
+    with pytest.raises(ProcessCrashed) as excinfo:
+        run_user(machine, extend_by_move())
+    assert isinstance(excinfo.value.original, MediaError)
+    assert [buf.busy for buf in held] == [False, False]
+
+    def regrab():
+        for buf in held:
+            again = yield from cache.getblk(buf.daddr, buf.size)
+            cache.brelse(again)
+
+    run_user(machine, regrab(), max_events=10_000)
 
 
 def test_softupdates_requeues_dependencies_on_failed_write():
