@@ -25,8 +25,9 @@ Every command is a function of its arguments, so two checkouts whose
 reports agree write identical directories: run this script against the
 parent's ``src/`` and against this commit's, then ``diff -r`` the two.  A
 change that means to move a report lists the moved paths in
-``benchmarks/corpus_moves.txt`` (CI skips only the lines the commit
-itself adds to that file).  Each command runs in a scratch working
+``benchmarks/corpus_moves.txt``; CI skips every path the file lists and
+fails when it lists one but the commit did not touch it, so a commit that
+moves nothing empties the list.  Each command runs in a scratch working
 directory; stderr (progress, tracebacks) passes through and is not part
 of the corpus.  ``--jobs`` runs that many commands at once (default 1);
 the corpus does not depend on it.

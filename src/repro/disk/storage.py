@@ -15,7 +15,8 @@ counters, and whole-machine observables).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
+from typing import Iterator, Optional
+from weakref import ref
 
 from repro.disk.geometry import DiskGeometry
 
@@ -55,11 +56,16 @@ class SectorStore:
         self.sectors_written = 0
         #: chunk index -> bytearray(GROW_CHUNK_SECTORS * sector_size)
         self._chunks: dict[int, bytearray] = {}
-        #: chunk indices whose bytearray is shared with a snapshot (or a
-        #: snapshot's source): copy-on-write -- the next write to a shared
-        #: chunk copies it first, so ``snapshot`` itself is O(chunks)
-        #: pointer copies
+        #: chunk indices whose bytearray was shared with another store of
+        #: the family when this store last looked: copy-on-write -- the
+        #: next write to one copies it first if another live store still
+        #: holds it, so ``snapshot`` itself is O(chunks) pointer copies
         self._shared: set[int] = set()
+        #: weak references to the stores that share (or shared) chunks
+        #: with this one -- its snapshots, its source, theirs, itself --
+        #: oldest first, so every scan visits them in one order (None
+        #: until the first snapshot)
+        self._family: Optional[list[ref]] = None
         self._cap = 0  # sectors covered by the occupancy map
         self._occ = bytearray()
 
@@ -99,8 +105,13 @@ class SectorStore:
             chunk = chunks[index] = bytearray(
                 GROW_CHUNK_SECTORS * self.geometry.sector_size)
         elif index in self._shared:
-            chunk = chunks[index] = bytearray(chunk)
             self._shared.discard(index)
+            for member in self._family:
+                store = member()
+                if (store is not None and store is not self
+                        and store._chunks.get(index) is chunk):
+                    chunk = chunks[index] = bytearray(chunk)
+                    break
         return chunk
 
     # -- the store API --------------------------------------------------
@@ -175,9 +186,10 @@ class SectorStore:
         """An independent copy, copy-on-write: no chunk bytes move now.
 
         Every current chunk becomes shared between source and clone;
-        whichever side writes a shared chunk first pays the one copy.
-        This is what keeps crash-image capture (one snapshot per explored
-        point) O(touched chunks).
+        whichever side writes a shared chunk first while the other still
+        holds it pays the one copy (a dropped snapshot leaves its source
+        writing in place).  This is what keeps crash-image capture (one
+        snapshot per explored point) O(touched chunks).
         """
         clone = SectorStore(self.geometry)
         clone.load_from(self)
@@ -195,6 +207,13 @@ class SectorStore:
         shared = set(image._chunks)
         image._shared |= shared
         self._shared = shared
+        family = image._family
+        if family is None:
+            family = image._family = [ref(image)]
+        else:
+            family[:] = [member for member in family if member() is not None]
+        family.append(ref(self))
+        self._family = family
         self._cap = image._cap
         self._occ = bytearray(image._occ)
 

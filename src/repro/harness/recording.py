@@ -105,30 +105,51 @@ def record_run(machine: Machine, workload: Generator,
     The mirror's log starts from the empty mirror of the freshly
     formatted machine recordings begin on.
 
+    The workload phase runs through the engine's dispatch loop
+    (:meth:`~repro.sim.engine.Engine.run_until_finished`), so CPU charges,
+    lock grants and drive holds run in place; it stops after the dispatch
+    the victim finished in, which stamps ``workload_done``.  The quiesce
+    tail single-steps, checking :func:`quiescent` after every event, so
+    the recording ends on the first event boundary where nothing is left
+    to reach the disk.  Like ``Engine.run``, *max_events* counts every
+    event of the run and raises only when one more would be needed.
+
     *capture_media* is vestigial: both values record the same thing.  It
     stays because ``bench/workloads.py`` passes it.
     """
     with recording(machine) as recorded:
         engine = machine.engine
-        process = engine.process(workload, name=name)
-        budget = max_events
-        done_seen = False
-        while not (process.triggered and quiescent(machine)):
-            if engine.pending_events == 0:
-                raise SimulationError(
-                    "event heap drained before the machine quiesced")
+        victim = engine.process(workload, name=name)
+        budget = (None if max_events is None
+                  else engine.events_processed + max_events)
+        try:
+            engine.run_until_finished(victim, max_events)
+        except SimulationError as exc:
+            stalled = _stalled(engine, budget, max_events)
+            if stalled is None:
+                raise
+            raise stalled from exc
+        if not victim.ok:
+            raise victim.value
+        recorded.workload_done = engine.now
+        while not quiescent(machine):
+            stalled = _stalled(engine, budget, max_events)
+            if stalled is not None:
+                raise stalled
             engine.step()
-            if budget is not None:
-                budget -= 1
-                if budget <= 0:
-                    raise SimulationError(
-                        f"recording exceeded max_events={max_events}")
-            if process.triggered and not done_seen:
-                if not process.ok:
-                    raise process.value
-                done_seen = True
-                recorded.workload_done = engine.now
         recorded.quiesce_time = engine.now
         recorded.requests_issued = machine.driver.requests_issued
         recorded.events_processed = engine.events_processed
     return recorded
+
+
+def _stalled(engine, budget: Optional[int],
+             max_events: Optional[int]) -> Optional[SimulationError]:
+    """Why the recording cannot take one more event, or None."""
+    if engine.pending_events == 0:
+        return SimulationError(
+            "event heap drained before the machine quiesced")
+    if budget is not None and engine.events_processed >= budget:
+        return SimulationError(
+            f"recording exceeded max_events={max_events}")
+    return None

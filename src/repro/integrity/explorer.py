@@ -72,7 +72,7 @@ from repro.integrity.findings import (
     ExplorationReport,
 )
 from repro.integrity.fsck import Auditor, repair
-from repro.integrity.invariants import classify_report, finding, unexpected
+from repro.integrity.invariants import finding, unexpected
 from repro.integrity.medialog import ImageSynthesizer
 from repro.integrity.monitor import monitor_violations
 from repro.integrity.secrets import find_secret_leaks, plant_secrets
@@ -236,25 +236,36 @@ def classify_image(image, auditor: Auditor, secrets: bool,
                    crash_time: float, label: str) -> CrashFinding:
     """fsck (through *auditor*) + invariant classification of one
     surviving image; with *repairs*, every image without corruption must
-    also repair to a state that auditor finds consistent."""
+    also repair to a state that auditor finds consistent.
+
+    The audit's verdict is derived once per report: an image the auditor
+    finds unchanged gets the previous report back, and with it the
+    previous verdict.  The stale-data walk and the repair check read
+    bytes the audit did not, so they run for every image.
+    """
     report = auditor.audit(image)
+    verdict = report.verdict(guarantees)
+    violations, outside = verdict.violations, verdict.unexpected
     geometry = auditor.geometry
-    leaks = find_secret_leaks(image, geometry, report) if secrets else []
-    violations = classify_report(report, leaks)
-    if repairs is not None and not any(v.is_corruption for v in violations):
+    if secrets:
+        leaks = find_secret_leaks(image, geometry, report)
+        violations += tuple(leaks)
+        outside += tuple(unexpected(leaks, guarantees))
+    if repairs is not None and not verdict.errors:
         # the paper's recovery story: every error-free image must come out
         # of classic fsck repair fully consistent
-        residue = classify_report(
-            repair(image.snapshot(), geometry, repairs))
+        residue = repair(image.snapshot(), geometry, repairs).verdict(
+            guarantees).violations
         if residue:
-            violations.append(finding(
-                "unrepairable", f"repair left {len(residue)} findings: "
-                                f"{residue[0].message}"))
+            broken = finding("unrepairable",
+                             f"repair left {len(residue)} findings: "
+                             f"{residue[0].message}")
+            violations += (broken,)
+            outside += tuple(unexpected([broken], guarantees))
     return CrashFinding(
         index=index, crash_time=crash_time, label=label,
-        errors=len(report.errors), warnings=len(report.warnings),
-        violations=tuple(violations),
-        unexpected=tuple(unexpected(violations, guarantees)))
+        errors=verdict.errors, warnings=verdict.warnings,
+        violations=violations, unexpected=outside)
 
 
 def _verify(base, log, geometry, secrets: bool, verify_repair: bool,

@@ -82,7 +82,13 @@ from repro.fs.layout import (
     block_frags,
 )
 from repro.fs.superblock import Superblock
-from repro.integrity.invariants import Severity, Violation, finding
+from repro.integrity.invariants import (
+    Severity,
+    Verdict,
+    Violation,
+    finding,
+    judge,
+)
 
 
 @dataclass
@@ -99,6 +105,19 @@ class FsckReport:
     #: without a journal area): its overlay and the head transaction's
     #: not-yet-committed images
     journal: journal.ScanResult | None = None
+    #: the last :meth:`verdict`, kept: an :class:`Auditor` hands an
+    #: unchanged image its previous report, and that judgement with it
+    _verdict: Verdict | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def verdict(self, guarantees) -> Verdict:
+        """The findings judged against *guarantees*
+        (:func:`~repro.integrity.invariants.judge`), once per report and
+        declaration."""
+        verdict = self._verdict
+        if verdict is None or verdict.guarantees is not guarantees:
+            verdict = self._verdict = judge(self.findings, guarantees)
+        return verdict
 
     @property
     def errors(self) -> list[str]:

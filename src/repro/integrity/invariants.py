@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class Severity(enum.Enum):
@@ -130,6 +131,53 @@ def classify_report(report, secret_leaks: list | None = None
 
 def unexpected(violations: list[Violation], guarantees) -> list[Violation]:
     """The subset a scheme's declaration does *not* permit."""
-    denied = {key for key in {violation.key for violation in violations}
-              if not guarantees.permits(_BY_KEY[key])}
+    denied = _denied(guarantees)
     return [violation for violation in violations if violation.key in denied]
+
+
+@lru_cache(maxsize=32)
+def _denied(guarantees) -> frozenset[str]:
+    """The catalogue keys *guarantees* (a frozen declaration: a sweep has
+    one, a process a handful) does not permit."""
+    return frozenset(inv.key for inv in INVARIANTS
+                     if not guarantees.permits(inv))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """An audit's findings judged against one declaration: what a crash
+    point reports before the stale-data walk and the repair check."""
+
+    #: corruption-class findings first, then the rest
+    #: (:func:`classify_report`'s order)
+    violations: tuple[Violation, ...]
+    #: how many of them are corruption-class
+    errors: int
+    #: the ones the declaration does not permit, in the same order
+    unexpected: tuple[Violation, ...]
+    #: the declaration they were judged against
+    guarantees: object
+
+    @property
+    def warnings(self) -> int:
+        return len(self.violations) - self.errors
+
+
+def judge(findings: list[Violation], guarantees) -> Verdict:
+    """*findings* classified and held against *guarantees* in one pass."""
+    denied = _denied(guarantees)
+    errors: list[Violation] = []
+    rest: list[Violation] = []
+    errors_out: list[Violation] = []
+    rest_out: list[Violation] = []
+    for violation in findings:
+        if violation.severity is Severity.CORRUPTION:
+            errors.append(violation)
+            if violation.key in denied:
+                errors_out.append(violation)
+        else:
+            rest.append(violation)
+            if violation.key in denied:
+                rest_out.append(violation)
+    return Verdict(tuple(errors + rest), len(errors),
+                   tuple(errors_out + rest_out), guarantees)

@@ -2,8 +2,9 @@
 
 The engine is the whole event kernel: it owns the simulated clock, a binary
 heap of ``(time, sequence, event)`` entries, the queue of late callback
-subscriptions, and the one loop that dispatches them (``run`` and
-``run_until`` are entry points over it; ``step`` dispatches a single event).
+subscriptions, and the one loop that dispatches them (``run``,
+``run_until`` and ``run_until_finished`` are entry points over it; ``step``
+dispatches a single event).
 It is deliberately not swappable (``docs/performance.md`` has the
 measurement), so events push onto the heap directly and a scheduling fast
 path has one place to land.  Tracing reads the clock and never touches the
@@ -20,7 +21,10 @@ counts in ``events_processed``.  The horizon is ``-inf`` outside the
 dispatch loop and under :meth:`Engine.step`, so nothing runs in place
 there; the callbacks of one event other than its last, and whatever runs
 once ``run_until``'s awaited event is dispatched, run with it at ``-inf``
-too, so nobody that would have run first is overtaken.
+too, so nobody that would have run first is overtaken.  Once a process
+has finished, nothing runs in place until its completion event (queued at
+``now``) is dispatched, which is why ``run_until_finished`` may stop a
+dispatch short of it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,21 @@ _NEG_INF = float("-inf")
 
 class SimulationError(RuntimeError):
     """Raised when the simulation cannot make progress or a process crashed."""
+
+
+class _Finished:
+    """What :meth:`Engine.run_until_finished` awaits: "processed" as soon
+    as its process has finished (triggered), a dispatch before its
+    completion event is.  It is never on the heap."""
+
+    __slots__ = ("process",)
+
+    def __init__(self, process) -> None:
+        self.process = process
+
+    @property
+    def _processed(self) -> bool:
+        return self.process._triggered
 
 
 class Engine:
@@ -160,7 +179,8 @@ class Engine:
 
     def _dispatch(self, until: float, awaited: Optional[Event],
                   max_events: Optional[int]) -> None:
-        """The one dispatch loop, under :meth:`run` and :meth:`run_until`.
+        """The one dispatch loop, under :meth:`run`, :meth:`run_until` and
+        :meth:`run_until_finished`.
 
         Dispatches until *awaited* has been processed, the next event is
         past *until*, or the heap drains (an error when something is
@@ -246,6 +266,21 @@ class Engine:
         if not event.ok:
             raise event.value
         return event.value
+
+    def run_until_finished(self, process: "Process",  # noqa: F821
+                           max_events: Optional[int] = None) -> None:
+        """Run until *process*'s generator has finished, and stop there.
+
+        The loop stops after the dispatch the process finished in; its
+        completion event stays queued, so the clock, the heap and
+        ``events_processed`` are what single-stepping until
+        ``process.triggered`` leaves (late subscriptions that dispatch
+        queued are delivered before it returns, as after every dispatch of
+        the loop; ``step`` delivers them before its next event).  Raises
+        :class:`SimulationError` as :meth:`run_until` does; a process that
+        crashed is the caller's to read (``process.ok``).
+        """
+        self._dispatch(_INF, _Finished(process), max_events)
 
     def run_all(self, events: list[Event], max_events: Optional[int] = None) -> list[Any]:
         """Run until every event in *events* has fired; return their values."""

@@ -5,7 +5,7 @@ only when that wake-up is provably the running loop's next dispatch (see
 :mod:`repro.sim.engine`).  These tests pin each half of the proof --
 ``step()``, ``run``'s horizon, the event budget, a tie on the heap, a queued
 deferred callback, a later callback of the same event, ``run_until``'s
-awaited event -- and that nothing observable moves: the clock, the order of
+awaited event, ``run_until_finished``'s stop -- and that nothing observable moves: the clock, the order of
 wake-ups and ``events_processed`` read as under the heap-only fixture
 (``tests.conftest.heap_only``), where every wake-up takes the heap.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.sim import CPU, Engine, Lock, SimulationError, Timeout
 
-from tests.conftest import heap_only
+from tests.conftest import heap_only, recording_dispatches
 
 FAR = 1e9
 
@@ -87,7 +87,9 @@ def test_a_queued_deferred_callback_keeps_the_wake_up_on_the_heap():
 
 
 def test_step_never_runs_anything_in_place():
-    """``record_run`` and the crash sweeps rely on one event per step."""
+    """One event per ``step()``: the stepping recorder
+    (``tests/harness/reference_recording.py``) and ``record_run``'s
+    quiesce tail check for quiescence between any two events."""
     eng = Engine()
     cpu = CPU(eng, quantum=10.0)
     lock = Lock(eng)
@@ -112,6 +114,36 @@ def test_step_never_runs_anything_in_place():
         assert eng.events_processed == before + 1
     # start, grant, slice, hold, completion: one step each
     assert steps == 5 and stamps == [0.0, 2.0, 5.0]
+
+
+def test_run_until_finished_stops_where_stepping_would():
+    """The loop runs the process's charges and holds in place and stops
+    after the dispatch it finished in: its completion event still queued,
+    and the clock, heap and event count what stepping to
+    ``process.triggered`` leaves."""
+    def build():
+        eng = Engine()
+        cpu = CPU(eng, quantum=10.0)
+        _far(eng)
+
+        def body():
+            yield from cpu.compute(2.0)
+            yield from eng.hold(3.0)
+            return "done"
+
+        return eng, eng.process(body())
+
+    eng, proc = build()
+    with recording_dispatches() as dispatched:
+        eng.run_until_finished(proc)
+    stepped, stepped_proc = build()
+    while not stepped_proc.triggered:
+        stepped.step()
+    assert proc.triggered and not proc.processed and proc.value == "done"
+    assert (eng.now, eng.events_processed, eng.pending_events) == (
+        stepped.now, stepped.events_processed, stepped.pending_events)
+    # start, slice, hold: only the start came off the heap
+    assert len(dispatched) == 1 and eng.events_processed == 3
 
 
 def test_the_heap_only_fixture_turns_the_path_off():
