@@ -47,7 +47,7 @@ class SyncerDaemon:
         #: dirty buffers left after each sweep's writes, summed over sweeps
         self.sweep_dirty = 0
         self._tracer = engine.tracer
-        self._process = engine.process(self._run(), name="syncer")
+        engine.process(self._run(), name="syncer")  # no handle: see driver
 
     # -- the daemon ----------------------------------------------------------
     def _run(self) -> Generator:

@@ -118,7 +118,8 @@ class DeviceDriver:
         self.batches = 0
         self.queue_peak = 0
         self._tracer = engine.tracer
-        self._process = engine.process(self._run(), name="disk-driver")
+        # no handle: it would close a driver -> process -> frame -> driver loop
+        engine.process(self._run(), name="disk-driver")
 
     # -- public API -------------------------------------------------------
     def issue(self, kind: IOKind, lbn: int, nsectors: int,
@@ -366,8 +367,8 @@ class DeviceDriver:
                     callback(request)
                 # release the callbacks too: their closures reference cache
                 # buffers, and the trace keeps requests for the whole run
-                request.on_complete = []
-                request.done.succeed(request)
+                request.on_complete = ()
+                request.done.succeed()
             # wake anyone waiting for queue drain / eligibility changes
             self._work.broadcast()
 

@@ -8,6 +8,9 @@ from typing import Callable, Optional
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
+#: shared by every request without dependencies (``frozenset()`` allocates)
+_NO_DEPS: frozenset[int] = frozenset()
+
 
 class IOKind(enum.Enum):
     """Direction of a disk request."""
@@ -65,7 +68,7 @@ class DiskRequest:
         self.end_lbn = lbn + nsectors
         self.data = data
         self.flag = flag
-        self.depends_on: frozenset[int] = depends_on or frozenset()
+        self.depends_on: frozenset[int] = depends_on or _NO_DEPS
         self.issuer = issuer
         self.issue_time: float = -1.0
         self.dispatch_time: float = -1.0

@@ -18,6 +18,7 @@ Typical use::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -83,6 +84,8 @@ class Machine:
         self.fs = FileSystem(self.engine, self.cache, self.cpu, self.costs,
                              self.scheme, syncer=self.syncer)
         self.users: list[Process] = []
+        # nothing references the machine: its refcount death cuts the cycles
+        weakref.finalize(self, _release, self.engine, self.driver, self.fs)
 
     # ------------------------------------------------------------------
     def format(self) -> None:
@@ -164,3 +167,14 @@ class Machine:
     @property
     def scheme_name(self) -> str:
         return self.scheme.name
+
+
+def _release(engine: Engine, driver: DeviceDriver, fs: FileSystem) -> None:
+    """Free a dropped machine's parts by refcount: its idle daemons sleep
+    on the heap (syncer, softdep) and in the driver's wait queue, each
+    holding its owner through its generator's frame."""
+    engine._heap.clear()
+    engine._deferred.clear()
+    engine.tracer = None  # the Tracer references the engine back
+    driver._work.waiters.clear()
+    fs.scheme.detach(fs)

@@ -112,6 +112,12 @@ class OrderingScheme:
         self.fs = fs
         self._tracer = fs.engine.tracer
 
+    def detach(self, fs: "FileSystem") -> None:
+        """Unbind from *fs*, whose machine is gone; a no-op once a later
+        machine has attached this scheme to its own file system."""
+        if self.fs is fs:
+            self.fs = self._tracer = None
+
     # -- what the rest of the machine asks of the scheme ---------------------
     def driver_policy(self) -> OrderingPolicy:
         """The driver discipline this scheme's writes rely on."""

@@ -61,6 +61,12 @@ class NvramScheme(OrderingScheme):
         self.used_bytes = 0
         self.stores = 0
         self.destage_stalls = 0
+        #: kept at attach: recovery replays the mirror after the machine died
+        self._sectors_per_frag = 0
+
+    def attach(self, fs) -> None:
+        super().attach(fs)
+        self._sectors_per_frag = fs.cache.sectors_per_frag
 
     # ------------------------------------------------------------------
     def _mirror_buffer(self, buf) -> Generator:
@@ -133,12 +139,12 @@ class NvramScheme(OrderingScheme):
 
     def _survivor_changed(self, daddr: int, data) -> None:
         if self.on_survivor is not None:
-            self.on_survivor(daddr * self.fs.cache.sectors_per_frag, data)
+            self.on_survivor(daddr * self._sectors_per_frag, data)
 
     # -- crash integration ------------------------------------------------
     def apply_to_image(self, image: SectorStore) -> None:
         """Replay surviving NVRAM contents over a crashed disk image."""
-        spf = self.fs.cache.sectors_per_frag
+        spf = self._sectors_per_frag
         for daddr, data in self._mirror.items():
             image.write(daddr * spf, data)
 

@@ -47,6 +47,11 @@ class SoftUpdatesScheme(OrderingScheme):
         super().attach(fs)
         self.manager = SoftDepManager(fs)
 
+    def detach(self, fs) -> None:
+        if self.fs is fs:
+            self.manager = None
+        super().detach(fs)
+
     def write_starting(self, buf, image, deps) -> None:
         self.manager.write_starting(buf, image)
 

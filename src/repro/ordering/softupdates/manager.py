@@ -75,7 +75,7 @@ class SoftDepManager:
         #: deferred workitems run by :meth:`service`
         self.workitems_serviced = 0
         self._tracer = fs.engine.tracer
-        self._daemon = fs.engine.process(self._run(), name="softdep")
+        fs.engine.process(self._run(), name="softdep")  # no handle: see driver
 
     # ==================================================================
     # buffer tracking

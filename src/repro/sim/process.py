@@ -41,8 +41,7 @@ class Process(Event):
     * ``started_at`` / ``finished_at`` -- simulated lifetime bounds.
     """
 
-    __slots__ = ("generator", "name", "cpu_time", "started_at", "finished_at",
-                 "_waiting_on")
+    __slots__ = ("generator", "name", "cpu_time", "started_at", "finished_at")
 
     def __init__(self, engine: Engine, generator: Generator, name: str = "") -> None:
         super().__init__(engine)
@@ -51,7 +50,6 @@ class Process(Event):
         self.cpu_time = 0.0
         self.started_at = engine.now
         self.finished_at: float | None = None
-        self._waiting_on: Event | None = None
         # Kick off on the next dispatch, at the current time.  The bootstrap
         # event goes through the ordinary succeed() path so process start
         # order is FIFO like every other equal-time event.
@@ -77,7 +75,6 @@ class Process(Event):
         """Advance the generator by one step.  Engine callback only."""
         # The hottest frame after the run loop, hence the direct slot reads
         # and the inlined Event._add_callback at the end.
-        self._waiting_on = None
         engine = self.engine
         previous = engine.current_process
         engine.current_process = self
@@ -106,13 +103,11 @@ class Process(Event):
             self.finished_at = engine.now
             self.fail(ProcessCrashed(self, crash))
             return
-        self._waiting_on = target
         if target._processed:
             engine._deferred.append((self._resume, target))
         else:
             target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:
-        state = "done" if self.triggered else (
-            "waiting" if self._waiting_on is not None else "ready")
+        state = "done" if self.triggered else "alive"
         return f"<Process {self.name!r} {state}>"

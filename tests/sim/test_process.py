@@ -112,3 +112,15 @@ def test_run_until_deadlocked_children(eng):
     proc = eng.process(waits_forever())
     with pytest.raises(SimulationError):
         eng.run_until(proc, max_events=1000)
+
+
+def test_repr_reports_done_or_alive(eng):
+    def sleeper():
+        yield eng.timeout(1.0)
+
+    proc = eng.process(sleeper(), name="sleeper")
+    assert repr(proc) == "<Process 'sleeper' alive>"
+    eng.step()  # started, now asleep on its timeout
+    assert repr(proc) == "<Process 'sleeper' alive>"
+    eng.run_until(proc)
+    assert repr(proc) == "<Process 'sleeper' done>"
