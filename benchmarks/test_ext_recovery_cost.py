@@ -6,11 +6,15 @@ this often time-consuming process."  The paper leaves fast recovery as
 future work; this experiment quantifies the repair burden each scheme
 leaves behind: the number of fsck-repairable inconsistencies (orphans,
 stale bitmap bits, inflated link counts) across a sweep of crash instants.
+Each (scheme, seed) runs once under recording; its crash images are
+synthesized from the media log at each instant.
 """
 
+from repro.harness.recording import record_run
 from repro.harness.report import format_table
 from repro.harness.runner import STANDARD_SCHEMES, standard_scheme_config
-from repro.integrity import CrashScheduler, fsck, repair
+from repro.integrity import fsck, repair
+from repro.integrity.medialog import ImageSynthesizer
 from repro.machine import Machine
 
 from benchmarks.conftest import emit, run_grid
@@ -29,19 +33,22 @@ def test_ext_recovery_cost(once):
             repaired_clean = 0
             trials = 0
             for seed in SEEDS:
+                config = standard_scheme_config(
+                    name, cache_bytes=2 * 1024 * 1024)
+                config.fs_geometry = SMALL_GEOMETRY
+                machine = Machine(config)
+                machine.format()
+                recorded = record_run(
+                    machine, churn_workload(machine, seed, operations=40))
+                synthesizer = ImageSynthesizer(recorded.base_image,
+                                               recorded.media_log)
                 for crash_at in CRASH_TIMES:
-                    config = standard_scheme_config(
-                        name, cache_bytes=2 * 1024 * 1024)
-                    config.fs_geometry = SMALL_GEOMETRY
-                    machine = Machine(config)
-                    machine.format()
-                    image = CrashScheduler(machine).run_and_crash(
-                        churn_workload(machine, seed, operations=40),
-                        crash_at=crash_at)
+                    image = synthesizer.image_at(crash_at)
                     report = fsck(image, SMALL_GEOMETRY)
                     warnings += len(report.warnings)
                     errors += len(report.errors)
-                    after = repair(image, SMALL_GEOMETRY)
+                    # image_at hands back the synthesizer's own store
+                    after = repair(image.snapshot(), SMALL_GEOMETRY)
                     repaired_clean += int(after.clean
                                           and not after.warnings)
                     trials += 1

@@ -2,15 +2,19 @@
 """Crash consistency demo: why ordering matters.
 
 Runs the same file-churn workload under No Order (delayed writes, no
-ordering) and Soft Updates, pulls the plug at the same simulated instant,
-and runs fsck on both surviving images.
+ordering) and Soft Updates, pulls the plug at the same simulated instants,
+and runs fsck on the surviving images.  Each scheme runs once, recorded;
+the image a power failure leaves at each instant is synthesized from that
+recording's media log.
 
 Run:  python examples/crash_consistency.py
 """
 
 import random
 
-from repro.integrity import CrashScheduler, fsck
+from repro.harness.recording import record_run
+from repro.integrity import fsck
+from repro.integrity.medialog import ImageSynthesizer
 from repro.machine import Machine, MachineConfig
 from repro.ordering import NoOrderScheme, SoftUpdatesScheme
 
@@ -33,23 +37,21 @@ def churn(machine, seed=3, operations=60):
     return body()
 
 
-def crash_and_check(scheme, crash_at=4.0):
+def crash_and_check(scheme, instants=(1.0, 2.0, 3.0, 4.0, 5.0)):
+    """fsck's report on the image a power failure leaves at each instant."""
     machine = Machine(MachineConfig(scheme=scheme))
     machine.format()
-    image = CrashScheduler(machine).run_and_crash(churn(machine),
-                                                  crash_at=crash_at)
-    return fsck(image)
+    recorded = record_run(machine, churn(machine))
+    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
+    return [fsck(synthesizer.image_at(when)) for when in instants]
 
 
 def main() -> None:
     for label, scheme in [("No Order", NoOrderScheme()),
                           ("Soft Updates", SoftUpdatesScheme())]:
         # sweep a few crash instants; No Order usually breaks on one of them
-        worst = None
-        for crash_at in (1.0, 2.0, 3.0, 4.0, 5.0):
-            report = crash_and_check(type(scheme)(), crash_at)
-            if worst is None or len(report.errors) > len(worst.errors):
-                worst = report
+        worst = max(crash_and_check(scheme),
+                    key=lambda report: len(report.errors))
         print(f"{label:13s}: {worst.summary()}")
         for error in worst.errors[:4]:
             print(f"               ERROR   {error}")

@@ -2,13 +2,17 @@
 """Section 7's proposed comparison: soft updates vs NVRAM-backed metadata.
 
 Runs a burst of metadata-heavy work under both schemes, crashes at the same
-instant, and contrasts (a) performance, (b) what survived the crash.
+instant, and contrasts (a) performance, (b) what survived the crash.  The
+burst runs once, recorded; the crash image is synthesized from the
+recording's media log, NVRAM's surviving mirror included.
 
 Run:  python examples/nvram_vs_softupdates.py
 """
 
 from repro.costs import CostModel
-from repro.integrity import crash_image, fsck
+from repro.harness.recording import record_run
+from repro.integrity import fsck
+from repro.integrity.medialog import ImageSynthesizer
 from repro.machine import Machine, MachineConfig
 from repro.ordering import NvramScheme, SoftUpdatesScheme
 
@@ -33,15 +37,19 @@ def main() -> None:
     for label, scheme in [("Soft Updates", SoftUpdatesScheme()),
                           ("NVRAM", NvramScheme())]:
         machine = build(scheme)
-        process = machine.spawn(burst(machine), name="burst")
-        machine.run(process)
-        elapsed = process.finished_at - process.started_at
+        started = machine.engine.now
+        recorded = record_run(machine, burst(machine), name="burst")
         # crash right as the burst finishes -- before any flushing
-        report = fsck(crash_image(machine))
+        crash_at = recorded.workload_done
+        image = ImageSynthesizer(recorded.base_image,
+                                 recorded.media_log).image_at(crash_at)
+        report = fsck(image)
         visible = sum(1 for refs in report.references.values()
                       for _d, name in refs if name.startswith("f"))
-        print(f"{label:13s}: burst took {elapsed:6.3f} simulated s, "
-              f"{machine.driver.requests_issued:3d} disk requests so far; "
+        requests = sum(1 for request in machine.driver.trace
+                       if request.issue_time <= crash_at)
+        print(f"{label:13s}: burst took {crash_at - started:6.3f} "
+              f"simulated s, {requests:3d} disk requests so far; "
               f"after an instant crash {visible:2d}/40 files survive "
               f"({len(report.errors)} integrity errors)")
 

@@ -9,7 +9,7 @@ The top-level surface re-exports the pieces most users need:
   :class:`SchedulerFlagScheme`, :class:`SchedulerChainsScheme`,
   :class:`SoftUpdatesScheme`, :class:`NoOrderScheme`, and the
   :class:`NvramScheme` extension.
-* :func:`fsck` / :func:`repair` / :func:`crash_image` -- integrity tooling.
+* :func:`fsck` / :func:`repair` -- integrity tooling.
 * :class:`FileSystem` and :class:`FsError` -- the syscall layer.
 
 See README.md for a tour and DESIGN.md for the system inventory.
@@ -17,7 +17,7 @@ See README.md for a tour and DESIGN.md for the system inventory.
 
 from repro.costs import CostModel
 from repro.fs import FileSystem, FSGeometry, FsError, mkfs
-from repro.integrity import CrashScheduler, crash_image, fsck, repair
+from repro.integrity import fsck, repair
 from repro.machine import Machine, MachineConfig
 from repro.ordering import (
     ConventionalScheme,
@@ -34,7 +34,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ConventionalScheme",
     "CostModel",
-    "CrashScheduler",
     "FSGeometry",
     "FileSystem",
     "FsError",
@@ -46,7 +45,6 @@ __all__ = [
     "SchedulerChainsScheme",
     "SchedulerFlagScheme",
     "SoftUpdatesScheme",
-    "crash_image",
     "fsck",
     "mkfs",
     "repair",

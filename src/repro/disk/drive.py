@@ -8,7 +8,8 @@ scheduling and hands the drive one (possibly concatenated) request at a time.
 calls it with ``yield from`` and regains control when the media operation is
 done.  Writes become persistent in the :class:`SectorStore` at transfer
 completion; a crash mid-transfer applies the sector prefix that had already
-passed under the head (see ``in_flight`` and ``repro.integrity.crash``).
+passed under the head (``InFlightWrite.sectors_applied_by``, which crash
+images are synthesized from; see :mod:`repro.integrity.medialog`).
 
 An injected fault is one outcome of that same media operation, not a
 second path; the drawn :class:`~repro.faults.Fault` is left on
@@ -70,8 +71,9 @@ class InFlightWrite:
 
     def sectors_applied_by(self, when: float) -> int:
         """How many sectors had fully reached the media by time *when*: the
-        one prefix expression, asked by the live drive's crash image and by
-        its synthesis from the media log, so the two agree bit for bit."""
+        one prefix expression, asked by crash-image synthesis from the media
+        log and by the test oracle's live image, so the two agree bit for
+        bit."""
         if when <= self.transfer_start:
             return 0
         elapsed = when - self.transfer_start

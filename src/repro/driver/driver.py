@@ -181,11 +181,6 @@ class DeviceDriver:
                           issuer=issuer)
 
     @property
-    def queue_depth(self) -> int:
-        """Requests waiting in the driver queue (excludes the one in flight)."""
-        return len(self._pending)
-
-    @property
     def last_issued_id(self) -> int:
         """Id of the most recently issued request (0 if none yet)."""
         return self._next_id

@@ -130,13 +130,13 @@ class DirIndex:
     """Live host-side mirror of one directory block, kept on its cache buffer.
 
     Built by one linear parse (:func:`build_index`) and then *maintained*:
-    :meth:`add`, :meth:`remove` and :meth:`set_ino` write the block's bytes
-    and this mirror together, so a cached block is decoded once per read
-    from disk, not once per operation.  Every answer is the linear
-    functions' answer on the same bytes -- :meth:`find` reports the scanned
-    count :func:`lookup` would (the simulated CPU is charged for it),
-    :meth:`add` writes the bytes :func:`add_entry` would -- so the index
-    moves host time only.  It never holds two live records of one name: such
+    :meth:`add` and :meth:`remove` write the block's bytes and this mirror
+    together, so a cached block is decoded once per read from disk, not
+    once per operation.  Every answer is the linear functions' answer on
+    the same bytes -- :meth:`find` reports the scanned count
+    :func:`lookup` would (the simulated CPU is charged for it), :meth:`add`
+    writes the bytes :func:`add_entry` would -- so the index moves host
+    time only.  It never holds two live records of one name: such
     a block is not indexed (callers scan, as they do for corrupt bytes).
     """
 
@@ -223,22 +223,6 @@ class DirIndex:
         self._note_slack(offset)
         return ino
 
-    def set_ino(self, offset: int, ino: int) -> None:
-        """:func:`set_entry_ino`: zero retires the record where it stands,
-        nonzero (re)vives it under the name and type its bytes still hold."""
-        record = self.records[offset]
-        was, _reclen, name, ftype = record
-        if was and not ino:
-            ftype = FileType.NONE
-            del self.by_name[name]
-        elif ino and not was:
-            ftype = _FTYPE_OF.get(self.data[offset + 7])
-            if ftype is None or self.by_name.setdefault(name, offset) != offset:
-                raise ValueError(f"cannot revive {name!r} at offset {offset}")
-        struct.pack_into("<I", self.data, offset, ino)
-        record[0], record[3] = ino, ftype
-        self._note_slack(offset)
-
 
 def build_index(data: bytes | bytearray) -> Optional[DirIndex]:
     """Index every record of *data*; None for bytes only a scan gets right:
@@ -305,19 +289,6 @@ def remove_entry(data: bytearray, offset: int) -> int:
         scan += prev_reclen
         if scan >= offset:
             raise CorruptDirectory(f"no predecessor for offset {offset}")
-
-
-def set_entry_ino(data: bytearray, offset: int, ino: int) -> None:
-    """Overwrite just the inode number of the entry at *offset*.
-
-    This is the soft-updates undo/redo primitive for link addition: writing
-    zero makes the on-disk image 'entry unused' without moving bytes.
-    """
-    struct.pack_into("<I", data, offset, ino)
-
-
-def entry_ino(data: bytes | bytearray, offset: int) -> int:
-    return struct.unpack_from("<I", data, offset)[0]
 
 
 def is_empty_dir(data: bytes | bytearray) -> bool:

@@ -1,9 +1,8 @@
 """Systematic crash-point exploration with fsck verification.
 
 The paper's argument is that each ordering scheme keeps metadata
-recoverable after a power failure at *any* instant.  The legacy
-:class:`~repro.integrity.crash.CrashScheduler` samples a handful of
-hand-picked instants; this engine instead *enumerates* the interesting
+recoverable after a power failure at *any* instant.  Rather than sample a
+handful of hand-picked instants, this engine *enumerates* the interesting
 ones:
 
 1. **Record** -- run the victim workload once on an instrumented machine
@@ -16,23 +15,23 @@ ones:
 2. **Enumerate** -- every window contributes its start boundary (power
    fails before any sector lands), its completion boundary (the whole
    request is on the platters), and sampled mid-transfer instants (a
-   sector *prefix* survives, per the drive's per-sector ECC semantics in
-   ``crash_image``).  Every crash state any power failure could produce is
-   one of these, or identical to one of these: between boundaries the
-   platters do not change.
+   sector *prefix* survives, per the drive's per-sector ECC semantics,
+   ``InFlightWrite.sectors_applied_by``).  Every crash state any power
+   failure could produce is one of these, or identical to one of these:
+   between boundaries the platters do not change.
 3. **Verify** -- for each crash point, in time order, *synthesize* the
    surviving image from the media log (base image + sectors committed
    before the crash instant + the ECC-consistent partial prefix of the
-   in-flight window + whatever a battery-backed NVRAM mirror still held --
-   no simulation at all), run ``fsck`` on the survivor, and classify the
-   outcome against the declarative invariant set
+   in-flight window + the off-media survivors, said once in the scheme's
+   ``on_survivor`` stream -- no simulation at all), run ``fsck`` on the
+   survivor, and classify the outcome against the declarative invariant set
    (:mod:`repro.integrity.invariants`) and the scheme's own
    :class:`~repro.ordering.guarantees.CrashGuarantees`.  Per-point cost
    is O(sector application + fsck); both are incremental (:func:`_verify`).
 
-That is the only way a crash point is verified, for every scheme.  The
+That is the only way a crash image is made, for every scheme.  The
 per-point re-simulation it replaced (fresh machine, ``engine.run_to(t)``,
-:func:`~repro.integrity.crash.crash_image`) lives on as the reference in
+the live machine's image) lives on as the test oracle in
 ``tests/integrity/replay_oracle.py``: synthesized images are byte-identical
 to its images and the findings equal, point for point
 (``tests/integrity/test_synthesis_equivalence.py``).

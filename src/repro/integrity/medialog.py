@@ -19,20 +19,20 @@ the one record of the media: the crash explorer synthesizes its images
 from it and the ordering monitor
 (:func:`repro.integrity.monitor.monitor_violations`) walks it.
 
-:func:`synthesize_crash_image` then materializes the crash state at any
+:class:`ImageSynthesizer` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of
 every window that ended by *t* + the in-flight prefix of the (at most one)
-window containing *t*.  The prefix is asked of the very record the live
-drive's crash image asks (``sectors_applied_by``), so the synthesized image
-is byte-identical to the one a re-simulation to *t* leaves
+window containing *t*.  The prefix is asked of the drive's own record of
+the transfer (``sectors_applied_by``), so the synthesized image is
+byte-identical to the one a re-simulation to *t* leaves
 (``tests/integrity/replay_oracle.py`` is that reference and
 ``tests/integrity/test_synthesis_equivalence.py`` holds the proof).
 
 Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
--- rides along as a second stream, ``MediaLog.survivors``: one
-``(time, lbn, bytes | None)`` entry per mirror store or drop.  Synthesis
-replays it to *t* and writes what is left over the image, exactly as
-``NvramScheme.apply_to_image`` does to a live machine's crash image.
+-- is said once, as a second stream, ``MediaLog.survivors``: one
+``(time, lbn, bytes | None)`` entry per mirror store or drop, fed by the
+scheme's ``on_survivor`` observer.  Synthesis replays it to *t* and
+writes what is left over the image; nothing else in ``src/`` recovers it.
 
 :class:`ImageSynthesizer` serves a sweep's crash points in time order, so
 the image is built *incrementally* -- each point applies only the sectors
@@ -71,10 +71,6 @@ class MediaLog:
     def payload_bytes(self) -> int:
         """Total payload held (each window's bytes counted exactly once)."""
         return sum(len(entry.data) for entry in self.entries)
-
-    @property
-    def sectors_durable(self) -> int:
-        return sum(entry.durable for entry in self.entries)
 
 
 class ImageSynthesizer:
@@ -118,8 +114,8 @@ class ImageSynthesizer:
 
         Returns the shared evolving store (or a snapshot overlaid with a
         revocable transient prefix and/or the off-media survivors);
-        callers must treat it as read-only -- ``fsck`` is, and ``repair``
-        takes its own snapshot.
+        callers must treat it as read-only -- ``fsck`` is; ``repair`` works
+        in place, so repair a ``snapshot()``.
         """
         if when < self._last:
             raise ValueError(
@@ -165,13 +161,3 @@ class ImageSynthesizer:
             cursor += 1
         self._survivor_cursor = cursor
         return mirror
-
-
-def synthesize_crash_image(base: SectorStore, log: MediaLog,
-                           when: float) -> SectorStore:
-    """One-shot synthesis: the image a power failure at *when* leaves.
-
-    Equivalent to replaying the recorded workload to *when* and taking
-    :func:`repro.integrity.crash.crash_image`.
-    """
-    return ImageSynthesizer(base, log).image_at(when)

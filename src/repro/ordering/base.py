@@ -26,8 +26,9 @@ call per ordering edge, named by *point*.
 
 The scheme is also the machine's one view of ordering: its driver policy,
 ``uses_block_copy``, the cache's two write hooks (FreeBSD's ``bioops``) and
-what a crash leaves off the media each have an inert default here, so
-nothing outside this package asks which scheme it holds.
+``on_survivor``, the one stream of what a crash leaves off the media, each
+have an inert default here, so nothing outside this package asks which
+scheme it holds.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
 
 if TYPE_CHECKING:
     from repro.cache.buffer import Buffer
-    from repro.disk.storage import SectorStore
     from repro.fs.inode import Inode
     from repro.fs.vfs import FileSystem
 
@@ -130,9 +130,6 @@ class OrderingScheme:
 
     def write_done(self, buf: "Buffer") -> None:
         """A write of *buf* completed (driver context: must not block)."""
-
-    def apply_to_image(self, image: "SectorStore") -> None:
-        """Replay what survives a power failure off the media over *image*."""
 
     # -- decision accounting ------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:

@@ -10,8 +10,10 @@ atomically and instantly, into a battery-backed store that survives power
 failure.  No write ordering is needed for structural soundness, and the
 dirty blocks destage to the disk lazily through the normal syncer path,
 dropping their NVRAM copy once the disk catches up (or the block is
-freed).  Crash recovery replays the surviving NVRAM over the disk image
-(:meth:`NvramScheme.apply_to_image`, called by ``repro.integrity.crash``).
+freed).  Crash recovery replays the surviving NVRAM over the disk image:
+every store and drop is said once, to the ``on_survivor`` observer, and
+the crash-image synthesizer replays that stream (the test suite's live
+oracle reads ``_mirror`` itself).
 
 What recovery sees is never corrupt, but it is not always the latest
 metadata: an allocation dirties its cylinder-group header and neither
@@ -29,7 +31,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generator
 
-from repro.disk.storage import SectorStore
 from repro.ordering.base import AllocContext, OrderingScheme
 from repro.ordering.guarantees import CrashGuarantees
 
@@ -61,12 +62,6 @@ class NvramScheme(OrderingScheme):
         self.used_bytes = 0
         self.stores = 0
         self.destage_stalls = 0
-        #: kept at attach: recovery replays the mirror after the machine died
-        self._sectors_per_frag = 0
-
-    def attach(self, fs) -> None:
-        super().attach(fs)
-        self._sectors_per_frag = fs.cache.sectors_per_frag
 
     # ------------------------------------------------------------------
     def _mirror_buffer(self, buf) -> Generator:
@@ -139,14 +134,7 @@ class NvramScheme(OrderingScheme):
 
     def _survivor_changed(self, daddr: int, data) -> None:
         if self.on_survivor is not None:
-            self.on_survivor(daddr * self._sectors_per_frag, data)
-
-    # -- crash integration ------------------------------------------------
-    def apply_to_image(self, image: SectorStore) -> None:
-        """Replay surviving NVRAM contents over a crashed disk image."""
-        spf = self._sectors_per_frag
-        for daddr, data in self._mirror.items():
-            image.write(daddr * spf, data)
+            self.on_survivor(daddr * self.fs.cache.sectors_per_frag, data)
 
     # -- the four structural changes ---------------------------------------
     def link_added(self, dp, dbuf, offset, ip, new_inode: bool) -> Generator:

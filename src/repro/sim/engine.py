@@ -292,10 +292,5 @@ class Engine:
         """Scheduled-but-undispatched entries (the queue length)."""
         return len(self._heap)
 
-    @property
-    def next_event_time(self) -> Optional[float]:
-        """The next event's timestamp, or None when nothing is pending."""
-        return self._heap[0][0] if self._heap else None
-
     def __repr__(self) -> str:
         return f"<Engine t={self.now:.6f} pending={len(self._heap)}>"

@@ -16,13 +16,13 @@ from repro.costs import CostModel
 from repro.disk import SectorStore
 from repro.faults import FaultPlan
 from repro.fs.layout import FSGeometry
-from repro.integrity.crash import crash_image
 from repro.integrity.fsck import fsck
 from repro.machine import Machine, MachineConfig
 from repro.ordering import JournalScheme
 
 from tests.conftest import SCHEME_FACTORIES, SMALL_GEOMETRY
 from tests.disk.reference_store import ReferenceStore
+from tests.integrity.replay_oracle import crash_image
 
 SCHEMES = list(SCHEME_FACTORIES) + ["journal"]
 FAULTS = {

@@ -37,7 +37,7 @@ def test_misaligned_write_is_refused_at_issue(eng):
     driver = make_driver(eng)
     with pytest.raises(ValueError, match="lbn 100: 700 bytes"):
         driver.write(100, b"\x01" * 700)
-    assert driver.queue_depth == 0
+    assert not driver._pending
     req = driver.read(100, 2)
     eng.run_until(req.done, max_events=10_000)
     assert req.error is None and req.complete_time > 0
@@ -60,7 +60,7 @@ def test_out_of_range_request_is_refused_at_issue(eng, kind, lbn, nsectors):
             driver.read(lbn, nsectors)
         else:
             driver.write(lbn, sector_data(7, nsectors))
-    assert driver.queue_depth == 0 and driver.last_issued_id == 0
+    assert not driver._pending and driver.last_issued_id == 0
     tail = driver.write(total - 4, sector_data(9, 4))
     eng.run_until(tail.done, max_events=10_000)
     assert tail.error is None
@@ -73,7 +73,7 @@ def test_write_data_must_be_whole_sectors_at_issue(eng):
     driver = make_driver(eng)
     with pytest.raises(ValueError, match="lbn 100: 1024 bytes is not 4"):
         driver.issue(IOKind.WRITE, 100, 4, data=bytes(1024))
-    assert driver.queue_depth == 0
+    assert not driver._pending
     req = driver.issue(IOKind.WRITE, 100, 2, data=bytes(1024))
     eng.run_until(req.done, max_events=10_000)
     assert req.error is None
@@ -188,7 +188,7 @@ def test_drain_waits_for_queue_empty(eng):
 
     drained_at = eng.run_until(eng.process(waiter()))
     assert all(r.complete_time <= drained_at for r in reqs)
-    assert driver.queue_depth == 0
+    assert not driver._pending
 
 
 def test_requests_issued_counter(eng):

@@ -36,7 +36,8 @@ def test_log_holds_each_window_once_and_trace_stays_flat():
                if r.data is not None) == 0
     # ... while the log holds exactly the media write volume, once:
     # one entry per media operation, payload stored by reference
-    assert log.sectors_durable == disk.stats.sectors_written
+    assert sum(entry.durable for entry in log.entries) \
+        == disk.stats.sectors_written
     assert log.payload_bytes == \
         sum(len(entry.data) for entry in log.entries)
     assert log.payload_bytes <= sum(len(p) for p in payloads)

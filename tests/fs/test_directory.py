@@ -82,7 +82,7 @@ class TestRemove:
                                           (8, "tail", FileType.REGULAR)]))
         head = next(iter(d.iter_entries(chunk)))
         d.remove_entry(chunk, head.offset)
-        assert d.entry_ino(chunk, 0) == 0
+        assert next(iter(d.iter_entries(chunk))).ino == 0
         entry, _ = d.lookup(chunk, "tail")
         assert entry.ino == 8
 
@@ -130,18 +130,6 @@ class TestCorruption:
         chunk[7] = 3
         entry, = d.iter_entries(chunk)
         assert (entry.live, entry.ftype) == (False, FileType.NONE)
-
-
-class TestUndoRedo:
-    def test_set_entry_ino_round_trip(self):
-        data = fresh_dir()
-        offset = d.add_entry(data, "pending", 77, FileType.REGULAR)
-        d.set_entry_ino(data, offset, 0)        # undo (rollback for disk write)
-        entry, _ = d.lookup(data, "pending")
-        assert entry is None
-        d.set_entry_ino(data, offset, 77)       # redo
-        entry, _ = d.lookup(data, "pending")
-        assert entry.ino == 77
 
 
 @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=12),

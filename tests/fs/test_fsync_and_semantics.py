@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.integrity import crash_image, fsck
+from repro.integrity import fsck
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.integrity.replay_oracle import crash_image
 
 
 class TestFsyncDurability:

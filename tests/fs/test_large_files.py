@@ -86,7 +86,8 @@ class TestSparseFiles:
             yield from m.fs.close(handle)
 
         run_user(m, user(), max_events=50_000_000)
-        from repro.integrity import crash_image, fsck
+        from repro.integrity import fsck
+        from tests.integrity.replay_oracle import crash_image
         report = fsck(crash_image(m), GEO)
         assert report.clean, report.errors[:3]
 

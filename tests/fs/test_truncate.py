@@ -3,8 +3,9 @@
 import pytest
 
 from repro.fs import FsError
-from repro.integrity import crash_image, fsck
+from repro.integrity import fsck
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.integrity.replay_oracle import run_and_crash
 
 
 class TestTruncateBasics:
@@ -66,8 +67,6 @@ class TestTruncateOrdering:
         """Crash at any point around truncate+rewrite: no shared blocks."""
         for crash_at in (0.05, 0.2, 0.6, 1.2, 2.5):
             m = make_machine(scheme)
-            from repro.integrity import CrashScheduler
-
             def busy():
                 yield from m.fs.write_file("/a", b"a" * 20000)
                 yield from m.fs.sync()
@@ -80,8 +79,7 @@ class TestTruncateOrdering:
                     # another file competes for the freed space
                     yield from m.fs.write_file(f"/b{round_no}", b"b" * 9000)
 
-            image = CrashScheduler(m).run_and_crash(busy(),
-                                                    crash_at=crash_at)
+            image = run_and_crash(m, busy(), crash_at=crash_at)
             report = fsck(image, SMALL_GEOMETRY)
             assert report.clean, (scheme, crash_at, report.errors[:3])
 

@@ -94,25 +94,3 @@ def test_reused_scheme_stays_with_the_later_machine(slug):
     reused = outcome(second, copy_and_settle(second))
     fresh = formatted(config(slug))
     assert reused == outcome(fresh, copy_and_settle(fresh))
-
-
-def test_nvram_replays_its_mirror_after_the_machine_is_gone():
-    machine = formatted(config("nvram"))
-
-    def user():
-        yield from machine.fs.mkdir("/d")
-        for index in range(4):
-            yield from machine.fs.write_file(f"/d/f{index}", b"x" * 3000)
-
-    machine.run(machine.spawn(user()))
-    scheme = machine.scheme
-    assert scheme.used_bytes > 0, "the mirror must hold undestaged metadata"
-    on_disk = machine.disk.storage.digest()
-    live, later = (machine.disk.storage.snapshot(),
-                   machine.disk.storage.snapshot())
-    scheme.apply_to_image(live)
-    assert live.digest() != on_disk
-    del machine
-    assert scheme.fs is None
-    scheme.apply_to_image(later)
-    assert later.digest() == live.digest()

@@ -4,14 +4,16 @@ This is how the explorer obtained every crash image before the media
 write-log existed, kept as the reference the shipped path is compared
 against (``test_synthesis_equivalence.py``): build a fresh machine, run the
 same workload with ``engine.run_to(t)``, cut the power with
-:func:`repro.integrity.crash.crash_image` -- which also replays NVRAM's
-live mirror over the image -- and classify the survivor with the explorer's
-own :func:`~repro.integrity.explorer.classify_image`.  O(full prefix
+:func:`crash_image` -- the platters, the sector prefix of the write under
+the head, and NVRAM's live mirror read straight off the scheme -- and
+classify the survivor with the explorer's own
+:func:`~repro.integrity.explorer.classify_image`.  O(full prefix
 simulation) per point, which is why it is not shipped; it shares nothing
-with ``ImageSynthesizer``, which is why it is an oracle.
+with ``ImageSynthesizer`` (which replays the recorded ``on_survivor``
+stream, not the mirror), which is why it is an oracle.
 """
 
-from repro.integrity.crash import crash_image
+from repro.disk.storage import SectorStore
 from repro.integrity.explorer import (
     build_machine,
     build_workload,
@@ -20,6 +22,38 @@ from repro.integrity.explorer import (
 )
 from repro.integrity.fsck import Auditor
 from repro.harness.recording import record_run
+from repro.machine import Machine
+from repro.ordering.nvram import NvramScheme
+
+
+def crash_image(machine: Machine) -> SectorStore:
+    """The disk image a power failure right now leaves on a live machine.
+
+    The drive lays sectors down in LBN order, each under its own ECC
+    (paper, footnote 1), so a write mid-transfer leaves the prefix that has
+    passed under the head; NVRAM's battery-backed mirror then replays over
+    the image in insertion order.
+    """
+    image = machine.disk.storage.snapshot()
+    in_flight = machine.disk.in_flight
+    if in_flight is not None:
+        image.write_partial(in_flight.lbn, in_flight.data,
+                            in_flight.sectors_applied_by(machine.engine.now))
+    if isinstance(machine.scheme, NvramScheme):
+        spf = machine.cache.sectors_per_frag
+        for daddr, data in machine.scheme._mirror.items():
+            image.write(daddr * spf, data)
+    return image
+
+
+def run_and_crash(machine, workload, crash_at):
+    """Run *workload* for *crash_at* simulated seconds, then cut the power
+    (dirty buffers are lost; a workload that finished first is not
+    flushed)."""
+    machine.engine.process(workload, name="victim")
+    machine.engine.run_to(machine.engine.now + crash_at,
+                          max_events=5_000_000)
+    return crash_image(machine)
 
 
 def replay_machine(scheme, workload, seed, ops, when, secrets=False,

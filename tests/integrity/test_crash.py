@@ -11,14 +11,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.integrity import (
-    CrashScheduler,
-    crash_image,
-    find_secret_leaks,
-    fsck,
-    plant_secrets,
-)
+from repro.integrity import find_secret_leaks, fsck, plant_secrets
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.integrity.replay_oracle import crash_image, run_and_crash
 
 
 def churn_workload(machine, seed, operations=40):
@@ -65,9 +60,8 @@ class TestSafeSchemesSurviveCrashes:
     def test_random_crash_leaves_no_integrity_errors(self, scheme, seed,
                                                      crash_at):
         machine = make_machine(scheme)
-        scheduler = CrashScheduler(machine)
-        image = scheduler.run_and_crash(churn_workload(machine, seed),
-                                        crash_at=crash_at)
+        image = run_and_crash(machine, churn_workload(machine, seed),
+                              crash_at=crash_at)
         report = fsck(image, SMALL_GEOMETRY)
         assert report.clean, (scheme, seed, crash_at, report.errors[:5])
 
@@ -78,9 +72,8 @@ class TestSafeSchemesSurviveCrashes:
         for seed in (1, 2, 3):
             for crash_at in (0.01, 0.1, 0.35, 0.8, 1.5, 2.5, 5.0):
                 machine = make_machine(scheme)
-                scheduler = CrashScheduler(machine)
-                image = scheduler.run_and_crash(
-                    churn_workload(machine, seed, operations=30),
+                image = run_and_crash(
+                    machine, churn_workload(machine, seed, operations=30),
                     crash_at=crash_at)
                 report = fsck(image, SMALL_GEOMETRY)
                 assert report.clean, (scheme, seed, crash_at,
@@ -112,9 +105,8 @@ class TestNoOrderIsUnsafe:
         for seed in range(3):
             for crash_at in (2.2, 4.0, 5.5, 7.0):
                 machine = make_machine("noorder")
-                scheduler = CrashScheduler(machine)
-                image = scheduler.run_and_crash(
-                    churn_workload(machine, seed, operations=40),
+                image = run_and_crash(
+                    machine, churn_workload(machine, seed, operations=40),
                     crash_at=crash_at)
                 report = fsck(image, SMALL_GEOMETRY)
                 violations += 0 if report.clean else 1
@@ -125,14 +117,11 @@ class TestSafeSchemesWithPartialWrites:
     @pytest.mark.parametrize("scheme", ["conventional", "softupdates"])
     def test_crash_mid_transfer_is_still_consistent(self, scheme):
         """Crash instants chosen to land inside write transfers."""
-        machine = make_machine(scheme)
-        scheduler = CrashScheduler(machine)
         # crash time drawn finely to catch in-flight transfers
         for crash_at in [0.2 + 0.013 * k for k in range(12)]:
             m = make_machine(scheme)
-            s = CrashScheduler(m)
-            image = s.run_and_crash(churn_workload(m, 7, operations=25),
-                                    crash_at=crash_at)
+            image = run_and_crash(m, churn_workload(m, 7, operations=25),
+                                  crash_at=crash_at)
             report = fsck(image, SMALL_GEOMETRY)
             assert report.clean, (scheme, crash_at, report.errors[:5])
 
@@ -147,9 +136,8 @@ class TestAllocationInitialization:
             m = make_machine("softupdates")
             plant_secrets(m.disk.storage, SMALL_GEOMETRY)
             m.drop_caches()
-            scheduler = CrashScheduler(m)
-            image = scheduler.run_and_crash(
-                churn_workload(m, 11, operations=30), crash_at=crash_at)
+            image = run_and_crash(
+                m, churn_workload(m, 11, operations=30), crash_at=crash_at)
             assert find_secret_leaks(image, SMALL_GEOMETRY) == []
 
     def test_conventional_with_init_never_leaks(self):
@@ -157,9 +145,8 @@ class TestAllocationInitialization:
             m = make_machine("conventional", alloc_init=True)
             plant_secrets(m.disk.storage, SMALL_GEOMETRY)
             m.drop_caches()
-            scheduler = CrashScheduler(m)
-            image = scheduler.run_and_crash(
-                churn_workload(m, 13, operations=25), crash_at=crash_at)
+            image = run_and_crash(
+                m, churn_workload(m, 13, operations=25), crash_at=crash_at)
             assert find_secret_leaks(image, SMALL_GEOMETRY) == []
 
     def test_no_init_can_leak_stale_data(self):

@@ -1,4 +1,4 @@
-"""Partial-write crash semantics of ``crash_image``.
+"""Partial-write crash semantics of the replay oracle's ``crash_image``.
 
 The drive lays sectors down in LBN order and each sector carries its own
 ECC (paper, footnote 1), so a power failure mid-transfer leaves exactly a
@@ -12,12 +12,12 @@ import pytest
 
 from repro.costs import CostModel
 from repro.disk.drive import InFlightWrite
-from repro.integrity.crash import crash_image
 from repro.integrity.explorer import build_machine, build_workload
 from repro.harness.recording import record_run
 from repro.integrity.invariants import classify_report
 from repro.integrity.fsck import fsck
 from repro.machine import Machine, MachineConfig
+from tests.integrity.replay_oracle import crash_image
 
 NSECTORS = 8
 

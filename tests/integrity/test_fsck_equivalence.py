@@ -55,7 +55,6 @@ from repro.integrity.fsck import (
 )
 from repro.integrity.invariants import Violation, classify_report, finding
 from repro.integrity.medialog import ImageSynthesizer
-from repro.ordering import OrderingScheme
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
@@ -249,10 +248,9 @@ def _reference_records(image, geo, cg):
 # whole sweeps with the reference scans patched in
 # ----------------------------------------------------------------------
 #: the media-resident standard schemes (the journal among them: its log is
-#: more media sectors, judged through the overlay) and the three mutants
-SWEEP_SCHEMES = [slug for slug, info in REGISTRY.items()
-                 if info.cls.apply_to_image is OrderingScheme.apply_to_image] \
-    + sorted(SHIMS)
+#: more media sectors, judged through the overlay; NVRAM's mirror is not)
+#: and the three mutants
+SWEEP_SCHEMES = [slug for slug in REGISTRY if slug != "nvram"] + sorted(SHIMS)
 
 
 def _reports(images, geometry):

@@ -4,8 +4,9 @@ utility when recovering from system failure')."""
 
 import pytest
 
-from repro.integrity import CrashScheduler, fsck, repair
+from repro.integrity import fsck, repair
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.integrity.replay_oracle import crash_image, run_and_crash
 from tests.integrity.test_crash import churn_workload
 
 
@@ -14,8 +15,8 @@ from tests.integrity.test_crash import churn_workload
 def test_crashed_safe_scheme_repairs_to_pristine(scheme):
     """After repair, a crashed image is completely clean (no warnings)."""
     machine = make_machine(scheme)
-    image = CrashScheduler(machine).run_and_crash(
-        churn_workload(machine, seed=4, operations=35), crash_at=2.0)
+    image = run_and_crash(
+        machine, churn_workload(machine, seed=4, operations=35), crash_at=2.0)
     before = fsck(image, SMALL_GEOMETRY)
     assert before.clean
     after = repair(image, SMALL_GEOMETRY)
@@ -32,7 +33,6 @@ def test_repair_reclaims_orphans_and_space():
         yield from machine.fs.write_file("/ghost", b"g" * 5000)
 
     run_user(machine, user())
-    from repro.integrity import crash_image
     image = crash_image(machine)
     before = fsck(image, SMALL_GEOMETRY)
     assert any("orphan" in w for w in before.warnings)
@@ -71,8 +71,8 @@ def test_repair_fixes_link_counts():
 def test_repaired_image_is_mountable_and_usable():
     """The whole recovery path: crash, repair, remount, keep working."""
     machine = make_machine("softupdates")
-    image = CrashScheduler(machine).run_and_crash(
-        churn_workload(machine, seed=9, operations=30), crash_at=1.5)
+    image = run_and_crash(
+        machine, churn_workload(machine, seed=9, operations=30), crash_at=1.5)
     repaired = repair(image, SMALL_GEOMETRY)
     assert repaired.clean and not repaired.warnings
 

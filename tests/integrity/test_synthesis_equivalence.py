@@ -9,12 +9,17 @@ start/complete boundaries AND mid-transfer partial-prefix instants:
 
 * image digests match point for point (:meth:`SectorStore.digest`);
 * the :class:`~repro.integrity.findings.CrashFinding` list ``explore()``
-  reports equals the oracle's, point for point.
+  reports equals the oracle's, point for point;
+* under the standard benchmark configuration too (real CPU costs, a 2 MB
+  cache), which the ``ext_recovery_cost`` table and the examples take
+  their crash images from.
 
-NVRAM is in: its battery-backed mirror is logged as the media log's
-``survivors`` stream and replayed by the synthesizer.  It is additionally
-held down under capacity pressure (forced destages, stale-entry drops) and
-by a property test that the replayed stream *is* the live mirror.
+NVRAM is in: its battery-backed mirror is said once, as the media log's
+``survivors`` stream (the scheme's ``on_survivor`` observer), and replayed
+by the synthesizer; the oracle reads the live mirror instead.  It is
+additionally held down under capacity pressure (forced destages,
+stale-entry drops) and by a property test that the replayed stream *is*
+the live mirror.
 """
 
 import functools
@@ -22,6 +27,7 @@ import functools
 import pytest
 
 from repro.harness.recording import record_run
+from repro.harness.runner import standard_scheme_config
 from repro.integrity import explorer
 from repro.integrity.explorer import (
     build_machine,
@@ -29,13 +35,18 @@ from repro.integrity.explorer import (
     enumerate_crash_points,
     explore,
 )
-from repro.integrity.medialog import ImageSynthesizer, synthesize_crash_image
+from repro.integrity.medialog import ImageSynthesizer
+from repro.machine import Machine
 from repro.ordering.nvram import NvramScheme
+from repro.ordering.registry import REGISTRY
+from tests.conftest import SMALL_GEOMETRY
 from tests.integrity.replay_oracle import (
     replay_findings,
     replay_image,
     replay_machine,
+    run_and_crash,
 )
+from tests.integrity.test_crash import churn_workload
 
 #: everything ``--scheme`` accepts: the registry and the three mutants
 SCHEMES = sorted(explorer.SCHEMES)
@@ -102,6 +113,32 @@ class TestFindingsIdentical:
         assert report.findings == replay_findings(scheme, **kwargs)
 
 
+def _standard_machine(slug):
+    """The ``ext_recovery_cost`` table's machine: the scheme's standard
+    configuration (real CPU costs) with a 2 MB cache on the small disk."""
+    config = standard_scheme_config(REGISTRY[slug].display_name,
+                                    cache_bytes=2 * 1024 * 1024)
+    config.fs_geometry = SMALL_GEOMETRY
+    machine = Machine(config)
+    machine.format()
+    return machine
+
+
+@pytest.mark.parametrize("slug", list(REGISTRY))
+def test_standard_config_images_match_the_live_machine(slug):
+    """One recording stands in for a live crash at each of the table's
+    instants, under the configuration the table and the examples run."""
+    machine = _standard_machine(slug)
+    recorded = record_run(machine, churn_workload(machine, 0, operations=40))
+    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
+    for when in (2.2, 5.5, 7.0):
+        live = _standard_machine(slug)
+        oracle = run_and_crash(live, churn_workload(live, 0, operations=40),
+                               crash_at=when)
+        assert synthesizer.image_at(when).digest() == oracle.digest(), \
+            f"{slug}: image diverged at t={when}"
+
+
 @pytest.fixture(params=[8, 16, 24, 32, 64])
 def tight_nvram(request, monkeypatch):
     """An under-provisioned NVRAM scheme under its own ``--scheme`` name.
@@ -137,8 +174,8 @@ class TestNvramUnderCapacityPressure:
 class TestSurvivorStream:
     @pytest.mark.parametrize("fault_profile", FAULTS)
     def test_replayed_stream_is_the_live_mirror(self, fault_profile):
-        """Keys, bytes *and order*: ``apply_to_image`` writes the mirror
-        in insertion order, so the synthesizer's replay must match it."""
+        """Keys, bytes *and order*: the oracle writes the live mirror in
+        insertion order, so the synthesizer's replay must match it."""
         machine, recorded = _record("nvram", fault_profile, "churn", 0, 40)
         spf = machine.cache.sectors_per_frag
         survivors = recorded.media_log.survivors
@@ -176,8 +213,8 @@ class TestOneShotSynthesis:
         incremental = ImageSynthesizer(recorded.base_image,
                                        recorded.media_log)
         for point in _sample(points, budget=6):
-            one_shot = synthesize_crash_image(recorded.base_image,
-                                              recorded.media_log, point.time)
+            one_shot = ImageSynthesizer(
+                recorded.base_image, recorded.media_log).image_at(point.time)
             assert one_shot.digest() == \
                 incremental.image_at(point.time).digest()
 
@@ -193,8 +230,8 @@ class TestOneShotSynthesis:
         mid = entry.transfer_start + 1.5 * entry.sector_period
         if entry.sectors_applied_by(mid) == 0:
             pytest.skip("window too short for a mid-transfer prefix")
-        during = synthesize_crash_image(recorded.base_image, log, mid)
-        after = synthesize_crash_image(recorded.base_image, log, entry.end)
+        during = ImageSynthesizer(recorded.base_image, log).image_at(mid)
+        after = ImageSynthesizer(recorded.base_image, log).image_at(entry.end)
         sector = during.read(entry.lbn, 1)
         assert sector == entry.data[:len(entry.data) // entry.nsectors]
         assert after.read(entry.lbn, 1) != sector or \

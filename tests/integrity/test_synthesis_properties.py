@@ -24,11 +24,7 @@ import pytest
 from repro.disk.drive import InFlightWrite
 from repro.disk.geometry import DiskGeometry
 from repro.disk.storage import SectorStore
-from repro.integrity.medialog import (
-    ImageSynthesizer,
-    MediaLog,
-    synthesize_crash_image,
-)
+from repro.integrity.medialog import ImageSynthesizer, MediaLog
 
 SECTOR = 512
 MAX_LBN = 96
@@ -176,15 +172,15 @@ def test_survivor_overlay_matches_brute_force(seed):
 
 @pytest.mark.parametrize("seed", range(10, 15))
 def test_one_shot_synthesis_matches_brute_force(seed):
-    # the one-shot entry point builds a fresh synthesizer per call; it
-    # must agree with the model at arbitrary (unsorted) instants
+    # a fresh synthesizer per instant must agree with the model at
+    # arbitrary (unsorted) instants
     rng = random.Random(seed)
     base = random_base(rng)
     log = random_log(rng, windows=rng.randrange(5, 20))
     instants = query_instants(rng, log)
     rng.shuffle(instants)
     for when in instants:
-        got = store_sectors(synthesize_crash_image(base, log, when))
+        got = store_sectors(ImageSynthesizer(base, log).image_at(when))
         assert got == brute_force_image(base, log, when), (seed, when)
 
 

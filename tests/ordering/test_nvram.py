@@ -4,11 +4,12 @@ import pytest
 
 from repro.costs import CostModel
 from repro.harness.recording import record_run
-from repro.integrity import CrashScheduler, crash_image, fsck
+from repro.integrity import fsck
 from repro.integrity.medialog import ImageSynthesizer
 from repro.machine import Machine, MachineConfig
 from repro.ordering import NvramScheme
 from tests.conftest import SMALL_GEOMETRY, run_user
+from tests.integrity.replay_oracle import crash_image, run_and_crash
 from tests.integrity.test_crash import churn_workload
 
 
@@ -67,8 +68,8 @@ class TestCrashSafety:
     @pytest.mark.parametrize("crash_at", [0.3, 1.0, 2.5, 5.0])
     def test_crash_states_are_consistent(self, crash_at):
         m = nvram_machine()
-        image = CrashScheduler(m).run_and_crash(
-            churn_workload(m, seed=5, operations=35), crash_at=crash_at)
+        image = run_and_crash(
+            m, churn_workload(m, seed=5, operations=35), crash_at=crash_at)
         report = fsck(image, SMALL_GEOMETRY)
         assert report.clean, report.errors[:4]
 

