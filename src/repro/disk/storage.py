@@ -14,7 +14,6 @@ counters, and whole-machine observables).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, Optional
 from weakref import ref
 
@@ -225,6 +224,10 @@ class SectorStore:
         explicitly written equals one that never touched the sector.  The
         synthesis-vs-replay equivalence suite compares images this way.
         """
+        # imported here: hashlib loads OpenSSL (3.6 MB resident), and no
+        # simulation run digests a store
+        import hashlib
+
         h = hashlib.sha256()
         for lbn, data in self.iter_nonzero():
             h.update(lbn.to_bytes(8, "little"))

@@ -25,7 +25,6 @@ an exception in the cell that wedged.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback
 from dataclasses import dataclass
@@ -121,6 +120,10 @@ def run_grid(name: str, cells: list, jobs: Optional[int] = None) -> dict:
         seen.add(key)
     if jobs is None:
         jobs = default_jobs()
+    # imported here: multiprocessing brings socket, pickle and selectors
+    # (1 MB resident) into every process that imports the harness
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if jobs > 1 and len(fns) > 1 and "fork" in methods:
         global _WORK

@@ -271,73 +271,92 @@ def _claim_indirect(ops: list, image: SectorStore, geo: FSGeometry,
             _claim(ops, geo, ino, pointer, geo.frags_per_block)
 
 
-def _indirect_map(image: SectorStore, geo: FSGeometry, daddr: int,
-                  count: int, depth: int) -> list:
-    """The first *count* block pointers under indirect block *daddr* of
-    *depth* (1: single, 2: double), as :func:`block_map` reports them."""
+def _indirect_runs(runs: list, image: SectorStore, geo: FSGeometry,
+                   daddr: int, first: int, count: int, depth: int) -> None:
+    """Append to *runs* the runs (:func:`block_map`) of the first *count*
+    blocks under indirect block *daddr* of *depth* (1: single, 2: double),
+    the first of them logical block *first*."""
     if not daddr:
-        return [0] * count
+        return
     if not valid_data_frag(geo, daddr):
-        return [None] * count
+        runs.append((first, count, None))
+        return
     nindir = geo.nindir
     slots = struct.unpack(f"<{nindir}I", read_image_frags(
         image, geo, daddr, geo.frags_per_block))
     if depth == 1:
-        return list(slots[:count])
-    mapped: list = []
-    for slot in slots[:(count + nindir - 1) // nindir]:
-        mapped += _indirect_map(image, geo, slot,
-                                min(nindir, count - len(mapped)), 1)
-    return mapped
+        runs += [(first + index, 1,
+                  slot if valid_data_frag(geo, slot) else None)
+                 for index, slot in enumerate(slots[:count]) if slot]
+        return
+    for index, slot in enumerate(slots[:(count + nindir - 1) // nindir]):
+        _indirect_runs(runs, image, geo, slot, first + index * nindir,
+                       min(nindir, count - index * nindir), 1)
+
+
+def _size_blocks(geo: FSGeometry, din: Dinode) -> int:
+    """How many logical blocks *din*'s size claims, capped at what its
+    pointers can address: the ones :func:`block_map` covers."""
+    nindir = geo.nindir
+    return min((din.size + geo.block_size - 1) // geo.block_size,
+               geo.NDADDR + nindir + nindir * nindir)
 
 
 def block_map(image: SectorStore, geo: FSGeometry, din: Dinode) -> list:
-    """The fragment daddr of each logical block of *din* within its size,
-    through its indirect blocks (read as :func:`inode_claim_ops` reads
-    them): 0 for a hole, ``None`` for a pointer outside the data area and
-    for every block under an indirect pointer outside it."""
+    """The pointers of *din*'s logical blocks within its size
+    (:func:`_size_blocks`), through its indirect blocks (read as
+    :func:`inode_claim_ops` reads them), as ascending disjoint runs
+    ``(lblk, count, daddr)``: ``(lblk, 1, daddr)`` for a block pointer, its
+    daddr ``None`` when it points outside the data area, and ``(lblk, n,
+    None)`` for the *n* blocks under an indirect pointer outside it.  A
+    block in no run is a hole, so the list grows with the pointers the
+    image holds, not with the size the dinode claims."""
     nindir = geo.nindir
-    nblocks = min((din.size + geo.block_size - 1) // geo.block_size,
-                  geo.NDADDR + nindir + nindir * nindir)
-    daddrs = din.direct[:nblocks]
+    nblocks = _size_blocks(geo, din)
+    runs = [(lblk, 1, daddr if valid_data_frag(geo, daddr) else None)
+            for lblk, daddr in enumerate(din.direct[:nblocks]) if daddr]
     rest = nblocks - geo.NDADDR
     if rest > 0:
-        daddrs += _indirect_map(image, geo, din.sindirect,
-                                min(rest, nindir), 1)
+        _indirect_runs(runs, image, geo, din.sindirect, geo.NDADDR,
+                       min(rest, nindir), 1)
         if rest > nindir:
-            daddrs += _indirect_map(image, geo, din.dindirect,
-                                    rest - nindir, 2)
-    for lblk, daddr in enumerate(daddrs):
-        if daddr and not valid_data_frag(geo, daddr):
-            daddrs[lblk] = None
-    return daddrs
+            _indirect_runs(runs, image, geo, din.dindirect,
+                           geo.NDADDR + nindir, rest - nindir, 2)
+    return runs
 
 
 def directory_blocks(image: SectorStore, geo: FSGeometry,
                      din: Dinode) -> tuple:
-    """The bytes of each block of directory *din*, by logical block
-    (:func:`block_map`): ``b""`` for a hole, ``None`` for a pointer
-    outside the data area."""
-    return tuple(None if daddr is None
-                 else read_image_frags(image, geo, daddr, geo.frags_per_block)
-                 if daddr else b""
-                 for daddr in block_map(image, geo, din))
+    """The runs of directory *din* (:func:`block_map`) with each block
+    pointer's daddr replaced by the bytes of its block: ``(lblk, count,
+    bytes)``, or ``(lblk, count, None)`` for a pointer outside the data
+    area."""
+    return tuple((lblk, count, None if daddr is None else read_image_frags(
+                     image, geo, daddr, geo.frags_per_block))
+                 for lblk, count, daddr in block_map(image, geo, din))
+
+
+def _hole(ino: int, first: int, end: int) -> Violation:
+    """The finding for directory *ino*'s hole over blocks [first, end)."""
+    where = (f"block {first}" if end - first == 1
+             else f"blocks {first}-{end - 1}")
+    return finding("dir-corrupt", f"directory {ino} has a hole at {where}")
 
 
 def directory_events(geo: FSGeometry, ino: int, din: Dinode,
                      blocks: tuple) -> list:
     """Phase-2 event-stream for one directory whose blocks hold *blocks*
-    (:func:`directory_blocks`): ``dir-corrupt`` findings plus ``(target,
-    name)`` for every live entry (replayed against the global inode table
-    by :meth:`_Checker.note_reference`)."""
+    (:func:`directory_blocks`): ``dir-corrupt`` findings (one per maximal
+    run of holes) plus ``(target, name)`` for every live entry (replayed
+    against the global inode table by :meth:`_Checker.note_reference`)."""
     events: list = []
     seen_dot = seen_dotdot = False
-    for lblk, raw in enumerate(blocks):
-        if not raw:
-            if raw is not None:
-                events.append(finding(
-                    "dir-corrupt",
-                    f"directory {ino} has a hole at block {lblk}"))
+    expected = 0  # the first block no run has covered yet
+    for lblk, count, raw in blocks:
+        if lblk > expected:
+            events.append(_hole(ino, expected, lblk))
+        expected = lblk + count
+        if raw is None:
             continue  # a bad pointer: already reported by the claim walk
         try:
             records = list(directory.iter_records(raw))
@@ -358,6 +377,9 @@ def directory_events(geo: FSGeometry, ino: int, din: Dinode,
             if name == "..":
                 seen_dotdot = True
             events.append((target, name))
+    nblocks = _size_blocks(geo, din)
+    if nblocks > expected:
+        events.append(_hole(ino, expected, nblocks))
     if din.size and not (seen_dot and seen_dotdot):
         events.append(finding("dir-corrupt",
                               f"directory {ino} missing '.' or '..'"))

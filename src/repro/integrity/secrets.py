@@ -75,12 +75,11 @@ def find_secret_leaks(image: SectorStore,
     for ino, din in report.inodes.items():
         if din.safe_ftype is not FileType.REGULAR:
             continue
-        remaining = din.size
-        for lblk, daddr in enumerate(block_map(image, geometry, din)):
-            take = min(remaining, geometry.block_size)
-            remaining -= take
-            if not daddr:
+        for lblk, _count, daddr in block_map(image, geometry, din):
+            if daddr is None:
                 continue
+            take = min(din.size - lblk * geometry.block_size,
+                       geometry.block_size)
             frags = (take + geometry.frag_size - 1) // geometry.frag_size
             if SECRET in image.read(daddr * spf, frags * spf)[:take]:
                 where = f"block {lblk}" if lblk < geometry.NDADDR \

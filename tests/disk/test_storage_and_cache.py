@@ -27,6 +27,26 @@ def store(request):
     return make_store(request.param)
 
 
+#: ``digest()`` of :func:`golden_store`, taken before ``hashlib`` became a
+#: lazy import of ``digest``: the fingerprint is still sha256
+GOLDEN_DIGEST = (
+    "7c2204f884231548544b37d504c514ef2b57e1ffb8b21bdd2de24dbc18c76938")
+
+
+def golden_store(variant: str):
+    store = make_store(variant)
+    store.write(0, b"superblock".ljust(512, b"."))
+    store.write(127, bytes(range(256)) * 4)  # across a chunk boundary
+    store.write(4096, bytes(512))  # explicit zeros: canonicalized away
+    store.write(5000, b"ab" * 512)
+    return store
+
+
+@pytest.mark.parametrize("variant", STORE_VARIANTS)
+def test_digest_is_the_golden_sha256(variant):
+    assert golden_store(variant).digest() == GOLDEN_DIGEST
+
+
 class TestSectorStore:
     def test_holes_read_as_zeros(self, store):
         assert store.read(100) == bytes(512)

@@ -1,6 +1,8 @@
 """fsck unit tests: clean images pass; synthetic damage is detected."""
 
 import struct
+import time
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.integrity import (
     fsck,
     repair,
 )
+from repro.integrity.fsck import Auditor
 from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 
 
@@ -42,6 +45,63 @@ def poke(m, daddr, offset, data):
     raw = bytearray(m.disk.storage.read(base + sector, 1))
     raw[within:within + len(data)] = data
     m.disk.storage.write(base + sector, bytes(raw))
+
+
+def set_size(m, ino, size):
+    geo = m.fs.geometry
+    poke(m, geo.inode_block_daddr(ino), geo.inode_offset_in_block(ino) + 8,
+         struct.pack("<Q", size))  # Dinode.size: after four 16-bit fields
+
+
+def holes(report):
+    return [e for e in report.errors if "has a hole" in e]
+
+
+class TestClaimedSize:
+    """A dinode's size is read from the image: a checker must cost what
+    the image's pointers hold, not what a torn size claims."""
+
+    def docs(self, m):
+        report = fsck(m.disk.storage, SMALL_GEOMETRY)
+        return next(ino for ino, din in report.inodes.items()
+                    if din.ftype is FileType.DIRECTORY and ino != ROOT_INO)
+
+    @pytest.mark.parametrize("blocks,hole", [
+        (2, "block 1"), (3, "blocks 1-2"), (14, "blocks 1-13")])
+    def test_a_run_of_holes_is_one_finding(self, blocks, hole):
+        m = build_populated_machine()
+        ino = self.docs(m)
+        set_size(m, ino, blocks * m.fs.geometry.block_size)
+        assert holes(fsck(m.disk.storage, SMALL_GEOMETRY)) == [
+            f"directory {ino} has a hole at {hole}"]
+
+    def test_a_two_to_the_forty_size_audits_in_what_the_image_holds(self):
+        m = build_populated_machine()
+        ino = self.docs(m)
+        report = fsck(m.disk.storage, SMALL_GEOMETRY)
+        regular = next(i for i, din in report.inodes.items()
+                       if din.ftype is FileType.REGULAR)
+        set_size(m, ino, 1 << 40)
+        set_size(m, regular, 1 << 40)
+        store = m.disk.storage
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            auditor = Auditor(SMALL_GEOMETRY)
+            audited = auditor.audit(store)
+            report = fsck(store, SMALL_GEOMETRY)
+            leaks = find_secret_leaks(store, SMALL_GEOMETRY, report)
+            elapsed = time.perf_counter() - start
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2^40 bytes claim the 12 + 2048 + 2048^2 blocks the pointers can
+        # address; every one past block 0 is a hole
+        assert holes(report) == holes(audited) == [
+            f"directory {ino} has a hole at blocks 1-4196363"]
+        assert leaks == []
+        assert elapsed < 1.0, elapsed
+        assert peak < 10 << 20, peak
 
 
 class TestCleanImages:

@@ -338,6 +338,7 @@ MESSAGES = [
     ("fragment 90 claimed by both inode 5 and inode 7 (rule 2 violated)",
      "double-alloc"),
     ("directory 2 has a hole at block 0", "dir-corrupt"),
+    ("directory 2 has a hole at blocks 1-13", "dir-corrupt"),
     ("directory 2 block 0 corrupt: bad reclen 3 at offset 0", "dir-corrupt"),
     ("directory 9: '.' points to 4", "dir-corrupt"),
     ("directory 9 missing '.' or '..'", "dir-corrupt"),

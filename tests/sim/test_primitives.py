@@ -55,12 +55,52 @@ class TestLock:
         eng.run_all([eng.process(worker(t, 0.1 * t)) for t in range(4)])
         assert order == [0, 1, 2, 3]
 
+    def test_handoff_to_three_waiters_is_fifo(self, eng):
+        lock = Lock(eng)
+        order = []
+
+        def holder():
+            yield from lock.acquire()
+            yield eng.timeout(1.0)
+            lock.release()
+
+        def waiter(tag):
+            yield from lock.acquire()
+            order.append((tag, eng.now))
+            lock.release()
+
+        eng.run_all([eng.process(holder())]
+                    + [eng.process(waiter(tag)) for tag in "abc"])
+        assert order == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+        assert not lock.locked and not lock._waiters
+
     def test_release_unlocked_raises(self, eng):
         with pytest.raises(RuntimeError):
             Lock(eng).release()
 
 
 class TestWaitQueue:
+    def test_broadcast_wakes_three_sleepers_fifo(self, eng):
+        """Woken in the order they slept; one that sleeps again at once
+        waits for the next broadcast, not this one."""
+        wq = WaitQueue(eng)
+        woken = []
+
+        def sleeper(tag):
+            yield wq.wait()
+            woken.append(tag)
+            yield wq.wait()
+            woken.append(tag.upper())
+
+        procs = [eng.process(sleeper(tag)) for tag in "abc"]
+        eng.run()
+        assert wq.broadcast() == 3
+        eng.run()
+        assert woken == ["a", "b", "c"] and len(wq) == 3
+        assert wq.broadcast() == 3
+        eng.run_all(procs)
+        assert woken == ["a", "b", "c", "A", "B", "C"] and len(wq) == 0
+
     def test_signal_wakes_one(self, eng):
         wq = WaitQueue(eng)
         woken = []
