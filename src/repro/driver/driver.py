@@ -5,10 +5,11 @@ device driver concatenates sequential requests" and no command queueing at
 the disk -- the driver dispatches one (possibly concatenated) operation at a
 time and schedules the rest while the drive works.
 
-Every completed request is appended to ``trace`` with issue/dispatch/complete
+Every completed request is recorded in ``trace`` with issue/dispatch/complete
 timestamps, mirroring the paper's instrumented driver (their 4 MB trace
 buffer); ``repro.harness.metrics`` summarises the trace into the statistics
-the tables and figures report.
+the tables and figures report.  Its rows are compact columns
+(:class:`~repro.driver.request.RequestTrace`), not the requests themselves.
 
 Dispatch selection is driven by an incremental **eligibility index** rather
 than a per-dispatch scan of the whole queue.  Under the ordering schemes the
@@ -53,7 +54,7 @@ from repro.sim.engine import Engine
 from repro.sim.primitives import WaitQueue
 from repro.disk.drive import Disk
 from repro.driver.ordering import OrderingPolicy
-from repro.driver.request import DiskRequest, IOKind
+from repro.driver.request import DiskRequest, IOKind, RequestTrace
 
 
 class DeviceDriver:
@@ -110,7 +111,7 @@ class DeviceDriver:
         self._waiters: dict[int, list[int]] = {}
         self._policy_held: list[int] = []
         #: completed requests, in completion order
-        self.trace: list[DiskRequest] = []
+        self.trace = RequestTrace()
         self.requests_issued = 0
         #: writes issued carrying the ordering flag, completed dispatch
         #: batches, and the deepest the pending queue has been
@@ -339,10 +340,9 @@ class DeviceDriver:
             done_at = self.engine.now
             for request in batch:
                 request.complete_time = done_at
-                # the payload is on the platters now; keeping it would make
-                # the trace hold the whole workload's bytes (paper-scale
-                # runs move hundreds of MB); the media log keeps the drive's
-                # record of the transfer
+                # the payload is on the platters now (the media log keeps
+                # the drive's record of the transfer): an issuer that holds
+                # on to its request does not hold its bytes
                 request.data = None
                 if request.is_write:
                     writes = self._writes
@@ -361,11 +361,13 @@ class DeviceDriver:
                 for callback in request.on_complete:
                     callback(request)
                 # release the callbacks too: their closures reference cache
-                # buffers, and the trace keeps requests for the whole run
+                # buffers, which an issuer holding the request would keep
                 request.on_complete = ()
                 request.done.succeed()
             # wake anyone waiting for queue drain / eligibility changes
             self._work.broadcast()
+            # idle, this frame keeps no request (nor payload): issuers own them
+            first = request = data = None
 
     def _service_retried(self, lbn: int, nsectors: int, is_write: bool,
                          data, batch: list[DiskRequest]):

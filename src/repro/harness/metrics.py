@@ -10,6 +10,8 @@ disk access / driver response times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import compress
+from operator import sub
 
 from repro.machine import Machine
 from repro.obs import snapshot
@@ -83,23 +85,24 @@ def collect(machine: Machine, users: list[Process], after_request_id: int,
     if users:
         result.elapsed = sum(result.user_elapsed) / len(users)
         result.cpu_time = sum(process.cpu_time for process in users)
-    window = [request for request in machine.driver.trace
-              if request.id > after_request_id]
-    result.disk_requests = len(window)
-    if window:
-        result.io_response_avg = (sum(r.response_time for r in window)
-                                  / len(window))
-        result.access_avg = sum(r.access_time for r in window) / len(window)
+    trace = machine.driver.trace
+    window = [ident > after_request_id for ident in trace.ids]
+    issued, dispatched, completed = (list(compress(column, window))
+                                     for column in trace.stamps)
+    count = result.disk_requests = len(issued)
+    if count:
+        result.io_response_avg = sum(map(sub, completed, issued)) / count
+        result.access_avg = sum(map(sub, completed, dispatched)) / count
         # queue wait is measured from the dispatch stamp, not inferred:
         # driver response = queue + service, per the field's definition.
         # (Requests reach the driver the instant they are issued in this
         # model, so this coincides with io_response_avg -- but computing it
         # from the stamps keeps the identity honest if an upper-level queue
         # ever delays issue.)
-        result.queue_avg = sum(r.queue_delay for r in window) / len(window)
+        result.queue_avg = sum(map(sub, dispatched, issued)) / count
         result.driver_response_avg = result.queue_avg + result.access_avg
-        result.reads = sum(1 for r in window if not r.is_write)
-        result.writes = len(window) - result.reads
+        result.writes = sum(compress(trace.writes, window))
+        result.reads = count - result.writes
     if machine.tracer is not None:
         # observed run: fold the named metrics into the extras so any of
         # them can be cited as a report column by name

@@ -178,7 +178,10 @@ class CrashPoint:
 
 def _enumerate_raw(recorded: RecordedRun,
                    samples_per_write: int) -> list[tuple[float, str]]:
-    """The full (unbudgeted) crash-point enumeration, in time order."""
+    """The full (unbudgeted) crash-point enumeration, window by window.  A
+    write's ``complete`` point is the ``end`` the drive stamped, before the
+    nominal ``complete_time`` when a fault cut the transfer short (its
+    mid-transfer cuts keep the nominal schedule; a sweep sorts by time)."""
     raw: list[tuple[float, str]] = []
     for wi, window in enumerate(recorded.windows):
         base = f"write {wi} (lbn {window.lbn}+{window.nsectors})"
@@ -193,7 +196,7 @@ def _enumerate_raw(recorded: RecordedRun,
                 raw.append((window.transfer_start
                             + (k + 0.5) * window.sector_period,
                             f"{base} after {k}/{span} sectors"))
-        raw.append((window.complete_time, f"{base} complete"))
+        raw.append((window.end, f"{base} complete"))
     return raw
 
 

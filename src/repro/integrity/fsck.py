@@ -54,8 +54,9 @@ incremental too: the claim table is the previous one minus the claims of
 the dinodes that changed plus their new claims, a phase whose inputs are
 all unchanged keeps its findings, and a finding is built again only when
 what it says changed (:class:`_Checker`).  Keys are bytes, not store
-chunks, because a crash-image store is rewritten in place.  :func:`fsck`
-is a one-audit :class:`Auditor`.
+chunks, because a crash-image store is rewritten in place.  Only an
+:class:`Auditor` keeps that state: :func:`fsck` audits once, holding one
+cylinder group's inode table at a time and no log of what it read.
 
 This is the repository's one structural checker: crash exploration audits
 a sweep's crash points through one :class:`Auditor` (and their repaired
@@ -486,8 +487,8 @@ class _Checker:
 
     *previous* is the checker of the audit before over the same layout
     (see :class:`Auditor`), or None.  Each phase takes from it whatever
-    the bytes it reads show to be unchanged and keeps, for the audit
-    after, exactly what it used:
+    the bytes it reads show to be unchanged and, if *keep* (an Auditor's
+    checker), keeps for the audit after exactly what it used:
 
     * phase 1 a cylinder group whose inode table (and the indirect blocks
       its dinodes' claim streams read) is unchanged, and otherwise each
@@ -509,11 +510,12 @@ class _Checker:
     """
 
     def __init__(self, image: SectorStore, geometry: FSGeometry,
-                 previous: _Checker | None = None) -> None:
+                 previous: _Checker | None = None, keep: bool = False) -> None:
         self.image = image
         self.geo = geometry
         self.report = FsckReport()
         self.previous = previous
+        self.keep = keep
         #: phase 1, one per cylinder group
         self.groups: list[_Group] = []
         #: fragment daddr -> the lowest inode claiming it
@@ -538,11 +540,6 @@ class _Checker:
         self.links: dict = {}
         #: phase 4, per cylinder group: (header, wanted bits, findings)
         self.bitmaps: list = []
-
-    def kept(self) -> _Checker:
-        """This checker, holding only what the next audit may reuse."""
-        self.image = self.previous = None
-        return self
 
     # -- phase 1: inodes and block claims ------------------------------------
     def scan_inodes(self) -> None:
@@ -584,7 +581,7 @@ class _Checker:
                     or scanned.indirect and not self.unchanged(scanned)):
                 scanned = self.decode_inode(ino, record)
             inodes[ino] = scanned
-        return _Group(geo, cg, table, inodes)
+        return _Group(geo, cg, table if self.keep else None, inodes)
 
     def unchanged(self, scanned: _Inode) -> bool:
         """Whether the indirect blocks *scanned*'s claim stream read still
@@ -595,8 +592,10 @@ class _Checker:
                    for daddr, raw in scanned.indirect)
 
     def decode_inode(self, ino: int, record: bytes) -> _Inode:
-        """The dinode in *record* and its claim stream."""
+        """The dinode in *record* and its claim stream (and, if kept, the
+        bytes they were read from)."""
         din = Dinode.unpack(record)
+        record = record if self.keep else None
         ftype = din.safe_ftype
         if ftype is None:
             # neither its pointers nor its blocks mean anything
@@ -604,9 +603,9 @@ class _Checker:
                 "integrity-error",
                 f"inode {ino} mode {din.mode:#06x} unparseable")], [], False)
         indirect: list = []
-        return _Inode(record, din, inode_claim_ops(self.image, self.geo, ino,
-                                                   din, indirect),
-                      indirect, ftype is FileType.DIRECTORY)
+        ops = inode_claim_ops(self.image, self.geo, ino, din, indirect)
+        return _Inode(record, din, ops, indirect if self.keep else [],
+                      ftype is FileType.DIRECTORY)
 
     def update_claims(self, previous: _Checker, left: list,
                       joined: list) -> None:
@@ -695,7 +694,8 @@ class _Checker:
                     events = kept[2]
                 else:
                     events = directory_events(self.geo, ino, din, blocks)
-                self.directories[ino] = (din.size, blocks, events)
+                if self.keep:
+                    self.directories[ino] = (din.size, blocks, events)
                 dirs.append((ino, events))
         if (previous is not None and previous.dirs == dirs
                 and previous.report.inodes.keys()
@@ -769,7 +769,8 @@ class _Checker:
                     header, geo, cg,
                     int.from_bytes(self.claimed[cg], "little"),
                     group.wanted, self.owner, old[2] if old else None)
-            self.bitmaps.append((header, group.wanted, found))
+            if self.keep:
+                self.bitmaps.append((header, group.wanted, found))
             self.report.findings += found.values()
 
 
@@ -881,7 +882,8 @@ def repair(image: SectorStore, geometry: FSGeometry | None = None,
         view.free_inodes = geo.ipg - wanted.bit_count()
         image.write(geo.cg_base(cg) * spf, bytes(raw))
 
-    return (auditor or Auditor(geometry)).audit(image)
+    return (auditor.audit(image) if auditor is not None
+            else fsck(image, geometry))
 
 
 class _ReadLog:
@@ -912,15 +914,17 @@ class _ReadLog:
 class Auditor:
     """fsck over a stream of images of one file system.
 
-    :meth:`audit` returns exactly what :func:`fsck` returns for the image.
-    An audit is a function of the bytes it reads, so an image that holds
-    the previous audit's bytes at every range it read -- superblock, log,
-    inode tables, directory and indirect blocks, group headers -- gets the
-    previous report back.  Otherwise the audit reuses each result of the
-    previous one whose bytes have not changed (module docstring).  Results
-    the audit does not meet again are dropped, so it holds one image's
-    worth of them.  A report, its containers and its ``Dinode`` objects
-    may be shared with the next report: read-only.
+    :meth:`audit` returns exactly what :func:`fsck` returns for the image,
+    and keeps what :func:`fsck` does not: every range it read and the
+    checker's reusable results.  An audit is a function of the bytes it
+    reads, so an image that holds the previous audit's bytes at every range
+    it read -- superblock, log, inode tables, directory and indirect
+    blocks, group headers -- gets the previous report back.  Otherwise the
+    audit reuses each result of the previous one whose bytes have not
+    changed (module docstring).  Results the audit does not meet again are
+    dropped, so it holds one image's worth of them.  A report, its
+    containers and its ``Dinode`` objects may be shared with the next
+    report: read-only.
     """
 
     def __init__(self, geometry: FSGeometry | None = None) -> None:
@@ -945,42 +949,55 @@ class Auditor:
         # an audit that raises leaves nothing half-updated behind
         previous, self._checker, self._reads = self._checker, None, None
         log = _ReadLog(image)
-        self._report, self._checker = self._audit(log, previous)
+        self._report, self._checker = _audit(log, self.geometry, previous,
+                                             keep=True)
         self._reads, self._disk = log.reads, image.geometry
         return self._report
 
-    def _audit(self, image: _ReadLog, previous: _Checker | None
-               ) -> tuple[FsckReport, _Checker | None]:
-        try:
-            superblock = Superblock.unpack(read_image_frags(
-                image, self.geometry, self.geometry.superblock_daddr, 1))
-        except ValueError as exc:
-            return FsckReport([finding("fs-unreadable",
-                                       f"superblock unreadable: {exc}")]), None
-        geo = superblock.geometry
-        if previous is not None and geo == previous.geo:
-            geo = previous.geo  # its derived sizes are already computed
-        else:
-            previous = None
-        # a journaling image is audited in its *recovered* state: the raw
-        # image with the committed log written home (itself for
-        # journal-less layouts)
-        scan = scan_log(image, geo)
+
+def _audit(image: SectorStore | _ReadLog, where: FSGeometry,
+           previous: _Checker | None = None, keep: bool = False
+           ) -> tuple[FsckReport, _Checker | None]:
+    """One audit of *image* (the superblock looked for where *where* says):
+    the report and, if *keep* (*image* is an Auditor's :class:`_ReadLog`),
+    the checker holding what a next audit may reuse (None: start cold)."""
+    try:
+        superblock = Superblock.unpack(read_image_frags(
+            image, where, where.superblock_daddr, 1))
+    except ValueError as exc:
+        return FsckReport([finding("fs-unreadable",
+                                   f"superblock unreadable: {exc}")]), None
+    geo = superblock.geometry
+    if previous is not None and geo == previous.geo:
+        geo = previous.geo  # its derived sizes are already computed
+    else:
+        previous = None
+    # a journaling image is audited in its *recovered* state: the raw
+    # image with the committed log written home (itself for journal-less
+    # layouts)
+    scan = scan_log(image, geo)
+    if keep:
         image.recovered = recovered_image(image.base, geo, scan)
-        checker = _Checker(image, geo, previous)
-        checker.report.journal = scan
-        checker.scan_inodes()
-        if ROOT_INO in checker.report.inodes:
-            checker.scan_directories()
-            checker.check_links()
-            checker.check_bitmaps()
-        else:
-            checker.report.findings.append(
-                finding("fs-unreadable", "root inode missing"))
-        return checker.report, checker.kept()
+    else:
+        image = recovered_image(image, geo, scan)
+    checker = _Checker(image, geo, previous, keep)
+    checker.report.journal = scan
+    checker.scan_inodes()
+    if ROOT_INO in checker.report.inodes:
+        checker.scan_directories()
+        checker.check_links()
+        checker.check_bitmaps()
+    else:
+        checker.report.findings.append(
+            finding("fs-unreadable", "root inode missing"))
+    if not keep:
+        return checker.report, None
+    checker.image = checker.previous = None  # only what a next audit reuses
+    return checker.report, checker
 
 
 def fsck(image: SectorStore,
          geometry: FSGeometry | None = None) -> FsckReport:
-    """Audit *image*; returns the :class:`FsckReport`."""
-    return Auditor(geometry).audit(image)
+    """Audit *image* once: the :class:`FsckReport` an :class:`Auditor`
+    gives, with nothing kept for a next audit."""
+    return _audit(image, geometry or FSGeometry())[0]

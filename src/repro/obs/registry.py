@@ -42,17 +42,17 @@ def _decision(name: str) -> tuple:
 
 def _completed(is_write: bool) -> Callable:
     """Completed requests of one direction, off the driver's trace."""
-    return lambda m: sum(request.is_write is is_write
-                         for request in m.driver.trace)
+    return lambda m: m.driver.trace.writes.count(is_write)
 
 
 def _queue_wait(m: "Machine") -> tuple:
     # summed left to right, in completion order, like every other total
     # here (the builtin sum() compensates on some Python versions)
+    issued, dispatched, _ = m.driver.trace.stamps
     total = 0.0
-    for request in m.driver.trace:
-        total += request.queue_delay
-    return len(m.driver.trace), total
+    for issue, dispatch in zip(issued, dispatched):
+        total += dispatch - issue
+    return len(issued), total
 
 
 #: ``(name, getter(machine))`` in reporting order.  The order is the

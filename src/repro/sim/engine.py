@@ -282,10 +282,6 @@ class Engine:
         """
         self._dispatch(_INF, _Finished(process), max_events)
 
-    def run_all(self, events: list[Event], max_events: Optional[int] = None) -> list[Any]:
-        """Run until every event in *events* has fired; return their values."""
-        return [self.run_until(event, max_events=max_events) for event in events]
-
     # -- introspection -----------------------------------------------------
     @property
     def pending_events(self) -> int:

@@ -54,7 +54,8 @@ class TestGetblkBread:
             rig.cache.brelse(buf)
 
         procs = [eng.process(holder()), eng.process(contender())]
-        eng.run_all(procs)
+        for proc in procs:
+            eng.run_until(proc)
         assert order == [("hold", 0.0), ("got", 1.0)]
 
     def test_grow_for_fragment_extension(self, rig):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.disk import Disk
 from repro.driver import ChainsPolicy, DeviceDriver, FlagPolicy, FlagSemantics, IOKind
+from repro.driver.request import CompletedRequest
 from repro.sim import Engine
 
 
@@ -27,7 +28,9 @@ def test_single_write_completes_and_persists(eng):
     eng.run_until(req.done)
     assert driver.disk.storage.read(100) == b"\x42" * 512
     assert req.complete_time > req.issue_time >= 0
-    assert driver.trace == [req]
+    # the trace keeps one read-only row per request, field for field
+    assert list(driver.trace) == [
+        tuple(getattr(req, name) for name in CompletedRequest._fields)]
 
 
 def test_misaligned_write_is_refused_at_issue(eng):

@@ -31,9 +31,9 @@ def test_log_holds_each_window_once_and_trace_stays_flat():
     log = MediaLog()
     disk.write_observers.append(log.entries.append)
     payloads = churn_writes(eng, driver, count=50)
-    # the driver trace keeps zero payload bytes ...
-    assert sum(len(r.data) for r in driver.trace
-               if r.data is not None) == 0
+    # the driver trace keeps zero payload bytes (a row has no payload) ...
+    assert len(driver.trace) == 50
+    assert not any(hasattr(row, "data") for row in driver.trace)
     # ... while the log holds exactly the media write volume, once:
     # one entry per media operation, payload stored by reference
     assert sum(entry.durable for entry in log.entries) \

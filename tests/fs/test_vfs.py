@@ -317,7 +317,8 @@ class TestConcurrency:
 
         procs = [m.engine.process(worker(u), name=f"user{u}")
                  for u in range(3)]
-        results = m.engine.run_all(procs, max_events=20_000_000)
+        results = [m.engine.run_until(proc, max_events=20_000_000)
+                   for proc in procs]
         assert results == [20000, 20000, 20000]
 
     def test_parallel_users_same_directory(self, safe_scheme_machine):
@@ -329,7 +330,8 @@ class TestConcurrency:
             return True
 
         procs = [m.engine.process(worker(u)) for u in range(4)]
-        assert all(m.engine.run_all(procs, max_events=20_000_000))
+        assert all([m.engine.run_until(proc, max_events=20_000_000)
+                    for proc in procs])
 
         names = run_user(m, m.fs.readdir("/"))
         assert len(names) == 20

@@ -2,9 +2,80 @@
 
 import pytest
 
+from repro.driver import DeviceDriver
 from repro.harness.metrics import RunResult, collect
 from repro.harness.report import format_series, format_table
+from repro.harness.runner import run_copy, standard_scheme_config
+from repro.obs import snapshot
+from repro.workloads.trees import TreeSpec
 from tests.conftest import make_machine, run_user
+
+TINY_TREE = TreeSpec(files=16, total_bytes=128 * 1024, dirs=3)
+
+
+def capture_completions(monkeypatch, done):
+    """Append ``(id, is_write, issue, dispatch, complete)`` of every
+    request any driver issues to *done*, from the request's own
+    ``on_complete`` hook: in completion order."""
+    issue = DeviceDriver.issue
+
+    def hooked(*args, **kwargs):
+        request = issue(*args, **kwargs)
+        request.on_complete.append(lambda r: done.append(
+            (r.id, r.is_write, r.issue_time, r.dispatch_time,
+             r.complete_time)))
+        return request
+
+    monkeypatch.setattr(DeviceDriver, "issue", hooked)
+
+
+def reference_fold(done, after):
+    """What ``collect`` reports of the requests issued after *after*,
+    folded over the requests themselves."""
+    window = [request for request in done if request[0] > after]
+    count = len(window)
+    queue = sum(dispatch - issue for _i, _w, issue, dispatch, _c in window)
+    access = sum(end - dispatch for _i, _w, _s, dispatch, end in window)
+    reads = sum(1 for request in window if not request[1])
+    return {"disk_requests": count,
+            "io_response_avg": sum(end - issue for _i, _w, issue, _d, end
+                                   in window) / count,
+            "access_avg": access / count, "queue_avg": queue / count,
+            "driver_response_avg": queue / count + access / count,
+            "reads": reads, "writes": count - reads}
+
+
+class TestTraceFolds:
+    """``collect`` and the registry read the trace's columns; every mean
+    they report must be the same float the requests themselves give."""
+
+    @pytest.mark.parametrize("scheme", ["Scheduler Chains", "Journaling"])
+    def test_collect_and_registry_equal_a_fold_over_the_requests(
+            self, scheme, monkeypatch):
+        done = []
+        machines = []
+        capture_completions(monkeypatch, done)
+        result = run_copy(standard_scheme_config(scheme), users=2,
+                          tree=TINY_TREE, seed=5, on_machine=machines.append)
+        machine, = machines
+        last = machine.driver.last_issued_id
+        assert len(done) == len(machine.driver.trace) == last
+        mark = last - result.disk_requests  # the copy's own window
+        for after in (mark, 0, last // 2):
+            got = collect(machine, [], after)
+            want = reference_fold(done, after)
+            assert {name: getattr(got, name) for name in want} == want
+        assert {name: getattr(result, name) for name in want} \
+            == reference_fold(done, mark)
+        metrics = snapshot(machine)
+        queue = 0.0
+        for _i, _w, issue, dispatch, _c in done:
+            queue += dispatch - issue
+        writes = sum(1 for request in done if request[1])
+        assert (metrics["driver.reads"], metrics["driver.writes"]) == (
+            len(done) - writes, writes)
+        assert (metrics["driver.queue_wait.count"],
+                metrics["driver.queue_wait.sum"]) == (len(done), queue)
 
 
 class TestCollect:
@@ -36,7 +107,8 @@ class TestCollect:
             yield from machine.fs.write_file("/c", b"c" * 10000)
 
         procs = [machine.engine.process(worker(), name="a")]
-        machine.engine.run_all(procs, max_events=5_000_000)
+        for proc in procs:
+            machine.engine.run_until(proc, max_events=5_000_000)
         result = collect(machine, procs, 0)
         assert result.cpu_time == pytest.approx(procs[0].cpu_time)
 

@@ -98,6 +98,23 @@ class TestEnumeration:
                                         max_points=None)
         assert [(p.time, p.label) for p in points] == want
 
+    def test_a_torn_writes_complete_point_sits_at_its_end(self):
+        """A faulted transfer stops at the failing sector: its ``complete``
+        point is the instant the drive stamped, not the nominal one."""
+        machine = build_machine("softupdates", fault_profile="transient",
+                                fault_seed=3)
+        recorded = record_run(machine,
+                              build_workload(machine, "microbench", 0, None))
+        torn = [(wi, window) for wi, window in enumerate(recorded.windows)
+                if window.end < window.complete_time]
+        assert torn, "the fault plan must tear a write"
+        points = {point.label: point.time for point in enumerate_crash_points(
+            recorded, samples_per_write=2, max_points=None)}
+        for wi, window in torn:
+            assert window.durable < window.nsectors
+            label = f"write {wi} (lbn {window.lbn}+{window.nsectors}) complete"
+            assert points[label] == window.end
+
     def test_budget_sampling_is_deterministic(self):
         machine = build_machine("conventional")
         recorded = record_run(machine,

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.fs.layout import ROOT_INO, Dinode, FileType
+from repro.fs.layout import ROOT_INO, Dinode, FileType, FSGeometry
 from repro.integrity import (
     Severity,
     classify_report,
@@ -102,6 +102,24 @@ class TestClaimedSize:
         assert leaks == []
         assert elapsed < 1.0, elapsed
         assert peak < 10 << 20, peak
+
+
+class TestOneShot:
+    def test_a_one_shot_audit_keeps_nothing_for_a_next_one(self):
+        """``fsck`` is one audit: it holds one cylinder group's inode table
+        at a time and no read log (3.4 MB when it kept an Auditor's reuse
+        state: every table and every range read)."""
+        m = make_machine("noorder", geometry=FSGeometry())
+        store = m.disk.storage
+        tracemalloc.start()
+        try:
+            report = fsck(store)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.clean and len(report.inodes) == 1
+        assert report == Auditor().audit(store)
+        assert peak <= 1 << 20, peak
 
 
 class TestCleanImages:

@@ -60,10 +60,7 @@ def driver_trace_digest(machine) -> str:
                        request.nsectors, request.flag,
                        sorted(request.depends_on), request.issuer,
                        request.issue_time, request.dispatch_time,
-                       request.complete_time,
-                       None if request.data is None
-                       else hashlib.sha256(request.data).hexdigest()
-                       )).encode())
+                       request.complete_time, request.error)).encode())
     return h.hexdigest()
 
 

@@ -149,7 +149,8 @@ class TestEvent:
 
         procs = [eng.process(waiter(i)) for i in range(3)]
         ev.succeed("x")
-        eng.run_all(procs)
+        for proc in procs:
+            eng.run_until(proc)
         assert sorted(results) == [(0, "x"), (1, "x"), (2, "x")]
 
 

@@ -33,7 +33,8 @@ class TestLock:
             trace.append(("exit", tag, eng.now))
             lock.release()
 
-        eng.run_all([eng.process(worker(i)) for i in range(3)])
+        for proc in [eng.process(worker(i)) for i in range(3)]:
+            eng.run_until(proc)
         # critical sections must not overlap
         assert trace == [
             ("enter", 0, 0.0), ("exit", 0, 1.0),
@@ -52,7 +53,8 @@ class TestLock:
             yield eng.timeout(10.0)
             lock.release()
 
-        eng.run_all([eng.process(worker(t, 0.1 * t)) for t in range(4)])
+        for proc in [eng.process(worker(t, 0.1 * t)) for t in range(4)]:
+            eng.run_until(proc)
         assert order == [0, 1, 2, 3]
 
     def test_handoff_to_three_waiters_is_fifo(self, eng):
@@ -69,8 +71,9 @@ class TestLock:
             order.append((tag, eng.now))
             lock.release()
 
-        eng.run_all([eng.process(holder())]
-                    + [eng.process(waiter(tag)) for tag in "abc"])
+        for proc in ([eng.process(holder())]
+                     + [eng.process(waiter(tag)) for tag in "abc"]):
+            eng.run_until(proc)
         assert order == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
         assert not lock.locked and not lock._waiters
 
@@ -98,7 +101,8 @@ class TestWaitQueue:
         eng.run()
         assert woken == ["a", "b", "c"] and len(wq) == 3
         assert wq.broadcast() == 3
-        eng.run_all(procs)
+        for proc in procs:
+            eng.run_until(proc)
         assert woken == ["a", "b", "c", "A", "B", "C"] and len(wq) == 0
 
     def test_signal_wakes_one(self, eng):
@@ -115,7 +119,8 @@ class TestWaitQueue:
         eng.run()
         assert woken == [0]
         assert wq.broadcast() == 2
-        eng.run_all(procs)
+        for proc in procs:
+            eng.run_until(proc)
         assert woken == [0, 1, 2]
 
     def test_signal_empty_returns_false(self, eng):
@@ -142,7 +147,8 @@ class TestCPU:
             yield from cpu.compute(0.050)
 
         procs = [eng.process(worker()) for _ in range(2)]
-        eng.run_all(procs)
+        for proc in procs:
+            eng.run_until(proc)
         assert eng.now == pytest.approx(0.100)
 
     def test_quantum_interleaves_fairly(self, eng):
@@ -153,8 +159,9 @@ class TestCPU:
             yield from cpu.compute(amount)
             finish[tag] = eng.now
 
-        eng.run_all([eng.process(worker("long", 0.100)),
-                     eng.process(worker("short", 0.010))])
+        for proc in [eng.process(worker("long", 0.100)),
+                     eng.process(worker("short", 0.010))]:
+            eng.run_until(proc)
         # the short job must not wait for the whole long job
         assert finish["short"] < 0.100
 

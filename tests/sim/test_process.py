@@ -98,7 +98,8 @@ def test_two_processes_interleave(eng):
             log.append((eng.now, tag))
 
     procs = [eng.process(ticker("a", 1.0)), eng.process(ticker("b", 1.5))]
-    eng.run_all(procs)
+    for proc in procs:
+        eng.run_until(proc)
     # at t=3.0 both fire; b's timeout was enqueued first (at t=1.5) so FIFO
     # ordering resumes b first
     assert log == [(1.0, "a"), (1.5, "b"), (2.0, "a"), (3.0, "b"),
