@@ -55,9 +55,19 @@ class TestRecording:
 
 class TestEnumeration:
     def test_boundaries_and_partials_enumerated(self):
-        machine = build_machine("conventional")
-        recorded = record_run(machine,
-                              build_workload(machine, "microbench", 0, 8))
+        # the second recording is the benchmark's transient crash-sweep
+        # cell: a fault stops two 2-sector writes after their first sector,
+        # before the nominal instant of their "after 1/2 sectors" cut
+        for machine, ops in ((build_machine("conventional"), 8),
+                             (build_machine("softupdates",
+                                            fault_profile="transient",
+                                            fault_seed=1), 128)):
+            recorded = record_run(
+                machine, build_workload(machine, "microbench", 0, ops))
+            self.assert_boundaries_and_partials_enumerated(recorded)
+
+    @staticmethod
+    def assert_boundaries_and_partials_enumerated(recorded):
         points = enumerate_crash_points(recorded, samples_per_write=2,
                                         max_points=None)
         labels = [p.label for p in points]
@@ -71,6 +81,11 @@ class TestEnumeration:
         assert starts == completes == len(recorded.windows)
         times = [p.time for p in points]
         assert times == sorted(times)
+        # every point lies in its own window
+        for point in points:
+            window = recorded.windows[int(point.label.split()[1])]
+            assert window.transfer_start <= point.time <= window.end, \
+                point.label
 
     @pytest.mark.parametrize("scheme", ["conventional", "chains",
                                         "softupdates", "journal", "nvram"])
