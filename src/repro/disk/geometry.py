@@ -64,17 +64,6 @@ class DiskGeometry:
         """Return ``(cylinder, head, sector)`` for *lbn*."""
         return self.cylinder_of(lbn), self.head_of(lbn), self.sector_of(lbn)
 
-    def lbn_of(self, cylinder: int, head: int, sector: int) -> int:
-        """Inverse of :meth:`decompose`."""
-        if not (0 <= cylinder < self.cylinders):
-            raise ValueError(f"cylinder {cylinder} out of range")
-        if not (0 <= head < self.heads):
-            raise ValueError(f"head {head} out of range")
-        if not (0 <= sector < self.sectors_per_track):
-            raise ValueError(f"sector {sector} out of range")
-        return (cylinder * self.sectors_per_cylinder
-                + head * self.sectors_per_track + sector)
-
     def _check(self, lbn: int) -> None:
         if not (0 <= lbn < self.total_sectors):
             raise ValueError(f"LBN {lbn} outside disk (0..{self.total_sectors - 1})")

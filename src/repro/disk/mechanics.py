@@ -87,9 +87,3 @@ class DiskParameters:
     def bus_time(self, geometry: DiskGeometry, nsectors: int) -> float:
         """Bus transfer time (cache-hit reads move at bus speed)."""
         return nsectors * geometry.sector_size / self.bus_bandwidth
-
-    def average_seek_time(self, geometry: DiskGeometry) -> float:
-        """Mean seek time over uniformly random cylinder pairs (reporting aid)."""
-        span = geometry.cylinders
-        # E[distance] for two uniform picks on [0, span) is span/3.
-        return self.seek_time(0, span // 3)

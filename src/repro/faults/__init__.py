@@ -131,12 +131,6 @@ class FaultPlan:
     #: reassignment pool; when dry, defective writes fail with ``nospare``
     spares: int = 1024
 
-    @property
-    def any_faults(self) -> bool:
-        return any((self.transient_read_rate, self.transient_write_rate,
-                    self.torn_write_rate, self.timeout_rate,
-                    self.grown_defect_rate, self.latent_defect_rate))
-
     def build(self) -> "FaultInjector":
         return FaultInjector(self)
 

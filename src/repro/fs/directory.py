@@ -109,12 +109,6 @@ def iter_records(data: bytes | bytearray, base_offset: int = 0
                 f"bad {bad} at offset {base_offset + offset}")
 
 
-def iter_entries(data: bytes | bytearray,
-                 base_offset: int = 0) -> Iterator[DirEntry]:
-    """:func:`iter_records`, as :class:`DirEntry` objects."""
-    return (DirEntry(*record) for record in iter_records(data, base_offset))
-
-
 def lookup(data: bytes | bytearray, name: str,
            base_offset: int = 0) -> tuple[Optional[DirEntry], int]:
     """Find *name*; returns (entry or None, records scanned) for CPU costing."""

@@ -148,10 +148,6 @@ class FSGeometry:
         """Pointers per indirect block."""
         return self.block_size // 4
 
-    @cached_property
-    def max_file_blocks(self) -> int:
-        return self.NDADDR + self.nindir + self.nindir * self.nindir
-
     # -- cylinder group addressing ------------------------------------------
     def cg_base(self, cg: int) -> int:
         """Fragment address of cylinder group *cg*'s header."""

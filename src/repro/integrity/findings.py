@@ -35,10 +35,6 @@ class CrashFinding:
     #: violations the scheme's declaration does not permit
     unexpected: tuple[Violation, ...]
 
-    @property
-    def corrupted(self) -> bool:
-        return any(v.severity is Severity.CORRUPTION for v in self.violations)
-
 
 @dataclass
 class ExplorationReport:

@@ -15,9 +15,9 @@ records -- one per write media operation, carrying the payload (stored
 exactly once -- the driver trace drops its copy at completion), the
 transfer window geometry, the *actual* simulated completion instant
 ``end`` and the sector-prefix length ``durable`` that persisted.  It is
-the one record of the media: the crash explorer synthesizes its images
-from it and the ordering monitor
-(:func:`repro.integrity.monitor.monitor_violations`) walks it.
+the one record of the media, and :func:`audited_images` is its one walk:
+the crash explorer's points and the ordering monitor's commits
+(:mod:`repro.integrity.monitor`) are instants of it.
 
 :class:`ImageSynthesizer` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of
@@ -34,12 +34,17 @@ Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
 scheme's ``on_survivor`` observer.  Synthesis replays it to *t* and
 writes what is left over the image; nothing else in ``src/`` recovers it.
 
-:class:`ImageSynthesizer` serves a sweep's crash points in time order, so
-the image is built *incrementally* -- each point applies only the sectors
-committed since the previous point instead of re-applying the whole log.
+:func:`audited_images` serves instants in time order through one
+:class:`ImageSynthesizer`, so the image is built *incrementally* -- each
+instant applies only the sectors committed since the previous one instead
+of re-applying the whole log -- and audits each image once.
 """
 
 from __future__ import annotations
+
+from heapq import merge
+from itertools import groupby
+from operator import itemgetter
 
 from repro.disk.drive import InFlightWrite
 from repro.disk.storage import SectorStore
@@ -161,3 +166,17 @@ class ImageSynthesizer:
             cursor += 1
         self._survivor_cursor = cursor
         return mirror
+
+
+def audited_images(base: SectorStore, log: MediaLog, auditor, *streams):
+    """``(tag, image, report)`` for each ``(time, tag)`` of the time-sorted
+    *streams*, merged (stably): one synthesizer pass, one ``auditor.audit``
+    per distinct time (``-inf`` is the base image).  An image is read-only
+    and valid until the walk moves on (``ImageSynthesizer.image_at``)."""
+    synthesizer = ImageSynthesizer(base, log)
+    instants = merge(*streams, key=itemgetter(0))
+    for when, group in groupby(instants, key=itemgetter(0)):
+        image = synthesizer.image_at(when)
+        report = auditor.audit(image)
+        for _when, tag in group:
+            yield tag, image, report

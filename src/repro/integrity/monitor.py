@@ -4,19 +4,20 @@ The paper's schemes promise that metadata writes reach the platters in an
 order that keeps the image recoverable at every instant.  Crash
 exploration checks this at a sweep of sampled crash points.  The monitor
 (in the spirit of SquirrelFS, arxiv 2406.09649) checks it at *every*
-instant the media changes: :func:`monitor_violations` is a pass over a
-recording's media log that audits, with one
-:class:`repro.integrity.fsck.Auditor`, the base image and the image
-:class:`~repro.integrity.medialog.ImageSynthesizer` rebuilds at the end of
-every durable write.  Each error the previous audit did not report is one
-typed :class:`OrderingViolation`, carrying fsck's message verbatim and
-naming the rule, the offending write window (lbn + sectors) and the
-simulated instant.  There is one structural checker in the repository and
-the monitor is a caller of it; there is one record of the media too, the
-log, and the monitor reads the bytes from it.  The price is one audit per
-durable commit that re-decodes only the records the commit changed, plus
-the cross-inode replay over the whole image (docs/consistency-monitor.md,
-"Cost").
+instant the media changes, the base image and every durable write's end
+(:func:`commits`).  :func:`judge_commits` is a fold over the one walk of
+the media log (:func:`repro.integrity.medialog.audited_images`), which
+audits each image with one :class:`repro.integrity.fsck.Auditor`;
+:func:`monitor_violations` walks the commits alone, and a ``--monitor``
+sweep merges them with its crash points, so a shared instant is audited
+once.  Each error the previous audit did not report is one typed
+:class:`OrderingViolation`, carrying fsck's message verbatim and naming
+the rule, the offending write window (lbn + sectors) and the simulated
+instant.  There is one structural checker and the monitor is a caller of
+it; there is one record of the media, the log, and one walk of it.  The
+price is one audit per durable commit that re-decodes only the records
+the commit changed, plus the cross-inode replay over the whole image
+(docs/consistency-monitor.md, "Cost").
 
 The rule catalogue (:data:`RULES`) is the paper's three ordering rules
 plus the structural soundness they protect; the rule of a new error is the
@@ -60,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.integrity.fsck import Auditor
-from repro.integrity.medialog import ImageSynthesizer
+from repro.integrity.medialog import audited_images
 from repro.ordering.guarantees import SAFE_DEFAULT, CrashGuarantees
 
 #: rule key -> what it protects
@@ -113,30 +114,20 @@ class OrderingViolation:
                 f"{self.rule}: {self.message}{flag}")
 
 
-def _media_states(recorded):
-    """``(write, image)`` for the base image (``write`` None) and after
-    every durable write, in media order.  A write whose pass left nothing
-    on the platters (a transient fault) is no new state."""
-    yield None, recorded.base_image
-    synthesizer = ImageSynthesizer(recorded.base_image, recorded.media_log)
+def commits(recorded):
+    """``(time, write)``: the base image (``-inf``, None), then every
+    durable write's end in media order (a transient's pass is no state)."""
+    yield float("-inf"), None
     for write in recorded.media_log.entries:
         if write.durable:
-            yield write, synthesizer.image_at(write.end)
+            yield write.end, write
 
 
-def monitor_violations(recorded, geometry,
-                       guarantees: CrashGuarantees = SAFE_DEFAULT
-                       ) -> list[OrderingViolation]:
-    """fsck at every durable commit of *recorded*, diffed against the
-    commit before.
-
-    *recorded* is a :class:`~repro.harness.recording.RecordedRun`,
-    *geometry* the file system's :class:`~repro.fs.layout.FSGeometry` and
-    *guarantees* the scheme's declaration.  Whatever is already wrong
-    with the base image is reported in the placeholder window ``lbn -1``.
-    """
-    spf = geometry.frag_size // recorded.base_image.geometry.sector_size
-    auditor = Auditor(geometry)
+def judge_commits(states, geometry,
+                  guarantees: CrashGuarantees) -> list[OrderingViolation]:
+    """The per-commit diff over the walk's ``(write, image, report)`` at
+    each of :func:`commits`; what is wrong with the base image is reported
+    in the placeholder window ``lbn -1``."""
     violations: list[OrderingViolation] = []
     errors = allocated = frozenset()
     # the head transaction's not-yet-committed images in the previous
@@ -144,11 +135,12 @@ def monitor_violations(recorded, geometry,
     # breach of it
     journal_open: dict[int, bytes] = {}
     early: set[int] = set()
-    for write, image in _media_states(recorded):
+    for write, image, report in states:
         window = ((0.0, -1, 0) if write is None
                   else (write.end, write.lbn, write.nsectors))
         fired = []
         if write is not None and journal_open:
+            spf = geometry.frag_size // image.geometry.sector_size
             for frag in range(write.lbn // spf,
                               (write.lbn + write.durable - 1) // spf + 1):
                 want = journal_open.get(frag)
@@ -159,7 +151,6 @@ def monitor_violations(recorded, geometry,
                         "journal-checkpoint-order",
                         f"fragment {frag} checkpointed home before its "
                         f"transaction's commit record is durable"))
-        report = auditor.audit(image)
         found = dict.fromkeys(finding for finding in report.findings
                               if finding.is_corruption)
         for finding in found:
@@ -180,3 +171,17 @@ def monitor_violations(recorded, geometry,
             rule, message, *window, expected=guarantees.allows_corruption)
             for rule, message in fired]
     return violations
+
+
+def monitor_violations(recorded, geometry,
+                       guarantees: CrashGuarantees = SAFE_DEFAULT
+                       ) -> list[OrderingViolation]:
+    """fsck at every durable commit of *recorded* (a
+    :class:`~repro.harness.recording.RecordedRun`), diffed against the
+    commit before: :func:`judge_commits` over the walk of :func:`commits`.
+    *geometry* is the file system's :class:`~repro.fs.layout.FSGeometry`,
+    *guarantees* the scheme's declaration."""
+    return judge_commits(
+        audited_images(recorded.base_image, recorded.media_log,
+                       Auditor(geometry), commits(recorded)),
+        geometry, guarantees)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, Timeout
 
@@ -135,10 +135,6 @@ class Engine:
         from repro.sim.process import Process
 
         return Process(self, generator, name=name)
-
-    def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after *delay* simulated seconds (no process)."""
-        Timeout(self, delay).callbacks.append(lambda _event: fn(*args))
 
     def _advance_in_place(self, when: float, events: int = 1) -> bool:
         """Run the caller's next *events* dispatches, up to *when*, in place.

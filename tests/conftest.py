@@ -6,6 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.costs import CostModel
+from repro.fs.directory import DirEntry, iter_records
 from repro.fs.layout import FSGeometry
 from repro.machine import Machine, MachineConfig
 from repro.ordering import (
@@ -15,7 +16,7 @@ from repro.ordering import (
     SchedulerFlagScheme,
     SoftUpdatesScheme,
 )
-from repro.sim import Engine, Event
+from repro.sim import Engine, Event, Timeout
 from repro.sim.cpu import CPUSlice
 
 #: a small file system: 2 cylinder groups, 256 inodes each, 2 MB data each
@@ -68,6 +69,16 @@ def run_user(machine, generator, name="user", max_events=5_000_000):
 
 def _refuse_in_place(self, when, events=1):
     return False
+
+
+def call_later(engine, delay, fn, *args):
+    """Run ``fn(*args)`` after *delay* simulated seconds (no process)."""
+    Timeout(engine, delay).callbacks.append(lambda _event: fn(*args))
+
+
+def iter_entries(data, base_offset=0):
+    """A directory block's records, as :class:`DirEntry` objects."""
+    return (DirEntry(*record) for record in iter_records(data, base_offset))
 
 
 @contextmanager

@@ -167,10 +167,10 @@ def _sweep_digests(scheme, workload, ops, points, fault_profile, base_of):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Auditor, "audit", digesting_audit)
-        findings = explorer._verify(
+        findings, _ = explorer._verify(
             base_of(recorded), recorded.media_log,
             machine.config.fs_geometry, True, True,
-            machine.scheme.crash_guarantees, points)
+            machine.scheme.crash_guarantees, points, ())
     return findings, digests
 
 

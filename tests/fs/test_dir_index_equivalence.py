@@ -22,7 +22,7 @@ from repro.integrity.fsck import fsck
 from repro.machine import Machine, MachineConfig
 from repro.ordering.registry import REGISTRY
 
-from tests.conftest import SMALL_GEOMETRY
+from tests.conftest import SMALL_GEOMETRY, iter_entries
 
 #: few enough names that re-adds, collisions and full blocks all happen;
 #: lengths from 1 to 57 bytes, one of them multi-byte
@@ -61,7 +61,7 @@ def test_any_interleaving_matches_the_linear_functions(chunks, prefilled, ops):
     live = d.build_index(bytearray(ref))
     assert_mirrors(live, ref)
     for op, pick in ops:
-        alive = [e for e in d.iter_entries(ref) if e.live]
+        alive = [e for e in iter_entries(ref) if e.live]
         if op == "add":
             name = NAMES[pick % len(NAMES)]
             ino, ftype = 100 + pick, FTYPES[pick % 2]

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from repro.fs import directory as d
 from repro.fs.layout import FileType
 
+from tests.conftest import iter_entries
+
 
 def fresh_dir(frag=1024):
     data = bytearray(d.new_dir_contents(2, 2))
@@ -16,18 +18,18 @@ def fresh_dir(frag=1024):
 
 class TestFormat:
     def test_new_dir_has_dot_and_dotdot(self):
-        entries = [e for e in d.iter_entries(fresh_dir()) if e.live]
+        entries = [e for e in iter_entries(fresh_dir()) if e.live]
         assert [(e.name, e.ino) for e in entries] == [(".", 2), ("..", 2)]
 
     def test_empty_chunk_has_one_dead_entry(self):
-        entries = list(d.iter_entries(d.empty_chunk()))
+        entries = list(iter_entries(d.empty_chunk()))
         assert len(entries) == 1
         assert not entries[0].live
         assert entries[0].reclen == d.DIRBLKSIZ
 
     def test_unaligned_data_rejected(self):
         with pytest.raises(ValueError):
-            list(d.iter_entries(b"\x00" * 100))
+            list(iter_entries(b"\x00" * 100))
 
 
 class TestAddLookup:
@@ -44,7 +46,7 @@ class TestAddLookup:
         data = fresh_dir()
         entry, scanned = d.lookup(data, "absent")
         assert entry is None
-        assert scanned == len(list(d.iter_entries(data)))
+        assert scanned == len(list(iter_entries(data)))
 
     def test_fills_up_and_returns_none(self):
         data = bytearray(d.empty_chunk())
@@ -80,9 +82,9 @@ class TestRemove:
     def test_remove_chunk_head_zeroes_ino(self):
         chunk = bytearray(d.format_chunk([(7, "head", FileType.REGULAR),
                                           (8, "tail", FileType.REGULAR)]))
-        head = next(iter(d.iter_entries(chunk)))
+        head = next(iter(iter_entries(chunk)))
         d.remove_entry(chunk, head.offset)
-        assert next(iter(d.iter_entries(chunk))).ino == 0
+        assert next(iter(iter_entries(chunk))).ino == 0
         entry, _ = d.lookup(chunk, "tail")
         assert entry.ino == 8
 
@@ -117,7 +119,7 @@ class TestCorruption:
     def test_raises_corrupt_directory(self, at, value, what):
         chunk = self.damaged(at, value)
         with pytest.raises(d.CorruptDirectory, match=what):
-            list(d.iter_entries(chunk))
+            list(iter_entries(chunk))
         assert d.build_index(chunk) is None
         with pytest.raises(d.CorruptDirectory):
             d.lookup(chunk, "b")
@@ -128,7 +130,7 @@ class TestCorruption:
         chunk = bytearray(d.format_chunk([(7, "a", FileType.REGULAR)]))
         d.remove_entry(chunk, 0)
         chunk[7] = 3
-        entry, = d.iter_entries(chunk)
+        entry, = iter_entries(chunk)
         assert (entry.live, entry.ftype) == (False, FileType.NONE)
 
 

@@ -97,7 +97,8 @@ class TestSparseFiles:
 
         def user():
             handle = yield from m.fs.create("/huge")
-            handle.offset = geo.max_file_blocks * geo.block_size + 1
+            max_blocks = geo.NDADDR + geo.nindir + geo.nindir ** 2
+            handle.offset = max_blocks * geo.block_size + 1
             yield from m.fs.write(handle, b"x")
 
         from repro.sim import ProcessCrashed

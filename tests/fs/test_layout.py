@@ -56,7 +56,7 @@ class TestGeometry:
         derived = ("frags_per_block", "inodes_per_block",
                    "inode_blocks_per_cg", "cg_frags", "cg_start",
                    "superblock_daddr", "journal_start", "total_frags",
-                   "total_inodes", "nindir", "max_file_blocks")
+                   "total_inodes", "nindir")
         warm = {name: getattr(geo, name) for name in derived}
         fresh = FSGeometry()
         assert geo == fresh and hash(geo) == hash(fresh)

@@ -82,10 +82,11 @@ def replay_finding(scheme, workload, seed, ops, point, secrets=False,
     machine = replay_machine(scheme, workload, seed, ops, point.time,
                              secrets=secrets, **kwargs)
     geometry = machine.config.fs_geometry
-    return classify_image(crash_image(machine), Auditor(geometry), secrets,
-                          Auditor(geometry) if verify_repair else None,
-                          machine.scheme.crash_guarantees,
-                          point.index, point.time, point.label)
+    image = crash_image(machine)
+    repairs = Auditor(geometry) if verify_repair else None
+    return classify_image(image, Auditor(geometry).audit(image), geometry,
+                          secrets, repairs, machine.scheme.crash_guarantees,
+                          point)
 
 
 def replay_findings(scheme, workload="microbench", seed=0, ops=None,

@@ -27,7 +27,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fs import directory, journal
+from repro.fs import journal
 from repro.fs.alloc import CgView
 from repro.fs.layout import INODE_SIZE, ROOT_INO, FileType
 from repro.fs.superblock import Superblock
@@ -41,7 +41,7 @@ from repro.integrity.explorer import (
 )
 from repro.integrity.fsck import Auditor, fsck, scan_log
 from repro.integrity.medialog import ImageSynthesizer
-from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.conftest import SMALL_GEOMETRY, iter_entries, make_machine, run_user
 from tests.integrity.test_fsck import build_populated_machine, poke
 from tests.integrity.test_fsck_equivalence import SWEEP_SCHEMES
 
@@ -97,7 +97,7 @@ def _dangle_an_entry(m, report):
     root = m.fs.geometry.cg_data_start(0)
     spf = m.fs.geometry.frag_size // 512
     raw = m.disk.storage.read(root * spf, 8 * spf)
-    entry = next(e for e in directory.iter_entries(raw) if e.name == "top")
+    entry = next(e for e in iter_entries(raw) if e.name == "top")
     poke(m, root, entry.offset, struct.pack("<I", 99))
     return "dangling-entry"
 

@@ -15,7 +15,7 @@ from repro.integrity import (
     repair,
 )
 from repro.integrity.fsck import Auditor
-from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.conftest import SMALL_GEOMETRY, iter_entries, make_machine, run_user
 
 
 def build_populated_machine(scheme="noorder"):
@@ -165,9 +165,8 @@ class TestDamageDetection:
         geo = m.fs.geometry
         root_daddr = geo.cg_data_start(0)
         # find 'top' entry offset in the root block and point it at a free ino
-        from repro.fs import directory
         raw = frag_bytes(m, root_daddr)
-        entry = next(e for e in directory.iter_entries(raw)
+        entry = next(e for e in iter_entries(raw)
                      if e.name == "top")
         poke(m, root_daddr, entry.offset, struct.pack("<I", 99))
         report = fsck(m.disk.storage, SMALL_GEOMETRY)
@@ -216,8 +215,7 @@ class TestDamageDetection:
                                                            what):
         m = build_populated_machine()
         root_daddr = m.fs.geometry.cg_data_start(0)
-        from repro.fs import directory
-        entry = next(e for e in directory.iter_entries(frag_bytes(m, root_daddr))
+        entry = next(e for e in iter_entries(frag_bytes(m, root_daddr))
                      if e.name == "docs")
         poke(m, root_daddr, entry.offset + field, bytes([value]))
         report = fsck(m.disk.storage, SMALL_GEOMETRY)

@@ -16,12 +16,11 @@ import struct
 
 import pytest
 
-from repro.fs import directory
 from repro.fs.alloc import CgView
 from repro.fs.layout import ROOT_INO
 from repro.integrity import INVARIANTS, Severity, fsck, repair
 from repro.integrity.invariants import finding, invariant_by_key
-from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
+from tests.conftest import SMALL_GEOMETRY, iter_entries, make_machine, run_user
 from tests.integrity import reference_classify
 
 SPF = SMALL_GEOMETRY.frag_size // 512
@@ -89,7 +88,7 @@ def root_entry(m, before, name):
     """The root directory's block and its live entry called *name*."""
     root_blk = before.inodes[ROOT_INO].direct[0]
     raw = read_block(m.disk.storage, root_blk)
-    entry = next(e for e in directory.iter_entries(raw)
+    entry = next(e for e in iter_entries(raw)
                  if e.live and e.name == name)
     return root_blk, raw, entry
 

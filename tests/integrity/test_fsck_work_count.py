@@ -88,8 +88,9 @@ def test_a_sweep_decodes_only_the_dinodes_its_writes_changed(monkeypatch):
     real = Dinode.unpack.__func__
     monkeypatch.setattr(Dinode, "unpack", classmethod(
         lambda cls, raw: (unpacked.append(1), real(cls, raw))[1]))
-    findings = _verify(recorded.base_image, recorded.media_log, geometry,
-                       False, False, machine.scheme.crash_guarantees, points)
+    findings, _ = _verify(recorded.base_image, recorded.media_log, geometry,
+                          False, False, machine.scheme.crash_guarantees,
+                          points, ())
 
     assert len(findings) == len(points) > 50
     assert 0 < len(unpacked) <= per_point // 2, (len(unpacked), per_point)

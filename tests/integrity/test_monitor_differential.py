@@ -16,13 +16,17 @@ sweep's fsck must see the same corruption on the media, and the report
 must refuse to exit 0.  A monitor that never fires, or fires with the
 wrong rule, fails here -- this is the test of the tests.
 
-**One checker, one record.**  The monitor *is* fsck run on the image the
-media log synthesizes at every durable commit end, so the two verifiers
-share their predicates and their bytes by construction.  A census keeps
-it that way: ``integrity/monitor.py`` is a *caller* of fsck (no second
-checker), and it neither copies the image nor watches the drive (no
-second record of the media); under ``src/`` only the drive and the
-recording runner name ``write_observers``.
+**One checker, one record, one walk.**  The monitor *is* fsck run on the
+image the media log synthesizes at every durable commit end, so the two
+verifiers share their predicates and their bytes by construction; in a
+``--monitor`` sweep they share the walk itself: one synthesizer and one
+auditor serve the crash points and the commits, and the merged walk
+judges the commits exactly as the standalone monitor does.  A census
+keeps it that way: ``integrity/monitor.py`` is a *caller* of fsck (no
+second checker), and it neither copies the image, builds one nor watches
+the drive (no second record of the media); under ``src/`` only the drive
+and the recording runner name ``write_observers``, and only
+``integrity/medialog.py`` constructs an ``ImageSynthesizer``.
 
 Tier-1 runs budgeted sweeps; ``-m slow`` runs the full crash-point
 sweeps the weekly CI job is about.
@@ -33,9 +37,11 @@ import pathlib
 
 import pytest
 
-from repro.integrity import monitor as monitor_module
-from repro.integrity.explorer import explore
-from repro.integrity.monitor import RULES
+from repro.harness.recording import record_run
+from repro.integrity import medialog, monitor as monitor_module
+from repro.integrity.explorer import build_machine, build_workload, explore
+from repro.integrity.fsck import Auditor
+from repro.integrity.monitor import RULES, commits, monitor_violations
 from repro.ordering.registry import REGISTRY
 from repro.ordering.shims import SHIMS
 
@@ -164,6 +170,64 @@ class TestOnlineEqualsPostCrash:
                         for path in src.rglob("*.py")
                         if "write_observers" in path.read_text())
         assert naming == ["disk/drive.py", "harness/recording.py"]
+
+    def test_only_the_media_log_builds_an_image_synthesizer(self):
+        source = pathlib.Path(monitor_module.__file__).read_text()
+        assert "ImageSynthesizer" not in source
+        src = pathlib.Path(monitor_module.__file__).parents[2]
+        building = sorted(
+            str(path.relative_to(src / "repro"))
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "ImageSynthesizer")
+        assert building == ["integrity/medialog.py"]
+
+    @pytest.mark.parametrize("scheme, workload, profile", [
+        ("journal", "microbench", None),      # the checkpoint rule
+        ("nvram", "churn", None),             # the mirror in the image
+        ("shim-rule3", "remove", None),       # a firing rule
+        ("softupdates", "microbench", "transient")])
+    def test_the_merged_walk_equals_the_standalone_monitor(
+            self, scheme, workload, profile):
+        report = sweep(scheme, workload, profile)
+        machine = build_machine(scheme, fault_profile=profile, fault_seed=3)
+        recorded = record_run(machine,
+                              build_workload(machine, workload, 0, None))
+        assert report.monitor_violations == tuple(monitor_violations(
+            recorded, machine.config.fs_geometry,
+            machine.scheme.crash_guarantees))
+        if scheme.startswith("shim"):
+            assert report.monitor_violations
+
+    @pytest.mark.parametrize("monitor", [False, True])
+    def test_a_sweep_synthesizes_each_instant_once(
+            self, monkeypatch, monitor):
+        built, instants = [], []
+        real_init = medialog.ImageSynthesizer.__init__
+        real_image_at = medialog.ImageSynthesizer.image_at
+        real_auditor = Auditor.__init__
+        monkeypatch.setattr(medialog.ImageSynthesizer, "__init__",
+                            lambda synth, *args: (built.append("synth"),
+                                                  real_init(synth, *args))[1])
+        monkeypatch.setattr(medialog.ImageSynthesizer, "image_at",
+                            lambda synth, at: (instants.append(at),
+                                               real_image_at(synth, at))[1])
+        monkeypatch.setattr(Auditor, "__init__",
+                            lambda auditor, *args: (built.append("auditor"),
+                                                    real_auditor(auditor,
+                                                                 *args))[1])
+        report = explore("softupdates", "microbench", max_points=None,
+                         monitor=monitor, verify_repair=True)
+        # one synthesizer, the crash-image auditor and the repair auditor
+        assert sorted(built) == ["auditor", "auditor", "synth"]
+        machine = build_machine("softupdates")
+        recorded = record_run(machine,
+                              build_workload(machine, "microbench", 0, None))
+        want = {finding.crash_time for finding in report.findings}
+        if monitor:
+            want |= {when for when, _write in commits(recorded)}
+        assert instants == sorted(want)
 
 
 @pytest.mark.slow

@@ -13,6 +13,8 @@ import pytest
 
 from repro.sim import CPU, Engine, ProcessCrashed
 
+from tests.conftest import call_later
+
 BAD = [float("inf"), float("nan"), -1.0, float("-inf")]
 
 
@@ -48,7 +50,7 @@ def test_engine_delays_refuse(schedule, delay):
     eng = Engine()
     with pytest.raises(ValueError, match="finite and non-negative"):
         if schedule == "call_later":
-            eng.call_later(delay, lambda: None)
+            call_later(eng, delay, lambda: None)
         else:
             getattr(eng, schedule)(delay)
     assert eng.now == 0.0 and not eng.pending_events
@@ -60,10 +62,10 @@ def test_a_refused_delay_leaves_the_order_of_the_rest_alone():
     eng = Engine()
     fired = []
     for delay in (3.0, 1.0):
-        eng.call_later(delay, lambda d=delay: fired.append((d, eng.now)))
+        call_later(eng, delay, lambda d=delay: fired.append((d, eng.now)))
     with pytest.raises(ValueError):
         eng.timeout(float("nan"))
-    eng.call_later(2.0, lambda: fired.append((2.0, eng.now)))
+    call_later(eng, 2.0, lambda: fired.append((2.0, eng.now)))
     eng.run()
     assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
     assert eng.now == 3.0

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 
+from tests.conftest import call_later
+
 
 @pytest.fixture
 def eng():
@@ -26,16 +28,16 @@ class TestClock:
 
     def test_events_fire_in_time_order(self, eng):
         order = []
-        eng.call_later(3.0, order.append, "c")
-        eng.call_later(1.0, order.append, "a")
-        eng.call_later(2.0, order.append, "b")
+        call_later(eng, 3.0, order.append, "c")
+        call_later(eng, 1.0, order.append, "a")
+        call_later(eng, 2.0, order.append, "b")
         eng.run()
         assert order == ["a", "b", "c"]
 
     def test_same_time_events_fire_fifo(self, eng):
         order = []
         for tag in range(5):
-            eng.call_later(1.0, order.append, tag)
+            call_later(eng, 1.0, order.append, tag)
         eng.run()
         assert order == [0, 1, 2, 3, 4]
 
@@ -61,7 +63,7 @@ class TestClock:
             engine = Engine()
             order = []
             for delay in (1.0, 3.0, 3.0, 8.0):
-                engine.call_later(delay, order.append, delay)
+                call_later(engine, delay, order.append, delay)
             return engine, order
 
         a, seen_a = make()
@@ -101,7 +103,7 @@ class TestEvent:
             return got
 
         proc = eng.process(waiter())
-        eng.call_later(1.0, ev.succeed, 42)
+        call_later(eng, 1.0, ev.succeed, 42)
         assert eng.run_until(proc) == 42
 
     def test_double_trigger_rejected(self, eng):
@@ -119,7 +121,7 @@ class TestEvent:
             return "handled"
 
         proc = eng.process(waiter())
-        eng.call_later(0.5, ev.fail, ValueError("boom"))
+        call_later(eng, 0.5, ev.fail, ValueError("boom"))
         assert eng.run_until(proc) == "handled"
 
     def test_fail_requires_exception(self, eng):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.sim import CPU, Engine, Lock, SimulationError, Timeout
 
-from tests.conftest import heap_only, recording_dispatches
+from tests.conftest import call_later, heap_only, recording_dispatches
 
 FAR = 1e9
 
@@ -266,7 +266,7 @@ def _two_sleepers():
 
     eng.process(sleeper("first", 0.5))
     eng.process(sleeper("second", 1.0))
-    eng.call_later(2.0, gate.succeed)
+    call_later(eng, 2.0, gate.succeed)
     eng.run(until=10.0)
     return held, woke
 

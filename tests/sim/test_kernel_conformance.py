@@ -18,7 +18,7 @@ import pytest
 import repro.sim.engine
 from repro.sim import Engine, SimulationError
 
-from tests.conftest import recording_dispatches
+from tests.conftest import call_later, recording_dispatches
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def scripted_run():
     for index in range(3):
         eng.process(waiter(f"w{index}"), name=f"w{index}")
     for delay in (2.0, 2.0, 2.0, 4.25):
-        eng.call_later(delay, lambda d=delay: trace.append(
+        call_later(eng, delay, lambda d=delay: trace.append(
             ("timer", d, eng.now)))
     eng.timeout(2.5)   # bare timeout: scheduled, never awaited
     eng.timeout(10.0)  # bare timeout landing after everything else
@@ -116,7 +116,7 @@ class TestScriptedEquivalence:
         eng = Engine()
         trace = []
         for delay in (3.0, 1.0, 2.0, 2.0, 1.0):
-            eng.call_later(delay, lambda d=delay: trace.append((d, eng.now)))
+            call_later(eng, delay, lambda d=delay: trace.append((d, eng.now)))
         steps = 0
         while eng.pending_events:
             upcoming = eng._heap[0][0]
@@ -134,7 +134,7 @@ class TestBasicSemantics:
         eng = Engine()
         order = []
         for tag in range(8):
-            eng.call_later(1.0, order.append, tag)
+            call_later(eng, 1.0, order.append, tag)
         eng.run()
         assert order == list(range(8))
 
@@ -195,7 +195,7 @@ class TestClockLeaveSemantics:
         eng = Engine()
         seen = []
         for delay in (1.0, 4.0, 4.0, 9.0):
-            eng.call_later(delay, seen.append, delay)
+            call_later(eng, delay, seen.append, delay)
         eng.run(until=4.0)
         assert seen == [1.0, 4.0, 4.0]
         assert eng.now == 4.0
@@ -206,7 +206,7 @@ class TestClockLeaveSemantics:
             eng = Engine()
             seen = []
             for delay in (1.0, 3.0, 3.0, 8.0):
-                eng.call_later(delay, seen.append, delay)
+                call_later(eng, delay, seen.append, delay)
             return eng, seen
 
         a, seen_a = build()

@@ -20,13 +20,15 @@ import pytest
 
 from repro.sim import Engine, SimulationError
 
+from tests.conftest import call_later
+
 
 class TestMaxEventsBudget:
     def test_budget_dispatches_exactly_n_then_raises(self):
         eng = Engine()
         seen = []
         for tag in range(10):
-            eng.call_later(float(tag), seen.append, tag)
+            call_later(eng, float(tag), seen.append, tag)
         with pytest.raises(SimulationError, match="max_events=5"):
             eng.run(max_events=5)
         # the old loops dispatched a 6th event before noticing
@@ -37,7 +39,7 @@ class TestMaxEventsBudget:
         eng = Engine()
         seen = []
         for tag in range(5):
-            eng.call_later(float(tag), seen.append, tag)
+            call_later(eng, float(tag), seen.append, tag)
         eng.run(max_events=5)  # the old guard raised here
         assert seen == [0, 1, 2, 3, 4]
         assert eng.pending_events == 0
@@ -46,7 +48,7 @@ class TestMaxEventsBudget:
         eng = Engine()
         seen = []
         for tag in range(6):
-            eng.call_later(1.0, seen.append, tag)
+            call_later(eng, 1.0, seen.append, tag)
         with pytest.raises(SimulationError, match="max_events=3"):
             eng.run_to(2.0, max_events=3)
         assert seen == [0, 1, 2]
@@ -54,7 +56,7 @@ class TestMaxEventsBudget:
         eng = Engine()
         seen = []
         for tag in range(3):
-            eng.call_later(1.0, seen.append, tag)
+            call_later(eng, 1.0, seen.append, tag)
         eng.run_to(2.0, max_events=3)
         assert seen == [0, 1, 2]
         assert eng.now == 2.0
@@ -133,7 +135,7 @@ class TestLateCallbackDelivery:
             return "done"
 
         proc = eng.process(worker())
-        eng.call_later(1.0, lambda: ev._add_callback(
+        call_later(eng, 1.0, lambda: ev._add_callback(
             lambda e: seen.append(e.value)))
         assert eng.run_until(proc) == "done"
         assert seen == ["v"]
