@@ -48,7 +48,8 @@ def test_ext_recovery_cost(once):
                     warnings += len(report.warnings)
                     errors += len(report.errors)
                     # image_at hands back the synthesizer's own store
-                    after = repair(image.snapshot(), SMALL_GEOMETRY)
+                    after = repair(image.snapshot(), report,
+                                   SMALL_GEOMETRY)
                     repaired_clean += int(after.clean
                                           and not after.warnings)
                     trials += 1

@@ -137,6 +137,20 @@ class CgView:
         return int.from_bytes(self.data[base:base + (count + 7) // 8],
                               "little") & ((1 << count) - 1)
 
+    def store_bitmaps(self, inodes: int, frags: int) -> None:
+        """Store both bitmaps whole, as :meth:`inode_bits` and
+        :meth:`frag_bits` read them (the bits past each count are kept),
+        and the free counts they leave."""
+        geo = self.geometry
+        for at, count, bits in ((self._ibm_at, geo.ipg, inodes),
+                                (self._fbm_at, geo.dfrags_per_cg, frags)):
+            end = at + (count + 7) // 8
+            past = int.from_bytes(self.data[at:end], "little") >> count
+            self.data[at:end] = (past << count | bits).to_bytes(end - at,
+                                                                "little")
+        self.free_inodes = geo.ipg - inodes.bit_count()
+        self.free_frags = geo.dfrags_per_cg - frags.bit_count()
+
     # -- inode bitmap -----------------------------------------------------------
     def inode_bits(self) -> int:
         return self._bits(self._ibm_at, self.geometry.ipg)

@@ -276,20 +276,17 @@ def _images(txn: Transaction, frag_size: int) -> dict[int, bytes]:
     return images
 
 
-def replay_into(read_frag: ReadFrag,
+def replay_into(result: ScanResult,
                 write_frag: Callable[[int, bytes], None],
-                geometry: FSGeometry) -> ScanResult:
-    """Physically apply the recovered overlay and retire the whole log.
+                geometry: FSGeometry) -> None:
+    """Physically apply *result*, the :func:`scan_journal` of the log, and
+    retire the whole log.
 
     The header is rewritten with the tail *past* the head sequence, so a
     later scan (or a remount) finds an empty log -- replay is a one-shot.
     """
-    result = scan_journal(read_frag, geometry)
-    if not geometry.journal_frags:
-        return result
     for frag in sorted(result.overlay):
         write_frag(frag, result.overlay[frag])
     write_frag(geometry.journal_start,
                header_bytes(geometry.frag_size, result.head_seq + 1,
                             result.head_pos))
-    return result

@@ -49,15 +49,13 @@ def mkfs(disk: Disk, geometry: FSGeometry | None = None) -> Superblock:
     for cg in range(geometry.ncg):
         header = bytearray(geometry.block_size)
         view = CgView.initialize(header, cg, geometry)
-        view.free_inodes = geometry.ipg
-        view.free_frags = geometry.dfrags_per_cg
         if cg == 0:
-            # burn inodes 0 and 1, allocate the root inode (2)
-            for index in range(3):
-                view.set_inode(index, True)
-            # root directory data: the first full block of cg 0's data area
+            # burn inodes 0 and 1, allocate the root inode (2) and the root
+            # directory's data: the first full block of cg 0's data area
             # (directories always occupy whole blocks in this implementation)
-            view.set_frags(0, geometry.frags_per_block, True)
+            view.store_bitmaps(0b111, (1 << geometry.frags_per_block) - 1)
+        else:
+            view.store_bitmaps(0, 0)
         write_frags(geometry.cg_base(cg), bytes(header))
 
     # root directory contents and inode

@@ -255,7 +255,7 @@ def classify_image(image, report, geometry: FSGeometry, secrets: bool,
     if repairs is not None and not verdict.errors:
         # the paper's recovery story: every error-free image must come out
         # of classic fsck repair fully consistent
-        residue = repair(image.snapshot(), geometry, repairs).verdict(
+        residue = repair(image.snapshot(), report, geometry, repairs).verdict(
             guarantees).violations
         if residue:
             broken = finding("unrepairable",

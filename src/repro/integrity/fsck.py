@@ -62,13 +62,16 @@ This is the repository's one structural checker: crash exploration audits
 a sweep's crash points through one :class:`Auditor` (and their repaired
 images through a second), the ordering monitor
 (:mod:`repro.integrity.monitor`) each durable commit of a recording
-through another.
+through another.  Its readers decode nothing again: :func:`repair` fixes
+an image from the report of its audit (log scan included), as the
+stale-data walk (:func:`repro.integrity.secrets.find_secret_leaks`) reads
+the report's inode table.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.disk.storage import SectorStore
 from repro.fs import directory, journal
@@ -106,6 +109,9 @@ class FsckReport:
     #: without a journal area): its overlay and the head transaction's
     #: not-yet-committed images
     journal: journal.ScanResult | None = None
+    #: per cylinder group, the bits of the data fragments the inodes claim
+    #: (bit ``daddr - geo.cg_data_start(cg)``); empty if phase 4 never ran
+    claimed: list[int] = field(default_factory=list)
     #: the last :meth:`verdict`, kept: an :class:`Auditor` hands an
     #: unchanged image its previous report, and that judgement with it
     _verdict: Verdict | None = field(default=None, init=False, repr=False,
@@ -763,12 +769,13 @@ class _Checker:
             old = before[cg] if before else None
             if (old is not None and not self.dirty[cg] and old[0] == header
                     and old[1] == group.wanted):
-                found = old[2]
+                claimed, found = self.previous.report.claimed[cg], old[2]
             else:
-                found = cg_bitmap_findings(
-                    header, geo, cg,
-                    int.from_bytes(self.claimed[cg], "little"),
-                    group.wanted, self.owner, old[2] if old else None)
+                claimed = int.from_bytes(self.claimed[cg], "little")
+                found = cg_bitmap_findings(header, geo, cg, claimed,
+                                           group.wanted, self.owner,
+                                           old[2] if old else None)
+            self.report.claimed.append(claimed)
             if self.keep:
                 self.bitmaps.append((header, group.wanted, found))
             self.report.findings += found.values()
@@ -787,52 +794,55 @@ def _link_finding(key) -> Violation:
                    f"references {refs} (fsck repairs)")
 
 
-def repair(image: SectorStore, geometry: FSGeometry | None = None,
+def repair(image: SectorStore, report: FsckReport,
+           geometry: FSGeometry | None = None,
            auditor: Auditor | None = None) -> FsckReport:
-    """Repair an image in place (warnings only); returns the re-audit,
-    made by *auditor* (default: a one-shot :func:`fsck`).
+    """Repair *image* in place from *report*, the caller's audit of those
+    bytes; returns the re-audit, made by *auditor* (default: a one-shot
+    :func:`fsck`).
 
-    Implements classic fsck's mechanical fixes for the inconsistencies the
-    paper's safe schemes deliberately allow: link counts are rewritten to
-    the observed reference counts, referenced-but-free bitmap bits are
-    re-marked, unreferenced used bits are released, and orphaned inodes are
-    cleared with their blocks returned to the free pool.  Images with true
-    integrity *errors* are not repairable; callers should check
-    :func:`fsck` first (nothing here audits before it writes: an unreadable
-    superblock is ``Superblock.unpack``'s ``ValueError``).
+    Classic fsck's mechanical fixes, for the inconsistencies the paper's
+    safe schemes allow: the audit's log scan is written home and the log
+    retired, link counts are set to the references, orphans are cleared
+    and each group's bitmaps are written once, from what the survivors
+    claim.  Only the orphans' claim walks read the image.  What preen mode
+    (``fsck -p``) would not fix is a ``ValueError``: an unreadable
+    superblock, a missing root (no references were counted) or a fragment
+    claimed twice.  Other errors are left as they are: the explorer
+    repairs only error-free images.
     """
     geometry = geometry or FSGeometry()
     geo = Superblock.unpack(read_image_frags(
         image, geometry, geometry.superblock_daddr, 1)).geometry
+    inodes, references = report.inodes, report.references
+    if ROOT_INO not in inodes:
+        raise ValueError("root inode missing: no references were counted")
+    for found in report.findings:
+        if found.key == "double-alloc":
+            raise ValueError(f"not preen-repairable: {found.message}")
     spf = geo.frag_size // image.geometry.sector_size
-    if geo.journal_frags:
-        # recovery proper: physically replay the committed log and retire
-        # it, so the repairs below operate on the recovered image and the
-        # repaired image mounts with an empty log
-        journal.replay_into(
-            lambda daddr, n: image.read(daddr * spf, n * spf),
-            lambda daddr, data: image.write(daddr * spf, data),
-            geo)
-    checker = _Checker(image, geo)
-    checker.scan_inodes()
-    checker.scan_directories()
+    if report.journal is not None:
+        # recovery proper, so the repaired image mounts with an empty log
+        journal.replay_into(report.journal, lambda daddr, data: image.write(
+            daddr * spf, data), geo)
 
     # orphan detection cascades: clearing an unreferenced directory removes
     # its entries, which can orphan its children (and drops the '..'
     # reference it contributed to its parent's link count)
     orphans: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for ino in checker.report.inodes:
-            if ino == ROOT_INO or ino in orphans:
-                continue
-            live_refs = [dir_ino for dir_ino, _name
-                         in checker.report.references.get(ino, [])
-                         if dir_ino not in orphans]
-            if not live_refs:
-                orphans.add(ino)
-                changed = True
+    while more := {ino for ino in inodes.keys() - orphans if ino != ROOT_INO
+                   and all(at in orphans for at, _name
+                           in references.get(ino, ()))}:
+        orphans |= more
+
+    # the claimed bits minus the orphans' claims, each an orphan's alone
+    claimed = list(report.claimed)
+    for ino in orphans:
+        if inodes[ino].safe_ftype is not None:  # else the audit walked none
+            for daddr in inode_claim_ops(image, geo, ino, inodes[ino], []):
+                if type(daddr) is int:
+                    cg = (daddr - geo.cg_start) // geo.cg_frags
+                    claimed[cg] &= ~(1 << daddr - geo.cg_data_start(cg))
 
     def write_inode(ino: int, din: Dinode) -> None:
         daddr = geo.inode_block_daddr(ino)
@@ -842,46 +852,24 @@ def repair(image: SectorStore, geometry: FSGeometry | None = None,
         block[at:at + INODE_SIZE] = din.pack()
         image.write(daddr * spf, bytes(block))
 
-    # fix link counts (counting only references that survive the orphan
-    # sweep); clear orphans
-    for ino, din in checker.report.inodes.items():
+    # clear orphans; set link counts to the references that survive the
+    # cascade.  The report's dinodes may be shared: a changed one is a copy
+    used = [0] * geo.ncg
+    used[0] = (1 << ROOT_INO) - 1  # the burned inodes
+    for ino, din in inodes.items():
         if ino in orphans:
             write_inode(ino, Dinode())
             continue
-        refs = sum(1 for dir_ino, _name
-                   in checker.report.references.get(ino, [])
-                   if dir_ino not in orphans)
-        if din.safe_ftype is FileType.DIRECTORY:
-            refs += 1
+        used[ino // geo.ipg] |= 1 << ino % geo.ipg
+        refs = (sum(at not in orphans for at, _name in references.get(ino, ()))
+                + (din.safe_ftype is FileType.DIRECTORY))
         if din.nlink != refs:
-            din.nlink = refs
-            write_inode(ino, din)
-
-    # rebuild the bitmaps from the surviving (non-orphan) claims and
-    # inodes: diff the wanted bits against the stored ones, flip those
-    claims: list[list[int]] = [[] for _cg in range(geo.ncg)]
-    for daddr, owner in checker.owner.items():
-        if owner not in orphans:
-            # a claim is a valid data fragment: its group is arithmetic
-            claims[(daddr - geo.cg_start) // geo.cg_frags].append(daddr)
-    for cg, group in enumerate(checker.groups):
-        raw = bytearray(image.read(geo.cg_base(cg) * spf,
-                                   geo.frags_per_block * spf))
-        view = CgView(raw, geo)
-        base, first = geo.cg_data_start(cg), cg * geo.ipg
-        wanted = bits_of([daddr - base for daddr in claims[cg]],
-                         geo.dfrags_per_cg)
-        for index in set_bits(view.frag_bits() ^ wanted):
-            view.set_frags(index, 1, bool(wanted >> index & 1))
-        view.free_frags = geo.dfrags_per_cg - wanted.bit_count()
-        burned = range(ROOT_INO) if cg == 0 else ()
-        wanted = bits_of([*burned, *(ino - first for ino in group.inodes
-                                     if ino not in orphans)], geo.ipg)
-        for index in set_bits(view.inode_bits() ^ wanted):
-            view.set_inode(index, bool(wanted >> index & 1))
-        view.free_inodes = geo.ipg - wanted.bit_count()
+            write_inode(ino, replace(din, nlink=refs))
+    for cg in range(geo.ncg):
+        raw = bytearray(read_image_frags(image, geo, geo.cg_base(cg),
+                                         geo.frags_per_block))
+        CgView(raw, geo).store_bitmaps(used[cg], claimed[cg])
         image.write(geo.cg_base(cg) * spf, bytes(raw))
-
     return (auditor.audit(image) if auditor is not None
             else fsck(image, geometry))
 

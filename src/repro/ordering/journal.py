@@ -100,10 +100,10 @@ class JournalScheme(OrderingScheme):
                 "with repro.fs.layout.with_journal()")
         disk = self.fs.cache.driver.disk
         spf = self.fs.cache.sectors_per_frag
-        result = journal.replay_into(
-            lambda daddr, n: disk.read_now(daddr * spf, n * spf),
-            lambda daddr, data: disk.write_now(daddr * spf, data),
-            geo)
+        result = journal.scan_journal(
+            lambda daddr, n: disk.read_now(daddr * spf, n * spf), geo)
+        journal.replay_into(result, lambda daddr, data: disk.write_now(
+            daddr * spf, data), geo)
         self._lock = Lock(self.fs.engine)
         self._next_seq = result.head_seq + 1
         self._head_pos = result.head_pos

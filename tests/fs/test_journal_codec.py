@@ -273,7 +273,8 @@ def test_replay_applies_overlay_and_retires_log():
     store = fresh()
     write_txn(store, 1, 0, [journal.Entry(journal.IMAGE, 100, 2)],
               frag_of(0x55) + frag_of(0x56))
-    journal.replay_into(store.read, store.write, GEO)
+    journal.replay_into(journal.scan_journal(store.read, GEO), store.write,
+                        GEO)
     assert store.read(100, 1) == frag_of(0x55)
     assert store.read(101, 1) == frag_of(0x56)
     # the log is retired: a second scan finds nothing to replay
@@ -282,7 +283,8 @@ def test_replay_applies_overlay_and_retires_log():
     # and replay is idempotent on the retired image (the header's tail
     # sequence advances -- seqs never repeat -- but no frag is rewritten)
     before = dict(store.frags)
-    second = journal.replay_into(store.read, store.write, GEO)
+    second = journal.scan_journal(store.read, GEO)
+    journal.replay_into(second, store.write, GEO)
     assert second.overlay == {}
     changed = {daddr for daddr, data in store.frags.items()
                if before.get(daddr) != data}

@@ -47,7 +47,8 @@ from tests.integrity.test_fsck_equivalence import SWEEP_SCHEMES
 
 
 def _seen(report):
-    return report.findings, report.inodes, report.references
+    # the claimed bits too: repair reads them off the sweep's reports
+    return report.findings, report.inodes, report.references, report.claimed
 
 
 def assert_auditor_equals_fsck(scheme, workload, ops=None, max_points=None,

@@ -244,7 +244,8 @@ class TestDamageDetection:
     def test_garbage_mode_does_not_crash_repair_or_secrets(self, victim):
         m, _ino = self.machine_with_garbage_mode(0x1000, victim)
         find_secret_leaks(m.disk.storage, SMALL_GEOMETRY)
-        repair(m.disk.storage.snapshot(), SMALL_GEOMETRY)
+        image = m.disk.storage.snapshot()
+        repair(image, fsck(image, SMALL_GEOMETRY), SMALL_GEOMETRY)
 
     @staticmethod
     def machine_with_garbage_mode(mode, victim):

@@ -75,7 +75,7 @@ def assert_finding(m, kind, message, key):
 
 def assert_repairs_to_pristine(m):
     image = m.disk.storage.snapshot()
-    after = repair(image, SMALL_GEOMETRY)
+    after = repair(image, fsck(image, SMALL_GEOMETRY), SMALL_GEOMETRY)
     assert after.clean and not after.warnings, (after.errors[:3],
                                                 after.warnings[:3])
 
@@ -205,6 +205,25 @@ class TestDuplicateClaim:
         _m, _before, report = damaged("double-alloc")
         assert not report.clean  # a double claim is true corruption
 
+    def test_repair_refuses_it(self):
+        # which claimant keeps the fragment is a choice preen mode does
+        # not make
+        m, _before, report = damaged("double-alloc")
+        with pytest.raises(ValueError, match="claimed by both"):
+            repair(m.disk.storage.snapshot(), report, SMALL_GEOMETRY)
+
+
+def test_missing_root_is_a_finding_and_refused_by_repair():
+    # the root dinode zeroed: phase 2 never ran, so no reference was
+    # counted and every other inode would look orphaned
+    m = populated()
+    patch_inode(m, ROOT_INO, 0, bytes(128))
+    report = assert_finding(m, "error", "root inode missing",
+                            "fs-unreadable")
+    assert not report.references
+    with pytest.raises(ValueError, match="root inode missing"):
+        repair(m.disk.storage.snapshot(), report, SMALL_GEOMETRY)
+
 
 class TestBadLinkCounts:
     @pytest.mark.parametrize("nlink,direction", [(1, "below"), (7, "above")])
@@ -293,6 +312,8 @@ def test_unreadable_superblock_is_a_finding_from_fsck_and_raises_in_repair():
     assert found.key == "fs-unreadable"
     assert found.message.startswith("superblock unreadable: ")
     reference_classify.assert_agrees([found])
-    # repair audits nothing first: the superblock decode is what refuses
-    with pytest.raises(ValueError):
-        repair(m.disk.storage.snapshot(), SMALL_GEOMETRY)
+    # the audit recovered nothing to repair from: the superblock decode
+    # is what refuses
+    image = m.disk.storage.snapshot()
+    with pytest.raises(ValueError, match="superblock"):
+        repair(image, fsck(image, SMALL_GEOMETRY), SMALL_GEOMETRY)

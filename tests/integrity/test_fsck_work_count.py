@@ -9,15 +9,16 @@ Across audits, the same for dinodes: a sweep decodes a dinode when its
 record changed, not at every crash point.
 
 One level up, the same for whole audits: a crash point is audited once,
-and neither the stale-data walk nor repair verification audits it again
-to learn what that audit already knew; the repaired images are re-audited
-through one more Auditor, not one cold fsck each.  And an audit re-derives
-only what its reads changed: a point whose audited bytes match the
-previous point's keeps that report without a replay, and a replay builds a
-finding only when what it says changed.
+and neither the stale-data walk nor repair audits it again to learn what
+that audit already knew (only ``_audit`` builds a checker); the repaired
+images are re-audited through one more Auditor, not one cold fsck each.
+And an audit re-derives only what its reads changed: a point whose
+audited bytes match the previous point's keeps that report without a
+replay, and a replay builds a finding only when what it says changed.
 """
 
 import importlib
+import sys
 from collections import Counter
 
 import pytest
@@ -157,9 +158,9 @@ class _AuditCensus:
 ], ids=["verify-repair", "secrets", "both"])
 def test_inode_scans_per_crash_point(monkeypatch, options, repairs_per_point):
     # exactly one audit per point, through the sweep's one Auditor, whether
-    # or not it replays; and per repair-verified point, repair's own scan
-    # of what it is about to fix, then one re-audit of the result through
-    # the sweep's one repair Auditor
+    # or not it replays; and per repair-verified point one re-audit of the
+    # result through the sweep's one repair Auditor -- repair acts on the
+    # point's audit and scans no inode itself
     census = _AuditCensus(monkeypatch)
     # Soft Updates never corrupts, so every point is repair-verified
     report = explore("softupdates", "churn", max_points=120, **options)
@@ -169,7 +170,26 @@ def test_inode_scans_per_crash_point(monkeypatch, options, repairs_per_point):
     assert list(repairs.values()) == [report.points] * repairs_per_point
     assert not sweep.keys() & repairs.keys()
     assert census.repairs == repairs_per_point * report.points
-    assert census.repair_scans == census.repairs
+    assert census.repair_scans == 0
+
+
+def test_only_an_audit_builds_a_checker(monkeypatch):
+    # a _Checker is built by _audit alone, for the sweep's audits and
+    # repair's re-audits; repair, the stale-data walk and the monitor read
+    # the reports they are handed
+    fsck_module = importlib.import_module("repro.integrity.fsck")
+    callers = Counter()
+    real_init = fsck_module._Checker.__init__
+
+    def init(checker, *args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        real_init(checker, *args, **kwargs)
+
+    monkeypatch.setattr(fsck_module._Checker, "__init__", init)
+    report = explore("softupdates", "churn", max_points=60, secrets=True,
+                     verify_repair=True, monitor=True)
+    assert report.points == 60
+    assert list(callers) == ["_audit"] and callers["_audit"] > 1
 
 
 def test_repaired_images_are_audited_incrementally(monkeypatch):

@@ -40,7 +40,8 @@ def _replayed(image, geo):
     spf = geo.frag_size // image.geometry.sector_size
     replayed = image.snapshot()
     journal.replay_into(
-        lambda daddr, n: replayed.read(daddr * spf, n * spf),
+        journal.scan_journal(
+            lambda daddr, n: replayed.read(daddr * spf, n * spf), geo),
         lambda daddr, data: replayed.write(daddr * spf, data),
         geo)
     return replayed

@@ -19,7 +19,7 @@ def test_crashed_safe_scheme_repairs_to_pristine(scheme):
         machine, churn_workload(machine, seed=4, operations=35), crash_at=2.0)
     before = fsck(image, SMALL_GEOMETRY)
     assert before.clean
-    after = repair(image, SMALL_GEOMETRY)
+    after = repair(image, before, SMALL_GEOMETRY)
     assert after.clean
     assert not after.warnings, after.warnings[:5]
 
@@ -36,7 +36,7 @@ def test_repair_reclaims_orphans_and_space():
     image = crash_image(machine)
     before = fsck(image, SMALL_GEOMETRY)
     assert any("orphan" in w for w in before.warnings)
-    after = repair(image, SMALL_GEOMETRY)
+    after = repair(image, before, SMALL_GEOMETRY)
     assert not after.warnings
     # only the root remains
     assert list(after.inodes) == [2]
@@ -63,7 +63,7 @@ def test_repair_fixes_link_counts():
     machine.disk.storage.write(daddr * spf, bytes(block))
 
     image = machine.disk.storage.snapshot()
-    after = repair(image, SMALL_GEOMETRY)
+    after = repair(image, fsck(image, SMALL_GEOMETRY), SMALL_GEOMETRY)
     assert not after.warnings
     assert after.inodes[ino].nlink == 2
 
@@ -73,7 +73,7 @@ def test_repaired_image_is_mountable_and_usable():
     machine = make_machine("softupdates")
     image = run_and_crash(
         machine, churn_workload(machine, seed=9, operations=30), crash_at=1.5)
-    repaired = repair(image, SMALL_GEOMETRY)
+    repaired = repair(image, fsck(image, SMALL_GEOMETRY), SMALL_GEOMETRY)
     assert repaired.clean and not repaired.warnings
 
     # boot a fresh machine on the repaired image
@@ -120,6 +120,6 @@ def test_directory_past_the_direct_blocks_is_clean():
     assert big.size > geometry.NDADDR * geometry.block_size
     assert report.clean and not report.warnings, report.warnings[:3]
     assert len(report.inodes) == 422
-    after = repair(image, geometry)
+    after = repair(image, report, geometry)
     assert after.clean and not after.warnings
     assert len(after.inodes) == 422

@@ -48,7 +48,8 @@ def fresh_finding(image, geometry, secrets, verify_repair, guarantees,
     leaks = find_secret_leaks(image, geometry, report) if secrets else []
     violations = classify_report(report, leaks)
     if verify_repair and not any(v.is_corruption for v in violations):
-        residue = classify_report(repair(image.snapshot(), geometry))
+        residue = classify_report(repair(image.snapshot(), report,
+                                         geometry))
         if residue:
             violations.append(finding(
                 "unrepairable", f"repair left {len(residue)} findings: "

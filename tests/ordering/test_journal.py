@@ -105,7 +105,7 @@ def test_crash_recovery_replays_committed_state():
     assert not report.errors, report.errors
 
     # physical recovery retires the log and leaves a clean image
-    repair(crash, geo)
+    repair(crash, report, geo)
     after = fsck(crash, geo)
     assert not after.errors and not after.warnings, (after.errors,
                                                      after.warnings)
