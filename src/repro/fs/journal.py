@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from repro.fs.layout import FSGeometry
@@ -75,16 +75,21 @@ class Entry:
 
 @dataclass
 class Transaction:
-    """A parsed, checksum-valid transaction."""
+    """One record as a scan read it.  ``entries`` is None when ``desc``
+    does not parse as record *seq* or the record would cross the log end
+    (the writer skips to 0 instead); otherwise ``body`` is its payload and
+    commit, read as one, ``images`` maps each home fragment to its logged
+    bytes (a later image of a fragment wins) and ``committed`` says
+    whether the commit checks."""
 
     seq: int
     pos: int
-    entries: list[Entry]
+    entries: list[Entry] | None
     extent: int
-    #: the record's whole payload, as the one contiguous read that
-    #: validated the checksum -- the scan slices images out of it instead
-    #: of re-reading the log fragment by fragment
-    payload: bytes = b""
+    desc: bytes = field(default=b"", repr=False)
+    body: bytes | None = field(default=None, repr=False)
+    committed: bool = False
+    images: dict[int, bytes] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -102,6 +107,9 @@ class ScanResult:
     #: where the next record would begin (sequence, log position)
     head_seq: int = 0
     head_pos: int = 0
+    #: (log position, sequence) -> each record read, for a later scan
+    records: dict[tuple[int, int], Transaction] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +196,18 @@ def record_extent(entries: Iterable[Entry]) -> int:
 # ----------------------------------------------------------------------
 # scan / replay
 # ----------------------------------------------------------------------
-ReadFrag = Callable[[int, int], bytes]
-
-
-def scan_journal(read_frag: ReadFrag, geometry: FSGeometry) -> ScanResult:
+def scan_journal(read_frag: Callable[[int, int], bytes],
+                 geometry: FSGeometry,
+                 previous: ScanResult | None = None) -> ScanResult:
     """Forward-scan the journal; returns the recovered overlay.
 
     Defensive throughout: anything unparseable simply ends the committed
     region (a crash can leave arbitrary torn bytes at the head).
+
+    *previous* is a scan of an earlier image of the same log: a record it
+    read at the same position and sequence number that reads the same
+    bytes now is taken from it (entries, images, commit verdict), not
+    parsed again.
     """
     result = ScanResult()
     if not geometry.journal_frags:
@@ -209,31 +221,40 @@ def scan_journal(read_frag: ReadFrag, geometry: FSGeometry) -> ScanResult:
     if not (0 <= pos < log_frags):
         return result
     frag_size = geometry.frag_size
-    overlay = result.overlay
+    overlay, records = result.overlay, result.records
+    known = previous.records if previous is not None else {}
     while True:
         # the record *seq* starts at *pos*, or at 0 when it would not have
         # fit there; the first that parses without a valid commit is the
         # head transaction, in flight when the image was taken
         opened = None
         for at in ((pos,) if pos == 0 else (pos, 0)):
-            record = _record_at(read_frag, base, log_frags, at, seq)
-            if record is None:
-                continue
-            desc_raw, txn = record
-            if commit_valid(read_frag(base + at + txn.extent - 1, 1), seq,
-                            txn_checksum(desc_raw, txn.payload)):
+            desc = read_frag(base + at, 1)
+            txn = known.get((at, seq))
+            if txn is None or txn.desc != desc:
+                entries = parse_descriptor(desc, seq)
+                extent = record_extent(entries) if entries is not None else 0
+                if at + extent > log_frags:
+                    entries = None  # the writer would have skipped to 0
+                txn = Transaction(seq, at, entries, extent, desc)
+            if txn.entries is not None:
+                body = read_frag(base + at + 1, txn.extent - 1)
+                if txn.body != body:
+                    txn = _checked(txn, body, frag_size)
+            records[at, seq] = txn
+            if txn.committed:
                 break
-            if opened is None:
+            if opened is None and txn.entries is not None:
                 opened = txn
         else:
             if opened is not None:
-                result.open_images = _images(opened, frag_size)
+                result.open_images = opened.images
             break
         for entry in txn.entries:
             if entry.kind == REVOKE:
                 for frag in range(entry.daddr, entry.daddr + entry.nfrags):
                     overlay.pop(frag, None)
-        overlay.update(_images(txn, frag_size))
+        overlay.update(txn.images)
         result.transactions.append(txn)
         pos = txn.pos + txn.extent
         if pos >= log_frags:
@@ -244,36 +265,19 @@ def scan_journal(read_frag: ReadFrag, geometry: FSGeometry) -> ScanResult:
     return result
 
 
-def _record_at(read_frag: ReadFrag, base: int, log_frags: int, pos: int,
-               seq: int) -> Optional[tuple[bytes, Transaction]]:
-    """``(descriptor bytes, record)`` of the record *seq* at log position
-    *pos*, its payload read in one read, else None; its commit is not
-    checked."""
-    desc_raw = read_frag(base + pos, 1)
-    entries = parse_descriptor(desc_raw, seq)
-    if entries is None:
-        return None
-    extent = record_extent(entries)
-    if pos + extent > log_frags:
-        return None  # the writer would have skipped to 0 instead
-    payload = read_frag(base + pos + 1, extent - 2) if extent > 2 else b""
-    return desc_raw, Transaction(seq=seq, pos=pos, entries=entries,
-                                 extent=extent, payload=bytes(payload))
-
-
-def _images(txn: Transaction, frag_size: int) -> dict[int, bytes]:
-    """Home fragment -> logged bytes of every image *txn* carries (a
-    later image of a fragment wins)."""
+def _checked(txn: Transaction, body: bytes, frag_size: int) -> Transaction:
+    """*txn* read with *body* (its payload and commit fragments): its
+    images and whether the commit checks."""
+    payload = body[:-frag_size]
     images = {}
     at = 0
-    payload = txn.payload
     for entry in txn.entries:
-        if entry.kind != IMAGE:
-            continue
-        for daddr in range(entry.daddr, entry.daddr + entry.nfrags):
-            images[daddr] = payload[at:at + frag_size]
-            at += frag_size
-    return images
+        if entry.kind == IMAGE:
+            for daddr in range(entry.daddr, entry.daddr + entry.nfrags):
+                images[daddr] = payload[at:at + frag_size]
+                at += frag_size
+    return replace(txn, body=body, images=images, committed=commit_valid(
+        body[-frag_size:], txn.seq, txn_checksum(txn.desc, payload)))
 
 
 def replay_into(result: ScanResult,

@@ -92,28 +92,12 @@ SCHEMES = scheme_classes()
 SCHEMES.update({name: cls for name, (cls, _rule) in SHIMS.items()})
 
 
-def _microbench(machine: Machine, seed: int, ops: int) -> Generator:
-    return microbench_churn(machine, seed=seed, files=ops)
-
-
-def _churn(machine: Machine, seed: int, ops: int) -> Generator:
-    return churn_workload(machine, seed=seed, operations=ops)
-
-
-def _remove(machine: Machine, seed: int, ops: int) -> Generator:
-    return remove_churn(machine, seed=seed, files=ops)
-
-
-def _reuse(machine: Machine, seed: int, ops: int) -> Generator:
-    return reuse_churn(machine, seed=seed, files=ops)
-
-
-#: name -> (generator factory, default ops)
+#: name -> (generator factory ``(machine, seed, ops)``, default ops)
 WORKLOADS = {
-    "microbench": (_microbench, 24),
-    "churn": (_churn, 40),
-    "remove": (_remove, 12),
-    "reuse": (_reuse, 12),
+    "microbench": (microbench_churn, 24),
+    "churn": (churn_workload, 40),
+    "remove": (remove_churn, 12),
+    "reuse": (reuse_churn, 12),
 }
 
 
@@ -177,16 +161,17 @@ class CrashPoint:
 
 
 def _enumerate_raw(recorded: RecordedRun,
-                   samples_per_write: int) -> list[tuple[float, str]]:
+                   samples_per_write: int) -> list[tuple]:
     """The full (unbudgeted) crash-point enumeration, window by window, in
-    time order.  A write's ``complete`` point is the ``end`` the drive
-    stamped, before the nominal ``complete_time`` when a fault cut the
-    transfer short; its mid-transfer cuts are the ones the transfer
-    reached by then, so every point lies in ``[transfer_start, end]``."""
-    raw: list[tuple[float, str]] = []
+    time order, as ``(time, window index, window, cut)``: the cut is
+    ``"start"``, ``"complete"`` or the sectors applied.  A write's
+    ``complete`` point is the ``end`` the drive stamped, before the
+    nominal ``complete_time`` when a fault cut the transfer short; its
+    mid-transfer cuts are the ones the transfer reached by then, so every
+    point lies in ``[transfer_start, end]``."""
+    raw: list[tuple] = []
     for wi, window in enumerate(recorded.windows):
-        base = f"write {wi} (lbn {window.lbn}+{window.nsectors})"
-        raw.append((window.transfer_start, f"{base} start"))
+        raw.append((window.transfer_start, wi, window, "start"))
         if samples_per_write > 0 and window.nsectors > 1:
             span = window.nsectors
             cuts = sorted({
@@ -196,8 +181,8 @@ def _enumerate_raw(recorded: RecordedRun,
             for k in cuts:
                 when = window.transfer_start + (k + 0.5) * window.sector_period
                 if when <= window.end:
-                    raw.append((when, f"{base} after {k}/{span} sectors"))
-        raw.append((window.end, f"{base} complete"))
+                    raw.append((when, wi, window, k))
+        raw.append((window.end, wi, window, "complete"))
     return raw
 
 
@@ -219,16 +204,18 @@ def enumerate_crash_points(recorded: RecordedRun,
                    sample_seed)
 
 
-def _budget(raw: list[tuple[float, str]], max_points: Optional[int],
+def _budget(raw: list[tuple], max_points: Optional[int],
             sample_seed: int) -> list[CrashPoint]:
     """The crash points of the full enumeration *raw* that a budget of
-    *max_points* keeps (:func:`enumerate_crash_points`)."""
+    *max_points* keeps (:func:`enumerate_crash_points`), each labelled."""
     if max_points is not None and len(raw) > max_points:
         rng = random.Random(sample_seed)
         keep = sorted(rng.sample(range(len(raw)), max_points))
         raw = [raw[i] for i in keep]
-    return [CrashPoint(index, time, label)
-            for index, (time, label) in enumerate(raw)]
+    return [CrashPoint(index, time, f"write {wi} (lbn {w.lbn}+{w.nsectors}) "
+                       + (cut if type(cut) is str
+                          else f"after {cut}/{w.nsectors} sectors"))
+            for index, (time, wi, w, cut) in enumerate(raw)]
 
 
 # ----------------------------------------------------------------------

@@ -43,13 +43,20 @@ It is also what makes an audit of a *stream* of images cheap, at two
 levels.  An audit is a function of the bytes it reads, so an
 :class:`Auditor` remembers every range its previous audit read and what it
 held: an image that holds the same bytes at all of them -- most crash
-points differ from the one before by a data-block write fsck never reads
--- gets the previous report back.  Otherwise each pure result of the
-previous audit is reused where the bytes it was computed from are
-unchanged: a cylinder group's dinodes on its inode table, an allocated
+points differ from the one before by a data-block write fsck never reads --
+gets the previous report back.  Only the caller that made both images may
+pass ``changed``: ``(lbn, nsectors)`` ranges covering every sector whose
+bytes are not the previous image's (how the synthesizer builds it:
+:mod:`repro.integrity.medialog`).  Only the remembered ranges it touches
+are read again; the others come from the previous audit.  ``None``
+(:func:`repair`'s re-audit, an image the caller did not make) re-reads them
+all.  A journaled image is read through a :class:`RecoveredView`, and a log
+record whose bytes are unchanged is not parsed again.  Otherwise each pure
+result of the previous audit is reused where the bytes it was computed from
+are unchanged: a cylinder group's dinodes on its inode table, an allocated
 dinode on its inode number, 128-byte record and the indirect blocks its
-claim walk read (its ``Dinode`` and claim stream), a directory on its
-size, direct pointers and block bytes (its event stream).  The replay is
+claim walk read (its ``Dinode`` and claim stream), a directory on its size,
+direct pointers and block bytes (its event stream).  The replay is
 incremental too: the claim table is the previous one minus the claims of
 the dinodes that changed plus their new claims, a phase whose inputs are
 all unchanged keeps its findings, and a finding is built again only when
@@ -71,7 +78,10 @@ the report's inode table.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from math import inf
 
 from repro.disk.storage import SectorStore
 from repro.fs import directory, journal
@@ -177,40 +187,63 @@ def cg_inode_records(table: bytes, geo: FSGeometry,
             if first + slot >= ROOT_INO]  # inodes below it are burned
 
 
-def scan_log(image: SectorStore,
-             geo: FSGeometry) -> journal.ScanResult | None:
-    """The forward scan of *image*'s log (None when there is no log)."""
+def scan_log(image: SectorStore, geo: FSGeometry,
+             previous: journal.ScanResult | None = None
+             ) -> journal.ScanResult | None:
+    """The forward scan of *image*'s log (None without one), reusing
+    *previous*'s unchanged records (:func:`~repro.fs.journal.scan_journal`)."""
     if not geo.journal_frags:
         return None
     spf = geo.frag_size // image.geometry.sector_size
     return journal.scan_journal(
-        lambda daddr, n: image.read(daddr * spf, n * spf), geo)
+        lambda daddr, n: image.read(daddr * spf, n * spf), geo, previous)
 
 
-def recovered_image(image: SectorStore, geo: FSGeometry,
-                    scan: journal.ScanResult | None) -> SectorStore:
-    """*image* as recovery would leave it, given *scan*, the scan of its
-    log: a copy-on-write snapshot with every committed image written home,
-    one write per contiguous run (*image* itself when the log holds
-    nothing committed).
+class RecoveredView:
+    """*base* read as journal recovery would leave it: each read returns
+    *base*'s bytes with the committed images of the scan given to
+    :meth:`recover` patched in; nothing is written or copied.  An
+    :class:`Auditor`'s view also answers from *memo* (``(lbn, nsectors) ->
+    bytes`` the range is known to hold) and keeps each read's raw bytes in
+    *reads*: raw bytes unchanged at every range read, the log's included,
+    recover to the same bytes."""
 
-    Only fragments inside the file system are written: no check reads
-    past ``geo.total_frags``, and a checksum-valid entry may name any
-    fragment number.
-    """
-    if scan is None or not scan.overlay:
-        return image
-    recovered = image.snapshot()
-    spf = geo.frag_size // image.geometry.sector_size
-    overlay = scan.overlay
-    frags = sorted(frag for frag in overlay if frag < geo.total_frags)
-    start = 0
-    for end in range(1, len(frags) + 1):
-        if end == len(frags) or frags[end] != frags[end - 1] + 1:
-            recovered.write(frags[start] * spf, b"".join(
-                overlay[frag] for frag in frags[start:end]))
-            start = end
-    return recovered
+    def __init__(self, base: SectorStore, memo: dict | None = None,
+                 reads: dict | None = None) -> None:
+        self.geometry, self.base = base.geometry, base
+        self.memo, self.reads = memo or {}, reads
+        self.frags: list[int] = []  # the overlaid fragments, ascending
+
+    def recover(self, geo: FSGeometry,
+                scan: journal.ScanResult | None) -> RecoveredView:
+        """Patch *scan*'s committed images into every later read (those
+        inside the file system: a checksum-valid entry may name any
+        fragment); returns the view."""
+        if scan is not None and scan.overlay:
+            self.overlay = scan.overlay
+            self.spf = geo.frag_size // self.geometry.sector_size
+            self.frags = sorted(frag for frag in scan.overlay
+                                if frag < geo.total_frags)
+        return self
+
+    def read(self, lbn: int, nsectors: int = 1) -> bytes:
+        data = self.memo.get((lbn, nsectors)) or self.base.read(lbn, nsectors)
+        if self.reads is not None:
+            self.reads[lbn, nsectors] = data
+        frags, end = self.frags, lbn + nsectors
+        if not frags:
+            return data
+        spf = self.spf
+        first = bisect_left(frags, lbn // spf)
+        last = bisect_left(frags, (end + spf - 1) // spf)
+        if first == last:
+            return data
+        size, patched = self.geometry.sector_size, bytearray(data)
+        for frag in frags[first:last]:
+            lo, hi = max(frag * spf, lbn), min(frag * spf + spf, end)
+            patched[(lo - lbn) * size:(hi - lbn) * size] = self.overlay[
+                frag][(lo - frag * spf) * size:(hi - frag * spf) * size]
+        return bytes(patched)
 
 
 def valid_data_frag(geo: FSGeometry, daddr: int) -> bool:
@@ -874,31 +907,6 @@ def repair(image: SectorStore, report: FsckReport,
             else fsck(image, geometry))
 
 
-class _ReadLog:
-    """A SectorStore view that remembers what each read of *base*
-    returned and answers from ``recovered`` (*base* until the audit has
-    recovered the log, :func:`recovered_image`).
-
-    The memo compares raw bytes, the checks judge recovered ones: the log
-    is read raw, so raw bytes unchanged at every range read recover to
-    the same bytes.
-    """
-
-    __slots__ = ("geometry", "base", "recovered", "reads")
-
-    def __init__(self, base: SectorStore) -> None:
-        self.geometry = base.geometry
-        self.base = self.recovered = base
-        #: (lbn, nsectors) -> the raw bytes read there
-        self.reads: dict[tuple[int, int], bytes] = {}
-
-    def read(self, lbn: int, nsectors: int = 1) -> bytes:
-        data = self.reads[lbn, nsectors] = self.base.read(lbn, nsectors)
-        if self.recovered is self.base:
-            return data
-        return self.recovered.read(lbn, nsectors)
-
-
 class Auditor:
     """fsck over a stream of images of one file system.
 
@@ -927,28 +935,43 @@ class Auditor:
         #: (None: the next audit starts cold)
         self._checker: _Checker | None = None
 
-    def audit(self, image: SectorStore) -> FsckReport:
-        """Audit *image*; returns the :class:`FsckReport`."""
-        reads = self._reads
-        if (reads is not None and image.geometry == self._disk
-                and all(image.read(lbn, nsectors) == data
-                        for (lbn, nsectors), data in reads.items())):
-            return self._report
+    def audit(self, image: SectorStore,
+              changed: list[tuple[int, int]] | None = None) -> FsckReport:
+        """Audit *image*; returns the :class:`FsckReport`.  *changed* (module
+        docstring) covers every sector where *image* may differ from the
+        image audited last; None: anywhere."""
+        reads, known = self._reads, {}
+        if reads is not None and image.geometry == self._disk:
+            # a read is touched when, of the changed ranges starting before
+            # its end, one ends past its start
+            spans = sorted(changed) if changed is not None else [(0, inf)]
+            starts = [lbn for lbn, _nsectors in spans]
+            ends = list(accumulate([lbn + n for lbn, n in spans], max))
+            same = True
+            for (lbn, nsectors), data in reads.items():
+                at = bisect_left(starts, lbn + nsectors) - 1
+                if at < 0 or ends[at] <= lbn:
+                    known[lbn, nsectors] = data
+                elif same:
+                    now = known[lbn, nsectors] = image.read(lbn, nsectors)
+                    same = now == data
+            if same:
+                return self._report
         # an audit that raises leaves nothing half-updated behind
         previous, self._checker, self._reads = self._checker, None, None
-        log = _ReadLog(image)
-        self._report, self._checker = _audit(log, self.geometry, previous,
+        view = RecoveredView(image, known, {})
+        self._report, self._checker = _audit(view, self.geometry, previous,
                                              keep=True)
-        self._reads, self._disk = log.reads, image.geometry
+        self._reads, self._disk = view.reads, image.geometry
         return self._report
 
 
-def _audit(image: SectorStore | _ReadLog, where: FSGeometry,
+def _audit(image: RecoveredView, where: FSGeometry,
            previous: _Checker | None = None, keep: bool = False
            ) -> tuple[FsckReport, _Checker | None]:
     """One audit of *image* (the superblock looked for where *where* says):
-    the report and, if *keep* (*image* is an Auditor's :class:`_ReadLog`),
-    the checker holding what a next audit may reuse (None: start cold)."""
+    the report and, if *keep* (an Auditor's audit), the checker holding
+    what a next audit may reuse (None: start cold)."""
     try:
         superblock = Superblock.unpack(read_image_frags(
             image, where, where.superblock_daddr, 1))
@@ -961,14 +984,11 @@ def _audit(image: SectorStore | _ReadLog, where: FSGeometry,
     else:
         previous = None
     # a journaling image is audited in its *recovered* state: the raw
-    # image with the committed log written home (itself for journal-less
-    # layouts)
-    scan = scan_log(image, geo)
-    if keep:
-        image.recovered = recovered_image(image.base, geo, scan)
-    else:
-        image = recovered_image(image, geo, scan)
-    checker = _Checker(image, geo, previous, keep)
+    # image read with the committed log patched home (the raw image for
+    # journal-less layouts)
+    scan = scan_log(image, geo, previous.report.journal
+                    if previous is not None else None)
+    checker = _Checker(image.recover(geo, scan), geo, previous, keep)
     checker.report.journal = scan
     checker.scan_inodes()
     if ROOT_INO in checker.report.inodes:
@@ -988,4 +1008,4 @@ def fsck(image: SectorStore,
          geometry: FSGeometry | None = None) -> FsckReport:
     """Audit *image* once: the :class:`FsckReport` an :class:`Auditor`
     gives, with nothing kept for a next audit."""
-    return _audit(image, geometry or FSGeometry())[0]
+    return _audit(RecoveredView(image), geometry or FSGeometry())[0]

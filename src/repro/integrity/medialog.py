@@ -37,7 +37,14 @@ writes what is left over the image; nothing else in ``src/`` recovers it.
 :func:`audited_images` serves instants in time order through one
 :class:`ImageSynthesizer`, so the image is built *incrementally* -- each
 instant applies only the sectors committed since the previous one instead
-of re-applying the whole log -- and audits each image once.
+of re-applying the whole log -- and audits each image once.  The
+synthesizer says where each image may differ from the one before,
+``ImageSynthesizer.changed``: every durable prefix laid down since, the
+in-flight prefix, and the throwaway overlays (a transient prefix past
+``durable``, the mirror) of both images.  Every sector whose bytes moved
+lies inside it (``tests/integrity/test_synthesis_changed.py``), so the
+walk hands it to ``Auditor.audit``, which re-reads only what it touches;
+no other caller passes it.
 """
 
 from __future__ import annotations
@@ -113,6 +120,10 @@ class ImageSynthesizer:
         self._survivor_cursor = 0
         self._mirror: dict[int, bytes] = {}
         self._last = float("-inf")
+        #: ``(lbn, nsectors)`` ranges outside which the last image returned
+        #: holds the bytes of the one before it (None for the first image)
+        self.changed: list[tuple[int, int]] | None = None
+        self._overlays = None  # the last image's throwaway overlays
 
     def image_at(self, when: float) -> SectorStore:
         """The surviving image for a power failure at *when*.
@@ -120,7 +131,8 @@ class ImageSynthesizer:
         Returns the shared evolving store (or a snapshot overlaid with a
         revocable transient prefix and/or the off-media survivors);
         callers must treat it as read-only -- ``fsck`` is; ``repair`` works
-        in place, so repair a ``snapshot()``.
+        in place, so repair a ``snapshot()``.  ``changed`` then says where
+        it may differ from the image returned before (module docstring).
         """
         if when < self._last:
             raise ValueError(
@@ -129,17 +141,23 @@ class ImageSynthesizer:
         image = self._image
         entries = self._entries
         cursor = self._cursor
+        changed = list(self._overlays or ())
         while cursor < len(entries) and entries[cursor].end <= when:
             entry = entries[cursor]
             image.write_partial(entry.lbn, entry.data, entry.durable)
+            changed.append((entry.lbn, entry.durable))
             cursor += 1
         self._cursor = cursor
+        overlays = []
         if cursor < len(entries):
             entry = entries[cursor]
             applied = entry.sectors_applied_by(when)
             if applied:
                 if applied > entry.durable:
                     image = image.snapshot()
+                    overlays.append((entry.lbn, applied))
+                else:
+                    changed.append((entry.lbn, applied))
                 image.write_partial(entry.lbn, entry.data, applied)
         if self._survivors:
             mirror = self.mirror_at(when)
@@ -147,6 +165,9 @@ class ImageSynthesizer:
                 image = image.snapshot()
             for lbn, data in mirror.items():
                 image.write(lbn, data)
+                overlays.append((lbn, len(data) // image.geometry.sector_size))
+        self.changed = None if self._overlays is None else changed + overlays
+        self._overlays = overlays
         return image
 
     def mirror_at(self, when: float) -> dict[int, bytes]:
@@ -177,6 +198,6 @@ def audited_images(base: SectorStore, log: MediaLog, auditor, *streams):
     instants = merge(*streams, key=itemgetter(0))
     for when, group in groupby(instants, key=itemgetter(0)):
         image = synthesizer.image_at(when)
-        report = auditor.audit(image)
+        report = auditor.audit(image, synthesizer.changed)
         for _when, tag in group:
             yield tag, image, report

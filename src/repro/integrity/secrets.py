@@ -16,24 +16,15 @@ from __future__ import annotations
 from repro.disk.storage import SectorStore
 from repro.fs.alloc import CgView, set_bits
 from repro.fs.layout import FileType, FSGeometry
-from repro.integrity.fsck import (
-    FsckReport,
-    block_map,
-    fsck,
-    recovered_image,
-)
+from repro.integrity.fsck import FsckReport, RecoveredView, block_map, fsck
 from repro.integrity.invariants import Violation, finding
 
 SECRET = b"\xde\xad\xf1\x1e"  # repeated to fill fragments
 
 
-def _spf(image: SectorStore, geometry: FSGeometry) -> int:
-    return geometry.frag_size // image.geometry.sector_size
-
-
 def plant_secrets(image: SectorStore, geometry: FSGeometry) -> int:
     """Fill every free data fragment with the marker; returns count filled."""
-    spf = _spf(image, geometry)
+    spf = geometry.frag_size // image.geometry.sector_size
     marker = SECRET * (geometry.frag_size // len(SECRET))
     planted = 0
     for cg in range(geometry.ncg):
@@ -59,8 +50,8 @@ def find_secret_leaks(image: SectorStore,
     The walk reads the *recovered* image: journaling leaves committed
     metadata (indirect blocks included) in the log with home still
     holding a previous owner's bytes, and recovery replays the log before
-    any file is readable -- so, like fsck, the walk reads
-    :func:`~repro.integrity.fsck.recovered_image`.  Each logical block is
+    any file is readable -- so, like fsck, the walk reads through a
+    :class:`~repro.integrity.fsck.RecoveredView`.  Each logical block is
     found through fsck's :func:`~repro.integrity.fsck.block_map`, indirect
     blocks included, and pointers that leave the data area are skipped
     (fsck books them as corruption findings; dereferencing a torn
@@ -69,8 +60,8 @@ def find_secret_leaks(image: SectorStore,
     geometry = geometry or FSGeometry()
     if report is None:
         report = fsck(image, geometry)
-    image = recovered_image(image, geometry, report.journal)
-    spf = _spf(image, geometry)
+    image = RecoveredView(image).recover(geometry, report.journal)
+    spf = geometry.frag_size // image.geometry.sector_size
     leaks: list[Violation] = []
     for ino, din in report.inodes.items():
         if din.safe_ftype is not FileType.REGULAR:

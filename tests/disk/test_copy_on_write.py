@@ -161,9 +161,9 @@ def _sweep_digests(scheme, workload, ops, points, fault_profile, base_of):
     digests = []
     audit = Auditor.audit
 
-    def digesting_audit(auditor, image):
+    def digesting_audit(auditor, image, changed=None):
         digests.append(image.digest())
-        return audit(auditor, image)
+        return audit(auditor, image, changed)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Auditor, "audit", digesting_audit)

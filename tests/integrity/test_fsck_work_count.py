@@ -117,12 +117,12 @@ class _AuditCensus:
         real_scan = fsck_module._Checker.scan_inodes
         real_repair = explorer_module.repair
 
-        def audit(auditor, image):
+        def audit(auditor, image, changed=None):
             role = "repair" if self._inside[-1] == "fixing" else "sweep"
             self.audits[role][auditor] += 1
             self._inside.append(role)
             try:
-                return real_audit(auditor, image)
+                return real_audit(auditor, image, changed)
             finally:
                 self._inside.pop()
 

@@ -1,12 +1,14 @@
 """fsck recovers a journaled crash image the way mount and repair do.
 
-:func:`repro.integrity.fsck.recovered_image` writes the committed log home
-on a copy-on-write snapshot; mount and :func:`repro.integrity.fsck.repair`
-recover through :func:`repro.fs.journal.replay_into`, which writes it home
-in place and retires the log.  Below the journal area the two must read
-the same at every crash point of a Journaling sweep, and the raw image
-must stay as it was.  A checksum-valid entry naming a fragment past the
-file system is recovered nowhere and breaks no audit.
+fsck and the stale-data walk read a journaled image through
+:class:`repro.integrity.fsck.RecoveredView`, which patches the committed
+log into what each read returns and writes nothing; mount and
+:func:`repro.integrity.fsck.repair` recover through
+:func:`repro.fs.journal.replay_into`, which writes it home in place and
+retires the log.  Below the journal area the two must read the same at
+every crash point of a Journaling sweep, and the raw image must stay as it
+was.  A checksum-valid entry naming a fragment past the file system is
+recovered nowhere and breaks no audit.
 """
 
 from repro.fs import journal
@@ -17,7 +19,7 @@ from repro.integrity.explorer import (
     build_workload,
     enumerate_crash_points,
 )
-from repro.integrity.fsck import fsck, recovered_image, scan_log
+from repro.integrity.fsck import RecoveredView, fsck, scan_log
 from repro.integrity.medialog import ImageSynthesizer
 from repro.integrity.secrets import SECRET, find_secret_leaks
 
@@ -55,7 +57,7 @@ def test_fsck_recovers_what_replay_recovers_at_every_crash_point():
     for point, image in sweep:
         raw = image.read(0, home)
         scan = scan_log(image, geo)
-        recovered = recovered_image(image, geo, scan)
+        recovered = RecoveredView(image).recover(geo, scan)
         assert recovered.read(0, home) == _replayed(image, geo).read(
             0, home), f"point #{point.index} ({point.label})"
         assert image.read(0, home) == raw  # the crash image is untouched
@@ -101,7 +103,7 @@ def test_an_entry_past_the_file_system_is_recovered_nowhere():
     assert outside in report.journal.overlay
     assert inside in report.journal.overlay
     # the in-FS entry is recovered, the out-of-FS one changes no verdict
-    assert recovered_image(both, geo, report.journal).read(
+    assert RecoveredView(both).recover(geo, report.journal).read(
         inside * spf, spf) == logged
     assert both.read(inside * spf, spf) != logged
     assert report.findings == fsck(plain, geo).findings

@@ -104,8 +104,8 @@ def test_a_reused_report_is_classified_once(monkeypatch, verify_repair):
 
     original_audit = Auditor.audit
 
-    def recording_audit(self, image):
-        report = original_audit(self, image)
+    def recording_audit(self, image, changed=None):
+        report = original_audit(self, image, changed)
         audited.append(report)
         return report
 
