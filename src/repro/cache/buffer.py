@@ -58,11 +58,10 @@ class Buffer:
         #: buffer (None = succeeded); set by the cache at I/O completion so
         #: the scheme's ``write_done`` and waiting writers see the failure
         self.error: Optional[str] = None
-        #: host-side mirror of a directory block (repro.fs.directory.DirIndex):
-        #: None = not built, False = bytes it cannot mirror (scan instead).
-        #: The file system edits ``data`` and the mirror together; whoever
-        #: overwrites ``data`` any other way calls :meth:`fill` or
-        #: :meth:`data_replaced`
+        #: host-side mirror of a directory block (repro.fs.directory.DirIndex,
+        #: None until built).  The file system edits ``data`` and the mirror
+        #: together; whoever overwrites ``data`` any other way calls
+        #: :meth:`fill` or :meth:`data_replaced`
         self.dir_index: Any = None
 
     def data_replaced(self) -> None:

@@ -155,10 +155,6 @@ class CgView:
     def inode_bits(self) -> int:
         return self._bits(self._ibm_at, self.geometry.ipg)
 
-    def inode_used(self, index: int) -> bool:
-        self._check(index, self.geometry.ipg)
-        return self._get(self._ibm_at, index)
-
     def set_inode(self, index: int, used: bool) -> None:
         self._check(index, self.geometry.ipg)
         if self._get(self._ibm_at, index) == used:
@@ -178,10 +174,6 @@ class CgView:
     # -- fragment bitmap -----------------------------------------------------
     def frag_bits(self) -> int:
         return self._bits(self._fbm_at, self.geometry.dfrags_per_cg)
-
-    def frag_used(self, index: int) -> bool:
-        self._check(index, self.geometry.dfrags_per_cg)
-        return self._get(self._fbm_at, index)
 
     def set_frags(self, index: int, count: int, used: bool) -> None:
         for i in range(index, index + count):

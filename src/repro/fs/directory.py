@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.fs.layout import FileType
@@ -69,6 +69,10 @@ def empty_chunk() -> bytes:
     return format_chunk([(0, "", FileType.NONE)])
 
 
+#: where :func:`new_dir_contents` puts '..': right after '.'
+DOTDOT_OFFSET = entry_bytes(len("."))
+
+
 def new_dir_contents(self_ino: int, parent_ino: int) -> bytes:
     """The first chunk of a fresh directory: '.' and '..'."""
     return format_chunk([(self_ino, ".", FileType.DIRECTORY),
@@ -105,18 +109,7 @@ def iter_records(data: bytes | bytearray, base_offset: int = 0
                        _FTYPE_OF[type_byte] if ino else FileType.NONE)
                 offset += reclen
                 continue
-            raise CorruptDirectory(
-                f"bad {bad} at offset {base_offset + offset}")
-
-
-def lookup(data: bytes | bytearray, name: str,
-           base_offset: int = 0) -> tuple[Optional[DirEntry], int]:
-    """Find *name*; returns (entry or None, records scanned) for CPU costing."""
-    scanned = 0
-    for scanned, record in enumerate(iter_records(data, base_offset), 1):
-        if record[1] and record[3] == name:
-            return DirEntry(*record), scanned
-    return None, scanned
+            raise CorruptDirectory(bad, base_offset + offset)
 
 
 @dataclass
@@ -126,38 +119,62 @@ class DirIndex:
     Built by one linear parse (:func:`build_index`) and then *maintained*:
     :meth:`add` and :meth:`remove` write the block's bytes and this mirror
     together, so a cached block is decoded once per read from disk, not
-    once per operation.  Every answer is the linear functions' answer on
-    the same bytes -- :meth:`find` reports the scanned count
-    :func:`lookup` would (the simulated CPU is charged for it), :meth:`add`
-    writes the bytes :func:`add_entry` would -- so the index moves host
-    time only.  It never holds two live records of one name: such
-    a block is not indexed (callers scan, as they do for corrupt bytes).
+    once per operation.  It is the file system's one way to read or edit a
+    directory block, and every answer is a linear scan's answer on the same
+    bytes (``tests/fs/reference_directory.py`` holds the scan): :meth:`find`
+    reports the records the scan visits (the simulated CPU is charged for
+    them), :meth:`add` takes the slot the scan takes, a second record of a
+    live name included, and an operation whose scan would reach the first
+    corrupt record raises :attr:`bad` there.
     """
 
     #: the mirrored bytes (the cache buffer's ``data``)
     data: bytes | bytearray
-    #: live name -> record offset
+    #: live name -> offset of its first live record (the one a scan finds)
     by_name: dict[str, int]
-    #: every record offset (live and free), ascending: the scan order
+    #: every record offset (live and free) before :attr:`bad`, ascending
     offsets: list[int]
     #: record offset -> [ino, reclen, name, ftype], as iter_records reports
     records: dict[int, list]
     #: record offset -> bytes an insertion may take there, where > 0
     slack: dict[int, int]
+    #: name -> offsets of its later live records, ascending, for a name
+    #: live more than once (a rename racing a create writes one)
+    shadowed: dict[str, list[int]]
+    #: what iter_records raises at the first corrupt record; nothing from
+    #: there on is indexed
+    bad: Optional[CorruptDirectory] = field(default=None, compare=False)
+
+    def _raise_bad(self, base_offset: int = 0) -> None:
+        """What a scan that runs past every indexed record raises."""
+        what, offset = self.bad.args
+        raise CorruptDirectory(what, base_offset + offset)
 
     def scan(self) -> Iterator[tuple[int, int, int, str, FileType]]:
         """What :func:`iter_records` yields for the mirrored bytes."""
         for offset in self.offsets:
             yield (offset, *self.records[offset])
+        if self.bad is not None:
+            self._raise_bad()
 
     def find(self, name: str,
              base_offset: int = 0) -> tuple[Optional[DirEntry], int]:
-        """:func:`lookup` without the scan."""
+        """The first live record of *name* (or None) and the records a scan
+        for it visits, for CPU costing."""
         offset = self.by_name.get(name)
         if offset is None:
+            if self.bad is not None:
+                self._raise_bad(base_offset)
             return None, len(self.offsets)
         return (DirEntry(base_offset + offset, *self.records[offset]),
                 bisect_left(self.offsets, offset) + 1)
+
+    def empty(self) -> bool:
+        """True if the block holds no live name but '.' and '..'."""
+        empty = self.by_name.keys() <= {".", ".."}
+        if empty and self.bad is not None:
+            self._raise_bad()
+        return empty
 
     def _note_slack(self, offset: int) -> None:
         ino, reclen, name, _ftype = self.records[offset]
@@ -168,16 +185,17 @@ class DirIndex:
             self.slack.pop(offset, None)
 
     def add(self, name: str, ino: int, ftype: FileType) -> Optional[int]:
-        """:func:`add_entry` without the scan; *name* must not be live."""
+        """Insert an entry into the first record with room; returns its
+        offset, or None if the block is full."""
         name_raw = name.encode()
-        if not 0 < len(name_raw) <= MAX_NAME:
-            raise ValueError(f"bad name length {len(name_raw)}")
-        if not ino or name in self.by_name:
-            raise ValueError(f"cannot index ino {ino} as {name!r}")
+        if not 0 < len(name_raw) <= MAX_NAME or not ino:
+            raise ValueError(f"cannot enter ino {ino} as {name!r}")
         need = entry_bytes(len(name_raw))
         offset = min((at for at, slack in self.slack.items() if slack >= need),
                      default=None)
         if offset is None:
+            if self.bad is not None:
+                self._raise_bad()
             return None
         host = self.records[offset]
         reclen = host[1]
@@ -192,17 +210,34 @@ class DirIndex:
         name_at = offset + _ENTRY_HDR_SIZE
         self.data[name_at:name_at + len(name_raw)] = name_raw
         self.records[offset] = [ino, reclen, name, ftype]
-        self.by_name[name] = offset
+        if name in self.by_name:    # a second live record of one name
+            first, later = sorted((self.by_name[name], offset))
+            insort(self.shadowed.setdefault(name, []), later)
+            self.by_name[name] = first
+        else:
+            self.by_name[name] = offset
         self._note_slack(offset)
         return offset
 
     def remove(self, offset: int) -> int:
-        """:func:`remove_entry` without the predecessor walk."""
+        """Delete the live entry at *offset*; returns the inode number it
+        held.  If the entry begins a chunk its inode number is zeroed;
+        otherwise the predecessor absorbs its record length (classic FFS
+        compaction)."""
         record = self.records.get(offset, [0])
         if not record[0]:
             raise ValueError(f"no live entry at offset {offset}")
         ino, reclen, name, _ftype = record
-        del self.by_name[name]
+        if name not in self.shadowed:
+            del self.by_name[name]
+        else:
+            later = self.shadowed[name]
+            if offset in later:
+                later.remove(offset)
+            else:
+                self.by_name[name] = later.pop(0)
+            if not later:
+                del self.shadowed[name]
         if offset % DIRBLKSIZ == 0:
             struct.pack_into("<I", self.data, offset, 0)
             record[0], record[3] = 0, FileType.NONE
@@ -218,78 +253,28 @@ class DirIndex:
         return ino
 
 
-def build_index(data: bytes | bytearray) -> Optional[DirIndex]:
-    """Index every record of *data*; None for bytes only a scan gets right:
-    corrupt ones (a lookup that matches *before* the corrupt record returns
-    normally; reaching it raises) and two live records of one name (the first
-    wins).  Callers fall back to the linear functions."""
-    index = DirIndex(data, {}, [], {}, {})
+def build_index(data: bytes | bytearray) -> DirIndex:
+    """Index the records of *data* before the first corrupt one, keeping
+    what :func:`iter_records` raises there as :attr:`DirIndex.bad`."""
+    index = DirIndex(data, {}, [], {}, {}, {})
     try:
         for offset, *record in iter_records(data):
             index.offsets.append(offset)
             index.records[offset] = record
-            if record[0] and index.by_name.setdefault(record[2],
-                                                      offset) != offset:
-                return None
+            if record[0]:
+                first = index.by_name.setdefault(record[2], offset)
+                if first != offset:
+                    index.shadowed.setdefault(record[2], []).append(offset)
             index._note_slack(offset)
-    except CorruptDirectory:
-        return None
+    except CorruptDirectory as bad:
+        # no traceback: it would hold this frame, and so the index, alive
+        index.bad = bad.with_traceback(None)
     return index
 
 
-def add_entry(data: bytearray, name: str, ino: int,
-              ftype: FileType) -> Optional[int]:
-    """Insert an entry into free space; returns its offset or None if full."""
-    name_raw = name.encode()
-    if not 0 < len(name_raw) <= MAX_NAME:
-        raise ValueError(f"bad name length {len(name_raw)}")
-    need = entry_bytes(len(name_raw))
-    for offset, live, reclen, held_name, _ftype in iter_records(data):
-        used_here = entry_bytes(len(held_name.encode())) if live else 0
-        if reclen - used_here < need:
-            continue
-        if live:
-            # shrink the existing entry, append the new one in its slack
-            struct.pack_into("<H", data, offset + 4, used_here)
-            offset += used_here
-        _HDR.pack_into(data, offset, ino, reclen - used_here, len(name_raw),
-                       int(ftype) >> 12)
-        data[offset + _ENTRY_HDR_SIZE:
-             offset + _ENTRY_HDR_SIZE + len(name_raw)] = name_raw
-        return offset
-    return None
-
-
-def remove_entry(data: bytearray, offset: int) -> int:
-    """Delete the entry at *offset*; returns the inode number it held.
-
-    If the entry begins a chunk its inode number is zeroed; otherwise the
-    predecessor absorbs its record length (classic FFS compaction).
-    """
-    ino, reclen, _namelen, _ftype = _HDR.unpack_from(data, offset)
-    if ino == 0:
-        raise ValueError(f"no live entry at offset {offset}")
-    chunk_at = offset - (offset % DIRBLKSIZ)
-    if offset == chunk_at:
-        struct.pack_into("<I", data, offset, 0)
-        return ino
-    # find the predecessor within the chunk
-    scan = chunk_at
-    while True:
-        _ino, prev_reclen, _nl, _ft = _HDR.unpack_from(data, scan)
-        if scan + prev_reclen == offset:
-            struct.pack_into("<H", data, scan + 4, prev_reclen + reclen)
-            return ino
-        scan += prev_reclen
-        if scan >= offset:
-            raise CorruptDirectory(f"no predecessor for offset {offset}")
-
-
-def is_empty_dir(data: bytes | bytearray) -> bool:
-    """True if the directory holds only '.' and '..'."""
-    return all(not ino or name in (".", "..")
-               for _offset, ino, _reclen, name, _ftype in iter_records(data))
-
-
 class CorruptDirectory(Exception):
-    """Directory bytes violate the entry packing invariants."""
+    """Directory bytes violate the entry packing invariants; ``args`` are
+    what is bad and the offset of the record it is bad in."""
+
+    def __str__(self) -> str:
+        return "bad {} at offset {}".format(*self.args)

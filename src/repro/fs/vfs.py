@@ -320,13 +320,10 @@ class FileSystem:
             // self.geometry.block_size
 
     @staticmethod
-    def _dir_index(buf: Buffer):
-        """The live ``DirIndex`` of a directory block, decoded on first use;
-        False where ``build_index`` refuses the bytes (callers then take the
-        linear functions of ``directory``, raise-on-reach semantics and all).
-        """
+    def _dir_index(buf: Buffer) -> directory.DirIndex:
+        """The live ``DirIndex`` of a directory block, decoded on first use."""
         if buf.dir_index is None:
-            buf.dir_index = directory.build_index(buf.data) or False
+            buf.dir_index = directory.build_index(buf.data)
         return buf.dir_index
 
     def _dir_lookup(self, dp: Inode, name: str) -> Generator:
@@ -339,9 +336,7 @@ class FileSystem:
         bs = self.geometry.block_size
         for lblk in range(self._dir_nblocks(dp)):
             buf = yield from self._dir_block(dp, lblk)
-            index = self._dir_index(buf)
-            entry, scanned = index.find(name, lblk * bs) if index \
-                else directory.lookup(buf.data, name, lblk * bs)
+            entry, scanned = self._dir_index(buf).find(name, lblk * bs)
             yield from self.cpu.compute(
                 self.costs.dirent_scan * scanned * self.costs.scale)
             self.cache.brelse(buf)
@@ -359,14 +354,7 @@ class FileSystem:
                 buf = yield from self._dir_block(dp, lblk)
             else:  # directory full: grow it by one (full) block of empty chunks
                 buf = yield from self._grow_directory(dp, lblk)
-            index = self._dir_index(buf)
-            if index and name not in index.by_name:
-                offset = index.add(name, ino, ftype)
-            else:
-                # a second record of one name (rename racing a create) is not
-                # something the index models: this block is scanned from now on
-                buf.dir_index = False
-                offset = directory.add_entry(buf.data, name, ino, ftype)
+            offset = self._dir_index(buf).add(name, ino, ftype)
             if offset is not None:
                 return buf, lblk * bs + offset
             self.cache.brelse(buf)
@@ -637,8 +625,8 @@ class FileSystem:
             ip.din.size = bs
             # '..' is a link to the parent: raise parent's count and order it
             dp.din.nlink += 1
-            dotdot, _scanned = directory.lookup(buf.data, "..")
-            yield from self.scheme.dotdot_link_added(dp, buf, dotdot.offset)
+            yield from self.scheme.dotdot_link_added(dp, buf,
+                                                     directory.DOTDOT_OFFSET)
             # the parent's entry for the new directory
             dbuf, offset = yield from self._dir_add_entry(
                 dp, name, ino, FileType.DIRECTORY)
@@ -741,6 +729,9 @@ class FileSystem:
         if target.is_dir:
             self.iput(target)
             raise FsError("EISDIR", "directory rename not supported")
+        if _split(oldpath) == _split(newpath):
+            self.iput(target)   # one name: nothing to move
+            return
         try:
             yield from self.unlink(newpath)
         except FsError as err:
@@ -767,19 +758,13 @@ class FileSystem:
         bs = self.geometry.block_size
         lblk, in_block = divmod(entry.offset, bs)
         buf = yield from self._dir_block(dp, lblk)
-        index = self._dir_index(buf)
-        if index:
-            index.remove(in_block)
-        else:
-            directory.remove_entry(buf.data, in_block)
+        self._dir_index(buf).remove(in_block)
         return buf, entry.offset
 
     def _dir_is_empty(self, ip: Inode) -> Generator:
         for lblk in range(self._dir_nblocks(ip)):
             buf = yield from self._dir_block(ip, lblk)
-            index = self._dir_index(buf)
-            empty = index.by_name.keys() <= {".", ".."} if index \
-                else directory.is_empty_dir(buf.data)
+            empty = self._dir_index(buf).empty()
             self.cache.brelse(buf)
             if not empty:
                 return False
@@ -920,10 +905,8 @@ class FileSystem:
             names = []
             for lblk in range(self._dir_nblocks(dp)):
                 buf = yield from self._dir_block(dp, lblk)
-                index = self._dir_index(buf)
-                records = index.scan() if index \
-                    else directory.iter_records(buf.data)
-                names += [name for _at, ino, _reclen, name, _ftype in records
+                names += [name for _at, ino, _reclen, name, _ftype
+                          in self._dir_index(buf).scan()
                           if ino and name not in (".", "..")]
                 self.cache.brelse(buf)
             yield from self.cpu.compute(

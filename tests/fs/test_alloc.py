@@ -28,8 +28,7 @@ class TestCgView:
     def test_set_frags_updates_count_and_bits(self):
         view = fresh_view()
         view.set_frags(10, 3, True)
-        assert view.frag_used(11)
-        assert not view.frag_used(13)
+        assert view.frag_bits() >> 10 & 0b1111 == 0b0111
         assert view.free_frags == GEO.dfrags_per_cg - 3
         view.set_frags(10, 3, False)
         assert view.free_frags == GEO.dfrags_per_cg
@@ -80,7 +79,7 @@ class TestCgView:
         for block, count in occupied:
             base = block * 8
             for frag in range(base, base + count):
-                if not view.frag_used(frag):
+                if not view.frag_bits() >> frag & 1:
                     view.set_frags(frag, 1, True)
         run = view.find_frag_run(want, rotor=0)
         if run is not None:

@@ -2,14 +2,18 @@
 
 ``repro.fs.directory.DirIndex`` is maintained through mutations instead of
 being rebuilt, so it can drift from the bytes it mirrors in ways a rebuild
-never could.  The linear ``lookup`` / ``add_entry`` / ``remove_entry`` are
-the reference (the ``tests/disk/reference_store.py`` pattern): after every
-step of a generated interleaving the indexed block must hold the same bytes,
-answer every lookup the same way (entry *and* scanned count), and equal a
-fresh ``build_index`` of those bytes.  The whole-machine half holds every
-registered scheme to the same thing from the outside: with the index forced
-off (test-side monkeypatch; there is no shipped switch) the timeline, the
-disk image and fsck's verdict must not move.
+never could.  The linear ``lookup`` / ``add_entry`` / ``remove_entry`` /
+``is_empty_dir`` of ``tests/fs/reference_directory.py`` are the reference
+(the ``tests/disk/reference_store.py`` pattern): after every step of a
+generated interleaving -- second records of a live name and blocks whose
+last chunk is corrupt included -- the indexed block must hold the same
+bytes, give every operation the same answer (an entry *and* its scanned
+count) or raise the same ``CorruptDirectory``, and equal a fresh
+``build_index`` of those bytes.  The whole-machine half holds every
+registered scheme to the same thing from the outside: with ``build_index``
+swapped for the reference's ``LinearBlock`` (test-side monkeypatch; there
+is no shipped switch) the timeline, the disk image and fsck's verdict must
+not move.
 """
 
 import pytest
@@ -21,8 +25,10 @@ from repro.fs.layout import FileType
 from repro.integrity.fsck import fsck
 from repro.machine import Machine, MachineConfig
 from repro.ordering.registry import REGISTRY
+from repro.sim import Timeout
 
-from tests.conftest import SMALL_GEOMETRY, iter_entries
+from tests.conftest import SMALL_GEOMETRY, run_user
+from tests.fs import reference_directory as ref_dir
 
 #: few enough names that re-adds, collisions and full blocks all happen;
 #: lengths from 1 to 57 bytes, one of them multi-byte
@@ -33,6 +39,9 @@ FTYPES = [FileType.REGULAR, FileType.DIRECTORY]
 OPS = st.lists(st.tuples(
     st.sampled_from(["add", "remove"]),
     st.integers(0, 10_000)), max_size=60)
+
+#: (byte within a record header, value) that make the record corrupt
+DAMAGE = {"reclen": (4, 3), "namelen": (6, 250), "type": (7, 3)}
 
 
 def start_block(chunks, prefilled):
@@ -46,36 +55,71 @@ def start_block(chunks, prefilled):
     return data
 
 
+def corrupt_tail(data, record, field):
+    """Append a chunk of three live records and damage *field* of the
+    *record*-th: a scan reads the records before it, then raises."""
+    tail = bytearray(d.format_chunk([(30, "t", FileType.REGULAR),
+                                     (31, "tail" * 5, FileType.REGULAR),
+                                     (32, "a", FileType.REGULAR)]))
+    at = sum(d.entry_bytes(len(name)) for name in ("t", "tail" * 5)[:record])
+    byte, value = DAMAGE[field]
+    tail[at + byte] = value
+    return data + tail
+
+
+def outcome(call, *args):
+    """What *call* returns, or the CorruptDirectory it raises."""
+    try:
+        return call(*args)
+    except d.CorruptDirectory as exc:
+        return repr(exc)
+
+
+def readable(data):
+    """The records a scan decodes before any corrupt one."""
+    records = []
+    try:
+        records.extend(d.iter_records(data))
+    except d.CorruptDirectory:
+        pass
+    return records
+
+
 def assert_mirrors(live, ref, base=4096):
     assert live.data == ref
-    assert live == d.build_index(bytes(ref))
-    assert list(live.scan()) == list(d.iter_records(ref))
-    for name in NAMES + ["absent", "pre0-0"]:
-        assert live.find(name, base) == d.lookup(ref, name, base)
+    fresh = d.build_index(bytes(ref))
+    assert live == fresh and repr(live.bad) == repr(fresh.bad)
+    assert outcome(lambda: list(live.scan())) \
+        == outcome(lambda: list(d.iter_records(ref)))
+    assert outcome(live.empty) == outcome(ref_dir.is_empty_dir, ref)
+    for name in NAMES + ["absent", "pre0-0", "t", "a"]:
+        assert outcome(live.find, name, base) \
+            == outcome(ref_dir.lookup, ref, name, base)
 
 
 @settings(max_examples=150, deadline=None)
-@given(chunks=st.integers(1, 4), prefilled=st.integers(0, 2), ops=OPS)
-def test_any_interleaving_matches_the_linear_functions(chunks, prefilled, ops):
+@given(chunks=st.integers(1, 4), prefilled=st.integers(0, 2), ops=OPS,
+       damage=st.none() | st.tuples(st.integers(0, 2),
+                                    st.sampled_from(sorted(DAMAGE))))
+def test_any_interleaving_matches_the_linear_functions(chunks, prefilled, ops,
+                                                       damage):
     ref = start_block(max(chunks, prefilled + 1), prefilled)
+    if damage is not None:
+        ref = corrupt_tail(ref, *damage)
     live = d.build_index(bytearray(ref))
     assert_mirrors(live, ref)
     for op, pick in ops:
-        alive = [e for e in iter_entries(ref) if e.live]
+        alive = [record for record in readable(ref) if record[1]]
         if op == "add":
             name = NAMES[pick % len(NAMES)]
             ino, ftype = 100 + pick, FTYPES[pick % 2]
-            if d.lookup(ref, name)[0] is not None:
-                # the index refuses a second record of a name, untouched
-                with pytest.raises(ValueError):
-                    live.add(name, ino, ftype)
-            else:
-                # same slot, or the same refusal when nothing fits
-                assert live.add(name, ino, ftype) \
-                    == d.add_entry(ref, name, ino, ftype)
+            # same slot (a second record of a live name included), or the
+            # same refusal when nothing fits before the corrupt record
+            assert outcome(live.add, name, ino, ftype) \
+                == outcome(ref_dir.add_entry, ref, name, ino, ftype)
         elif op == "remove" and alive:
-            offset = alive[pick % len(alive)].offset
-            assert live.remove(offset) == d.remove_entry(ref, offset)
+            offset = alive[pick % len(alive)][0]
+            assert live.remove(offset) == ref_dir.remove_entry(ref, offset)
         assert_mirrors(live, ref)
 
 
@@ -84,27 +128,42 @@ def test_index_refuses_what_the_linear_functions_refuse():
     live = d.build_index(bytearray(ref))
     for bad in ("", "x" * 256, "é" * 128):
         with pytest.raises(ValueError):
-            d.add_entry(ref, bad, 5, FileType.REGULAR)
+            ref_dir.add_entry(ref, bad, 5, FileType.REGULAR)
         with pytest.raises(ValueError):
             live.add(bad, 5, FileType.REGULAR)
     # '.' heads its chunk, so removal leaves a dead record: not removable
-    assert live.remove(0) == d.remove_entry(ref, 0) == 2
+    assert live.remove(0) == ref_dir.remove_entry(ref, 0) == 2
     with pytest.raises(ValueError):
-        d.remove_entry(ref, 0)
+        ref_dir.remove_entry(ref, 0)
     with pytest.raises(ValueError):
         live.remove(0)
     assert_mirrors(live, ref)
 
 
-def test_duplicate_names_and_corrupt_bytes_are_not_indexed():
+def test_duplicate_names_and_corrupt_bytes_are_indexed_as_a_scan_reads_them():
     twice = start_block(1, 0)
-    d.add_entry(twice, "same", 7, FileType.REGULAR)
-    d.add_entry(twice, "same", 8, FileType.REGULAR)
-    assert d.build_index(twice) is None
-    assert d.lookup(twice, "same")[0].ino == 7      # first record wins
+    index = d.build_index(twice)
+    assert index.add("same", 7, FileType.REGULAR) \
+        < index.add("same", 8, FileType.REGULAR)
+    assert index == d.build_index(bytes(twice))
+    assert index.find("same") == ref_dir.lookup(twice, "same")
+    assert index.find("same")[0].ino == 7           # first record wins
+    assert index.remove(index.by_name["same"]) == 7
+    assert index.find("same")[0].ino == 8           # then the next one
+    assert index.remove(index.by_name["same"]) == 8
+    assert index.find("same")[0] is None and index.empty()
     torn = start_block(2, 1)
     torn[512 + 4:512 + 6] = b"\x03\x00"             # reclen 3
-    assert d.build_index(torn) is None
+    index = d.build_index(torn)
+    assert index.bad.args == ("reclen 3", 512)
+    assert index.find("..") == ref_dir.lookup(torn, "..")
+    with pytest.raises(d.CorruptDirectory, match="bad reclen 3"):
+        index.find("absent")
+    with pytest.raises(d.CorruptDirectory, match="bad reclen 3"):
+        index.empty()
+    with pytest.raises(d.CorruptDirectory, match="bad reclen 3"):
+        for ino in range(10, 30):   # fills chunk 0, then reaches the record
+            assert index.add(f"file{ino}" * 10, ino, FileType.REGULAR) < 512
 
 
 # -- whole machine ------------------------------------------------------------
@@ -123,7 +182,7 @@ def observe(slug, check=False):
 
     def after_syscall():
         for buf in machine.cache._buffers.values():
-            if isinstance(buf.dir_index, d.DirIndex):
+            if buf.dir_index is not None:
                 assert buf.dir_index.data is buf.data
                 assert buf.dir_index == d.build_index(bytes(buf.data))
                 indexed.append(buf.daddr)
@@ -171,5 +230,48 @@ def test_index_changes_nothing_simulated(monkeypatch, slug):
     assert indexed["requests"] and indexed["cpu"] > 0.0
     assert indexed["fsck"] == ([], [])
     assert len(indexed["readdir"][0]) == 130 - 44 - 13 + 13 + 30 + 1
-    monkeypatch.setattr(d, "build_index", lambda data: None)
+    monkeypatch.setattr(d, "build_index", ref_dir.LinearBlock)
     assert indexed == observe(slug)
+
+
+def observe_rename_race():
+    """Conventional: with /a and /b synced, rename /a onto /b while a second
+    process creates /b 1 ms later, as the rename waits on its unlink."""
+    machine = Machine(MachineConfig(
+        scheme=REGISTRY["conventional"].build(), fs_geometry=SMALL_GEOMETRY,
+        cache_bytes=2 * 1024 * 1024, costs=CostModel(scale=1.0)))
+    machine.format()
+    fs, engine = machine.fs, machine.engine
+
+    def race():
+        yield from fs.write_file("/a", b"a" * 700)
+        yield from fs.write_file("/b", b"b" * 700)
+        yield from fs.sync()
+        renamer = engine.process(fs.rename("/a", "/b"), name="renamer")
+        creator = engine.process(create_later(), name="creator")
+        yield renamer
+        yield creator
+
+    def create_later():
+        yield Timeout(engine, 0.001)
+        yield from fs.write_file("/b", b"c" * 700)
+
+    run_user(machine, race())
+    machine.sync_and_settle()
+    return {
+        "requests": [(r.kind.name, r.lbn, r.nsectors, r.issue_time,
+                      r.dispatch_time, r.complete_time)
+                     for r in machine.driver.trace],
+        "digest": machine.disk.storage.digest(),
+        "readdir": run_user(machine, fs.readdir("/")),
+    }
+
+
+def test_rename_racing_a_create_reads_the_same_indexed(monkeypatch):
+    indexed = observe_rename_race()
+    # rename adds its name without looking again after the create: two
+    # live records of 'b' in one block, which the index must read as a
+    # scan does
+    assert indexed["readdir"] == ["b", "b"]
+    monkeypatch.setattr(d, "build_index", ref_dir.LinearBlock)
+    assert indexed == observe_rename_race()

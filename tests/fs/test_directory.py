@@ -1,4 +1,5 @@
-"""Unit tests for FFS directory chunk packing."""
+"""Unit tests for FFS directory chunk packing, read and edited through
+``DirIndex`` as the file system does."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,72 +35,71 @@ class TestFormat:
 
 class TestAddLookup:
     def test_add_then_lookup(self):
-        data = fresh_dir()
-        offset = d.add_entry(data, "hello.txt", 42, FileType.REGULAR)
+        index = d.build_index(fresh_dir())
+        offset = index.add("hello.txt", 42, FileType.REGULAR)
         assert offset is not None
-        entry, scanned = d.lookup(data, "hello.txt")
+        entry, scanned = index.find("hello.txt")
         assert entry.ino == 42
         assert entry.offset == offset
         assert scanned >= 3
 
     def test_lookup_miss_scans_everything(self):
         data = fresh_dir()
-        entry, scanned = d.lookup(data, "absent")
+        entry, scanned = d.build_index(data).find("absent")
         assert entry is None
         assert scanned == len(list(iter_entries(data)))
 
     def test_fills_up_and_returns_none(self):
-        data = bytearray(d.empty_chunk())
+        index = d.build_index(bytearray(d.empty_chunk()))
         count = 0
-        while d.add_entry(data, f"file{count:03d}", 100 + count,
-                          FileType.REGULAR) is not None:
+        while index.add(f"file{count:03d}", 100 + count,
+                        FileType.REGULAR) is not None:
             count += 1
         assert count == d.DIRBLKSIZ // d.entry_bytes(7)
-        assert d.add_entry(data, "onemore", 999, FileType.REGULAR) is None
+        assert index.add("onemore", 999, FileType.REGULAR) is None
 
     def test_bad_names_rejected(self):
         with pytest.raises(ValueError):
-            d.add_entry(fresh_dir(), "", 1, FileType.REGULAR)
+            d.build_index(fresh_dir()).add("", 1, FileType.REGULAR)
         with pytest.raises(ValueError):
-            d.add_entry(fresh_dir(), "x" * 300, 1, FileType.REGULAR)
+            d.build_index(fresh_dir()).add("x" * 300, 1, FileType.REGULAR)
 
     def test_base_offset_shifts_reported_offsets(self):
-        data = fresh_dir()
-        entry, _ = d.lookup(data, ".", base_offset=2048)
+        entry, _ = d.build_index(fresh_dir()).find(".", base_offset=2048)
         assert entry.offset == 2048
 
 
 class TestRemove:
     def test_remove_mid_chunk_merges_into_predecessor(self):
-        data = fresh_dir()
-        offset = d.add_entry(data, "victim", 42, FileType.REGULAR)
-        assert d.remove_entry(data, offset) == 42
-        entry, _ = d.lookup(data, "victim")
+        index = d.build_index(fresh_dir())
+        offset = index.add("victim", 42, FileType.REGULAR)
+        assert index.remove(offset) == 42
+        entry, _ = index.find("victim")
         assert entry is None
         # space is reusable
-        assert d.add_entry(data, "reborn", 43, FileType.REGULAR) is not None
+        assert index.add("reborn", 43, FileType.REGULAR) is not None
 
     def test_remove_chunk_head_zeroes_ino(self):
         chunk = bytearray(d.format_chunk([(7, "head", FileType.REGULAR),
                                           (8, "tail", FileType.REGULAR)]))
         head = next(iter(iter_entries(chunk)))
-        d.remove_entry(chunk, head.offset)
+        index = d.build_index(chunk)
+        index.remove(head.offset)
         assert next(iter(iter_entries(chunk))).ino == 0
-        entry, _ = d.lookup(chunk, "tail")
+        entry, _ = index.find("tail")
         assert entry.ino == 8
 
     def test_remove_dead_entry_rejected(self):
-        data = fresh_dir()
         with pytest.raises(ValueError):
-            d.remove_entry(data, 512)  # the empty second chunk
+            d.build_index(fresh_dir()).remove(512)  # the empty second chunk
 
     def test_is_empty_dir(self):
-        data = fresh_dir()
-        assert d.is_empty_dir(data)
-        offset = d.add_entry(data, "child", 9, FileType.REGULAR)
-        assert not d.is_empty_dir(data)
-        d.remove_entry(data, offset)
-        assert d.is_empty_dir(data)
+        index = d.build_index(fresh_dir())
+        assert index.empty()
+        offset = index.add("child", 9, FileType.REGULAR)
+        assert not index.empty()
+        index.remove(offset)
+        assert index.empty()
 
 
 class TestCorruption:
@@ -120,15 +120,18 @@ class TestCorruption:
         chunk = self.damaged(at, value)
         with pytest.raises(d.CorruptDirectory, match=what):
             list(iter_entries(chunk))
-        assert d.build_index(chunk) is None
-        with pytest.raises(d.CorruptDirectory):
-            d.lookup(chunk, "b")
-        with pytest.raises(d.CorruptDirectory):
-            d.is_empty_dir(chunk)
+        index = d.build_index(chunk)
+        assert str(index.bad) == f"{what} at offset 0"
+        with pytest.raises(d.CorruptDirectory, match=what):
+            index.find("b")
+        with pytest.raises(d.CorruptDirectory, match=what):
+            index.empty()
+        with pytest.raises(d.CorruptDirectory, match=what):
+            list(index.scan())
 
     def test_type_byte_of_a_free_record_is_not_read(self):
         chunk = bytearray(d.format_chunk([(7, "a", FileType.REGULAR)]))
-        d.remove_entry(chunk, 0)
+        d.build_index(chunk).remove(0)
         chunk[7] = 3
         entry, = iter_entries(chunk)
         assert (entry.live, entry.ftype) == (False, FileType.NONE)
@@ -137,18 +140,18 @@ class TestCorruption:
 @given(st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=12),
                 min_size=1, max_size=30, unique=True))
 def test_add_remove_random_names_property(names):
-    data = bytearray(d.empty_chunk() * 4)
+    index = d.build_index(bytearray(d.empty_chunk() * 4))
     offsets = {}
     for name in names:
-        offset = d.add_entry(data, name, 100 + len(offsets), FileType.REGULAR)
+        offset = index.add(name, 100 + len(offsets), FileType.REGULAR)
         if offset is None:
             break
         offsets[name] = offset
     # every added name is findable, then removable, leaving an empty dir
     for name in offsets:
-        entry, _ = d.lookup(data, name)
+        entry, _ = index.find(name)
         assert entry is not None and entry.offset == offsets[name]
     for name in offsets:
-        entry, _ = d.lookup(data, name)
-        d.remove_entry(data, entry.offset)
-    assert d.is_empty_dir(data)
+        entry, _ = index.find(name)
+        index.remove(entry.offset)
+    assert index.empty()

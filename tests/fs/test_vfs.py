@@ -4,8 +4,11 @@ import pytest
 
 from repro.fs import FsError
 from repro.fs.layout import FileType
+from repro.integrity.fsck import fsck
+from repro.machine import Machine, MachineConfig
+from repro.ordering.registry import REGISTRY
 from repro.sim import ProcessCrashed
-from tests.conftest import make_machine, run_user
+from tests.conftest import SMALL_GEOMETRY, make_machine, run_user
 
 
 class TestBasicOps:
@@ -135,6 +138,30 @@ class TestBasicOps:
         assert nlink == 2
         assert data == b"shared"
         assert nlink_after == 1
+
+
+@pytest.mark.parametrize("slug", list(REGISTRY))
+def test_rename_onto_itself_keeps_the_file(slug):
+    machine = Machine(MachineConfig(scheme=REGISTRY[slug].build(),
+                                    fs_geometry=SMALL_GEOMETRY))
+    machine.format()
+    fs = machine.fs
+
+    def user():
+        yield from fs.write_file("/x", b"kept" * 300)
+        yield from fs.rename("/x", "/x")
+        yield from fs.rename("/x", "//x/")    # the same name, spelled apart
+        with pytest.raises(FsError, match="ENOENT"):
+            yield from fs.rename("/absent", "/absent")
+        yield from fs.sync()
+        names = yield from fs.readdir("/")
+        data = yield from fs.read_file("/x")
+        return names, data
+
+    assert run_user(machine, user()) == (["x"], b"kept" * 300)
+    machine.sync_and_settle()
+    report = fsck(machine.disk.storage, SMALL_GEOMETRY)
+    assert (report.errors, report.warnings) == ([], [])
 
 
 class TestErrors:

@@ -54,9 +54,10 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
         findings.append(("error", f"cylinder group {cg} bad magic"))
         return findings
     base = geo.cg_data_start(cg)
+    frag_bits, inode_bits = view.frag_bits(), view.inode_bits()
     for index in range(geo.dfrags_per_cg):
         daddr = base + index
-        used = view.frag_used(index)
+        used = bool(frag_bits >> index & 1)
         claimed = daddr in claims
         if claimed and not used:
             findings.append(("warning",
@@ -71,7 +72,7 @@ def cg_bitmap_findings(image: SectorStore, geo: FSGeometry, cg: int,
         ino = cg * geo.ipg + index
         if ino < ROOT_INO:
             continue
-        used = view.inode_used(index)
+        used = bool(inode_bits >> index & 1)
         is_alloc = ino in allocated
         if is_alloc and not used:
             findings.append(("warning",

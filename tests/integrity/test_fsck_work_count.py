@@ -47,7 +47,7 @@ def test_one_fsck_probes_no_bit_and_unpacks_only_allocated_slots(monkeypatch):
     image = ImageSynthesizer(recorded.base_image, recorded.media_log) \
         .image_at(points[len(points) // 2].time)
 
-    calls = {"frag_used": 0, "inode_used": 0, "unpack": 0}
+    calls = {"bit": 0, "unpack": 0}
 
     def counted(name, function):
         def wrapper(*args, **kwargs):
@@ -55,18 +55,14 @@ def test_one_fsck_probes_no_bit_and_unpacks_only_allocated_slots(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(CgView, "frag_used",
-                        counted("frag_used", CgView.frag_used))
-    monkeypatch.setattr(CgView, "inode_used",
-                        counted("inode_used", CgView.inode_used))
+    monkeypatch.setattr(CgView, "_get", counted("bit", CgView._get))
     monkeypatch.setattr(Dinode, "unpack",
                         counted("unpack", Dinode.unpack))
     report = fsck(image, machine.config.fs_geometry)
 
     assert len(report.inodes) > 5 and report.warnings, \
         "the image must give the checker something to decode"
-    assert calls["frag_used"] == 0
-    assert calls["inode_used"] == 0
+    assert calls["bit"] == 0
     assert calls["unpack"] <= len(report.inodes) + 1
 
 

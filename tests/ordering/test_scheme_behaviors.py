@@ -177,15 +177,15 @@ class TestSoftUpdates:
         # the on-disk entry is rolled back (ino 0); memory still has it
         from repro.fs import directory
         on_disk = m.disk.storage.read(root_daddr * 2, 16)
-        entry, _ = directory.lookup(on_disk, "early")
+        entry, _ = directory.build_index(on_disk).find("early")
         assert entry is None
-        in_memory, _ = directory.lookup(dbuf.data, "early")
+        in_memory, _ = directory.build_index(dbuf.data).find("early")
         assert in_memory is not None
         assert m.scheme.manager.rollbacks >= 1
         # the block was re-dirtied so the entry eventually lands
         run_user(m, m.fs.sync(), name="sync")
         on_disk = m.disk.storage.read(root_daddr * 2, 16)
-        entry, _ = directory.lookup(on_disk, "early")
+        entry, _ = directory.build_index(on_disk).find("early")
         assert entry is not None
 
     def test_deferred_free_blocks_bitmap_until_reset_written(self):
