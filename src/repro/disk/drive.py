@@ -19,8 +19,8 @@ One :class:`InFlightWrite` describes one write transfer, and it is the only
 description: it sits on ``disk.in_flight`` while the transfer runs, is
 stamped with ``end`` and ``durable`` when the media operation ends, and is
 then handed to every entry of ``disk.write_observers`` -- the media log
-(:mod:`repro.integrity.medialog`) keeps the object itself, and the crash
-explorer and the ordering monitor read it from there.
+(:mod:`repro.integrity.medialog`) keeps the object itself, its payload
+swapped for pooled sectors, and the explorer and monitor read it there.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ class InFlightWrite:
     instant a re-simulation does.  ``durable`` is the sector-prefix length
     that persisted: ``nsectors`` for a successful write, the torn /
     medium-error prefix for a faulted one, zero for a transient whose pass
-    left nothing on the platters.
+    left nothing on the platters.  ``data`` is the driver's payload until
+    the media log swaps it for a tuple of its pooled sectors.
     """
 
     lbn: int
-    data: bytes
+    data: bytes | tuple[bytes, ...]
     nsectors: int
     transfer_start: float
     sector_period: float

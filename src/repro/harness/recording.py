@@ -6,9 +6,10 @@ carry, when did it end and what did it leave on the platters.
 ``with recording(machine) as recorded:`` snapshots the base image and puts
 a :class:`~repro.integrity.medialog.MediaLog` among the drive's
 ``write_observers`` (it keeps every :class:`~repro.disk.drive.InFlightWrite`
-the drive hands out as its media operation ends) for the duration of the
-block.  :func:`record_run` runs a workload once inside it and then lets
-the system quiesce naturally -- no explicit ``sync()`` is injected,
+the drive hands out as its media operation ends, its payload as pooled
+sectors) for the duration of the block.  :func:`record_run` runs a
+workload once inside it and then lets the system quiesce naturally -- no
+explicit ``sync()`` is injected,
 because a re-simulation of the same workload (the test suite's replay
 oracle) must follow the *identical* event timeline and a recording-only
 sync would fork it.  Quiescence is reached through the ordinary
@@ -25,7 +26,7 @@ walks; see ``docs/crash-exploration.md``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Iterator, Optional
 
 from repro.disk.drive import InFlightWrite
@@ -42,7 +43,7 @@ class RecordedRun:
     #: the pre-workload disk image
     base_image: SectorStore
     #: every write transfer of the run (and every off-media survivor)
-    media_log: MediaLog = field(default_factory=MediaLog)
+    media_log: MediaLog
     #: simulated instant the workload generator finished
     workload_done: float = 0.0
     #: simulated instant the machine quiesced (driver idle, cache clean,
@@ -73,27 +74,28 @@ def recording(machine: Machine) -> Iterator[RecordedRun]:
     """Record every media write of *machine* while the block runs.
 
     The current image is snapshotted (copy-on-write, so free) as the base,
-    the log's ``entries.append`` joins the drive's ``write_observers``
-    (each write's record is kept by reference: payload, LBN, per-sector
-    timing, torn/faulted outcome) and the scheme's ``on_survivor``
-    observer logs every store and drop of its battery-backed state (only
-    NVRAM has any), stamped with the simulated instant.  Both hooks come
-    off however the block exits.  Recording is passive: it changes neither
-    the event timeline nor a single simulated timestamp.
+    the log's ``record`` joins the drive's ``write_observers`` (each
+    write's record is kept by reference: LBN, per-sector timing,
+    torn/faulted outcome, its payload swapped for pooled sectors) and the
+    scheme's ``on_survivor`` observer logs every store and drop of its
+    battery-backed state (only NVRAM has any), stamped with the simulated
+    instant.  Both hooks come off, and the log's pool goes, however the
+    block exits.  Recording is passive: it changes neither the event
+    timeline nor a single simulated timestamp.
     """
-    recorded = RecordedRun(machine.disk.storage.snapshot())
+    log = MediaLog(machine.disk.geometry.sector_size)
+    recorded = RecordedRun(machine.disk.storage.snapshot(), log)
     observers = machine.disk.write_observers
-    log_write = recorded.media_log.entries.append
-    observers.append(log_write)
+    observers.append(log.record)
     scheme = machine.scheme
-    survivors = recorded.media_log.survivors
     scheme.on_survivor = lambda lbn, data: \
-        survivors.append((machine.engine.now, lbn, data))
+        log.survive(machine.engine.now, lbn, data)
     try:
         yield recorded
     finally:
-        observers.remove(log_write)
+        observers.remove(log.record)
         scheme.on_survivor = None
+        log.close()
 
 
 def record_run(machine: Machine, workload: Generator,

@@ -322,6 +322,9 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
                             fault_seed=fault_seed)
     recorded = record_run(machine,
                           build_workload(machine, workload, seed, ops))
+    geometry, guarantees = (machine.config.fs_geometry,
+                            machine.scheme.crash_guarantees)
+    del machine  # the walk needs only those two: free the rest first
     raw = _enumerate_raw(recorded, samples_per_write)
     points = _budget(raw, max_points, sample_seed=seed)
     if point is not None:
@@ -329,14 +332,15 @@ def explore(scheme: str, workload: str = "microbench", seed: int = 0,
         points = [p for p in points if p.index == point]
         if not points:
             raise ValueError(f"no crash point with index {point} "
-                             f"(enumerated {budgeted})")
+                             f"({len(raw)} enumerated, "
+                             f"{budgeted} in the budget)")
     findings, ordering_violations = _verify(
-        recorded.base_image, recorded.media_log, machine.config.fs_geometry,
-        secrets, verify_repair, machine.scheme.crash_guarantees, points,
+        recorded.base_image, recorded.media_log, geometry,
+        secrets, verify_repair, guarantees, points,
         commits(recorded) if monitor else ())
     return ExplorationReport(
         scheme=scheme, workload=workload, seed=seed,
-        guarantees=machine.scheme.crash_guarantees, findings=findings,
+        guarantees=guarantees, findings=findings,
         quiesce_time=recorded.quiesce_time,
         write_windows=len(recorded.windows),
         fault_profile=fault_profile, fault_seed=fault_seed,

@@ -9,15 +9,18 @@ a time, and sectors within a transfer land in LBN order, one per
 ``sector_period``, each protected by its own ECC (paper, footnote 1).
 
 :class:`MediaLog` captures that stream once
-(:func:`repro.harness.recording.recording` hooks it to the drive), so the
-log holds the drive's own :class:`~repro.disk.drive.InFlightWrite`
-records -- one per write media operation, carrying the payload (stored
-exactly once -- the driver trace drops its copy at completion), the
-transfer window geometry, the *actual* simulated completion instant
-``end`` and the sector-prefix length ``durable`` that persisted.  It is
-the one record of the media, and :func:`audited_images` is its one walk:
-the crash explorer's points and the ordering monitor's commits
-(:mod:`repro.integrity.monitor`) are instants of it.
+(:func:`repro.harness.recording.recording` hooks :meth:`MediaLog.record`
+to the drive), so the log holds the drive's own
+:class:`~repro.disk.drive.InFlightWrite` records -- one per write media
+operation, carrying the payload, the transfer window geometry, the
+*actual* simulated completion instant ``end`` and the sector-prefix
+length ``durable`` that persisted.  A metadata write lays down a whole
+block to change a few bytes of it, so most sectors repeat one the log
+holds: a payload is logged as a tuple of *pooled* sectors, each distinct
+content held once.  It is the one record of the media, and
+:func:`audited_images` is its one walk: the crash explorer's points and
+the ordering monitor's commits (:mod:`repro.integrity.monitor`) are
+instants of it.
 
 :class:`ImageSynthesizer` then materializes the crash state at any
 instant with **no simulation at all**: base image + the durable prefix of
@@ -30,9 +33,9 @@ byte-identical to the one a re-simulation to *t* leaves
 
 Crash state that is *not* on the platters -- NVRAM's battery-backed mirror
 -- is said once, as a second stream, ``MediaLog.survivors``: one
-``(time, lbn, bytes | None)`` entry per mirror store or drop, fed by the
-scheme's ``on_survivor`` observer.  Synthesis replays it to *t* and
-writes what is left over the image; nothing else in ``src/`` recovers it.
+``(time, lbn, sectors | None)`` entry per (pooled) mirror store or drop,
+fed by the scheme's ``on_survivor`` observer.  Synthesis replays it to *t*
+and writes what is left over the image; nothing else in ``src/`` does.
 
 :func:`audited_images` serves instants in time order through one
 :class:`ImageSynthesizer`, so the image is built *incrementally* -- each
@@ -60,20 +63,44 @@ from repro.disk.storage import SectorStore
 class MediaLog:
     """Append-only record of every write that reached the media.
 
-    Memory discipline: each window's payload bytes are stored here exactly
-    once -- the log holds a reference to the very object the driver handed
-    the drive, and the driver trace drops its own copy at completion.  ``payload_bytes`` is therefore
-    bounded by the workload's unique write volume, never duplicated
-    per-sector or per-crash-point.
+    Memory discipline: each distinct sector content is held once.
+    :meth:`record` (the drive's observer) and :meth:`survive` (the
+    scheme's) swap each payload for a tuple of pooled sectors, so a sector
+    the log already holds costs a tuple slot, not 512 bytes; :meth:`close`
+    drops the pool's dict when the recording ends.
     """
 
-    def __init__(self) -> None:
-        #: the drive's records, in the order their media operations ended
+    def __init__(self, sector_size: int = 512) -> None:
+        #: the drive's records, in the order their media operations ended,
+        #: each ``data`` a tuple of pooled sectors
         self.entries: list[InFlightWrite] = []
-        #: off-media survivors in time order: ``(time, lbn, data)`` stores
-        #: and ``(time, lbn, None)`` drops (empty unless the scheme keeps
-        #: battery-backed state)
+        #: off-media survivors in time order: ``(time, lbn, sectors)``
+        #: stores and ``(time, lbn, None)`` drops (empty unless the scheme
+        #: keeps battery-backed state)
         self.survivors: list[tuple] = []
+        self.sector_size = sector_size
+        #: every distinct sector logged, keyed by itself (None once closed)
+        self._pool: dict[bytes, bytes] | None = {}
+
+    def _sectors(self, data: bytes) -> tuple[bytes, ...]:
+        """*data* as a tuple of its sectors, each the pool's one copy."""
+        size = self.sector_size
+        chunks = [data[start:start + size]
+                  for start in range(0, len(data), size)]
+        return tuple(map(self._pool.setdefault, chunks, chunks))
+
+    def record(self, write: InFlightWrite) -> None:
+        """Log a finished write, its payload as pooled sectors."""
+        write.data = self._sectors(write.data)
+        self.entries.append(write)
+
+    def survive(self, when: float, lbn: int, data: bytes | None) -> None:
+        """Log a mirror store of *data* at *lbn* (``None``: a drop)."""
+        self.survivors.append(
+            (when, lbn, None if data is None else self._sectors(data)))
+
+    def close(self) -> None:
+        self._pool = None  # the recording is over: the tuples keep the sectors
 
     # -- instrumentation ---------------------------------------------------
     def __len__(self) -> int:
@@ -81,8 +108,8 @@ class MediaLog:
 
     @property
     def payload_bytes(self) -> int:
-        """Total payload held (each window's bytes counted exactly once)."""
-        return sum(len(entry.data) for entry in self.entries)
+        """The logical write volume: repeated sectors counted each time."""
+        return self.sector_size * sum(len(e.data) for e in self.entries)
 
 
 class ImageSynthesizer:
@@ -144,7 +171,7 @@ class ImageSynthesizer:
         changed = list(self._overlays or ())
         while cursor < len(entries) and entries[cursor].end <= when:
             entry = entries[cursor]
-            image.write_partial(entry.lbn, entry.data, entry.durable)
+            _lay_down(image, entry, entry.durable)
             changed.append((entry.lbn, entry.durable))
             cursor += 1
         self._cursor = cursor
@@ -158,7 +185,7 @@ class ImageSynthesizer:
                     overlays.append((entry.lbn, applied))
                 else:
                     changed.append((entry.lbn, applied))
-                image.write_partial(entry.lbn, entry.data, applied)
+                _lay_down(image, entry, applied)
         if self._survivors:
             mirror = self.mirror_at(when)
             if mirror and image is self._image:
@@ -183,10 +210,16 @@ class ImageSynthesizer:
             _time, lbn, data = survivors[cursor]
             mirror.pop(lbn, None)
             if data is not None:
-                mirror[lbn] = data
+                mirror[lbn] = b"".join(data)
             cursor += 1
         self._survivor_cursor = cursor
         return mirror
+
+
+def _lay_down(image: SectorStore, entry: InFlightWrite, count: int) -> None:
+    """Write the first *count* of *entry*'s pooled sectors onto *image*."""
+    if count:
+        image.write(entry.lbn, b"".join(entry.data[:count]))
 
 
 def audited_images(base: SectorStore, log: MediaLog, auditor, *streams):

@@ -53,6 +53,18 @@ def test_recording_equals_the_stepping_loop(scheme, workload,
     assert looped == stepped
 
 
+@pytest.mark.parametrize("fault_profile", [None, "transient"])
+def test_nvram_survivors_equal_the_stepping_loop(fault_profile):
+    """The survivor stream is compared above too; here it is not empty,
+    and both recorders pool its stores into the same sectors."""
+    looped, stepped = _both(
+        "nvram", lambda m: build_workload(m, "churn", 0, None),
+        fault_profile)
+    stores = [data for _when, _lbn, data in looped[1] if data is not None]
+    assert stores and all(type(data) is tuple for data in stores)
+    assert looped[1] == stepped[1]
+
+
 def test_the_workload_phase_runs_in_place():
     """The equivalence above is not vacuous: events run in place during a
     recording (counted, never popped off the heap)."""

@@ -97,10 +97,9 @@ class TestEnumeration:
         recorded = record_run(machine,
                               build_workload(machine, "churn", 3, 20))
         assert recorded.windows is recorded.media_log.entries
-        sector = machine.disk.geometry.sector_size
         want = []
         for wi, entry in enumerate(recorded.media_log.entries):
-            lbn, n = entry.lbn, len(entry.data) // sector
+            lbn, n = entry.lbn, len(entry.data)  # one pooled sector each
             start, period = entry.transfer_start, entry.sector_period
             base = f"write {wi} (lbn {lbn}+{n})"
             want.append((start, f"{base} start"))
@@ -219,7 +218,8 @@ class TestBudgetedSweeps:
             == target
 
     def test_unknown_point_is_a_value_error(self):
-        with pytest.raises(ValueError, match="no crash point with index 999"):
+        with pytest.raises(ValueError, match=r"no crash point with index 999 "
+                           r"\(68 enumerated, 10 in the budget\)"):
             small_sweep("noorder", max_points=10, point=999)
 
     def test_verify_repair_holds_for_softupdates(self):
@@ -323,8 +323,8 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "no crash point with index 999 (enumerated 10)" \
-            in captured.err
+        assert "no crash point with index 999 " \
+            "(68 enumerated, 10 in the budget)" in captured.err
 
 
 class TestSchemeLookup:

@@ -61,9 +61,8 @@ def _covered(changed) -> set[int]:
 def assert_changed_is_sound(base, log, instants) -> int:
     """Walk *instants* through one synthesizer; returns how many images
     differed from the one before."""
-    sector = base.geometry.sector_size
     end = max([entry.lbn + entry.nsectors for entry in log.entries]
-              + [lbn + len(data) // sector
+              + [lbn + len(data)  # one pooled sector each
                  for _when, lbn, data in log.survivors if data]
               + [lbn + 1 for lbn, _data in base.iter_nonzero()])
     synthesizer = ImageSynthesizer(base, log)

@@ -233,6 +233,6 @@ class TestOneShotSynthesis:
         during = ImageSynthesizer(recorded.base_image, log).image_at(mid)
         after = ImageSynthesizer(recorded.base_image, log).image_at(entry.end)
         sector = during.read(entry.lbn, 1)
-        assert sector == entry.data[:len(entry.data) // entry.nsectors]
+        assert sector == entry.data[0]  # the first logged sector
         assert after.read(entry.lbn, 1) != sector or \
             recorded.base_image.read(entry.lbn, 1) == sector

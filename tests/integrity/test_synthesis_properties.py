@@ -33,8 +33,8 @@ GEOMETRY = DiskGeometry(cylinders=1, heads=1, sectors_per_track=MAX_LBN,
 
 
 def record(log: MediaLog, lbn, data, start, period, end, durable) -> None:
-    """Append a finished write, as the drive's observer list would."""
-    log.entries.append(InFlightWrite(
+    """Log a finished write, as the drive's observer list would."""
+    log.record(InFlightWrite(
         lbn=lbn, data=data, nsectors=len(data) // SECTOR,
         transfer_start=start, sector_period=period, end=end,
         durable=durable))
@@ -84,7 +84,7 @@ def brute_force_image(base: SectorStore, log: MediaLog,
         else:
             surviving = entry.sectors_applied_by(when)
         for k in range(surviving):
-            image[entry.lbn + k] = entry.data[k * SECTOR:(k + 1) * SECTOR]
+            image[entry.lbn + k] = entry.data[k]  # the k-th logged sector
     return image
 
 
@@ -99,7 +99,7 @@ def random_survivors(rng, log: MediaLog, events: int) -> None:
         lbn, nsectors = rng.choice(keys)
         data = None if rng.random() < 0.35 \
             else rng.randbytes(nsectors * SECTOR)
-        log.survivors.append((when, lbn, data))
+        log.survive(when, lbn, data)
 
 
 def brute_force_overlay(image: dict, log: MediaLog, when: float) -> dict:
@@ -112,9 +112,9 @@ def brute_force_overlay(image: dict, log: MediaLog, when: float) -> dict:
         mirror = [held for held in mirror if held[0] != lbn]
         if data is not None:
             mirror.append((lbn, data))
-    for lbn, data in mirror:
-        for k in range(len(data) // SECTOR):
-            image[lbn + k] = data[k * SECTOR:(k + 1) * SECTOR]
+    for lbn, sectors in mirror:
+        for k, sector in enumerate(sectors):
+            image[lbn + k] = sector
     return image
 
 
@@ -126,7 +126,7 @@ def query_instants(rng, log: MediaLog) -> list[float]:
     """Before, at, inside, and after every window -- plus random times."""
     instants = [0.0]
     for entry in log.entries:
-        nsectors = len(entry.data) // SECTOR
+        nsectors = len(entry.data)
         instants += [entry.transfer_start, entry.end,
                      entry.transfer_start + entry.sector_period * 0.5,
                      entry.transfer_start
